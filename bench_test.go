@@ -171,8 +171,11 @@ func BenchmarkAblation_SchedGuided(b *testing.B)       { benchPolicy(b, sched.Gu
 // (paper §7: "a direct implementation of relaxation with periodic boundary
 // conditions that makes artificial boundary elements obsolete")
 
+// Both sides run scalar inner loops (periodic has no other backend), so
+// the pair isolates the border bookkeeping.
 func BenchmarkFutureWork_ExtendedBorders_ClassW(b *testing.B) {
 	env := wl.Default()
+	env.Variant = tune.VariantScalar
 	defer env.Close()
 	bench := core.NewBenchmark(nas.ClassW, env)
 	bench.Reset()

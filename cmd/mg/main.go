@@ -76,7 +76,7 @@ func main() {
 		traceFile  = flag.String("trace", "", "write a JSON-lines V-cycle event trace (sac and mpi) to this file")
 		httpAddr   = flag.String("http", "", "serve expvar (/debug/vars, incl. mg.metrics), pprof and Prometheus /metrics on this address while running")
 		withHealth = flag.Bool("health", false, "monitor convergence health (sac only) and print the verdict")
-		variant    = flag.String("variant", "", "force the plane-kernel backend (sac only): scalar, buffered or simd (default: per-level autotuner choice)")
+		variant    = flag.String("variant", "", "force the plane-kernel backend (sac only): scalar, buffered or simd (default: per level, simd on AVX2 hosts where rows have at least 8 points, scalar otherwise)")
 		overlap    = flag.Bool("overlap", false, "mpi only: overlap the halo exchange with interior compute (nonblocking Isend/Irecv; -threads is the rank count)")
 	)
 	flag.Parse()
@@ -142,6 +142,7 @@ func main() {
 		rnm2, rnmu float64
 		elapsed    time.Duration
 		solution   *array.Array
+		backend    string // sac: the plane-kernel variant the finest level ran
 	)
 	switch *implName {
 	case "sac":
@@ -158,6 +159,9 @@ func main() {
 		env.Opt = wl.OptLevel(*opt)
 		env.Variant = *variant
 		o.attach(env)
+		if env.Opt >= wl.O3 { // below O3 the fused plane kernels do not run
+			backend = env.VariantFor("subRelax", class.LT())
+		}
 		b := core.NewBenchmark(class, env)
 		b.Reset()
 		start := time.Now()
@@ -288,6 +292,7 @@ func main() {
 			Impl     string        `json:"impl"`
 			Class    string        `json:"class"`
 			Threads  int           `json:"threads"`
+			Variant  string        `json:"variant,omitempty"`
 			Seconds  float64       `json:"seconds"`
 			Mops     float64       `json:"mops"`
 			Rnm2     float64       `json:"rnm2"`
@@ -296,7 +301,7 @@ func main() {
 			Known    bool          `json:"known"`
 			Health   health.Report `json:"health"`
 		}{
-			Impl: *implName, Class: string(class.Name), Threads: *threads,
+			Impl: *implName, Class: string(class.Name), Threads: *threads, Variant: backend,
 			Seconds: elapsed.Seconds(),
 			Mops:    class.FlopCount() / elapsed.Seconds() / 1e6,
 			Rnm2:    rnm2, Rnmu: rnmu,
@@ -333,6 +338,9 @@ func main() {
 	if !*quiet {
 		fmt.Printf("NAS MG, class %s, implementation %s, %d thread(s)\n",
 			class, *implName, *threads)
+		if backend != "" {
+			fmt.Printf("plane-kernel backend at level %d: %s\n", class.LT(), backend)
+		}
 		fmt.Printf("timed section: %v\n", elapsed)
 		fmt.Printf("rnm2 = %.13e   rnmu = %.13e\n", rnm2, rnmu)
 		if ref, official, ok := class.VerifyValue(); ok {

@@ -118,7 +118,7 @@ func main() {
 		distRanks   = flag.Int("ranks", 4, "-fig dist/comm: number of mgrank processes")
 		commOut     = flag.String("commout", "comm-artifacts", "-fig comm: directory for the per-rank traces, merged Perfetto timeline and comm report")
 		distOverlap = flag.Bool("overlap", false, "-fig dist/comm: run the ranks with the nonblocking overlapped halo exchange (mgrank -overlap)")
-		variant     = flag.String("variant", "", "force the SAC plane-kernel backend: scalar, buffered or simd (default: per-level autotuner choice)")
+		variant     = flag.String("variant", "", "force the SAC plane-kernel backend: scalar, buffered or simd (default: the -tuneplan/-fig tune plan of each level; without one, simd on AVX2 hosts where rows have at least 8 points, scalar otherwise)")
 	)
 	flag.Parse()
 

@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/jobq"
 	"repro/internal/metrics"
@@ -121,13 +124,40 @@ func TestDaemonTraceHeaderPropagation(t *testing.T) {
 	}
 }
 
+// finishedSignal is a log handler that signals each "job finished" line —
+// the observer's last act for a job, after the stage histograms and the
+// flight ring have it. A job answers its waiters before its observer
+// hooks run, so a test that reads observer state waits on this, not on
+// the HTTP response.
+type finishedSignal chan struct{}
+
+func (h finishedSignal) Enabled(context.Context, slog.Level) bool { return true }
+func (h finishedSignal) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h finishedSignal) WithGroup(string) slog.Handler            { return h }
+func (h finishedSignal) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "job finished" {
+		select {
+		case h <- struct{}{}:
+		default: // nobody is behind on signals; never block the runner
+		}
+	}
+	return nil
+}
+
 // TestDaemonFlightRecorderEndpoint pins GET /debug/flightrecorder: a
 // JSON Dump with reason http-request whose ring names recent jobs.
 func TestDaemonFlightRecorderEndpoint(t *testing.T) {
-	ts, _ := newTestDaemon(t, jobq.Config{Runners: 1})
+	finished := make(finishedSignal, 1)
+	ts, _ := newTestDaemon(t, jobq.Config{Runners: 1,
+		Obs: obs.New(obs.Config{Log: slog.New(finished)})})
 	code, res, _ := postSolve(t, ts.URL, `{"class":"S","wait":true}`)
 	if code != http.StatusOK {
 		t.Fatalf("solve = %d", code)
+	}
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("observer did not record the job within 10s of its response")
 	}
 
 	code, body := getBody(t, ts.URL+"/debug/flightrecorder")
@@ -160,9 +190,17 @@ func TestDaemonFlightRecorderEndpoint(t *testing.T) {
 // dump file on disk naming that job.
 func TestDaemonNaNTriggersFlightDump(t *testing.T) {
 	dir := t.TempDir()
+	dumped := make(chan string, 1) // one dump expected; a second must not block the queue's runner
 	ts, _ := newTestDaemon(t, jobq.Config{
 		Run: poisonTenant(jobq.Solver(nil, nil), "chaos"),
-		Obs: obs.New(obs.Config{FlightDir: dir}),
+		Obs: obs.New(obs.Config{FlightDir: dir, OnDump: func(reason, path string) {
+			if reason == obs.ReasonNonFinite {
+				select {
+				case dumped <- path:
+				default:
+				}
+			}
+		}}),
 	})
 
 	code, res, _ := postSolve(t, ts.URL, `{"class":"S","tenant":"chaos","wait":true}`)
@@ -170,11 +208,19 @@ func TestDaemonNaNTriggersFlightDump(t *testing.T) {
 		t.Fatalf("poisoned solve: %d %+v, want a failed job", code, res)
 	}
 
-	files, err := filepath.Glob(filepath.Join(dir, "flight-*-"+obs.ReasonNonFinite+".json"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("dump files = %v (err %v), want exactly one non-finite dump", files, err)
+	// The job reports done before its observer hooks run: wait for the
+	// dump itself, not for the response.
+	var path string
+	select {
+	case path = <-dumped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no non-finite dump within 10s of the failed job")
 	}
-	blob, err := os.ReadFile(files[0])
+	files, err := filepath.Glob(filepath.Join(dir, "flight-*"))
+	if err != nil || len(files) != 1 || files[0] != path {
+		t.Fatalf("dump dir holds %v (err %v), want exactly the reported dump %s", files, err, path)
+	}
+	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,16 +96,18 @@ func TestDifferentialIterNorms(t *testing.T) {
 			}
 		}
 
-		// Kernel variants: the buffered and simd backends must reproduce
-		// the scalar per-iteration norm sequence bit-for-bit (the variant
-		// bit-identity contract, here checked through the whole public
-		// solver stack rather than core's unit tests).
-		for _, variant := range []string{"buffered", "simd"} {
-			for _, workers := range []int{1, 4} {
+		// Kernel variants: the buffered and simd backends, and the default
+		// dispatch ("": no forced variant, no tuner — simd or scalar per
+		// level by the static rule), must reproduce the scalar
+		// per-iteration norm sequence bit-for-bit (the variant bit-identity
+		// contract, here checked through the whole public solver stack
+		// rather than core's unit tests).
+		for _, variant := range []string{"", "buffered", "simd"} {
+			for _, workers := range []int{1, 2, 4} {
 				got := sacIterNorms(t, class, workers, variant)
 				for i := range sacRef {
 					if got[i] != sacRef[i] {
-						t.Fatalf("class %c: SAC %s %d workers, iter %d: rnm2 = %.17e, scalar %.17e",
+						t.Fatalf("class %c: SAC variant %q %d workers, iter %d: rnm2 = %.17e, scalar %.17e",
 							class.Name, variant, workers, i, got[i], sacRef[i])
 					}
 				}

@@ -46,14 +46,30 @@ func NewFilled(shp shape.Shape, val float64) *Array {
 // len(data) must equal shp.Size(). The caller must not use data afterwards
 // except through the returned array.
 func Wrap(shp shape.Shape, data []float64) *Array {
+	return new(Array).Rewrap(shp, data)
+}
+
+// Rewrap re-points an existing header at a buffer, exactly as Wrap builds
+// a fresh one, and returns it — the memory manager's way of recycling the
+// descriptor of a released array together with its storage. The shape
+// vector is kept when it already equals shp and replaced (never
+// overwritten) otherwise, so a shape slice obtained during the header's
+// previous life stays intact.
+func (a *Array) Rewrap(shp shape.Shape, data []float64) *Array {
+	// The panics format shp.String(), not shp: boxing the slice for %v
+	// would make every caller's shape vector escape to the heap.
 	if !shp.Valid() {
-		panic(fmt.Sprintf("array: invalid shape %v", shp))
+		panic(fmt.Sprintf("array: invalid shape %s", shp.String()))
 	}
 	if len(data) != shp.Size() {
-		panic(fmt.Sprintf("array: Wrap: buffer length %d does not match shape %v (size %d)",
-			len(data), shp, shp.Size()))
+		panic(fmt.Sprintf("array: Wrap: buffer length %d does not match shape %s (size %d)",
+			len(data), shp.String(), shp.Size()))
 	}
-	return &Array{shp: shp.Clone(), data: data}
+	if a.shp == nil || !a.shp.Equal(shp) {
+		a.shp = shp.Clone()
+	}
+	a.data = data
+	return a
 }
 
 // FromSlice builds an array of the given shape from a row-major element

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"testing"
@@ -430,6 +431,7 @@ func TestTiledKernelsBitIdentical(t *testing.T) {
 				env := wl.Parallel(workers)
 				env.ForOpt.Policy = policy
 				env.Tile = tile
+				env.Variant = tune.VariantScalar // the only backend that tiles
 				t.Run(fmt.Sprintf("w%d_%s_tile%d", workers, policy, tile), func(t *testing.T) {
 					check(t, env)
 				})
@@ -448,14 +450,17 @@ func TestTiledKernelsBitIdentical(t *testing.T) {
 	})
 }
 
-// TestBufferedBitIdentical: the line-buffered and simd kernel variants
+// TestBufferedBitIdentical: the line-buffered and simd kernel variants,
+// and the default dispatch that picks between scalar and simd per level,
 // must reproduce the sequential scalar run bit-for-bit — norms and the
 // full solution grid — across worker counts and scheduling policies.
-// This is the contract that lets the autotuner switch variants freely
-// without perturbing NPB verification (see the package comment's
-// "Kernel variants" section).
+// This is the contract that lets the default rule and the autotuner
+// switch variants freely without perturbing NPB verification (see the
+// package comment's "Kernel variants" section).
 func TestBufferedBitIdentical(t *testing.T) {
-	refB := NewBenchmark(nas.ClassS, wl.Default())
+	refEnv := wl.Default()
+	refEnv.Variant = tune.VariantScalar
+	refB := NewBenchmark(nas.ClassS, refEnv)
 	refN2, refNU := refB.Run()
 	refU := refB.U().Clone()
 
@@ -473,7 +478,8 @@ func TestBufferedBitIdentical(t *testing.T) {
 		}
 	}
 
-	variants := []string{tune.VariantBuffered, tune.VariantSIMD}
+	// "" is the default dispatch: no Variant, no tuner.
+	variants := []string{"", tune.VariantBuffered, tune.VariantSIMD}
 	for _, variant := range variants {
 		for _, workers := range []int{1, 2, 4, 8} {
 			policies := sched.Policies()
@@ -484,7 +490,7 @@ func TestBufferedBitIdentical(t *testing.T) {
 				env := wl.Parallel(workers)
 				env.ForOpt.Policy = policy
 				env.Variant = variant
-				t.Run(fmt.Sprintf("%s_w%d_%s", variant, workers, policy), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s_w%d_%s", cmp.Or(variant, "default"), workers, policy), func(t *testing.T) {
 					check(t, env)
 				})
 			}
@@ -506,4 +512,23 @@ func TestBufferedBitIdentical(t *testing.T) {
 		env.Variant = "turbo"
 		check(t, env)
 	})
+}
+
+// TestWarmSolveAllocs pins the Go-heap traffic of a warm solve: array
+// headers are recycled with their pooled buffers and a one-worker sweep
+// calls its plane kernels without a scheduler closure, so what is left is
+// a handful of objects per solve. The budget is a quarter of the 325
+// objects a warm class-S solve allocated when every array and every
+// kernel invocation cost two to three.
+func TestWarmSolveAllocs(t *testing.T) {
+	const budget = 325 / 4
+	for _, variant := range []string{"", tune.VariantScalar} {
+		env := wl.Default()
+		env.Variant = variant
+		b := NewBenchmark(nas.ClassS, env)
+		b.Run() // warm the pool
+		if got := testing.AllocsPerRun(5, func() { b.Solve() }); got > budget {
+			t.Errorf("variant %q: warm solve allocates %.0f objects, budget %d", variant, got, budget)
+		}
+	}
 }

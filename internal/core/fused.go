@@ -26,8 +26,8 @@
 // Every kernel traverses its interior planes under an execution plan
 // resolved per (kernel, level) through Env.PlanFor: scheduling policy,
 // chunk, sequential threshold, a j/k cache-tile edge, and the inner-loop
-// kernel variant (internal/tune; Env.Tile and Env.Variant force values
-// without a tuner). Within a plane the j/k loops are blocked into
+// kernel variant (internal/tune; without a tuner the tile is Env.Tile and
+// the variant the static rule below). Within a plane the j/k loops are blocked into
 // tile×tile strips and the nine stencil row bases roll forward by one row
 // stride per j step instead of being recomputed with per-row multiplies.
 // Tiling only permutes writes of independent output elements, so any tile
@@ -49,15 +49,21 @@
 //     exactly the canonical sub-sums, the results (grids and norms) are
 //     bit-identical to scalar; buffered plans ignore the tile edge (the
 //     buffers already serialise a full row through the cache).
-//   - simd: the buffered form with the buffer fills and the combine loop
-//     vectorised 4-wide (internal/simd; AVX2 on amd64, a pure-Go fallback
-//     elsewhere). Lane arithmetic executes the same per-element operation
+//   - simd: the buffered form with the buffer fills, the combine loop,
+//     interpolate's even/odd interleaving store and projectCondense's
+//     stride-2 combine vectorised 4-wide (internal/simd; AVX2 on amd64, a
+//     pure-Go fallback elsewhere). Lane arithmetic executes the same per-element operation
 //     tree, so simd output is bit-identical too — the combine rows always
 //     apply all four coefficient terms (like the generic O0 kernel) where
 //     the scalar loops drop exact-zero terms, which cannot change a sum.
 //
-// The variant can be forced globally with the MG_FORCE_VARIANT
-// environment variable or the -variant flag (Env.Variant).
+// Which backend runs is the library's choice, not the caller's: unless a
+// tuner plan says otherwise, a level runs simd where the AVX2 path is live
+// and its rows have at least 8 points, and scalar elsewhere
+// (tune.DefaultVariant). The variant can be forced globally with the
+// MG_FORCE_VARIANT environment variable or the -variant flag
+// (Env.Variant); since all three are bit-identical, none of this can
+// change a result.
 package core
 
 import (
@@ -67,6 +73,7 @@ import (
 	"repro/internal/array"
 	"repro/internal/metrics"
 	"repro/internal/nas"
+	"repro/internal/sched"
 	"repro/internal/shape"
 	"repro/internal/stencil"
 	"repro/internal/tune"
@@ -137,23 +144,54 @@ func kernelClock(e *wl.Env) (t time.Time) {
 	return
 }
 
-// forPlanes partitions the interior planes [1, n0-1) of a rank-3 grid
-// across the environment's workers under the (kernel, level) plan, passing
-// the plan's tile edge to the body. od is the kernel's output storage:
-// with a health monitor attached it gets the sampled NaN/Inf guard
-// (observe.go) after the sweep — inside the timed window but after the
-// tuner commit, so calibration timings stay clean. With a collector
-// attached the invocation is recorded under (kernel, level) as the time
-// since started (the caller's kernelClock, taken before it allocated the
-// output); without any sink the only extra cost is two nil checks.
-func forPlanes(e *wl.Env, kernel string, started time.Time, n0, perPlane int, od []float64, body func(lo, hi, tile int, variant string)) {
+// planeLoop is the resolved schedule of one fused-kernel invocation over
+// the interior planes [1, n0-1) of a rank-3 grid: the (kernel, level)
+// plan of Env.PlanFor plus what the bookkeeping after the sweep needs.
+type planeLoop struct {
+	e        *wl.Env
+	kernel   string
+	level    int
+	planes   int // interior plane count, n0-2
+	perPlane int // index vectors per plane
+	opts     sched.ForOptions
+	tile     int
+	variant  string
+	commit   func()
+}
+
+func planPlanes(e *wl.Env, kernel string, n0, perPlane int) planeLoop {
 	level := levelOfExtent(n0 - 2)
 	opts, tile, variant, commit := e.PlanFor(kernel, level, perPlane)
-	e.Sched.For(n0-2, opts, func(lo, hi, _ int) { body(lo+1, hi+1, tile, variant) })
-	commit()
-	healthSample(e, kernel, level, od)
-	if m := e.Metrics; m != nil {
-		m.RecordVariant(0, kernel, level, variant, int64(n0-2)*int64(perPlane), time.Since(started))
+	return planeLoop{e: e, kernel: kernel, level: level, planes: n0 - 2, perPlane: perPlane,
+		opts: opts, tile: tile, variant: variant, commit: commit}
+}
+
+// inline reports whether the sweep runs on the calling goroutine (one
+// worker, or at most SeqThreshold planes — sched.For's own rule). Kernels
+// then call their plane-range function directly: a closure handed to
+// sched.For escapes to the heap, and the direct call keeps a sequential
+// warm solve free of garbage.
+func (p *planeLoop) inline() bool {
+	return p.e.Workers() == 1 || p.planes <= p.opts.SeqThreshold
+}
+
+// fanOut partitions the interior planes across the environment's workers.
+func (p *planeLoop) fanOut(body func(lo, hi int)) {
+	p.e.Sched.For(p.planes, p.opts, func(lo, hi, _ int) { body(lo+1, hi+1) })
+}
+
+// finish closes the invocation after the sweep. od is the kernel's output
+// storage: with a health monitor attached it gets the sampled NaN/Inf
+// guard (observe.go) — inside the timed window but after the tuner
+// commit, so calibration timings stay clean. With a collector attached
+// the invocation is recorded under (kernel, level) as the time since
+// started (the caller's kernelClock, taken before it allocated the
+// output); without any sink the only extra cost is two nil checks.
+func (p *planeLoop) finish(started time.Time, od []float64) {
+	p.commit()
+	healthSample(p.e, p.kernel, p.level, od)
+	if m := p.e.Metrics; m != nil {
+		m.RecordVariant(0, p.kernel, p.level, p.variant, int64(p.planes)*int64(p.perPlane), time.Since(started))
 	}
 }
 
@@ -236,16 +274,11 @@ func lined(variant string) bool {
 }
 
 // lineBuffers borrows the u1/u2 row buffers of the line-buffered plane
-// kernels from the environment's pool. Each scheduler partition takes its
-// own pair inside its body invocation (worker-local by construction), so
-// parallel plans stay allocation-free once the pool is warm.
-func lineBuffers(e *wl.Env, n int) (u1, u2 []float64, done func()) {
-	u1 = e.Pool.GetDirty(n)
-	u2 = e.Pool.GetDirty(n)
-	return u1, u2, func() {
-		e.Pool.Put(u1)
-		e.Pool.Put(u2)
-	}
+// kernels from the environment's pool; the caller Puts them back. Each
+// scheduler partition takes its own pair (worker-local by construction),
+// so parallel plans stay allocation-free once the pool is warm.
+func lineBuffers(e *wl.Env, n int) (u1, u2 []float64) {
+	return e.Pool.GetDirty(n), e.Pool.GetDirty(n)
 }
 
 // subRelax computes out = v − Relax(u, c): the folded form of
@@ -258,21 +291,47 @@ func subRelax(e *wl.Env, v, u *array.Array, c stencil.Coeffs) *array.Array {
 	out := e.NewArrayDirty(shp)
 	od, vd, ud := out.Data(), v.Data(), u.Data()
 	copyBorders(od, vd, n0, n1, n2)
-	forPlanes(e, "subRelax", started, n0, (n1-2)*(n2-2), od, func(lo, hi, tile int, variant string) {
-		if lined(variant) {
-			u1, u2, done := lineBuffers(e, n2)
-			defer done()
-			vec := variant == tune.VariantSIMD
-			for i := lo; i < hi; i++ {
+	pl := planPlanes(e, "subRelax", n0, (n1-2)*(n2-2))
+	tile, variant := pl.tile, pl.variant
+	if pl.inline() {
+		subRelaxPlanes(e, od, vd, ud, n1, n2, 1, n0-1, tile, variant, c, nil, nil)
+	} else {
+		pl.fanOut(func(lo, hi int) { subRelaxPlanes(e, od, vd, ud, n1, n2, lo, hi, tile, variant, c, nil, nil) })
+	}
+	pl.finish(started, od)
+	return out
+}
+
+// subRelaxPlanes relaxes interior planes [lo, hi) of subRelax in the
+// plan's kernel variant. With sums/maxs non-nil it is the subRelaxNorm
+// sweep and stores each plane's norm partials at its plane index.
+func subRelaxPlanes(e *wl.Env, od, vd, ud []float64, n1, n2, lo, hi, tile int, variant string,
+	c stencil.Coeffs, sums, maxs []float64) {
+	if lined(variant) {
+		u1, u2 := lineBuffers(e, n2)
+		vec := variant == tune.VariantSIMD
+		for i := lo; i < hi; i++ {
+			if sums == nil {
 				subRelaxPlaneLined(od, vd, ud, n1, n2, i, c, u1, u2, vec)
+			} else {
+				sums[i], maxs[i] = subRelaxNormPlaneLined(od, vd, ud, n1, n2, i, c, u1, u2, vec)
 			}
-			return
 		}
+		e.Pool.Put(u1)
+		e.Pool.Put(u2)
+		return
+	}
+	if sums == nil {
 		for i := lo; i < hi; i++ {
 			subRelaxPlane(od, vd, ud, n1, n2, i, tile, c)
 		}
-	})
-	return out
+		return
+	}
+	rowSum := e.Pool.GetDirty(tileOr(tile, n1-2))
+	for i := lo; i < hi; i++ {
+		sums[i], maxs[i] = subRelaxNormPlane(od, vd, ud, n1, n2, i, tile, c, rowSum)
+	}
+	e.Pool.Put(rowSum)
 }
 
 // subRelaxPlane relaxes interior plane i of subRelax, j/k-tiled. The three
@@ -343,29 +402,23 @@ func subRelaxNorm(e *wl.Env, v, u *array.Array, c stencil.Coeffs) (out *array.Ar
 	out = e.NewArrayDirty(shp)
 	od, vd, ud := out.Data(), v.Data(), u.Data()
 	copyBorders(od, vd, n0, n1, n2)
-	sums := make([]float64, n0)
-	maxs := make([]float64, n0)
-	forPlanes(e, "subRelax", started, n0, (n1-2)*(n2-2), od, func(lo, hi, tile int, variant string) {
-		if lined(variant) {
-			u1, u2, done := lineBuffers(e, n2)
-			defer done()
-			vec := variant == tune.VariantSIMD
-			for i := lo; i < hi; i++ {
-				sums[i], maxs[i] = subRelaxNormPlaneLined(od, vd, ud, n1, n2, i, c, u1, u2, vec)
-			}
-			return
-		}
-		rowSum := make([]float64, tileOr(tile, n1-2))
-		for i := lo; i < hi; i++ {
-			sums[i], maxs[i] = subRelaxNormPlane(od, vd, ud, n1, n2, i, tile, c, rowSum)
-		}
-	})
+	sums, maxs := e.Pool.GetDirty(n0), e.Pool.GetDirty(n0)
+	pl := planPlanes(e, "subRelax", n0, (n1-2)*(n2-2))
+	tile, variant := pl.tile, pl.variant
+	if pl.inline() {
+		subRelaxPlanes(e, od, vd, ud, n1, n2, 1, n0-1, tile, variant, c, sums, maxs)
+	} else {
+		pl.fanOut(func(lo, hi int) { subRelaxPlanes(e, od, vd, ud, n1, n2, lo, hi, tile, variant, c, sums, maxs) })
+	}
+	pl.finish(started, od)
 	for i := 1; i < n0-1; i++ {
 		sumSq += sums[i]
 		if maxs[i] > maxAbs {
 			maxAbs = maxs[i]
 		}
 	}
+	e.Pool.Put(sums)
+	e.Pool.Put(maxs)
 	return out, sumSq, maxAbs
 }
 
@@ -442,24 +495,9 @@ func subRelaxNormPlane(od, vd, ud []float64, n1, n2, i, tile int, c stencil.Coef
 func addRelax(e *wl.Env, z, r *array.Array, c stencil.Coeffs) *array.Array {
 	started := kernelClock(e)
 	shp := z.Shape()
-	n0, n1, n2 := shp[0], shp[1], shp[2]
 	out := e.NewArrayDirty(shp)
-	od, zd, rd := out.Data(), z.Data(), r.Data()
-	copyBorders(od, zd, n0, n1, n2)
-	forPlanes(e, "addRelax", started, n0, (n1-2)*(n2-2), od, func(lo, hi, tile int, variant string) {
-		if lined(variant) {
-			u1, u2, done := lineBuffers(e, n2)
-			defer done()
-			vec := variant == tune.VariantSIMD
-			for i := lo; i < hi; i++ {
-				addRelaxPlaneLined(od, zd, nil, rd, n1, n2, i, c, u1, u2, vec)
-			}
-			return
-		}
-		for i := lo; i < hi; i++ {
-			addRelaxPlane(od, zd, nil, rd, n1, n2, i, tile, c)
-		}
-	})
+	copyBorders(out.Data(), z.Data(), shp[0], shp[1], shp[2])
+	addRelaxSweep(e, started, out, nil, z, r, c)
 	return out
 }
 
@@ -470,25 +508,48 @@ func addRelax(e *wl.Env, z, r *array.Array, c stencil.Coeffs) *array.Array {
 func addRelaxPlus(e *wl.Env, u, z, r *array.Array, c stencil.Coeffs) *array.Array {
 	started := kernelClock(e)
 	shp := z.Shape()
-	n0, n1, n2 := shp[0], shp[1], shp[2]
 	out := e.NewArrayDirty(shp)
-	od, udat, zd, rd := out.Data(), u.Data(), z.Data(), r.Data()
-	addBorders(od, udat, zd, n0, n1, n2)
-	forPlanes(e, "addRelax", started, n0, (n1-2)*(n2-2), od, func(lo, hi, tile int, variant string) {
-		if lined(variant) {
-			u1, u2, done := lineBuffers(e, n2)
-			defer done()
-			vec := variant == tune.VariantSIMD
-			for i := lo; i < hi; i++ {
-				addRelaxPlaneLined(od, zd, udat, rd, n1, n2, i, c, u1, u2, vec)
-			}
-			return
-		}
-		for i := lo; i < hi; i++ {
-			addRelaxPlane(od, zd, udat, rd, n1, n2, i, tile, c)
-		}
-	})
+	addBorders(out.Data(), u.Data(), z.Data(), shp[0], shp[1], shp[2])
+	addRelaxSweep(e, started, out, u, z, r, c)
 	return out
+}
+
+// addRelaxSweep is the shared plane sweep of addRelax (u == nil) and
+// addRelaxPlus over an output whose borders are already written.
+func addRelaxSweep(e *wl.Env, started time.Time, out, u, z, r *array.Array, c stencil.Coeffs) {
+	shp := z.Shape()
+	n0, n1, n2 := shp[0], shp[1], shp[2]
+	od, zd, rd := out.Data(), z.Data(), r.Data()
+	var ud []float64
+	if u != nil {
+		ud = u.Data()
+	}
+	pl := planPlanes(e, "addRelax", n0, (n1-2)*(n2-2))
+	tile, variant := pl.tile, pl.variant
+	if pl.inline() {
+		addRelaxPlanes(e, od, zd, ud, rd, n1, n2, 1, n0-1, tile, variant, c)
+	} else {
+		pl.fanOut(func(lo, hi int) { addRelaxPlanes(e, od, zd, ud, rd, n1, n2, lo, hi, tile, variant, c) })
+	}
+	pl.finish(started, od)
+}
+
+// addRelaxPlanes relaxes interior planes [lo, hi) of addRelax (ud == nil)
+// or addRelaxPlus in the plan's kernel variant.
+func addRelaxPlanes(e *wl.Env, od, zd, ud, rd []float64, n1, n2, lo, hi, tile int, variant string, c stencil.Coeffs) {
+	if lined(variant) {
+		u1, u2 := lineBuffers(e, n2)
+		vec := variant == tune.VariantSIMD
+		for i := lo; i < hi; i++ {
+			addRelaxPlaneLined(od, zd, ud, rd, n1, n2, i, c, u1, u2, vec)
+		}
+		e.Pool.Put(u1)
+		e.Pool.Put(u2)
+		return
+	}
+	for i := lo; i < hi; i++ {
+		addRelaxPlane(od, zd, ud, rd, n1, n2, i, tile, c)
+	}
 }
 
 // addRelaxPlane relaxes interior plane i for addRelax (ud == nil,
@@ -606,23 +667,36 @@ func projectCondense(e *wl.Env, r *array.Array, c stencil.Coeffs) *array.Array {
 	// condense halves the extent (mf/2), embed adds the missing boundary
 	// element: the coarse extended extent is mf/2 + 1.
 	mo := mf/2 + 1
-	out := e.NewArray(shape.Of(mo, mo, mo))
+	out := e.NewArrayDirty(shape.Of(mo, mo, mo))
 	od, rd := out.Data(), r.Data()
-	forPlanes(e, "projectCondense", started, mo, (mo-2)*(mo-2), od, func(lo, hi, tile int, variant string) {
-		if lined(variant) {
-			u1, u2, done := lineBuffers(e, mf)
-			defer done()
-			vec := variant == tune.VariantSIMD
-			for jc := lo; jc < hi; jc++ {
-				projectCondensePlaneLined(od, rd, mf, mo, jc, c, u1, u2, vec)
-			}
-			return
-		}
-		for jc := lo; jc < hi; jc++ {
-			projectCondensePlane(od, rd, mf, mo, jc, tile, c)
-		}
-	})
+	zeroBorders(od, mo, mo, mo)
+	pl := planPlanes(e, "projectCondense", mo, (mo-2)*(mo-2))
+	tile, variant := pl.tile, pl.variant
+	if pl.inline() {
+		projectCondensePlanes(e, od, rd, mf, mo, 1, mo-1, tile, variant, c)
+	} else {
+		pl.fanOut(func(lo, hi int) { projectCondensePlanes(e, od, rd, mf, mo, lo, hi, tile, variant, c) })
+	}
+	pl.finish(started, od)
 	return out
+}
+
+// projectCondensePlanes projects coarse planes [lo, hi) in the plan's
+// kernel variant.
+func projectCondensePlanes(e *wl.Env, od, rd []float64, mf, mo, lo, hi, tile int, variant string, c stencil.Coeffs) {
+	if lined(variant) {
+		u1, u2 := lineBuffers(e, mf)
+		vec := variant == tune.VariantSIMD
+		for jc := lo; jc < hi; jc++ {
+			projectCondensePlaneLined(od, rd, mf, mo, jc, c, u1, u2, vec)
+		}
+		e.Pool.Put(u1)
+		e.Pool.Put(u2)
+		return
+	}
+	for jc := lo; jc < hi; jc++ {
+		projectCondensePlane(od, rd, mf, mo, jc, tile, c)
+	}
 }
 
 // projectCondensePlane projects coarse plane jc, j/k-tiled over the coarse
@@ -674,26 +748,37 @@ func interpolate(e *wl.Env, rn *array.Array, c stencil.Coeffs) *array.Array {
 	started := kernelClock(e)
 	mc := rn.Shape()[0]
 	mf := 2*mc - 2
-	out := e.NewArray(shape.Of(mf, mf, mf))
+	out := e.NewArrayDirty(shape.Of(mf, mf, mf))
 	od, zd := out.Data(), rn.Data()
-	forPlanes(e, "interpolate", started, mf, (mf-2)*(mf-2), od, func(lo, hi, tile int, variant string) {
-		if lined(variant) {
-			// One cross-row buffer of coarse-row length suffices: the
-			// parity cases pair at most the four coarse rows of one
-			// fine row.
-			b := e.Pool.GetDirty(mc)
-			defer e.Pool.Put(b)
-			vec := variant == tune.VariantSIMD
-			for f3 := lo; f3 < hi; f3++ {
-				interpolatePlaneLined(od, zd, mc, mf, f3, c, b, vec)
-			}
-			return
-		}
-		for f3 := lo; f3 < hi; f3++ {
-			interpolatePlane(od, zd, mc, mf, f3, tile, c)
-		}
-	})
+	zeroBorders(od, mf, mf, mf)
+	pl := planPlanes(e, "interpolate", mf, (mf-2)*(mf-2))
+	tile, variant := pl.tile, pl.variant
+	if pl.inline() {
+		interpolatePlanes(e, od, zd, mc, mf, 1, mf-1, tile, variant, c)
+	} else {
+		pl.fanOut(func(lo, hi int) { interpolatePlanes(e, od, zd, mc, mf, lo, hi, tile, variant, c) })
+	}
+	pl.finish(started, od)
 	return out
+}
+
+// interpolatePlanes interpolates fine planes [lo, hi) in the plan's
+// kernel variant.
+func interpolatePlanes(e *wl.Env, od, zd []float64, mc, mf, lo, hi, tile int, variant string, c stencil.Coeffs) {
+	if lined(variant) {
+		// One cross-row buffer of coarse-row length suffices: the parity
+		// cases pair at most the four coarse rows of one fine row.
+		b := e.Pool.GetDirty(mc)
+		vec := variant == tune.VariantSIMD
+		for f3 := lo; f3 < hi; f3++ {
+			interpolatePlaneLined(od, zd, mc, mf, f3, c, b, vec)
+		}
+		e.Pool.Put(b)
+		return
+	}
+	for f3 := lo; f3 < hi; f3++ {
+		interpolatePlane(od, zd, mc, mf, f3, tile, c)
+	}
 }
 
 // interpolatePlane interpolates fine plane f3, j/k-tiled over the fine
@@ -763,6 +848,26 @@ func copyBorders(dst, src []float64, n0, n1, n2 int) {
 			row := (i*n1 + j) * n2
 			dst[row] = src[row]
 			dst[row+n2-1] = src[row+n2-1]
+		}
+	}
+}
+
+// zeroBorders clears the six boundary planes of a rank-3 grid — the whole
+// zero default of a kernel that writes every interior element, at a
+// fraction of the cost of clearing the grid.
+func zeroBorders(dst []float64, n0, n1, n2 int) {
+	plane := n1 * n2
+	clear(dst[:plane])
+	clear(dst[(n0-1)*plane:])
+	for i := 1; i < n0-1; i++ {
+		top := i * plane
+		clear(dst[top : top+n2])
+		bot := top + (n1-1)*n2
+		clear(dst[bot : bot+n2])
+		for j := 1; j < n1-1; j++ {
+			row := top + j*n2
+			dst[row] = 0
+			dst[row+n2-1] = 0
 		}
 	}
 }

@@ -183,6 +183,10 @@ func projectCondensePlaneLined(od, rd []float64, mf, mo, jc int, c stencil.Coeff
 				u2[t] = ((rMM[t] + rMP[t]) + rPM[t]) + rPP[t]
 			}
 		}
+		if vec {
+			simd.ProjectRow(od[base:base+mo], rZZ, u1, u2, (*[4]float64)(&c))
+			continue
+		}
 		for j1 := 1; j1 < mo-1; j1++ {
 			k := 2 * j1
 			s1 := (rZZ[k-1] + rZZ[k+1]) + u1[k]
@@ -197,7 +201,8 @@ func projectCondensePlaneLined(od, rd []float64, mf, mo, jc int, c stencil.Coeff
 // the up-to-four contributing coarse rows of one fine row collapse into
 // one cross-row buffer b (their canonical pairwise sums), after which
 // every fine element is one buffer read (even f1) or one buffered pair
-// (odd f1). b has coarse-row length mc.
+// (odd f1) — the even/odd interleaving store of interpRow. b has
+// coarse-row length mc.
 func interpolatePlaneLined(od, zd []float64, mc, mf, f3 int, c stencil.Coeffs,
 	b []float64, vec bool) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
@@ -211,40 +216,36 @@ func interpolatePlaneLined(od, zd []float64, mc, mf, f3 int, c stencil.Coeffs,
 		bhl := (rowH3 + l2) * mc
 		bhh := bhl + (h2-l2)*mc
 		oRow := od[base : base+mf]
-		// cEven/cOdd are the Q weights of the on-axis and between-axis
-		// fine columns given how many of the f3/f2 axes are off-anchor.
-		var cEven, cOdd float64
+		// The Q weights of the on-axis (even) and between-axis (odd) fine
+		// columns follow from how many of the f3/f2 axes are off-anchor.
 		switch {
 		case !o3 && !o2:
 			// Both outer axes on-anchor: single coarse row, no buffer.
-			zRow := zd[bll : bll+mc]
-			for f1 := 1; f1 < mf-1; f1++ {
-				l1, h1 := f1/2, (f1+1)/2
-				if f1&1 == 0 {
-					oRow[f1] = c0 * zRow[l1]
-				} else {
-					oRow[f1] = c1 * (zRow[l1] + zRow[h1])
-				}
-			}
-			continue
+			interpRow(oRow, zd[bll:bll+mc], c0, c1, vec)
 		case !o3 && o2:
 			fillSum2(b, zd[bll:bll+mc], zd[blh:blh+mc], vec)
-			cEven, cOdd = c1, c2
+			interpRow(oRow, b, c1, c2, vec)
 		case o3 && !o2:
 			fillSum2(b, zd[bll:bll+mc], zd[bhl:bhl+mc], vec)
-			cEven, cOdd = c1, c2
+			interpRow(oRow, b, c1, c2, vec)
 		default:
 			fillSum4(b, zd[bll:bll+mc], zd[blh:blh+mc], zd[bhl:bhl+mc], zd[bhh:bhh+mc], vec)
-			cEven, cOdd = c2, c3
+			interpRow(oRow, b, c2, c3, vec)
 		}
-		for f1 := 1; f1 < mf-1; f1++ {
-			l1, h1 := f1/2, (f1+1)/2
-			if f1&1 == 0 {
-				oRow[f1] = cEven * b[l1]
-			} else {
-				oRow[f1] = cOdd * (b[l1] + b[h1])
-			}
-		}
+	}
+}
+
+// interpRow writes the interior of fine row o from the coarse buffer b:
+// cEven·b[l] on the even columns, cOdd·(b[l] + b[l+1]) on the odd ones,
+// vectorised when vec is set.
+func interpRow(o, b []float64, cEven, cOdd float64, vec bool) {
+	if vec {
+		simd.InterpRow(o, b, cEven, cOdd)
+		return
+	}
+	for l := 0; l+2 < len(b); l++ {
+		o[2*l+1] = cOdd * (b[l] + b[l+1])
+		o[2*l+2] = cEven * b[l+1]
 	}
 }
 

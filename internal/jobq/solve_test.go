@@ -107,6 +107,47 @@ func TestServiceSolveMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestDefaultDispatchKeepsJobIdentity pins that the default backend rule
+// lives below the job's identity: a request without a variant keeps its
+// empty Variant (and so its cache key) even on hosts where it resolves to
+// simd, an explicit simd request is a different job that is solved rather
+// than served from the default's cache entry, and the two agree bitwise.
+func TestDefaultDispatchKeepsJobIdentity(t *testing.T) {
+	q := New(Config{Runners: 1})
+	defer q.Close()
+
+	solve := func(raw Request) (Request, Result, bool) {
+		t.Helper()
+		req, err := raw.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk, err := q.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := waitDone(t, tk)
+		if res.State != StateDone {
+			t.Fatalf("state = %s (%s)", res.State, res.Error)
+		}
+		return req, res, tk.Cached()
+	}
+	def, defRes, _ := solve(Request{Class: "S"})
+	forced, forcedRes, cached := solve(Request{Class: "S", Variant: tune.VariantSIMD})
+	if def.Variant != "" {
+		t.Errorf("normalized default request carries variant %q, want it empty", def.Variant)
+	}
+	if def.ID() == forced.ID() {
+		t.Errorf("default and explicit-simd requests share job ID %s", def.ID())
+	}
+	if cached {
+		t.Error("explicit-simd request was served from the default request's cache entry")
+	}
+	if defRes.Rnm2 != forcedRes.Rnm2 {
+		t.Errorf("default rnm2 = %v, simd rnm2 = %v (must be bit-identical)", defRes.Rnm2, forcedRes.Rnm2)
+	}
+}
+
 // TestConcurrentSubmitStress hammers one queue — and through it the
 // process-global worker pool and buffer arena — with identical and
 // distinct jobs from many goroutines, mixing cache hits, dedup attaches

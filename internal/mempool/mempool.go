@@ -16,11 +16,20 @@
 // can report how much traffic the memory manager absorbs, and it can be
 // disabled to measure the cost of always allocating — the malloc-per-op
 // ablation in bench_test.go.
+//
+// Like SAC's heap manager, which allocates an array's descriptor with its
+// data, the pool recycles whole arrays: Release retains the array header
+// beside its buffer, and the next NewArray of that size re-points the
+// header instead of allocating one, so a warm solve creates no garbage
+// for the Go collector either.
 package mempool
 
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/array"
+	"repro/internal/shape"
 )
 
 // Stats counts memory-manager events since the pool was created or Reset.
@@ -55,7 +64,7 @@ func (s Stats) String() string {
 // count only that solve's traffic — per-job accounting over one arena.
 type Pool struct {
 	mu         sync.Mutex
-	free       map[int][][]float64
+	free       map[int][]slot
 	stats      Stats
 	enabled    bool
 	maxPerSize int
@@ -68,6 +77,13 @@ type Pool struct {
 	// configuration this view delegates to. The scope's own stats field is
 	// then guarded by root.mu (scopes hold no lock of their own).
 	root *Pool
+}
+
+// slot is one retained buffer and, when it was released as an array, that
+// array's header (nil for raw buffers).
+type slot struct {
+	buf []float64
+	hdr *array.Array
 }
 
 // arena resolves the pool that owns the free lists: the pool itself, or
@@ -112,7 +128,7 @@ const DefaultMaxPerSize = 8
 // identical.
 func New(enabled bool) *Pool {
 	return &Pool{
-		free:       make(map[int][][]float64),
+		free:       make(map[int][]slot),
 		enabled:    enabled,
 		maxPerSize: DefaultMaxPerSize,
 	}
@@ -163,22 +179,47 @@ func (p *Pool) Get(n int) []float64 {
 // GetDirty returns a buffer of exactly n float64s with unspecified contents.
 // Use it when every element will be overwritten (modarray, full genarray).
 func (p *Pool) GetDirty(n int) []float64 {
+	return p.get(n).buf
+}
+
+// NewArray returns a zeroed array of the given shape over a pooled buffer.
+func (p *Pool) NewArray(shp shape.Shape) *array.Array {
+	a := p.NewArrayDirty(shp)
+	a.Zero()
+	return a
+}
+
+// NewArrayDirty returns an array of the given shape with unspecified
+// contents over a pooled buffer, reusing the header the buffer was
+// released with when there is one.
+func (p *Pool) NewArrayDirty(shp shape.Shape) *array.Array {
+	s := p.get(shp.Size())
+	if s.hdr != nil {
+		return s.hdr.Rewrap(shp, s.buf)
+	}
+	return array.Wrap(shp, s.buf)
+}
+
+// get takes a buffer of exactly n float64s off the free list, or
+// allocates one.
+func (p *Pool) get(n int) slot {
 	if p == nil {
-		return make([]float64, n)
+		return slot{buf: make([]float64, n)}
 	}
 	a := p.arena()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.enabled {
 		if list := a.free[n]; len(list) > 0 {
-			buf := list[len(list)-1]
+			s := list[len(list)-1]
+			list[len(list)-1] = slot{}
 			a.free[n] = list[:len(list)-1]
 			a.stats.Reuses++
 			if p != a {
 				p.stats.Reuses++
 			}
-			a.track(buf)
-			return buf
+			a.track(s.buf)
+			return s
 		}
 	}
 	a.stats.Allocs++
@@ -189,7 +230,7 @@ func (p *Pool) GetDirty(n int) []float64 {
 	}
 	buf := make([]float64, n)
 	a.track(buf)
-	return buf
+	return slot{buf: buf}
 }
 
 // track registers a live buffer under paranoid checking (caller holds mu).
@@ -202,14 +243,25 @@ func (p *Pool) track(buf []float64) {
 // Put returns a buffer to the pool for reuse. The caller must not use buf
 // afterwards. Putting a nil or empty buffer is a no-op.
 func (p *Pool) Put(buf []float64) {
-	if p == nil || len(buf) == 0 {
+	p.put(slot{buf: buf})
+}
+
+// Release returns an array — buffer and header — to the pool. The caller
+// must not use a afterwards: the next NewArray of its size hands the same
+// header out again.
+func (p *Pool) Release(a *array.Array) {
+	p.put(slot{buf: a.Data(), hdr: a})
+}
+
+func (p *Pool) put(s slot) {
+	if p == nil || len(s.buf) == 0 {
 		return
 	}
 	a := p.arena()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.paranoid != nil {
-		key := &buf[0]
+		key := &s.buf[0]
 		if !a.paranoid[key] {
 			panic("mempool: Put of a buffer that is not live (double release or foreign buffer)")
 		}
@@ -219,22 +271,15 @@ func (p *Pool) Put(buf []float64) {
 	if p != a {
 		p.stats.Puts++
 	}
-	discard := func() {
+	n := len(s.buf)
+	if !a.enabled || len(a.free[n]) >= a.maxPerSize {
 		a.stats.Discards++
 		if p != a {
 			p.stats.Discards++
 		}
-	}
-	if !a.enabled {
-		discard()
 		return
 	}
-	n := len(buf)
-	if len(a.free[n]) >= a.maxPerSize {
-		discard()
-		return
-	}
-	a.free[n] = append(a.free[n], buf[:n])
+	a.free[n] = append(a.free[n], s)
 }
 
 // Stats returns a snapshot of the counters: the whole arena's for a root
@@ -262,7 +307,7 @@ func (p *Pool) Reset() {
 	if p != a {
 		return
 	}
-	a.free = make(map[int][][]float64)
+	a.free = make(map[int][]slot)
 	if a.paranoid != nil {
 		a.paranoid = make(map[*float64]bool)
 	}

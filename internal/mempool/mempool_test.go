@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/shape"
 )
 
 func TestGetZeroed(t *testing.T) {
@@ -256,6 +258,61 @@ func TestParanoidOffByDefault(t *testing.T) {
 	if p.Live() != 0 {
 		t.Fatal("Live non-zero without paranoid mode")
 	}
+}
+
+// Arrays recycle whole: a released array's header comes back with its
+// buffer (re-pointed at the requested shape, its old shape vector left
+// intact), zeroed on request, under the same release discipline as raw
+// buffers — and a warm NewArray/Release cycle allocates nothing.
+func TestArraysRecycleHeaderWithBuffer(t *testing.T) {
+	p := New(true)
+	p.SetParanoid(true)
+	a := p.NewArray(shape.Of(2, 3, 4))
+	oldShape := a.Shape()
+	a.Fill(7)
+	p.Release(a)
+
+	b := p.NewArray(shape.Of(4, 6))
+	if b != a {
+		t.Error("same-size NewArray did not reuse the released header")
+	}
+	if !b.Shape().Equal(shape.Of(4, 6)) || b.Size() != 24 {
+		t.Errorf("recycled array has shape %v size %d", b.Shape(), b.Size())
+	}
+	if !oldShape.Equal(shape.Of(2, 3, 4)) {
+		t.Errorf("shape vector of the header's previous life was overwritten: %v", oldShape)
+	}
+	for i, v := range b.Data() {
+		if v != 0 {
+			t.Fatalf("NewArray element %d = %v, want 0", i, v)
+		}
+	}
+	if p.Live() != 1 {
+		t.Fatalf("Live = %d, want 1", p.Live())
+	}
+	p.Release(b)
+	if got := p.Stats(); got.Allocs != 1 || got.Reuses != 1 || got.Puts != 2 {
+		t.Errorf("stats = %v, want 1 alloc, 1 reuse, 2 puts", got)
+	}
+
+	// A raw request may take the buffer; the header is simply dropped.
+	buf := p.GetDirty(24)
+	p.Put(buf)
+
+	shp := shape.Of(4, 6)
+	p.Release(p.NewArrayDirty(shp))
+	if n := testing.AllocsPerRun(10, func() { p.Release(p.NewArrayDirty(shp)) }); n != 0 {
+		t.Errorf("warm NewArrayDirty/Release allocates %v objects, want 0", n)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("double Release not detected")
+		}
+	}()
+	c := p.NewArrayDirty(shp)
+	p.Release(c)
+	p.Release(c)
 }
 
 // A Scope draws from and returns to the parent's free lists — a buffer

@@ -41,6 +41,7 @@ type FlightConfig struct {
 	DumpMinInterval time.Duration
 	BurstWindow     time.Duration
 	BurstCount      int
+	OnDump          func(reason, path string)
 }
 
 func (c FlightConfig) withDefaults() FlightConfig {
@@ -237,10 +238,10 @@ func (r *FlightRecorder) WriteTo(w io.Writer, reason string) error {
 
 // Trigger takes an anomaly snapshot: rate-limited by DumpMinInterval
 // (a burst of anomalies produces one postmortem, not hundreds) and
-// written to a timestamped JSON file under Dir. Without a Dir the
-// trigger only bumps the dump counter — the snapshot stays available
-// via Snapshot/HTTP. Returns the file path (empty without a Dir) and
-// whether the trigger fired.
+// written to a timestamped JSON file under Dir, after which OnDump (if
+// set) is told. Without a Dir the trigger only bumps the dump counter —
+// the snapshot stays available via Snapshot/HTTP. Returns the file path
+// (empty without a Dir) and whether the trigger fired.
 func (r *FlightRecorder) Trigger(reason string) (string, bool) {
 	if r == nil {
 		return "", false
@@ -259,15 +260,35 @@ func (r *FlightRecorder) Trigger(reason string) (string, bool) {
 	}
 	path := filepath.Join(r.cfg.Dir,
 		fmt.Sprintf("flight-%s-%d-%s.json", now.UTC().Format("20060102T150405"), n, reason))
-	f, err := os.Create(path)
-	if err != nil {
+	if err := r.writeFile(path, reason); err != nil {
 		return "", false
 	}
-	defer f.Close()
-	if err := r.WriteTo(f, reason); err != nil {
-		return "", false
+	if r.cfg.OnDump != nil {
+		r.cfg.OnDump(reason, path)
 	}
 	return path, true
+}
+
+// writeFile writes a snapshot to path through a sibling temp file and a
+// rename, so that a reader — or a crash mid-dump, the moment a postmortem
+// matters most — never finds a partial file under the final name.
+func (r *FlightRecorder) writeFile(path, reason string) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = r.WriteTo(f, reason)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp) // best effort: the dump already failed
+	}
+	return err
 }
 
 // Dumps returns the number of triggers that fired.

@@ -148,7 +148,9 @@ func TestFlightTriggerDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := New(Config{Log: log, FlightDir: dir, DumpMinInterval: time.Hour})
+	var reported []string
+	o := New(Config{Log: log, FlightDir: dir, DumpMinInterval: time.Hour,
+		OnDump: func(reason, path string) { reported = append(reported, reason+" "+path) }})
 
 	o.JobFinished(JobRecord{
 		TraceID: "00112233445566778899aabbccddeeff", JobID: "deadbeef00000001",
@@ -156,9 +158,14 @@ func TestFlightTriggerDump(t *testing.T) {
 		NonFinite: true, SolveSeconds: 0.25, TotalSeconds: 0.5,
 	})
 
-	files, err := filepath.Glob(filepath.Join(dir, "flight-*-"+ReasonNonFinite+".json"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("dump files = %v (err %v), want exactly one non-finite dump", files, err)
+	// Exactly the finished dump: the temp file it was written through is
+	// gone, and OnDump named it.
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(files) != 1 || !strings.HasSuffix(files[0], "-"+ReasonNonFinite+".json") {
+		t.Fatalf("dump dir holds %v (err %v), want exactly one non-finite dump", files, err)
+	}
+	if len(reported) != 1 || reported[0] != ReasonNonFinite+" "+files[0] {
+		t.Fatalf("OnDump calls = %v, want one for %s", reported, files[0])
 	}
 	blob, err := os.ReadFile(files[0])
 	if err != nil {

@@ -12,3 +12,5 @@ func sum4Asm(dst, a, b, c, d []float64) int { return 0 }
 func subRelaxRowAVX2(o, v, x, u1, u2 *float64, n int, c *[4]float64)        {}
 func addRelaxRowAVX2(o, z, x, u1, u2 *float64, n int, c *[4]float64)        {}
 func addRelaxPlusRowAVX2(o, w, z, x, u1, u2 *float64, n int, c *[4]float64) {}
+func interpRowAVX2(o, b *float64, n int, cEven, cOdd float64)               {}
+func projectRowAVX2(o, x, u1, u2 *float64, n int, c *[4]float64)            {}

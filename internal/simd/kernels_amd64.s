@@ -1,7 +1,9 @@
 // AVX2 row kernels for the line-buffered stencil form. Every lane
 // evaluates the canonical association of internal/stencil with plain
 // VADDPD/VMULPD (no FMA), so results are bit-identical to the pure-Go
-// fallbacks. n is a multiple of 4 (the Go wrappers handle tails).
+// fallbacks; the interleave/gather kernels add only lane moves (unpack,
+// shuffle, permute) to that. n is a multiple of 4 (the Go wrappers handle
+// tails).
 
 #include "textflag.h"
 
@@ -158,5 +160,71 @@ plusloop:
 	ADDQ $4, AX
 	JMP  plusloop
 plusdone:
+	VZEROUPPER
+	RET
+
+// func interpRowAVX2(o, b *float64, n int, cEven, cOdd float64)
+// For m = 0..n-1: o[2m+1] = cOdd*(b[m] + b[m+1]), o[2m+2] = cEven*b[m+1].
+// Four m per step: the odd (Y0) and even (Y1) products interleave through
+// unpack + 128-bit permute into two contiguous stores.
+TEXT ·interpRowAVX2(SB), NOSPLIT, $0-40
+	MOVQ o+0(FP), DI
+	MOVQ b+8(FP), SI
+	MOVQ n+16(FP), R8
+	VBROADCASTSD cEven+24(FP), Y14
+	VBROADCASTSD cOdd+32(FP), Y15
+	XORQ AX, AX   // m
+	XORQ CX, CX   // 2m
+interploop:
+	CMPQ AX, R8
+	JGE  interpdone
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD 8(SI)(AX*8), Y1
+	VADDPD  Y1, Y0, Y0          // b[m] + b[m+1]
+	VMULPD  Y0, Y15, Y0         // odd:  O0 O1 O2 O3
+	VMULPD  Y1, Y14, Y1         // even: E0 E1 E2 E3
+	VUNPCKLPD Y1, Y0, Y2        // O0 E0 O2 E2
+	VUNPCKHPD Y1, Y0, Y3        // O1 E1 O3 E3
+	VPERM2F128 $0x20, Y3, Y2, Y4 // O0 E0 O1 E1
+	VPERM2F128 $0x31, Y3, Y2, Y5 // O2 E2 O3 E3
+	VMOVUPD Y4, 8(DI)(CX*8)
+	VMOVUPD Y5, 40(DI)(CX*8)
+	ADDQ $4, AX
+	ADDQ $8, CX
+	JMP  interploop
+interpdone:
+	VZEROUPPER
+	RET
+
+// func projectRowAVX2(o, x, u1, u2 *float64, n int, c *[4]float64)
+// o[j] = stencil(2j) for j = 1..n. Four j per step: the combine runs at
+// k..k+3 and at k+3..k+6 (so the highest index read is k+7, inside a row
+// of 2(n+1) elements), and the even-k lanes r[k], r[k+2] of the first and
+// r[k+4], r[k+6] of the second are gathered into one contiguous store.
+TEXT ·projectRowAVX2(SB), NOSPLIT, $0-48
+	MOVQ o+0(FP), DI
+	MOVQ x+8(FP), R10
+	MOVQ u1+16(FP), R11
+	MOVQ u2+24(FP), R12
+	MOVQ n+32(FP), R8
+	MOVQ c+40(FP), R9
+	LOAD_COEFFS(R9)
+	MOVQ $2, AX   // k = 2j
+	MOVQ $1, BX   // j
+	ADDQ $1, R8   // limit: j runs 1..n inclusive
+projloop:
+	CMPQ BX, R8
+	JGE  projdone
+	STENCIL_COMBINE
+	VMOVAPD Y3, Y6              // r[k]   r[k+1] r[k+2] r[k+3]
+	ADDQ $3, AX
+	STENCIL_COMBINE             // r[k+3] r[k+4] r[k+5] r[k+6]
+	VSHUFPD $0xA, Y3, Y6, Y6    // r[k]   r[k+4] r[k+2] r[k+6]
+	VPERMPD $0xD8, Y6, Y6       // r[k]   r[k+2] r[k+4] r[k+6]
+	VMOVUPD Y6, (DI)(BX*8)
+	ADDQ $5, AX
+	ADDQ $4, BX
+	JMP  projloop
+projdone:
 	VZEROUPPER
 	RET

@@ -1,7 +1,9 @@
 // Package simd provides 4-wide float64 row primitives for the MG stencil
 // kernels: the buffer fills and combine loops of the line-buffered form
-// (internal/stencil's canonical association), vectorised with AVX2 on
-// amd64 and implemented in pure Go everywhere else.
+// (internal/stencil's canonical association), the even/odd interleaving
+// store of trilinear interpolation and the stride-2 combine of the
+// projection, vectorised with AVX2 on amd64 and implemented in pure Go
+// everywhere else.
 //
 // # Bit-identity
 //
@@ -31,7 +33,8 @@ var useAsm = hasAVX2() && os.Getenv("MG_SIMD_DISABLE") == ""
 
 // Available reports whether the AVX2 path is active (supported by the
 // hardware and not disabled via MG_SIMD_DISABLE). The row primitives work
-// either way; this gates whether the autotuner offers the simd variant.
+// either way; this gates whether the default dispatch and the autotuner
+// pick the simd variant (tune.DefaultVariant, the tuner's candidates).
 func Available() bool { return useAsm }
 
 // Sum2 computes dst[i] = a[i] + b[i].
@@ -109,5 +112,42 @@ func AddRelaxPlusRow(o, w, z, x, u1, u2 []float64, c *[4]float64) {
 	}
 	for ; k < n-1; k++ {
 		o[k] = w[k] + (z[k] + stencilAt(x, u1, u2, k, c))
+	}
+}
+
+// InterpRow computes the interior of one trilinear-interpolation fine row
+// o (length 2·len(b)−2) from the coarse cross-row buffer b: odd fine
+// columns average their two coarse neighbours, even ones sit on a coarse
+// point,
+//
+//	o[2m+1] = cOdd·(b[m] + b[m+1])    o[2m+2] = cEven·b[m+1]
+//
+// for m ∈ [0, len(b)−2). o[0] and o[len(o)−1] are not written.
+func InterpRow(o, b []float64, cEven, cOdd float64) {
+	n := len(b) - 2
+	m := 0
+	if useAsm && n >= 4 {
+		m = n &^ 3
+		interpRowAVX2(&o[0], &b[0], m, cEven, cOdd)
+	}
+	for ; m < n; m++ {
+		o[2*m+1] = cOdd * (b[m] + b[m+1])
+		o[2*m+2] = cEven * b[m+1]
+	}
+}
+
+// ProjectRow computes the interior of one projected coarse row o (length
+// len(x)/2+1): o[j] = stencil(2j) for j ∈ [1, len(o)−1), the combine tree
+// of the relax rows evaluated at the even fine columns only.
+func ProjectRow(o, x, u1, u2 []float64, c *[4]float64) {
+	n := len(o)
+	j := 1
+	if useAsm && n-2 >= 4 {
+		m := (n - 2) &^ 3
+		projectRowAVX2(&o[0], &x[0], &u1[0], &u2[0], m, c)
+		j += m
+	}
+	for ; j < n-1; j++ {
+		o[j] = stencilAt(x, u1, u2, 2*j, c)
 	}
 }

@@ -19,3 +19,12 @@ func addRelaxRowAVX2(o, z, x, u1, u2 *float64, n int, c *[4]float64)
 
 //go:noescape
 func addRelaxPlusRowAVX2(o, w, z, x, u1, u2 *float64, n int, c *[4]float64)
+
+// interpRowAVX2 writes o[1..2n] from b[0..n]; projectRowAVX2 writes
+// o[1..n] from indices 1..2n+1 of x, u1 and u2.
+
+//go:noescape
+func interpRowAVX2(o, b *float64, n int, cEven, cOdd float64)
+
+//go:noescape
+func projectRowAVX2(o, x, u1, u2 *float64, n int, c *[4]float64)

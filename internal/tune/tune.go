@@ -63,6 +63,25 @@ func ValidVariant(s string) bool {
 	return false
 }
 
+// minLinedExtent is the shortest interior row the line-buffered backends
+// pay off on: below it the buffer fills cost more than the sub-sums they
+// save.
+const minLinedExtent = 8
+
+// DefaultVariant is the static backend rule for a plane kernel at MG level
+// `level` (interior extent 2^level) when nothing more specific — a forced
+// variant or a tuner plan — applies: simd where the AVX2 path is live and
+// the rows are long enough for the line buffers, scalar otherwise. Hosts
+// without AVX2 stay scalar because the pure-Go simd fallback computes the
+// full four-term combine the scalar loops specialise away, and measures
+// slower.
+func DefaultVariant(level int) string {
+	if simd.Available() && 1<<level >= minLinedExtent {
+		return VariantSIMD
+	}
+	return VariantScalar
+}
+
 // ForcedVariant returns the process-wide kernel-variant override from the
 // MG_FORCE_VARIANT environment variable ("" when unset). Read once: the
 // override is a CI/debug lever, not a runtime toggle.
@@ -221,13 +240,13 @@ func (t *Tuner) candidates(key Key) []Plan {
 	}
 	// The variant candidates ride each scheduling policy untiled: the
 	// buffered/simd backends ignore the tile edge, so tiled duplicates
-	// would only dilute the calibration budget. Rows shorter than 8
-	// cannot amortise the line-buffer fills, so coarse levels keep the
-	// scalar-only candidate set. The simd candidate is offered only
-	// where the AVX2 path is live — elsewhere it would measure
-	// identically to buffered arithmetic done the slower way.
+	// would only dilute the calibration budget. Rows shorter than
+	// minLinedExtent cannot amortise the line-buffer fills, so coarse
+	// levels keep the scalar-only candidate set. The simd candidate is
+	// offered only where the AVX2 path is live — elsewhere it would
+	// measure identically to buffered arithmetic done the slower way.
 	var variants []string
-	if n >= 8 {
+	if n >= minLinedExtent {
 		variants = append(variants, VariantBuffered)
 		if simd.Available() {
 			variants = append(variants, VariantSIMD)

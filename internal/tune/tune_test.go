@@ -2,12 +2,15 @@ package tune
 
 import (
 	"bytes"
+	"os"
+	"os/exec"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/sched"
+	"repro/internal/simd"
 )
 
 // fakeClock advances a deterministic amount per reading, with a
@@ -195,5 +198,46 @@ func TestPlanString(t *testing.T) {
 	q := Plan{Policy: sched.StaticBlock, SeqThreshold: SeqAlways}
 	if s := q.String(); s != "static-block seq" {
 		t.Fatalf("String = %q", s)
+	}
+}
+
+// The static backend rule: scalar below rows of 8 (level 3) everywhere,
+// simd from there up exactly where the AVX2 path is live.
+func TestDefaultVariantRule(t *testing.T) {
+	for level := 0; level <= 9; level++ {
+		want := VariantScalar
+		if level >= 3 && simd.Available() {
+			want = VariantSIMD
+		}
+		if got := DefaultVariant(level); got != want {
+			t.Errorf("DefaultVariant(%d) = %q, want %q (AVX2 live: %v)", level, got, want, simd.Available())
+		}
+	}
+}
+
+// MG_SIMD_DISABLE is read once at start-up, so its effect on the rule is
+// checked in a child process: with it set, every level must stay scalar.
+// The child is this test binary running TestDefaultVariantSIMDDisabledChild,
+// which skips itself unless the variable is present.
+func TestDefaultVariantScalarWhenSIMDDisabled(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-test.run=^TestDefaultVariantSIMDDisabledChild$", "-test.v")
+	cmd.Env = append(os.Environ(), "MG_SIMD_DISABLE=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "--- PASS: TestDefaultVariantSIMDDisabledChild") {
+		t.Fatalf("child under MG_SIMD_DISABLE=1: %v\n%s", err, out)
+	}
+}
+
+func TestDefaultVariantSIMDDisabledChild(t *testing.T) {
+	if _, set := os.LookupEnv("MG_SIMD_DISABLE"); !set {
+		t.Skip("runs as the child of TestDefaultVariantScalarWhenSIMDDisabled")
+	}
+	if simd.Available() {
+		t.Fatal("AVX2 path live despite MG_SIMD_DISABLE")
+	}
+	for level := 0; level <= 9; level++ {
+		if got := DefaultVariant(level); got != VariantScalar {
+			t.Errorf("DefaultVariant(%d) = %q with SIMD disabled, want scalar", level, got)
+		}
 	}
 }

@@ -99,7 +99,8 @@ type Env struct {
 	Tile int
 	// Variant, when non-empty, forces the inner-loop kernel backend
 	// (tune.VariantScalar/Buffered/SIMD) for every plane kernel,
-	// overriding tuned plans — the -variant flag of cmd/mg and
+	// overriding tuned plans and the static default
+	// (tune.DefaultVariant) — the -variant flag of cmd/mg and
 	// cmd/mgbench. The MG_FORCE_VARIANT environment variable overrides
 	// even this.
 	Variant string
@@ -237,11 +238,13 @@ func (e *Env) forOptions() sched.ForOptions {
 // before reaching the scheduler.
 //
 // The variant resolves by precedence: MG_FORCE_VARIANT, then
-// Env.Variant, then the plan's Kernel field (scalar without a tuner).
+// Env.Variant, then the tuner plan's Kernel field, then the static rule
+// tune.DefaultVariant(level) — simd on AVX2 hosts at levels with rows of
+// at least 8, scalar otherwise. Every variant is bit-identical, so the
+// rule only ever changes speed.
 //
 // Without a tuner the plan is the environment's static configuration
-// (ForOpt, SeqThreshold, Tile, Variant) and commit is a no-op —
-// bit-for-bit the pre-tuner behaviour.
+// (ForOpt, SeqThreshold, Tile, Variant) and commit is a no-op.
 func (e *Env) PlanFor(kernel string, level, perItem int) (sched.ForOptions, int, string, func()) {
 	if e.Tune != nil {
 		plan, commit := e.Tune.Begin(kernel, level)
@@ -255,17 +258,17 @@ func (e *Env) PlanFor(kernel string, level, perItem int) (sched.ForOptions, int,
 	if perItem > 0 {
 		opts.SeqThreshold = max(opts.SeqThreshold, e.SeqThreshold) / perItem
 	}
-	return opts, e.Tile, e.variantOver(tune.VariantScalar), noCommit
+	return opts, e.Tile, e.variantOver(tune.DefaultVariant(level)), noCommit
 }
 
 // VariantFor reports which kernel variant a (kernel, level) invocation
 // would run right now, without touching calibration state: the same
 // precedence as PlanFor, with the tuner's current plan (settled choice
-// or mid-calibration front-runner) as the base. Observation only — the
-// perf harness uses it to stamp snapshot rows with the backend that was
-// actually measured.
+// or mid-calibration front-runner) over the static default as the base.
+// Observation only — the perf harness and cmd/mg use it to report the
+// backend that was actually measured.
 func (e *Env) VariantFor(kernel string, level int) string {
-	planned := tune.VariantScalar
+	planned := tune.DefaultVariant(level)
 	if e.Tune != nil {
 		if plan, ok := e.Tune.Plans()[tune.Key{Kernel: kernel, Level: level}]; ok {
 			planned = plan.Variant()
@@ -293,24 +296,24 @@ func (e *Env) pool() *mempool.Pool { return e.Pool }
 // NewArray allocates a zeroed array through the environment's memory
 // manager.
 func (e *Env) NewArray(shp shape.Shape) *array.Array {
-	return array.Wrap(shp, e.pool().Get(shp.Size()))
+	return e.pool().NewArray(shp)
 }
 
 // NewArrayDirty allocates an array with unspecified contents through the
 // environment's memory manager, for callers
 // that overwrite every element.
 func (e *Env) NewArrayDirty(shp shape.Shape) *array.Array {
-	return array.Wrap(shp, e.pool().GetDirty(shp.Size()))
+	return e.pool().NewArrayDirty(shp)
 }
 
-// Release returns an array's storage to the memory manager — the moment
-// SAC's reference counter would drop to zero. The caller must not use a
-// afterwards. Release(nil) is a no-op.
+// Release returns an array — storage and header — to the memory manager:
+// the moment SAC's reference counter would drop to zero. The caller must
+// not use a afterwards. Release(nil) is a no-op.
 func (e *Env) Release(a *array.Array) {
 	if a == nil {
 		return
 	}
-	e.pool().Put(a.Data())
+	e.pool().Release(a)
 }
 
 // --- Generators -------------------------------------------------------------
