@@ -142,7 +142,7 @@ func main() {
 		rnm2, rnmu float64
 		elapsed    time.Duration
 		solution   *array.Array
-		backend    string // sac: the plane-kernel variant the finest level ran
+		backend    string // sac, mpi: the plane-kernel variant the finest level ran
 	)
 	switch *implName {
 	case "sac":
@@ -243,6 +243,7 @@ func main() {
 		s := mgmpi.New(class, *threads)
 		s.Overlap = *overlap
 		s.Trace = o.tracer
+		backend = s.Variant()
 		start := time.Now()
 		rnm2, rnmu = s.Run()
 		elapsed = time.Since(start)

@@ -64,6 +64,7 @@ type result struct {
 	Class         string  `json:"class"`
 	Overlap       bool    `json:"overlap,omitempty"`
 	Threads       int     `json:"threads,omitempty"`
+	Variant       string  `json:"variant"` // plane-kernel backend of the finest level
 	Rnm2          float64 `json:"rnm2"`
 	Rnm2Bits      uint64  `json:"rnm2Bits"` // exact bit pattern, for differential checks
 	Rnmu          float64 `json:"rnmu"`
@@ -254,7 +255,7 @@ func main() {
 	if *jsonOut {
 		json.NewEncoder(os.Stdout).Encode(result{
 			Rank: *rank, Ranks: *np, Class: string(class.Name),
-			Overlap: *overlap, Threads: *threads,
+			Overlap: *overlap, Threads: *threads, Variant: solver.Variant(),
 			Rnm2: rnm2, Rnm2Bits: math.Float64bits(rnm2), Rnmu: rnmu,
 			Verified: ok, Seconds: seconds,
 			Messages: st.Messages, Bytes: st.Bytes,

@@ -52,9 +52,11 @@ func sacIterNorms(t *testing.T, class sacmg.Class, workers int, variant string) 
 
 // mpiIterNorms collects the per-iteration norms of the message-passing
 // solver via its IterNorms hook (iterations 0..Iter inclusive).
-func mpiIterNorms(t *testing.T, class sacmg.Class, ranks int) []float64 {
+func mpiIterNorms(t *testing.T, class sacmg.Class, ranks, threads int, overlap bool) []float64 {
 	t.Helper()
 	s := sacmg.NewMPISolver(class, ranks)
+	s.Threads = threads
+	s.Overlap = overlap
 	norms := make([]float64, class.Iter+1)
 	seen := make([]bool, class.Iter+1)
 	s.IterNorms = func(iter int, rnm2, _ float64) {
@@ -75,7 +77,9 @@ func mpiIterNorms(t *testing.T, class sacmg.Class, ranks int) []float64 {
 // that is bit-identical for every worker/rank count (the determinism
 // contract of both runtimes), and the two backends agree on every
 // iteration to the cross-implementation tolerance (their grids match to
-// ~1e-10 relative; see the integration test).
+// ~1e-10 relative; see the integration test). The message-passing ranks run
+// the SMP solver's plane kernels, so under a forced backend (MG_FORCE_VARIANT,
+// CI's variants legs) its rows are that backend's too.
 func TestDifferentialIterNorms(t *testing.T) {
 	classes := []sacmg.Class{sacmg.ClassS}
 	if !testing.Short() {
@@ -114,20 +118,26 @@ func TestDifferentialIterNorms(t *testing.T) {
 			}
 		}
 
-		mpiRef := mpiIterNorms(t, class, 1)
-		for _, ranks := range []int{2, 4} {
-			got := mpiIterNorms(t, class, ranks)
-			for i := range mpiRef {
-				if got[i] != mpiRef[i] {
-					t.Fatalf("class %c: mgmpi %d ranks, iter %d: rnm2 = %.17e, 1 rank %.17e",
-						class.Name, ranks, i, got[i], mpiRef[i])
+		mpiRef := mpiIterNorms(t, class, 1, 1, false)
+		for _, ranks := range []int{1, 2, 4} {
+			for _, threads := range []int{1, 2} {
+				for _, overlap := range []bool{false, true} {
+					got := mpiIterNorms(t, class, ranks, threads, overlap)
+					for i := range mpiRef {
+						if got[i] != mpiRef[i] {
+							t.Fatalf("class %c: mgmpi %d ranks %d threads overlap=%v, iter %d: rnm2 = %.17e, 1 rank %.17e",
+								class.Name, ranks, threads, overlap, i, got[i], mpiRef[i])
+						}
+					}
 				}
 			}
 		}
 
 		// Cross-backend: the grids of the two implementations differ at
-		// ~1e-10 relative (different evaluation order inside the fused
-		// kernels), so the norms can only agree to a tolerance — and near
+		// ~1e-10 relative (the same kernels in a different algorithm: mgmpi
+		// corrects u in place and takes the finest residual against v, the
+		// SAC solver folds the correction into its smoother), so the norms
+		// can only agree to a tolerance — and near
 		// convergence (class W drives rnm2 to ~1e-18 while u and v stay
 		// ~1e-4) catastrophic cancellation in r = v − A·u amplifies that
 		// grid difference without bound, so late iterations are compared

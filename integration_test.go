@@ -56,9 +56,9 @@ func TestAllImplementationsAgreeClassS(t *testing.T) {
 		}
 	}
 	// The exact-equality classes: cport is a statement-level twin of f77;
-	// mgmpi's slab kernels are too (modulo the norm reduction order, which
-	// for 4 ranks of class S still reassociates — allow the tolerance
-	// above); periodic ≡ sac bitwise.
+	// periodic ≡ sac bitwise. mgmpi runs mg.f's algorithm on core's plane
+	// kernels, so it agrees with both families to the tolerance above and
+	// is bit-identical only within itself (internal/mgmpi's tests).
 	if norms["cport"] != norms["f77"] {
 		t.Errorf("cport diverges from f77: %.17e vs %.17e", norms["cport"], norms["f77"])
 	}

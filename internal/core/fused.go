@@ -71,6 +71,7 @@ import (
 	"time"
 
 	"repro/internal/array"
+	"repro/internal/mempool"
 	"repro/internal/metrics"
 	"repro/internal/nas"
 	"repro/internal/sched"
@@ -175,9 +176,12 @@ func (p *planeLoop) inline() bool {
 	return p.e.Workers() == 1 || p.planes <= p.opts.SeqThreshold
 }
 
+// interior is the whole sweep as one span: the planes an inline call covers.
+func (p *planeLoop) interior() PlaneSpan { return PlaneSpan{Lo: 1, Hi: p.planes} }
+
 // fanOut partitions the interior planes across the environment's workers.
-func (p *planeLoop) fanOut(body func(lo, hi int)) {
-	p.e.Sched.For(p.planes, p.opts, func(lo, hi, _ int) { body(lo+1, hi+1) })
+func (p *planeLoop) fanOut(body func(PlaneSpan)) {
+	p.e.Sched.For(p.planes, p.opts, func(lo, hi, _ int) { body(PlaneSpan{Lo: lo + 1, Hi: hi}) })
 }
 
 // finish closes the invocation after the sweep. od is the kernel's output
@@ -274,11 +278,11 @@ func lined(variant string) bool {
 }
 
 // lineBuffers borrows the u1/u2 row buffers of the line-buffered plane
-// kernels from the environment's pool; the caller Puts them back. Each
+// kernels from the caller's pool; the caller Puts them back. Each
 // scheduler partition takes its own pair (worker-local by construction),
 // so parallel plans stay allocation-free once the pool is warm.
-func lineBuffers(e *wl.Env, n int) (u1, u2 []float64) {
-	return e.Pool.GetDirty(n), e.Pool.GetDirty(n)
+func lineBuffers(pool *mempool.Pool, n int) (u1, u2 []float64) {
+	return pool.GetDirty(n), pool.GetDirty(n)
 }
 
 // subRelax computes out = v − Relax(u, c): the folded form of
@@ -294,44 +298,46 @@ func subRelax(e *wl.Env, v, u *array.Array, c stencil.Coeffs) *array.Array {
 	pl := planPlanes(e, "subRelax", n0, (n1-2)*(n2-2))
 	tile, variant := pl.tile, pl.variant
 	if pl.inline() {
-		subRelaxPlanes(e, od, vd, ud, n1, n2, 1, n0-1, tile, variant, c, nil, nil)
+		SubRelaxPlanes(e.Pool, od, vd, ud, n1, n2, pl.interior(), tile, variant, c, nil, nil)
 	} else {
-		pl.fanOut(func(lo, hi int) { subRelaxPlanes(e, od, vd, ud, n1, n2, lo, hi, tile, variant, c, nil, nil) })
+		pl.fanOut(func(p PlaneSpan) { SubRelaxPlanes(e.Pool, od, vd, ud, n1, n2, p, tile, variant, c, nil, nil) })
 	}
 	pl.finish(started, od)
 	return out
 }
 
-// subRelaxPlanes relaxes interior planes [lo, hi) of subRelax in the
-// plan's kernel variant. With sums/maxs non-nil it is the subRelaxNorm
-// sweep and stores each plane's norm partials at its plane index.
-func subRelaxPlanes(e *wl.Env, od, vd, ud []float64, n1, n2, lo, hi, tile int, variant string,
+// SubRelaxPlanes is the plane-range entry point of subRelax (planes.go):
+// out = v − Relax(u, c) on the interior rows of planes p. od may alias vd
+// (each element reads only its own v). With sums/maxs non-nil it is the
+// subRelaxNorm sweep and stores each plane's norm partials at its plane
+// index.
+func SubRelaxPlanes(pool *mempool.Pool, od, vd, ud []float64, n1, n2 int, p PlaneSpan, tile int, variant string,
 	c stencil.Coeffs, sums, maxs []float64) {
 	if lined(variant) {
-		u1, u2 := lineBuffers(e, n2)
+		u1, u2 := lineBuffers(pool, n2)
 		vec := variant == tune.VariantSIMD
-		for i := lo; i < hi; i++ {
+		for i := p.Lo; i <= p.Hi; i++ {
 			if sums == nil {
 				subRelaxPlaneLined(od, vd, ud, n1, n2, i, c, u1, u2, vec)
 			} else {
 				sums[i], maxs[i] = subRelaxNormPlaneLined(od, vd, ud, n1, n2, i, c, u1, u2, vec)
 			}
 		}
-		e.Pool.Put(u1)
-		e.Pool.Put(u2)
+		pool.Put(u1)
+		pool.Put(u2)
 		return
 	}
 	if sums == nil {
-		for i := lo; i < hi; i++ {
+		for i := p.Lo; i <= p.Hi; i++ {
 			subRelaxPlane(od, vd, ud, n1, n2, i, tile, c)
 		}
 		return
 	}
-	rowSum := e.Pool.GetDirty(tileOr(tile, n1-2))
-	for i := lo; i < hi; i++ {
+	rowSum := pool.GetDirty(tileOr(tile, n1-2))
+	for i := p.Lo; i <= p.Hi; i++ {
 		sums[i], maxs[i] = subRelaxNormPlane(od, vd, ud, n1, n2, i, tile, c, rowSum)
 	}
-	e.Pool.Put(rowSum)
+	pool.Put(rowSum)
 }
 
 // subRelaxPlane relaxes interior plane i of subRelax, j/k-tiled. The three
@@ -406,9 +412,9 @@ func subRelaxNorm(e *wl.Env, v, u *array.Array, c stencil.Coeffs) (out *array.Ar
 	pl := planPlanes(e, "subRelax", n0, (n1-2)*(n2-2))
 	tile, variant := pl.tile, pl.variant
 	if pl.inline() {
-		subRelaxPlanes(e, od, vd, ud, n1, n2, 1, n0-1, tile, variant, c, sums, maxs)
+		SubRelaxPlanes(e.Pool, od, vd, ud, n1, n2, pl.interior(), tile, variant, c, sums, maxs)
 	} else {
-		pl.fanOut(func(lo, hi int) { subRelaxPlanes(e, od, vd, ud, n1, n2, lo, hi, tile, variant, c, sums, maxs) })
+		pl.fanOut(func(p PlaneSpan) { SubRelaxPlanes(e.Pool, od, vd, ud, n1, n2, p, tile, variant, c, sums, maxs) })
 	}
 	pl.finish(started, od)
 	for i := 1; i < n0-1; i++ {
@@ -527,27 +533,28 @@ func addRelaxSweep(e *wl.Env, started time.Time, out, u, z, r *array.Array, c st
 	pl := planPlanes(e, "addRelax", n0, (n1-2)*(n2-2))
 	tile, variant := pl.tile, pl.variant
 	if pl.inline() {
-		addRelaxPlanes(e, od, zd, ud, rd, n1, n2, 1, n0-1, tile, variant, c)
+		AddRelaxPlanes(e.Pool, od, zd, ud, rd, n1, n2, pl.interior(), tile, variant, c)
 	} else {
-		pl.fanOut(func(lo, hi int) { addRelaxPlanes(e, od, zd, ud, rd, n1, n2, lo, hi, tile, variant, c) })
+		pl.fanOut(func(p PlaneSpan) { AddRelaxPlanes(e.Pool, od, zd, ud, rd, n1, n2, p, tile, variant, c) })
 	}
 	pl.finish(started, od)
 }
 
-// addRelaxPlanes relaxes interior planes [lo, hi) of addRelax (ud == nil)
-// or addRelaxPlus in the plan's kernel variant.
-func addRelaxPlanes(e *wl.Env, od, zd, ud, rd []float64, n1, n2, lo, hi, tile int, variant string, c stencil.Coeffs) {
+// AddRelaxPlanes is the plane-range entry point of addRelax (ud == nil,
+// out = z + Relax(r, c)) and addRelaxPlus (out = u + (z + Relax(r, c))) on
+// the interior rows of planes p (planes.go). od may alias zd or ud.
+func AddRelaxPlanes(pool *mempool.Pool, od, zd, ud, rd []float64, n1, n2 int, p PlaneSpan, tile int, variant string, c stencil.Coeffs) {
 	if lined(variant) {
-		u1, u2 := lineBuffers(e, n2)
+		u1, u2 := lineBuffers(pool, n2)
 		vec := variant == tune.VariantSIMD
-		for i := lo; i < hi; i++ {
+		for i := p.Lo; i <= p.Hi; i++ {
 			addRelaxPlaneLined(od, zd, ud, rd, n1, n2, i, c, u1, u2, vec)
 		}
-		e.Pool.Put(u1)
-		e.Pool.Put(u2)
+		pool.Put(u1)
+		pool.Put(u2)
 		return
 	}
-	for i := lo; i < hi; i++ {
+	for i := p.Lo; i <= p.Hi; i++ {
 		addRelaxPlane(od, zd, ud, rd, n1, n2, i, tile, c)
 	}
 }
@@ -673,50 +680,53 @@ func projectCondense(e *wl.Env, r *array.Array, c stencil.Coeffs) *array.Array {
 	pl := planPlanes(e, "projectCondense", mo, (mo-2)*(mo-2))
 	tile, variant := pl.tile, pl.variant
 	if pl.inline() {
-		projectCondensePlanes(e, od, rd, mf, mo, 1, mo-1, tile, variant, c)
+		ProjectCondensePlanes(e.Pool, od, rd, mf, mf, pl.interior(), tile, variant, c)
 	} else {
-		pl.fanOut(func(lo, hi int) { projectCondensePlanes(e, od, rd, mf, mo, lo, hi, tile, variant, c) })
+		pl.fanOut(func(p PlaneSpan) { ProjectCondensePlanes(e.Pool, od, rd, mf, mf, p, tile, variant, c) })
 	}
 	pl.finish(started, od)
 	return out
 }
 
-// projectCondensePlanes projects coarse planes [lo, hi) in the plan's
-// kernel variant.
-func projectCondensePlanes(e *wl.Env, od, rd []float64, mf, mo, lo, hi, tile int, variant string, c stencil.Coeffs) {
+// ProjectCondensePlanes is the plane-range entry point of projectCondense
+// (planes.go): the interior rows of the coarse planes p, from a fine box
+// with lateral extents (fn1, fn2). The coarse box has f/2 + 1 points per
+// fine extent f, coarse point j under fine point 2j on every axis.
+func ProjectCondensePlanes(pool *mempool.Pool, od, rd []float64, fn1, fn2 int, p PlaneSpan, tile int, variant string, c stencil.Coeffs) {
 	if lined(variant) {
-		u1, u2 := lineBuffers(e, mf)
+		u1, u2 := lineBuffers(pool, fn2)
 		vec := variant == tune.VariantSIMD
-		for jc := lo; jc < hi; jc++ {
-			projectCondensePlaneLined(od, rd, mf, mo, jc, c, u1, u2, vec)
+		for jc := p.Lo; jc <= p.Hi; jc++ {
+			projectCondensePlaneLined(od, rd, fn1, fn2, jc, c, u1, u2, vec)
 		}
-		e.Pool.Put(u1)
-		e.Pool.Put(u2)
+		pool.Put(u1)
+		pool.Put(u2)
 		return
 	}
-	for jc := lo; jc < hi; jc++ {
-		projectCondensePlane(od, rd, mf, mo, jc, tile, c)
+	for jc := p.Lo; jc <= p.Hi; jc++ {
+		projectCondensePlane(od, rd, fn1, fn2, jc, tile, c)
 	}
 }
 
 // projectCondensePlane projects coarse plane jc, j/k-tiled over the coarse
 // index space. The fine row bases advance two row strides per coarse row.
-func projectCondensePlane(od, rd []float64, mf, mo, jc, tile int, c stencil.Coeffs) {
+func projectCondensePlane(od, rd []float64, fn1, fn2, jc, tile int, c stencil.Coeffs) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+	cn1, cn2 := fn1/2+1, fn2/2+1
 	i := 2 * jc
-	tj, tk := tileOr(tile, mo-2), tileOr(tile, mo-2)
-	for jt := 1; jt < mo-1; jt += tj {
-		jEnd := min(jt+tj, mo-1)
-		for kt := 1; kt < mo-1; kt += tk {
-			kEnd := min(kt+tk, mo-1)
-			mz := ((i-1)*mf + 2*jt) * mf
-			zz := (i*mf + 2*jt) * mf
-			pz := ((i+1)*mf + 2*jt) * mf
-			base := (jc*mo + jt) * mo
-			for j2 := jt; j2 < jEnd; j2, mz, zz, pz, base = j2+1, mz+2*mf, zz+2*mf, pz+2*mf, base+mo {
-				mm, mp := mz-mf, mz+mf
-				zm, zp := zz-mf, zz+mf
-				pm, pp := pz-mf, pz+mf
+	tj, tk := tileOr(tile, cn1-2), tileOr(tile, cn2-2)
+	for jt := 1; jt < cn1-1; jt += tj {
+		jEnd := min(jt+tj, cn1-1)
+		for kt := 1; kt < cn2-1; kt += tk {
+			kEnd := min(kt+tk, cn2-1)
+			mz := ((i-1)*fn1 + 2*jt) * fn2
+			zz := (i*fn1 + 2*jt) * fn2
+			pz := ((i+1)*fn1 + 2*jt) * fn2
+			base := (jc*cn1 + jt) * cn2
+			for j2 := jt; j2 < jEnd; j2, mz, zz, pz, base = j2+1, mz+2*fn2, zz+2*fn2, pz+2*fn2, base+cn2 {
+				mm, mp := mz-fn2, mz+fn2
+				zm, zp := zz-fn2, zz+fn2
+				pm, pp := pz-fn2, pz+fn2
 				for j1 := kt; j1 < kEnd; j1++ {
 					k := 2 * j1
 					u1m := ((rd[mz+k-1] + rd[zm+k-1]) + rd[zp+k-1]) + rd[pz+k-1]
@@ -754,53 +764,73 @@ func interpolate(e *wl.Env, rn *array.Array, c stencil.Coeffs) *array.Array {
 	pl := planPlanes(e, "interpolate", mf, (mf-2)*(mf-2))
 	tile, variant := pl.tile, pl.variant
 	if pl.inline() {
-		interpolatePlanes(e, od, zd, mc, mf, 1, mf-1, tile, variant, c)
+		InterpolatePlanes(e.Pool, od, nil, zd, mc, mc, pl.interior(), false, tile, variant, c)
 	} else {
-		pl.fanOut(func(lo, hi int) { interpolatePlanes(e, od, zd, mc, mf, lo, hi, tile, variant, c) })
+		pl.fanOut(func(p PlaneSpan) { InterpolatePlanes(e.Pool, od, nil, zd, mc, mc, p, false, tile, variant, c) })
 	}
 	pl.finish(started, od)
 	return out
 }
 
-// interpolatePlanes interpolates fine planes [lo, hi) in the plan's
-// kernel variant.
-func interpolatePlanes(e *wl.Env, od, zd []float64, mc, mf, lo, hi, tile int, variant string, c stencil.Coeffs) {
+// InterpolatePlanes is the plane-range entry point of interpolate
+// (planes.go): the fine planes p from a coarse box with lateral extents
+// (cn1, cn2). The fine box has 2c − 2 points per coarse extent c, fine
+// point 2j on coarse point j. With wd == nil it writes out = Q·z, otherwise
+// out = w + Q·z (od may alias wd). With halo set the rows and columns 0 and
+// last are interpolated like any other — from z's halo — and p may include
+// the fine halo planes, so a box whose coarse halo is current gets its fine
+// halo without an exchange; otherwise only interior rows and columns are
+// written.
+func InterpolatePlanes(pool *mempool.Pool, od, wd, zd []float64, cn1, cn2 int, p PlaneSpan, halo bool,
+	tile int, variant string, c stencil.Coeffs) {
+	m := 1 // first row and column written
+	if halo {
+		m = 0
+	}
 	if lined(variant) {
 		// One cross-row buffer of coarse-row length suffices: the parity
-		// cases pair at most the four coarse rows of one fine row.
-		b := e.Pool.GetDirty(mc)
-		vec := variant == tune.VariantSIMD
-		for f3 := lo; f3 < hi; f3++ {
-			interpolatePlaneLined(od, zd, mc, mf, f3, c, b, vec)
+		// cases pair at most the four coarse rows of one fine row. The
+		// accumulating form stages Q·z in a fine-row buffer.
+		b := pool.GetDirty(cn2)
+		var t []float64
+		if wd != nil {
+			t = pool.GetDirty(2*cn2 - 2)
 		}
-		e.Pool.Put(b)
+		vec := variant == tune.VariantSIMD
+		for f3 := p.Lo; f3 <= p.Hi; f3++ {
+			interpolatePlaneLined(od, wd, zd, cn1, cn2, f3, m, c, b, t, vec)
+		}
+		pool.Put(b)
+		pool.Put(t)
 		return
 	}
-	for f3 := lo; f3 < hi; f3++ {
-		interpolatePlane(od, zd, mc, mf, f3, tile, c)
+	for f3 := p.Lo; f3 <= p.Hi; f3++ {
+		interpolatePlane(od, wd, zd, cn1, cn2, f3, m, tile, c)
 	}
 }
 
-// interpolatePlane interpolates fine plane f3, j/k-tiled over the fine
-// index space. The four contributing coarse row bases are derived with two
-// multiplies per row (the high row is the low row or one stride above).
-func interpolatePlane(od, zd []float64, mc, mf, f3, tile int, c stencil.Coeffs) {
+// interpolatePlane interpolates rows and columns [m, extent−m) of fine
+// plane f3, j/k-tiled over the fine index space. The four contributing
+// coarse row bases are derived with two multiplies per row (the high row is
+// the low row or one stride above).
+func interpolatePlane(od, wd, zd []float64, cn1, cn2, f3, m, tile int, c stencil.Coeffs) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+	fn1, fn2 := 2*cn1-2, 2*cn2-2
 	l3, h3, o3 := f3/2, (f3+1)/2, f3&1 == 1
-	rowL3, rowH3 := l3*mc, h3*mc
-	tj, tk := tileOr(tile, mf-2), tileOr(tile, mf-2)
-	for jt := 1; jt < mf-1; jt += tj {
-		jEnd := min(jt+tj, mf-1)
-		for kt := 1; kt < mf-1; kt += tk {
-			kEnd := min(kt+tk, mf-1)
-			base := (f3*mf + jt) * mf
-			for f2 := jt; f2 < jEnd; f2, base = f2+1, base+mf {
+	rowL3, rowH3 := l3*cn1, h3*cn1
+	tj, tk := tileOr(tile, fn1-2*m), tileOr(tile, fn2-2*m)
+	for jt := m; jt < fn1-m; jt += tj {
+		jEnd := min(jt+tj, fn1-m)
+		for kt := m; kt < fn2-m; kt += tk {
+			kEnd := min(kt+tk, fn2-m)
+			base := (f3*fn1 + jt) * fn2
+			for f2 := jt; f2 < jEnd; f2, base = f2+1, base+fn2 {
 				l2, h2, o2 := f2/2, (f2+1)/2, f2&1 == 1
 				// Row bases of the up-to-four contributing coarse rows.
-				bll := (rowL3 + l2) * mc
-				blh := bll + (h2-l2)*mc
-				bhl := (rowH3 + l2) * mc
-				bhh := bhl + (h2-l2)*mc
+				bll := (rowL3 + l2) * cn2
+				blh := bll + (h2-l2)*cn2
+				bhl := (rowH3 + l2) * cn2
+				bhh := bhl + (h2-l2)*cn2
 				for f1 := kt; f1 < kEnd; f1++ {
 					l1, h1, o1 := f1/2, (f1+1)/2, f1&1 == 1
 					var val float64
@@ -822,6 +852,9 @@ func interpolatePlane(od, zd []float64, mc, mf, f3, tile int, c stencil.Coeffs) 
 					default:
 						val = c3 * ((((zd[bll+l1] + zd[blh+l1]) + zd[bhl+l1]) + zd[bhh+l1]) +
 							(((zd[bll+h1] + zd[blh+h1]) + zd[bhl+h1]) + zd[bhh+h1]))
+					}
+					if wd != nil {
+						val = wd[base+f1] + val
 					}
 					od[base+f1] = val
 				}

@@ -160,34 +160,32 @@ func addRelaxPlaneLined(od, zd, ud, rd []float64, n1, n2, i int, c stencil.Coeff
 }
 
 // projectCondensePlaneLined is projectCondensePlane in the line-buffered
-// form. The buffers span the fine row (length mf): every fine index
+// form. The buffers span the fine row (length fn2): every fine index
 // feeds some coarse point's s1/s2/s3, so nothing filled is wasted.
-func projectCondensePlaneLined(od, rd []float64, mf, mo, jc int, c stencil.Coeffs,
+func projectCondensePlaneLined(od, rd []float64, fn1, fn2, jc int, c stencil.Coeffs,
 	u1, u2 []float64, vec bool) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+	cn1, cn2 := fn1/2+1, fn2/2+1
 	i := 2 * jc
-	mz := ((i-1)*mf + 2) * mf
-	zz := (i*mf + 2) * mf
-	pz := ((i+1)*mf + 2) * mf
-	base := (jc*mo + 1) * mo
-	for j2 := 1; j2 < mo-1; j2, mz, zz, pz, base = j2+1, mz+2*mf, zz+2*mf, pz+2*mf, base+mo {
-		rMM, rMZ, rMP := rd[mz-mf:mz], rd[mz:mz+mf], rd[mz+mf:mz+2*mf]
-		rZM, rZZ, rZP := rd[zz-mf:zz], rd[zz:zz+mf], rd[zz+mf:zz+2*mf]
-		rPM, rPZ, rPP := rd[pz-mf:pz], rd[pz:pz+mf], rd[pz+mf:pz+2*mf]
+	mz := ((i-1)*fn1 + 2) * fn2
+	zz := (i*fn1 + 2) * fn2
+	pz := ((i+1)*fn1 + 2) * fn2
+	base := (jc*cn1 + 1) * cn2
+	for j2 := 1; j2 < cn1-1; j2, mz, zz, pz, base = j2+1, mz+2*fn2, zz+2*fn2, pz+2*fn2, base+cn2 {
+		rMM, rMZ, rMP := rd[mz-fn2:mz], rd[mz:mz+fn2], rd[mz+fn2:mz+2*fn2]
+		rZM, rZZ, rZP := rd[zz-fn2:zz], rd[zz:zz+fn2], rd[zz+fn2:zz+2*fn2]
+		rPM, rPZ, rPP := rd[pz-fn2:pz], rd[pz:pz+fn2], rd[pz+fn2:pz+2*fn2]
 		if vec {
 			simd.Sum4(u1, rMZ, rZM, rZP, rPZ)
 			simd.Sum4(u2, rMM, rMP, rPM, rPP)
-		} else {
-			for t := 1; t < mf; t++ {
-				u1[t] = ((rMZ[t] + rZM[t]) + rZP[t]) + rPZ[t]
-				u2[t] = ((rMM[t] + rMP[t]) + rPM[t]) + rPP[t]
-			}
-		}
-		if vec {
-			simd.ProjectRow(od[base:base+mo], rZZ, u1, u2, (*[4]float64)(&c))
+			simd.ProjectRow(od[base:base+cn2], rZZ, u1, u2, (*[4]float64)(&c))
 			continue
 		}
-		for j1 := 1; j1 < mo-1; j1++ {
+		for t := 1; t < fn2; t++ {
+			u1[t] = ((rMZ[t] + rZM[t]) + rZP[t]) + rPZ[t]
+			u2[t] = ((rMM[t] + rMP[t]) + rPM[t]) + rPP[t]
+		}
+		for j1 := 1; j1 < cn2-1; j1++ {
 			k := 2 * j1
 			s1 := (rZZ[k-1] + rZZ[k+1]) + u1[k]
 			s2 := (u2[k] + u1[k-1]) + u1[k+1]
@@ -202,43 +200,55 @@ func projectCondensePlaneLined(od, rd []float64, mf, mo, jc int, c stencil.Coeff
 // one cross-row buffer b (their canonical pairwise sums), after which
 // every fine element is one buffer read (even f1) or one buffered pair
 // (odd f1) — the even/odd interleaving store of interpRow. b has
-// coarse-row length mc.
-func interpolatePlaneLined(od, zd []float64, mc, mf, f3 int, c stencil.Coeffs,
-	b []float64, vec bool) {
+// coarse-row length cn2; t, the staging row of the accumulating form
+// (wd != nil), fine-row length. Rows and columns [m, extent−m) are written.
+func interpolatePlaneLined(od, wd, zd []float64, cn1, cn2, f3, m int, c stencil.Coeffs,
+	b, t []float64, vec bool) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+	fn1, fn2 := 2*cn1-2, 2*cn2-2
 	l3, h3, o3 := f3/2, (f3+1)/2, f3&1 == 1
-	rowL3, rowH3 := l3*mc, h3*mc
-	base := (f3*mf + 1) * mf
-	for f2 := 1; f2 < mf-1; f2, base = f2+1, base+mf {
+	rowL3, rowH3 := l3*cn1, h3*cn1
+	base := (f3*fn1 + m) * fn2
+	for f2 := m; f2 < fn1-m; f2, base = f2+1, base+fn2 {
 		l2, h2, o2 := f2/2, (f2+1)/2, f2&1 == 1
-		bll := (rowL3 + l2) * mc
-		blh := bll + (h2-l2)*mc
-		bhl := (rowH3 + l2) * mc
-		bhh := bhl + (h2-l2)*mc
-		oRow := od[base : base+mf]
-		// The Q weights of the on-axis (even) and between-axis (odd) fine
-		// columns follow from how many of the f3/f2 axes are off-anchor.
+		bll := (rowL3 + l2) * cn2
+		blh := bll + (h2-l2)*cn2
+		bhl := (rowH3 + l2) * cn2
+		bhh := bhl + (h2-l2)*cn2
+		// The coarse row the fine row interpolates along, and the Q weights
+		// of its on-axis (even) and between-axis (odd) fine columns, follow
+		// from how many of the f3/f2 axes are off-anchor.
+		src, cEven, cOdd := b, c1, c2
 		switch {
 		case !o3 && !o2:
 			// Both outer axes on-anchor: single coarse row, no buffer.
-			interpRow(oRow, zd[bll:bll+mc], c0, c1, vec)
+			src, cEven, cOdd = zd[bll:bll+cn2], c0, c1
 		case !o3 && o2:
-			fillSum2(b, zd[bll:bll+mc], zd[blh:blh+mc], vec)
-			interpRow(oRow, b, c1, c2, vec)
+			fillSum2(b, zd[bll:bll+cn2], zd[blh:blh+cn2], vec)
 		case o3 && !o2:
-			fillSum2(b, zd[bll:bll+mc], zd[bhl:bhl+mc], vec)
-			interpRow(oRow, b, c1, c2, vec)
+			fillSum2(b, zd[bll:bll+cn2], zd[bhl:bhl+cn2], vec)
 		default:
-			fillSum4(b, zd[bll:bll+mc], zd[blh:blh+mc], zd[bhl:bhl+mc], zd[bhh:bhh+mc], vec)
-			interpRow(oRow, b, c2, c3, vec)
+			fillSum4(b, zd[bll:bll+cn2], zd[blh:blh+cn2], zd[bhl:bhl+cn2], zd[bhh:bhh+cn2], vec)
+			cEven, cOdd = c2, c3
 		}
+		oRow := od[base : base+fn2]
+		if wd == nil {
+			interpRow(oRow, src, cEven, cOdd, m == 0, vec)
+			continue
+		}
+		interpRow(t, src, cEven, cOdd, m == 0, vec)
+		fillSum2(oRow[m:fn2-m], wd[base+m:base+fn2-m], t[m:fn2-m], vec)
 	}
 }
 
-// interpRow writes the interior of fine row o from the coarse buffer b:
-// cEven·b[l] on the even columns, cOdd·(b[l] + b[l+1]) on the odd ones,
-// vectorised when vec is set.
-func interpRow(o, b []float64, cEven, cOdd float64, vec bool) {
+// interpRow writes fine row o from the coarse buffer b: cEven·b[l] on the
+// even columns, cOdd·(b[l] + b[l+1]) on the odd ones, vectorised when vec
+// is set — the interior, plus the two end columns when ends is set.
+func interpRow(o, b []float64, cEven, cOdd float64, ends, vec bool) {
+	if ends {
+		o[0] = cEven * b[0]
+		o[len(o)-1] = cOdd * (b[len(b)-2] + b[len(b)-1])
+	}
 	if vec {
 		simd.InterpRow(o, b, cEven, cOdd)
 		return

@@ -1,13 +1,35 @@
-// Interior/boundary plane splitting for communication/computation
-// overlap. A distributed kernel that wants to hide its halo exchange
-// computes the planes adjacent to the exchanged faces first, puts them
-// on the wire, and fills the interior while the network drains — the
-// split Bianco & Varetto's generic stencil library builds its
-// distributed performance on. The association order of every plane is
-// unchanged (each plane's statements are those of the unsplit loop, only
-// the global plane order differs), so results stay bit-identical; the
-// split is pure schedule.
+// The kernel layer's public face: plane-range entry points of the four
+// fused kernels, and the interior/boundary plane split a distributed
+// caller schedules them with.
+//
+// SubRelaxPlanes, AddRelaxPlanes, ProjectCondensePlanes and
+// InterpolatePlanes (fused.go) are the plane loops core's own subRelax,
+// addRelax, projectCondense and interpolate run — the same functions, not
+// wrappers — opened to callers that own the grid: internal/mgmpi's ranks
+// run them on their sub-boxes. The contract:
+//
+//   - A grid is a flat row-major box with one halo cell on every side and
+//     lateral extents (n1, n2), halos included; any number of planes. The
+//     lateral extents may differ (a 3-D processor grid's boxes do).
+//   - A call computes the planes of its PlaneSpan only, reads the planes
+//     either side of them, and never writes outside the span; calls on
+//     disjoint spans may run concurrently. Halos are the caller's to
+//     refresh.
+//   - Each plane's statements are those of the full sweep, so any split or
+//     order of spans yields bit-identical values, and so does every
+//     variant: the backend ("scalar", "buffered", "simd" — fused.go's
+//     "Kernel variants") only changes speed. PlaneVariant is the rule for
+//     callers that have no wl.Env to plan with.
+//   - Line buffers come from the pool argument (nil allocates).
+//
+// A distributed kernel that wants to hide its halo exchange computes the
+// planes adjacent to the exchanged faces first, puts them on the wire, and
+// fills the interior while the network drains — the split Bianco &
+// Varetto's generic stencil library builds its distributed performance on;
+// SplitPlanes is that split.
 package core
+
+import "repro/internal/tune"
 
 // PlaneSpan is an inclusive range [Lo, Hi] of grid planes along the
 // decomposed axis. An empty span has Hi < Lo.
@@ -24,6 +46,18 @@ func (s PlaneSpan) Count() int {
 		return 0
 	}
 	return s.Hi - s.Lo + 1
+}
+
+// PlaneVariant resolves the backend of a plane kernel whose rows have
+// `row` interior points, by the rule wl.Env.PlanFor applies without a
+// tuner: MG_FORCE_VARIANT, else tune.DefaultVariant at the level of that
+// row extent. The key is the row the line buffers see, not the number of
+// planes, so a thin slab of long rows still vectorises.
+func PlaneVariant(row int) string {
+	if forced := tune.ForcedVariant(); forced != "" {
+		return forced
+	}
+	return tune.DefaultVariant(levelOfExtent(row))
 }
 
 // SplitPlanes partitions the interior planes of an extended grid of n0

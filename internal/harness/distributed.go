@@ -63,6 +63,7 @@ type DistResult struct {
 	Class         string  `json:"class"`
 	Overlap       bool    `json:"overlap,omitempty"`
 	Threads       int     `json:"threads,omitempty"`
+	Variant       string  `json:"variant"`
 	Rnm2          float64 `json:"rnm2"`
 	Rnm2Bits      uint64  `json:"rnm2Bits"`
 	Rnmu          float64 `json:"rnmu"`
@@ -252,14 +253,14 @@ func RunFigDist(w io.Writer, binary string, classes []nas.Class, ranks int, over
 		mode = ", overlapped exchange (-overlap)"
 	}
 	fmt.Fprintf(w, "Distributed transport comparison — %d ranks, channel (in-process) vs TCP (multi-process)%s\n", ranks, mode)
-	fmt.Fprintf(w, "%-8s %-9s %12s %14s %14s %12s\n", "class", "transport", "messages", "payload", "wire", "rnm2")
+	fmt.Fprintf(w, "%-8s %-9s %-9s %12s %14s %14s %12s\n", "class", "transport", "kernels", "messages", "payload", "wire", "rnm2")
 	for _, class := range classes {
 		chanSolver := mgmpi.New(class, ranks)
 		chanSolver.Overlap = overlap
 		chanRnm2, _ := chanSolver.Run()
 		cst := chanSolver.Stats()
-		fmt.Fprintf(w, "%-8c %-9s %12d %11.2f MB %14s %12.6e\n",
-			class.Name, "channel", cst.Messages, float64(cst.Bytes)/1e6, "—", chanRnm2)
+		fmt.Fprintf(w, "%-8c %-9s %-9s %12d %11.2f MB %14s %12.6e\n",
+			class.Name, "channel", chanSolver.Variant(), cst.Messages, float64(cst.Bytes)/1e6, "—", chanRnm2)
 
 		results, err := CheckDistributed(DistConfig{Binary: binary, Class: class, Ranks: ranks, Overlap: overlap})
 		if err != nil {
@@ -271,8 +272,8 @@ func RunFigDist(w io.Writer, binary string, classes []nas.Class, ranks int, over
 			payload += r.Result.Bytes
 			wire += r.Result.WireBytes
 		}
-		fmt.Fprintf(w, "%-8c %-9s %12d %11.2f MB %11.2f MB %12.6e\n",
-			class.Name, "tcp", msgs, float64(payload)/1e6, float64(wire)/1e6, results[0].Result.Rnm2)
+		fmt.Fprintf(w, "%-8c %-9s %-9s %12d %11.2f MB %11.2f MB %12.6e\n",
+			class.Name, "tcp", results[0].Result.Variant, msgs, float64(payload)/1e6, float64(wire)/1e6, results[0].Result.Rnm2)
 		if msgs != cst.Messages || payload != cst.Bytes {
 			return fmt.Errorf("class %c: communication volume diverged: tcp %d msgs/%d B, channel %d msgs/%d B",
 				class.Name, msgs, payload, cst.Messages, cst.Bytes)

@@ -17,16 +17,26 @@
 // A 1-D slab decomposition is the special case (R, 1, 1); New uses it,
 // New3D takes an explicit processor grid.
 //
-// Correctness: with one rank the grid computation is statement-identical
-// to internal/f77; the norm reduction uses the canonical plane association
-// of nas.Norm2u3Planes, so rnm2 is bit-identical to Norm2u3Planes over
-// f77's residual grid (and rnmu bit-identical to f77 outright, max being
-// association-free). For slab decompositions the plane-ordered reduction
-// makes rnm2 bit-identical across every rank count; 3-D processor grids
-// split planes across ranks and are deterministic but not plane-exact,
-// and the NPB verification still passes (all asserted by tests). The
-// package also reports
-// the communication volume per benchmark run (messages and bytes), the
+// The package is the decomposition and the halo schedule, not the
+// arithmetic: resid, psinv, rprj3 and interp run internal/core's fused
+// plane kernels (core/planes.go) on the rank's boxes, in whichever backend
+// core.PlaneVariant picks for the box's rows (Solver.Variant reports it).
+// The MG algorithm is mg.f's — u += Q·z at the finest level, the residual
+// against v, in-place updates — and the per-point association is the
+// canonical one of internal/stencil, so a solve agrees with internal/f77
+// to the cross-implementation tolerance, not bit for bit; f77 and cport
+// stay the independent paper artifacts.
+//
+// Correctness: on one rank each operator equals the corresponding core
+// kernel over the full grid bit for bit, halos included. Every backend is
+// bit-identical, a plane's statements do not depend on the plane schedule,
+// and the norm reduction uses the canonical plane association of
+// nas.Norm2u3Planes, so for slab decompositions the per-iteration rnm2 is
+// bit-identical across rank counts, threads, sync/overlapped exchange,
+// transports and backends; 3-D processor grids split planes across ranks
+// and are deterministic but not plane-exact, and the NPB verification
+// still passes (all asserted by tests). The package also reports the
+// communication volume per benchmark run (messages and bytes), the
 // quantity a real distributed run pays for.
 package mgmpi
 
@@ -37,6 +47,8 @@ import (
 	"time"
 
 	"repro/internal/array"
+	"repro/internal/core"
+	"repro/internal/mempool"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/nas"
@@ -100,6 +112,9 @@ type Solver struct {
 
 	world     *mpi.World    // in-process mode (New/New3D)
 	transport mpi.Transport // single-rank mode (NewWithTransport)
+	// mem lends the plane kernels their line buffers. It outlives a run, so
+	// a solver's second solve finds them warm; in-process ranks share it.
+	mem *mempool.Pool
 }
 
 // New creates a 1-D slab-decomposed solver over `ranks` ranks — the
@@ -113,7 +128,7 @@ func New3D(class nas.Class, r0, r1, r2 int) *Solver {
 	if err := validateProcs(class, r0, r1, r2); err != nil {
 		panic(err.Error())
 	}
-	return &Solver{Class: class, Procs: [3]int{r0, r1, r2}, world: mpi.NewWorld(r0 * r1 * r2)}
+	return &Solver{Class: class, Procs: [3]int{r0, r1, r2}, world: mpi.NewWorld(r0 * r1 * r2), mem: mempool.New(true)}
 }
 
 func validateProcs(class nas.Class, r0, r1, r2 int) error {
@@ -136,11 +151,16 @@ func NewWithTransport(class nas.Class, t mpi.Transport) (*Solver, error) {
 	if err := validateProcs(class, t.Size(), 1, 1); err != nil {
 		return nil, err
 	}
-	return &Solver{Class: class, Procs: [3]int{t.Size(), 1, 1}, transport: t}, nil
+	return &Solver{Class: class, Procs: [3]int{t.Size(), 1, 1}, transport: t, mem: mempool.New(true)}, nil
 }
 
 // Ranks returns the world size.
 func (s *Solver) Ranks() int { return s.Procs[0] * s.Procs[1] * s.Procs[2] }
+
+// Variant reports the plane-kernel backend the ranks run at the finest
+// level ("scalar", "buffered" or "simd"): core.PlaneVariant of a finest
+// box's rows. Observation only — every backend computes the same bits.
+func (s *Solver) Variant() string { return core.PlaneVariant(s.Class.N / s.Procs[2]) }
 
 // Stats returns the accumulated communication totals of all runs so
 // far: every rank's counters summed for an in-process world, this
@@ -217,6 +237,7 @@ func (s *Solver) runRank(c *mpi.Comm) (rnm2, rnmu float64) {
 		c = mpi.NewComm(obs)
 	}
 	st := newRankState(c, s.Class, s.Procs)
+	st.mem = s.mem
 	st.overlap = s.Overlap
 	if s.Threads > 1 {
 		st.pool = sched.NewPool(s.Threads)
@@ -300,6 +321,7 @@ type rankState struct {
 	// over multiple workers (Solver.Threads). Both nil/false by default.
 	overlap bool
 	pool    *sched.Pool
+	mem     *mempool.Pool // line buffers of the plane kernels (Solver.mem)
 
 	// obs, when tracing, is the transport observer whose level/iter
 	// fields tag every send/recv event; spanFn emits per-level kernel
@@ -590,213 +612,78 @@ func (st *rankState) broadcastFull(full *array.Array, level int) *array.Array {
 	return out
 }
 
-// --- kernels (box forms of the mg.f loops) -----------------------------------------
-
-// row slices one contiguous lateral row of a box with extents (·, n1, n2).
-func row(d []float64, i, j, n1, n2 int) []float64 {
-	base := (i*n1 + j) * n2
-	return d[base : base+n2]
-}
+// --- kernels: core's plane kernels over the rank's boxes ---------------------------
+//
+// Each operator hands its box to the plane-range entry point of the
+// matching fused kernel (core/planes.go) and leaves the plane schedule to
+// fusedComm3. The backend follows the row the line buffers see (axis 2),
+// not the slab thickness.
 
 // resid computes r = v − A·u over the box interior and refreshes the
 // periodic boundary — synchronously, or with the interior planes
-// overlapping the halo exchange (fusedComm3).
+// overlapping the halo exchange (fusedComm3). r may be v.
 func (st *rankState) resid(u, v, r *array.Array) {
-	st.fusedComm3(r, func(lo, hi int) { st.residPlanes(u, v, r, lo, hi) })
-}
-
-// residPlanes computes r's planes [lo, hi] (inclusive). Scratch is
-// per-call, so disjoint plane ranges may run on concurrent workers; each
-// plane's statements are those of the full loop, so any plane schedule
-// yields bit-identical values.
-func (st *rankState) residPlanes(u, v, r *array.Array, lo, hi int) {
 	shp := u.Shape()
 	n1, n2 := shp[1], shp[2]
 	ud, vd, rd := u.Data(), v.Data(), r.Data()
-	a0, a2, a3 := st.a[0], st.a[2], st.a[3]
-	u1 := make([]float64, n2)
-	u2 := make([]float64, n2)
-	for i3 := lo; i3 <= hi; i3++ {
-		for i2 := 1; i2 < n1-1; i2++ {
-			uMM, uMZ, uMP := row(ud, i3-1, i2-1, n1, n2), row(ud, i3-1, i2, n1, n2), row(ud, i3-1, i2+1, n1, n2)
-			uZM, uZZ, uZP := row(ud, i3, i2-1, n1, n2), row(ud, i3, i2, n1, n2), row(ud, i3, i2+1, n1, n2)
-			uPM, uPZ, uPP := row(ud, i3+1, i2-1, n1, n2), row(ud, i3+1, i2, n1, n2), row(ud, i3+1, i2+1, n1, n2)
-			rZZ, vZZ := row(rd, i3, i2, n1, n2), row(vd, i3, i2, n1, n2)
-			for i1 := 0; i1 < n2; i1++ {
-				u1[i1] = uZM[i1] + uZP[i1] + uMZ[i1] + uPZ[i1]
-				u2[i1] = uMM[i1] + uMP[i1] + uPM[i1] + uPP[i1]
-			}
-			for i1 := 1; i1 < n2-1; i1++ {
-				rZZ[i1] = vZZ[i1] -
-					a0*uZZ[i1] -
-					a2*(u2[i1]+u1[i1-1]+u1[i1+1]) -
-					a3*(u2[i1-1]+u2[i1+1])
-			}
-		}
-	}
+	variant := core.PlaneVariant(n2 - 2)
+	st.fusedComm3(r, func(p core.PlaneSpan) {
+		core.SubRelaxPlanes(st.mem, rd, vd, ud, n1, n2, p, 0, variant, st.a, nil, nil)
+	})
 }
 
-// psinv computes u += S·r over the box interior and refreshes u's halo.
+// psinv computes u = u + S·r over the box interior and refreshes u's halo.
 func (st *rankState) psinv(r, u *array.Array) {
-	st.fusedComm3(u, func(lo, hi int) { st.psinvPlanes(r, u, lo, hi) })
-}
-
-// psinvPlanes computes u's planes [lo, hi] (inclusive); see residPlanes.
-func (st *rankState) psinvPlanes(r, u *array.Array, lo, hi int) {
 	shp := u.Shape()
 	n1, n2 := shp[1], shp[2]
 	rd, ud := r.Data(), u.Data()
-	c0, c1, c2 := st.cs[0], st.cs[1], st.cs[2]
-	r1 := make([]float64, n2)
-	r2 := make([]float64, n2)
-	for i3 := lo; i3 <= hi; i3++ {
-		for i2 := 1; i2 < n1-1; i2++ {
-			rMM, rMZ, rMP := row(rd, i3-1, i2-1, n1, n2), row(rd, i3-1, i2, n1, n2), row(rd, i3-1, i2+1, n1, n2)
-			rZM, rZZ, rZP := row(rd, i3, i2-1, n1, n2), row(rd, i3, i2, n1, n2), row(rd, i3, i2+1, n1, n2)
-			rPM, rPZ, rPP := row(rd, i3+1, i2-1, n1, n2), row(rd, i3+1, i2, n1, n2), row(rd, i3+1, i2+1, n1, n2)
-			uZZ := row(ud, i3, i2, n1, n2)
-			for i1 := 0; i1 < n2; i1++ {
-				r1[i1] = rZM[i1] + rZP[i1] + rMZ[i1] + rPZ[i1]
-				r2[i1] = rMM[i1] + rMP[i1] + rPM[i1] + rPP[i1]
-			}
-			for i1 := 1; i1 < n2-1; i1++ {
-				uZZ[i1] = uZZ[i1] +
-					c0*rZZ[i1] +
-					c1*(rZZ[i1-1]+rZZ[i1+1]+r1[i1]) +
-					c2*(r2[i1]+r1[i1-1]+r1[i1+1])
-			}
-		}
-	}
+	variant := core.PlaneVariant(n2 - 2)
+	st.fusedComm3(u, func(p core.PlaneSpan) {
+		core.AddRelaxPlanes(st.mem, ud, ud, nil, rd, n1, n2, p, 0, variant, st.cs)
+	})
 }
 
 // rprj3 restricts the fine box rk to the coarse box rj. Box alignment
 // makes the cell mapping local along every axis: coarse local (j3,j2,j1)
 // sits under fine local (2j3, 2j2, 2j1).
 func (st *rankState) rprj3(rk, rj *array.Array) {
-	st.fusedComm3(rj, func(lo, hi int) { st.rprj3Planes(rk, rj, lo, hi) })
-}
-
-// rprj3Planes computes rj's coarse planes [lo, hi] (inclusive); see
-// residPlanes.
-func (st *rankState) rprj3Planes(rk, rj *array.Array, lo, hi int) {
-	fs, cs := rk.Shape(), rj.Shape()
-	fn1, fn2 := fs[1], fs[2]
-	cn1, cn2 := cs[1], cs[2]
-	rd, sd := rk.Data(), rj.Data()
-	x1 := make([]float64, fn2)
-	y1 := make([]float64, fn2)
-	for j3 := lo; j3 <= hi; j3++ {
-		i3 := 2 * j3
-		for j2 := 1; j2 < cn1-1; j2++ {
-			i2 := 2 * j2
-			rMM, rMZ, rMP := row(rd, i3-1, i2-1, fn1, fn2), row(rd, i3-1, i2, fn1, fn2), row(rd, i3-1, i2+1, fn1, fn2)
-			rZM, rZZ, rZP := row(rd, i3, i2-1, fn1, fn2), row(rd, i3, i2, fn1, fn2), row(rd, i3, i2+1, fn1, fn2)
-			rPM, rPZ, rPP := row(rd, i3+1, i2-1, fn1, fn2), row(rd, i3+1, i2, fn1, fn2), row(rd, i3+1, i2+1, fn1, fn2)
-			sRow := row(sd, j3, j2, cn1, cn2)
-			for f := 1; f < fn2; f += 2 {
-				x1[f] = rZM[f] + rZP[f] + rMZ[f] + rPZ[f]
-				y1[f] = rMM[f] + rPM[f] + rMP[f] + rPP[f]
-			}
-			for j1 := 1; j1 < cn2-1; j1++ {
-				f := 2 * j1
-				y2 := rMM[f] + rPM[f] + rMP[f] + rPP[f]
-				x2 := rZM[f] + rZP[f] + rMZ[f] + rPZ[f]
-				sRow[j1] = 0.5*rZZ[f] +
-					0.25*(rZZ[f-1]+rZZ[f+1]+x2) +
-					0.125*(x1[f-1]+x1[f+1]+y2) +
-					0.0625*(y1[f-1]+y1[f+1])
-			}
-		}
-	}
-}
-
-// interpKernel adds the trilinear prolongation of the coarse boxes
-// [lo, lo+count] (inclusive, per axis) of z onto the fine box u, writing
-// fine cells 2·(c−lo) and 2·(c−lo)+1 along every axis. It serves the
-// box-to-box case (lo = 0, count = coarse interior extent) and the
-// agglomeration boundary (z the full grid, lo = this rank's coarse
-// offset).
-func interpKernel(z, u *array.Array, lo, count [3]int) {
-	interpPlanes(z, u, lo, count, lo[0], lo[0]+count[0])
-}
-
-// interpPlanes prolongs the coarse planes [p0, p1] (inclusive, a
-// sub-range of lo[0]..lo[0]+count[0]) of z onto u. Each coarse plane
-// writes only its own pair of fine planes, so disjoint ranges may run on
-// concurrent workers; fine plane anchoring stays relative to lo[0]
-// regardless of the sub-range.
-func interpPlanes(z, u *array.Array, lo, count [3]int, p0, p1 int) {
-	zs, us := z.Shape(), u.Shape()
-	zn1, zn2 := zs[1], zs[2]
-	un1, un2 := us[1], us[2]
-	zd, ud := z.Data(), u.Data()
-	z1 := make([]float64, zn2)
-	z2 := make([]float64, zn2)
-	z3 := make([]float64, zn2)
-	kLo, kHi := lo[2], lo[2]+count[2] // coarse cells along the row axis
-	for c3 := p0; c3 <= p1; c3++ {
-		f3 := 2 * (c3 - lo[0])
-		for c2 := lo[1]; c2 <= lo[1]+count[1]; c2++ {
-			f2 := 2 * (c2 - lo[1])
-			zB, zJ := row(zd, c3, c2, zn1, zn2), row(zd, c3, c2+1, zn1, zn2)
-			zK, zJK := row(zd, c3+1, c2, zn1, zn2), row(zd, c3+1, c2+1, zn1, zn2)
-			// The fine row reads z1..z3 at b and b+1, so fill one past kHi.
-			for b := kLo; b <= kHi+1; b++ {
-				z1[b] = zJ[b] + zB[b]
-				z2[b] = zK[b] + zB[b]
-				z3[b] = zJK[b] + zK[b] + z1[b]
-			}
-			u00, u01 := row(ud, f3, f2, un1, un2), row(ud, f3, f2+1, un1, un2)
-			u10, u11 := row(ud, f3+1, f2, un1, un2), row(ud, f3+1, f2+1, un1, un2)
-			for b := kLo; b <= kHi; b++ {
-				fb := 2 * (b - kLo)
-				u00[fb] += zB[b]
-				u00[fb+1] += 0.5 * (zB[b+1] + zB[b])
-			}
-			for b := kLo; b <= kHi; b++ {
-				fb := 2 * (b - kLo)
-				u01[fb] += 0.5 * z1[b]
-				u01[fb+1] += 0.25 * (z1[b] + z1[b+1])
-			}
-			for b := kLo; b <= kHi; b++ {
-				fb := 2 * (b - kLo)
-				u10[fb] += 0.5 * z2[b]
-				u10[fb+1] += 0.25 * (z2[b] + z2[b+1])
-			}
-			for b := kLo; b <= kHi; b++ {
-				fb := 2 * (b - kLo)
-				u11[fb] += 0.25 * z3[b]
-				u11[fb+1] += 0.125 * (z3[b] + z3[b+1])
-			}
-		}
-	}
-}
-
-// interpBox prolongs the coarse box z onto the fine box u (coarse local
-// cell c under fine local 2c along every axis, covering the fine halos).
-func (st *rankState) interpBox(z, u *array.Array) {
-	zs := z.Shape()
-	st.interp(z, u, [3]int{0, 0, 0}, [3]int{zs[0] - 2, zs[1] - 2, zs[2] - 2})
-}
-
-// boundaryInterp prolongs the (broadcast) full coarse grid onto this
-// rank's fine box.
-func (st *rankState) boundaryInterp(zFull, u *array.Array) {
-	us := u.Shape()
-	var lo, count [3]int
-	for a := 0; a < 3; a++ {
-		lpf := us[a] - 2
-		lo[a] = st.coord[a] * lpf / 2
-		count[a] = lpf / 2
-	}
-	st.interp(zFull, u, lo, count)
-}
-
-// interp fans the prolongation's coarse-plane loop over the rank's pool.
-func (st *rankState) interp(z, u *array.Array, lo, count [3]int) {
-	st.forPlanes(lo[0], lo[0]+count[0], func(p0, p1 int) {
-		interpPlanes(z, u, lo, count, p0, p1)
+	fs := rk.Shape()
+	fd, cd := rk.Data(), rj.Data()
+	variant := core.PlaneVariant(rj.Shape()[2] - 2)
+	st.fusedComm3(rj, func(p core.PlaneSpan) {
+		core.ProjectCondensePlanes(st.mem, cd, fd, fs[1], fs[2], p, 0, variant, stencil.P)
 	})
+}
+
+// interp prolongs the coarse box z onto the whole fine box u (coarse local
+// cell c under fine local 2c along every axis) — u = Q·z, or u += Q·z with
+// add. The fine halos are interpolated from z's halos like any other cell,
+// so no exchange follows.
+func (st *rankState) interp(z, u *array.Array, add bool) {
+	zs := z.Shape()
+	zd, ud := z.Data(), u.Data()
+	var wd []float64
+	if add {
+		wd = ud
+	}
+	variant := core.PlaneVariant(u.Shape()[2] - 2)
+	st.forPlanes(core.PlaneSpan{Lo: 0, Hi: u.Shape()[0] - 1}, func(p core.PlaneSpan) {
+		core.InterpolatePlanes(st.mem, ud, wd, zd, zs[1], zs[2], p, true, 0, variant, stencil.Q)
+	})
+}
+
+// boundaryInterp prolongs this rank's window of the (broadcast) full
+// coarse grid — its coarse cells and one halo cell either side, which is a
+// box of level lcd−1 — onto its fine box.
+func (st *rankState) boundaryInterp(zFull, u *array.Array, add bool) {
+	win := st.boxShape(st.lcd - 1)
+	var lo, hi [3]int
+	for a := 0; a < 3; a++ {
+		lo[a] = st.coord[a] * (win[a] - 2)
+		hi[a] = lo[a] + win[a] - 1
+	}
+	fs := zFull.Shape()
+	st.interp(array.Wrap(win, packBox(zFull.Data(), fs[1], fs[2], lo, hi)), u, add)
 }
 
 // --- driver -----------------------------------------------------------------------
@@ -840,30 +727,28 @@ func (st *rankState) mg3P() {
 			st.serialDownUp()
 		}
 		zFull := st.broadcastFull(st.uFull[lcd-1], lcd-1)
-		if lcd == lt {
-			st.kspan("coarse2fine", lcd, func() { st.boundaryInterp(zFull, st.u[lcd]) })
-			st.kspan("resid", lcd, func() { st.resid(st.u[lcd], st.v, st.r[lcd]) })
-		} else {
-			st.u[lcd].Zero()
-			st.kspan("coarse2fine", lcd, func() { st.boundaryInterp(zFull, st.u[lcd]) })
-			st.kspan("resid", lcd, func() { st.resid(st.u[lcd], st.r[lcd], st.r[lcd]) })
-		}
-		st.kspan("smooth", lcd, func() { st.psinv(st.r[lcd], st.u[lcd]) })
+		st.kspan("coarse2fine", lcd, func() { st.boundaryInterp(zFull, st.u[lcd], lcd == lt) })
+		st.kspan("resid", lcd, func() { st.resid(st.u[lcd], st.rhs(lcd), st.r[lcd]) })
 	} else {
 		st.u[1].Zero()
-		st.kspan("smooth", 1, func() { st.psinv(st.r[1], st.u[1]) })
 	}
-	for l := lcd + 1; l <= lt-1; l++ {
-		st.u[l].Zero()
-		st.kspan("coarse2fine", l, func() { st.interpBox(st.u[l-1], st.u[l]) })
-		st.kspan("resid", l, func() { st.resid(st.u[l], st.r[l], st.r[l]) })
+	st.kspan("smooth", lcd, func() { st.psinv(st.r[lcd], st.u[lcd]) })
+	for l := lcd + 1; l <= lt; l++ {
+		st.kspan("coarse2fine", l, func() { st.interp(st.u[l-1], st.u[l], l == lt) })
+		st.kspan("resid", l, func() { st.resid(st.u[l], st.rhs(l), st.r[l]) })
 		st.kspan("smooth", l, func() { st.psinv(st.r[l], st.u[l]) })
 	}
-	if lt > lcd {
-		st.kspan("coarse2fine", lt, func() { st.interpBox(st.u[lt-1], st.u[lt]) })
-		st.kspan("resid", lt, func() { st.resid(st.u[lt], st.v, st.r[lt]) })
-		st.kspan("smooth", lt, func() { st.psinv(st.r[lt], st.u[lt]) })
+}
+
+// rhs returns the right-hand side of level l's residual. Only the finest
+// level corrects a standing u (u += Q·z, against v); below it u is the
+// correction itself, written by interp over the whole box, and the residual
+// updates in place.
+func (st *rankState) rhs(l int) *array.Array {
+	if l == st.lt {
+		return st.v
 	}
+	return st.r[l]
 }
 
 // serialDownUp runs the agglomerated part of the V-cycle on rank 0.
@@ -877,8 +762,7 @@ func (st *rankState) serialDownUp() {
 	st.uFull[1].Zero()
 	st.kspan("smooth", 1, func() { st.psinv(st.rFull[1], st.uFull[1]) })
 	for l := 2; l <= lcd-1; l++ {
-		st.uFull[l].Zero()
-		st.kspan("coarse2fine", l, func() { st.interpBox(st.uFull[l-1], st.uFull[l]) })
+		st.kspan("coarse2fine", l, func() { st.interp(st.uFull[l-1], st.uFull[l], false) })
 		st.kspan("resid", l, func() { st.resid(st.uFull[l], st.rFull[l], st.rFull[l]) })
 		st.kspan("smooth", l, func() { st.psinv(st.rFull[l], st.uFull[l]) })
 	}
@@ -910,8 +794,8 @@ func (st *rankState) norms() (rnm2, rnmu float64) {
 	// Per-plane partials may run on concurrent workers: each plane writes
 	// its own slot, and the serial folds below (ascending planes for the
 	// sum, any order for the max) keep the canonical association.
-	st.forPlanes(1, lp, func(lo, hi int) {
-		for i3 := lo; i3 <= hi; i3++ {
+	st.forPlanes(core.PlaneSpan{Lo: 1, Hi: lp}, func(p core.PlaneSpan) {
+		for i3 := p.Lo; i3 <= p.Hi; i3++ {
 			var planeSum, planeAbs float64
 			for i2 := 1; i2 < shp[1]-1; i2++ {
 				base := (i3*shp[1] + i2) * shp[2]

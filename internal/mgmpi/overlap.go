@@ -21,32 +21,32 @@ import (
 	"repro/internal/sched"
 )
 
-// forPlanes runs f over the inclusive plane range [lo, hi], fanned over
-// the rank's pool when one is attached (sub-ranges are disjoint, workers
-// share nothing but the grid) and inline otherwise.
-func (st *rankState) forPlanes(lo, hi int, f func(lo, hi int)) {
-	n := hi - lo + 1
-	if n <= 0 {
+// forPlanes runs f over the planes of p, fanned over the rank's pool when
+// one is attached (sub-spans are disjoint, workers share nothing but the
+// grid) and inline otherwise.
+func (st *rankState) forPlanes(p core.PlaneSpan, f func(core.PlaneSpan)) {
+	n := p.Count()
+	if n == 0 {
 		return
 	}
 	if st.pool == nil || n == 1 {
-		f(lo, hi)
+		f(p)
 		return
 	}
-	st.pool.For(n, sched.ForOptions{}, func(a, b, _ int) { f(lo+a, lo+b-1) })
+	st.pool.For(n, sched.ForOptions{}, func(a, b, _ int) { f(core.PlaneSpan{Lo: p.Lo + a, Hi: p.Lo + b - 1}) })
 }
 
 // fusedComm3 runs a kernel's plane loop and the halo refresh of its
 // output box a as one fused operation: the synchronous path computes all
 // planes (pool fan-out) then calls comm3; the overlap path interleaves
-// them. compute(lo, hi) must fill a's planes [lo, hi] (inclusive) and be
-// safe for disjoint concurrent ranges.
-func (st *rankState) fusedComm3(a *array.Array, compute func(lo, hi int)) {
+// them. compute must fill the planes of a it is handed and be safe for
+// disjoint concurrent spans.
+func (st *rankState) fusedComm3(a *array.Array, compute func(core.PlaneSpan)) {
 	if st.overlapActive() {
 		st.overlapComm3(a, compute)
 		return
 	}
-	st.forPlanes(1, a.Shape()[0]-2, compute)
+	st.forPlanes(core.PlaneSpan{Lo: 1, Hi: a.Shape()[0] - 2}, compute)
 	st.comm3(a)
 }
 
@@ -68,8 +68,9 @@ func planeLocal(d []float64, n1, n2, i3 int) {
 		d[base] = d[base+n2-2]
 		d[base+n2-1] = d[base+1]
 	}
-	copy(row(d, i3, 0, n1, n2), row(d, i3, n1-2, n1, n2))
-	copy(row(d, i3, n1-1, n1, n2), row(d, i3, 1, n1, n2))
+	plane := d[i3*n1*n2 : (i3+1)*n1*n2]
+	copy(plane[:n2], plane[(n1-2)*n2:])
+	copy(plane[(n1-1)*n2:], plane[n2:2*n2])
 }
 
 // plane3 returns the inclusive box of plane i3 at its full lateral
@@ -91,7 +92,7 @@ func plane3(i3, n1, n2 int) (lo, hi [3]int) {
 // refreshed by per-plane local copies. Blocked time lands in the
 // requests' Waits, so the transport stats now show only the *exposed*
 // part of the exchange — the quantity the overlap report gates on.
-func (st *rankState) overlapComm3(a *array.Array, compute func(lo, hi int)) {
+func (st *rankState) overlapComm3(a *array.Array, compute func(core.PlaneSpan)) {
 	shp := a.Shape()
 	n1, n2 := shp[1], shp[2]
 	d := a.Data()
@@ -101,7 +102,7 @@ func (st *rankState) overlapComm3(a *array.Array, compute func(lo, hi int)) {
 	}
 	boundary, interior := core.SplitPlanes(shp[0])
 	for _, i3 := range boundary {
-		compute(i3, i3)
+		compute(core.PlaneSpan{Lo: i3, Hi: i3})
 		planeLocal(d, n1, n2, i3)
 	}
 	up := st.neighbour(0, +1)
@@ -114,14 +115,12 @@ func (st *rankState) overlapComm3(a *array.Array, compute func(lo, hi int)) {
 	sendUp := st.c.Isend(up, tagHi, packBox(d, n1, n2, sLo, sHi))
 	sLo, sHi = plane3(1, n1, n2)
 	sendDown := st.c.Isend(down, tagLo, packBox(d, n1, n2, sLo, sHi))
-	if !interior.Empty() {
-		st.forPlanes(interior.Lo, interior.Hi, func(lo, hi int) {
-			compute(lo, hi)
-			for i3 := lo; i3 <= hi; i3++ {
-				planeLocal(d, n1, n2, i3)
-			}
-		})
-	}
+	st.forPlanes(interior, func(p core.PlaneSpan) {
+		compute(p)
+		for i3 := p.Lo; i3 <= p.Hi; i3++ {
+			planeLocal(d, n1, n2, i3)
+		}
+	})
 	rLo, rHi := plane3(0, n1, n2)
 	unpackBox(d, n1, n2, rLo, rHi, recvDown.Wait())
 	rLo, rHi = plane3(lp+1, n1, n2)

@@ -4,54 +4,189 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"os/exec"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/mpinet"
 	"repro/internal/nas"
 )
 
-// iterBits runs one configuration and returns the bit patterns of every
-// intermediate and final rnm2 the solve reports.
-func iterBits(t *testing.T, class nas.Class, ranks, threads int, overlap bool) []uint64 {
-	t.Helper()
-	s := New(class, ranks)
-	s.Overlap = overlap
-	s.Threads = threads
-	var bits []uint64
-	s.IterNorms = func(_ int, rnm2, _ float64) {
-		bits = append(bits, math.Float64bits(rnm2))
+// config is one row of the bit-identity matrix.
+type config struct {
+	ranks, threads int
+	overlap, tcp   bool
+}
+
+func (c config) String() string {
+	transport := "channel"
+	if c.tcp {
+		transport = "tcp"
 	}
-	rnm2, _ := s.Run()
+	return fmt.Sprintf("ranks=%d threads=%d overlap=%v %s", c.ranks, c.threads, c.overlap, transport)
+}
+
+// tcpMesh boots ranks mpinet endpoints meshed over loopback TCP.
+func tcpMesh(t *testing.T, ranks int) []*mpinet.Transport {
+	t.Helper()
+	cfg := mpinet.Config{Size: ranks, Addr: "127.0.0.1:0", Class: 'S', IOTimeout: 20 * time.Second}
+	rz, err := mpinet.Listen(cfg)
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	mesh := make([]*mpinet.Transport, ranks)
+	errs := make([]error, ranks)
+	var wg sync.WaitGroup
+	for r := 1; r < ranks; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			c := cfg
+			c.Rank, c.Addr = r, rz.Addr()
+			mesh[r], errs[r] = mpinet.Join(c)
+		}(r)
+	}
+	mesh[0], errs[0] = rz.Accept()
+	wg.Wait()
+	t.Cleanup(func() {
+		for _, tr := range mesh {
+			if tr != nil {
+				tr.Close()
+			}
+		}
+	})
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("mesh bootstrap rank %d: %v", r, err)
+		}
+	}
+	return mesh
+}
+
+// iterBits runs one configuration and returns the bit patterns of every
+// intermediate and final rnm2 the solve reports (on rank 0).
+func iterBits(t *testing.T, class nas.Class, c config) []uint64 {
+	t.Helper()
+	var bits []uint64
+	setup := func(s *Solver) {
+		s.Overlap = c.overlap
+		s.Threads = c.threads
+		// Collective: every rank enables the reductions, rank 0 is called.
+		s.IterNorms = func(_ int, rnm2, _ float64) {
+			bits = append(bits, math.Float64bits(rnm2))
+		}
+	}
+	var rnm2 float64
+	if c.tcp {
+		final := make([]float64, c.ranks)
+		var wg sync.WaitGroup
+		for r, tr := range tcpMesh(t, c.ranks) {
+			s, err := NewWithTransport(class, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			setup(s)
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s: rank %d: %v", c, r, p)
+					}
+				}()
+				final[r], _ = s.RunRank()
+			}(r)
+		}
+		wg.Wait()
+		rnm2 = final[0]
+	} else {
+		s := New(class, c.ranks)
+		setup(s)
+		rnm2, _ = s.Run()
+	}
 	if verified, ok := class.Verify(rnm2); !ok || !verified {
-		t.Fatalf("ranks=%d threads=%d overlap=%v: rnm2 %.13e did not verify",
-			ranks, threads, overlap, rnm2)
+		t.Fatalf("%s: rnm2 %.13e did not verify", c, rnm2)
 	}
 	return append(bits, math.Float64bits(rnm2))
 }
 
-// TestOverlapBitIdentical is the tentpole's differential acceptance
-// test: the overlapped halo exchange and the hybrid thread fan-out are
-// pure schedule changes, so every intermediate rnm2 must be bitwise
-// identical to the synchronous single-threaded solve — across rank
-// counts, thread counts, and both exchange modes.
+// wantBitsEnv carries the parent's reference bits to the child processes
+// TestOverlapBitIdentical re-runs itself in under other kernel backends.
+const wantBitsEnv = "MGMPI_TEST_WANT_BITS"
+
+// TestOverlapBitIdentical is the differential acceptance test of the
+// distributed path: the overlapped halo exchange, the hybrid thread
+// fan-out, the transport and the plane-kernel backend are pure schedule
+// and speed choices, so every intermediate rnm2 must be bitwise identical
+// to the synchronous single-threaded 1-rank solve — across rank counts,
+// thread counts, both exchange modes and both transports, and (the backend
+// being fixed per process) in child processes forced to the scalar,
+// buffered and simd backends and to simd's pure-Go fallback.
 func TestOverlapBitIdentical(t *testing.T) {
-	want := iterBits(t, nas.ClassS, 1, 1, false)
+	var want []uint64
+	child := os.Getenv(wantBitsEnv) != ""
+	if child {
+		for _, f := range strings.Split(os.Getenv(wantBitsEnv), ",") {
+			b, err := strconv.ParseUint(f, 16, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", wantBitsEnv, err)
+			}
+			want = append(want, b)
+		}
+	} else {
+		want = iterBits(t, nas.ClassS, config{ranks: 1, threads: 1})
+	}
 	for _, ranks := range []int{1, 2, 4} {
 		for _, threads := range []int{1, 2} {
 			for _, overlap := range []bool{false, true} {
-				name := fmt.Sprintf("ranks=%d threads=%d overlap=%v", ranks, threads, overlap)
-				got := iterBits(t, nas.ClassS, ranks, threads, overlap)
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d norms, want %d", name, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s: norm %d = %016x, want %016x (not bit-identical)",
-							name, i, got[i], want[i])
+				for _, tcp := range []bool{false, true} {
+					if tcp && ranks == 1 {
+						continue // one rank sends nothing: no transport to vary
+					}
+					c := config{ranks, threads, overlap, tcp}
+					got := iterBits(t, nas.ClassS, c)
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d norms, want %d", c, len(got), len(want))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("%s: norm %d = %016x, want %016x (not bit-identical)",
+								c, i, got[i], want[i])
+						}
 					}
 				}
 			}
+		}
+	}
+	if child || testing.Short() {
+		return
+	}
+	hex := make([]string, len(want))
+	for i, b := range want {
+		hex[i] = strconv.FormatUint(b, 16)
+	}
+	var base []string
+	for _, kv := range os.Environ() {
+		if !strings.HasPrefix(kv, "MG_FORCE_VARIANT=") && !strings.HasPrefix(kv, "MG_SIMD_DISABLE=") {
+			base = append(base, kv)
+		}
+	}
+	base = append(base, wantBitsEnv+"="+strings.Join(hex, ","))
+	for _, leg := range [][]string{
+		{"MG_FORCE_VARIANT=scalar"},
+		{"MG_FORCE_VARIANT=buffered"},
+		{"MG_FORCE_VARIANT=simd"},
+		{"MG_FORCE_VARIANT=simd", "MG_SIMD_DISABLE=1"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestOverlapBitIdentical$", "-test.count=1")
+		cmd.Env = append(base[:len(base):len(base)], leg...)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Errorf("child with %v: %v\n%s", leg, err, out)
 		}
 	}
 }

@@ -2,7 +2,9 @@ package mpinet
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 )
 
@@ -84,6 +86,36 @@ func decodeHeader(b []byte) frameHeader {
 		tag:   int(int32(binary.LittleEndian.Uint32(b[8:]))),
 		count: int(binary.LittleEndian.Uint32(b[12:])),
 	}
+}
+
+// readFrame reads and validates one frame sent by rank `from`: framing
+// (magic), provenance (the source field must name the connection's peer), a
+// plausible length — checked before the payload is allocated — and the
+// checksum. hdr is headerLen bytes of scratch. Whatever the bytes, the
+// outcome is a payload or a typed error (*FrameError, *ChecksumError).
+func readFrame(r io.Reader, hdr []byte, from int) (frameHeader, []float64, error) {
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return frameHeader{}, nil, &FrameError{Peer: from, Reason: "torn frame header", Err: err}
+	}
+	h := decodeHeader(hdr)
+	switch {
+	case h.magic != frameMagic:
+		return h, nil, &FrameError{Peer: from, Reason: fmt.Sprintf("bad magic %08x (stream desynchronized)", h.magic)}
+	case h.src != from:
+		return h, nil, &FrameError{Peer: from, Reason: fmt.Sprintf("frame claims source rank %d on the rank-%d connection", h.src, from)}
+	case h.count < 0 || h.count > maxFrameFloats:
+		return h, nil, &FrameError{Peer: from, Reason: fmt.Sprintf("implausible payload length %d floats", h.count)}
+	}
+	body := make([]byte, 8*h.count+checksumLen)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return h, nil, &FrameError{Peer: from, Reason: "torn frame payload", Err: err}
+	}
+	payload := body[: len(body)-checksumLen : len(body)-checksumLen]
+	sum := crc32Frame(hdr, payload)
+	if want := leU32(body[len(payload):]); sum != want {
+		return h, nil, &ChecksumError{Peer: from, Tag: h.tag, Want: want, Got: sum}
+	}
+	return h, decodeFloats(payload), nil
 }
 
 // crc32Frame computes the frame checksum over header and payload.

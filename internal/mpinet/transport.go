@@ -30,7 +30,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -573,42 +572,18 @@ func (t *Transport) readLoop(p *peer) {
 	hdr := make([]byte, headerLen)
 	for {
 		p.conn.SetReadDeadline(time.Time{})
-		b0, err := br.ReadByte()
-		if err != nil {
+		if _, err := br.Peek(1); err != nil {
 			if !t.isShutdown() {
 				t.fail(&PeerError{Peer: p.rank, Op: "read", Err: err})
 			}
 			return
 		}
 		p.conn.SetReadDeadline(time.Now().Add(t.cfg.IOTimeout))
-		hdr[0] = b0
-		if _, err := io.ReadFull(br, hdr[1:]); err != nil {
-			t.failRead(p, &FrameError{Peer: p.rank, Reason: "torn frame header", Err: err})
+		h, data, err := readFrame(br, hdr, p.rank)
+		if err != nil {
+			t.failRead(p, err)
 			return
 		}
-		h := decodeHeader(hdr)
-		switch {
-		case h.magic != frameMagic:
-			t.failRead(p, &FrameError{Peer: p.rank, Reason: fmt.Sprintf("bad magic %08x (stream desynchronized)", h.magic)})
-			return
-		case h.src != p.rank:
-			t.failRead(p, &FrameError{Peer: p.rank, Reason: fmt.Sprintf("frame claims source rank %d on the rank-%d connection", h.src, p.rank)})
-			return
-		case h.count < 0 || h.count > maxFrameFloats:
-			t.failRead(p, &FrameError{Peer: p.rank, Reason: fmt.Sprintf("implausible payload length %d floats", h.count)})
-			return
-		}
-		body := make([]byte, 8*h.count+checksumLen)
-		if _, err := io.ReadFull(br, body); err != nil {
-			t.failRead(p, &FrameError{Peer: p.rank, Reason: "torn frame payload", Err: err})
-			return
-		}
-		sum := crc32Frame(hdr, body[:len(body)-checksumLen])
-		if want := leU32(body[len(body)-checksumLen:]); sum != want {
-			t.failRead(p, &ChecksumError{Peer: p.rank, Tag: h.tag, Want: want, Got: sum})
-			return
-		}
-		data := decodeFloats(body[: len(body)-checksumLen : len(body)-checksumLen])
 		if h.tag == tagGoodbye {
 			// The peer finished and is closing; its EOF is expected.
 			return
