@@ -116,20 +116,14 @@ func (s *Solver) MGrid(v *array.Array, iter int) *array.Array {
 			// Folded iteration: the finest V-cycle level is inlined so
 			// that u + (z + Smooth(r₂)) becomes a single traversal —
 			// one more WITH-loop folding step across the VCycle call
-			// boundary.
-			r := s.residSubtract(v, u)
-			rn := s.Fine2Coarse(r)
+			// boundary — and both of its legs run plane-pipelined
+			// (pipeline.go).
+			r, rn := s.residProject(v, u)
 			zn := s.VCycle(rn)
 			e.Release(rn)
-			z := s.Coarse2Fine(zn)
+			u = s.correct(u, zn, r)
 			e.Release(zn)
-			r2 := s.residSubtract(r, z)
 			e.Release(r)
-			u2 := s.smoothAddInto(u, z, r2)
-			e.Release(r2)
-			e.Release(z)
-			e.Release(u)
-			u = u2
 			continue
 		}
 		r := s.residSubtract(v, u)
@@ -219,12 +213,10 @@ func (s *Solver) VCycle(r *array.Array) *array.Array {
 			zn = zn2
 		}
 		e.Release(rn)
-		z := s.Coarse2Fine(zn)
+		// z = Coarse2Fine(zn); r₂ = r − Resid(z); z + Smooth(r₂) — as
+		// three calls, or at O3 as one plane-pipelined sweep.
+		z2 := s.correct(nil, zn, r)
 		e.Release(zn)
-		r2 := s.residSubtract(r, z)
-		z2 := s.smoothAdd(z, r2)
-		e.Release(r2)
-		e.Release(z)
 		// Extra post-smoothing steps (PostSmooth > 1): each re-evaluates
 		// the residual of the current correction.
 		for ps := 1; ps < s.PostSmooth; ps++ {

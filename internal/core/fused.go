@@ -21,6 +21,14 @@
 // IEEE-754 sum. The package test TestOptLevelsBitIdentical holds the O3
 // pipeline to that contract.
 //
+// One fold further, the kernels of a V-cycle leg fold into each other
+// plane by plane (pipeline.go): interpolate → subRelax → addRelax on the
+// way up, subRelax → projectCondense on the way down at MGrid's level.
+// That is a schedule of these kernels over rings of a few planes, not more
+// kernels: the per-plane methods of kern below are the only copy of every
+// row statement, shared by the full-grid sweeps, the distributed ranks'
+// plane-range entry points (planes.go) and the pipelined sweeps.
+//
 // # Tiled traversal and per-level plans
 //
 // Every kernel traverses its interior planes under an execution plan
@@ -63,7 +71,9 @@
 // (tune.DefaultVariant). The variant can be forced globally with the
 // MG_FORCE_VARIANT environment variable or the -variant flag
 // (Env.Variant); since all three are bit-identical, none of this can
-// change a result.
+// change a result. A pipelined sweep asks once per stage, under the
+// stage's own kernel name, so its stages may run different backends and
+// every one of these levers reaches them unchanged.
 package core
 
 import (
@@ -177,11 +187,11 @@ func (p *planeLoop) inline() bool {
 }
 
 // interior is the whole sweep as one span: the planes an inline call covers.
-func (p *planeLoop) interior() PlaneSpan { return PlaneSpan{Lo: 1, Hi: p.planes} }
+func (p *planeLoop) interior() PlaneSpan { return PlaneSpan{Lo: 1, Hi: p.planes, Frame: true} }
 
 // fanOut partitions the interior planes across the environment's workers.
 func (p *planeLoop) fanOut(body func(PlaneSpan)) {
-	p.e.Sched.For(p.planes, p.opts, func(lo, hi, _ int) { body(PlaneSpan{Lo: lo + 1, Hi: hi}) })
+	p.e.Sched.For(p.planes, p.opts, func(lo, hi, _ int) { body(PlaneSpan{Lo: lo + 1, Hi: hi, Frame: true}) })
 }
 
 // finish closes the invocation after the sweep. od is the kernel's output
@@ -194,9 +204,14 @@ func (p *planeLoop) fanOut(body func(PlaneSpan)) {
 func (p *planeLoop) finish(started time.Time, od []float64) {
 	p.commit()
 	healthSample(p.e, p.kernel, p.level, od)
-	if m := p.e.Metrics; m != nil {
-		m.RecordVariant(0, p.kernel, p.level, p.variant, int64(p.planes)*int64(p.perPlane), time.Since(started))
+	if p.e.Metrics != nil {
+		p.record(time.Since(started))
 	}
+}
+
+// record files one invocation of the loop's kernel that took elapsed.
+func (p *planeLoop) record(elapsed time.Duration) {
+	p.e.Metrics.RecordVariant(0, p.kernel, p.level, p.variant, int64(p.planes)*int64(p.perPlane), elapsed)
 }
 
 // KernelCosts is the per-point work model of the fused kernels, feeding
@@ -277,33 +292,105 @@ func lined(variant string) bool {
 	return variant == tune.VariantBuffered || variant == tune.VariantSIMD
 }
 
-// lineBuffers borrows the u1/u2 row buffers of the line-buffered plane
-// kernels from the caller's pool; the caller Puts them back. Each
-// scheduler partition takes its own pair (worker-local by construction),
-// so parallel plans stay allocation-free once the pool is warm.
-func lineBuffers(pool *mempool.Pool, n int) (u1, u2 []float64) {
-	return pool.GetDirty(n), pool.GetDirty(n)
+// kern is one sweep's handle on a plane kernel: the resolved backend and
+// the row buffers it threads through the rows of every plane it computes.
+// Its methods take planes, not grids — a plane of the output and the
+// planes of the inputs the stencil reaches — so the same row statements
+// serve a full grid (SubRelaxPlanes and friends slice it), a distributed
+// box, and the few-plane rings of pipeline.go. Each scheduler partition
+// borrows its own kern (worker-local by construction), so parallel plans
+// stay allocation-free once the pool is warm.
+type kern struct {
+	tile       int
+	lined, vec bool
+	frame      bool      // also write each plane's frame (PlaneSpan.Frame)
+	u1, u2     []float64 // row buffers of the lined backends
+}
+
+// borrowKern resolves variant and borrows the lined backends' row buffers
+// (lengths b1, b2; zero for none) from pool; release puts them back.
+func borrowKern(pool *mempool.Pool, variant string, tile int, frame bool, b1, b2 int) kern {
+	k := kern{tile: tile, lined: lined(variant), vec: variant == tune.VariantSIMD, frame: frame}
+	if k.lined {
+		k.u1 = pool.GetDirty(b1)
+		if b2 > 0 {
+			k.u2 = pool.GetDirty(b2)
+		}
+	}
+	return k
+}
+
+func (k *kern) release(pool *mempool.Pool) {
+	pool.Put(k.u1)
+	pool.Put(k.u2)
+}
+
+// planeOf is plane i of a flat grid whose planes hold pl elements; an
+// absent (nil) operand grid stays absent.
+func planeOf(d []float64, i, pl int) []float64 {
+	if d == nil {
+		return nil
+	}
+	return d[i*pl : (i+1)*pl]
 }
 
 // subRelax computes out = v − Relax(u, c): the folded form of
 // aplib.Sub(v, Resid(u)). u must have its periodic border prepared.
 // Boundary elements are v's (the relaxation contributes zero there).
 func subRelax(e *wl.Env, v, u *array.Array, c stencil.Coeffs) *array.Array {
+	out, _, _ := subRelaxSweep(e, v, u, c, false)
+	return out
+}
+
+// subRelaxNorm computes out = v − Relax(u, c) and, in the same traversal,
+// the NPB norm partials of out's interior: the sum of squares folded in
+// the canonical row→plane order of nas.Norm2u3Planes, and the maximum
+// absolute value. One grid read replaces the resid-then-norm two-pass
+// sequence. Each row's partial accumulates strictly left-to-right in k
+// from the stored row, rows fold in ascending j and planes in ascending i,
+// so the sums are bit-identical for every backend, tile size, worker count
+// and scheduling policy.
+func subRelaxNorm(e *wl.Env, v, u *array.Array, c stencil.Coeffs) (out *array.Array, sumSq, maxAbs float64) {
+	return subRelaxSweep(e, v, u, c, true)
+}
+
+func subRelaxSweep(e *wl.Env, v, u *array.Array, c stencil.Coeffs, norm bool) (out *array.Array, sumSq, maxAbs float64) {
 	started := kernelClock(e)
 	shp := u.Shape()
 	n0, n1, n2 := shp[0], shp[1], shp[2]
-	out := e.NewArrayDirty(shp)
+	out = e.NewArrayDirty(shp)
 	od, vd, ud := out.Data(), v.Data(), u.Data()
-	copyBorders(od, vd, n0, n1, n2)
+	endPlanes(od, vd, nil, n0, n1*n2)
+	var sums, maxs []float64
+	if norm {
+		sums, maxs = e.Pool.GetDirty(n0), e.Pool.GetDirty(n0)
+	}
 	pl := planPlanes(e, "subRelax", n0, (n1-2)*(n2-2))
 	tile, variant := pl.tile, pl.variant
 	if pl.inline() {
-		SubRelaxPlanes(e.Pool, od, vd, ud, n1, n2, pl.interior(), tile, variant, c, nil, nil)
+		SubRelaxPlanes(e.Pool, od, vd, ud, n1, n2, pl.interior(), tile, variant, c, sums, maxs)
 	} else {
-		pl.fanOut(func(p PlaneSpan) { SubRelaxPlanes(e.Pool, od, vd, ud, n1, n2, p, tile, variant, c, nil, nil) })
+		pl.fanOut(func(p PlaneSpan) { SubRelaxPlanes(e.Pool, od, vd, ud, n1, n2, p, tile, variant, c, sums, maxs) })
 	}
 	pl.finish(started, od)
-	return out
+	if norm {
+		sumSq, maxAbs = foldNorms(sums, maxs, n0)
+		e.Pool.Put(sums)
+		e.Pool.Put(maxs)
+	}
+	return out, sumSq, maxAbs
+}
+
+// foldNorms folds the per-plane norm partials of interior planes
+// 1..n0−2 in ascending plane order.
+func foldNorms(sums, maxs []float64, n0 int) (sumSq, maxAbs float64) {
+	for i := 1; i < n0-1; i++ {
+		sumSq += sums[i]
+		if maxs[i] > maxAbs {
+			maxAbs = maxs[i]
+		}
+	}
+	return sumSq, maxAbs
 }
 
 // SubRelaxPlanes is the plane-range entry point of subRelax (planes.go):
@@ -313,51 +400,64 @@ func subRelax(e *wl.Env, v, u *array.Array, c stencil.Coeffs) *array.Array {
 // index.
 func SubRelaxPlanes(pool *mempool.Pool, od, vd, ud []float64, n1, n2 int, p PlaneSpan, tile int, variant string,
 	c stencil.Coeffs, sums, maxs []float64) {
-	if lined(variant) {
-		u1, u2 := lineBuffers(pool, n2)
-		vec := variant == tune.VariantSIMD
-		for i := p.Lo; i <= p.Hi; i++ {
-			if sums == nil {
-				subRelaxPlaneLined(od, vd, ud, n1, n2, i, c, u1, u2, vec)
-			} else {
-				sums[i], maxs[i] = subRelaxNormPlaneLined(od, vd, ud, n1, n2, i, c, u1, u2, vec)
-			}
-		}
-		pool.Put(u1)
-		pool.Put(u2)
-		return
-	}
-	if sums == nil {
-		for i := p.Lo; i <= p.Hi; i++ {
-			subRelaxPlane(od, vd, ud, n1, n2, i, tile, c)
-		}
-		return
-	}
-	rowSum := pool.GetDirty(tileOr(tile, n1-2))
+	k := borrowKern(pool, variant, tile, p.Frame, n2, n2)
+	pl := n1 * n2
 	for i := p.Lo; i <= p.Hi; i++ {
-		sums[i], maxs[i] = subRelaxNormPlane(od, vd, ud, n1, n2, i, tile, c, rowSum)
+		sum, maxAbs := k.subRelax(planeOf(od, i, pl), planeOf(vd, i, pl),
+			planeOf(ud, i-1, pl), planeOf(ud, i, pl), planeOf(ud, i+1, pl), n1, n2, c, sums != nil)
+		if sums != nil {
+			sums[i], maxs[i] = sum, maxAbs
+		}
 	}
-	pool.Put(rowSum)
+	k.release(pool)
 }
 
-// subRelaxPlane relaxes interior plane i of subRelax, j/k-tiled. The three
-// centre-row bases (planes i−1, i, i+1 at row j) roll forward one row
-// stride per j step; the j±1 neighbour rows are one stride either side.
-func subRelaxPlane(od, vd, ud []float64, n1, n2, i, tile int, c stencil.Coeffs) {
+// subRelax computes one plane of subRelax, o = v − Relax(u, c), from u's
+// planes below, at and above it; with norm set it also returns the plane's
+// norm partials, folded from the stored rows.
+func (k *kern) subRelax(o, v, um, uz, up []float64, n1, n2 int, c stencil.Coeffs, norm bool) (sum, maxAbs float64) {
+	if !k.lined {
+		subRelaxPlane(o, v, um, uz, up, n1, n2, k.tile, c)
+	}
+	if k.lined || norm {
+		for zz := n2; zz < (n1-1)*n2; zz += n2 {
+			if k.lined {
+				subRelaxRowLined(o, v, um, uz, up, zz, n2, c, k.u1, k.u2, k.vec)
+			}
+			if !norm {
+				continue
+			}
+			var acc float64
+			for _, r := range o[zz+1 : zz+n2-1] {
+				acc += r * r
+				if a := math.Abs(r); a > maxAbs {
+					maxAbs = a
+				}
+			}
+			sum += acc
+		}
+	}
+	if k.frame {
+		writeFrame(o, v, nil, n1, n2)
+	}
+	return sum, maxAbs
+}
+
+// subRelaxPlane is the scalar backend of kern.subRelax, j/k-tiled. The row
+// base rolls forward one row stride per j step in all three input planes;
+// the j±1 neighbour rows are one stride either side.
+func subRelaxPlane(o, v, um, uz, up []float64, n1, n2, tile int, c stencil.Coeffs) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
 	tj, tk := tileOr(tile, n1-2), tileOr(tile, n2-2)
 	for jt := 1; jt < n1-1; jt += tj {
 		jEnd := min(jt+tj, n1-1)
 		for kt := 1; kt < n2-1; kt += tk {
 			kEnd := min(kt+tk, n2-1)
-			mz := ((i-1)*n1 + jt) * n2
-			zz := (i*n1 + jt) * n2
-			pz := ((i+1)*n1 + jt) * n2
-			for j := jt; j < jEnd; j, mz, zz, pz = j+1, mz+n2, zz+n2, pz+n2 {
-				uMM, uMZ, uMP := ud[mz-n2:mz], ud[mz:mz+n2], ud[mz+n2:mz+2*n2]
-				uZM, uZZ, uZP := ud[zz-n2:zz], ud[zz:zz+n2], ud[zz+n2:zz+2*n2]
-				uPM, uPZ, uPP := ud[pz-n2:pz], ud[pz:pz+n2], ud[pz+n2:pz+2*n2]
-				oZZ, vZZ := od[zz:zz+n2], vd[zz:zz+n2]
+			for j, zz := jt, jt*n2; j < jEnd; j, zz = j+1, zz+n2 {
+				uMM, uMZ, uMP := um[zz-n2:zz], um[zz:zz+n2], um[zz+n2:zz+2*n2]
+				uZM, uZZ, uZP := uz[zz-n2:zz], uz[zz:zz+n2], uz[zz+n2:zz+2*n2]
+				uPM, uPZ, uPP := up[zz-n2:zz], up[zz:zz+n2], up[zz+n2:zz+2*n2]
+				oZZ, vZZ := o[zz:zz+n2], v[zz:zz+n2]
 				if c1 == 0 {
 					// Constant folding of the zero face coefficient (the
 					// A stencil): c1·s1 is an exact zero, so c0·x + c1·s1
@@ -393,118 +493,11 @@ func subRelaxPlane(od, vd, ud []float64, n1, n2, i, tile int, c stencil.Coeffs) 
 	}
 }
 
-// subRelaxNorm computes out = v − Relax(u, c) and, in the same traversal,
-// the NPB norm partials of out's interior: the sum of squares folded in
-// the canonical row→plane order of nas.Norm2u3Planes, and the maximum
-// absolute value. One grid read replaces the resid-then-norm two-pass
-// sequence. Per-row partials accumulate strictly left-to-right in k (the
-// k tiles of a row extend the same running accumulator), rows fold in
-// ascending j and planes in ascending i, so the sums are bit-identical
-// for every tile size, worker count and scheduling policy.
-func subRelaxNorm(e *wl.Env, v, u *array.Array, c stencil.Coeffs) (out *array.Array, sumSq, maxAbs float64) {
-	started := kernelClock(e)
-	shp := u.Shape()
-	n0, n1, n2 := shp[0], shp[1], shp[2]
-	out = e.NewArrayDirty(shp)
-	od, vd, ud := out.Data(), v.Data(), u.Data()
-	copyBorders(od, vd, n0, n1, n2)
-	sums, maxs := e.Pool.GetDirty(n0), e.Pool.GetDirty(n0)
-	pl := planPlanes(e, "subRelax", n0, (n1-2)*(n2-2))
-	tile, variant := pl.tile, pl.variant
-	if pl.inline() {
-		SubRelaxPlanes(e.Pool, od, vd, ud, n1, n2, pl.interior(), tile, variant, c, sums, maxs)
-	} else {
-		pl.fanOut(func(p PlaneSpan) { SubRelaxPlanes(e.Pool, od, vd, ud, n1, n2, p, tile, variant, c, sums, maxs) })
-	}
-	pl.finish(started, od)
-	for i := 1; i < n0-1; i++ {
-		sumSq += sums[i]
-		if maxs[i] > maxAbs {
-			maxAbs = maxs[i]
-		}
-	}
-	e.Pool.Put(sums)
-	e.Pool.Put(maxs)
-	return out, sumSq, maxAbs
-}
-
-// subRelaxNormPlane is subRelaxPlane plus the norm partials of plane i.
-// rowSum is worker-local scratch holding one j-strip of running row sums.
-func subRelaxNormPlane(od, vd, ud []float64, n1, n2, i, tile int, c stencil.Coeffs,
-	rowSum []float64) (sum, maxAbs float64) {
-	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
-	tj, tk := tileOr(tile, n1-2), tileOr(tile, n2-2)
-	for jt := 1; jt < n1-1; jt += tj {
-		jEnd := min(jt+tj, n1-1)
-		rs := rowSum[:jEnd-jt]
-		for x := range rs {
-			rs[x] = 0
-		}
-		for kt := 1; kt < n2-1; kt += tk {
-			kEnd := min(kt+tk, n2-1)
-			mz := ((i-1)*n1 + jt) * n2
-			zz := (i*n1 + jt) * n2
-			pz := ((i+1)*n1 + jt) * n2
-			for j := jt; j < jEnd; j, mz, zz, pz = j+1, mz+n2, zz+n2, pz+n2 {
-				uMM, uMZ, uMP := ud[mz-n2:mz], ud[mz:mz+n2], ud[mz+n2:mz+2*n2]
-				uZM, uZZ, uZP := ud[zz-n2:zz], ud[zz:zz+n2], ud[zz+n2:zz+2*n2]
-				uPM, uPZ, uPP := ud[pz-n2:pz], ud[pz:pz+n2], ud[pz+n2:pz+2*n2]
-				oZZ, vZZ := od[zz:zz+n2], vd[zz:zz+n2]
-				acc := rs[j-jt]
-				if c1 == 0 {
-					for k := kt; k < kEnd; k++ {
-						u1m := ((uMZ[k-1] + uZM[k-1]) + uZP[k-1]) + uPZ[k-1]
-						u1p := ((uMZ[k+1] + uZM[k+1]) + uZP[k+1]) + uPZ[k+1]
-						u2m := ((uMM[k-1] + uMP[k-1]) + uPM[k-1]) + uPP[k-1]
-						u2z := ((uMM[k] + uMP[k]) + uPM[k]) + uPP[k]
-						u2p := ((uMM[k+1] + uMP[k+1]) + uPM[k+1]) + uPP[k+1]
-						s2 := (u2z + u1m) + u1p
-						s3 := u2m + u2p
-						r := vZZ[k] - ((c0*uZZ[k] + c2*s2) + c3*s3)
-						oZZ[k] = r
-						acc += r * r
-						if a := math.Abs(r); a > maxAbs {
-							maxAbs = a
-						}
-					}
-				} else {
-					for k := kt; k < kEnd; k++ {
-						u1m := ((uMZ[k-1] + uZM[k-1]) + uZP[k-1]) + uPZ[k-1]
-						u1z := ((uMZ[k] + uZM[k]) + uZP[k]) + uPZ[k]
-						u1p := ((uMZ[k+1] + uZM[k+1]) + uZP[k+1]) + uPZ[k+1]
-						u2m := ((uMM[k-1] + uMP[k-1]) + uPM[k-1]) + uPP[k-1]
-						u2z := ((uMM[k] + uMP[k]) + uPM[k]) + uPP[k]
-						u2p := ((uMM[k+1] + uMP[k+1]) + uPM[k+1]) + uPP[k+1]
-						s1 := (uZZ[k-1] + uZZ[k+1]) + u1z
-						s2 := (u2z + u1m) + u1p
-						s3 := u2m + u2p
-						r := vZZ[k] - (((c0*uZZ[k] + c1*s1) + c2*s2) + c3*s3)
-						oZZ[k] = r
-						acc += r * r
-						if a := math.Abs(r); a > maxAbs {
-							maxAbs = a
-						}
-					}
-				}
-				rs[j-jt] = acc
-			}
-		}
-		for _, v := range rs {
-			sum += v
-		}
-	}
-	return sum, maxAbs
-}
-
 // addRelax computes out = z + Relax(r, c): the folded form of
-// aplib.Add(z, Smooth(r)). r must have its periodic border prepared.
+// aplib.Add(z, Smooth(r)). r must have its periodic border prepared;
+// boundary elements are z's.
 func addRelax(e *wl.Env, z, r *array.Array, c stencil.Coeffs) *array.Array {
-	started := kernelClock(e)
-	shp := z.Shape()
-	out := e.NewArrayDirty(shp)
-	copyBorders(out.Data(), z.Data(), shp[0], shp[1], shp[2])
-	addRelaxSweep(e, started, out, nil, z, r, c)
-	return out
+	return addRelaxSweep(e, nil, z, r, c)
 }
 
 // addRelaxPlus computes out = u + (z + Relax(r, c)): the folded MGrid
@@ -512,24 +505,22 @@ func addRelax(e *wl.Env, z, r *array.Array, c stencil.Coeffs) *array.Array {
 // unfolded Add(u, addRelax(z, r)) bit for bit. r must have its periodic
 // border prepared; boundary elements are u + z.
 func addRelaxPlus(e *wl.Env, u, z, r *array.Array, c stencil.Coeffs) *array.Array {
-	started := kernelClock(e)
-	shp := z.Shape()
-	out := e.NewArrayDirty(shp)
-	addBorders(out.Data(), u.Data(), z.Data(), shp[0], shp[1], shp[2])
-	addRelaxSweep(e, started, out, u, z, r, c)
-	return out
+	return addRelaxSweep(e, u, z, r, c)
 }
 
-// addRelaxSweep is the shared plane sweep of addRelax (u == nil) and
-// addRelaxPlus over an output whose borders are already written.
-func addRelaxSweep(e *wl.Env, started time.Time, out, u, z, r *array.Array, c stencil.Coeffs) {
+// addRelaxSweep is the shared sweep of addRelax (u == nil) and
+// addRelaxPlus.
+func addRelaxSweep(e *wl.Env, u, z, r *array.Array, c stencil.Coeffs) *array.Array {
+	started := kernelClock(e)
 	shp := z.Shape()
 	n0, n1, n2 := shp[0], shp[1], shp[2]
+	out := e.NewArrayDirty(shp)
 	od, zd, rd := out.Data(), z.Data(), r.Data()
 	var ud []float64
 	if u != nil {
 		ud = u.Data()
 	}
+	endPlanes(od, zd, ud, n0, n1*n2)
 	pl := planPlanes(e, "addRelax", n0, (n1-2)*(n2-2))
 	tile, variant := pl.tile, pl.variant
 	if pl.inline() {
@@ -538,47 +529,51 @@ func addRelaxSweep(e *wl.Env, started time.Time, out, u, z, r *array.Array, c st
 		pl.fanOut(func(p PlaneSpan) { AddRelaxPlanes(e.Pool, od, zd, ud, rd, n1, n2, p, tile, variant, c) })
 	}
 	pl.finish(started, od)
+	return out
 }
 
 // AddRelaxPlanes is the plane-range entry point of addRelax (ud == nil,
 // out = z + Relax(r, c)) and addRelaxPlus (out = u + (z + Relax(r, c))) on
 // the interior rows of planes p (planes.go). od may alias zd or ud.
 func AddRelaxPlanes(pool *mempool.Pool, od, zd, ud, rd []float64, n1, n2 int, p PlaneSpan, tile int, variant string, c stencil.Coeffs) {
-	if lined(variant) {
-		u1, u2 := lineBuffers(pool, n2)
-		vec := variant == tune.VariantSIMD
-		for i := p.Lo; i <= p.Hi; i++ {
-			addRelaxPlaneLined(od, zd, ud, rd, n1, n2, i, c, u1, u2, vec)
-		}
-		pool.Put(u1)
-		pool.Put(u2)
-		return
-	}
+	k := borrowKern(pool, variant, tile, p.Frame, n2, n2)
+	pl := n1 * n2
 	for i := p.Lo; i <= p.Hi; i++ {
-		addRelaxPlane(od, zd, ud, rd, n1, n2, i, tile, c)
+		k.addRelax(planeOf(od, i, pl), planeOf(zd, i, pl), planeOf(ud, i, pl),
+			planeOf(rd, i-1, pl), planeOf(rd, i, pl), planeOf(rd, i+1, pl), n1, n2, c)
+	}
+	k.release(pool)
+}
+
+// addRelax computes one plane of addRelax (u == nil, o = z + S·r) or
+// addRelaxPlus (o = u + (z + S·r)) from r's planes below, at and above it.
+func (k *kern) addRelax(o, z, u, rm, rz, rp []float64, n1, n2 int, c stencil.Coeffs) {
+	if k.lined {
+		addRelaxPlaneLined(o, z, u, rm, rz, rp, n1, n2, c, k.u1, k.u2, k.vec)
+	} else {
+		addRelaxPlane(o, z, u, rm, rz, rp, n1, n2, k.tile, c)
+	}
+	if k.frame {
+		writeFrame(o, z, u, n1, n2)
 	}
 }
 
-// addRelaxPlane relaxes interior plane i for addRelax (ud == nil,
-// out = z + S·r) and addRelaxPlus (ud != nil, out = u + (z + S·r)),
-// j/k-tiled with rolling row bases like subRelaxPlane.
-func addRelaxPlane(od, zd, ud, rd []float64, n1, n2, i, tile int, c stencil.Coeffs) {
+// addRelaxPlane is the scalar backend of kern.addRelax, j/k-tiled with a
+// rolling row base like subRelaxPlane.
+func addRelaxPlane(o, z, u, rm, rz, rp []float64, n1, n2, tile int, c stencil.Coeffs) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
 	tj, tk := tileOr(tile, n1-2), tileOr(tile, n2-2)
 	for jt := 1; jt < n1-1; jt += tj {
 		jEnd := min(jt+tj, n1-1)
 		for kt := 1; kt < n2-1; kt += tk {
 			kEnd := min(kt+tk, n2-1)
-			mz := ((i-1)*n1 + jt) * n2
-			zz := (i*n1 + jt) * n2
-			pz := ((i+1)*n1 + jt) * n2
-			for j := jt; j < jEnd; j, mz, zz, pz = j+1, mz+n2, zz+n2, pz+n2 {
-				rMM, rMZ, rMP := rd[mz-n2:mz], rd[mz:mz+n2], rd[mz+n2:mz+2*n2]
-				rZM, rZZ, rZP := rd[zz-n2:zz], rd[zz:zz+n2], rd[zz+n2:zz+2*n2]
-				rPM, rPZ, rPP := rd[pz-n2:pz], rd[pz:pz+n2], rd[pz+n2:pz+2*n2]
-				oZZ, zZZ := od[zz:zz+n2], zd[zz:zz+n2]
+			for j, zz := jt, jt*n2; j < jEnd; j, zz = j+1, zz+n2 {
+				rMM, rMZ, rMP := rm[zz-n2:zz], rm[zz:zz+n2], rm[zz+n2:zz+2*n2]
+				rZM, rZZ, rZP := rz[zz-n2:zz], rz[zz:zz+n2], rz[zz+n2:zz+2*n2]
+				rPM, rPZ, rPP := rp[zz-n2:zz], rp[zz:zz+n2], rp[zz+n2:zz+2*n2]
+				oZZ, zZZ := o[zz:zz+n2], z[zz:zz+n2]
 				switch {
-				case ud == nil && c3 == 0:
+				case u == nil && c3 == 0:
 					// Constant folding of the zero corner coefficient
 					// (the S stencils): c3·s3 was an exact zero, so s3's
 					// corner additions disappear.
@@ -591,7 +586,7 @@ func addRelaxPlane(od, zd, ud, rd []float64, n1, n2, i, tile int, c stencil.Coef
 						s2 := (u2z + u1m) + u1p
 						oZZ[k] = zZZ[k] + ((c0*rZZ[k] + c1*s1) + c2*s2)
 					}
-				case ud == nil:
+				case u == nil:
 					for k := kt; k < kEnd; k++ {
 						u1m := ((rMZ[k-1] + rZM[k-1]) + rZP[k-1]) + rPZ[k-1]
 						u1z := ((rMZ[k] + rZM[k]) + rZP[k]) + rPZ[k]
@@ -605,7 +600,7 @@ func addRelaxPlane(od, zd, ud, rd []float64, n1, n2, i, tile int, c stencil.Coef
 						oZZ[k] = zZZ[k] + (((c0*rZZ[k] + c1*s1) + c2*s2) + c3*s3)
 					}
 				case c3 == 0:
-					uZZ := ud[zz : zz+n2]
+					uZZ := u[zz : zz+n2]
 					for k := kt; k < kEnd; k++ {
 						u1m := ((rMZ[k-1] + rZM[k-1]) + rZP[k-1]) + rPZ[k-1]
 						u1z := ((rMZ[k] + rZM[k]) + rZP[k]) + rPZ[k]
@@ -616,7 +611,7 @@ func addRelaxPlane(od, zd, ud, rd []float64, n1, n2, i, tile int, c stencil.Coef
 						oZZ[k] = uZZ[k] + (zZZ[k] + ((c0*rZZ[k] + c1*s1) + c2*s2))
 					}
 				default:
-					uZZ := ud[zz : zz+n2]
+					uZZ := u[zz : zz+n2]
 					for k := kt; k < kEnd; k++ {
 						u1m := ((rMZ[k-1] + rZM[k-1]) + rZP[k-1]) + rPZ[k-1]
 						u1z := ((rMZ[k] + rZM[k]) + rZP[k]) + rPZ[k]
@@ -635,34 +630,6 @@ func addRelaxPlane(od, zd, ud, rd []float64, n1, n2, i, tile int, c stencil.Coef
 	}
 }
 
-// addBorders writes dst = a + b on the six boundary planes of a rank-3
-// grid.
-func addBorders(dst, a, b []float64, n0, n1, n2 int) {
-	plane := n1 * n2
-	for x := 0; x < plane; x++ {
-		dst[x] = a[x] + b[x]
-	}
-	off := (n0 - 1) * plane
-	for x := 0; x < plane; x++ {
-		dst[off+x] = a[off+x] + b[off+x]
-	}
-	for i := 1; i < n0-1; i++ {
-		top := i * plane
-		for x := 0; x < n2; x++ {
-			dst[top+x] = a[top+x] + b[top+x]
-		}
-		bot := top + (n1-1)*n2
-		for x := 0; x < n2; x++ {
-			dst[bot+x] = a[bot+x] + b[bot+x]
-		}
-		for j := 1; j < n1-1; j++ {
-			row := (i*n1 + j) * n2
-			dst[row] = a[row] + b[row]
-			dst[row+n2-1] = a[row+n2-1] + b[row+n2-1]
-		}
-	}
-}
-
 // projectCondense computes the folded Fine2Coarse tail:
 // embed(shape+1, 0, condense(2, Relax(r, c))) — the P stencil evaluated
 // only at the even fine points that survive condensation. r must have its
@@ -676,7 +643,7 @@ func projectCondense(e *wl.Env, r *array.Array, c stencil.Coeffs) *array.Array {
 	mo := mf/2 + 1
 	out := e.NewArrayDirty(shape.Of(mo, mo, mo))
 	od, rd := out.Data(), r.Data()
-	zeroBorders(od, mo, mo, mo)
+	endPlanes(od, nil, nil, mo, mo*mo)
 	pl := planPlanes(e, "projectCondense", mo, (mo-2)*(mo-2))
 	tile, variant := pl.tile, pl.variant
 	if pl.inline() {
@@ -693,52 +660,52 @@ func projectCondense(e *wl.Env, r *array.Array, c stencil.Coeffs) *array.Array {
 // with lateral extents (fn1, fn2). The coarse box has f/2 + 1 points per
 // fine extent f, coarse point j under fine point 2j on every axis.
 func ProjectCondensePlanes(pool *mempool.Pool, od, rd []float64, fn1, fn2 int, p PlaneSpan, tile int, variant string, c stencil.Coeffs) {
-	if lined(variant) {
-		u1, u2 := lineBuffers(pool, fn2)
-		vec := variant == tune.VariantSIMD
-		for jc := p.Lo; jc <= p.Hi; jc++ {
-			projectCondensePlaneLined(od, rd, fn1, fn2, jc, c, u1, u2, vec)
-		}
-		pool.Put(u1)
-		pool.Put(u2)
-		return
-	}
+	k := borrowKern(pool, variant, tile, p.Frame, fn2, fn2)
+	fpl, cpl := fn1*fn2, (fn1/2+1)*(fn2/2+1)
 	for jc := p.Lo; jc <= p.Hi; jc++ {
-		projectCondensePlane(od, rd, fn1, fn2, jc, tile, c)
+		k.project(planeOf(od, jc, cpl), planeOf(rd, 2*jc-1, fpl), planeOf(rd, 2*jc, fpl), planeOf(rd, 2*jc+1, fpl), fn1, fn2, c)
+	}
+	k.release(pool)
+}
+
+// project computes one coarse plane of projectCondense from the fine
+// planes below, at and above the fine plane it sits under.
+func (k *kern) project(o, rm, rz, rp []float64, fn1, fn2 int, c stencil.Coeffs) {
+	if k.lined {
+		projectCondensePlaneLined(o, rm, rz, rp, fn1, fn2, c, k.u1, k.u2, k.vec)
+	} else {
+		projectCondensePlane(o, rm, rz, rp, fn1, fn2, k.tile, c)
+	}
+	if k.frame {
+		writeFrame(o, nil, nil, fn1/2+1, fn2/2+1)
 	}
 }
 
-// projectCondensePlane projects coarse plane jc, j/k-tiled over the coarse
-// index space. The fine row bases advance two row strides per coarse row.
-func projectCondensePlane(od, rd []float64, fn1, fn2, jc, tile int, c stencil.Coeffs) {
+// projectCondensePlane is the scalar backend of kern.project, j/k-tiled
+// over the coarse index space. The fine row base advances two row strides
+// per coarse row.
+func projectCondensePlane(o, rm, rz, rp []float64, fn1, fn2, tile int, c stencil.Coeffs) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
 	cn1, cn2 := fn1/2+1, fn2/2+1
-	i := 2 * jc
 	tj, tk := tileOr(tile, cn1-2), tileOr(tile, cn2-2)
 	for jt := 1; jt < cn1-1; jt += tj {
 		jEnd := min(jt+tj, cn1-1)
 		for kt := 1; kt < cn2-1; kt += tk {
 			kEnd := min(kt+tk, cn2-1)
-			mz := ((i-1)*fn1 + 2*jt) * fn2
-			zz := (i*fn1 + 2*jt) * fn2
-			pz := ((i+1)*fn1 + 2*jt) * fn2
-			base := (jc*cn1 + jt) * cn2
-			for j2 := jt; j2 < jEnd; j2, mz, zz, pz, base = j2+1, mz+2*fn2, zz+2*fn2, pz+2*fn2, base+cn2 {
-				mm, mp := mz-fn2, mz+fn2
+			for j2, zz, base := jt, 2*jt*fn2, jt*cn2; j2 < jEnd; j2, zz, base = j2+1, zz+2*fn2, base+cn2 {
 				zm, zp := zz-fn2, zz+fn2
-				pm, pp := pz-fn2, pz+fn2
 				for j1 := kt; j1 < kEnd; j1++ {
 					k := 2 * j1
-					u1m := ((rd[mz+k-1] + rd[zm+k-1]) + rd[zp+k-1]) + rd[pz+k-1]
-					u1z := ((rd[mz+k] + rd[zm+k]) + rd[zp+k]) + rd[pz+k]
-					u1p := ((rd[mz+k+1] + rd[zm+k+1]) + rd[zp+k+1]) + rd[pz+k+1]
-					u2m := ((rd[mm+k-1] + rd[mp+k-1]) + rd[pm+k-1]) + rd[pp+k-1]
-					u2z := ((rd[mm+k] + rd[mp+k]) + rd[pm+k]) + rd[pp+k]
-					u2p := ((rd[mm+k+1] + rd[mp+k+1]) + rd[pm+k+1]) + rd[pp+k+1]
-					s1 := (rd[zz+k-1] + rd[zz+k+1]) + u1z
+					u1m := ((rm[zz+k-1] + rz[zm+k-1]) + rz[zp+k-1]) + rp[zz+k-1]
+					u1z := ((rm[zz+k] + rz[zm+k]) + rz[zp+k]) + rp[zz+k]
+					u1p := ((rm[zz+k+1] + rz[zm+k+1]) + rz[zp+k+1]) + rp[zz+k+1]
+					u2m := ((rm[zm+k-1] + rm[zp+k-1]) + rp[zm+k-1]) + rp[zp+k-1]
+					u2z := ((rm[zm+k] + rm[zp+k]) + rp[zm+k]) + rp[zp+k]
+					u2p := ((rm[zm+k+1] + rm[zp+k+1]) + rp[zm+k+1]) + rp[zp+k+1]
+					s1 := (rz[zz+k-1] + rz[zz+k+1]) + u1z
 					s2 := (u2z + u1m) + u1p
 					s3 := u2m + u2p
-					od[base+j1] = ((c0*rd[zz+k] + c1*s1) + c2*s2) + c3*s3
+					o[base+j1] = ((c0*rz[zz+k] + c1*s1) + c2*s2) + c3*s3
 				}
 			}
 		}
@@ -760,7 +727,7 @@ func interpolate(e *wl.Env, rn *array.Array, c stencil.Coeffs) *array.Array {
 	mf := 2*mc - 2
 	out := e.NewArrayDirty(shape.Of(mf, mf, mf))
 	od, zd := out.Data(), rn.Data()
-	zeroBorders(od, mf, mf, mf)
+	endPlanes(od, nil, nil, mf, mf*mf)
 	pl := planPlanes(e, "interpolate", mf, (mf-2)*(mf-2))
 	tile, variant := pl.tile, pl.variant
 	if pl.inline() {
@@ -783,124 +750,121 @@ func interpolate(e *wl.Env, rn *array.Array, c stencil.Coeffs) *array.Array {
 // written.
 func InterpolatePlanes(pool *mempool.Pool, od, wd, zd []float64, cn1, cn2 int, p PlaneSpan, halo bool,
 	tile int, variant string, c stencil.Coeffs) {
-	m := 1 // first row and column written
+	m, stage := 1, 0 // first row and column written; staging row of the accumulating form
 	if halo {
 		m = 0
 	}
-	if lined(variant) {
+	if wd != nil {
+		stage = 2*cn2 - 2
+	}
+	k := borrowKern(pool, variant, tile, p.Frame && !halo, cn2, stage)
+	fpl, cpl := (2*cn1-2)*(2*cn2-2), cn1*cn2
+	for f3 := p.Lo; f3 <= p.Hi; f3++ {
+		k.interpolate(planeOf(od, f3, fpl), planeOf(wd, f3, fpl), planeOf(zd, f3/2, cpl), planeOf(zd, (f3+1)/2, cpl), f3&1 == 1, cn1, cn2, m, c)
+	}
+	k.release(pool)
+}
+
+// interpolate computes rows and columns [m, extent−m) of one fine plane
+// from the coarse planes zl and zh it lies on or between (the same plane
+// twice when the fine plane index is even; o3 says it is odd): o = Q·z, or
+// o = w + Q·z.
+func (k *kern) interpolate(o, w, zl, zh []float64, o3 bool, cn1, cn2, m int, c stencil.Coeffs) {
+	if k.lined {
 		// One cross-row buffer of coarse-row length suffices: the parity
 		// cases pair at most the four coarse rows of one fine row. The
 		// accumulating form stages Q·z in a fine-row buffer.
-		b := pool.GetDirty(cn2)
-		var t []float64
-		if wd != nil {
-			t = pool.GetDirty(2*cn2 - 2)
-		}
-		vec := variant == tune.VariantSIMD
-		for f3 := p.Lo; f3 <= p.Hi; f3++ {
-			interpolatePlaneLined(od, wd, zd, cn1, cn2, f3, m, c, b, t, vec)
-		}
-		pool.Put(b)
-		pool.Put(t)
-		return
+		interpolatePlaneLined(o, w, zl, zh, o3, cn1, cn2, m, c, k.u1, k.u2, k.vec)
+	} else {
+		interpolatePlane(o, w, zl, zh, o3, cn1, cn2, m, k.tile, c)
 	}
-	for f3 := p.Lo; f3 <= p.Hi; f3++ {
-		interpolatePlane(od, wd, zd, cn1, cn2, f3, m, tile, c)
+	if k.frame {
+		writeFrame(o, w, nil, 2*cn1-2, 2*cn2-2)
 	}
 }
 
-// interpolatePlane interpolates rows and columns [m, extent−m) of fine
-// plane f3, j/k-tiled over the fine index space. The four contributing
-// coarse row bases are derived with two multiplies per row (the high row is
-// the low row or one stride above).
-func interpolatePlane(od, wd, zd []float64, cn1, cn2, f3, m, tile int, c stencil.Coeffs) {
+// interpolatePlane is the scalar backend of kern.interpolate, j/k-tiled
+// over the fine index space. The four contributing coarse row bases are
+// derived with one multiply per row (the high row is the low row or one
+// stride above).
+func interpolatePlane(o, w, zl, zh []float64, o3 bool, cn1, cn2, m, tile int, c stencil.Coeffs) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
 	fn1, fn2 := 2*cn1-2, 2*cn2-2
-	l3, h3, o3 := f3/2, (f3+1)/2, f3&1 == 1
-	rowL3, rowH3 := l3*cn1, h3*cn1
 	tj, tk := tileOr(tile, fn1-2*m), tileOr(tile, fn2-2*m)
 	for jt := m; jt < fn1-m; jt += tj {
 		jEnd := min(jt+tj, fn1-m)
 		for kt := m; kt < fn2-m; kt += tk {
 			kEnd := min(kt+tk, fn2-m)
-			base := (f3*fn1 + jt) * fn2
-			for f2 := jt; f2 < jEnd; f2, base = f2+1, base+fn2 {
+			for f2, base := jt, jt*fn2; f2 < jEnd; f2, base = f2+1, base+fn2 {
 				l2, h2, o2 := f2/2, (f2+1)/2, f2&1 == 1
-				// Row bases of the up-to-four contributing coarse rows.
-				bll := (rowL3 + l2) * cn2
-				blh := bll + (h2-l2)*cn2
-				bhl := (rowH3 + l2) * cn2
-				bhh := bhl + (h2-l2)*cn2
+				// Row bases of the up-to-four contributing coarse rows:
+				// low and high row in zl, and the same two in zh.
+				bl := l2 * cn2
+				bh := bl + (h2-l2)*cn2
 				for f1 := kt; f1 < kEnd; f1++ {
 					l1, h1, o1 := f1/2, (f1+1)/2, f1&1 == 1
 					var val float64
 					switch {
 					case !o3 && !o2 && !o1:
-						val = c0 * zd[bll+l1]
+						val = c0 * zl[bl+l1]
 					case !o3 && !o2 && o1:
-						val = c1 * (zd[bll+l1] + zd[bll+h1])
+						val = c1 * (zl[bl+l1] + zl[bl+h1])
 					case !o3 && o2 && !o1:
-						val = c1 * (zd[bll+l1] + zd[blh+l1])
+						val = c1 * (zl[bl+l1] + zl[bh+l1])
 					case o3 && !o2 && !o1:
-						val = c1 * (zd[bll+l1] + zd[bhl+l1])
+						val = c1 * (zl[bl+l1] + zh[bl+l1])
 					case !o3 && o2 && o1:
-						val = c2 * ((zd[bll+l1] + zd[blh+l1]) + (zd[bll+h1] + zd[blh+h1]))
+						val = c2 * ((zl[bl+l1] + zl[bh+l1]) + (zl[bl+h1] + zl[bh+h1]))
 					case o3 && !o2 && o1:
-						val = c2 * ((zd[bll+l1] + zd[bhl+l1]) + (zd[bll+h1] + zd[bhl+h1]))
+						val = c2 * ((zl[bl+l1] + zh[bl+l1]) + (zl[bl+h1] + zh[bl+h1]))
 					case o3 && o2 && !o1:
-						val = c2 * (((zd[bll+l1] + zd[blh+l1]) + zd[bhl+l1]) + zd[bhh+l1])
+						val = c2 * (((zl[bl+l1] + zl[bh+l1]) + zh[bl+l1]) + zh[bh+l1])
 					default:
-						val = c3 * ((((zd[bll+l1] + zd[blh+l1]) + zd[bhl+l1]) + zd[bhh+l1]) +
-							(((zd[bll+h1] + zd[blh+h1]) + zd[bhl+h1]) + zd[bhh+h1]))
+						val = c3 * ((((zl[bl+l1] + zl[bh+l1]) + zh[bl+l1]) + zh[bh+l1]) +
+							(((zl[bl+h1] + zl[bh+h1]) + zh[bl+h1]) + zh[bh+h1]))
 					}
-					if wd != nil {
-						val = wd[base+f1] + val
+					if w != nil {
+						val = w[base+f1] + val
 					}
-					od[base+f1] = val
+					o[base+f1] = val
 				}
 			}
 		}
 	}
 }
 
-// copyBorders copies the six boundary planes of a rank-3 grid from src to
-// dst (both flat, same extents).
-func copyBorders(dst, src []float64, n0, n1, n2 int) {
-	plane := n1 * n2
-	copy(dst[:plane], src[:plane])
-	copy(dst[(n0-1)*plane:], src[(n0-1)*plane:])
-	for i := 1; i < n0-1; i++ {
-		top := i * plane
-		copy(dst[top:top+n2], src[top:top+n2])
-		bot := top + (n1-1)*n2
-		copy(dst[bot:bot+n2], src[bot:bot+n2])
-	}
-	// The k-axis edges of every interior row.
-	for i := 1; i < n0-1; i++ {
-		for j := 1; j < n1-1; j++ {
-			row := (i*n1 + j) * n2
-			dst[row] = src[row]
-			dst[row+n2-1] = src[row+n2-1]
+// setRun writes o[lo:hi] = a + b — a alone when b is nil, zero when a is
+// nil too: the boundary value of a kernel whose interior is a relaxation
+// added to a (and b), the relaxation contributing zero there.
+func setRun(o, a, b []float64, lo, hi int) {
+	switch {
+	case a == nil:
+		clear(o[lo:hi])
+	case b == nil:
+		copy(o[lo:hi], a[lo:hi])
+	default:
+		for x := lo; x < hi; x++ {
+			o[x] = a[x] + b[x]
 		}
 	}
 }
 
-// zeroBorders clears the six boundary planes of a rank-3 grid — the whole
-// zero default of a kernel that writes every interior element, at a
-// fraction of the cost of clearing the grid.
-func zeroBorders(dst []float64, n0, n1, n2 int) {
-	plane := n1 * n2
-	clear(dst[:plane])
-	clear(dst[(n0-1)*plane:])
-	for i := 1; i < n0-1; i++ {
-		top := i * plane
-		clear(dst[top : top+n2])
-		bot := top + (n1-1)*n2
-		clear(dst[bot : bot+n2])
-		for j := 1; j < n1-1; j++ {
-			row := top + j*n2
-			dst[row] = 0
-			dst[row+n2-1] = 0
-		}
+// writeFrame writes the boundary value (setRun) on the frame of one plane
+// — rows 0 and n1−1, columns 0 and n2−1. The plane kernels call it right
+// after the plane's rows, while they are in cache.
+func writeFrame(o, a, b []float64, n1, n2 int) {
+	bot := (n1 - 1) * n2
+	setRun(o, a, b, 0, n2)
+	for row := n2; row < bot; row += n2 {
+		setRun(o, a, b, row, row+1)
+		setRun(o, a, b, row+n2-1, row+n2)
 	}
+	setRun(o, a, b, bot, bot+n2)
+}
+
+// endPlanes writes the boundary value on planes 0 and n0−1 of a grid; with
+// the frames the plane kernels write, that is the whole boundary.
+func endPlanes(o, a, b []float64, n0, pl int) {
+	setRun(o, a, b, 0, pl)
+	setRun(o, a, b, (n0-1)*pl, n0*pl)
 }

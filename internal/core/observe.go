@@ -14,6 +14,7 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/aplib"
@@ -38,17 +39,21 @@ func (s *Solver) probe(region string, a *array.Array, f func() *array.Array) *ar
 	if s.Probe == nil && tr == nil {
 		return f()
 	}
-	level := levelOf(a)
 	start := time.Now()
 	out := f()
-	elapsed := time.Since(start)
+	s.region(region, levelOf(a), time.Since(start))
+	return out
+}
+
+// region reports one V-cycle operation's time to the timing hook and the
+// tracer.
+func (s *Solver) region(region string, level int, elapsed time.Duration) {
 	if s.Probe != nil {
 		s.Probe(region, level, elapsed)
 	}
-	if tr != nil {
+	if tr := s.Env.Trace; tr != nil {
 		tr.Emit(metrics.Event{Ev: "span", Kernel: region, Level: level, Nanos: int64(elapsed)})
 	}
-	return out
 }
 
 // newGuess allocates MGrid's zero initial guess. The allocation faults in
@@ -87,14 +92,20 @@ func (s *Solver) subRelaxObserved(v, ub *array.Array) *array.Array {
 	e := s.Env
 	if h := e.Health; h.WantsResid() {
 		out, sumSq, maxAbs := subRelaxNorm(e, v, ub, s.Operator)
-		if f := testFaultNorm; f != nil {
-			sumSq = f(sumSq)
-		}
-		n := int64(out.Shape()[0] - 2)
-		h.ObserveResidual(levelOf(out), sumSq, maxAbs, n*n*n)
+		s.observeResidual(out, sumSq, maxAbs)
 		return out
 	}
 	return subRelax(e, v, ub, s.Operator)
+}
+
+// observeResidual feeds the iteration residual r's norm partials to the
+// health monitor.
+func (s *Solver) observeResidual(r *array.Array, sumSq, maxAbs float64) {
+	if f := testFaultNorm; f != nil {
+		sumSq = f(sumSq)
+	}
+	n := int64(r.Shape()[0] - 2)
+	s.Env.Health.ObserveResidual(levelOf(r), sumSq, maxAbs, n*n*n)
 }
 
 // Test-only fault injection (core's health tests): testFaultGrid may
@@ -159,6 +170,119 @@ func (s *Solver) comm3(a *array.Array) {
 		return
 	}
 	nas.Comm3(a)
+}
+
+// The stages of a pipelined sweep (pipeline.go), as its clocks index them.
+const (
+	stInterp = iota
+	stResid
+	stWrap
+	stSmooth
+	stProject
+	nStages
+)
+
+// sweepWatch files one pipelined sweep in the ledger; it exists only while
+// a collector, tracer or probe is attached (a nil watch does nothing). The
+// stages of a sweep interleave plane by plane, so none has a wall-clock
+// window of its own: every worker charges its time to stages as it goes,
+// the sweep's wall time is apportioned over the stages by those sums, and
+// each share is filed where the three-call sequence files the same work —
+// the stage's (kernel, level) row with its usual point count, the in-ring
+// frame wraps under comm3, and the regions the Probe and the tracer know,
+// in the sequence's order.
+type sweepWatch struct {
+	s       *Solver
+	started time.Time
+	border  time.Duration         // the border exchange that led the sweep in
+	d       [nStages]atomic.Int64 // every worker's time per stage
+}
+
+func (s *Solver) watch() *sweepWatch {
+	if s.Probe == nil && s.Env.Trace == nil && s.Env.Metrics == nil {
+		return nil
+	}
+	return &sweepWatch{s: s, started: time.Now()}
+}
+
+// led marks the end of the border exchange that leads the sweep in (which
+// s.comm3 files itself) and restarts the watch behind it.
+func (w *sweepWatch) led() {
+	if w != nil {
+		now := time.Now()
+		w.border, w.started = now.Sub(w.started), now
+	}
+}
+
+// stageClock is one worker's running clock: lap charges the time since the
+// previous lap to a stage — one time.Now per stage per plane — and stop
+// adds the worker's sums to the watch's.
+type stageClock struct {
+	w    *sweepWatch
+	last time.Time
+	d    [nStages]time.Duration
+}
+
+func (w *sweepWatch) start() stageClock {
+	if w == nil {
+		return stageClock{}
+	}
+	return stageClock{w: w, last: time.Now()}
+}
+
+func (c *stageClock) lap(stage int) {
+	if c.w != nil {
+		now := time.Now()
+		c.d[stage] += now.Sub(c.last)
+		c.last = now
+	}
+}
+
+func (c *stageClock) stop() {
+	if c.w != nil {
+		for i, d := range c.d {
+			c.w.d[i].Add(int64(d))
+		}
+	}
+}
+
+// shares apportions the wall time since the watch restarted, and files the
+// frame wraps' share.
+func (w *sweepWatch) shares(sw *sweep) (d [nStages]time.Duration) {
+	wall, total := float64(time.Since(w.started)), int64(0)
+	for i := range d {
+		total += w.d[i].Load()
+	}
+	for i := range d {
+		d[i] = time.Duration(wall * float64(w.d[i].Load()) / float64(max(total, 1)))
+	}
+	n := int64(sw.n)
+	w.s.Env.Metrics.Record(0, "comm3", sw.mid.level, 6*n*n, d[stWrap])
+	return d
+}
+
+func (w *sweepWatch) fileUp(sw *sweep) {
+	if w == nil {
+		return
+	}
+	d := w.shares(sw)
+	sw.top.record(d[stInterp])
+	sw.mid.record(d[stResid])
+	sw.end.record(d[stSmooth])
+	w.s.region("coarse2fine", sw.top.level-1, w.border+d[stInterp])
+	w.s.region("resid", sw.mid.level, d[stResid])
+	w.s.region("smooth", sw.end.level, d[stWrap]+d[stSmooth])
+}
+
+func (w *sweepWatch) fileDown(sw *sweep) {
+	if w == nil {
+		return
+	}
+	d := w.shares(sw)
+	sw.mid.record(d[stResid])
+	sw.end.record(d[stProject])
+	w.s.region("resid", sw.mid.level, w.border+d[stResid])
+	w.s.region("fine2coarse", sw.mid.level, d[stWrap]+d[stProject])
 }
 
 // observedSolve is Benchmark.Solve with a collector or tracer attached:

@@ -1,0 +1,319 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+	"time"
+
+	"repro/internal/array"
+	"repro/internal/health"
+	"repro/internal/metrics"
+	"repro/internal/nas"
+	"repro/internal/tune"
+	wl "repro/internal/withloop"
+)
+
+// legEnv is an O3 environment whose plane loops fan out at every level:
+// with the default sequential threshold the small grids of the leg tests
+// would all run inline and never split into worker spans.
+func legEnv(workers int, variant string) *wl.Env {
+	env := wl.Parallel(workers)
+	env.SeqThreshold = 0
+	env.Variant = variant
+	env.Pool.SetParanoid(true)
+	return env
+}
+
+// TestPipelinedLegsBitIdentical holds the pipelined V-cycle legs to the
+// call sequences they replace, grid for grid and bit for bit, boundary
+// included: correct against Coarse2Fine → residSubtract → smoothAdd (or
+// smoothAddInto, with MGrid's u), residProject against residSubtract →
+// Fine2Coarse. Interior extents 2 and 4 lie below pipeMinPlanes, where the
+// legs must be those very calls; from 8 up they are sweeps, split over one
+// span per worker down to two planes each.
+func TestPipelinedLegsBitIdentical(t *testing.T) {
+	for n := 2; n <= 64; n *= 2 {
+		zn := randomBox(int64(n), n/2+2, n/2+2, n/2+2)
+		r, u, v := randomBox(int64(n+1), n+2, n+2, n+2), randomBox(int64(n+2), n+2, n+2, n+2), randomBox(int64(n+3), n+2, n+2, n+2)
+
+		ref := New(wl.Default())
+		ref.Env.Variant = tune.VariantScalar
+		z := ref.Coarse2Fine(zn.Clone())
+		r2 := ref.residSubtract(r, z)
+		wantZ := ref.smoothAdd(z, r2)
+		wantU := ref.smoothAddInto(u.Clone(), z, r2)
+		wantR := ref.residSubtract(v, u.Clone())
+		wantRn := ref.Fine2Coarse(wantR)
+
+		for _, variant := range []string{tune.VariantScalar, tune.VariantBuffered, tune.VariantSIMD} {
+			for _, workers := range []int{1, 2, 4} {
+				for _, observed := range []bool{false, true} {
+					name := fmt.Sprintf("n%d %s w%d observed=%v: ", n, variant, workers, observed)
+					env := legEnv(workers, variant)
+					col := metrics.NewCollector(workers)
+					if observed {
+						env.AttachMetrics(col)
+					}
+					s := New(env)
+
+					got := s.correct(nil, zn.Clone(), r)
+					sameBits(t, name+"z'", got, wantZ)
+					env.Release(got)
+
+					// u comes from the pool: correct consumes it.
+					mine := env.NewArrayDirty(u.Shape())
+					copy(mine.Data(), u.Data())
+					got = s.correct(mine, zn.Clone(), r)
+					sameBits(t, name+"u'", got, wantU)
+					env.Release(got)
+
+					gotR, gotRn := s.residProject(v, u.Clone())
+					sameBits(t, name+"r", gotR, wantR)
+					sameBits(t, name+"rn", gotRn, wantRn)
+					env.Release(gotR)
+					env.Release(gotRn)
+
+					if live := env.Pool.Live(); live != 0 {
+						t.Fatalf("%s%d pool buffers still out after the legs", name, live)
+					}
+					if observed && n >= pipeMinPlanes {
+						rows := map[string]bool{}
+						for _, k := range col.Snapshot().Kernels {
+							if k.Level == levelOfExtent(n) || k.Kernel == "projectCondense" && k.Level == levelOfExtent(n)-1 {
+								rows[k.Kernel] = k.Nanos > 0
+							}
+						}
+						for _, kernel := range []string{"interpolate", "subRelax", "addRelax", "projectCondense", "comm3"} {
+							if !rows[kernel] {
+								t.Fatalf("%sno time filed under %s: %v", name, kernel, rows)
+							}
+						}
+					}
+					env.Close()
+				}
+			}
+		}
+	}
+}
+
+// The per-iteration residual norms of the official problems, as bits: the
+// sum of squares the health monitor sees at the top of every iteration and
+// the final rnm2, recorded at the commit before the legs were pipelined.
+// The iteration residuals come out of residProject's norm-folding sweep,
+// the final one out of a plain solve; both must also be what NPB verifies.
+var iterationNormBits = map[byte][]uint64{
+	'S': {0x4034000000000000, 0x3fd20ceefff882d4, 0x3f8ac333dbc0d419, 0x3f502e66aec71391, 0x3f0bd3e23d9218e6},
+	'W': {0x4034000000000000, 0x3fd19eee03a8bd2e, 0x3f899dfbfe5343bd, 0x3f4ed218389dd940, 0x3f170a1782db014f,
+		0x3ee3155adbe5b51b, 0x3eb0bce4f6fdf996, 0x3e7e7c643998deb4, 0x3e4c87e64751b624, 0x3e1b44a61eeea6cb,
+		0x3dea80dee179f861, 0x3dba1e83736bea64, 0x3d8a0ac1ecd66bb7, 0x3d5a39a35405ca91, 0x3d2aa3a09460669c,
+		0x3cfb443a9511a84e, 0x3ccc1921734a07ba, 0x3c9d21aef8a53c9b, 0x3c6e5e93ea7c334a, 0x3c3fd1a5dcecfdba,
+		0x3c10bee12d9805f7, 0x3be1b360f95e7edf, 0x3bb2c8bb6335d887, 0x3b8401d85287bb8b, 0x3b5562262d65a767,
+		0x3b26eda885e18cb2, 0x3af8a8fe14645d72, 0x3aca99048e959340, 0x3a9cc773dcd63e7c, 0x3a6f36e77c0cfa7b,
+		0x3a410cba2453f320, 0x3a1331dff5398456, 0x39e9bd9def7b07b6, 0x39d0be1fb55f27e7, 0x39c64a8b47efd03b,
+		0x39c5eaeec20a3444, 0x39c5cb6d583f691b, 0x39c47d815f923130, 0x39c507183f6c84b3, 0x39c44a8d7936334c,
+		0x3c4a706c8180fff5},
+	'A': {0x4034000000000000, 0x3fd2d2ce7149ca6f, 0x3f8c7ffa28437359, 0x3f515c7636275a60, 0x3ec4699cb9d973e0},
+}
+
+func TestIterationNormsUnchanged(t *testing.T) {
+	classes := []nas.Class{nas.ClassS, nas.ClassW, nas.ClassA}
+	if testing.Short() {
+		classes = classes[:2]
+	}
+	defer func() { testFaultNorm = nil }()
+	for _, class := range classes {
+		want := iterationNormBits[class.Name]
+		env := wl.Default()
+		env.Health = health.New(health.Config{})
+		var got []uint64
+		testFaultNorm = func(sumSq float64) float64 {
+			got = append(got, math.Float64bits(sumSq))
+			return sumSq
+		}
+		b := NewBenchmark(class, env)
+		b.Run()
+		testFaultNorm = nil
+		env.Health = nil
+		rnm2, _ := b.Run() // the plain sweeps, on the same warm pool
+		got = append(got, math.Float64bits(rnm2))
+		if len(got) != len(want) {
+			t.Fatalf("class %c: %d norms observed, want %d", class.Name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("class %c norm %d: bits %#x, recorded %#x", class.Name, i, got[i], want[i])
+			}
+		}
+		if verified, ok := class.Verify(rnm2); !ok || !verified {
+			t.Errorf("class %c: rnm2 %.13e fails NPB verification", class.Name, rnm2)
+		}
+	}
+}
+
+// After a solve the pool holds nothing but v and u — every ring, spare
+// plane and row buffer of the sweeps has gone back — whether the solve ran
+// to the end or was abandoned by Cancel between two iterations, on one
+// worker or several.
+func TestSweepsReturnTheirBuffers(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		for _, cancelAt := range []int{0, 2} {
+			env := legEnv(workers, "")
+			b := NewBenchmark(nas.ClassS, env)
+			if cancelAt > 0 {
+				polls := 0
+				b.Solver.Cancel = func() bool { polls++; return polls > cancelAt }
+			}
+			b.Run()
+			if live := env.Pool.Live(); live != 2 {
+				t.Errorf("%d workers, cancel at %d: %d buffers live after the solve, want v and u", workers, cancelAt, live)
+			}
+			env.Close()
+		}
+	}
+}
+
+// A cold class-W solve allocated 12 987 280 pool bytes when every leg
+// materialised z, r₂ and a fresh u; with the finest level's three grids
+// gone the budget is 0.65 of that.
+func TestColdSolvePoolBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("class W skipped in -short")
+	}
+	env := wl.Default()
+	NewBenchmark(nas.ClassW, env).Run()
+	const before = 12987280
+	if got := env.Pool.Stats().BytesAllocated; got > before*65/100 {
+		t.Fatalf("cold class-W solve allocated %d pool bytes, budget %d", got, before*65/100)
+	}
+}
+
+// The ledger of a pipelined solve reads like the three-call one's: every
+// kernel row at the finest level, rows that sum to the solve, and a Probe
+// that hears every region once per level per iteration. The coverage floor
+// is class S's, where a 3 ms solve spends 2–3 % between its kernels with
+// or without the sweeps; bench/ holds class A to 0.99.
+func TestPipelinedSolveLedger(t *testing.T) {
+	env := wl.Default()
+	col := metrics.NewCollector(1)
+	env.AttachMetrics(col)
+	b := NewBenchmark(nas.ClassS, env)
+	b.Run() // warm the pool: first-touch faults are not kernel time
+	col.Reset()
+	b.Solve()
+	snap := col.Snapshot()
+	regions := map[string]int{}
+	b.Solver.Probe = func(region string, level int, _ time.Duration) {
+		regions[fmt.Sprintf("%s@%d", region, level)]++
+	}
+	b.Solve()
+
+	lt := nas.ClassS.LT()
+	finest := map[string]bool{}
+	for _, k := range snap.Kernels {
+		if k.Level == lt && k.Nanos > 0 {
+			finest[k.Kernel] = true
+		}
+	}
+	for _, kernel := range []string{"subRelax", "addRelax", "interpolate", "comm3"} {
+		if !finest[kernel] {
+			t.Errorf("no %s row at level %d: %v", kernel, lt, finest)
+		}
+	}
+	if frac, ok := snap.Coverage(); !ok || frac < 0.95 {
+		t.Errorf("kernel rows cover %.4f of the solve, want ≥ 0.95", frac)
+	}
+	iters := nas.ClassS.Iter
+	for level := 2; level <= lt; level++ {
+		for region, want := range map[string]int{"resid": iters, "smooth": iters, "fine2coarse": iters} {
+			if level == lt && region == "resid" {
+				want = 2*iters + 1 // the way down, the way up, and the closing ResidNorm
+			}
+			if got := regions[fmt.Sprintf("%s@%d", region, level)]; got != want {
+				t.Errorf("%s probed %d times at level %d, want %d", region, got, level, want)
+			}
+		}
+		if got := regions[fmt.Sprintf("coarse2fine@%d", level-1)]; got != iters {
+			t.Errorf("coarse2fine probed %d times at level %d, want %d", got, level-1, iters)
+		}
+	}
+}
+
+// --- the mechanism in isolation ---------------------------------------------------
+
+// legBench times one V-cycle leg at a class's finest level and reports the
+// rate at which it moves the streams the three-call sequence's cost model
+// counts (KernelCost bytes of its kernels per fine point) — the same
+// numerator for both forms, so the two MB/s figures compare directly.
+func legBench(b *testing.B, class nas.Class, kernels []string, leg func(s *Solver, v, u, zn, r *array.Array)) {
+	env := wl.Default()
+	s := New(env)
+	s.Smoother = class.SmootherCoeffs()
+	n := class.N + 2
+	v, u, r := randomBox(1, n, n, n), randomBox(2, n, n, n), randomBox(3, n, n, n)
+	zn := randomBox(4, n/2+1, n/2+1, n/2+1)
+	var bytes float64
+	for _, k := range kernels {
+		points := float64(class.N * class.N * class.N)
+		if k == "projectCondense" {
+			points /= 8
+		}
+		bytes += points * KernelCost(k, env.VariantFor(k, class.LT())).Bytes
+	}
+	leg(s, v, u, zn, r) // warm the pool
+	b.SetBytes(int64(bytes))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		leg(s, v, u, zn, r)
+	}
+}
+
+var (
+	upKernels   = []string{"interpolate", "subRelax", "addRelax"}
+	downKernels = []string{"subRelax", "projectCondense"}
+)
+
+func upLegPipelined(s *Solver, _, _, zn, r *array.Array) {
+	s.Env.Release(s.correct(nil, zn, r))
+}
+
+func upLegSeparate(s *Solver, _, _, zn, r *array.Array) {
+	e := s.Env
+	z := s.Coarse2Fine(zn)
+	r2 := s.residSubtract(r, z)
+	e.Release(s.smoothAdd(z, r2))
+	e.Release(r2)
+	e.Release(z)
+}
+
+func downLegPipelined(s *Solver, v, u, _, _ *array.Array) {
+	r, rn := s.residProject(v, u)
+	s.Env.Release(r)
+	s.Env.Release(rn)
+}
+
+func downLegSeparate(s *Solver, v, u, _, _ *array.Array) {
+	r := s.residSubtract(v, u)
+	s.Env.Release(s.Fine2Coarse(r))
+	s.Env.Release(r)
+}
+
+func BenchmarkUpLegPipelined(b *testing.B) {
+	b.Run("W", func(b *testing.B) { legBench(b, nas.ClassW, upKernels, upLegPipelined) })
+	b.Run("A", func(b *testing.B) { legBench(b, nas.ClassA, upKernels, upLegPipelined) })
+}
+
+func BenchmarkUpLegSeparate(b *testing.B) {
+	b.Run("W", func(b *testing.B) { legBench(b, nas.ClassW, upKernels, upLegSeparate) })
+	b.Run("A", func(b *testing.B) { legBench(b, nas.ClassA, upKernels, upLegSeparate) })
+}
+
+func BenchmarkDownLegPipelined(b *testing.B) {
+	b.Run("W", func(b *testing.B) { legBench(b, nas.ClassW, downKernels, downLegPipelined) })
+	b.Run("A", func(b *testing.B) { legBench(b, nas.ClassA, downKernels, downLegPipelined) })
+}
+
+func BenchmarkDownLegSeparate(b *testing.B) {
+	b.Run("W", func(b *testing.B) { legBench(b, nas.ClassW, downKernels, downLegSeparate) })
+	b.Run("A", func(b *testing.B) { legBench(b, nas.ClassA, downKernels, downLegSeparate) })
+}

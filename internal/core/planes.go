@@ -14,7 +14,8 @@
 //   - A call computes the planes of its PlaneSpan only, reads the planes
 //     either side of them, and never writes outside the span; calls on
 //     disjoint spans may run concurrently. Halos are the caller's to
-//     refresh.
+//     refresh — unless the span says Frame, for grids whose boundary is
+//     the kernel's own boundary value rather than an exchanged halo.
 //   - Each plane's statements are those of the full sweep, so any split or
 //     order of spans yields bit-identical values, and so does every
 //     variant: the backend ("scalar", "buffered", "simd" — fused.go's
@@ -35,6 +36,12 @@ import "repro/internal/tune"
 // decomposed axis. An empty span has Hi < Lo.
 type PlaneSpan struct {
 	Lo, Hi int
+	// Frame extends what a kernel call writes from the interior rows of
+	// its planes to the whole planes: the frame — rows and columns 0 and
+	// last — takes the kernel's boundary value (v for subRelax, z or u + z
+	// for addRelax, zero for the two mappings), written right after the
+	// plane's rows while they are in cache.
+	Frame bool
 }
 
 // Empty reports whether the span contains no planes.

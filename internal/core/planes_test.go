@@ -21,11 +21,11 @@ func TestSplitPlanes(t *testing.T) {
 		boundary []int
 		interior PlaneSpan
 	}{
-		{3, []int{1}, PlaneSpan{2, 1}},          // one interior plane: both faces
-		{4, []int{1, 2}, PlaneSpan{2, 1}},       // two planes: nothing to overlap
-		{5, []int{1, 3}, PlaneSpan{2, 2}},       // one overlappable plane
-		{34, []int{1, 32}, PlaneSpan{2, 31}},    // class-S slab over 8 ranks
-		{258, []int{1, 256}, PlaneSpan{2, 255}}, // class-A slab, 1 rank
+		{3, []int{1}, PlaneSpan{Lo: 2, Hi: 1}},          // one interior plane: both faces
+		{4, []int{1, 2}, PlaneSpan{Lo: 2, Hi: 1}},       // two planes: nothing to overlap
+		{5, []int{1, 3}, PlaneSpan{Lo: 2, Hi: 2}},       // one overlappable plane
+		{34, []int{1, 32}, PlaneSpan{Lo: 2, Hi: 31}},    // class-S slab over 8 ranks
+		{258, []int{1, 256}, PlaneSpan{Lo: 2, Hi: 255}}, // class-A slab, 1 rank
 	}
 	for _, c := range cases {
 		boundary, interior := SplitPlanes(c.n0)

@@ -1,6 +1,7 @@
 package jobq
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -9,7 +10,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/cport"
 	"repro/internal/f77"
+	"repro/internal/mempool"
 	"repro/internal/nas"
+	"repro/internal/sched"
 	"repro/internal/tune"
 	wl "repro/internal/withloop"
 )
@@ -222,6 +225,45 @@ func TestConcurrentSubmitStress(t *testing.T) {
 		t.Errorf("stress run exercised too little: %+v", s)
 	}
 	t.Logf("stress stats: %+v", s)
+}
+
+// TestConcurrentSolvesLeaveArenaBalanced runs two sac solves at once over
+// one worker pool and one buffer arena — every grid, and every ring and
+// row buffer of the pipelined V-cycle legs, comes from per-job scopes of
+// the same free lists — and then holds the arena to zero live buffers:
+// each job gave back everything it borrowed, v and u included. Run under
+// -race in CI.
+func TestConcurrentSolvesLeaveArenaBalanced(t *testing.T) {
+	arena := mempool.New(true)
+	arena.SetParanoid(true)
+	pool := sched.NewPersistent(2) // jobs may only share a persistent pool
+	run := Solver(pool, arena)
+
+	reqs := []Request{{Class: "S", Iters: 2}, {Class: "S", Seed: 271828183, Iters: 3}}
+	var wg sync.WaitGroup
+	for _, raw := range reqs {
+		req, err := raw.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := directSolve(t, req)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				res, err := run(context.Background(), req)
+				if err != nil {
+					t.Error(err)
+				} else if res.Rnm2 != want {
+					t.Errorf("seed %d: rnm2 %v, direct solve %v", req.Seed, res.Rnm2, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if live := arena.Live(); live != 0 {
+		t.Fatalf("%d arena buffers still out after both jobs finished", live)
+	}
 }
 
 // TestCacheHitLatency checks the shape of the service's headline number:
