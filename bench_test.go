@@ -22,10 +22,8 @@ import (
 	"repro/internal/mempool"
 	"repro/internal/metrics"
 	"repro/internal/nas"
-	"repro/internal/periodic"
 	"repro/internal/sched"
 	"repro/internal/smp"
-	"repro/internal/tune"
 	wl "repro/internal/withloop"
 )
 
@@ -167,35 +165,6 @@ func BenchmarkAblation_SchedStaticCyclic(b *testing.B) { benchPolicy(b, sched.St
 func BenchmarkAblation_SchedDynamic(b *testing.B)      { benchPolicy(b, sched.Dynamic) }
 func BenchmarkAblation_SchedGuided(b *testing.B)       { benchPolicy(b, sched.Guided) }
 
-// --- future-work ablation: extended borders vs direct periodic relaxation ---------
-// (paper §7: "a direct implementation of relaxation with periodic boundary
-// conditions that makes artificial boundary elements obsolete")
-
-// Both sides run scalar inner loops (periodic has no other backend), so
-// the pair isolates the border bookkeeping.
-func BenchmarkFutureWork_ExtendedBorders_ClassW(b *testing.B) {
-	env := wl.Default()
-	env.Variant = tune.VariantScalar
-	defer env.Close()
-	bench := core.NewBenchmark(nas.ClassW, env)
-	bench.Reset()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bench.Solve()
-	}
-}
-
-func BenchmarkFutureWork_DirectPeriodic_ClassW(b *testing.B) {
-	env := wl.Default()
-	defer env.Close()
-	bench := periodic.NewBenchmark(nas.ClassW, env)
-	bench.Reset()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bench.Solve()
-	}
-}
-
 // --- sequential-threshold ablation --------------------------------------------------
 // SAC executes WITH-loops over small index spaces sequentially (the paper
 // discusses this policy for the coarse V-cycle grids). The sweep shows the
@@ -218,7 +187,7 @@ func BenchmarkAblation_SeqThreshold0(b *testing.B)    { benchSeqThreshold(b, 0) 
 func BenchmarkAblation_SeqThreshold4096(b *testing.B) { benchSeqThreshold(b, 4096) }
 func BenchmarkAblation_SeqThresholdHuge(b *testing.B) { benchSeqThreshold(b, 1<<30) }
 
-// --- tentpole benchmarks: tiled, norm-fused kernels + autotuned plans --------------
+// --- norm-fused kernels and kernel variants -----------------------------------------
 
 // BenchmarkSACResidNorm compares the fused final-residual evaluation (the
 // norms accumulate inside the residual traversal — one grid read) against
@@ -245,34 +214,14 @@ func BenchmarkSACResidNorm(b *testing.B) {
 	}
 }
 
-// BenchmarkSACTiled sweeps the j/k cache-tile edge of the fused kernels
-// over the whole benchmark (tile 0 = untiled full-plane traversal).
-func BenchmarkSACTiled(b *testing.B) {
-	for _, class := range []nas.Class{nas.ClassS, nas.ClassW} {
-		for _, tile := range []int{0, 8, 16, 32} {
-			b.Run(fmt.Sprintf("tile%d_class%c", tile, class.Name), func(b *testing.B) {
-				env := wl.Default()
-				defer env.Close()
-				env.Tile = tile
-				bench := core.NewBenchmark(class, env)
-				bench.Reset()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					bench.Solve()
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkSACVariant sweeps the plane-kernel inner-loop backends over
-// the whole benchmark: scalar (tiled loops), buffered (line-buffer row
+// the whole benchmark: scalar (rolling-row loops), buffered (line-buffer row
 // memoisation) and simd (AVX2 fills and combines where available). All
 // three produce bit-identical results (TestBufferedBitIdentical); this
 // measures what the equivalence buys.
 func BenchmarkSACVariant(b *testing.B) {
 	for _, class := range []nas.Class{nas.ClassS, nas.ClassW} {
-		for _, variant := range []string{tune.VariantScalar, tune.VariantBuffered, tune.VariantSIMD} {
+		for _, variant := range []string{wl.VariantScalar, wl.VariantBuffered, wl.VariantSIMD} {
 			b.Run(fmt.Sprintf("%s_class%c", variant, class.Name), func(b *testing.B) {
 				env := wl.Default()
 				defer env.Close()
@@ -285,38 +234,6 @@ func BenchmarkSACVariant(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkSACTuned compares the static default schedule against a
-// calibrated per-(kernel, level) plan. Calibration runs before the timer.
-func BenchmarkSACTuned(b *testing.B) {
-	for _, class := range []nas.Class{nas.ClassS, nas.ClassW} {
-		b.Run(fmt.Sprintf("default_class%c", class.Name), func(b *testing.B) {
-			env := wl.Default()
-			defer env.Close()
-			bench := core.NewBenchmark(class, env)
-			bench.Reset()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bench.Solve()
-			}
-		})
-		b.Run(fmt.Sprintf("tuned_class%c", class.Name), func(b *testing.B) {
-			env := wl.Default()
-			defer env.Close()
-			env.Tune = tune.New(env.Workers())
-			bench := core.NewBenchmark(class, env)
-			bench.Reset()
-			bench.Solve() // first calibration pass touches every key
-			for !env.Tune.Settled() {
-				bench.Solve()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bench.Solve()
-			}
-		})
 	}
 }
 

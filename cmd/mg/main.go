@@ -57,7 +57,6 @@ import (
 	"repro/internal/nas"
 	"repro/internal/periodic"
 	"repro/internal/sched"
-	"repro/internal/tune"
 	wl "repro/internal/withloop"
 )
 
@@ -76,14 +75,14 @@ func main() {
 		traceFile  = flag.String("trace", "", "write a JSON-lines V-cycle event trace (sac and mpi) to this file")
 		httpAddr   = flag.String("http", "", "serve expvar (/debug/vars, incl. mg.metrics), pprof and Prometheus /metrics on this address while running")
 		withHealth = flag.Bool("health", false, "monitor convergence health (sac only) and print the verdict")
-		variant    = flag.String("variant", "", "force the plane-kernel backend (sac only): scalar, buffered or simd (default: per level, simd on AVX2 hosts where rows have at least 8 points, scalar otherwise)")
+		variant    = flag.String("variant", "", "force the plane-kernel backend (sac only): scalar, buffered or simd (default: per level — scalar where rows have fewer than 8 points, else simd on AVX2 hosts and buffered elsewhere)")
 		overlap    = flag.Bool("overlap", false, "mpi only: overlap the halo exchange with interior compute (nonblocking Isend/Irecv; -threads is the rank count)")
 	)
 	flag.Parse()
 
-	if *variant != "" && !tune.ValidVariant(*variant) {
+	if *variant != "" && !wl.ValidVariant(*variant) {
 		fmt.Fprintf(os.Stderr, "mg: unknown -variant %q (want %s, %s or %s)\n",
-			*variant, tune.VariantScalar, tune.VariantBuffered, tune.VariantSIMD)
+			*variant, wl.VariantScalar, wl.VariantBuffered, wl.VariantSIMD)
 		os.Exit(2)
 	}
 
@@ -160,7 +159,7 @@ func main() {
 		env.Variant = *variant
 		o.attach(env)
 		if env.Opt >= wl.O3 { // below O3 the fused plane kernels do not run
-			backend = env.VariantFor("subRelax", class.LT())
+			backend = wl.VariantFor(class.LT(), env.Variant)
 		}
 		b := core.NewBenchmark(class, env)
 		b.Reset()

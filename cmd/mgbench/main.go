@@ -11,12 +11,6 @@
 // real measured kernel profiles — see DESIGN.md §4 for why the paper's
 // 12-processor SUN Enterprise 4000 is simulated rather than re-run.
 //
-// Beyond the paper's figures, -fig tune calibrates the per-(kernel, level)
-// schedule autotuner (internal/tune) and prints the chosen plans:
-//
-//	mgbench -fig tune -classes S -tuneplan plan.json   # calibrate and save
-//	mgbench -fig 11 -tuneplan plan.json                # run under the plan
-//
 // The observability layer (internal/metrics) hooks in with two flags:
 //
 //	mgbench -fig 11 -metrics                 # per-(kernel, level) table after the run
@@ -25,8 +19,8 @@
 // -metrics prints invocation counts, points, time, derived GFLOP/s and
 // effective bandwidth per (kernel, grid level), plus the fraction of the
 // solve the instrumented kernels account for. -trace streams level
-// transitions, kernel spans, iteration markers, tuner plan decisions and
-// solve summaries, one JSON object per line (schema: DESIGN.md §3.2).
+// transitions, kernel spans, iteration markers and solve summaries, one
+// JSON object per line (schema: DESIGN.md §3.2).
 //
 // -fig health runs each class once under the convergence-health monitor
 // (internal/health) and prints the verdict/rate/imbalance table — kept
@@ -78,7 +72,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -90,20 +83,17 @@ import (
 	"repro/internal/perfdb"
 	"repro/internal/perfstat"
 	"repro/internal/smp"
-	"repro/internal/tune"
 	wl "repro/internal/withloop"
 )
 
 func main() {
 	var (
-		fig         = flag.String("fig", "all", "figure to regenerate: 11, 12, 13, mpi, dist, comm, codesize, tune, perf, health, service or all")
+		fig         = flag.String("fig", "all", "figure to regenerate: 11, 12, 13, mpi, dist, comm, codesize, perf, health, service or all")
 		classes     = flag.String("classes", "S,W", "comma-separated size classes (paper: W,A)")
 		repeats     = flag.Int("repeats", 3, "repetitions per Fig. 11 measurement (best reported)")
 		procs       = flag.Int("procs", 10, "simulated processor count for Figs. 12/13")
 		repo        = flag.String("repo", ".", "repository root (for -fig codesize)")
-		workers     = flag.Int("workers", 0, "worker count for -fig tune calibration and -fig health (0 = GOMAXPROCS)")
-		maxSolves   = flag.Int("maxsolves", 50, "calibration solve budget per class for -fig tune")
-		tunePlan    = flag.String("tuneplan", "", "autotuner plan file: -fig tune writes it, other figures run the SAC implementation under it")
+		workers     = flag.Int("workers", 0, "worker count for -fig health (0 = GOMAXPROCS)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the measurements to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile taken after the measurements to this file")
 		showMetrics = flag.Bool("metrics", false, "collect per-(kernel, level) metrics in the SAC runs and print the table afterwards")
@@ -118,13 +108,13 @@ func main() {
 		distRanks   = flag.Int("ranks", 4, "-fig dist/comm: number of mgrank processes")
 		commOut     = flag.String("commout", "comm-artifacts", "-fig comm: directory for the per-rank traces, merged Perfetto timeline and comm report")
 		distOverlap = flag.Bool("overlap", false, "-fig dist/comm: run the ranks with the nonblocking overlapped halo exchange (mgrank -overlap)")
-		variant     = flag.String("variant", "", "force the SAC plane-kernel backend: scalar, buffered or simd (default: the -tuneplan/-fig tune plan of each level; without one, simd on AVX2 hosts where rows have at least 8 points, scalar otherwise)")
+		variant     = flag.String("variant", "", "force the SAC plane-kernel backend: scalar, buffered or simd (default: per level — scalar where rows have fewer than 8 points, else simd on AVX2 hosts and buffered elsewhere)")
 	)
 	flag.Parse()
 
-	if *variant != "" && !tune.ValidVariant(*variant) {
+	if *variant != "" && !wl.ValidVariant(*variant) {
 		fmt.Fprintf(os.Stderr, "mgbench: unknown -variant %q (want %s, %s or %s)\n",
-			*variant, tune.VariantScalar, tune.VariantBuffered, tune.VariantSIMD)
+			*variant, wl.VariantScalar, wl.VariantBuffered, wl.VariantSIMD)
 		os.Exit(2)
 	}
 	if *variant != "" {
@@ -149,21 +139,6 @@ func main() {
 	machine.MaxProcs = *procs
 	out := os.Stdout
 
-	if *tunePlan != "" && *fig != "tune" {
-		// Run the SAC implementation under a previously calibrated plan.
-		tu := tune.New(1)
-		if err := tu.LoadFile(*tunePlan); err != nil {
-			fmt.Fprintln(os.Stderr, "mgbench:", err)
-			os.Exit(1)
-		}
-		harness.SACEnv = func() *wl.Env {
-			e := wl.Default()
-			e.Tune = tu
-			return e
-		}
-		fmt.Fprintf(out, "SAC environment: autotuned plan %s\n\n", *tunePlan)
-	}
-
 	// Observability: attach a collector and/or tracer to every SAC
 	// environment the harness builds.
 	var collector *metrics.Collector
@@ -185,11 +160,6 @@ func main() {
 			f.Close()
 			fmt.Fprintf(out, "Trace: %d events written to %s\n", tracer.Events(), *traceFile)
 		}()
-		// Route tuner plan decisions into the trace.
-		harness.TuneObserver = func(key tune.Key, plan tune.Plan) {
-			tracer.Emit(metrics.Event{Ev: "plan", Kernel: key.Kernel, Level: key.Level,
-				Plan: plan.String()})
-		}
 	}
 	if collector != nil || tracer != nil {
 		prev := harness.SACEnv
@@ -281,11 +251,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	case "tune":
-		if err := runTune(out, classList, *workers, *maxSolves, *tunePlan); err != nil {
-			fmt.Fprintln(os.Stderr, "mgbench:", err)
-			os.Exit(1)
-		}
 	case "health":
 		harness.RunHealth(out, classList, *workers)
 	case "service":
@@ -351,29 +316,4 @@ func runPerf(out *os.File, classList []nas.Class, repoDir, snapshotOut, baseline
 	fmt.Fprintln(out)
 	cmp.WriteTable(out)
 	return cmp.HasRegression(), nil
-}
-
-// runTune calibrates one tuner per class and, when planPath is set, saves
-// the last calibration and verifies the JSON profile round-trips.
-func runTune(out *os.File, classList []nas.Class, workers, maxSolves int, planPath string) error {
-	var tu *tune.Tuner
-	for _, class := range classList {
-		tu = harness.RunTune(out, class, workers, maxSolves)
-	}
-	if planPath == "" || tu == nil {
-		return nil
-	}
-	if err := tu.SaveFile(planPath); err != nil {
-		return err
-	}
-	back := tune.New(tu.Workers())
-	if err := back.LoadFile(planPath); err != nil {
-		return err
-	}
-	if !reflect.DeepEqual(back.Plans(), tu.Plans()) {
-		return fmt.Errorf("plan %s did not round-trip through JSON", planPath)
-	}
-	fmt.Fprintf(out, "Plan saved to %s (%d entries, JSON round-trip verified)\n",
-		planPath, len(tu.Plans()))
-	return nil
 }

@@ -101,8 +101,8 @@ func TestDifferentialIterNorms(t *testing.T) {
 		}
 
 		// Kernel variants: the buffered and simd backends, and the default
-		// dispatch ("": no forced variant, no tuner — simd or scalar per
-		// level by the static rule), must reproduce the scalar
+		// dispatch ("": no forced variant — the backend rule decides per
+		// level), must reproduce the scalar
 		// per-iteration norm sequence bit-for-bit (the variant bit-identity
 		// contract, here checked through the whole public solver stack
 		// rather than core's unit tests).

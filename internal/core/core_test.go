@@ -14,7 +14,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/shape"
 	"repro/internal/stencil"
-	"repro/internal/tune"
 	wl "repro/internal/withloop"
 )
 
@@ -397,12 +396,12 @@ func TestReleaseDisciplineParanoid(t *testing.T) {
 	}
 }
 
-// The tiled, norm-fused kernels must reproduce the sequential default O3
+// The scalar, norm-fused kernels must reproduce the sequential default O3
 // path bit for bit — the verification norms and the full solution grid —
-// for every worker count, scheduling policy and tile size, including tile
-// edges that do not divide the grid. This is the determinism contract that
-// lets the autotuner experiment with plans mid-run.
-func TestTiledKernelsBitIdentical(t *testing.T) {
+// for every worker count and scheduling policy: the scalar leg of the
+// variant × schedule matrix TestBufferedBitIdentical covers from the other
+// side (scalar reference, the other backends under test).
+func TestScalarKernelsBitIdentical(t *testing.T) {
 	refB := NewBenchmark(nas.ClassS, wl.Default())
 	refN2, refNU := refB.Run()
 	refU := refB.U().Clone()
@@ -427,39 +426,26 @@ func TestTiledKernelsBitIdentical(t *testing.T) {
 			policies = policies[:1] // policy is irrelevant on one worker
 		}
 		for _, policy := range policies {
-			for _, tile := range []int{0, 5, 8, 32} {
-				env := wl.Parallel(workers)
-				env.ForOpt.Policy = policy
-				env.Tile = tile
-				env.Variant = tune.VariantScalar // the only backend that tiles
-				t.Run(fmt.Sprintf("w%d_%s_tile%d", workers, policy, tile), func(t *testing.T) {
-					check(t, env)
-				})
-			}
+			env := wl.Parallel(workers)
+			env.ForOpt.Policy = policy
+			env.Variant = wl.VariantScalar
+			t.Run(fmt.Sprintf("w%d_%s", workers, policy), func(t *testing.T) {
+				check(t, env)
+			})
 		}
 	}
-
-	// A calibrating tuner cycles through its whole candidate set mid-run
-	// (different plan almost every kernel invocation) and must still not
-	// change a bit.
-	t.Run("tuner_calibrating", func(t *testing.T) {
-		env := wl.Parallel(4)
-		env.Tune = tune.New(env.Workers())
-		env.Tune.Trials = 1
-		check(t, env)
-	})
 }
 
 // TestBufferedBitIdentical: the line-buffered and simd kernel variants,
-// and the default dispatch that picks between scalar and simd per level,
-// must reproduce the sequential scalar run bit-for-bit — norms and the
-// full solution grid — across worker counts and scheduling policies.
-// This is the contract that lets the default rule and the autotuner
-// switch variants freely without perturbing NPB verification (see the
-// package comment's "Kernel variants" section).
+// and the default dispatch that picks a backend per level, must reproduce
+// the sequential scalar run bit-for-bit — norms and the full solution
+// grid — across worker counts and scheduling policies.
+// This is the contract that lets the default rule switch variants per
+// level without perturbing NPB verification (see the package comment's
+// "Kernel variants" section).
 func TestBufferedBitIdentical(t *testing.T) {
 	refEnv := wl.Default()
-	refEnv.Variant = tune.VariantScalar
+	refEnv.Variant = wl.VariantScalar
 	refB := NewBenchmark(nas.ClassS, refEnv)
 	refN2, refNU := refB.Run()
 	refU := refB.U().Clone()
@@ -478,8 +464,8 @@ func TestBufferedBitIdentical(t *testing.T) {
 		}
 	}
 
-	// "" is the default dispatch: no Variant, no tuner.
-	variants := []string{"", tune.VariantBuffered, tune.VariantSIMD}
+	// "" is the default dispatch: no Variant, the rule decides per level.
+	variants := []string{"", wl.VariantBuffered, wl.VariantSIMD}
 	for _, variant := range variants {
 		for _, workers := range []int{1, 2, 4, 8} {
 			policies := sched.Policies()
@@ -497,16 +483,7 @@ func TestBufferedBitIdentical(t *testing.T) {
 		}
 	}
 
-	// A calibrating tuner now cycles variant plans too (scalar, buffered
-	// and — where available — simd candidates interleave mid-run).
-	t.Run("tuner_calibrating_variants", func(t *testing.T) {
-		env := wl.Parallel(4)
-		env.Tune = tune.New(env.Workers())
-		env.Tune.Trials = 1
-		check(t, env)
-	})
-
-	// An unknown forced variant must degrade to scalar, not misbehave.
+	// An unknown Env.Variant must degrade to scalar, not misbehave.
 	t.Run("unknown_variant_is_scalar", func(t *testing.T) {
 		env := wl.Parallel(2)
 		env.Variant = "turbo"
@@ -522,7 +499,7 @@ func TestBufferedBitIdentical(t *testing.T) {
 // kernel invocation cost two to three.
 func TestWarmSolveAllocs(t *testing.T) {
 	const budget = 325 / 4
-	for _, variant := range []string{"", tune.VariantScalar} {
+	for _, variant := range []string{"", wl.VariantScalar} {
 		env := wl.Default()
 		env.Variant = variant
 		b := NewBenchmark(nas.ClassS, env)

@@ -29,34 +29,27 @@
 // row statement, shared by the full-grid sweeps, the distributed ranks'
 // plane-range entry points (planes.go) and the pipelined sweeps.
 //
-// # Tiled traversal and per-level plans
+// # Traversal
 //
-// Every kernel traverses its interior planes under an execution plan
-// resolved per (kernel, level) through Env.PlanFor: scheduling policy,
-// chunk, sequential threshold, a j/k cache-tile edge, and the inner-loop
-// kernel variant (internal/tune; without a tuner the tile is Env.Tile and
-// the variant the static rule below). Within a plane the j/k loops are blocked into
-// tile×tile strips and the nine stencil row bases roll forward by one row
-// stride per j step instead of being recomputed with per-row multiplies.
-// Tiling only permutes writes of independent output elements, so any tile
-// size is bit-identical to the untiled traversal; the norm accumulation
-// of subRelaxNorm keeps per-row running partials (always left-to-right in
-// k) folded in ascending row and plane order, so it too is invariant
-// under tile size, worker count and policy
-// (TestTiledKernelsBitIdentical).
+// Every kernel sweeps its interior planes under the schedule Env.PlanFor
+// resolves for its level — scheduling policy, chunk and sequential
+// threshold from the environment, and the inner-loop kernel variant.
+// Within a plane the nine stencil row bases roll forward by one row stride
+// per j step instead of being recomputed with per-row multiplies. The norm
+// accumulation of subRelaxNorm keeps per-row running partials (always
+// left-to-right in k) folded in ascending row and plane order, so it is
+// invariant under worker count and policy (TestScalarKernelsBitIdentical).
 //
 // # Kernel variants
 //
-// Each plane kernel has three interchangeable inner-loop backends,
-// selected per (kernel, level) by the plan's Kernel field:
+// Each plane kernel has three interchangeable inner-loop backends:
 //
-//   - scalar: the tiled loops above, u1/u2 sub-sums expanded inline.
+//   - scalar: the rolling-row loops above, u1/u2 sub-sums expanded inline.
 //   - buffered: the f77 line-buffer form — u1/u2 memoised in two
 //     mempool-backed row buffers threaded through the j sweep, cutting
 //     the additions per element from 26 to 14. Because the buffers hold
 //     exactly the canonical sub-sums, the results (grids and norms) are
-//     bit-identical to scalar; buffered plans ignore the tile edge (the
-//     buffers already serialise a full row through the cache).
+//     bit-identical to scalar.
 //   - simd: the buffered form with the buffer fills, the combine loop,
 //     interpolate's even/odd interleaving store and projectCondense's
 //     stride-2 combine vectorised 4-wide (internal/simd; AVX2 on amd64, a
@@ -65,15 +58,15 @@
 //     apply all four coefficient terms (like the generic O0 kernel) where
 //     the scalar loops drop exact-zero terms, which cannot change a sum.
 //
-// Which backend runs is the library's choice, not the caller's: unless a
-// tuner plan says otherwise, a level runs simd where the AVX2 path is live
-// and its rows have at least 8 points, and scalar elsewhere
-// (tune.DefaultVariant). The variant can be forced globally with the
+// Which backend runs is the library's choice, not the caller's, and a
+// function of two observables: rows shorter than 8 points run scalar,
+// longer rows run simd where the AVX2 path is live and buffered where it
+// is not (wl.DefaultVariant). The variant can be forced globally with the
 // MG_FORCE_VARIANT environment variable or the -variant flag
-// (Env.Variant); since all three are bit-identical, none of this can
-// change a result. A pipelined sweep asks once per stage, under the
-// stage's own kernel name, so its stages may run different backends and
-// every one of these levers reaches them unchanged.
+// (Env.Variant); wl.VariantFor is the one place that precedence lives, and
+// since all three are bit-identical, none of this can change a result. A
+// pipelined sweep asks once per stage, so every one of these levers
+// reaches its stages unchanged.
 package core
 
 import (
@@ -87,7 +80,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/shape"
 	"repro/internal/stencil"
-	"repro/internal/tune"
 	wl "repro/internal/withloop"
 )
 
@@ -98,7 +90,7 @@ import (
 // instead of being re-read); otherwise the residual is materialised and
 // normed separately. Both paths fold the sum of squares in the canonical
 // plane/row order of nas.Norm2u3Planes, so the norms are bit-identical
-// across optimization levels, worker counts, policies and tile sizes.
+// across optimization levels, worker counts and policies.
 func (s *Solver) ResidNorm(v, u *array.Array, n int) (rnm2, rnmu float64) {
 	e := s.Env
 	if s.foldable(u) {
@@ -156,8 +148,8 @@ func kernelClock(e *wl.Env) (t time.Time) {
 }
 
 // planeLoop is the resolved schedule of one fused-kernel invocation over
-// the interior planes [1, n0-1) of a rank-3 grid: the (kernel, level)
-// plan of Env.PlanFor plus what the bookkeeping after the sweep needs.
+// the interior planes [1, n0-1) of a rank-3 grid: the level's plan from
+// Env.PlanFor plus what the bookkeeping after the sweep needs.
 type planeLoop struct {
 	e        *wl.Env
 	kernel   string
@@ -165,16 +157,14 @@ type planeLoop struct {
 	planes   int // interior plane count, n0-2
 	perPlane int // index vectors per plane
 	opts     sched.ForOptions
-	tile     int
 	variant  string
-	commit   func()
 }
 
 func planPlanes(e *wl.Env, kernel string, n0, perPlane int) planeLoop {
 	level := levelOfExtent(n0 - 2)
-	opts, tile, variant, commit := e.PlanFor(kernel, level, perPlane)
+	opts, variant := e.PlanFor(level, perPlane)
 	return planeLoop{e: e, kernel: kernel, level: level, planes: n0 - 2, perPlane: perPlane,
-		opts: opts, tile: tile, variant: variant, commit: commit}
+		opts: opts, variant: variant}
 }
 
 // inline reports whether the sweep runs on the calling goroutine (one
@@ -196,13 +186,11 @@ func (p *planeLoop) fanOut(body func(PlaneSpan)) {
 
 // finish closes the invocation after the sweep. od is the kernel's output
 // storage: with a health monitor attached it gets the sampled NaN/Inf
-// guard (observe.go) — inside the timed window but after the tuner
-// commit, so calibration timings stay clean. With a collector attached
+// guard (observe.go), inside the timed window. With a collector attached
 // the invocation is recorded under (kernel, level) as the time since
 // started (the caller's kernelClock, taken before it allocated the
 // output); without any sink the only extra cost is two nil checks.
 func (p *planeLoop) finish(started time.Time, od []float64) {
-	p.commit()
 	healthSample(p.e, p.kernel, p.level, od)
 	if p.e.Metrics != nil {
 		p.record(time.Since(started))
@@ -238,7 +226,7 @@ var KernelCosts = map[string]metrics.Cost{
 // pair: the line-buffered variants amortise the u1/u2 row sums across the
 // sliding k window (stencil.FlopsPerElement("buffered")), so their
 // per-point flop counts are lower than the scalar recomputation —
-// without this, buffered/simd plans would be costed as scalar and the
+// without this, buffered/simd sweeps would be costed as scalar and the
 // report's GFLOP/s would overstate the work done. Unknown variants (and
 // scalar) fall back to KernelCosts; byte counts are variant-independent.
 func KernelCost(kernel, variant string) metrics.Cost {
@@ -250,9 +238,9 @@ func KernelCost(kernel, variant string) metrics.Cost {
 	return KernelCosts[kernel]
 }
 
-// HasVariants reports whether kernel dispatches on the plan's kernel
-// variant. Only the rank-3 fused plane kernels do; the rest (border
-// exchange, initialization, pseudo-kernel totals) have a single backend.
+// HasVariants reports whether kernel dispatches on the kernel variant.
+// Only the rank-3 fused plane kernels do; the rest (border exchange,
+// initialization, pseudo-kernel totals) have a single backend.
 func HasVariants(kernel string) bool {
 	_, ok := bufferedKernelCosts[kernel]
 	return ok
@@ -276,20 +264,11 @@ var bufferedKernelCosts = map[string]metrics.Cost{
 	"interpolate":     {Flops: 3, Bytes: 2 * 8},
 }
 
-// tileOr returns the effective tile edge: tile when positive, otherwise
-// the whole extent (untiled).
-func tileOr(tile, n int) int {
-	if tile > 0 {
-		return tile
-	}
-	return n
-}
-
-// lined reports whether a plan variant selects the line-buffered form
-// (buffered or simd). Anything else — including an unknown forced
-// variant — dispatches to the scalar loops.
+// lined reports whether a variant selects the line-buffered form
+// (buffered or simd). Anything else — including an unknown Env.Variant —
+// dispatches to the scalar loops.
 func lined(variant string) bool {
-	return variant == tune.VariantBuffered || variant == tune.VariantSIMD
+	return variant == wl.VariantBuffered || variant == wl.VariantSIMD
 }
 
 // kern is one sweep's handle on a plane kernel: the resolved backend and
@@ -298,10 +277,9 @@ func lined(variant string) bool {
 // planes of the inputs the stencil reaches — so the same row statements
 // serve a full grid (SubRelaxPlanes and friends slice it), a distributed
 // box, and the few-plane rings of pipeline.go. Each scheduler partition
-// borrows its own kern (worker-local by construction), so parallel plans
+// borrows its own kern (worker-local by construction), so parallel sweeps
 // stay allocation-free once the pool is warm.
 type kern struct {
-	tile       int
 	lined, vec bool
 	frame      bool      // also write each plane's frame (PlaneSpan.Frame)
 	u1, u2     []float64 // row buffers of the lined backends
@@ -309,8 +287,8 @@ type kern struct {
 
 // borrowKern resolves variant and borrows the lined backends' row buffers
 // (lengths b1, b2; zero for none) from pool; release puts them back.
-func borrowKern(pool *mempool.Pool, variant string, tile int, frame bool, b1, b2 int) kern {
-	k := kern{tile: tile, lined: lined(variant), vec: variant == tune.VariantSIMD, frame: frame}
+func borrowKern(pool *mempool.Pool, variant string, frame bool, b1, b2 int) kern {
+	k := kern{lined: lined(variant), vec: variant == wl.VariantSIMD, frame: frame}
 	if k.lined {
 		k.u1 = pool.GetDirty(b1)
 		if b2 > 0 {
@@ -348,8 +326,8 @@ func subRelax(e *wl.Env, v, u *array.Array, c stencil.Coeffs) *array.Array {
 // absolute value. One grid read replaces the resid-then-norm two-pass
 // sequence. Each row's partial accumulates strictly left-to-right in k
 // from the stored row, rows fold in ascending j and planes in ascending i,
-// so the sums are bit-identical for every backend, tile size, worker count
-// and scheduling policy.
+// so the sums are bit-identical for every backend, worker count and
+// scheduling policy.
 func subRelaxNorm(e *wl.Env, v, u *array.Array, c stencil.Coeffs) (out *array.Array, sumSq, maxAbs float64) {
 	return subRelaxSweep(e, v, u, c, true)
 }
@@ -366,11 +344,11 @@ func subRelaxSweep(e *wl.Env, v, u *array.Array, c stencil.Coeffs, norm bool) (o
 		sums, maxs = e.Pool.GetDirty(n0), e.Pool.GetDirty(n0)
 	}
 	pl := planPlanes(e, "subRelax", n0, (n1-2)*(n2-2))
-	tile, variant := pl.tile, pl.variant
+	variant := pl.variant
 	if pl.inline() {
-		SubRelaxPlanes(e.Pool, od, vd, ud, n1, n2, pl.interior(), tile, variant, c, sums, maxs)
+		SubRelaxPlanes(e.Pool, od, vd, ud, n1, n2, pl.interior(), variant, c, sums, maxs)
 	} else {
-		pl.fanOut(func(p PlaneSpan) { SubRelaxPlanes(e.Pool, od, vd, ud, n1, n2, p, tile, variant, c, sums, maxs) })
+		pl.fanOut(func(p PlaneSpan) { SubRelaxPlanes(e.Pool, od, vd, ud, n1, n2, p, variant, c, sums, maxs) })
 	}
 	pl.finish(started, od)
 	if norm {
@@ -398,9 +376,9 @@ func foldNorms(sums, maxs []float64, n0 int) (sumSq, maxAbs float64) {
 // (each element reads only its own v). With sums/maxs non-nil it is the
 // subRelaxNorm sweep and stores each plane's norm partials at its plane
 // index.
-func SubRelaxPlanes(pool *mempool.Pool, od, vd, ud []float64, n1, n2 int, p PlaneSpan, tile int, variant string,
+func SubRelaxPlanes(pool *mempool.Pool, od, vd, ud []float64, n1, n2 int, p PlaneSpan, variant string,
 	c stencil.Coeffs, sums, maxs []float64) {
-	k := borrowKern(pool, variant, tile, p.Frame, n2, n2)
+	k := borrowKern(pool, variant, p.Frame, n2, n2)
 	pl := n1 * n2
 	for i := p.Lo; i <= p.Hi; i++ {
 		sum, maxAbs := k.subRelax(planeOf(od, i, pl), planeOf(vd, i, pl),
@@ -417,7 +395,7 @@ func SubRelaxPlanes(pool *mempool.Pool, od, vd, ud []float64, n1, n2 int, p Plan
 // norm partials, folded from the stored rows.
 func (k *kern) subRelax(o, v, um, uz, up []float64, n1, n2 int, c stencil.Coeffs, norm bool) (sum, maxAbs float64) {
 	if !k.lined {
-		subRelaxPlane(o, v, um, uz, up, n1, n2, k.tile, c)
+		subRelaxPlane(o, v, um, uz, up, n1, n2, c)
 	}
 	if k.lined || norm {
 		for zz := n2; zz < (n1-1)*n2; zz += n2 {
@@ -443,52 +421,45 @@ func (k *kern) subRelax(o, v, um, uz, up []float64, n1, n2 int, c stencil.Coeffs
 	return sum, maxAbs
 }
 
-// subRelaxPlane is the scalar backend of kern.subRelax, j/k-tiled. The row
-// base rolls forward one row stride per j step in all three input planes;
-// the j±1 neighbour rows are one stride either side.
-func subRelaxPlane(o, v, um, uz, up []float64, n1, n2, tile int, c stencil.Coeffs) {
+// subRelaxPlane is the scalar backend of kern.subRelax. The row base rolls
+// forward one row stride per j step in all three input planes; the j±1
+// neighbour rows are one stride either side.
+func subRelaxPlane(o, v, um, uz, up []float64, n1, n2 int, c stencil.Coeffs) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
-	tj, tk := tileOr(tile, n1-2), tileOr(tile, n2-2)
-	for jt := 1; jt < n1-1; jt += tj {
-		jEnd := min(jt+tj, n1-1)
-		for kt := 1; kt < n2-1; kt += tk {
-			kEnd := min(kt+tk, n2-1)
-			for j, zz := jt, jt*n2; j < jEnd; j, zz = j+1, zz+n2 {
-				uMM, uMZ, uMP := um[zz-n2:zz], um[zz:zz+n2], um[zz+n2:zz+2*n2]
-				uZM, uZZ, uZP := uz[zz-n2:zz], uz[zz:zz+n2], uz[zz+n2:zz+2*n2]
-				uPM, uPZ, uPP := up[zz-n2:zz], up[zz:zz+n2], up[zz+n2:zz+2*n2]
-				oZZ, vZZ := o[zz:zz+n2], v[zz:zz+n2]
-				if c1 == 0 {
-					// Constant folding of the zero face coefficient (the
-					// A stencil): c1·s1 is an exact zero, so c0·x + c1·s1
-					// equals c0·x and s1's additions disappear — the
-					// specialization sac2c derives from the constant
-					// coefficient vector.
-					for k := kt; k < kEnd; k++ {
-						u1m := ((uMZ[k-1] + uZM[k-1]) + uZP[k-1]) + uPZ[k-1]
-						u1p := ((uMZ[k+1] + uZM[k+1]) + uZP[k+1]) + uPZ[k+1]
-						u2m := ((uMM[k-1] + uMP[k-1]) + uPM[k-1]) + uPP[k-1]
-						u2z := ((uMM[k] + uMP[k]) + uPM[k]) + uPP[k]
-						u2p := ((uMM[k+1] + uMP[k+1]) + uPM[k+1]) + uPP[k+1]
-						s2 := (u2z + u1m) + u1p
-						s3 := u2m + u2p
-						oZZ[k] = vZZ[k] - ((c0*uZZ[k] + c2*s2) + c3*s3)
-					}
-					continue
-				}
-				for k := kt; k < kEnd; k++ {
-					u1m := ((uMZ[k-1] + uZM[k-1]) + uZP[k-1]) + uPZ[k-1]
-					u1z := ((uMZ[k] + uZM[k]) + uZP[k]) + uPZ[k]
-					u1p := ((uMZ[k+1] + uZM[k+1]) + uZP[k+1]) + uPZ[k+1]
-					u2m := ((uMM[k-1] + uMP[k-1]) + uPM[k-1]) + uPP[k-1]
-					u2z := ((uMM[k] + uMP[k]) + uPM[k]) + uPP[k]
-					u2p := ((uMM[k+1] + uMP[k+1]) + uPM[k+1]) + uPP[k+1]
-					s1 := (uZZ[k-1] + uZZ[k+1]) + u1z
-					s2 := (u2z + u1m) + u1p
-					s3 := u2m + u2p
-					oZZ[k] = vZZ[k] - (((c0*uZZ[k] + c1*s1) + c2*s2) + c3*s3)
-				}
+	for zz := n2; zz < (n1-1)*n2; zz += n2 {
+		uMM, uMZ, uMP := um[zz-n2:zz], um[zz:zz+n2], um[zz+n2:zz+2*n2]
+		uZM, uZZ, uZP := uz[zz-n2:zz], uz[zz:zz+n2], uz[zz+n2:zz+2*n2]
+		uPM, uPZ, uPP := up[zz-n2:zz], up[zz:zz+n2], up[zz+n2:zz+2*n2]
+		oZZ, vZZ := o[zz:zz+n2], v[zz:zz+n2]
+		if c1 == 0 {
+			// Constant folding of the zero face coefficient (the
+			// A stencil): c1·s1 is an exact zero, so c0·x + c1·s1
+			// equals c0·x and s1's additions disappear — the
+			// specialization sac2c derives from the constant
+			// coefficient vector.
+			for k := 1; k < n2-1; k++ {
+				u1m := ((uMZ[k-1] + uZM[k-1]) + uZP[k-1]) + uPZ[k-1]
+				u1p := ((uMZ[k+1] + uZM[k+1]) + uZP[k+1]) + uPZ[k+1]
+				u2m := ((uMM[k-1] + uMP[k-1]) + uPM[k-1]) + uPP[k-1]
+				u2z := ((uMM[k] + uMP[k]) + uPM[k]) + uPP[k]
+				u2p := ((uMM[k+1] + uMP[k+1]) + uPM[k+1]) + uPP[k+1]
+				s2 := (u2z + u1m) + u1p
+				s3 := u2m + u2p
+				oZZ[k] = vZZ[k] - ((c0*uZZ[k] + c2*s2) + c3*s3)
 			}
+			continue
+		}
+		for k := 1; k < n2-1; k++ {
+			u1m := ((uMZ[k-1] + uZM[k-1]) + uZP[k-1]) + uPZ[k-1]
+			u1z := ((uMZ[k] + uZM[k]) + uZP[k]) + uPZ[k]
+			u1p := ((uMZ[k+1] + uZM[k+1]) + uZP[k+1]) + uPZ[k+1]
+			u2m := ((uMM[k-1] + uMP[k-1]) + uPM[k-1]) + uPP[k-1]
+			u2z := ((uMM[k] + uMP[k]) + uPM[k]) + uPP[k]
+			u2p := ((uMM[k+1] + uMP[k+1]) + uPM[k+1]) + uPP[k+1]
+			s1 := (uZZ[k-1] + uZZ[k+1]) + u1z
+			s2 := (u2z + u1m) + u1p
+			s3 := u2m + u2p
+			oZZ[k] = vZZ[k] - (((c0*uZZ[k] + c1*s1) + c2*s2) + c3*s3)
 		}
 	}
 }
@@ -522,11 +493,11 @@ func addRelaxSweep(e *wl.Env, u, z, r *array.Array, c stencil.Coeffs) *array.Arr
 	}
 	endPlanes(od, zd, ud, n0, n1*n2)
 	pl := planPlanes(e, "addRelax", n0, (n1-2)*(n2-2))
-	tile, variant := pl.tile, pl.variant
+	variant := pl.variant
 	if pl.inline() {
-		AddRelaxPlanes(e.Pool, od, zd, ud, rd, n1, n2, pl.interior(), tile, variant, c)
+		AddRelaxPlanes(e.Pool, od, zd, ud, rd, n1, n2, pl.interior(), variant, c)
 	} else {
-		pl.fanOut(func(p PlaneSpan) { AddRelaxPlanes(e.Pool, od, zd, ud, rd, n1, n2, p, tile, variant, c) })
+		pl.fanOut(func(p PlaneSpan) { AddRelaxPlanes(e.Pool, od, zd, ud, rd, n1, n2, p, variant, c) })
 	}
 	pl.finish(started, od)
 	return out
@@ -535,8 +506,8 @@ func addRelaxSweep(e *wl.Env, u, z, r *array.Array, c stencil.Coeffs) *array.Arr
 // AddRelaxPlanes is the plane-range entry point of addRelax (ud == nil,
 // out = z + Relax(r, c)) and addRelaxPlus (out = u + (z + Relax(r, c))) on
 // the interior rows of planes p (planes.go). od may alias zd or ud.
-func AddRelaxPlanes(pool *mempool.Pool, od, zd, ud, rd []float64, n1, n2 int, p PlaneSpan, tile int, variant string, c stencil.Coeffs) {
-	k := borrowKern(pool, variant, tile, p.Frame, n2, n2)
+func AddRelaxPlanes(pool *mempool.Pool, od, zd, ud, rd []float64, n1, n2 int, p PlaneSpan, variant string, c stencil.Coeffs) {
+	k := borrowKern(pool, variant, p.Frame, n2, n2)
 	pl := n1 * n2
 	for i := p.Lo; i <= p.Hi; i++ {
 		k.addRelax(planeOf(od, i, pl), planeOf(zd, i, pl), planeOf(ud, i, pl),
@@ -551,80 +522,73 @@ func (k *kern) addRelax(o, z, u, rm, rz, rp []float64, n1, n2 int, c stencil.Coe
 	if k.lined {
 		addRelaxPlaneLined(o, z, u, rm, rz, rp, n1, n2, c, k.u1, k.u2, k.vec)
 	} else {
-		addRelaxPlane(o, z, u, rm, rz, rp, n1, n2, k.tile, c)
+		addRelaxPlane(o, z, u, rm, rz, rp, n1, n2, c)
 	}
 	if k.frame {
 		writeFrame(o, z, u, n1, n2)
 	}
 }
 
-// addRelaxPlane is the scalar backend of kern.addRelax, j/k-tiled with a
-// rolling row base like subRelaxPlane.
-func addRelaxPlane(o, z, u, rm, rz, rp []float64, n1, n2, tile int, c stencil.Coeffs) {
+// addRelaxPlane is the scalar backend of kern.addRelax, with a rolling row
+// base like subRelaxPlane.
+func addRelaxPlane(o, z, u, rm, rz, rp []float64, n1, n2 int, c stencil.Coeffs) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
-	tj, tk := tileOr(tile, n1-2), tileOr(tile, n2-2)
-	for jt := 1; jt < n1-1; jt += tj {
-		jEnd := min(jt+tj, n1-1)
-		for kt := 1; kt < n2-1; kt += tk {
-			kEnd := min(kt+tk, n2-1)
-			for j, zz := jt, jt*n2; j < jEnd; j, zz = j+1, zz+n2 {
-				rMM, rMZ, rMP := rm[zz-n2:zz], rm[zz:zz+n2], rm[zz+n2:zz+2*n2]
-				rZM, rZZ, rZP := rz[zz-n2:zz], rz[zz:zz+n2], rz[zz+n2:zz+2*n2]
-				rPM, rPZ, rPP := rp[zz-n2:zz], rp[zz:zz+n2], rp[zz+n2:zz+2*n2]
-				oZZ, zZZ := o[zz:zz+n2], z[zz:zz+n2]
-				switch {
-				case u == nil && c3 == 0:
-					// Constant folding of the zero corner coefficient
-					// (the S stencils): c3·s3 was an exact zero, so s3's
-					// corner additions disappear.
-					for k := kt; k < kEnd; k++ {
-						u1m := ((rMZ[k-1] + rZM[k-1]) + rZP[k-1]) + rPZ[k-1]
-						u1z := ((rMZ[k] + rZM[k]) + rZP[k]) + rPZ[k]
-						u1p := ((rMZ[k+1] + rZM[k+1]) + rZP[k+1]) + rPZ[k+1]
-						u2z := ((rMM[k] + rMP[k]) + rPM[k]) + rPP[k]
-						s1 := (rZZ[k-1] + rZZ[k+1]) + u1z
-						s2 := (u2z + u1m) + u1p
-						oZZ[k] = zZZ[k] + ((c0*rZZ[k] + c1*s1) + c2*s2)
-					}
-				case u == nil:
-					for k := kt; k < kEnd; k++ {
-						u1m := ((rMZ[k-1] + rZM[k-1]) + rZP[k-1]) + rPZ[k-1]
-						u1z := ((rMZ[k] + rZM[k]) + rZP[k]) + rPZ[k]
-						u1p := ((rMZ[k+1] + rZM[k+1]) + rZP[k+1]) + rPZ[k+1]
-						u2m := ((rMM[k-1] + rMP[k-1]) + rPM[k-1]) + rPP[k-1]
-						u2z := ((rMM[k] + rMP[k]) + rPM[k]) + rPP[k]
-						u2p := ((rMM[k+1] + rMP[k+1]) + rPM[k+1]) + rPP[k+1]
-						s1 := (rZZ[k-1] + rZZ[k+1]) + u1z
-						s2 := (u2z + u1m) + u1p
-						s3 := u2m + u2p
-						oZZ[k] = zZZ[k] + (((c0*rZZ[k] + c1*s1) + c2*s2) + c3*s3)
-					}
-				case c3 == 0:
-					uZZ := u[zz : zz+n2]
-					for k := kt; k < kEnd; k++ {
-						u1m := ((rMZ[k-1] + rZM[k-1]) + rZP[k-1]) + rPZ[k-1]
-						u1z := ((rMZ[k] + rZM[k]) + rZP[k]) + rPZ[k]
-						u1p := ((rMZ[k+1] + rZM[k+1]) + rZP[k+1]) + rPZ[k+1]
-						u2z := ((rMM[k] + rMP[k]) + rPM[k]) + rPP[k]
-						s1 := (rZZ[k-1] + rZZ[k+1]) + u1z
-						s2 := (u2z + u1m) + u1p
-						oZZ[k] = uZZ[k] + (zZZ[k] + ((c0*rZZ[k] + c1*s1) + c2*s2))
-					}
-				default:
-					uZZ := u[zz : zz+n2]
-					for k := kt; k < kEnd; k++ {
-						u1m := ((rMZ[k-1] + rZM[k-1]) + rZP[k-1]) + rPZ[k-1]
-						u1z := ((rMZ[k] + rZM[k]) + rZP[k]) + rPZ[k]
-						u1p := ((rMZ[k+1] + rZM[k+1]) + rZP[k+1]) + rPZ[k+1]
-						u2m := ((rMM[k-1] + rMP[k-1]) + rPM[k-1]) + rPP[k-1]
-						u2z := ((rMM[k] + rMP[k]) + rPM[k]) + rPP[k]
-						u2p := ((rMM[k+1] + rMP[k+1]) + rPM[k+1]) + rPP[k+1]
-						s1 := (rZZ[k-1] + rZZ[k+1]) + u1z
-						s2 := (u2z + u1m) + u1p
-						s3 := u2m + u2p
-						oZZ[k] = uZZ[k] + (zZZ[k] + (((c0*rZZ[k] + c1*s1) + c2*s2) + c3*s3))
-					}
-				}
+	for zz := n2; zz < (n1-1)*n2; zz += n2 {
+		rMM, rMZ, rMP := rm[zz-n2:zz], rm[zz:zz+n2], rm[zz+n2:zz+2*n2]
+		rZM, rZZ, rZP := rz[zz-n2:zz], rz[zz:zz+n2], rz[zz+n2:zz+2*n2]
+		rPM, rPZ, rPP := rp[zz-n2:zz], rp[zz:zz+n2], rp[zz+n2:zz+2*n2]
+		oZZ, zZZ := o[zz:zz+n2], z[zz:zz+n2]
+		switch {
+		case u == nil && c3 == 0:
+			// Constant folding of the zero corner coefficient
+			// (the S stencils): c3·s3 was an exact zero, so s3's
+			// corner additions disappear.
+			for k := 1; k < n2-1; k++ {
+				u1m := ((rMZ[k-1] + rZM[k-1]) + rZP[k-1]) + rPZ[k-1]
+				u1z := ((rMZ[k] + rZM[k]) + rZP[k]) + rPZ[k]
+				u1p := ((rMZ[k+1] + rZM[k+1]) + rZP[k+1]) + rPZ[k+1]
+				u2z := ((rMM[k] + rMP[k]) + rPM[k]) + rPP[k]
+				s1 := (rZZ[k-1] + rZZ[k+1]) + u1z
+				s2 := (u2z + u1m) + u1p
+				oZZ[k] = zZZ[k] + ((c0*rZZ[k] + c1*s1) + c2*s2)
+			}
+		case u == nil:
+			for k := 1; k < n2-1; k++ {
+				u1m := ((rMZ[k-1] + rZM[k-1]) + rZP[k-1]) + rPZ[k-1]
+				u1z := ((rMZ[k] + rZM[k]) + rZP[k]) + rPZ[k]
+				u1p := ((rMZ[k+1] + rZM[k+1]) + rZP[k+1]) + rPZ[k+1]
+				u2m := ((rMM[k-1] + rMP[k-1]) + rPM[k-1]) + rPP[k-1]
+				u2z := ((rMM[k] + rMP[k]) + rPM[k]) + rPP[k]
+				u2p := ((rMM[k+1] + rMP[k+1]) + rPM[k+1]) + rPP[k+1]
+				s1 := (rZZ[k-1] + rZZ[k+1]) + u1z
+				s2 := (u2z + u1m) + u1p
+				s3 := u2m + u2p
+				oZZ[k] = zZZ[k] + (((c0*rZZ[k] + c1*s1) + c2*s2) + c3*s3)
+			}
+		case c3 == 0:
+			uZZ := u[zz : zz+n2]
+			for k := 1; k < n2-1; k++ {
+				u1m := ((rMZ[k-1] + rZM[k-1]) + rZP[k-1]) + rPZ[k-1]
+				u1z := ((rMZ[k] + rZM[k]) + rZP[k]) + rPZ[k]
+				u1p := ((rMZ[k+1] + rZM[k+1]) + rZP[k+1]) + rPZ[k+1]
+				u2z := ((rMM[k] + rMP[k]) + rPM[k]) + rPP[k]
+				s1 := (rZZ[k-1] + rZZ[k+1]) + u1z
+				s2 := (u2z + u1m) + u1p
+				oZZ[k] = uZZ[k] + (zZZ[k] + ((c0*rZZ[k] + c1*s1) + c2*s2))
+			}
+		default:
+			uZZ := u[zz : zz+n2]
+			for k := 1; k < n2-1; k++ {
+				u1m := ((rMZ[k-1] + rZM[k-1]) + rZP[k-1]) + rPZ[k-1]
+				u1z := ((rMZ[k] + rZM[k]) + rZP[k]) + rPZ[k]
+				u1p := ((rMZ[k+1] + rZM[k+1]) + rZP[k+1]) + rPZ[k+1]
+				u2m := ((rMM[k-1] + rMP[k-1]) + rPM[k-1]) + rPP[k-1]
+				u2z := ((rMM[k] + rMP[k]) + rPM[k]) + rPP[k]
+				u2p := ((rMM[k+1] + rMP[k+1]) + rPM[k+1]) + rPP[k+1]
+				s1 := (rZZ[k-1] + rZZ[k+1]) + u1z
+				s2 := (u2z + u1m) + u1p
+				s3 := u2m + u2p
+				oZZ[k] = uZZ[k] + (zZZ[k] + (((c0*rZZ[k] + c1*s1) + c2*s2) + c3*s3))
 			}
 		}
 	}
@@ -645,11 +609,11 @@ func projectCondense(e *wl.Env, r *array.Array, c stencil.Coeffs) *array.Array {
 	od, rd := out.Data(), r.Data()
 	endPlanes(od, nil, nil, mo, mo*mo)
 	pl := planPlanes(e, "projectCondense", mo, (mo-2)*(mo-2))
-	tile, variant := pl.tile, pl.variant
+	variant := pl.variant
 	if pl.inline() {
-		ProjectCondensePlanes(e.Pool, od, rd, mf, mf, pl.interior(), tile, variant, c)
+		ProjectCondensePlanes(e.Pool, od, rd, mf, mf, pl.interior(), variant, c)
 	} else {
-		pl.fanOut(func(p PlaneSpan) { ProjectCondensePlanes(e.Pool, od, rd, mf, mf, p, tile, variant, c) })
+		pl.fanOut(func(p PlaneSpan) { ProjectCondensePlanes(e.Pool, od, rd, mf, mf, p, variant, c) })
 	}
 	pl.finish(started, od)
 	return out
@@ -659,8 +623,8 @@ func projectCondense(e *wl.Env, r *array.Array, c stencil.Coeffs) *array.Array {
 // (planes.go): the interior rows of the coarse planes p, from a fine box
 // with lateral extents (fn1, fn2). The coarse box has f/2 + 1 points per
 // fine extent f, coarse point j under fine point 2j on every axis.
-func ProjectCondensePlanes(pool *mempool.Pool, od, rd []float64, fn1, fn2 int, p PlaneSpan, tile int, variant string, c stencil.Coeffs) {
-	k := borrowKern(pool, variant, tile, p.Frame, fn2, fn2)
+func ProjectCondensePlanes(pool *mempool.Pool, od, rd []float64, fn1, fn2 int, p PlaneSpan, variant string, c stencil.Coeffs) {
+	k := borrowKern(pool, variant, p.Frame, fn2, fn2)
 	fpl, cpl := fn1*fn2, (fn1/2+1)*(fn2/2+1)
 	for jc := p.Lo; jc <= p.Hi; jc++ {
 		k.project(planeOf(od, jc, cpl), planeOf(rd, 2*jc-1, fpl), planeOf(rd, 2*jc, fpl), planeOf(rd, 2*jc+1, fpl), fn1, fn2, c)
@@ -674,40 +638,33 @@ func (k *kern) project(o, rm, rz, rp []float64, fn1, fn2 int, c stencil.Coeffs) 
 	if k.lined {
 		projectCondensePlaneLined(o, rm, rz, rp, fn1, fn2, c, k.u1, k.u2, k.vec)
 	} else {
-		projectCondensePlane(o, rm, rz, rp, fn1, fn2, k.tile, c)
+		projectCondensePlane(o, rm, rz, rp, fn1, fn2, c)
 	}
 	if k.frame {
 		writeFrame(o, nil, nil, fn1/2+1, fn2/2+1)
 	}
 }
 
-// projectCondensePlane is the scalar backend of kern.project, j/k-tiled
-// over the coarse index space. The fine row base advances two row strides
-// per coarse row.
-func projectCondensePlane(o, rm, rz, rp []float64, fn1, fn2, tile int, c stencil.Coeffs) {
+// projectCondensePlane is the scalar backend of kern.project, over the
+// coarse index space. The fine row base advances two row strides per
+// coarse row.
+func projectCondensePlane(o, rm, rz, rp []float64, fn1, fn2 int, c stencil.Coeffs) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
 	cn1, cn2 := fn1/2+1, fn2/2+1
-	tj, tk := tileOr(tile, cn1-2), tileOr(tile, cn2-2)
-	for jt := 1; jt < cn1-1; jt += tj {
-		jEnd := min(jt+tj, cn1-1)
-		for kt := 1; kt < cn2-1; kt += tk {
-			kEnd := min(kt+tk, cn2-1)
-			for j2, zz, base := jt, 2*jt*fn2, jt*cn2; j2 < jEnd; j2, zz, base = j2+1, zz+2*fn2, base+cn2 {
-				zm, zp := zz-fn2, zz+fn2
-				for j1 := kt; j1 < kEnd; j1++ {
-					k := 2 * j1
-					u1m := ((rm[zz+k-1] + rz[zm+k-1]) + rz[zp+k-1]) + rp[zz+k-1]
-					u1z := ((rm[zz+k] + rz[zm+k]) + rz[zp+k]) + rp[zz+k]
-					u1p := ((rm[zz+k+1] + rz[zm+k+1]) + rz[zp+k+1]) + rp[zz+k+1]
-					u2m := ((rm[zm+k-1] + rm[zp+k-1]) + rp[zm+k-1]) + rp[zp+k-1]
-					u2z := ((rm[zm+k] + rm[zp+k]) + rp[zm+k]) + rp[zp+k]
-					u2p := ((rm[zm+k+1] + rm[zp+k+1]) + rp[zm+k+1]) + rp[zp+k+1]
-					s1 := (rz[zz+k-1] + rz[zz+k+1]) + u1z
-					s2 := (u2z + u1m) + u1p
-					s3 := u2m + u2p
-					o[base+j1] = ((c0*rz[zz+k] + c1*s1) + c2*s2) + c3*s3
-				}
-			}
+	for zz, base := 2*fn2, cn2; base < (cn1-1)*cn2; zz, base = zz+2*fn2, base+cn2 {
+		zm, zp := zz-fn2, zz+fn2
+		for j1 := 1; j1 < cn2-1; j1++ {
+			k := 2 * j1
+			u1m := ((rm[zz+k-1] + rz[zm+k-1]) + rz[zp+k-1]) + rp[zz+k-1]
+			u1z := ((rm[zz+k] + rz[zm+k]) + rz[zp+k]) + rp[zz+k]
+			u1p := ((rm[zz+k+1] + rz[zm+k+1]) + rz[zp+k+1]) + rp[zz+k+1]
+			u2m := ((rm[zm+k-1] + rm[zp+k-1]) + rp[zm+k-1]) + rp[zp+k-1]
+			u2z := ((rm[zm+k] + rm[zp+k]) + rp[zm+k]) + rp[zp+k]
+			u2p := ((rm[zm+k+1] + rm[zp+k+1]) + rp[zm+k+1]) + rp[zp+k+1]
+			s1 := (rz[zz+k-1] + rz[zz+k+1]) + u1z
+			s2 := (u2z + u1m) + u1p
+			s3 := u2m + u2p
+			o[base+j1] = ((c0*rz[zz+k] + c1*s1) + c2*s2) + c3*s3
 		}
 	}
 }
@@ -729,11 +686,11 @@ func interpolate(e *wl.Env, rn *array.Array, c stencil.Coeffs) *array.Array {
 	od, zd := out.Data(), rn.Data()
 	endPlanes(od, nil, nil, mf, mf*mf)
 	pl := planPlanes(e, "interpolate", mf, (mf-2)*(mf-2))
-	tile, variant := pl.tile, pl.variant
+	variant := pl.variant
 	if pl.inline() {
-		InterpolatePlanes(e.Pool, od, nil, zd, mc, mc, pl.interior(), false, tile, variant, c)
+		InterpolatePlanes(e.Pool, od, nil, zd, mc, mc, pl.interior(), false, variant, c)
 	} else {
-		pl.fanOut(func(p PlaneSpan) { InterpolatePlanes(e.Pool, od, nil, zd, mc, mc, p, false, tile, variant, c) })
+		pl.fanOut(func(p PlaneSpan) { InterpolatePlanes(e.Pool, od, nil, zd, mc, mc, p, false, variant, c) })
 	}
 	pl.finish(started, od)
 	return out
@@ -749,7 +706,7 @@ func interpolate(e *wl.Env, rn *array.Array, c stencil.Coeffs) *array.Array {
 // halo without an exchange; otherwise only interior rows and columns are
 // written.
 func InterpolatePlanes(pool *mempool.Pool, od, wd, zd []float64, cn1, cn2 int, p PlaneSpan, halo bool,
-	tile int, variant string, c stencil.Coeffs) {
+	variant string, c stencil.Coeffs) {
 	m, stage := 1, 0 // first row and column written; staging row of the accumulating form
 	if halo {
 		m = 0
@@ -757,7 +714,7 @@ func InterpolatePlanes(pool *mempool.Pool, od, wd, zd []float64, cn1, cn2 int, p
 	if wd != nil {
 		stage = 2*cn2 - 2
 	}
-	k := borrowKern(pool, variant, tile, p.Frame && !halo, cn2, stage)
+	k := borrowKern(pool, variant, p.Frame && !halo, cn2, stage)
 	fpl, cpl := (2*cn1-2)*(2*cn2-2), cn1*cn2
 	for f3 := p.Lo; f3 <= p.Hi; f3++ {
 		k.interpolate(planeOf(od, f3, fpl), planeOf(wd, f3, fpl), planeOf(zd, f3/2, cpl), planeOf(zd, (f3+1)/2, cpl), f3&1 == 1, cn1, cn2, m, c)
@@ -776,59 +733,52 @@ func (k *kern) interpolate(o, w, zl, zh []float64, o3 bool, cn1, cn2, m int, c s
 		// accumulating form stages Q·z in a fine-row buffer.
 		interpolatePlaneLined(o, w, zl, zh, o3, cn1, cn2, m, c, k.u1, k.u2, k.vec)
 	} else {
-		interpolatePlane(o, w, zl, zh, o3, cn1, cn2, m, k.tile, c)
+		interpolatePlane(o, w, zl, zh, o3, cn1, cn2, m, c)
 	}
 	if k.frame {
 		writeFrame(o, w, nil, 2*cn1-2, 2*cn2-2)
 	}
 }
 
-// interpolatePlane is the scalar backend of kern.interpolate, j/k-tiled
-// over the fine index space. The four contributing coarse row bases are
-// derived with one multiply per row (the high row is the low row or one
-// stride above).
-func interpolatePlane(o, w, zl, zh []float64, o3 bool, cn1, cn2, m, tile int, c stencil.Coeffs) {
+// interpolatePlane is the scalar backend of kern.interpolate, over the
+// fine index space. The four contributing coarse row bases are derived
+// with one multiply per row (the high row is the low row or one stride
+// above).
+func interpolatePlane(o, w, zl, zh []float64, o3 bool, cn1, cn2, m int, c stencil.Coeffs) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
 	fn1, fn2 := 2*cn1-2, 2*cn2-2
-	tj, tk := tileOr(tile, fn1-2*m), tileOr(tile, fn2-2*m)
-	for jt := m; jt < fn1-m; jt += tj {
-		jEnd := min(jt+tj, fn1-m)
-		for kt := m; kt < fn2-m; kt += tk {
-			kEnd := min(kt+tk, fn2-m)
-			for f2, base := jt, jt*fn2; f2 < jEnd; f2, base = f2+1, base+fn2 {
-				l2, h2, o2 := f2/2, (f2+1)/2, f2&1 == 1
-				// Row bases of the up-to-four contributing coarse rows:
-				// low and high row in zl, and the same two in zh.
-				bl := l2 * cn2
-				bh := bl + (h2-l2)*cn2
-				for f1 := kt; f1 < kEnd; f1++ {
-					l1, h1, o1 := f1/2, (f1+1)/2, f1&1 == 1
-					var val float64
-					switch {
-					case !o3 && !o2 && !o1:
-						val = c0 * zl[bl+l1]
-					case !o3 && !o2 && o1:
-						val = c1 * (zl[bl+l1] + zl[bl+h1])
-					case !o3 && o2 && !o1:
-						val = c1 * (zl[bl+l1] + zl[bh+l1])
-					case o3 && !o2 && !o1:
-						val = c1 * (zl[bl+l1] + zh[bl+l1])
-					case !o3 && o2 && o1:
-						val = c2 * ((zl[bl+l1] + zl[bh+l1]) + (zl[bl+h1] + zl[bh+h1]))
-					case o3 && !o2 && o1:
-						val = c2 * ((zl[bl+l1] + zh[bl+l1]) + (zl[bl+h1] + zh[bl+h1]))
-					case o3 && o2 && !o1:
-						val = c2 * (((zl[bl+l1] + zl[bh+l1]) + zh[bl+l1]) + zh[bh+l1])
-					default:
-						val = c3 * ((((zl[bl+l1] + zl[bh+l1]) + zh[bl+l1]) + zh[bh+l1]) +
-							(((zl[bl+h1] + zl[bh+h1]) + zh[bl+h1]) + zh[bh+h1]))
-					}
-					if w != nil {
-						val = w[base+f1] + val
-					}
-					o[base+f1] = val
-				}
+	for f2, base := m, m*fn2; f2 < fn1-m; f2, base = f2+1, base+fn2 {
+		l2, h2, o2 := f2/2, (f2+1)/2, f2&1 == 1
+		// Row bases of the up-to-four contributing coarse rows:
+		// low and high row in zl, and the same two in zh.
+		bl := l2 * cn2
+		bh := bl + (h2-l2)*cn2
+		for f1 := m; f1 < fn2-m; f1++ {
+			l1, h1, o1 := f1/2, (f1+1)/2, f1&1 == 1
+			var val float64
+			switch {
+			case !o3 && !o2 && !o1:
+				val = c0 * zl[bl+l1]
+			case !o3 && !o2 && o1:
+				val = c1 * (zl[bl+l1] + zl[bl+h1])
+			case !o3 && o2 && !o1:
+				val = c1 * (zl[bl+l1] + zl[bh+l1])
+			case o3 && !o2 && !o1:
+				val = c1 * (zl[bl+l1] + zh[bl+l1])
+			case !o3 && o2 && o1:
+				val = c2 * ((zl[bl+l1] + zl[bh+l1]) + (zl[bl+h1] + zl[bh+h1]))
+			case o3 && !o2 && o1:
+				val = c2 * ((zl[bl+l1] + zh[bl+l1]) + (zl[bl+h1] + zh[bl+h1]))
+			case o3 && o2 && !o1:
+				val = c2 * (((zl[bl+l1] + zl[bh+l1]) + zh[bl+l1]) + zh[bh+l1])
+			default:
+				val = c3 * ((((zl[bl+l1] + zl[bh+l1]) + zh[bl+l1]) + zh[bh+l1]) +
+					(((zl[bl+h1] + zl[bh+h1]) + zh[bl+h1]) + zh[bh+h1]))
 			}
+			if w != nil {
+				val = w[base+f1] + val
+			}
+			o[base+f1] = val
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Line-buffered and SIMD backends of the fused O3 plane kernels — the
-// "buffered" and "simd" kernel variants of the per-(kernel, level) plans
-// (see the package comment's "Kernel variants" section).
+// "buffered" and "simd" kernel variants (see the package comment's
+// "Kernel variants" section).
 //
 // The scalar kernels recompute every in-plane sub-sum of the canonical
 // association three times (at k−1, k and k+1 as the k loop slides). The
@@ -18,11 +18,6 @@
 // through internal/simd, whose lanes execute the same operation tree;
 // the simd combine applies all four coefficient terms where the scalar
 // branches drop exact zeros, which cannot change an IEEE-754 sum.
-//
-// The lined kernels ignore the plan's tile edge: tiling only permutes
-// independent writes (no result change), and the line buffers already
-// serialise whole rows through the cache, which is what the j/k tiling
-// of the scalar kernels approximates.
 package core
 
 import (

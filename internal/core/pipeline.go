@@ -21,12 +21,12 @@
 // exchanged; z's in-plane frame is interpolated from zn's halo
 // (InterpolatePlanes' halo mode), and r₂'s is wrapped in the ring right
 // after its rows. Workers take one contiguous span each whatever policy
-// the plan names — every further span would pay the lead-in again — and
-// write disjoint planes, so any worker count computes the same bits.
+// the environment names — every further span would pay the lead-in again —
+// and write disjoint planes, so any worker count computes the same bits.
 //
 // The sweep is a schedule of the four folded kernels, not a fifth: each
-// stage resolves its backend through PlanFor under its own kernel name and
-// is filed in the ledger under its own (kernel, level) row (observe.go).
+// stage resolves its backend through PlanFor and is filed in the ledger
+// under its own (kernel, level) row (observe.go).
 package core
 
 import (
@@ -68,7 +68,7 @@ type sweep struct {
 }
 
 // run executes the sweep over the interior planes of its last stage —
-// inline, or one contiguous span per worker — and closes the stages' plans.
+// inline, or one contiguous span per worker.
 func (sw *sweep) run() {
 	if pl := &sw.end; pl.inline() {
 		sw.span(PlaneSpan{Lo: 1, Hi: pl.planes})
@@ -77,11 +77,6 @@ func (sw *sweep) run() {
 		pl.opts.Policy = sched.StaticBlock
 		pl.fanOut(par.span)
 	}
-	if sw.zn != nil {
-		sw.top.commit()
-	}
-	sw.mid.commit()
-	sw.end.commit()
 }
 
 // span runs the leg the sweep was set up for — up from zn, or down to rn.
@@ -140,9 +135,9 @@ func (s *Solver) correct(u, zn, r *array.Array) *array.Array {
 func (sw *sweep) up(p PlaneSpan) {
 	pool, n, cn := sw.s.Env.Pool, sw.n, sw.cn
 	pl, cpl := n*n, cn*cn
-	ki := borrowKern(pool, sw.top.variant, sw.top.tile, false, cn, 0)
-	kr := borrowKern(pool, sw.mid.variant, sw.mid.tile, false, n, n)
-	ka := borrowKern(pool, sw.end.variant, sw.end.tile, true, n, n)
+	ki := borrowKern(pool, sw.top.variant, false, cn, 0)
+	kr := borrowKern(pool, sw.mid.variant, false, n, n)
+	ka := borrowKern(pool, sw.end.variant, true, n, n)
 	ring := pool.GetDirty(6 * pl)
 	zAt := func(q int) []float64 { return planeOf(ring, (q+3)%3, pl) }
 	r2At := func(q int) []float64 { return planeOf(ring, 3+(q+3)%3, pl) }
@@ -221,8 +216,8 @@ func (s *Solver) residProject(v, u *array.Array) (r, rn *array.Array) {
 func (sw *sweep) down(p PlaneSpan) {
 	pool, n, cn := sw.s.Env.Pool, sw.n, sw.cn
 	pl, cpl := n*n, cn*cn
-	kr := borrowKern(pool, sw.mid.variant, sw.mid.tile, false, n, n)
-	kp := borrowKern(pool, sw.end.variant, sw.end.tile, true, n, n)
+	kr := borrowKern(pool, sw.mid.variant, false, n, n)
+	kp := borrowKern(pool, sw.end.variant, true, n, n)
 	spare := pool.GetDirty(pl)
 	clk := sw.watch.start()
 	for f := 2*p.Lo - 1; f <= 2*p.Hi+1; f++ {

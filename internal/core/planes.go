@@ -30,7 +30,7 @@
 // SplitPlanes is that split.
 package core
 
-import "repro/internal/tune"
+import wl "repro/internal/withloop"
 
 // PlaneSpan is an inclusive range [Lo, Hi] of grid planes along the
 // decomposed axis. An empty span has Hi < Lo.
@@ -56,16 +56,10 @@ func (s PlaneSpan) Count() int {
 }
 
 // PlaneVariant resolves the backend of a plane kernel whose rows have
-// `row` interior points, by the rule wl.Env.PlanFor applies without a
-// tuner: MG_FORCE_VARIANT, else tune.DefaultVariant at the level of that
-// row extent. The key is the row the line buffers see, not the number of
-// planes, so a thin slab of long rows still vectorises.
-func PlaneVariant(row int) string {
-	if forced := tune.ForcedVariant(); forced != "" {
-		return forced
-	}
-	return tune.DefaultVariant(levelOfExtent(row))
-}
+// `row` interior points: wl.VariantFor at the level of that row extent,
+// with no Env.Variant to honour. The key is the row the line buffers see,
+// not the number of planes, so a thin slab of long rows still vectorises.
+func PlaneVariant(row int) string { return wl.VariantFor(levelOfExtent(row), "") }
 
 // SplitPlanes partitions the interior planes of an extended grid of n0
 // planes (interior 1..n0-2, halo planes 0 and n0-1) into the boundary

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/mempool"
 	"repro/internal/nas"
 	"repro/internal/shape"
-	"repro/internal/tune"
 	wl "repro/internal/withloop"
 )
 
@@ -122,61 +120,59 @@ func TestPlaneEntryPointsRectangular(t *testing.T) {
 		f(PlaneSpan{Lo: mid + 1, Hi: p.Hi})
 		f(PlaneSpan{Lo: p.Lo, Hi: mid})
 	}
-	for _, variant := range []string{tune.VariantScalar, tune.VariantBuffered, tune.VariantSIMD} {
-		for _, tile := range []int{0, 3} {
-			name := fmt.Sprintf("%s tile %d: ", variant, tile)
-			pool := mempool.New(true)
-			pool.SetParanoid(true)
+	for _, variant := range []string{wl.VariantScalar, wl.VariantBuffered, wl.VariantSIMD} {
+		name := variant + ": "
+		pool := mempool.New(true)
+		pool.SetParanoid(true)
 
-			out := v.Clone() // the boundary of v − A·u and of v + S·u is v's
-			split(fine, func(p PlaneSpan) {
-				SubRelaxPlanes(pool, out.Data(), v.Data(), u.Data(), f1, f2, p, tile, variant, s.Operator, nil, nil)
-			})
-			sameBits(t, name+"SubRelaxPlanes", out, resid)
+		out := v.Clone() // the boundary of v − A·u and of v + S·u is v's
+		split(fine, func(p PlaneSpan) {
+			SubRelaxPlanes(pool, out.Data(), v.Data(), u.Data(), f1, f2, p, variant, s.Operator, nil, nil)
+		})
+		sameBits(t, name+"SubRelaxPlanes", out, resid)
 
-			out = v.Clone()
-			split(fine, func(p PlaneSpan) {
-				AddRelaxPlanes(pool, out.Data(), out.Data(), nil, u.Data(), f1, f2, p, tile, variant, s.Smoother)
-			})
-			sameBits(t, name+"AddRelaxPlanes in place", out, smooth)
+		out = v.Clone()
+		split(fine, func(p PlaneSpan) {
+			AddRelaxPlanes(pool, out.Data(), out.Data(), nil, u.Data(), f1, f2, p, variant, s.Smoother)
+		})
+		sameBits(t, name+"AddRelaxPlanes in place", out, smooth)
 
-			out = array.New(cs)
-			split(PlaneSpan{Lo: 1, Hi: cs[0] - 2}, func(p PlaneSpan) {
-				ProjectCondensePlanes(pool, out.Data(), u.Data(), f1, f2, p, tile, variant, s.Project)
-			})
-			sameBits(t, name+"ProjectCondensePlanes", out, coarse)
+		out = array.New(cs)
+		split(PlaneSpan{Lo: 1, Hi: cs[0] - 2}, func(p PlaneSpan) {
+			ProjectCondensePlanes(pool, out.Data(), u.Data(), f1, f2, p, variant, s.Project)
+		})
+		sameBits(t, name+"ProjectCondensePlanes", out, coarse)
 
-			out = array.New(u.Shape())
-			split(fine, func(p PlaneSpan) {
-				InterpolatePlanes(pool, out.Data(), nil, z.Data(), cs[1], cs[2], p, false, tile, variant, s.Interp)
-			})
-			sameBits(t, name+"InterpolatePlanes", out, prolong)
+		out = array.New(u.Shape())
+		split(fine, func(p PlaneSpan) {
+			InterpolatePlanes(pool, out.Data(), nil, z.Data(), cs[1], cs[2], p, false, variant, s.Interp)
+		})
+		sameBits(t, name+"InterpolatePlanes", out, prolong)
 
-			out = array.New(u.Shape())
-			split(PlaneSpan{Lo: 0, Hi: f0 - 1}, func(p PlaneSpan) {
-				InterpolatePlanes(pool, out.Data(), nil, z.Data(), cs[1], cs[2], p, true, tile, variant, s.Interp)
-			})
-			sameBits(t, name+"InterpolatePlanes with halo", out, prolongHalo)
+		out = array.New(u.Shape())
+		split(PlaneSpan{Lo: 0, Hi: f0 - 1}, func(p PlaneSpan) {
+			InterpolatePlanes(pool, out.Data(), nil, z.Data(), cs[1], cs[2], p, true, variant, s.Interp)
+		})
+		sameBits(t, name+"InterpolatePlanes with halo", out, prolongHalo)
 
-			out = v.Clone()
-			split(PlaneSpan{Lo: 0, Hi: f0 - 1}, func(p PlaneSpan) {
-				InterpolatePlanes(pool, out.Data(), out.Data(), z.Data(), cs[1], cs[2], p, true, tile, variant, s.Interp)
-			})
-			sameBits(t, name+"InterpolatePlanes accumulating", out, prolongAdd)
+		out = v.Clone()
+		split(PlaneSpan{Lo: 0, Hi: f0 - 1}, func(p PlaneSpan) {
+			InterpolatePlanes(pool, out.Data(), out.Data(), z.Data(), cs[1], cs[2], p, true, variant, s.Interp)
+		})
+		sameBits(t, name+"InterpolatePlanes accumulating", out, prolongAdd)
 
-			if live := pool.Live(); live != 0 {
-				t.Fatalf("%s%d line buffers not returned to the pool", name, live)
-			}
+		if live := pool.Live(); live != 0 {
+			t.Fatalf("%s%d line buffers not returned to the pool", name, live)
 		}
 	}
 }
 
-// PlaneVariant is PlanFor's untuned rule keyed on the row extent.
+// PlaneVariant is PlanFor's rule keyed on the row extent.
 func TestPlaneVariantFollowsDefaultRule(t *testing.T) {
 	for row := 2; row <= 256; row *= 2 {
-		want := wl.Default().VariantFor("subRelax", levelOfExtent(row))
+		_, want := wl.Default().PlanFor(levelOfExtent(row), 1)
 		if got := PlaneVariant(row); got != want {
-			t.Errorf("PlaneVariant(%d) = %q, the untuned plan says %q", row, got, want)
+			t.Errorf("PlaneVariant(%d) = %q, the environment's plan says %q", row, got, want)
 		}
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"repro/internal/mgmpi"
 	"repro/internal/nas"
 	"repro/internal/smp"
-	"repro/internal/tune"
 	wl "repro/internal/withloop"
 )
 
@@ -38,14 +37,9 @@ var ImplNames = []string{"F77", "SAC", "C/OpenMP"}
 
 // SACEnv builds the WITH-loop environment the SAC implementation runs in.
 // It defaults to the paper's sequential configuration; cmd/mgbench swaps
-// it to install a calibrated autotuner plan (-tuneplan) or to attach the
-// observability layer (-metrics, -trace).
+// it to force a kernel variant (-variant) or to attach the observability
+// layer (-metrics, -trace).
 var SACEnv = wl.Default
-
-// TuneObserver, when non-nil, is installed as the Observer of every tuner
-// the harness creates, so plan decisions reach the V-cycle trace
-// (cmd/mgbench -trace).
-var TuneObserver func(tune.Key, tune.Plan)
 
 // Fig11Row is the measurement of one size class: best-of-repeats seconds
 // for the timed benchmark section per implementation, plus verification.
@@ -396,41 +390,4 @@ func countFileLines(path string) (int, error) {
 		}
 	}
 	return total, sc.Err()
-}
-
-// RunTune calibrates the per-(kernel, level) autotuner on the SAC
-// implementation: it solves the given class repeatedly under a calibrating
-// tuner until every loop nest the benchmark executes has settled on a plan
-// (or maxSolves is exhausted), prints the chosen schedule, and returns the
-// tuner. Calibration never changes results — every candidate plan is
-// bit-identical — so the solves double as verification runs. workers <= 0
-// selects GOMAXPROCS.
-func RunTune(w io.Writer, class nas.Class, workers, maxSolves int) *tune.Tuner {
-	env := wl.Parallel(workers)
-	defer env.Close()
-	tu := tune.New(env.Workers())
-	tu.Observer = TuneObserver
-	env.Tune = tu
-	b := core.NewBenchmark(class, env)
-	b.Reset()
-	if maxSolves < 1 {
-		maxSolves = 1
-	}
-	start := time.Now()
-	solves, rnm2 := 0, 0.0
-	for ; solves < maxSolves; solves++ {
-		if tu.Settled() && solves > 0 {
-			break
-		}
-		rnm2, _ = b.Solve()
-	}
-	verified, ok := class.Verify(rnm2)
-	fmt.Fprintf(w, "Autotuned schedule — class %c, %d workers (%d solves, %.2fs, settled=%v, verified=%v)\n",
-		class.Name, env.Workers(), solves, time.Since(start).Seconds(), tu.Settled(), verified && ok)
-	plans := tu.Plans()
-	for _, key := range tune.SortedKeys(plans) {
-		fmt.Fprintf(w, "  %-20s %s\n", key.String(), plans[key].String())
-	}
-	fmt.Fprintln(w)
-	return tu
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/nas"
 	"repro/internal/perfdb"
 	"repro/internal/perfstat"
+	wl "repro/internal/withloop"
 )
 
 // PerfConfig tunes the snapshot collection.
@@ -132,11 +133,11 @@ func RunPerf(w io.Writer, classes []nas.Class, cfg PerfConfig) (*perfdb.Snapshot
 		for key, samples := range kernelSamples {
 			row := perfdb.NewRow(key, samples)
 			row.Calibration = blockCal
-			// Stamp the backend the (by now warmed-up) tuner runs this
-			// kernel with — the variant the recorded samples measured.
-			// Kernels without variant dispatch stay unstamped.
+			// Stamp the backend this kernel runs at this level — the
+			// variant the recorded samples measured. Kernels without
+			// variant dispatch stay unstamped.
 			if core.HasVariants(key.Kernel) {
-				row.Variant = env.VariantFor(key.Kernel, key.Level)
+				row.Variant = wl.VariantFor(key.Level, env.Variant)
 			}
 			derive(&row, kernelPoints[key])
 			snap.Rows = append(snap.Rows, row)

@@ -28,7 +28,7 @@ import (
 	"repro/internal/nas"
 	"repro/internal/nasrand"
 	"repro/internal/obs"
-	"repro/internal/tune"
+	wl "repro/internal/withloop"
 )
 
 // MaxIters bounds the per-request iteration override. The largest NPB
@@ -143,9 +143,9 @@ func (r Request) Normalize() (Request, error) {
 		if r.Impl != "sac" {
 			return Request{}, &RequestError{Field: "variant", Reason: "kernel variants apply to the sac implementation only"}
 		}
-		if !tune.ValidVariant(r.Variant) {
+		if !wl.ValidVariant(r.Variant) {
 			return Request{}, &RequestError{Field: "variant", Reason: fmt.Sprintf("unknown variant %q (want %s, %s or %s)",
-				r.Variant, tune.VariantScalar, tune.VariantBuffered, tune.VariantSIMD)}
+				r.Variant, wl.VariantScalar, wl.VariantBuffered, wl.VariantSIMD)}
 		}
 	}
 	if r.Seed == 0 {

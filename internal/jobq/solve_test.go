@@ -13,7 +13,6 @@ import (
 	"repro/internal/mempool"
 	"repro/internal/nas"
 	"repro/internal/sched"
-	"repro/internal/tune"
 	wl "repro/internal/withloop"
 )
 
@@ -64,8 +63,8 @@ func TestServiceSolveMatchesDirect(t *testing.T) {
 		{Class: "S"},
 		{Class: "S", Impl: "f77"},
 		{Class: "S", Impl: "c"},
-		{Class: "S", Variant: tune.VariantScalar},
-		{Class: "S", Variant: tune.VariantBuffered},
+		{Class: "S", Variant: wl.VariantScalar},
+		{Class: "S", Variant: wl.VariantBuffered},
 		{Class: "S", Iters: 2},
 		{Class: "S", Seed: 271828183, Iters: 3},
 		{Class: "S", Impl: "f77", Seed: 271828183, Iters: 3},
@@ -136,7 +135,7 @@ func TestDefaultDispatchKeepsJobIdentity(t *testing.T) {
 		return req, res, tk.Cached()
 	}
 	def, defRes, _ := solve(Request{Class: "S"})
-	forced, forcedRes, cached := solve(Request{Class: "S", Variant: tune.VariantSIMD})
+	forced, forcedRes, cached := solve(Request{Class: "S", Variant: wl.VariantSIMD})
 	if def.Variant != "" {
 		t.Errorf("normalized default request carries variant %q, want it empty", def.Variant)
 	}

@@ -6,7 +6,7 @@
 // multiprocessor speedups — and the per-region instrumentation literature
 // (Barakhshan & Eigenmann, PAPERS.md) shows that such comparisons need
 // per-kernel numbers, not end-to-end wall clock alone. This package gives
-// the fused kernels, the scheduler and the autotuner one shared sink:
+// the fused kernels and the scheduler one shared sink:
 // invocation counts, points processed and nanoseconds per (kernel, level),
 // from which the report derives effective GFLOP/s and memory bandwidth.
 //
@@ -33,7 +33,7 @@ import (
 )
 
 // Key identifies one instrumented kernel at one MG grid level (log2 of the
-// interior extent), matching tune.Key.
+// interior extent).
 type Key struct {
 	Kernel string
 	Level  int
@@ -117,11 +117,10 @@ func (c *Collector) Record(worker int, kernel string, level int, points int64, e
 }
 
 // RecordVariant is Record for kernels with multiple inner-loop backends:
-// variant names the one this invocation dispatched to (tune's
-// scalar/buffered/simd). The row remembers the latest non-empty variant —
-// during tuner calibration invocations alternate backends, so the
-// remembered value converges to the settled choice; a snapshot taken
-// mid-calibration reports the variant most recently tried.
+// variant names the one this invocation dispatched to (withloop's
+// scalar/buffered/simd). The row remembers the latest non-empty variant;
+// a (kernel, level) runs one backend for the life of an environment, so
+// that is the variant every recorded invocation ran.
 func (c *Collector) RecordVariant(worker int, kernel string, level int, variant string, points int64, elapsed time.Duration) {
 	if c == nil {
 		return

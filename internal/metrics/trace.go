@@ -1,8 +1,8 @@
 // The V-cycle event tracer: a JSON-lines stream of level transitions,
-// kernel spans, iteration markers, tuner plan decisions and whole-solve
-// summaries, for offline inspection of one benchmark run (cmd/mgbench
-// -trace out.jsonl). One JSON object per line; the schema is the Event
-// struct below (documented in DESIGN.md §3.2).
+// kernel spans, iteration markers and whole-solve summaries, for offline
+// inspection of one benchmark run (cmd/mgbench -trace out.jsonl). One JSON
+// object per line; the schema is the Event struct below (documented in
+// DESIGN.md §3.2).
 //
 // In a resident service (cmd/mgd) many jobs interleave on one stream, so
 // a Tracer can derive per-job views with ForJob: a view shares the
@@ -31,7 +31,6 @@ import (
 //	level  a V-cycle level transition: Dir "down" entering Level,
 //	       "up" leaving it
 //	iter   the start of MGrid iteration Iter (1-based)
-//	plan   the tuner settled on (or was handed) Plan for Kernel@Level
 //	solve  one whole benchmark solve: Nanos of wall time, final Rnm2
 //	stage  one service-stage span of a daemon job (internal/jobq):
 //	       Stage = ingress | queue | dedup | solve | respond, taking
@@ -59,14 +58,12 @@ import (
 type Event struct {
 	// T is nanoseconds since the tracer was created; Emit stamps it.
 	T int64 `json:"t"`
-	// Ev is the event kind: span, wspan, level, iter, plan, solve or
-	// stage.
+	// Ev is the event kind: span, wspan, level, iter, solve or stage.
 	Ev     string  `json:"ev"`
 	Kernel string  `json:"kernel,omitempty"`
 	Level  int     `json:"level,omitempty"`
 	Dir    string  `json:"dir,omitempty"`
 	Nanos  int64   `json:"ns,omitempty"`
-	Plan   string  `json:"plan,omitempty"`
 	Iter   int     `json:"iter,omitempty"`
 	Rnm2   float64 `json:"rnm2,omitempty"`
 	Worker int     `json:"worker,omitempty"`

@@ -14,7 +14,7 @@
 //	                    instants, and the V-cycle level counter
 //	tid 1+level         one track per grid level carrying that level's
 //	                    region spans (resid, smooth, fine2coarse,
-//	                    coarse2fine) and tuner plan instants
+//	                    coarse2fine)
 //	tid 500+level       one communication track per grid level carrying
 //	                    the rank's send/recv blocked spans; flow arrows
 //	                    ("s"/"f" events at the span midpoints) connect
@@ -535,19 +535,6 @@ func ChromeTraceAligned(events []Event, offsets map[int]int64) ChromeTrace {
 				Name: "vcycle level", Ph: "C",
 				Ts: usToTs(e.T), Pid: e.Rank, Tid: tid,
 				Args: map[string]any{"level": val},
-			})
-		case "plan":
-			tid := TidLevelBase + e.Level
-			args := map[string]any{"plan": e.Plan}
-			if e.Trace != "" {
-				tid = jobTid(e) + 1 + e.Level
-				args = jobArgs(e, args)
-			}
-			use(e.Rank, tid, fmt.Sprintf("level %d", e.Level))
-			out.TraceEvents = append(out.TraceEvents, ChromeEvent{
-				Name: "plan " + e.Kernel, Ph: "i", Cat: "tune",
-				Ts: usToTs(e.T), Pid: e.Rank, Tid: tid, S: "p",
-				Args: args,
 			})
 		case "send", "recv":
 			tid := TidCommBase + e.Level

@@ -21,7 +21,6 @@ func traceStream(t *testing.T) []Event {
 		tr.Emit(Event{Ev: "span", Kernel: "smooth", Level: 4, Nanos: int64(1 * time.Millisecond), Rank: rank})
 		tr.Emit(Event{Ev: "wspan", Worker: 0, Nanos: int64(1500 * time.Microsecond), Rank: rank})
 		tr.Emit(Event{Ev: "wspan", Worker: 1, Nanos: int64(500 * time.Microsecond), Rank: rank})
-		tr.Emit(Event{Ev: "plan", Kernel: "subRelax", Level: 5, Plan: "static-block", Rank: rank})
 		tr.Emit(Event{Ev: "level", Level: 4, Dir: "up", Rank: rank})
 	}
 	emitRank(0)

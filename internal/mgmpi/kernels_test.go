@@ -13,7 +13,6 @@ import (
 	"repro/internal/mempool"
 	"repro/internal/mpi"
 	"repro/internal/nas"
-	"repro/internal/tune"
 	wl "repro/internal/withloop"
 )
 
@@ -90,7 +89,7 @@ func TestOperatorsEqualCoreKernels(t *testing.T) {
 // default dispatch of the finest rows otherwise.
 func TestVariantFollowsSharedRule(t *testing.T) {
 	s := New3D(nas.ClassS, 1, 1, 4)
-	want := core.PlaneVariant(nas.ClassS.N / 4)
+	want := wl.DefaultVariant(3) // class S split four ways along the rows: 32/4 = 2³ points
 	if forced := os.Getenv("MG_FORCE_VARIANT"); forced != "" {
 		want = forced
 	}
@@ -140,7 +139,7 @@ func TestPoolBalancedAfterDeadRank(t *testing.T) {
 		if live := s.mem.Live(); live != 0 || st.Allocs+st.Reuses != st.Puts {
 			t.Fatalf("overlap=%v: %d buffers outstanding after the aborted solve (%v)", overlap, live, st)
 		}
-		if st.Puts == 0 && s.Variant() != tune.VariantScalar { // scalar needs no line buffers
+		if st.Puts == 0 && s.Variant() != wl.VariantScalar { // scalar needs no line buffers
 			t.Fatalf("overlap=%v: the %s kernels never used the pool", overlap, s.Variant())
 		}
 	}

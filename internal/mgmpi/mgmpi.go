@@ -628,7 +628,7 @@ func (st *rankState) resid(u, v, r *array.Array) {
 	ud, vd, rd := u.Data(), v.Data(), r.Data()
 	variant := core.PlaneVariant(n2 - 2)
 	st.fusedComm3(r, func(p core.PlaneSpan) {
-		core.SubRelaxPlanes(st.mem, rd, vd, ud, n1, n2, p, 0, variant, st.a, nil, nil)
+		core.SubRelaxPlanes(st.mem, rd, vd, ud, n1, n2, p, variant, st.a, nil, nil)
 	})
 }
 
@@ -639,7 +639,7 @@ func (st *rankState) psinv(r, u *array.Array) {
 	rd, ud := r.Data(), u.Data()
 	variant := core.PlaneVariant(n2 - 2)
 	st.fusedComm3(u, func(p core.PlaneSpan) {
-		core.AddRelaxPlanes(st.mem, ud, ud, nil, rd, n1, n2, p, 0, variant, st.cs)
+		core.AddRelaxPlanes(st.mem, ud, ud, nil, rd, n1, n2, p, variant, st.cs)
 	})
 }
 
@@ -651,7 +651,7 @@ func (st *rankState) rprj3(rk, rj *array.Array) {
 	fd, cd := rk.Data(), rj.Data()
 	variant := core.PlaneVariant(rj.Shape()[2] - 2)
 	st.fusedComm3(rj, func(p core.PlaneSpan) {
-		core.ProjectCondensePlanes(st.mem, cd, fd, fs[1], fs[2], p, 0, variant, stencil.P)
+		core.ProjectCondensePlanes(st.mem, cd, fd, fs[1], fs[2], p, variant, stencil.P)
 	})
 }
 
@@ -668,7 +668,7 @@ func (st *rankState) interp(z, u *array.Array, add bool) {
 	}
 	variant := core.PlaneVariant(u.Shape()[2] - 2)
 	st.forPlanes(core.PlaneSpan{Lo: 0, Hi: u.Shape()[0] - 1}, func(p core.PlaneSpan) {
-		core.InterpolatePlanes(st.mem, ud, wd, zd, zs[1], zs[2], p, true, 0, variant, stencil.Q)
+		core.InterpolatePlanes(st.mem, ud, wd, zd, zs[1], zs[2], p, true, variant, stencil.Q)
 	})
 }
 

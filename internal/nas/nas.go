@@ -307,10 +307,10 @@ func Norm2u3(r *array.Array, n int) (rnm2, rnmu float64) {
 // blocked association of the parallel fused kernels: a running
 // left-to-right sum per row, rows folded in ascending order into a plane
 // partial, plane partials folded in ascending order. The row sums detach
-// from the grand total exactly where the tiled resid+norm kernel detaches
+// from the grand total exactly where the fused resid+norm kernel detaches
 // them, so this function reproduces the parallel result bit for bit on one
-// thread — for any worker count, scheduling policy and tile size of the
-// parallel run. (The flat Norm2u3 differs from it in the last ulp or two;
+// thread — for any worker count and scheduling policy of the parallel
+// run. (The flat Norm2u3 differs from it in the last ulp or two;
 // the legacy f77/cport paths keep Norm2u3 so their mutual bitwise equality
 // is untouched, while mgmpi's distributed reduction folds per-plane
 // partials in this same association — rank-count-invariant for slab

@@ -26,15 +26,10 @@ import (
 	"repro/internal/perfstat"
 )
 
-// SchemaVersion is the current snapshot schema. Version 2 added the
-// per-row Variant field (the autotuned kernel backend the samples
-// measured). Load accepts version 1 files too — they predate kernel
-// variants, so their rows read back with an empty Variant, meaning
-// scalar.
+// SchemaVersion is the snapshot schema this build writes and the only one
+// it reads. Version 2 added the per-row Variant field (the kernel backend
+// the samples measured).
 const SchemaVersion = 2
-
-// minSchemaVersion is the oldest version Load still understands.
-const minSchemaVersion = 1
 
 // Key identifies one snapshot row.
 type Key struct {
@@ -92,11 +87,10 @@ type Row struct {
 	// cost model applies.
 	GFLOPS   float64 `json:"gflops,omitempty"`
 	GBPerSec float64 `json:"gbPerSec,omitempty"`
-	// Variant is the kernel backend the autotuner had settled on for this
-	// (kernel, level) when the samples were taken ("scalar", "buffered"
-	// or "simd"; see internal/tune). Empty on schema-1 snapshots and on
-	// rows without a per-level plan (e.g. the whole-benchmark total):
-	// both mean the scalar loops. Provenance only — Compare matches rows
+	// Variant is the kernel backend this (kernel, level) ran when the
+	// samples were taken ("scalar", "buffered" or "simd"; see
+	// withloop.VariantFor). Empty on rows of kernels without variant
+	// dispatch (e.g. the whole-benchmark total). Provenance only — Compare matches rows
 	// by Key regardless of variant, so a variant flip shows up as a
 	// timing delta, which is exactly what changed.
 	Variant string `json:"variant,omitempty"`
@@ -209,9 +203,9 @@ func (s *Snapshot) SortRows() {
 // for the first violation: version match, non-empty rows, unique keys,
 // named impl/class/kernel, and finite non-negative samples.
 func (s *Snapshot) Validate() error {
-	if s.Schema < minSchemaVersion || s.Schema > SchemaVersion {
-		return fmt.Errorf("perfdb: unsupported schema version %d (this build reads versions %d-%d)",
-			s.Schema, minSchemaVersion, SchemaVersion)
+	if s.Schema != SchemaVersion {
+		return fmt.Errorf("perfdb: unsupported schema version %d (this build reads version %d)",
+			s.Schema, SchemaVersion)
 	}
 	if len(s.Rows) == 0 {
 		return fmt.Errorf("perfdb: snapshot has no rows")

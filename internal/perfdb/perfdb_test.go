@@ -91,6 +91,7 @@ func TestValidateRejectsCorruptSnapshots(t *testing.T) {
 		wantErr string
 	}{
 		{name: "wrong version", mutate: func(s *Snapshot) { s.Schema = 99 }, wantErr: "unsupported schema version 99"},
+		{name: "old version", mutate: func(s *Snapshot) { s.Schema = SchemaVersion - 1 }, wantErr: "unsupported schema version 1"},
 		{name: "zero version", mutate: func(s *Snapshot) { s.Schema = 0 }, wantErr: "unsupported schema version"},
 		{name: "no rows", mutate: func(s *Snapshot) { s.Rows = nil }, wantErr: "no rows"},
 		{name: "empty samples", mutate: func(s *Snapshot) { s.Rows[0].Samples = nil }, wantErr: "no samples"},
@@ -139,27 +140,6 @@ func TestReadAndLoadRejectCorruptFiles(t *testing.T) {
 	if !strings.Contains(err.Error(), fmt.Sprintf("unsupported schema version %d", SchemaVersion+1)) ||
 		!strings.Contains(err.Error(), "BENCH_bad.json") {
 		t.Errorf("Load error %q missing version or path", err)
-	}
-}
-
-// Schema-1 snapshots (written before the per-row Variant field) must
-// keep loading; their rows come back with an empty Variant, meaning the
-// scalar kernels those snapshots measured.
-func TestReadAcceptsSchema1(t *testing.T) {
-	old := fixtureSnapshot("", 0, 1)
-	old.Schema = 1
-	data, err := json.Marshal(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Read(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("schema-1 snapshot rejected: %v", err)
-	}
-	for _, r := range s.Rows {
-		if r.Variant != "" {
-			t.Fatalf("row %s: schema-1 load produced variant %q, want empty", r.Key(), r.Variant)
-		}
 	}
 }
 

@@ -27,8 +27,8 @@ type Options struct {
 	// Samples is the number of recorded measurements (default 10).
 	Samples int
 	// Warmup is the number of leading measurements discarded before
-	// recording starts — cold caches, first-touch page faults and JIT-like
-	// effects (tuner calibration) land here (default 2).
+	// recording starts — cold caches and first-touch page faults land
+	// here (default 2).
 	Warmup int
 }
 

@@ -73,35 +73,6 @@ func Policies() []Policy {
 	return []Policy{StaticBlock, StaticCyclic, Dynamic, Guided}
 }
 
-// ParsePolicy resolves a policy name as produced by String.
-func ParsePolicy(name string) (Policy, error) {
-	for _, p := range Policies() {
-		if p.String() == name {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("sched: unknown policy %q", name)
-}
-
-// MarshalText encodes the policy as its name, so tuning plans serialize
-// readably ("dynamic" instead of 2).
-func (p Policy) MarshalText() ([]byte, error) {
-	if p < StaticBlock || p > Guided {
-		return nil, fmt.Errorf("sched: cannot marshal %v", p)
-	}
-	return []byte(p.String()), nil
-}
-
-// UnmarshalText decodes a policy name.
-func (p *Policy) UnmarshalText(text []byte) error {
-	v, err := ParsePolicy(string(text))
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
-
 // ForOptions tunes one parallel loop execution.
 type ForOptions struct {
 	// Policy is the partitioning strategy. Zero value is StaticBlock.

@@ -298,29 +298,6 @@ func BenchmarkForOverhead(b *testing.B) {
 	}
 }
 
-// Policy names round-trip through the text encoding used by tuning plans.
-func TestPolicyTextRoundTrip(t *testing.T) {
-	for _, p := range Policies() {
-		text, err := p.MarshalText()
-		if err != nil {
-			t.Fatalf("%v: marshal: %v", p, err)
-		}
-		var back Policy
-		if err := back.UnmarshalText(text); err != nil {
-			t.Fatalf("%v: unmarshal %q: %v", p, text, err)
-		}
-		if back != p {
-			t.Fatalf("round trip changed %v to %v", p, back)
-		}
-	}
-	if _, err := ParsePolicy("nonsense"); err == nil {
-		t.Fatal("ParsePolicy accepted an unknown name")
-	}
-	if _, err := Policy(99).MarshalText(); err == nil {
-		t.Fatal("MarshalText accepted an out-of-range policy")
-	}
-}
-
 // Busy accounting: with a collector attached, every parallel fan-out
 // records one loop and a positive busy time per participating worker;
 // the single-worker pool and the sequential fast path record nothing.

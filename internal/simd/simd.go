@@ -33,8 +33,9 @@ var useAsm = hasAVX2() && os.Getenv("MG_SIMD_DISABLE") == ""
 
 // Available reports whether the AVX2 path is active (supported by the
 // hardware and not disabled via MG_SIMD_DISABLE). The row primitives work
-// either way; this gates whether the default dispatch and the autotuner
-// pick the simd variant (tune.DefaultVariant, the tuner's candidates).
+// either way; this is the CPU half of the backend rule — long rows run
+// simd where it is true and buffered where it is not
+// (withloop.DefaultVariant).
 func Available() bool { return useAsm }
 
 // Sum2 computes dst[i] = a[i] + b[i].

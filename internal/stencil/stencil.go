@@ -22,7 +22,7 @@
 //     reducing the additions to 12–20. The paper states SAC does *not*
 //     perform this optimization — which is exactly why the reference
 //     implementation (internal/f77) wins Fig. 11. internal/core deploys
-//     the same trick inside its fused kernels (tune.VariantBuffered).
+//     the same trick inside its fused kernels (withloop.VariantBuffered).
 //
 // # The canonical association
 //

@@ -58,7 +58,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/shape"
-	"repro/internal/tune"
 )
 
 // OptLevel models the sac2c optimization level. See the package comment.
@@ -94,22 +93,12 @@ type Env struct {
 	SeqThreshold int
 	// ForOpt selects the scheduling policy for parallel loops.
 	ForOpt sched.ForOptions
-	// Tile is the j/k cache-tile edge of the tiled rank-3 kernels when no
-	// tuner overrides it (0 = untiled full-plane traversal).
-	Tile int
 	// Variant, when non-empty, forces the inner-loop kernel backend
-	// (tune.VariantScalar/Buffered/SIMD) for every plane kernel,
-	// overriding tuned plans and the static default
-	// (tune.DefaultVariant) — the -variant flag of cmd/mg and
+	// (VariantScalar/Buffered/SIMD) for every plane kernel, overriding
+	// the rule (DefaultVariant) — the -variant flag of cmd/mg and
 	// cmd/mgbench. The MG_FORCE_VARIANT environment variable overrides
-	// even this.
+	// even this (VariantFor).
 	Variant string
-	// Tune, when non-nil, supplies per-(kernel, level) execution plans —
-	// scheduling policy, chunk, sequential threshold, tile size and
-	// kernel variant — and calibrates them on first use (see
-	// internal/tune). It overrides ForOpt, SeqThreshold and Tile for the
-	// kernels that consult it.
-	Tune *tune.Tuner
 	// Metrics, when non-nil, receives per-(kernel, level) invocation
 	// statistics from the fused kernels and the benchmark driver
 	// (internal/metrics). nil disables collection at the cost of one nil
@@ -228,68 +217,19 @@ func (e *Env) forOptions() sched.ForOptions {
 	return o
 }
 
-// PlanFor resolves the execution schedule of one named kernel invocation
-// at the given MG grid level: the scheduler options for its plane loop,
-// the cache-tile edge, the inner-loop kernel variant, and a commit
-// function the kernel must call when the loop has finished (it feeds the
-// measured wall time back to the tuner during calibration). perItem is
+// PlanFor resolves how one plane-kernel invocation at the given MG grid
+// level runs: the scheduler options for its plane loop (ForOpt and
+// SeqThreshold) and the inner-loop kernel variant (VariantFor). perItem is
 // the number of index vectors each loop iteration covers; the sequential
 // threshold is defined in index vectors, so it is divided by perItem
 // before reaching the scheduler.
-//
-// The variant resolves by precedence: MG_FORCE_VARIANT, then
-// Env.Variant, then the tuner plan's Kernel field, then the static rule
-// tune.DefaultVariant(level) — simd on AVX2 hosts at levels with rows of
-// at least 8, scalar otherwise. Every variant is bit-identical, so the
-// rule only ever changes speed.
-//
-// Without a tuner the plan is the environment's static configuration
-// (ForOpt, SeqThreshold, Tile, Variant) and commit is a no-op.
-func (e *Env) PlanFor(kernel string, level, perItem int) (sched.ForOptions, int, string, func()) {
-	if e.Tune != nil {
-		plan, commit := e.Tune.Begin(kernel, level)
-		opts := plan.ForOptions()
-		if perItem > 0 {
-			opts.SeqThreshold /= perItem
-		}
-		return opts, plan.Tile, e.variantOver(plan.Variant()), commit
-	}
+func (e *Env) PlanFor(level, perItem int) (sched.ForOptions, string) {
 	opts := e.ForOpt
 	if perItem > 0 {
 		opts.SeqThreshold = max(opts.SeqThreshold, e.SeqThreshold) / perItem
 	}
-	return opts, e.Tile, e.variantOver(tune.DefaultVariant(level)), noCommit
+	return opts, VariantFor(level, e.Variant)
 }
-
-// VariantFor reports which kernel variant a (kernel, level) invocation
-// would run right now, without touching calibration state: the same
-// precedence as PlanFor, with the tuner's current plan (settled choice
-// or mid-calibration front-runner) over the static default as the base.
-// Observation only — the perf harness and cmd/mg use it to report the
-// backend that was actually measured.
-func (e *Env) VariantFor(kernel string, level int) string {
-	planned := tune.DefaultVariant(level)
-	if e.Tune != nil {
-		if plan, ok := e.Tune.Plans()[tune.Key{Kernel: kernel, Level: level}]; ok {
-			planned = plan.Variant()
-		}
-	}
-	return e.variantOver(planned)
-}
-
-// variantOver applies the forced-variant precedence over a plan's choice.
-func (e *Env) variantOver(planned string) string {
-	if forced := tune.ForcedVariant(); forced != "" {
-		return forced
-	}
-	if e.Variant != "" {
-		return e.Variant
-	}
-	return planned
-}
-
-// noCommit is the shared no-op commit of untuned plans.
-func noCommit() {}
 
 func (e *Env) pool() *mempool.Pool { return e.Pool }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/mempool"
 	"repro/internal/sched"
 	"repro/internal/shape"
-	"repro/internal/tune"
 )
 
 // envs returns environments covering every optimization level and a
@@ -500,62 +499,6 @@ func TestFoldStridedAllLevels(t *testing.T) {
 		}
 		if got != ref {
 			t.Fatalf("env %v/%dw: strided fold = %v, want %v", e.Opt, e.Workers(), got, ref)
-		}
-	}
-}
-
-// The kernel variant resolves by precedence MG_FORCE_VARIANT > Env.Variant
-// > tuner plan > the static default rule, identically in PlanFor (what
-// runs) and VariantFor (what is reported).
-func TestVariantPrecedence(t *testing.T) {
-	saved := tune.ForcedVariant
-	defer func() { tune.ForcedVariant = saved }()
-
-	const kernel, level = "subRelax", 5
-	planned := func() *tune.Tuner {
-		tu := tune.New(1)
-		tu.SetPlan(tune.Key{Kernel: kernel, Level: level}, tune.Plan{Kernel: tune.VariantBuffered})
-		return tu
-	}
-	oldProfile := func() *tune.Tuner { // a plan saved before the Kernel field existed
-		tu := tune.New(1)
-		tu.SetPlan(tune.Key{Kernel: kernel, Level: level}, tune.Plan{Tile: 16})
-		return tu
-	}
-	cases := []struct {
-		name   string
-		forced string
-		env    string
-		tuner  func() *tune.Tuner
-		level  int
-		want   string
-	}{
-		{name: "default rule", level: level, want: tune.DefaultVariant(level)},
-		{name: "default rule below rows of 8", level: 2, want: tune.VariantScalar},
-		{name: "tuner plan beats the rule", tuner: planned, level: level, want: tune.VariantBuffered},
-		{name: "old profile plan means scalar", tuner: oldProfile, level: level, want: tune.VariantScalar},
-		{name: "tuner without a plan for the key falls to the rule", tuner: planned, level: 2, want: tune.VariantScalar},
-		{name: "Env.Variant beats the rule", env: tune.VariantBuffered, level: level, want: tune.VariantBuffered},
-		{name: "Env.Variant beats the rule below rows of 8", env: tune.VariantSIMD, level: 2, want: tune.VariantSIMD},
-		{name: "Env.Variant beats the tuner plan", env: tune.VariantScalar, tuner: planned, level: level, want: tune.VariantScalar},
-		{name: "MG_FORCE_VARIANT beats Env.Variant", forced: tune.VariantSIMD, env: tune.VariantScalar, level: level, want: tune.VariantSIMD},
-		{name: "MG_FORCE_VARIANT beats the tuner plan", forced: tune.VariantScalar, tuner: planned, level: level, want: tune.VariantScalar},
-	}
-	for _, c := range cases {
-		tune.ForcedVariant = func() string { return c.forced }
-		e := Default()
-		e.Variant = c.env
-		if c.tuner != nil {
-			e.Tune = c.tuner()
-		}
-		if got := e.VariantFor(kernel, c.level); got != c.want {
-			t.Errorf("%s: VariantFor = %q, want %q", c.name, got, c.want)
-		}
-		if c.tuner != nil && c.level != level {
-			continue // PlanFor would start calibrating the unplanned key
-		}
-		if _, _, got, _ := e.PlanFor(kernel, c.level, 1); got != c.want {
-			t.Errorf("%s: PlanFor variant = %q, want %q", c.name, got, c.want)
 		}
 	}
 }
