@@ -58,10 +58,11 @@ func newCommObserver(inner mpi.Transport, tr *metrics.Tracer) *commObserver {
 	}
 }
 
-func (o *commObserver) Rank() int        { return o.inner.Rank() }
-func (o *commObserver) Size() int        { return o.inner.Size() }
-func (o *commObserver) Stats() mpi.Stats { return o.inner.Stats() }
-func (o *commObserver) Close() error     { return o.inner.Close() }
+func (o *commObserver) Rank() int           { return o.inner.Rank() }
+func (o *commObserver) Size() int           { return o.inner.Size() }
+func (o *commObserver) Stats() mpi.Stats    { return o.inner.Stats() }
+func (o *commObserver) Close() error        { return o.inner.Close() }
+func (o *commObserver) Release(p []float64) { o.inner.Release(p) }
 
 func (o *commObserver) Send(dst, tag int, data []float64) error {
 	start := time.Now()

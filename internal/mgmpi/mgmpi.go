@@ -323,6 +323,8 @@ type rankState struct {
 	pool    *sched.Pool
 	mem     *mempool.Pool // line buffers of the plane kernels (Solver.mem)
 
+	scratch []float64 // a packed face, between pack and the Send that copies it
+
 	// obs, when tracing, is the transport observer whose level/iter
 	// fields tag every send/recv event; spanFn emits per-level kernel
 	// spans. Both nil on the untraced path.
@@ -414,9 +416,13 @@ func (st *rankState) neighbour(axis, delta int) int {
 // --- sub-box pack/unpack ----------------------------------------------------------
 
 // packBox copies the box [lo, hi] (inclusive) of d (extents n1×n2 within
-// rows) into a fresh buffer.
-func packBox(d []float64, n1, n2 int, lo, hi [3]int) []float64 {
-	out := make([]float64, 0, (hi[0]-lo[0]+1)*(hi[1]-lo[1]+1)*(hi[2]-lo[2]+1))
+// planes) row by row into buf — replaced if it is too small, nil for a
+// one-off — and returns the packed values.
+func packBox(buf, d []float64, n1, n2 int, lo, hi [3]int) []float64 {
+	if n := (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1) * (hi[2] - lo[2] + 1); cap(buf) < n {
+		buf = make([]float64, 0, n)
+	}
+	out := buf[:0]
 	for i := lo[0]; i <= hi[0]; i++ {
 		for j := lo[1]; j <= hi[1]; j++ {
 			base := (i*n1 + j) * n2
@@ -428,27 +434,30 @@ func packBox(d []float64, n1, n2 int, lo, hi [3]int) []float64 {
 
 // unpackBox writes buf into the box [lo, hi] of d.
 func unpackBox(d []float64, n1, n2 int, lo, hi [3]int, buf []float64) {
-	pos := 0
 	width := hi[2] - lo[2] + 1
-	for i := lo[0]; i <= hi[0]; i++ {
-		for j := lo[1]; j <= hi[1]; j++ {
-			base := (i*n1 + j) * n2
-			copy(d[base+lo[2]:base+lo[2]+width], buf[pos:pos+width])
-			pos += width
-		}
-	}
+	copyBox(d, n1, n2, lo, buf, hi[1]-lo[1]+1, width, [3]int{}, [3]int{hi[0] - lo[0], hi[1] - lo[1], width - 1})
 }
 
-// copyBox copies the box src..srcHi of d onto dst (same extents) — the
-// local form of a periodic exchange along an undistributed axis.
-func copyBox(d []float64, n1, n2 int, lo, hi [3]int, dstLo [3]int) {
+// copyBox copies the box [lo, hi] of src (extents sn1×sn2 within planes)
+// onto the box of the same extents at dstLo of dst (dn1×dn2); src and dst
+// may be one grid (the periodic exchange along an undistributed axis) when
+// the boxes are disjoint. A box one value wide along axis 2 — the axis-2
+// halo step of every comm3 — is a strided loop, not a copy call per value.
+func copyBox(dst []float64, dn1, dn2 int, dstLo [3]int, src []float64, sn1, sn2 int, lo, hi [3]int) {
+	width := hi[2] - lo[2] + 1
 	for i := lo[0]; i <= hi[0]; i++ {
+		s := (i*sn1+lo[1])*sn2 + lo[2]
+		t := ((dstLo[0]+i-lo[0])*dn1+dstLo[1])*dn2 + dstLo[2]
+		if width == 1 {
+			for j := lo[1]; j <= hi[1]; j++ {
+				dst[t] = src[s]
+				s, t = s+sn2, t+dn2
+			}
+			continue
+		}
 		for j := lo[1]; j <= hi[1]; j++ {
-			src := (i*n1+j)*n2 + lo[2]
-			di := dstLo[0] + (i - lo[0])
-			dj := dstLo[1] + (j - lo[1])
-			dst := (di*n1+dj)*n2 + dstLo[2]
-			copy(d[dst:dst+hi[2]-lo[2]+1], d[src:src+hi[2]-lo[2]+1])
+			copy(dst[t:t+width], src[s:s+width])
+			s, t = s+sn2, t+dn2
 		}
 	}
 }
@@ -459,8 +468,11 @@ func copyBox(d []float64, n1, n2 int, lo, hi [3]int, dstLo [3]int) {
 // nas.Comm3 exactly: axes are processed contiguous-first (axis 2, then 1,
 // then 0); each step covers the full extent of already-processed axes and
 // the interior of not-yet-processed ones, so edges and corners propagate
-// identically. Distributed axes exchange faces with the ring neighbours;
-// undistributed axes copy locally.
+// identically. Undistributed axes copy locally; a distributed axis posts
+// both faces to its ring neighbours before receiving either, so the two
+// wire latencies overlap. Messages, tags and per-stream order (tagHi, then
+// tagLo) are those of send-receive-send-receive, and so is every halo value:
+// the second face is read from plane 1, the first receive writes plane 0.
 func (st *rankState) comm3(a *array.Array) {
 	shp := a.Shape()
 	n0, n1, n2 := shp[0], shp[1], shp[2]
@@ -503,27 +515,45 @@ func (st *rankState) comm3(a *array.Array) {
 			// Local periodic copies: halo 0 ← interior lp; halo lp+1 ← 1.
 			sLo, sHi := setAxis(lo, hi, axis, lp[axis])
 			dLo, _ := setAxis(lo, hi, axis, 0)
-			copyBox(d, n1, n2, sLo, sHi, dLo)
+			copyBox(d, n1, n2, dLo, d, n1, n2, sLo, sHi)
 			sLo, sHi = setAxis(lo, hi, axis, 1)
 			dLo, _ = setAxis(lo, hi, axis, lp[axis]+1)
-			copyBox(d, n1, n2, sLo, sHi, dLo)
+			copyBox(d, n1, n2, dLo, d, n1, n2, sLo, sHi)
 			continue
 		}
 		up := st.neighbour(axis, +1)
 		down := st.neighbour(axis, -1)
 		tagHi := tagHaloBase + 2*axis
 		tagLo := tagHaloBase + 2*axis + 1
-		// Send my top interior face up; it becomes the upper neighbour's
-		// low halo. Then the reverse direction.
+		// My top interior face goes up and becomes the upper neighbour's
+		// low halo; my bottom one goes down.
 		sLo, sHi := setAxis(lo, hi, axis, lp[axis])
-		st.c.Send(up, tagHi, packBox(d, n1, n2, sLo, sHi))
-		rLo, rHi := setAxis(lo, hi, axis, 0)
-		unpackBox(d, n1, n2, rLo, rHi, st.c.Recv(down, tagHi))
+		st.c.Send(up, tagHi, st.pack(d, n1, n2, sLo, sHi))
 		sLo, sHi = setAxis(lo, hi, axis, 1)
-		st.c.Send(down, tagLo, packBox(d, n1, n2, sLo, sHi))
+		st.c.Send(down, tagLo, st.pack(d, n1, n2, sLo, sHi))
+		rLo, rHi := setAxis(lo, hi, axis, 0)
+		st.unpack(d, n1, n2, rLo, rHi, st.c.Recv(down, tagHi))
 		rLo, rHi = setAxis(lo, hi, axis, lp[axis]+1)
-		unpackBox(d, n1, n2, rLo, rHi, st.c.Recv(up, tagLo))
+		st.unpack(d, n1, n2, rLo, rHi, st.c.Recv(up, tagLo))
 	}
+}
+
+// pack returns the box [lo, hi] of d as one slice for a Send or Isend to
+// copy into its frame: d's own memory where the box is whole axis-0 planes
+// (every face of a slab), else the rank's scratch, valid until the next pack.
+func (st *rankState) pack(d []float64, n1, n2 int, lo, hi [3]int) []float64 {
+	if lo[1] == 0 && hi[1] == n1-1 && lo[2] == 0 && hi[2] == n2-1 {
+		return d[lo[0]*n1*n2 : (hi[0]+1)*n1*n2]
+	}
+	st.scratch = packBox(st.scratch, d, n1, n2, lo, hi)
+	return st.scratch
+}
+
+// unpack writes a received halo payload into the box [lo, hi] of d and
+// gives it back to the transport.
+func (st *rankState) unpack(d []float64, n1, n2 int, lo, hi [3]int, payload []float64) {
+	unpackBox(d, n1, n2, lo, hi, payload)
+	st.c.Release(payload)
 }
 
 // --- gather / scatter / broadcast ---------------------------------------------------
@@ -560,23 +590,23 @@ func (st *rankState) gatherToRoot(level int, box, full *array.Array) {
 	bs := box.Shape()
 	interiorLo := [3]int{1, 1, 1}
 	interiorHi := [3]int{bs[0] - 2, bs[1] - 2, bs[2] - 2}
-	payload := packBox(box.Data(), bs[1], bs[2], interiorLo, interiorHi)
 	if st.c.Rank() != 0 {
-		st.c.Send(0, tagGather, payload)
+		st.c.Send(0, tagGather, st.pack(box.Data(), bs[1], bs[2], interiorLo, interiorHi))
 		return
 	}
 	m := full.Shape()
-	fLo, fHi := st.globalBox(level)
-	unpackBox(full.Data(), m[1], m[2], fLo, fHi, payload)
+	fLo, _ := st.globalBox(level)
+	copyBox(full.Data(), m[1], m[2], fLo, box.Data(), bs[1], bs[2], interiorLo, interiorHi)
 	for src := 1; src < st.c.Size(); src++ {
 		lo, hi := st.rankBoxOf(level, src)
-		unpackBox(full.Data(), m[1], m[2], lo, hi, st.c.Recv(src, tagGather))
+		st.unpack(full.Data(), m[1], m[2], lo, hi, st.c.Recv(src, tagGather))
 	}
 	nas.Comm3(full)
 }
 
 // scatterFromRoot distributes rank 0's full grid into the local boxes of
-// a distributed level (interior cells; halos are refreshed by comm3).
+// a distributed level (interior cells; halos are refreshed by comm3). Once
+// per solve, so its whole-box buffers are packed fresh and never released.
 func (st *rankState) scatterFromRoot(level int, full, box *array.Array) {
 	st.setCommLevel(level)
 	bs := box.Shape()
@@ -586,11 +616,10 @@ func (st *rankState) scatterFromRoot(level int, full, box *array.Array) {
 		m := full.Shape()
 		for dst := 1; dst < st.c.Size(); dst++ {
 			lo, hi := st.rankBoxOf(level, dst)
-			st.c.Send(dst, tagScatter, packBox(full.Data(), m[1], m[2], lo, hi))
+			st.c.Send(dst, tagScatter, packBox(nil, full.Data(), m[1], m[2], lo, hi))
 		}
 		lo, hi := st.globalBox(level)
-		unpackBox(box.Data(), bs[1], bs[2], interiorLo, interiorHi,
-			packBox(full.Data(), m[1], m[2], lo, hi))
+		copyBox(box.Data(), bs[1], bs[2], interiorLo, full.Data(), m[1], m[2], lo, hi)
 		return
 	}
 	unpackBox(box.Data(), bs[1], bs[2], interiorLo, interiorHi, st.c.Recv(0, tagScatter))
@@ -606,10 +635,7 @@ func (st *rankState) broadcastFull(full *array.Array, level int) *array.Array {
 		st.c.Broadcast(tagBcast, 0, full.Data())
 		return full
 	}
-	data := st.c.Broadcast(tagBcast, 0, nil)
-	out := array.New(st.class.ExtShape(level))
-	copy(out.Data(), data)
-	return out
+	return array.Wrap(st.class.ExtShape(level), st.c.Broadcast(tagBcast, 0, nil))
 }
 
 // --- kernels: core's plane kernels over the rank's boxes ---------------------------
@@ -683,24 +709,14 @@ func (st *rankState) boundaryInterp(zFull, u *array.Array, add bool) {
 		hi[a] = lo[a] + win[a] - 1
 	}
 	fs := zFull.Shape()
-	st.interp(array.Wrap(win, packBox(zFull.Data(), fs[1], fs[2], lo, hi)), u, add)
+	st.interp(array.Wrap(win, packBox(nil, zFull.Data(), fs[1], fs[2], lo, hi)), u, add)
 }
 
 // --- driver -----------------------------------------------------------------------
 
-// reset rebuilds the initial state: rank 0 evaluates zran3 on the full
-// finest grid and scatters the sub-boxes.
+// reset builds the initial state on newRankState's zeroed grids: rank 0
+// evaluates zran3 on the full finest grid and scatters the sub-boxes.
 func (st *rankState) reset() {
-	for l := st.lcd; l <= st.lt; l++ {
-		st.u[l].Zero()
-		st.r[l].Zero()
-	}
-	for _, a := range st.uFull {
-		a.Zero()
-	}
-	for _, a := range st.rFull {
-		a.Zero()
-	}
 	if st.c.Rank() == 0 {
 		full := array.New(st.class.ExtShape(st.lt))
 		nas.Zran3(full, st.class.N)

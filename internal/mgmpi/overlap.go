@@ -112,9 +112,9 @@ func (st *rankState) overlapComm3(a *array.Array, compute func(core.PlaneSpan)) 
 	recvDown := st.c.Irecv(down, tagHi)
 	recvUp := st.c.Irecv(up, tagLo)
 	sLo, sHi := plane3(lp, n1, n2)
-	sendUp := st.c.Isend(up, tagHi, packBox(d, n1, n2, sLo, sHi))
+	sendUp := st.c.Isend(up, tagHi, st.pack(d, n1, n2, sLo, sHi))
 	sLo, sHi = plane3(1, n1, n2)
-	sendDown := st.c.Isend(down, tagLo, packBox(d, n1, n2, sLo, sHi))
+	sendDown := st.c.Isend(down, tagLo, st.pack(d, n1, n2, sLo, sHi))
 	st.forPlanes(interior, func(p core.PlaneSpan) {
 		compute(p)
 		for i3 := p.Lo; i3 <= p.Hi; i3++ {
@@ -122,9 +122,9 @@ func (st *rankState) overlapComm3(a *array.Array, compute func(core.PlaneSpan)) 
 		}
 	})
 	rLo, rHi := plane3(0, n1, n2)
-	unpackBox(d, n1, n2, rLo, rHi, recvDown.Wait())
+	st.unpack(d, n1, n2, rLo, rHi, recvDown.Wait())
 	rLo, rHi = plane3(lp+1, n1, n2)
-	unpackBox(d, n1, n2, rLo, rHi, recvUp.Wait())
+	st.unpack(d, n1, n2, rLo, rHi, recvUp.Wait())
 	sendUp.Wait()
 	sendDown.Wait()
 }

@@ -28,6 +28,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/mempool"
 )
 
 // Stats counts one rank's traffic.
@@ -78,6 +80,7 @@ type World struct {
 	stats   []Stats
 	rec     []CommRecorder // per-rank (peer, tag) rows and histograms
 	barrier *barrier
+	free    *mempool.Pool // payload copies in flight, back here on Release
 
 	aborted   chan struct{} // closed when any rank panics
 	abortOnce sync.Once
@@ -103,6 +106,7 @@ func NewWorld(size int) *World {
 		stats:   make([]Stats, size),
 		rec:     make([]CommRecorder, size),
 		barrier: newBarrier(size),
+		free:    mempool.New(true),
 		aborted: make(chan struct{}),
 	}
 	for src := 0; src < size; src++ {
@@ -239,6 +243,9 @@ func (t *chanTransport) Stats() Stats {
 // Close is a no-op: the channel world owns no external resources.
 func (t *chanTransport) Close() error { return nil }
 
+// Release recycles a received payload as a later send's copy.
+func (t *chanTransport) Release(payload []float64) { PutBuffer(t.w.free, payload) }
+
 // Barrier uses the world's shared in-process barrier.
 func (t *chanTransport) Barrier() error {
 	t.w.barrier.await()
@@ -265,7 +272,7 @@ func (t *chanTransport) Isend(dst, tag int, data []float64) Request {
 	if dst < 0 || dst >= w.size {
 		return CompletedRequest(nil, fmt.Errorf("invalid rank %d (world size %d)", dst, w.size))
 	}
-	buf := make([]float64, len(data))
+	buf := GetBuffer(w.free, len(data))
 	copy(buf, data)
 	m := message{tag: tag, data: buf}
 	depth := len(w.mail[t.rank][dst])

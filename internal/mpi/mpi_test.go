@@ -65,6 +65,53 @@ func TestSendCopiesData(t *testing.T) {
 	})
 }
 
+// TestReleaseRecyclesPayloads: a released payload serves the next send's
+// copy, so a ping-pong allocates one buffer per message length however long
+// it runs; a buffer of 1 MiB or more is never kept; and a payload given back
+// twice panics under the pool's paranoid mode.
+func TestReleaseRecyclesPayloads(t *testing.T) {
+	w := NewWorld(2)
+	w.free.SetParanoid(true)
+	const rounds = 100
+	w.Run(func(c *Comm) {
+		for i := 0; i < rounds; i++ {
+			if c.Rank() == 0 {
+				c.Send(1, 0, []float64{float64(i), 2, 3})
+				c.Release(c.Recv(1, 0))
+				continue
+			}
+			got := c.Recv(0, 0)
+			if got[0] != float64(i) {
+				t.Errorf("message %d arrived as %v", i, got)
+			}
+			c.Release(got)
+			c.Send(0, 0, []float64{float64(i)})
+		}
+		if c.Rank() == 0 {
+			c.Send(1, 1, make([]float64, maxRecycledFloats))
+		} else {
+			c.Release(c.Recv(0, 1))
+		}
+	})
+	if st := w.free.Stats(); st.Allocs != 2 || st.Puts != 2*rounds {
+		t.Errorf("%d round trips: pool %v, want 2 fresh buffers and the large one never put", rounds, st)
+	}
+	w.Run(func(c *Comm) {
+		if c.Rank() == 0 {
+			c.Send(1, 0, []float64{1})
+			return
+		}
+		got := c.Recv(0, 0)
+		c.Release(got)
+		defer func() {
+			if recover() == nil {
+				t.Error("releasing a payload twice did not panic in paranoid mode")
+			}
+		}()
+		c.Release(got)
+	})
+}
+
 func TestFIFOOrderingPerPair(t *testing.T) {
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {

@@ -1,6 +1,10 @@
 package mpi
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/mempool"
+)
 
 // Transport is the point-to-point substrate one rank runs on: the
 // contract is MPI-flavoured — Send/Recv with (source, tag) matching and
@@ -45,6 +49,11 @@ type Transport interface {
 	// Wait yields the payload; receives from src complete in post order,
 	// so tag matching behaves exactly as under blocking Recv.
 	Irecv(src, tag int) Request
+	// Release gives a payload returned by Recv (or an Irecv request's Wait)
+	// back once it is unpacked: a later message may reuse the memory, so the
+	// caller must not touch it, or Wait on its request, again. Never
+	// required — an unreleased payload is ordinary garbage.
+	Release(payload []float64)
 	// Stats snapshots this rank's accumulated traffic counters.
 	Stats() Stats
 	// Close tears down the rank's connections. It must be safe to call
@@ -105,6 +114,32 @@ func (c *Comm) Recv(src, tag int) []float64 {
 			c.t.Rank(), src, tag, err))
 	}
 	return data
+}
+
+// Release hands a received, unpacked payload back (Transport.Release).
+func (c *Comm) Release(payload []float64) { c.t.Release(payload) }
+
+// maxRecycledFloats bounds what a transport's message pool keeps: only
+// halo-sized traffic is recycled, and a buffer of 1 MiB or more — a
+// whole-box transfer — is plain garbage (DESIGN.md §4 item 8 has the
+// measurement behind that).
+const maxRecycledFloats = 1 << 17
+
+// GetBuffer takes a message buffer of n values, contents unspecified, from
+// a transport's pool (nil: a fresh one).
+func GetBuffer(pool *mempool.Pool, n int) []float64 {
+	if n >= maxRecycledFloats {
+		return make([]float64, n)
+	}
+	return pool.GetDirty(n)
+}
+
+// PutBuffer gives back a buffer GetBuffer handed out, or the payload cut
+// from its front; the caller must not touch it again.
+func PutBuffer(pool *mempool.Pool, b []float64) {
+	if b = b[:cap(b)]; len(b) < maxRecycledFloats {
+		pool.Put(b)
+	}
 }
 
 // Pending is an in-flight nonblocking operation posted through the Comm

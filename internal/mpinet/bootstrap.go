@@ -148,7 +148,7 @@ func newPeer(rank int, conn net.Conn, queueDepth int) *peer {
 	return &peer{
 		rank:  rank,
 		conn:  conn,
-		out:   make(chan []byte, queueDepth),
+		out:   make(chan []float64, queueDepth),
 		inbox: make(chan inMsg, inboxDepth),
 	}
 }

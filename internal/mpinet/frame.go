@@ -6,6 +6,10 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"unsafe"
+
+	"repro/internal/mempool"
+	"repro/internal/mpi"
 )
 
 // The wire format. Every message travels as one length-prefixed binary
@@ -56,19 +60,58 @@ const (
 	tagGoodbye = math.MinInt32 + 1
 )
 
-// encodeFrame marshals one message into a wire frame.
-func encodeFrame(src int, tag int, data []float64) []byte {
-	buf := make([]byte, headerLen+8*len(data)+checksumLen)
-	binary.LittleEndian.PutUint32(buf[0:], frameMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(src))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(int32(tag)))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(len(data)))
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(buf[headerLen+8*i:], math.Float64bits(v))
+// A frame is built in a []float64 of frameWords(n) values — two header
+// words, the payload, one word whose first four bytes are the checksum — so
+// the payload is aligned and moves with one copy, and frames and received
+// payloads recycle through one pool, keyed by that one length.
+func frameWords(n int) int { return n + overheadWords }
+
+const overheadWords = (frameOverhead + 7) / 8
+
+// frameBytes is the wire image of the frame built in buf.
+func frameBytes(buf []float64) []byte {
+	return wordBytes(buf)[:frameOverhead+8*(len(buf)-overheadWords)]
+}
+
+// wordBytes views w's memory as bytes.
+func wordBytes(w []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(w))), 8*len(w))
+}
+
+// hostLE reports that a float64 in memory already is its wire image, so a
+// payload moves as one bulk copy; any other host also runs wireOrder.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// wireOrder converts p in place between host and wire byte order, value
+// by value — the portable path, and its own inverse.
+func wireOrder(p []float64) {
+	b := wordBytes(p)
+	for i, v := range p {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 	}
-	sum := crc32.ChecksumIEEE(buf[:len(buf)-checksumLen])
-	binary.LittleEndian.PutUint32(buf[len(buf)-checksumLen:], sum)
+}
+
+// buildFrame marshals one message into buf (frameWords(len(data)) values,
+// usually recycled) and returns buf.
+func buildFrame(buf []float64, src, tag int, data []float64) []float64 {
+	b := frameBytes(buf)
+	binary.LittleEndian.PutUint32(b[0:], frameMagic)
+	binary.LittleEndian.PutUint32(b[4:], uint32(src))
+	binary.LittleEndian.PutUint32(b[8:], uint32(int32(tag)))
+	binary.LittleEndian.PutUint32(b[12:], uint32(len(data)))
+	payload := buf[headerLen/8:][:len(data)]
+	copy(payload, data)
+	if !hostLE {
+		wireOrder(payload)
+	}
+	sum := crc32.ChecksumIEEE(b[:len(b)-checksumLen])
+	binary.LittleEndian.PutUint32(b[len(b)-checksumLen:], sum)
 	return buf
+}
+
+// encodeFrame marshals one message into a fresh wire frame.
+func encodeFrame(src int, tag int, data []float64) []byte {
+	return frameBytes(buildFrame(make([]float64, frameWords(len(data))), src, tag, data))
 }
 
 // frameHeader is the decoded fixed-size prefix of a frame.
@@ -90,10 +133,16 @@ func decodeHeader(b []byte) frameHeader {
 
 // readFrame reads and validates one frame sent by rank `from`: framing
 // (magic), provenance (the source field must name the connection's peer), a
-// plausible length — checked before the payload is allocated — and the
-// checksum. hdr is headerLen bytes of scratch. Whatever the bytes, the
-// outcome is a payload or a typed error (*FrameError, *ChecksumError).
+// plausible length — checked before the payload buffer is taken — and the
+// checksum. The payload is read straight into a buffer from free (nil: a
+// fresh one), the checksum into the value after it. hdr is headerLen bytes
+// of scratch. Whatever the bytes, the outcome is a payload or a typed error
+// (*FrameError, *ChecksumError).
 func readFrame(r io.Reader, hdr []byte, from int) (frameHeader, []float64, error) {
+	return recvFrame(r, hdr, from, nil)
+}
+
+func recvFrame(r io.Reader, hdr []byte, from int, free *mempool.Pool) (frameHeader, []float64, error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return frameHeader{}, nil, &FrameError{Peer: from, Reason: "torn frame header", Err: err}
 	}
@@ -106,32 +155,17 @@ func readFrame(r io.Reader, hdr []byte, from int) (frameHeader, []float64, error
 	case h.count < 0 || h.count > maxFrameFloats:
 		return h, nil, &FrameError{Peer: from, Reason: fmt.Sprintf("implausible payload length %d floats", h.count)}
 	}
-	body := make([]byte, 8*h.count+checksumLen)
+	buf := mpi.GetBuffer(free, frameWords(h.count)) // frame-sized: frames and payloads share buffers
+	payload, body := buf[:h.count], wordBytes(buf)[:8*h.count+checksumLen]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return h, nil, &FrameError{Peer: from, Reason: "torn frame payload", Err: err}
 	}
-	payload := body[: len(body)-checksumLen : len(body)-checksumLen]
-	sum := crc32Frame(hdr, payload)
-	if want := leU32(body[len(payload):]); sum != want {
+	sum := crc32.Update(crc32.ChecksumIEEE(hdr), crc32.IEEETable, body[:8*h.count])
+	if want := binary.LittleEndian.Uint32(body[8*h.count:]); sum != want {
 		return h, nil, &ChecksumError{Peer: from, Tag: h.tag, Want: want, Got: sum}
 	}
-	return h, decodeFloats(payload), nil
-}
-
-// crc32Frame computes the frame checksum over header and payload.
-func crc32Frame(hdr, payload []byte) uint32 {
-	sum := crc32.ChecksumIEEE(hdr)
-	return crc32.Update(sum, crc32.IEEETable, payload)
-}
-
-// leU32 reads one little-endian uint32.
-func leU32(b []byte) uint32 { return binary.LittleEndian.Uint32(b) }
-
-// decodeFloats unmarshals a little-endian float64 payload.
-func decodeFloats(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	if !hostLE {
+		wireOrder(payload)
 	}
-	return out
+	return h, payload, nil
 }

@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/mempool"
 	"repro/internal/mpi"
 )
 
@@ -111,8 +112,8 @@ const inboxDepth = 64
 type peer struct {
 	rank  int
 	conn  net.Conn
-	out   chan []byte // encoded frames awaiting the writer
-	inbox chan inMsg  // decoded messages awaiting Recv
+	out   chan []float64 // built frames (buildFrame) awaiting the writer
+	inbox chan inMsg     // decoded messages awaiting Recv
 }
 
 type inMsg struct {
@@ -141,6 +142,10 @@ type Transport struct {
 	exchangeNanos                 atomic.Int64
 	rec                           mpi.CommRecorder
 
+	// free recycles frames (sender → writer → here) and received payloads
+	// (reader → Recv caller → Release → here); DESIGN.md §4 item 8.
+	free *mempool.Pool
+
 	sendChain mpi.OpChain // per-dst FIFO of in-flight nonblocking sends
 	recvChain mpi.OpChain // per-src FIFO of in-flight nonblocking receives
 }
@@ -154,6 +159,7 @@ func newTransport(cfg Config, peers []*peer) *Transport {
 		rank:   cfg.Rank,
 		size:   cfg.Size,
 		peers:  peers,
+		free:   mempool.New(true),
 		failed: make(chan struct{}),
 		closed: make(chan struct{}),
 	}
@@ -224,6 +230,15 @@ func (t *Transport) awaitChain(prev *mpi.AsyncRequest, peer, tag int, op string)
 	}
 }
 
+// frame builds an outgoing message in a recycled buffer; the writer gives
+// it back once it is on the socket.
+func (t *Transport) frame(tag int, data []float64) []float64 {
+	return buildFrame(mpi.GetBuffer(t.free, frameWords(len(data))), t.rank, tag, data)
+}
+
+// Release recycles a received payload as a later frame or payload.
+func (t *Transport) Release(payload []float64) { mpi.PutBuffer(t.free, payload) }
+
 // Send frames data and enqueues it on dst's writer. It blocks only when
 // the bounded queue is full (backpressure), and at most IOTimeout.
 func (t *Transport) Send(dst, tag int, data []float64) error {
@@ -234,7 +249,7 @@ func (t *Transport) Send(dst, tag int, data []float64) error {
 	if err := t.awaitChain(t.sendChain.Pending(dst), dst, tag, "Send (pending Isend)"); err != nil {
 		return err
 	}
-	frame := encodeFrame(t.rank, tag, data)
+	frame := t.frame(tag, data)
 	p := t.peers[dst]
 	depth := len(p.out)
 	select {
@@ -255,7 +270,7 @@ func (t *Transport) Send(dst, tag int, data []float64) error {
 	elapsed := int64(time.Since(start))
 	t.msgs.Add(1)
 	t.payloadBytes.Add(uint64(8 * len(data)))
-	t.wireBytes.Add(uint64(len(frame)))
+	t.wireBytes.Add(uint64(len(frameBytes(frame))))
 	t.exchangeNanos.Add(elapsed)
 	t.rec.RecordSend(dst, tag, uint64(8*len(data)), elapsed, depth)
 	return nil
@@ -317,12 +332,12 @@ func (t *Transport) Isend(dst, tag int, data []float64) mpi.Request {
 	if dst < 0 || dst >= t.size || dst == t.rank {
 		return mpi.CompletedRequest(nil, fmt.Errorf("invalid destination rank %d (world size %d, self %d)", dst, t.size, t.rank))
 	}
-	frame := encodeFrame(t.rank, tag, data)
+	frame := t.frame(tag, data)
 	p := t.peers[dst]
 	depth := len(p.out)
 	t.msgs.Add(1)
 	t.payloadBytes.Add(uint64(8 * len(data)))
-	t.wireBytes.Add(uint64(len(frame)))
+	t.wireBytes.Add(uint64(len(frameBytes(frame))))
 	t.rec.RecordSendPosted(dst, tag, uint64(8*len(data)), depth)
 	req := mpi.NewRequest(func(blocked int64, _ []float64, _ error) {
 		t.exchangeNanos.Add(blocked)
@@ -344,7 +359,7 @@ func (t *Transport) Isend(dst, tag int, data []float64) mpi.Request {
 // finishIsend completes a slow-path Isend: after the chained predecessor
 // (if any), enqueue under the same failure/timeout watches blocking Send
 // has.
-func (t *Transport) finishIsend(req, prev *mpi.AsyncRequest, p *peer, dst, tag int, frame []byte) {
+func (t *Transport) finishIsend(req, prev *mpi.AsyncRequest, p *peer, dst, tag int, frame []float64) {
 	timer := time.NewTimer(t.cfg.IOTimeout)
 	defer timer.Stop()
 	if prev != nil {
@@ -454,12 +469,12 @@ func (t *Transport) Close() error {
 	t.closeOnce.Do(func() {
 		// Announce the clean departure so peers still mid-solve don't
 		// mistake the coming EOF for a death (best-effort: a full queue
-		// at shutdown is already abnormal).
-		goodbye := encodeFrame(t.rank, tagGoodbye, nil)
+		// at shutdown is already abnormal). One frame per peer: each
+		// writer recycles the one it wrote.
 		for _, p := range t.peers {
 			if p != nil {
 				select {
-				case p.out <- goodbye:
+				case p.out <- t.frame(tagGoodbye, nil):
 				default:
 				}
 			}
@@ -510,11 +525,10 @@ func (t *Transport) fail(err error) {
 			culprit = ce.Peer
 		}
 		if culprit >= 0 {
-			abort := encodeFrame(t.rank, tagAbort, []float64{float64(culprit)})
 			for _, p := range t.peers {
 				if p != nil && p.rank != culprit {
 					select {
-					case p.out <- abort:
+					case p.out <- t.frame(tagAbort, []float64{float64(culprit)}):
 					default: // full queue: the peer will find out the hard way
 					}
 				}
@@ -529,14 +543,15 @@ func (t *Transport) fail(err error) {
 // and exits on Close or a broken socket.
 func (t *Transport) writeLoop(p *peer) {
 	defer t.writeWg.Done()
-	write := func(frame []byte) bool {
+	write := func(frame []float64) bool {
 		p.conn.SetWriteDeadline(time.Now().Add(t.cfg.IOTimeout))
-		if _, err := p.conn.Write(frame); err != nil {
+		if _, err := p.conn.Write(frameBytes(frame)); err != nil {
 			if !t.isShutdown() {
 				t.fail(&PeerError{Peer: p.rank, Op: "write", Err: err})
 			}
 			return false
 		}
+		mpi.PutBuffer(t.free, frame)
 		return true
 	}
 	for {
@@ -579,7 +594,7 @@ func (t *Transport) readLoop(p *peer) {
 			return
 		}
 		p.conn.SetReadDeadline(time.Now().Add(t.cfg.IOTimeout))
-		h, data, err := readFrame(br, hdr, p.rank)
+		h, data, err := recvFrame(br, hdr, p.rank, t.free)
 		if err != nil {
 			t.failRead(p, err)
 			return
