@@ -22,7 +22,6 @@ import (
 	"repro/internal/mempool"
 	"repro/internal/metrics"
 	"repro/internal/nas"
-	"repro/internal/sched"
 	"repro/internal/smp"
 	wl "repro/internal/withloop"
 )
@@ -145,25 +144,6 @@ func benchMemPool(b *testing.B, enabled bool) {
 
 func BenchmarkAblation_MemPoolOn_ClassS(b *testing.B)  { benchMemPool(b, true) }
 func BenchmarkAblation_MemPoolOff_ClassS(b *testing.B) { benchMemPool(b, false) }
-
-// --- scheduling-policy ablation ----------------------------------------------------
-
-func benchPolicy(b *testing.B, policy sched.Policy) {
-	env := wl.Parallel(4)
-	defer env.Close()
-	env.ForOpt.Policy = policy
-	bench := core.NewBenchmark(nas.ClassS, env)
-	bench.Reset()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bench.Solve()
-	}
-}
-
-func BenchmarkAblation_SchedStaticBlock(b *testing.B)  { benchPolicy(b, sched.StaticBlock) }
-func BenchmarkAblation_SchedStaticCyclic(b *testing.B) { benchPolicy(b, sched.StaticCyclic) }
-func BenchmarkAblation_SchedDynamic(b *testing.B)      { benchPolicy(b, sched.Dynamic) }
-func BenchmarkAblation_SchedGuided(b *testing.B)       { benchPolicy(b, sched.Guided) }
 
 // --- sequential-threshold ablation --------------------------------------------------
 // SAC executes WITH-loops over small index spaces sequentially (the paper

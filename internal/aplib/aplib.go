@@ -24,7 +24,6 @@ import (
 	"math"
 
 	"repro/internal/array"
-	"repro/internal/sched"
 	"repro/internal/shape"
 	wl "repro/internal/withloop"
 )
@@ -39,7 +38,7 @@ func GenarrayVal(e *wl.Env, shp shape.Shape, val float64) *array.Array {
 		out := e.NewArray(shp)
 		if val != 0 {
 			data := out.Data()
-			e.Sched.For(len(data), forOpts(e), func(lo, hi, _ int) {
+			e.Sched.For(len(data), e.SeqThreshold, func(lo, hi, _ int) {
 				for i := lo; i < hi; i++ {
 					data[i] = val
 				}
@@ -48,14 +47,6 @@ func GenarrayVal(e *wl.Env, shp shape.Shape, val float64) *array.Array {
 		return out
 	}
 	return e.Genarray(shp, wl.Full(shp), func(shape.Index) float64 { return val })
-}
-
-func forOpts(e *wl.Env) sched.ForOptions {
-	o := e.ForOpt
-	if o.SeqThreshold < e.SeqThreshold {
-		o.SeqThreshold = e.SeqThreshold
-	}
-	return o
 }
 
 // Condense implements Fig. 10's condense(str, a): the array of shape
@@ -68,7 +59,7 @@ func Condense(e *wl.Env, str int, a *array.Array) *array.Array {
 		od, ad := out.Data(), a.Data()
 		o1, o2 := outShp[1], outShp[2]
 		a1, a2 := a.Shape()[1], a.Shape()[2]
-		e.Sched.For(outShp[0], forOptsScaled(e, outShp.Size(), outShp[0]), func(lo, hi, _ int) {
+		e.Sched.For(outShp[0], seqScaled(e, outShp.Size(), outShp[0]), func(lo, hi, _ int) {
 			for i := lo; i < hi; i++ {
 				for j := 0; j < o1; j++ {
 					src := (i*str*a1 + j*str) * a2
@@ -96,7 +87,7 @@ func Scatter(e *wl.Env, str int, a *array.Array) *array.Array {
 		od, ad := out.Data(), a.Data()
 		a1, a2 := a.Shape()[1], a.Shape()[2]
 		n1, n2 := outShp[1], outShp[2]
-		e.Sched.For(a.Shape()[0], forOptsScaled(e, a.Size(), a.Shape()[0]), func(lo, hi, _ int) {
+		e.Sched.For(a.Shape()[0], seqScaled(e, a.Size(), a.Shape()[0]), func(lo, hi, _ int) {
 			for i := lo; i < hi; i++ {
 				for j := 0; j < a1; j++ {
 					src := (i*a1 + j) * a2
@@ -130,7 +121,7 @@ func Embed(e *wl.Env, shp shape.Shape, pos []int, a *array.Array) *array.Array {
 		od, ad := out.Data(), a.Data()
 		a0, a1, a2 := a.Shape()[0], a.Shape()[1], a.Shape()[2]
 		n1, n2 := shp[1], shp[2]
-		e.Sched.For(a0, forOptsScaled(e, a.Size(), a0), func(lo, hi, _ int) {
+		e.Sched.For(a0, seqScaled(e, a.Size(), a0), func(lo, hi, _ int) {
 			for i := lo; i < hi; i++ {
 				for j := 0; j < a1; j++ {
 					dst := ((i+pos[0])*n1+j+pos[1])*n2 + pos[2]
@@ -158,7 +149,7 @@ func Take(e *wl.Env, shp shape.Shape, a *array.Array) *array.Array {
 		od, ad := out.Data(), a.Data()
 		a1, a2 := a.Shape()[1], a.Shape()[2]
 		o1, o2 := shp[1], shp[2]
-		e.Sched.For(shp[0], forOptsScaled(e, shp.Size(), shp[0]), func(lo, hi, _ int) {
+		e.Sched.For(shp[0], seqScaled(e, shp.Size(), shp[0]), func(lo, hi, _ int) {
 			for i := lo; i < hi; i++ {
 				for j := 0; j < o1; j++ {
 					src := (i*a1 + j) * a2
@@ -203,7 +194,7 @@ func binary(e *wl.Env, name string, a, b *array.Array, op func(x, y float64) flo
 	if fused(e) {
 		out := e.NewArrayDirty(a.Shape())
 		od, ad, bd := out.Data(), a.Data(), b.Data()
-		e.Sched.For(len(od), forOpts(e), func(lo, hi, _ int) {
+		e.Sched.For(len(od), e.SeqThreshold, func(lo, hi, _ int) {
 			for i := lo; i < hi; i++ {
 				od[i] = op(ad[i], bd[i])
 			}
@@ -236,7 +227,7 @@ func Scale(e *wl.Env, k float64, a *array.Array) *array.Array {
 	if fused(e) {
 		out := e.NewArrayDirty(a.Shape())
 		od, ad := out.Data(), a.Data()
-		e.Sched.For(len(od), forOpts(e), func(lo, hi, _ int) {
+		e.Sched.For(len(od), e.SeqThreshold, func(lo, hi, _ int) {
 			for i := lo; i < hi; i++ {
 				od[i] = k * ad[i]
 			}
@@ -253,7 +244,7 @@ func AddScalar(e *wl.Env, a *array.Array, k float64) *array.Array {
 	if fused(e) {
 		out := e.NewArrayDirty(shp)
 		od, ad := out.Data(), a.Data()
-		e.Sched.For(len(od), forOpts(e), func(lo, hi, _ int) {
+		e.Sched.For(len(od), e.SeqThreshold, func(lo, hi, _ int) {
 			for i := lo; i < hi; i++ {
 				od[i] = ad[i] + k
 			}
@@ -269,7 +260,7 @@ func AddScalar(e *wl.Env, a *array.Array, k float64) *array.Array {
 func Sum(e *wl.Env, a *array.Array) float64 {
 	if fused(e) {
 		d := a.Data()
-		return e.Sched.Reduce(len(d), forOpts(e), 0,
+		return e.Sched.Reduce(len(d), e.SeqThreshold, 0,
 			func(lo, hi int) float64 {
 				s := 0.0
 				for i := lo; i < hi; i++ {
@@ -288,7 +279,7 @@ func Sum(e *wl.Env, a *array.Array) float64 {
 func SumSq(e *wl.Env, a *array.Array) float64 {
 	if fused(e) {
 		d := a.Data()
-		return e.Sched.Reduce(len(d), forOpts(e), 0,
+		return e.Sched.Reduce(len(d), e.SeqThreshold, 0,
 			func(lo, hi int) float64 {
 				s := 0.0
 				for i := lo; i < hi; i++ {
@@ -306,7 +297,7 @@ func SumSq(e *wl.Env, a *array.Array) float64 {
 func MaxAbs(e *wl.Env, a *array.Array) float64 {
 	if fused(e) {
 		d := a.Data()
-		return e.Sched.Reduce(len(d), forOpts(e), 0,
+		return e.Sched.Reduce(len(d), e.SeqThreshold, 0,
 			func(lo, hi int) float64 {
 				m := 0.0
 				for i := lo; i < hi; i++ {
@@ -376,12 +367,13 @@ func Shift(e *wl.Env, axis, off int, fill float64, a *array.Array) *array.Array 
 	})
 }
 
-func forOptsScaled(e *wl.Env, total, outer int) sched.ForOptions {
-	o := forOpts(e)
+// seqScaled is the environment's sequential threshold, defined in
+// elements, for a loop over the outer axis of a total-element array.
+func seqScaled(e *wl.Env, total, outer int) int {
 	if outer > 0 {
 		if per := total / outer; per > 0 {
-			o.SeqThreshold = o.SeqThreshold / per
+			return e.SeqThreshold / per
 		}
 	}
-	return o
+	return e.SeqThreshold
 }

@@ -56,7 +56,7 @@ func Where(e *wl.Env, cond, a, b *array.Array) *array.Array {
 	if fused(e) {
 		out := e.NewArrayDirty(a.Shape())
 		od, cd, ad, bd := out.Data(), cond.Data(), a.Data(), b.Data()
-		e.Sched.For(len(od), forOpts(e), func(lo, hi, _ int) {
+		e.Sched.For(len(od), e.SeqThreshold, func(lo, hi, _ int) {
 			for i := lo; i < hi; i++ {
 				if cd[i] != 0 {
 					od[i] = ad[i]
@@ -93,7 +93,7 @@ func Neg(e *wl.Env, a *array.Array) *array.Array { return Scale(e, -1, a) }
 func Product(e *wl.Env, a *array.Array) float64 {
 	if fused(e) {
 		d := a.Data()
-		return e.Sched.Reduce(len(d), forOpts(e), 1,
+		return e.Sched.Reduce(len(d), e.SeqThreshold, 1,
 			func(lo, hi int) float64 {
 				p := 1.0
 				for i := lo; i < hi; i++ {

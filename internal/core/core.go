@@ -246,11 +246,21 @@ func (s *Solver) Resid(u *array.Array) *array.Array {
 	})
 }
 
-// Smooth applies the smoothing operator S to r (paper Fig. 6).
+// Smooth applies the smoothing operator S to r (paper Fig. 6). At O3 on
+// rank-3 grids — VCycle's coarsest level — it is the folded z + S·r over a
+// zero z, so the one plane kernel computes it.
 func (s *Solver) Smooth(r *array.Array) *array.Array {
 	return s.probe("smooth", r, func() *array.Array {
+		e := s.Env
 		rb := s.SetupPeriodicBorder(r)
-		out := stencil.Relax(s.Env, rb, s.Smoother)
+		var out *array.Array
+		if s.foldable(r) {
+			z := e.NewArray(r.Shape())
+			out = addRelax(e, z, rb, s.Smoother)
+			e.Release(z)
+		} else {
+			out = stencil.Relax(e, rb, s.Smoother)
+		}
 		s.releaseIfCopy(rb, r)
 		return out
 	})

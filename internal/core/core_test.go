@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,7 +12,6 @@ import (
 	"repro/internal/array"
 	"repro/internal/f77"
 	"repro/internal/nas"
-	"repro/internal/sched"
 	"repro/internal/shape"
 	"repro/internal/stencil"
 	wl "repro/internal/withloop"
@@ -398,9 +398,10 @@ func TestReleaseDisciplineParanoid(t *testing.T) {
 
 // The scalar, norm-fused kernels must reproduce the sequential default O3
 // path bit for bit — the verification norms and the full solution grid —
-// for every worker count and scheduling policy: the scalar leg of the
-// variant × schedule matrix TestBufferedBitIdentical covers from the other
-// side (scalar reference, the other backends under test).
+// for every worker count: the scalar leg of the variant × workers matrix
+// TestBufferedBitIdentical covers from the other side (scalar reference,
+// the other backends under test). Subtests carry the name of sched's one
+// partition, static blocks.
 func TestScalarKernelsBitIdentical(t *testing.T) {
 	refB := NewBenchmark(nas.ClassS, wl.Default())
 	refN2, refNU := refB.Run()
@@ -421,25 +422,18 @@ func TestScalarKernelsBitIdentical(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		policies := sched.Policies()
-		if workers == 1 {
-			policies = policies[:1] // policy is irrelevant on one worker
-		}
-		for _, policy := range policies {
-			env := wl.Parallel(workers)
-			env.ForOpt.Policy = policy
-			env.Variant = wl.VariantScalar
-			t.Run(fmt.Sprintf("w%d_%s", workers, policy), func(t *testing.T) {
-				check(t, env)
-			})
-		}
+		env := wl.Parallel(workers)
+		env.Variant = wl.VariantScalar
+		t.Run(fmt.Sprintf("w%d_static-block", workers), func(t *testing.T) {
+			check(t, env)
+		})
 	}
 }
 
 // TestBufferedBitIdentical: the line-buffered and simd kernel variants,
 // and the default dispatch that picks a backend per level, must reproduce
 // the sequential scalar run bit-for-bit — norms and the full solution
-// grid — across worker counts and scheduling policies.
+// grid — across worker counts.
 // This is the contract that lets the default rule switch variants per
 // level without perturbing NPB verification (see the package comment's
 // "Kernel variants" section).
@@ -468,44 +462,49 @@ func TestBufferedBitIdentical(t *testing.T) {
 	variants := []string{"", wl.VariantBuffered, wl.VariantSIMD}
 	for _, variant := range variants {
 		for _, workers := range []int{1, 2, 4, 8} {
-			policies := sched.Policies()
-			if workers == 1 {
-				policies = policies[:1] // policy is irrelevant on one worker
-			}
-			for _, policy := range policies {
-				env := wl.Parallel(workers)
-				env.ForOpt.Policy = policy
-				env.Variant = variant
-				t.Run(fmt.Sprintf("%s_w%d_%s", cmp.Or(variant, "default"), workers, policy), func(t *testing.T) {
-					check(t, env)
-				})
-			}
+			env := wl.Parallel(workers)
+			env.Variant = variant
+			t.Run(fmt.Sprintf("%s_w%d_static-block", cmp.Or(variant, "default"), workers), func(t *testing.T) {
+				check(t, env)
+			})
 		}
 	}
 
-	// An unknown Env.Variant must degrade to scalar, not misbehave.
-	t.Run("unknown_variant_is_scalar", func(t *testing.T) {
-		env := wl.Parallel(2)
+	// An unknown Env.Variant stops the solve at its first kernel and names
+	// the accepted backends, rather than run one under a misspelt name.
+	t.Run("unknown_variant_panics", func(t *testing.T) {
+		env := wl.Default()
 		env.Variant = "turbo"
-		check(t, env)
+		defer func() {
+			msg := fmt.Sprint(recover())
+			for _, want := range []string{`"turbo"`, wl.VariantScalar, wl.VariantBuffered, wl.VariantSIMD} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("panic %q does not mention %s", msg, want)
+				}
+			}
+		}()
+		NewBenchmark(nas.ClassS, env).Run()
 	})
 }
 
-// TestWarmSolveAllocs pins the Go-heap traffic of a warm solve: array
-// headers are recycled with their pooled buffers and a one-worker sweep
-// calls its plane kernels without a scheduler closure, so what is left is
-// a handful of objects per solve. The budget is a quarter of the 325
-// objects a warm class-S solve allocated when every array and every
-// kernel invocation cost two to three.
+// TestWarmSolveAllocs pins the Go-heap traffic of a warm solve at zero:
+// array headers are recycled with their pooled buffers, and a one-worker
+// sweep — the coarsest smoothing included — calls its plane kernels
+// without a scheduler closure.
 func TestWarmSolveAllocs(t *testing.T) {
-	const budget = 325 / 4
-	for _, variant := range []string{"", wl.VariantScalar} {
-		env := wl.Default()
-		env.Variant = variant
-		b := NewBenchmark(nas.ClassS, env)
-		b.Run() // warm the pool
-		if got := testing.AllocsPerRun(5, func() { b.Solve() }); got > budget {
-			t.Errorf("variant %q: warm solve allocates %.0f objects, budget %d", variant, got, budget)
+	classes := []nas.Class{nas.ClassS, nas.ClassW}
+	if testing.Short() {
+		classes = classes[:1] // class W skipped in -short
+	}
+	for _, class := range classes {
+		for _, variant := range []string{"", wl.VariantScalar} {
+			env := wl.Default()
+			env.Variant = variant
+			b := NewBenchmark(class, env)
+			b.Run() // warm the pool
+			if got := testing.AllocsPerRun(2, func() { b.Solve() }); got != 0 {
+				t.Errorf("class %c variant %q: warm solve allocates %.0f objects, want 0", class.Name, variant, got)
+			}
 		}
 	}
 }

@@ -27,18 +27,20 @@
 // That is a schedule of these kernels over rings of a few planes, not more
 // kernels: the per-plane methods of kern below are the only copy of every
 // row statement, shared by the full-grid sweeps, the distributed ranks'
-// plane-range entry points (planes.go) and the pipelined sweeps.
+// plane-range entry points (planes.go), the pipelined sweeps and the
+// compact periodic rings (compact.go).
 //
 // # Traversal
 //
 // Every kernel sweeps its interior planes under the schedule Env.PlanFor
-// resolves for its level — scheduling policy, chunk and sequential
-// threshold from the environment, and the inner-loop kernel variant.
-// Within a plane the nine stencil row bases roll forward by one row stride
-// per j step instead of being recomputed with per-row multiplies. The norm
-// accumulation of subRelaxNorm keeps per-row running partials (always
-// left-to-right in k) folded in ascending row and plane order, so it is
-// invariant under worker count and policy (TestScalarKernelsBitIdentical).
+// resolves for its level — the sequential threshold from the environment,
+// one contiguous span per worker above it, and the inner-loop kernel
+// variant. Within a plane the nine stencil row bases roll forward by one
+// row stride per j step instead of being recomputed with per-row
+// multiplies. The norm accumulation of subRelaxNorm keeps per-row running
+// partials (always left-to-right in k) folded in ascending row and plane
+// order, so it is invariant under worker count
+// (TestScalarKernelsBitIdentical).
 //
 // # Kernel variants
 //
@@ -77,7 +79,6 @@ import (
 	"repro/internal/mempool"
 	"repro/internal/metrics"
 	"repro/internal/nas"
-	"repro/internal/sched"
 	"repro/internal/shape"
 	"repro/internal/stencil"
 	wl "repro/internal/withloop"
@@ -90,7 +91,7 @@ import (
 // instead of being re-read); otherwise the residual is materialised and
 // normed separately. Both paths fold the sum of squares in the canonical
 // plane/row order of nas.Norm2u3Planes, so the norms are bit-identical
-// across optimization levels, worker counts and policies.
+// across optimization levels and worker counts.
 func (s *Solver) ResidNorm(v, u *array.Array, n int) (rnm2, rnmu float64) {
 	e := s.Env
 	if s.foldable(u) {
@@ -156,15 +157,15 @@ type planeLoop struct {
 	level    int
 	planes   int // interior plane count, n0-2
 	perPlane int // index vectors per plane
-	opts     sched.ForOptions
+	seq      int // sequential threshold in planes
 	variant  string
 }
 
 func planPlanes(e *wl.Env, kernel string, n0, perPlane int) planeLoop {
 	level := levelOfExtent(n0 - 2)
-	opts, variant := e.PlanFor(level, perPlane)
+	seq, variant := e.PlanFor(level, perPlane)
 	return planeLoop{e: e, kernel: kernel, level: level, planes: n0 - 2, perPlane: perPlane,
-		opts: opts, variant: variant}
+		seq: seq, variant: variant}
 }
 
 // inline reports whether the sweep runs on the calling goroutine (one
@@ -173,7 +174,7 @@ func planPlanes(e *wl.Env, kernel string, n0, perPlane int) planeLoop {
 // sched.For escapes to the heap, and the direct call keeps a sequential
 // warm solve free of garbage.
 func (p *planeLoop) inline() bool {
-	return p.e.Workers() == 1 || p.planes <= p.opts.SeqThreshold
+	return p.e.Workers() == 1 || p.planes <= p.seq
 }
 
 // interior is the whole sweep as one span: the planes an inline call covers.
@@ -181,7 +182,7 @@ func (p *planeLoop) interior() PlaneSpan { return PlaneSpan{Lo: 1, Hi: p.planes,
 
 // fanOut partitions the interior planes across the environment's workers.
 func (p *planeLoop) fanOut(body func(PlaneSpan)) {
-	p.e.Sched.For(p.planes, p.opts, func(lo, hi, _ int) { body(PlaneSpan{Lo: lo + 1, Hi: hi, Frame: true}) })
+	p.e.Sched.For(p.planes, p.seq, func(lo, hi, _ int) { body(PlaneSpan{Lo: lo + 1, Hi: hi, Frame: true}) })
 }
 
 // finish closes the invocation after the sweep. od is the kernel's output
@@ -224,10 +225,9 @@ var KernelCosts = map[string]metrics.Cost{
 
 // KernelCost resolves the per-point work model for a (kernel, variant)
 // pair: the line-buffered variants amortise the u1/u2 row sums across the
-// sliding k window (stencil.FlopsPerElement("buffered")), so their
-// per-point flop counts are lower than the scalar recomputation —
-// without this, buffered/simd sweeps would be costed as scalar and the
-// report's GFLOP/s would overstate the work done. Unknown variants (and
+// sliding k window, so their per-point flop counts are lower than the
+// scalar recomputation — without this, buffered/simd sweeps would be
+// costed as scalar and the report's GFLOP/s would overstate the work done. Unknown variants (and
 // scalar) fall back to KernelCosts; byte counts are variant-independent.
 func KernelCost(kernel, variant string) metrics.Cost {
 	if lined(variant) {
@@ -265,8 +265,8 @@ var bufferedKernelCosts = map[string]metrics.Cost{
 }
 
 // lined reports whether a variant selects the line-buffered form
-// (buffered or simd). Anything else — including an unknown Env.Variant —
-// dispatches to the scalar loops.
+// (buffered or simd); scalar is the only other name wl.VariantFor lets
+// through.
 func lined(variant string) bool {
 	return variant == wl.VariantBuffered || variant == wl.VariantSIMD
 }
@@ -326,8 +326,7 @@ func subRelax(e *wl.Env, v, u *array.Array, c stencil.Coeffs) *array.Array {
 // absolute value. One grid read replaces the resid-then-norm two-pass
 // sequence. Each row's partial accumulates strictly left-to-right in k
 // from the stored row, rows fold in ascending j and planes in ascending i,
-// so the sums are bit-identical for every backend, worker count and
-// scheduling policy.
+// so the sums are bit-identical for every backend and worker count.
 func subRelaxNorm(e *wl.Env, v, u *array.Array, c stencil.Coeffs) (out *array.Array, sumSq, maxAbs float64) {
 	return subRelaxSweep(e, v, u, c, true)
 }

@@ -20,9 +20,9 @@
 // recomputed (two z planes and one r₂ plane per span end) rather than
 // exchanged; z's in-plane frame is interpolated from zn's halo
 // (InterpolatePlanes' halo mode), and r₂'s is wrapped in the ring right
-// after its rows. Workers take one contiguous span each whatever policy
-// the environment names — every further span would pay the lead-in again —
-// and write disjoint planes, so any worker count computes the same bits.
+// after its rows. Workers take one contiguous span each — every further
+// span would pay the lead-in again — and write disjoint planes, so any
+// worker count computes the same bits.
 //
 // The sweep is a schedule of the four folded kernels, not a fifth: each
 // stage resolves its backend through PlanFor and is filed in the ledger
@@ -31,7 +31,6 @@ package core
 
 import (
 	"repro/internal/array"
-	"repro/internal/sched"
 	"repro/internal/shape"
 )
 
@@ -74,7 +73,6 @@ func (sw *sweep) run() {
 		sw.span(PlaneSpan{Lo: 1, Hi: pl.planes})
 	} else {
 		par := *sw // the workers' copy: only the parallel path pays for the escape
-		pl.opts.Policy = sched.StaticBlock
 		pl.fanOut(par.span)
 	}
 }

@@ -158,7 +158,7 @@ func (s *Solver) parallelFor(n int, body func(lo, hi, worker int)) {
 		body(0, n, 0)
 		return
 	}
-	s.pool.For(n, sched.ForOptions{}, body)
+	s.pool.For(n, 0, body)
 }
 
 // resid: r = v − A·u (C port of the Fortran kernel; same buffers, C-style

@@ -177,7 +177,7 @@ func (s *Solver) parallel(region string) bool {
 // parallelized, inline otherwise.
 func (s *Solver) pFor(region string, n int, body func(lo, hi, worker int)) {
 	if s.parallel(region) {
-		s.pool.For(n, sched.ForOptions{}, body)
+		s.pool.For(n, 0, body)
 		return
 	}
 	body(0, n, 0)

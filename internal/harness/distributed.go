@@ -154,8 +154,8 @@ func RunDistributed(cfg DistConfig) ([]DistRank, error) {
 	}()
 	if addr == "" && cfg.Ranks > 1 {
 		cmd0.Process.Kill()
-		cmd0.Wait()
 		<-rest
+		cmd0.Wait()
 		return nil, fmt.Errorf("harness: rank 0 never printed its rendezvous address (stderr: %s)",
 			strings.TrimSpace(stderrs[0].String()))
 	}
@@ -167,9 +167,11 @@ func RunDistributed(cfg DistConfig) ([]DistRank, error) {
 		if err := cmd.Start(); err != nil {
 			for r := 0; r < rank; r++ {
 				cmds[r].Process.Kill()
-				cmds[r].Wait()
 			}
 			<-rest
+			for r := 0; r < rank; r++ {
+				cmds[r].Wait()
+			}
 			return nil, fmt.Errorf("harness: starting rank %d: %w", rank, err)
 		}
 		cmds[rank] = cmd
@@ -177,10 +179,13 @@ func RunDistributed(cfg DistConfig) ([]DistRank, error) {
 
 	results := make([]DistRank, cfg.Ranks)
 	for rank, cmd := range cmds {
-		err := cmd.Wait()
 		if rank == 0 {
+			// os/exec: every read from a StdoutPipe must finish before
+			// Wait, which closes the pipe under an unfinished read and
+			// truncates the report.
 			<-rest
 		}
+		err := cmd.Wait()
 		res := DistRank{
 			Rank:   rank,
 			Stdout: stdouts[rank].String(),

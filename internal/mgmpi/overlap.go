@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/array"
 	"repro/internal/core"
-	"repro/internal/sched"
 )
 
 // forPlanes runs f over the planes of p, fanned over the rank's pool when
@@ -33,7 +32,7 @@ func (st *rankState) forPlanes(p core.PlaneSpan, f func(core.PlaneSpan)) {
 		f(p)
 		return
 	}
-	st.pool.For(n, sched.ForOptions{}, func(a, b, _ int) { f(core.PlaneSpan{Lo: p.Lo + a, Hi: p.Lo + b - 1}) })
+	st.pool.For(n, 0, func(a, b, _ int) { f(core.PlaneSpan{Lo: p.Lo + a, Hi: p.Lo + b - 1}) })
 }
 
 // fusedComm3 runs a kernel's plane loop and the halo refresh of its

@@ -8,22 +8,21 @@
 //	specification as the existing one."
 //
 // Grids here are compact: a problem of interior size n³ lives in an n³
-// array, and the stencil kernels wrap their neighbour accesses around the
-// torus instead of reading replicated boundary planes. There is no
-// SetupPeriodicBorder, no condense/embed adjustment and no take trimming —
-// the V-cycle operations map between n³ and (n/2)³ directly, exactly as in
-// the paper's mathematical specification (Fig. 2).
+// array, and neighbour accesses wrap around the torus instead of reading
+// replicated boundary planes. There is no SetupPeriodicBorder, no
+// condense/embed adjustment and no take trimming — the V-cycle operations
+// map between n³ and (n/2)³ directly, exactly as in the paper's
+// mathematical specification (Fig. 2).
 //
 // # Correspondence with the extended-grid implementation
 //
 // A compact grid g corresponds to the interior of an extended grid G via
-// g[i] = G[i+1]. Because the artificial boundary elements of G are exact
-// copies of interior values, every wrapped neighbour read here returns the
-// same float64 the extended kernels read from a boundary plane, and the
-// kernels fold neighbour sums in the canonical line-buffer-compatible
-// association of internal/stencil, exactly like internal/core's folded
-// kernels. Consequently the two implementations are bit-identical
-// (asserted by tests), and this one also passes the official NPB
+// g[i] = G[i+1]. The four operators are internal/core's plane kernels in
+// their compact mode (core.CompactSweep): the planes of G a stencil
+// reaches exist only in a three-plane ring, wrapped from g as they are
+// needed, so every value is the one the extended kernel computes and the
+// two implementations are bit-identical under every kernel backend and
+// worker count (asserted by tests). This one also passes the official NPB
 // verification.
 //
 // Note the index shift between the hierarchies: extended coarse interior
@@ -38,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/array"
+	"repro/internal/core"
 	"repro/internal/nas"
 	"repro/internal/shape"
 	"repro/internal/stencil"
@@ -48,8 +48,9 @@ import (
 // the specialised future-work variant; the rank-generic solver is
 // internal/core).
 type Solver struct {
-	// Env supplies scheduling and the memory pool. The optimization level
-	// is ignored: this package is by construction the fully folded form.
+	// Env supplies scheduling, the memory pool and the kernel variant. The
+	// optimization level is ignored: this package is by construction the
+	// fully folded form.
 	Env *wl.Env
 	// Smoother, Operator, Project and Interp are the stencil coefficient
 	// sets, defaulting to the NPB vectors.
@@ -155,7 +156,7 @@ func (s *Solver) ResidSubtract(v, u *array.Array) *array.Array {
 	checkCompact("ResidSubtract", u)
 	return s.probe("resid", levelOf(u), func() *array.Array {
 		out := s.Env.NewArrayDirty(u.Shape())
-		relaxInto(s.Env, out, u, s.Operator, mergeSub, v.Data())
+		core.CompactSweep(s.Env, "subRelax", out, v, u, s.Operator)
 		return out
 	})
 }
@@ -166,211 +167,8 @@ func (s *Solver) SmoothAdd(z, r *array.Array) *array.Array {
 	checkCompact("SmoothAdd", r)
 	return s.probe("smooth", levelOf(r), func() *array.Array {
 		out := s.Env.NewArrayDirty(r.Shape())
-		if z == nil {
-			relaxInto(s.Env, out, r, s.Smoother, mergeSet, nil)
-		} else {
-			relaxInto(s.Env, out, r, s.Smoother, mergeAdd, z.Data())
-		}
+		core.CompactSweep(s.Env, "addRelax", out, z, r, s.Smoother)
 		return out
-	})
-}
-
-// merge modes for relaxInto: out = stencil, aux − stencil, aux + stencil.
-const (
-	mergeSet = iota
-	mergeSub
-	mergeAdd
-)
-
-// relaxInto evaluates the 27-point stencil with torus wrap-around at every
-// point of u, merging each value with aux according to mode. Neighbour
-// sums fold in the canonical association of internal/stencil, matching
-// internal/core's folded kernels bit for bit.
-func relaxInto(e *wl.Env, out, u *array.Array, c stencil.Coeffs, mode int, aux []float64) {
-	n := u.Shape()[0]
-	ud, od := u.Data(), out.Data()
-	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
-	opts := e.ForOpt
-	if per := n * n; per > 0 {
-		opts.SeqThreshold = max(opts.SeqThreshold, e.SeqThreshold) / per
-	}
-	e.Sched.For(n, opts, func(lo, hi, _ int) {
-		for i := lo; i < hi; i++ {
-			im, ip := (i-1+n)%n, (i+1)%n
-			for j := 0; j < n; j++ {
-				jm, jp := (j-1+n)%n, (j+1)%n
-				mm := (im*n + jm) * n
-				mz := (im*n + j) * n
-				mp := (im*n + jp) * n
-				zm := (i*n + jm) * n
-				zz := (i*n + j) * n
-				zp := (i*n + jp) * n
-				pm := (ip*n + jm) * n
-				pz := (ip*n + j) * n
-				pp := (ip*n + jp) * n
-				uMM, uMZ, uMP := ud[mm:mm+n], ud[mz:mz+n], ud[mp:mp+n]
-				uZM, uZZ, uZP := ud[zm:zm+n], ud[zz:zz+n], ud[zp:zp+n]
-				uPM, uPZ, uPP := ud[pm:pm+n], ud[pz:pz+n], ud[pp:pp+n]
-				oZZ := od[zz : zz+n]
-				stencilAt := func(k, km, kp int) float64 {
-					u1m := ((uMZ[km] + uZM[km]) + uZP[km]) + uPZ[km]
-					u1z := ((uMZ[k] + uZM[k]) + uZP[k]) + uPZ[k]
-					u1p := ((uMZ[kp] + uZM[kp]) + uZP[kp]) + uPZ[kp]
-					u2m := ((uMM[km] + uMP[km]) + uPM[km]) + uPP[km]
-					u2z := ((uMM[k] + uMP[k]) + uPM[k]) + uPP[k]
-					u2p := ((uMM[kp] + uMP[kp]) + uPM[kp]) + uPP[kp]
-					s1 := (uZZ[km] + uZZ[kp]) + u1z
-					s2 := (u2z + u1m) + u1p
-					s3 := u2m + u2p
-					return ((c0*uZZ[k] + c1*s1) + c2*s2) + c3*s3
-				}
-				merge := func(k int, val float64) {
-					switch mode {
-					case mergeSub:
-						val = aux[zz+k] - val
-					case mergeAdd:
-						val = aux[zz+k] + val
-					}
-					oZZ[k] = val
-				}
-				// Wrapped edge columns, then the dense interior where the
-				// compiler can drop the bounds checks (the stencil body is
-				// inlined by hand in each mode's loop; stencilAt serves the
-				// two wrapped columns only).
-				// Wrapped edge columns, then the dense interior where the
-				// compiler can drop the bounds checks. The dense loops are
-				// hand-inlined per merge mode and specialised on the zero
-				// coefficients exactly like the extended-grid kernels (the
-				// eliminated terms are exact zeros, so the values are
-				// unchanged); stencilAt serves the two wrapped columns.
-				merge(0, stencilAt(0, n-1, 1))
-				switch mode {
-				case mergeSub:
-					vZZ := aux[zz : zz+n]
-					switch {
-					case c1 == 0:
-						for k := 1; k < n-1; k++ {
-							u1m := ((uMZ[k-1] + uZM[k-1]) + uZP[k-1]) + uPZ[k-1]
-							u1p := ((uMZ[k+1] + uZM[k+1]) + uZP[k+1]) + uPZ[k+1]
-							u2m := ((uMM[k-1] + uMP[k-1]) + uPM[k-1]) + uPP[k-1]
-							u2z := ((uMM[k] + uMP[k]) + uPM[k]) + uPP[k]
-							u2p := ((uMM[k+1] + uMP[k+1]) + uPM[k+1]) + uPP[k+1]
-							s2 := (u2z + u1m) + u1p
-							s3 := u2m + u2p
-							val := (c0*uZZ[k] + c2*s2) + c3*s3
-							oZZ[k] = vZZ[k] - val
-						}
-					case c3 == 0:
-						for k := 1; k < n-1; k++ {
-							u1m := ((uMZ[k-1] + uZM[k-1]) + uZP[k-1]) + uPZ[k-1]
-							u1z := ((uMZ[k] + uZM[k]) + uZP[k]) + uPZ[k]
-							u1p := ((uMZ[k+1] + uZM[k+1]) + uZP[k+1]) + uPZ[k+1]
-							u2z := ((uMM[k] + uMP[k]) + uPM[k]) + uPP[k]
-							s1 := (uZZ[k-1] + uZZ[k+1]) + u1z
-							s2 := (u2z + u1m) + u1p
-							val := (c0*uZZ[k] + c1*s1) + c2*s2
-							oZZ[k] = vZZ[k] - val
-						}
-					default:
-						for k := 1; k < n-1; k++ {
-							u1m := ((uMZ[k-1] + uZM[k-1]) + uZP[k-1]) + uPZ[k-1]
-							u1z := ((uMZ[k] + uZM[k]) + uZP[k]) + uPZ[k]
-							u1p := ((uMZ[k+1] + uZM[k+1]) + uZP[k+1]) + uPZ[k+1]
-							u2m := ((uMM[k-1] + uMP[k-1]) + uPM[k-1]) + uPP[k-1]
-							u2z := ((uMM[k] + uMP[k]) + uPM[k]) + uPP[k]
-							u2p := ((uMM[k+1] + uMP[k+1]) + uPM[k+1]) + uPP[k+1]
-							s1 := (uZZ[k-1] + uZZ[k+1]) + u1z
-							s2 := (u2z + u1m) + u1p
-							s3 := u2m + u2p
-							val := ((c0*uZZ[k] + c1*s1) + c2*s2) + c3*s3
-							oZZ[k] = vZZ[k] - val
-						}
-					}
-				case mergeAdd:
-					zZZ := aux[zz : zz+n]
-					switch {
-					case c1 == 0:
-						for k := 1; k < n-1; k++ {
-							u1m := ((uMZ[k-1] + uZM[k-1]) + uZP[k-1]) + uPZ[k-1]
-							u1p := ((uMZ[k+1] + uZM[k+1]) + uZP[k+1]) + uPZ[k+1]
-							u2m := ((uMM[k-1] + uMP[k-1]) + uPM[k-1]) + uPP[k-1]
-							u2z := ((uMM[k] + uMP[k]) + uPM[k]) + uPP[k]
-							u2p := ((uMM[k+1] + uMP[k+1]) + uPM[k+1]) + uPP[k+1]
-							s2 := (u2z + u1m) + u1p
-							s3 := u2m + u2p
-							val := (c0*uZZ[k] + c2*s2) + c3*s3
-							oZZ[k] = zZZ[k] + val
-						}
-					case c3 == 0:
-						for k := 1; k < n-1; k++ {
-							u1m := ((uMZ[k-1] + uZM[k-1]) + uZP[k-1]) + uPZ[k-1]
-							u1z := ((uMZ[k] + uZM[k]) + uZP[k]) + uPZ[k]
-							u1p := ((uMZ[k+1] + uZM[k+1]) + uZP[k+1]) + uPZ[k+1]
-							u2z := ((uMM[k] + uMP[k]) + uPM[k]) + uPP[k]
-							s1 := (uZZ[k-1] + uZZ[k+1]) + u1z
-							s2 := (u2z + u1m) + u1p
-							val := (c0*uZZ[k] + c1*s1) + c2*s2
-							oZZ[k] = zZZ[k] + val
-						}
-					default:
-						for k := 1; k < n-1; k++ {
-							u1m := ((uMZ[k-1] + uZM[k-1]) + uZP[k-1]) + uPZ[k-1]
-							u1z := ((uMZ[k] + uZM[k]) + uZP[k]) + uPZ[k]
-							u1p := ((uMZ[k+1] + uZM[k+1]) + uZP[k+1]) + uPZ[k+1]
-							u2m := ((uMM[k-1] + uMP[k-1]) + uPM[k-1]) + uPP[k-1]
-							u2z := ((uMM[k] + uMP[k]) + uPM[k]) + uPP[k]
-							u2p := ((uMM[k+1] + uMP[k+1]) + uPM[k+1]) + uPP[k+1]
-							s1 := (uZZ[k-1] + uZZ[k+1]) + u1z
-							s2 := (u2z + u1m) + u1p
-							s3 := u2m + u2p
-							val := ((c0*uZZ[k] + c1*s1) + c2*s2) + c3*s3
-							oZZ[k] = zZZ[k] + val
-						}
-					}
-				default:
-					switch {
-					case c1 == 0:
-						for k := 1; k < n-1; k++ {
-							u1m := ((uMZ[k-1] + uZM[k-1]) + uZP[k-1]) + uPZ[k-1]
-							u1p := ((uMZ[k+1] + uZM[k+1]) + uZP[k+1]) + uPZ[k+1]
-							u2m := ((uMM[k-1] + uMP[k-1]) + uPM[k-1]) + uPP[k-1]
-							u2z := ((uMM[k] + uMP[k]) + uPM[k]) + uPP[k]
-							u2p := ((uMM[k+1] + uMP[k+1]) + uPM[k+1]) + uPP[k+1]
-							s2 := (u2z + u1m) + u1p
-							s3 := u2m + u2p
-							val := (c0*uZZ[k] + c2*s2) + c3*s3
-							oZZ[k] = val
-						}
-					case c3 == 0:
-						for k := 1; k < n-1; k++ {
-							u1m := ((uMZ[k-1] + uZM[k-1]) + uZP[k-1]) + uPZ[k-1]
-							u1z := ((uMZ[k] + uZM[k]) + uZP[k]) + uPZ[k]
-							u1p := ((uMZ[k+1] + uZM[k+1]) + uZP[k+1]) + uPZ[k+1]
-							u2z := ((uMM[k] + uMP[k]) + uPM[k]) + uPP[k]
-							s1 := (uZZ[k-1] + uZZ[k+1]) + u1z
-							s2 := (u2z + u1m) + u1p
-							val := (c0*uZZ[k] + c1*s1) + c2*s2
-							oZZ[k] = val
-						}
-					default:
-						for k := 1; k < n-1; k++ {
-							u1m := ((uMZ[k-1] + uZM[k-1]) + uZP[k-1]) + uPZ[k-1]
-							u1z := ((uMZ[k] + uZM[k]) + uZP[k]) + uPZ[k]
-							u1p := ((uMZ[k+1] + uZM[k+1]) + uZP[k+1]) + uPZ[k+1]
-							u2m := ((uMM[k-1] + uMP[k-1]) + uPM[k-1]) + uPP[k-1]
-							u2z := ((uMM[k] + uMP[k]) + uPM[k]) + uPP[k]
-							u2p := ((uMM[k+1] + uMP[k+1]) + uPM[k+1]) + uPP[k+1]
-							s1 := (uZZ[k-1] + uZZ[k+1]) + u1z
-							s2 := (u2z + u1m) + u1p
-							s3 := u2m + u2p
-							val := ((c0*uZZ[k] + c1*s1) + c2*s2) + c3*s3
-							oZZ[k] = val
-						}
-					}
-				}
-				merge(n-1, stencilAt(n-1, n-2, 0))
-			}
-		}
 	})
 }
 
@@ -380,120 +178,19 @@ func relaxInto(e *wl.Env, out, u *array.Array, c stencil.Coeffs, mode int, aux [
 func (s *Solver) Fine2Coarse(r *array.Array) *array.Array {
 	n := checkCompact("Fine2Coarse", r)
 	return s.probe("fine2coarse", levelOf(r), func() *array.Array {
-		e := s.Env
-		nc := n / 2
-		out := e.NewArrayDirty(shape.Of(nc, nc, nc))
-		od, rd := out.Data(), r.Data()
-		c0, c1, c2, c3 := s.Project[0], s.Project[1], s.Project[2], s.Project[3]
-		opts := e.ForOpt
-		if per := nc * nc; per > 0 {
-			opts.SeqThreshold = max(opts.SeqThreshold, e.SeqThreshold) / per
-		}
-		e.Sched.For(nc, opts, func(lo, hi, _ int) {
-			for ci := lo; ci < hi; ci++ {
-				i := 2*ci + 1
-				im, ip := i-1, (i+1)%n
-				for cj := 0; cj < nc; cj++ {
-					j := 2*cj + 1
-					jm, jp := j-1, (j+1)%n
-					mm := (im*n + jm) * n
-					mz := (im*n + j) * n
-					mp := (im*n + jp) * n
-					zm := (i*n + jm) * n
-					zz := (i*n + j) * n
-					zp := (i*n + jp) * n
-					pm := (ip*n + jm) * n
-					pz := (ip*n + j) * n
-					pp := (ip*n + jp) * n
-					base := (ci*nc + cj) * nc
-					for ck := 0; ck < nc; ck++ {
-						k := 2*ck + 1
-						km, kp := k-1, (k+1)%n
-						u1m := ((rd[mz+km] + rd[zm+km]) + rd[zp+km]) + rd[pz+km]
-						u1z := ((rd[mz+k] + rd[zm+k]) + rd[zp+k]) + rd[pz+k]
-						u1p := ((rd[mz+kp] + rd[zm+kp]) + rd[zp+kp]) + rd[pz+kp]
-						u2m := ((rd[mm+km] + rd[mp+km]) + rd[pm+km]) + rd[pp+km]
-						u2z := ((rd[mm+k] + rd[mp+k]) + rd[pm+k]) + rd[pp+k]
-						u2p := ((rd[mm+kp] + rd[mp+kp]) + rd[pm+kp]) + rd[pp+kp]
-						s1 := (rd[zz+km] + rd[zz+kp]) + u1z
-						s2 := (u2z + u1m) + u1p
-						s3 := u2m + u2p
-						od[base+ck] = ((c0*rd[zz+k] + c1*s1) + c2*s2) + c3*s3
-					}
-				}
-			}
-		})
+		out := s.Env.NewArrayDirty(shape.Of(n/2, n/2, n/2))
+		core.CompactSweep(s.Env, "projectCondense", out, nil, r, s.Project)
 		return out
 	})
 }
 
 // Coarse2Fine interpolates zn ((n/2)³) to the next finer grid (n³):
 // trilinear interpolation with the coarse anchors at odd fine positions.
-// A fine point with parity bit 1 on an axis lies on a coarse anchor plane
-// of that axis; parity 0 lies between two anchors and averages them.
 func (s *Solver) Coarse2Fine(zn *array.Array) *array.Array {
 	nc := checkCompact("Coarse2Fine", zn)
 	return s.probe("coarse2fine", levelOf(zn)+1, func() *array.Array {
-		e := s.Env
-		n := 2 * nc
-		out := e.NewArrayDirty(shape.Of(n, n, n))
-		od, zd := out.Data(), zn.Data()
-		c0, c1, c2, c3 := s.Interp[0], s.Interp[1], s.Interp[2], s.Interp[3]
-		opts := e.ForOpt
-		if per := n * n; per > 0 {
-			opts.SeqThreshold = max(opts.SeqThreshold, e.SeqThreshold) / per
-		}
-		e.Sched.For(n, opts, func(lo, hi, _ int) {
-			for f3 := lo; f3 < hi; f3++ {
-				// On-anchor when f is odd: coarse index (f-1)/2. Between
-				// anchors when even: coarse (f/2-1 mod nc) and f/2.
-				a3 := f3&1 == 1
-				l3, h3 := ((f3/2-1)+nc)%nc, f3/2
-				if a3 {
-					l3, h3 = (f3-1)/2, (f3-1)/2
-				}
-				for f2 := 0; f2 < n; f2++ {
-					a2 := f2&1 == 1
-					l2, h2 := ((f2/2-1)+nc)%nc, f2/2
-					if a2 {
-						l2, h2 = (f2-1)/2, (f2-1)/2
-					}
-					base := (f3*n + f2) * n
-					bll := (l3*nc + l2) * nc
-					blh := (l3*nc + h2) * nc
-					bhl := (h3*nc + l2) * nc
-					bhh := (h3*nc + h2) * nc
-					for f1 := 0; f1 < n; f1++ {
-						a1 := f1&1 == 1
-						l1, h1 := ((f1/2-1)+nc)%nc, f1/2
-						if a1 {
-							l1, h1 = (f1-1)/2, (f1-1)/2
-						}
-						var val float64
-						switch {
-						case a3 && a2 && a1:
-							val = c0 * zd[bll+l1]
-						case a3 && a2 && !a1:
-							val = c1 * (zd[bll+l1] + zd[bll+h1])
-						case a3 && !a2 && a1:
-							val = c1 * (zd[bll+l1] + zd[blh+l1])
-						case !a3 && a2 && a1:
-							val = c1 * (zd[bll+l1] + zd[bhl+l1])
-						case a3 && !a2 && !a1:
-							val = c2 * ((zd[bll+l1] + zd[blh+l1]) + (zd[bll+h1] + zd[blh+h1]))
-						case !a3 && a2 && !a1:
-							val = c2 * ((zd[bll+l1] + zd[bhl+l1]) + (zd[bll+h1] + zd[bhl+h1]))
-						case !a3 && !a2 && a1:
-							val = c2 * (((zd[bll+l1] + zd[blh+l1]) + zd[bhl+l1]) + zd[bhh+l1])
-						default:
-							val = c3 * ((((zd[bll+l1] + zd[blh+l1]) + zd[bhl+l1]) + zd[bhh+l1]) +
-								(((zd[bll+h1] + zd[blh+h1]) + zd[bhl+h1]) + zd[bhh+h1]))
-						}
-						od[base+f1] = val
-					}
-				}
-			}
-		})
+		out := s.Env.NewArrayDirty(shape.Of(2*nc, 2*nc, 2*nc))
+		core.CompactSweep(s.Env, "interpolate", out, nil, zn, s.Interp)
 		return out
 	})
 }

@@ -1,6 +1,7 @@
 package periodic
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -37,25 +38,36 @@ func TestVerifyClassW(t *testing.T) {
 
 // The compact solver corresponds exactly to the extended-grid SAC program:
 // the final norms agree to the last bit and the solution grids match the
-// extended interior element-wise.
+// extended interior element-wise, under every kernel backend and worker
+// count (SeqThreshold 0 fans out even the coarsest levels).
 func TestMatchesExtendedImplementation(t *testing.T) {
 	ext := core.NewBenchmark(nas.ClassS, wl.Default())
-	extNorm, _ := ext.Run()
-	cmp := NewBenchmark(nas.ClassS, wl.Default())
-	cmpNorm, _ := cmp.Run()
-	if cmpNorm != extNorm {
-		t.Fatalf("compact rnm2 = %.17e, extended %.17e (not bitwise equal)", cmpNorm, extNorm)
-	}
+	extN2, extNU := ext.Run()
 	n := nas.ClassS.N
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			for k := 0; k < n; k++ {
-				c := cmp.U().At3(i, j, k)
-				e := ext.U().At3(i+1, j+1, k+1)
-				if c != e {
-					t.Fatalf("u differs at (%d,%d,%d): %.17g vs %.17g", i, j, k, c, e)
+	for _, variant := range []string{wl.VariantScalar, wl.VariantBuffered, wl.VariantSIMD} {
+		for _, workers := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s_w%d", variant, workers), func(t *testing.T) {
+				env := wl.Parallel(workers)
+				defer env.Close()
+				env.Variant = variant
+				env.SeqThreshold = 0
+				cmp := NewBenchmark(nas.ClassS, env)
+				if n2, nu := cmp.Run(); n2 != extN2 || nu != extNU {
+					t.Fatalf("compact norms (%.17e, %.17e), extended (%.17e, %.17e) (not bitwise equal)",
+						n2, nu, extN2, extNU)
 				}
-			}
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						for k := 0; k < n; k++ {
+							c := cmp.U().At3(i, j, k)
+							e := ext.U().At3(i+1, j+1, k+1)
+							if c != e {
+								t.Fatalf("u differs at (%d,%d,%d): %.17g vs %.17g", i, j, k, c, e)
+							}
+						}
+					}
+				}
+			})
 		}
 	}
 }
@@ -179,11 +191,13 @@ func TestTranslationInvariance(t *testing.T) {
 // Parallel execution is bit-identical.
 func TestParallelBitIdentical(t *testing.T) {
 	seq, _ := NewBenchmark(nas.ClassS, wl.Default()).Run()
-	env := wl.Parallel(4)
-	defer env.Close()
-	par, _ := NewBenchmark(nas.ClassS, env).Run()
-	if par != seq {
-		t.Fatalf("parallel %.17e != sequential %.17e", par, seq)
+	for _, workers := range []int{2, 4} {
+		env := wl.Parallel(workers)
+		par, _ := NewBenchmark(nas.ClassS, env).Run()
+		env.Close()
+		if par != seq {
+			t.Fatalf("%d workers: %.17e != sequential %.17e", workers, par, seq)
+		}
 	}
 }
 
@@ -241,15 +255,14 @@ func TestProbe(t *testing.T) {
 }
 
 // The future-work claim (paper §7): the compact variant saves the border
-// bookkeeping of the extended one. The claim is about the borders, so both
-// sides run the same inner loops: this package has only scalar kernels,
-// and the extended solver is asked for its scalar backend. A wall-clock
-// comparison, so a benchmark and not a test (EXPERIMENTS.md FW-1).
+// bookkeeping of the extended one. Both sides run the same plane kernels
+// under the same backend rule, so what differs is the bookkeeping: the
+// extended solver's border exchanges against the compact one's ring fills
+// and row copies. A wall-clock comparison, so a benchmark and not a test
+// (EXPERIMENTS.md FW-1).
 func BenchmarkCompactVsExtended(b *testing.B) {
 	b.Run("extended", func(b *testing.B) {
-		env := wl.Default()
-		env.Variant = wl.VariantScalar
-		bench := core.NewBenchmark(nas.ClassW, env)
+		bench := core.NewBenchmark(nas.ClassW, wl.Default())
 		bench.Reset()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -4,22 +4,22 @@
 // MG benchmark "without any additional programming effort".
 //
 // The runtime owns a pool of persistent worker goroutines and partitions
-// one-dimensional iteration spaces across them under one of four scheduling
-// policies (static block, static cyclic, dynamic self-scheduling, guided).
-// The calling goroutine always participates as worker 0, so a pool of W
-// workers uses W goroutines total, not W+1.
+// one-dimensional iteration spaces across them in static blocks: each
+// worker takes one contiguous block of roughly n/W iterations, what SAC's
+// compiler generates for uniform WITH-loops. The calling goroutine always
+// participates as worker 0, so a pool of W workers uses W goroutines
+// total, not W+1.
 //
 // Determinism contract: a For body only ever writes to positions derived
 // from its own sub-range, and Reduce combines per-block partial results in
 // block order. Consequently every computation in this repository produces
-// bit-identical results for any worker count and any policy — a property
-// the test suite checks and the MG cross-implementation verification relies
-// on.
+// bit-identical results for any worker count — a property the test suite
+// checks and the MG cross-implementation verification relies on.
 //
 // Sequential threshold: SAC's runtime executes WITH-loops over small index
 // spaces sequentially because fork/join overhead would dominate (the paper
-// discusses exactly this effect on the coarse V-cycle grids). For mirrors
-// that with ForOptions.SeqThreshold.
+// discusses exactly this effect on the coarse V-cycle grids). For and
+// Reduce take that threshold as their one scheduling parameter.
 package sched
 
 import (
@@ -31,60 +31,6 @@ import (
 
 	"repro/internal/metrics"
 )
-
-// Policy selects how an iteration space is partitioned across workers.
-type Policy int
-
-const (
-	// StaticBlock gives each worker one contiguous block of roughly n/W
-	// iterations. Lowest overhead; the default, and what SAC's compiler
-	// generates for uniform WITH-loops.
-	StaticBlock Policy = iota
-	// StaticCyclic deals fixed-size chunks round-robin to the workers.
-	// Balances loops whose per-iteration cost varies periodically.
-	StaticCyclic
-	// Dynamic lets workers grab fixed-size chunks from a shared counter
-	// (self-scheduling). Balances irregular loops at the cost of one
-	// atomic operation per chunk.
-	Dynamic
-	// Guided is Dynamic with geometrically shrinking chunks, in the style
-	// of OpenMP schedule(guided).
-	Guided
-)
-
-// String returns the policy name.
-func (p Policy) String() string {
-	switch p {
-	case StaticBlock:
-		return "static-block"
-	case StaticCyclic:
-		return "static-cyclic"
-	case Dynamic:
-		return "dynamic"
-	case Guided:
-		return "guided"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
-// Policies lists every scheduling policy, in declaration order.
-func Policies() []Policy {
-	return []Policy{StaticBlock, StaticCyclic, Dynamic, Guided}
-}
-
-// ForOptions tunes one parallel loop execution.
-type ForOptions struct {
-	// Policy is the partitioning strategy. Zero value is StaticBlock.
-	Policy Policy
-	// Chunk is the chunk size for StaticCyclic and Dynamic and the minimum
-	// chunk for Guided. 0 means a policy-specific default.
-	Chunk int
-	// SeqThreshold executes the loop inline on the caller when the
-	// iteration count is at or below it. 0 means "always parallelize"
-	// (when the pool has more than one worker).
-	SeqThreshold int
-}
 
 // Pool is a set of persistent worker goroutines. A Pool with one worker
 // executes everything inline on the caller; that is the natural "compiled
@@ -237,49 +183,30 @@ func Shared() *Pool {
 	return sharedPool
 }
 
-// For executes body over the half-open range [0, n), partitioned across the
-// pool's workers according to opt. body(lo, hi, worker) processes the
-// sub-range [lo, hi) on the given worker (0 <= worker < Workers()).
-// For returns when the whole range has been processed. A panic in any body
-// invocation is re-raised on the caller after all workers have finished.
-func (p *Pool) For(n int, opt ForOptions, body func(lo, hi, worker int)) {
+// For executes body over the half-open range [0, n), one contiguous block
+// per worker. body(lo, hi, worker) processes the sub-range [lo, hi) on the
+// given worker (0 <= worker < Workers()). A range of at most seqThreshold
+// iterations runs inline on the caller as body(0, n, 0); 0 means "always
+// parallelize" (when the pool has more than one worker). For returns when
+// the whole range has been processed. A panic in any body invocation is
+// re-raised on the caller after all workers have finished.
+func (p *Pool) For(n, seqThreshold int, body func(lo, hi, worker int)) {
 	if n <= 0 {
 		return
 	}
-	if p.nw == 1 || n <= opt.SeqThreshold || !p.enter() {
+	if p.nw == 1 || n <= seqThreshold || !p.enter() {
 		body(0, n, 0)
 		return
 	}
 	defer p.exit()
-	switch opt.Policy {
-	case StaticBlock:
-		p.forStaticBlock(n, body)
-	case StaticCyclic:
-		p.forStaticCyclic(n, opt.chunkOr(defaultChunk(n, p.nw)), body)
-	case Dynamic:
-		p.forDynamic(n, opt.chunkOr(defaultChunk(n, p.nw)), body)
-	case Guided:
-		p.forGuided(n, opt.chunkOr(1), body)
-	default:
-		panic(fmt.Sprintf("sched: unknown policy %d", int(opt.Policy)))
-	}
-}
-
-func (o ForOptions) chunkOr(def int) int {
-	if o.Chunk > 0 {
-		return o.Chunk
-	}
-	return def
-}
-
-// defaultChunk aims at 4 chunks per worker, a common balance point between
-// scheduling overhead and load balance.
-func defaultChunk(n, nw int) int {
-	c := n / (nw * 4)
-	if c < 1 {
-		c = 1
-	}
-	return c
+	nw := p.nw
+	p.runOnAll(func(w int) {
+		lo := w * n / nw
+		hi := (w + 1) * n / nw
+		if lo < hi {
+			body(lo, hi, w)
+		}
+	})
 }
 
 // runOnAll executes part(worker) on every worker, blocking until all have
@@ -320,73 +247,6 @@ func (p *Pool) runOnAll(part func(worker int)) {
 	}
 }
 
-func (p *Pool) forStaticBlock(n int, body func(lo, hi, worker int)) {
-	nw := p.nw
-	p.runOnAll(func(w int) {
-		lo := w * n / nw
-		hi := (w + 1) * n / nw
-		if lo < hi {
-			body(lo, hi, w)
-		}
-	})
-}
-
-func (p *Pool) forStaticCyclic(n, chunk int, body func(lo, hi, worker int)) {
-	nw := p.nw
-	p.runOnAll(func(w int) {
-		for lo := w * chunk; lo < n; lo += nw * chunk {
-			hi := min(lo+chunk, n)
-			body(lo, hi, w)
-		}
-	})
-}
-
-func (p *Pool) forDynamic(n, chunk int, body func(lo, hi, worker int)) {
-	var next atomic.Int64
-	p.runOnAll(func(w int) {
-		for {
-			lo := int(next.Add(int64(chunk))) - chunk
-			if lo >= n {
-				return
-			}
-			hi := min(lo+chunk, n)
-			body(lo, hi, w)
-		}
-	})
-}
-
-func (p *Pool) forGuided(n, minChunk int, body func(lo, hi, worker int)) {
-	var (
-		mu   sync.Mutex
-		next int
-	)
-	take := func() (lo, hi int, ok bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= n {
-			return 0, 0, false
-		}
-		remaining := n - next
-		chunk := remaining / (2 * p.nw)
-		if chunk < minChunk {
-			chunk = minChunk
-		}
-		lo = next
-		hi = min(lo+chunk, n)
-		next = hi
-		return lo, hi, true
-	}
-	p.runOnAll(func(w int) {
-		for {
-			lo, hi, ok := take()
-			if !ok {
-				return
-			}
-			body(lo, hi, w)
-		}
-	})
-}
-
 // ReduceBlocks is the fixed block count Reduce decomposes every iteration
 // space into (fewer when n is smaller). It is a constant — independent of
 // the worker count — so that floating-point reductions combine in exactly
@@ -398,11 +258,10 @@ const ReduceBlocks = 64
 // combine merges two partial results. The range is always decomposed into
 // the same min(n, ReduceBlocks) blocks and the block partials are combined
 // in ascending order, so the result is bit-identical for every worker count
-// and scheduling policy — essential for floating-point reductions that feed
-// verification. (The block structure does mean the result can differ in the
+// — essential for floating-point reductions that feed verification. (The block structure does mean the result can differ in the
 // last ulp from a flat left-to-right loop; callers comparing against such a
-// loop must compare with a tolerance.)
-func (p *Pool) Reduce(n int, opt ForOptions, neutral float64,
+// loop must compare with a tolerance.) seqThreshold is For's.
+func (p *Pool) Reduce(n, seqThreshold int, neutral float64,
 	partial func(lo, hi int) float64, combine func(a, b float64) float64) float64 {
 	if n <= 0 {
 		return neutral
@@ -417,7 +276,7 @@ func (p *Pool) Reduce(n int, opt ForOptions, neutral float64,
 		hi := (b + 1) * n / nblocks
 		parts[b] = partial(lo, hi)
 	}
-	if p.nw == 1 || n <= opt.SeqThreshold || !p.enter() {
+	if p.nw == 1 || n <= seqThreshold || !p.enter() {
 		for b := 0; b < nblocks; b++ {
 			fill(b)
 		}

@@ -12,14 +12,12 @@ import (
 	"repro/internal/metrics"
 )
 
-var allPolicies = []Policy{StaticBlock, StaticCyclic, Dynamic, Guided}
-
 // coverFor runs a For loop and checks that every index in [0,n) is visited
 // exactly once.
-func coverFor(t *testing.T, p *Pool, n int, opt ForOptions) {
+func coverFor(t *testing.T, p *Pool, n int) {
 	t.Helper()
 	visited := make([]int32, n)
-	p.For(n, opt, func(lo, hi, worker int) {
+	p.For(n, 0, func(lo, hi, worker int) {
 		if worker < 0 || worker >= p.Workers() {
 			t.Errorf("worker id %d out of range [0,%d)", worker, p.Workers())
 		}
@@ -29,8 +27,7 @@ func coverFor(t *testing.T, p *Pool, n int, opt ForOptions) {
 	})
 	for i, c := range visited {
 		if c != 1 {
-			t.Fatalf("policy %v workers %d n %d: index %d visited %d times",
-				opt.Policy, p.Workers(), n, i, c)
+			t.Fatalf("workers %d n %d: index %d visited %d times", p.Workers(), n, i, c)
 		}
 	}
 }
@@ -38,11 +35,8 @@ func coverFor(t *testing.T, p *Pool, n int, opt ForOptions) {
 func TestForCoversRangeExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 4, 7} {
 		p := NewPool(workers)
-		for _, pol := range allPolicies {
-			for _, n := range []int{0, 1, 2, 5, 64, 1000, 1023} {
-				coverFor(t, p, n, ForOptions{Policy: pol})
-				coverFor(t, p, n, ForOptions{Policy: pol, Chunk: 3})
-			}
+		for _, n := range []int{0, 1, 2, 5, 64, 1000, 1023} {
+			coverFor(t, p, n)
 		}
 		p.Close()
 	}
@@ -52,7 +46,7 @@ func TestForSequentialThreshold(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	ran := false
-	p.For(10, ForOptions{SeqThreshold: 10}, func(lo, hi, worker int) {
+	p.For(10, 10, func(lo, hi, worker int) {
 		if lo != 0 || hi != 10 || worker != 0 {
 			t.Errorf("threshold run got (lo,hi,worker)=(%d,%d,%d), want (0,10,0)", lo, hi, worker)
 		}
@@ -64,7 +58,7 @@ func TestForSequentialThreshold(t *testing.T) {
 	// Above the threshold the loop must be split (with 4 workers, static
 	// block gives 4 calls).
 	var calls atomic.Int32
-	p.For(100, ForOptions{SeqThreshold: 10}, func(lo, hi, worker int) { calls.Add(1) })
+	p.For(100, 10, func(lo, hi, worker int) { calls.Add(1) })
 	if calls.Load() < 2 {
 		t.Fatalf("loop above threshold not parallelized: %d calls", calls.Load())
 	}
@@ -73,8 +67,8 @@ func TestForSequentialThreshold(t *testing.T) {
 func TestForEmptyAndNegative(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
-	p.For(0, ForOptions{}, func(lo, hi, worker int) { t.Error("body ran for n=0") })
-	p.For(-5, ForOptions{}, func(lo, hi, worker int) { t.Error("body ran for n<0") })
+	p.For(0, 0, func(lo, hi, worker int) { t.Error("body ran for n=0") })
+	p.For(-5, 0, func(lo, hi, worker int) { t.Error("body ran for n<0") })
 }
 
 func TestSinglePoolWorkerRunsInline(t *testing.T) {
@@ -84,7 +78,7 @@ func TestSinglePoolWorkerRunsInline(t *testing.T) {
 		t.Fatalf("Workers = %d", p.Workers())
 	}
 	calls := 0
-	p.For(100, ForOptions{}, func(lo, hi, worker int) {
+	p.For(100, 0, func(lo, hi, worker int) {
 		calls++
 		if lo != 0 || hi != 100 {
 			t.Errorf("single worker split the range: [%d,%d)", lo, hi)
@@ -108,7 +102,7 @@ func TestCloseIdempotentAndSequentialAfterClose(t *testing.T) {
 	p.Close()
 	p.Close() // must not panic or deadlock
 	ran := false
-	p.For(10, ForOptions{}, func(lo, hi, worker int) {
+	p.For(10, 0, func(lo, hi, worker int) {
 		ran = true
 		if lo != 0 || hi != 10 {
 			t.Error("closed pool did not run sequentially")
@@ -131,7 +125,7 @@ func TestPanicPropagation(t *testing.T) {
 			t.Fatalf("unexpected panic payload %v", r)
 		}
 	}()
-	p.For(100, ForOptions{}, func(lo, hi, worker int) {
+	p.For(100, 0, func(lo, hi, worker int) {
 		if lo == 0 {
 			panic("boom")
 		}
@@ -144,35 +138,9 @@ func TestPoolUsableAfterPanic(t *testing.T) {
 	defer p.Close()
 	func() {
 		defer func() { recover() }()
-		p.For(10, ForOptions{}, func(lo, hi, worker int) { panic("x") })
+		p.For(10, 0, func(lo, hi, worker int) { panic("x") })
 	}()
-	coverFor(t, p, 100, ForOptions{})
-}
-
-func TestPolicyString(t *testing.T) {
-	names := map[Policy]string{
-		StaticBlock:  "static-block",
-		StaticCyclic: "static-cyclic",
-		Dynamic:      "dynamic",
-		Guided:       "guided",
-		Policy(99):   "Policy(99)",
-	}
-	for pol, want := range names {
-		if pol.String() != want {
-			t.Errorf("String(%d) = %q, want %q", int(pol), pol.String(), want)
-		}
-	}
-}
-
-func TestUnknownPolicyPanics(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown policy did not panic")
-		}
-	}()
-	p.For(10, ForOptions{Policy: Policy(42)}, func(lo, hi, worker int) {})
+	coverFor(t, p, 100)
 }
 
 func sumTo(n int) float64 { return float64(n) * float64(n-1) / 2 }
@@ -181,7 +149,7 @@ func TestReduceSum(t *testing.T) {
 	for _, workers := range []int{1, 2, 5} {
 		p := NewPool(workers)
 		for _, n := range []int{0, 1, 10, 1000} {
-			got := p.Reduce(n, ForOptions{}, 0,
+			got := p.Reduce(n, 0, 0,
 				func(lo, hi int) float64 {
 					s := 0.0
 					for i := lo; i < hi; i++ {
@@ -205,7 +173,7 @@ func TestReduceMax(t *testing.T) {
 	for i := range vals {
 		vals[i] = math.Sin(float64(i) * 12.9898)
 	}
-	got := p.Reduce(len(vals), ForOptions{}, math.Inf(-1),
+	got := p.Reduce(len(vals), 0, math.Inf(-1),
 		func(lo, hi int) float64 {
 			m := math.Inf(-1)
 			for i := lo; i < hi; i++ {
@@ -237,7 +205,7 @@ func TestReduceDeterministicAcrossRuns(t *testing.T) {
 	p := NewPool(6)
 	defer p.Close()
 	run := func() float64 {
-		return p.Reduce(len(vals), ForOptions{}, 0,
+		return p.Reduce(len(vals), 0, 0,
 			func(lo, hi int) float64 {
 				s := 0.0
 				for i := lo; i < hi; i++ {
@@ -255,16 +223,15 @@ func TestReduceDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// Property: For with any policy computes the same per-index result as a
-// plain loop (each worker writes only its own sub-range — no races).
+// Property: For computes the same per-index result as a plain loop (each
+// worker writes only its own sub-range — no races).
 func TestForMatchesSequentialQuick(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	f := func(seed uint16, polRaw uint8, chunkRaw uint8) bool {
+	f := func(seed uint16) bool {
 		n := int(seed%500) + 1
-		pol := allPolicies[int(polRaw)%len(allPolicies)]
 		out := make([]float64, n)
-		p.For(n, ForOptions{Policy: pol, Chunk: int(chunkRaw % 8)}, func(lo, hi, w int) {
+		p.For(n, 0, func(lo, hi, w int) {
 			for i := lo; i < hi; i++ {
 				out[i] = float64(i) * 1.5
 			}
@@ -287,7 +254,7 @@ func BenchmarkForOverhead(b *testing.B) {
 		b.Run(map[int]string{1: "seq", 4: "par4"}[workers], func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p.For(1024, ForOptions{}, func(lo, hi, w int) {
+				p.For(1024, 0, func(lo, hi, w int) {
 					for j := lo; j < hi; j++ {
 						_ = j
 					}
@@ -309,7 +276,7 @@ func TestBusyAccountingPerWorkerCount(t *testing.T) {
 		const fanouts = 3
 		var total atomic.Int64
 		for i := 0; i < fanouts; i++ {
-			p.For(1<<14, ForOptions{}, func(lo, hi, worker int) {
+			p.For(1<<14, 0, func(lo, hi, worker int) {
 				var s int64
 				for j := lo; j < hi; j++ {
 					s += int64(j)
@@ -350,8 +317,8 @@ func TestWspanEmission(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 	p.SetTracer(tr)
-	p.For(1<<12, ForOptions{}, func(lo, hi, worker int) {})
-	p.For(8, ForOptions{SeqThreshold: 64}, func(lo, hi, worker int) {})
+	p.For(1<<12, 0, func(lo, hi, worker int) {})
+	p.For(8, 64, func(lo, hi, worker int) {})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +360,7 @@ func TestConcurrentForOnSharedPool(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 4; rep++ {
 				var sum atomic.Int64
-				p.For(n, ForOptions{Policy: Policy(rep % 4)}, func(lo, hi, _ int) {
+				p.For(n, 0, func(lo, hi, _ int) {
 					s := int64(0)
 					for i := lo; i < hi; i++ {
 						s += int64(i)
@@ -423,7 +390,7 @@ func TestPersistentPoolIgnoresClose(t *testing.T) {
 	}
 	hit := map[int]bool{}
 	var mu sync.Mutex
-	p.For(1<<12, ForOptions{}, func(lo, hi, worker int) {
+	p.For(1<<12, 0, func(lo, hi, worker int) {
 		mu.Lock()
 		hit[worker] = true
 		mu.Unlock()
@@ -451,7 +418,7 @@ func TestCloseRacesConcurrentFor(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				var sum atomic.Int64
-				p.For(1<<10, ForOptions{}, func(lo, hi, _ int) {
+				p.For(1<<10, 0, func(lo, hi, _ int) {
 					for i := lo; i < hi; i++ {
 						sum.Add(int64(i))
 					}

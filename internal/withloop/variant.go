@@ -58,19 +58,28 @@ func DefaultVariant(level int) string {
 // run some other backend under the misspelt name.
 var ForcedVariant = sync.OnceValue(func() string {
 	v := os.Getenv("MG_FORCE_VARIANT")
-	if !ValidVariant(v) {
-		panic(fmt.Sprintf("withloop: MG_FORCE_VARIANT=%q names no kernel variant (accepted: %s, %s, %s)",
-			v, VariantScalar, VariantBuffered, VariantSIMD))
-	}
+	mustNameVariant("MG_FORCE_VARIANT", v)
 	return v
 })
+
+// mustNameVariant panics, naming the accepted values, unless v is a valid
+// variant choice for source.
+func mustNameVariant(source, v string) {
+	if !ValidVariant(v) {
+		panic(fmt.Sprintf("withloop: %s=%q names no kernel variant (accepted: %s, %s, %s)",
+			source, v, VariantScalar, VariantBuffered, VariantSIMD))
+	}
+}
 
 // VariantFor resolves the backend a plane kernel at MG level `level` runs:
 // the MG_FORCE_VARIANT environment variable, else override (Env.Variant —
 // the -variant flag, a service request's field) when non-empty, else
 // DefaultVariant(level). It is the one place the precedence is spelled;
-// Env.PlanFor and core.PlaneVariant call it.
+// Env.PlanFor and core.PlaneVariant call it. An override that names no
+// variant panics like a misspelt MG_FORCE_VARIANT, whatever the variable
+// says.
 func VariantFor(level int, override string) string {
+	mustNameVariant("Env.Variant", override)
 	if forced := ForcedVariant(); forced != "" {
 		return forced
 	}

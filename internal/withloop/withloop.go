@@ -91,13 +91,11 @@ type Env struct {
 	// SeqThreshold runs WITH-loops with at most this many index vectors
 	// sequentially, regardless of the pool — SAC's small-grid policy.
 	SeqThreshold int
-	// ForOpt selects the scheduling policy for parallel loops.
-	ForOpt sched.ForOptions
 	// Variant, when non-empty, forces the inner-loop kernel backend
 	// (VariantScalar/Buffered/SIMD) for every plane kernel, overriding
 	// the rule (DefaultVariant) — the -variant flag of cmd/mg and
 	// cmd/mgbench. The MG_FORCE_VARIANT environment variable overrides
-	// even this (VariantFor).
+	// even this (VariantFor). Any other value panics at the first kernel.
 	Variant string
 	// Metrics, when non-nil, receives per-(kernel, level) invocation
 	// statistics from the fused kernels and the benchmark driver
@@ -207,28 +205,22 @@ func (e *Env) Workers() int {
 	return e.Sched.Workers()
 }
 
-// forOptions merges the environment's scheduling options with its
-// sequential threshold for an index space of n elements.
-func (e *Env) forOptions() sched.ForOptions {
-	o := e.ForOpt
-	if o.SeqThreshold < e.SeqThreshold {
-		o.SeqThreshold = e.SeqThreshold
-	}
-	return o
+// PlanFor resolves how one plane-kernel invocation at the given MG grid
+// level runs: the sequential threshold of its plane loop and the
+// inner-loop kernel variant (VariantFor). perItem is the number of index
+// vectors each loop iteration covers; SeqThreshold is defined in index
+// vectors, so it is divided by perItem before reaching the scheduler.
+func (e *Env) PlanFor(level, perItem int) (seqThreshold int, variant string) {
+	return e.seqThreshold(perItem), VariantFor(level, e.Variant)
 }
 
-// PlanFor resolves how one plane-kernel invocation at the given MG grid
-// level runs: the scheduler options for its plane loop (ForOpt and
-// SeqThreshold) and the inner-loop kernel variant (VariantFor). perItem is
-// the number of index vectors each loop iteration covers; the sequential
-// threshold is defined in index vectors, so it is divided by perItem
-// before reaching the scheduler.
-func (e *Env) PlanFor(level, perItem int) (sched.ForOptions, string) {
-	opts := e.ForOpt
+// seqThreshold converts SeqThreshold, defined in index vectors, into
+// iterations of a loop whose iterations each cover perItem of them.
+func (e *Env) seqThreshold(perItem int) int {
 	if perItem > 0 {
-		opts.SeqThreshold = max(opts.SeqThreshold, e.SeqThreshold) / perItem
+		return e.SeqThreshold / perItem
 	}
-	return opts, VariantFor(level, e.Variant)
+	return e.SeqThreshold
 }
 
 func (e *Env) pool() *mempool.Pool { return e.Pool }
@@ -455,7 +447,7 @@ func (e *Env) iterate(shp shape.Shape, g Generator, visit func(iv shape.Index, o
 	// get large contiguous sub-boxes; otherwise flatten everything.
 	inner := total / len(pos[0])
 	strides := shp.Strides()
-	e.Sched.For(len(pos[0]), e.forOptionsScaled(total, len(pos[0])), func(lo, hi, _ int) {
+	e.Sched.For(len(pos[0]), e.seqThreshold(inner), func(lo, hi, _ int) {
 		iv := make(shape.Index, rank)
 		sub := make([]int, rank) // position-list cursor per axis
 		for p0 := lo; p0 < hi; p0++ {
@@ -485,20 +477,6 @@ func (e *Env) iterate(shp shape.Shape, g Generator, visit func(iv shape.Index, o
 	})
 }
 
-// forOptionsScaled adapts the sequential threshold when parallelizing over
-// an outer axis: the threshold is defined in index vectors, but the loop
-// counts outer positions each covering total/outer vectors.
-func (e *Env) forOptionsScaled(total, outer int) sched.ForOptions {
-	o := e.forOptions()
-	if outer > 0 {
-		per := total / outer
-		if per > 0 {
-			o.SeqThreshold = o.SeqThreshold / per
-		}
-	}
-	return o
-}
-
 // iterateDense3 handles dense rank-3 generators with nested counters.
 func (e *Env) iterateDense3(shp shape.Shape, g Generator, visit func(iv shape.Index, off int)) {
 	l0, l1, l2 := g.Lower[0], g.Lower[1], g.Lower[2]
@@ -507,8 +485,7 @@ func (e *Env) iterateDense3(shp shape.Shape, g Generator, visit func(iv shape.In
 		return
 	}
 	n1, n2 := shp[1], shp[2]
-	total := (u0 - l0) * (u1 - l1) * (u2 - l2)
-	e.Sched.For(u0-l0, e.forOptionsScaled(total, u0-l0), func(lo, hi, _ int) {
+	e.Sched.For(u0-l0, e.seqThreshold((u1-l1)*(u2-l2)), func(lo, hi, _ int) {
 		iv := make(shape.Index, 3)
 		for i0 := l0 + lo; i0 < l0+hi; i0++ {
 			iv[0] = i0
@@ -533,7 +510,7 @@ func (e *Env) iterateDenseLow(shp shape.Shape, g Generator, visit func(iv shape.
 		if u0 <= l0 {
 			return
 		}
-		e.Sched.For(u0-l0, e.forOptions(), func(lo, hi, _ int) {
+		e.Sched.For(u0-l0, e.SeqThreshold, func(lo, hi, _ int) {
 			iv := make(shape.Index, 1)
 			for i := l0 + lo; i < l0+hi; i++ {
 				iv[0] = i
@@ -547,8 +524,7 @@ func (e *Env) iterateDenseLow(shp shape.Shape, g Generator, visit func(iv shape.
 			return
 		}
 		n1 := shp[1]
-		total := (u0 - l0) * (u1 - l1)
-		e.Sched.For(u0-l0, e.forOptionsScaled(total, u0-l0), func(lo, hi, _ int) {
+		e.Sched.For(u0-l0, e.seqThreshold(u1-l1), func(lo, hi, _ int) {
 			iv := make(shape.Index, 2)
 			for i0 := l0 + lo; i0 < l0+hi; i0++ {
 				iv[0] = i0
@@ -656,7 +632,7 @@ func (e *Env) Fold(shp shape.Shape, g Generator, op FoldOp, neutral float64, f E
 	}
 	rank := shp.Rank()
 	inner := total / len(pos[0])
-	return e.Sched.Reduce(len(pos[0]), e.forOptionsScaled(total, len(pos[0])), neutral,
+	return e.Sched.Reduce(len(pos[0]), e.seqThreshold(inner), neutral,
 		func(lo, hi int) float64 {
 			iv := make(shape.Index, rank)
 			sub := make([]int, rank)

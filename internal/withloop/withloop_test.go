@@ -408,7 +408,7 @@ func TestParallelEnvClose(t *testing.T) {
 	d := Default()
 	d.Close()
 	ran := false
-	sched.Sequential.For(1, sched.ForOptions{}, func(lo, hi, w int) { ran = true })
+	sched.Sequential.For(1, 0, func(lo, hi, w int) { ran = true })
 	if !ran {
 		t.Fatal("Default env Close broke the shared sequential pool")
 	}
