@@ -236,9 +236,9 @@ func main() {
 		return nil
 	}()
 	if err != nil {
-		// Close before exiting so the queued abort relay (naming the
-		// dead rank) reaches the surviving peers — os.Exit would drop
-		// it on the floor and they would only see this process's EOF.
+		// Close before exiting: it waits until the abort relay (naming
+		// the dead rank) has reached the surviving peers — os.Exit could
+		// cut it off and they would only see this process's EOF.
 		// The tracer flushes first: the partial trace is still pairable
 		// up to the failure point (and mgtrace tolerates a torn tail).
 		tracer.Close()

@@ -5,7 +5,7 @@
 // runs the domain-decomposed solver (internal/mgmpi) on the simulated
 // message-passing world across rank counts, verifying each run against
 // the official NPB reference and reporting the communication structure —
-// the halo-exchange and agglomeration traffic a real MPI run pays for.
+// the halo-exchange and allgather traffic a real MPI run pays for.
 //
 //	go run ./examples/mpihalo [-class S] [-ranks 1,2,4,8]
 package main

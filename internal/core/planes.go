@@ -70,7 +70,7 @@ func PlaneVariant(row int) string { return wl.VariantFor(levelOfExtent(row), "")
 // With one interior plane the single plane is both faces (it is sent in
 // both directions); with two there is no overlappable interior at all.
 // SplitPlanes panics below one interior plane: such a level must be
-// agglomerated, never exchanged.
+// solved whole, never exchanged.
 func SplitPlanes(n0 int) (boundary []int, interior PlaneSpan) {
 	lp := n0 - 2
 	if lp < 1 {

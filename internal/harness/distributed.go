@@ -381,8 +381,9 @@ func RunFigComm(w io.Writer, binary string, class nas.Class, ranks int, overlap 
 	fmt.Fprintf(w, "matched %d send/recv pairs == %d transport sends; 0 unmatched\n", rep.Matched, totalSends)
 
 	// Per-rank attribution gate: the traced blocked time (observer spans)
-	// must agree with the transport's own ExchangeNanos within 5% — the
-	// two clocks bracket the same Send/Recv calls. In overlap mode the
+	// must agree with the transport's own ExchangeNanos within 5% — each
+	// Send/Recv event carries what the transport charged that call, so a
+	// gap is an event lost, duplicated or charged twice. In overlap mode the
 	// traced send events are stamped at post, not at Wait, so the gate
 	// additionally tolerates a small absolute gap (the send-side Wait
 	// blocked time, which only the transport counter sees).

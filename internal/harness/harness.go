@@ -314,9 +314,10 @@ func RunMPIStats(w io.Writer, class nas.Class, rankCounts []int) []MPIStatsRow {
 	if len(rankCounts) > 0 && rankCounts[len(rankCounts)-1] >= 8 {
 		run("(2,2,2)", mgmpi.New3D(class, 2, 2, 2))
 	}
-	fmt.Fprintf(w, "Messages grow with ranks (more halo partners); per-rank volume shrinks\n")
-	fmt.Fprintf(w, "(surface-to-volume) — and the 3-D cube decomposition moves less data\n")
-	fmt.Fprintf(w, "than the 1-D slab at the same rank count, which is why NPB-MPI uses it.\n\n")
+	fmt.Fprintf(w, "Messages grow with ranks (more halo partners, an allgather among more\n")
+	fmt.Fprintf(w, "ranks); slab faces do not shrink with the slab — and the 3-D cube\n")
+	fmt.Fprintf(w, "decomposition moves less data than the 1-D slab at the same rank count,\n")
+	fmt.Fprintf(w, "which is why NPB-MPI uses it.\n\n")
 	return rows
 }
 

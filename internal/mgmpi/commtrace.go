@@ -26,6 +26,11 @@ type seqKey struct{ peer, tag int }
 // sides makes (src, dst, tag, seq) a globally unique pairing key: the
 // n-th send on a stream is received by the n-th matching recv.
 //
+// A Send, Recv or receive Wait event carries what the transport charged
+// that call as blocked time — the difference of its running total around
+// the call — so the traced and the transport's views bracket one region
+// and agree exactly, however the rank is descheduled around the call.
+//
 // level and iter are plain fields written by the owning rank's goroutine
 // between communication phases (a rank's solve is single-threaded); the
 // wrapper is NOT safe for concurrent use by multiple goroutines, matching
@@ -37,6 +42,7 @@ type seqKey struct{ peer, tag int }
 // sequence-number (a native barrier would bypass Send/Recv accounting).
 type commObserver struct {
 	inner mpi.Transport
+	clock blockedClock // inner's running blocked-time total
 	tr    *metrics.Tracer
 	rank  int
 	level int
@@ -48,9 +54,14 @@ type commObserver struct {
 
 var _ mpi.Transport = (*commObserver)(nil)
 
+// blockedClock reads a transport's Stats().ExchangeNanos without the
+// snapshot. Both transports implement it.
+type blockedClock interface{ ExchangeNanos() int64 }
+
 func newCommObserver(inner mpi.Transport, tr *metrics.Tracer) *commObserver {
 	return &commObserver{
 		inner:   inner,
+		clock:   inner.(blockedClock),
 		tr:      tr,
 		rank:    inner.Rank(),
 		sendSeq: map[seqKey]uint64{},
@@ -65,7 +76,7 @@ func (o *commObserver) Close() error        { return o.inner.Close() }
 func (o *commObserver) Release(p []float64) { o.inner.Release(p) }
 
 func (o *commObserver) Send(dst, tag int, data []float64) error {
-	start := time.Now()
+	before := o.clock.ExchangeNanos()
 	if err := o.inner.Send(dst, tag, data); err != nil {
 		return err
 	}
@@ -76,13 +87,13 @@ func (o *commObserver) Send(dst, tag int, data []float64) error {
 		Ev: "send", Rank: o.rank, Peer: dst, Tag: tag,
 		Level: o.level, Iter: o.iter,
 		Bytes: int64(8 * len(data)), Seq: seq,
-		Nanos: int64(time.Since(start)),
+		Nanos: o.clock.ExchangeNanos() - before,
 	})
 	return nil
 }
 
 func (o *commObserver) Recv(src, tag int) ([]float64, error) {
-	start := time.Now()
+	before := o.clock.ExchangeNanos()
 	data, err := o.inner.Recv(src, tag)
 	if err != nil {
 		return nil, err
@@ -94,7 +105,7 @@ func (o *commObserver) Recv(src, tag int) ([]float64, error) {
 		Ev: "recv", Rank: o.rank, Peer: src, Tag: tag,
 		Level: o.level, Iter: o.iter,
 		Bytes: int64(8 * len(data)), Seq: seq,
-		Nanos: int64(time.Since(start)),
+		Nanos: o.clock.ExchangeNanos() - before,
 	})
 	return data, nil
 }
@@ -102,9 +113,10 @@ func (o *commObserver) Recv(src, tag int) ([]float64, error) {
 // Isend emits its send event at post time — the message is on its way
 // from here, and the pairing window against the matching recv must span
 // the compute the caller overlaps, not collapse to the Wait. Nanos is
-// the post call's own (near-zero) duration; the blocked tail lives in
-// the transport's Wait-side accounting. The sequence number is taken at
-// post, which is delivery order on a FIFO stream.
+// the post call's own duration (over TCP, the write): the transport
+// charges it, with any blocked tail, at the send's Wait, which is not
+// traced. The sequence number is taken at post, which is delivery order
+// on a FIFO stream.
 func (o *commObserver) Isend(dst, tag int, data []float64) mpi.Request {
 	start := time.Now()
 	req := o.inner.Isend(dst, tag, data)
@@ -123,8 +135,9 @@ func (o *commObserver) Isend(dst, tag int, data []float64) mpi.Request {
 // Irecv assigns the stream sequence number at post (post order is
 // delivery order on a FIFO stream) but emits the recv event from the
 // first Wait, when the payload — and its true size — exists. The event's
-// Nanos is the time that Wait blocked: the exposed (non-overlapped) part
-// of the exchange, which is exactly what the overlap report should see.
+// Nanos is what that Wait was charged as blocked: the exposed
+// (non-overlapped) part of the exchange, which is exactly what the
+// overlap report should see.
 func (o *commObserver) Irecv(src, tag int) mpi.Request {
 	k := seqKey{src, tag}
 	seq := o.recvSeq[k]
@@ -163,9 +176,9 @@ func (r *tracedRecv) emit(data []float64, err error, nanos int64) {
 }
 
 func (r *tracedRecv) Wait() ([]float64, error) {
-	start := time.Now()
+	before := r.o.clock.ExchangeNanos()
 	data, err := r.req.Wait()
-	r.emit(data, err, int64(time.Since(start)))
+	r.emit(data, err, r.o.clock.ExchangeNanos()-before)
 	return data, err
 }
 

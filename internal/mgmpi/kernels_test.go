@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/aplib"
 	"repro/internal/array"
@@ -55,9 +57,10 @@ func TestOperatorsEqualCoreKernels(t *testing.T) {
 	ref.Smoother = class.SmootherCoeffs()
 	periodic := func(a *array.Array) *array.Array { nas.Comm3(a); return a }
 
+	box := func(l int) *array.Array { return array.New(st.boxShape(l)) }
 	for _, l := range []int{st.lt, 2} {
 		name := func(op string) string { return fmt.Sprintf("level %d %s", l, op) }
-		u, v := randomBox(1, st.u[l]), randomBox(2, st.u[l])
+		u, v := randomBox(1, box(l)), randomBox(2, box(l))
 
 		r := randomBox(3, u)
 		st.resid(u, v, r)
@@ -71,7 +74,7 @@ func TestOperatorsEqualCoreKernels(t *testing.T) {
 		st.psinv(r, u)
 		sameBits(t, name("psinv"), u, want)
 
-		coarse := randomBox(4, st.u[l-1])
+		coarse := randomBox(4, box(l-1))
 		st.rprj3(r, coarse)
 		sameBits(t, name("rprj3"), coarse, periodic(ref.Fine2Coarse(r)))
 
@@ -114,9 +117,19 @@ func TestWarmSolveAllocs(t *testing.T) {
 
 // A solve cut short — one rank dies after an iteration, the survivors'
 // exchanges fail wherever in the V-cycle they were blocked — leaves every
-// line buffer back in the pool, under both exchange modes and with the
-// plane loops fanned over workers.
+// line buffer back in the pool and no goroutine behind, under both exchange
+// modes and with the plane loops fanned over workers.
 func TestPoolBalancedAfterDeadRank(t *testing.T) {
+	base := runtime.NumGoroutine()
+	defer func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("%d goroutines outlived the aborted solves", n-base)
+		}
+	}()
 	for _, overlap := range []bool{false, true} {
 		s := New(nas.ClassS, 4)
 		s.Overlap = overlap

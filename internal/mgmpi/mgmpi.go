@@ -8,11 +8,21 @@
 // side, and the periodic boundary update comm3 becomes a sequence of
 // face exchanges, one axis at a time in the serial update's order
 // (contiguous axis first), so edge and corner values propagate exactly as
-// in the serial code. Levels whose per-rank extent would drop below two
-// cells on a distributed axis are agglomerated onto rank 0 and solved
-// serially there — the coarse-grid agglomeration of distributed
-// multigrid (NPB-MPI instead deactivates processors; agglomeration is the
-// documented substitution, DESIGN.md §4).
+// in the serial code.
+//
+// The coarse levels are solved redundantly: below the coarsest
+// distributed level lcd every rank holds the whole grids. Each rank
+// restricts its level-lcd box onto its share of level lcd−1 locally, one
+// allgather assembles that residual on every rank, every rank runs the
+// serial rest of the V-cycle, and each prolongs its own window back onto
+// its box — no rank idles and nothing is broadcast. lcd−1 is chosen by
+// rule, not by flag: the finest level whose whole grid has at most
+// wl.DefaultSeqThreshold points (16³), SAC's threshold for a grid too small
+// to split, unless the decomposition needs a coarser cut — a distributed
+// level keeps at least two cells per rank on every distributed axis, so
+// the restriction/prolongation pairing stays rank-local. (NPB-MPI instead
+// deactivates processors; redundant coarse solves are the documented
+// substitution, DESIGN.md §4.)
 //
 // A 1-D slab decomposition is the special case (R, 1, 1); New uses it,
 // New3D takes an explicit processor grid.
@@ -55,15 +65,15 @@ import (
 	"repro/internal/sched"
 	"repro/internal/shape"
 	"repro/internal/stencil"
+	wl "repro/internal/withloop"
 )
 
 // Message tags. Halo tags are offset by axis so protocol errors surface
 // as tag mismatches.
 const (
-	tagGather = iota + 1
+	tagAllgather = iota + 1
 	tagScatter
 	tagNorm
-	tagBcast
 	tagHaloBase // +2*axis (low face), +2*axis+1 (high face)
 )
 
@@ -296,24 +306,27 @@ func (s *Solver) runRank(c *mpi.Comm) (rnm2, rnmu float64) {
 // --- per-rank state -------------------------------------------------------------
 
 // rankState is one rank's view of the problem: its sub-box hierarchy for
-// the distributed levels and (on rank 0) the full grids of the
-// agglomerated coarse levels.
+// the distributed levels and the whole grids of the coarse levels every
+// rank solves.
 type rankState struct {
 	c     *mpi.Comm
 	class nas.Class
 	lt    int    // finest level
-	lcd   int    // coarsest distributed level
+	lcd   int    // coarsest distributed level; 1..lcd−1 are whole on every rank
 	procs [3]int // processor grid extents
 	coord [3]int // this rank's grid coordinates
 	a, cs stencil.Coeffs
 
-	u, r map[int]*array.Array // distributed levels: local sub-boxes
-	v    *array.Array         // finest right-hand-side sub-box
+	// u, r hold local sub-boxes of levels lcd−1..lt; at lcd−1 they are the
+	// rank's share of the whole grid — the restriction the allgather ships
+	// (r) and the window of the coarse solution it prolongs from (u).
+	u, r map[int]*array.Array
+	v    *array.Array // finest right-hand-side sub-box
 
-	uFull, rFull map[int]*array.Array // agglomerated levels (rank 0)
+	uFull, rFull map[int]*array.Array // levels 1..lcd−1, whole grids
 
-	// serialComm redirects comm3 to serial plane copies while rank 0
-	// works on agglomerated full grids.
+	// serialComm redirects comm3 to serial plane copies while the rank
+	// works on whole grids.
 	serialComm bool
 
 	// overlap selects the nonblocking interior/boundary-split exchange
@@ -324,6 +337,11 @@ type rankState struct {
 	mem     *mempool.Pool // line buffers of the plane kernels (Solver.mem)
 
 	scratch []float64 // a packed face, between pack and the Send that copies it
+
+	// norms' per-plane partials (planeTot: per global plane, rank 0) and
+	// the result rank 0 broadcasts, allocated once per solve.
+	planes, planeMax, planeTot []float64
+	normOut                    [2]float64
 
 	// obs, when tracing, is the transport observer whose level/iter
 	// fields tag every send/recv event; spanFn emits per-level kernel
@@ -354,19 +372,20 @@ func (st *rankState) kspan(kernel string, level int, f func()) {
 
 func newRankState(c *mpi.Comm, class nas.Class, procs [3]int) *rankState {
 	lt := class.LT()
-	// Coarsest distributed level: at least two cells per rank along every
-	// distributed axis, so every sub-box starts on an even global index
-	// and the restriction/prolongation pairing stays rank-local.
-	lcd := 1
+	// Coarsest distributed level: one above the finest level whose whole
+	// grid has at most wl.DefaultSeqThreshold points (2^(3l) ≤ 4096: level
+	// 4, 16³), and at least two cells per rank along every distributed
+	// axis, so every sub-box starts on an even global index and the
+	// restriction/prolongation pairing stays rank-local.
+	lcd := (bits.Len(uint(wl.DefaultSeqThreshold))-1)/3 + 1
 	for _, r := range procs {
 		l := 1
 		for r > 1 && (1<<l) < 2*r {
 			l++
 		}
-		if l > lcd {
-			lcd = l
-		}
+		lcd = max(lcd, l)
 	}
+	lcd = min(lcd, lt)
 	rank := c.Rank()
 	coord := [3]int{
 		rank / (procs[1] * procs[2]),
@@ -379,20 +398,20 @@ func newRankState(c *mpi.Comm, class nas.Class, procs [3]int) *rankState {
 		u: map[int]*array.Array{}, r: map[int]*array.Array{},
 		uFull: map[int]*array.Array{}, rFull: map[int]*array.Array{},
 	}
-	for l := lcd; l <= lt; l++ {
+	for l := lcd - 1; l <= lt; l++ {
 		st.u[l] = array.New(st.boxShape(l))
 		st.r[l] = array.New(st.boxShape(l))
 	}
 	st.v = array.New(st.boxShape(lt))
+	for l := 1; l < lcd; l++ {
+		st.uFull[l] = array.New(class.ExtShape(l))
+		st.rFull[l] = array.New(class.ExtShape(l))
+	}
+	lp := st.local(lt, 0)
+	st.planes = make([]float64, lp, lp+1) // + the local max, on the wire
+	st.planeMax = make([]float64, lp)
 	if rank == 0 {
-		for l := 1; l < lcd; l++ {
-			st.uFull[l] = array.New(class.ExtShape(l))
-			st.rFull[l] = array.New(class.ExtShape(l))
-		}
-		if lcd > 1 {
-			st.rFull[lcd] = array.New(class.ExtShape(lcd))
-			st.uFull[lcd] = array.New(class.ExtShape(lcd))
-		}
+		st.planeTot = make([]float64, 1<<lt)
 	}
 	return st
 }
@@ -556,18 +575,11 @@ func (st *rankState) unpack(d []float64, n1, n2 int, lo, hi [3]int, payload []fl
 	st.c.Release(payload)
 }
 
-// --- gather / scatter / broadcast ---------------------------------------------------
+// --- scatter / allgather ------------------------------------------------------------
 
 // globalBox returns this rank's interior box in extended-global
-// coordinates at a distributed level.
-func (st *rankState) globalBox(level int) (lo, hi [3]int) {
-	for a := 0; a < 3; a++ {
-		lp := st.local(level, a)
-		lo[a] = st.coord[a]*lp + 1
-		hi[a] = lo[a] + lp - 1
-	}
-	return lo, hi
-}
+// coordinates at a level.
+func (st *rankState) globalBox(level int) (lo, hi [3]int) { return st.rankBoxOf(level, st.c.Rank()) }
 
 // rankBoxOf returns rank r's interior box at a level (extended-global).
 func (st *rankState) rankBoxOf(level, r int) (lo, hi [3]int) {
@@ -584,22 +596,31 @@ func (st *rankState) rankBoxOf(level, r int) (lo, hi [3]int) {
 	return lo, hi
 }
 
-// gatherToRoot assembles a distributed level into rank 0's full grid.
-func (st *rankState) gatherToRoot(level int, box, full *array.Array) {
-	st.setCommLevel(level)
-	bs := box.Shape()
+// allgather assembles the residual of level g = lcd−1 whole on every rank:
+// each rank posts the interior of its box r[g] to every other rank, then
+// takes theirs in rank order into rFull[g], whose halo the serial comm3
+// fills.
+func (st *rankState) allgather() {
+	g := st.lcd - 1
+	st.setCommLevel(g)
+	box, full := st.r[g], st.rFull[g]
+	bs, m := box.Shape(), full.Shape()
 	interiorLo := [3]int{1, 1, 1}
 	interiorHi := [3]int{bs[0] - 2, bs[1] - 2, bs[2] - 2}
-	if st.c.Rank() != 0 {
-		st.c.Send(0, tagGather, st.pack(box.Data(), bs[1], bs[2], interiorLo, interiorHi))
-		return
+	me := st.c.Rank()
+	mine := st.pack(box.Data(), bs[1], bs[2], interiorLo, interiorHi)
+	for dst := 0; dst < st.c.Size(); dst++ {
+		if dst != me {
+			st.c.Send(dst, tagAllgather, mine)
+		}
 	}
-	m := full.Shape()
-	fLo, _ := st.globalBox(level)
-	copyBox(full.Data(), m[1], m[2], fLo, box.Data(), bs[1], bs[2], interiorLo, interiorHi)
-	for src := 1; src < st.c.Size(); src++ {
-		lo, hi := st.rankBoxOf(level, src)
-		st.unpack(full.Data(), m[1], m[2], lo, hi, st.c.Recv(src, tagGather))
+	for src := 0; src < st.c.Size(); src++ {
+		lo, hi := st.rankBoxOf(g, src)
+		if src == me {
+			copyBox(full.Data(), m[1], m[2], lo, box.Data(), bs[1], bs[2], interiorLo, interiorHi)
+		} else {
+			st.unpack(full.Data(), m[1], m[2], lo, hi, st.c.Recv(src, tagAllgather))
+		}
 	}
 	nas.Comm3(full)
 }
@@ -623,19 +644,6 @@ func (st *rankState) scatterFromRoot(level int, full, box *array.Array) {
 		return
 	}
 	unpackBox(box.Data(), bs[1], bs[2], interiorLo, interiorHi, st.c.Recv(0, tagScatter))
-}
-
-// broadcastFull distributes rank 0's full grid to every rank.
-func (st *rankState) broadcastFull(full *array.Array, level int) *array.Array {
-	if st.c.Size() == 1 {
-		return full
-	}
-	st.setCommLevel(level)
-	if st.c.Rank() == 0 {
-		st.c.Broadcast(tagBcast, 0, full.Data())
-		return full
-	}
-	return array.Wrap(st.class.ExtShape(level), st.c.Broadcast(tagBcast, 0, nil))
 }
 
 // --- kernels: core's plane kernels over the rank's boxes ---------------------------
@@ -669,16 +677,20 @@ func (st *rankState) psinv(r, u *array.Array) {
 	})
 }
 
-// rprj3 restricts the fine box rk to the coarse box rj. Box alignment
-// makes the cell mapping local along every axis: coarse local (j3,j2,j1)
-// sits under fine local (2j3, 2j2, 2j1).
-func (st *rankState) rprj3(rk, rj *array.Array) {
+// rprj3 restricts the fine box rk to the coarse box rj and refreshes rj's
+// halo.
+func (st *rankState) rprj3(rk, rj *array.Array) { st.fusedComm3(rj, st.project(rk, rj)) }
+
+// project is the plane loop of the restriction of the fine box rk onto the
+// coarse box rj. Box alignment makes the cell mapping local along every
+// axis: coarse local (j3,j2,j1) sits under fine local (2j3, 2j2, 2j1).
+func (st *rankState) project(rk, rj *array.Array) func(core.PlaneSpan) {
 	fs := rk.Shape()
 	fd, cd := rk.Data(), rj.Data()
 	variant := core.PlaneVariant(rj.Shape()[2] - 2)
-	st.fusedComm3(rj, func(p core.PlaneSpan) {
+	return func(p core.PlaneSpan) {
 		core.ProjectCondensePlanes(st.mem, cd, fd, fs[1], fs[2], p, variant, stencil.P)
-	})
+	}
 }
 
 // interp prolongs the coarse box z onto the whole fine box u (coarse local
@@ -698,18 +710,18 @@ func (st *rankState) interp(z, u *array.Array, add bool) {
 	})
 }
 
-// boundaryInterp prolongs this rank's window of the (broadcast) full
-// coarse grid — its coarse cells and one halo cell either side, which is a
-// box of level lcd−1 — onto its fine box.
-func (st *rankState) boundaryInterp(zFull, u *array.Array, add bool) {
-	win := st.boxShape(st.lcd - 1)
-	var lo, hi [3]int
-	for a := 0; a < 3; a++ {
-		lo[a] = st.coord[a] * (win[a] - 2)
-		hi[a] = lo[a] + win[a] - 1
+// window copies this rank's window of the whole coarse solution uFull[g],
+// g = lcd−1 — its coarse cells and one halo cell either side — into its
+// box u[g], from which interp prolongs onto the level-lcd box.
+func (st *rankState) window() {
+	g := st.lcd - 1
+	win, full := st.u[g], st.uFull[g]
+	ws, fs := win.Shape(), full.Shape()
+	lo, hi := st.globalBox(g)
+	for a := range lo {
+		lo[a], hi[a] = lo[a]-1, hi[a]+1
 	}
-	fs := zFull.Shape()
-	st.interp(array.Wrap(win, packBox(nil, zFull.Data(), fs[1], fs[2], lo, hi)), u, add)
+	copyBox(win.Data(), ws[1], ws[2], [3]int{}, full.Data(), fs[1], fs[2], lo, hi)
 }
 
 // --- driver -----------------------------------------------------------------------
@@ -727,29 +739,28 @@ func (st *rankState) reset() {
 	st.comm3(st.v)
 }
 
-// mg3P is one V-cycle across the distributed and agglomerated levels.
-// With a tracer attached every kernel call is also emitted as a
-// per-level span (restrict at the target coarse level, prolong at the
-// target fine level, matching the single-process tracer's naming), so
-// the comm report can attribute compute vs blocked time per level.
+// mg3P is one V-cycle. Down the distributed levels each rank restricts its
+// box; the last restriction, onto its share of level lcd−1, needs no halo
+// exchange, because the allgather that follows makes the whole grid on
+// every rank. Every rank then runs the whole-grid levels itself and
+// prolongs its own window back up. With a tracer attached every kernel
+// call is also emitted as a per-level span (restrict at the target coarse
+// level, prolong at the target fine level, matching the single-process
+// tracer's naming), so the comm report can attribute compute vs blocked
+// time per level.
 func (st *rankState) mg3P() {
 	lt, lcd := st.lt, st.lcd
 	for l := lt; l > lcd; l-- {
 		st.kspan("fine2coarse", l-1, func() { st.rprj3(st.r[l], st.r[l-1]) })
 	}
-	if lcd > 1 {
-		st.gatherToRoot(lcd, st.r[lcd], st.rFull[lcd])
-		if st.c.Rank() == 0 {
-			st.serialDownUp()
-		}
-		zFull := st.broadcastFull(st.uFull[lcd-1], lcd-1)
-		st.kspan("coarse2fine", lcd, func() { st.boundaryInterp(zFull, st.u[lcd], lcd == lt) })
-		st.kspan("resid", lcd, func() { st.resid(st.u[lcd], st.rhs(lcd), st.r[lcd]) })
-	} else {
-		st.u[1].Zero()
-	}
-	st.kspan("smooth", lcd, func() { st.psinv(st.r[lcd], st.u[lcd]) })
-	for l := lcd + 1; l <= lt; l++ {
+	g := lcd - 1
+	st.kspan("fine2coarse", g, func() {
+		st.forPlanes(core.PlaneSpan{Lo: 1, Hi: st.r[g].Shape()[0] - 2}, st.project(st.r[lcd], st.r[g]))
+	})
+	st.allgather()
+	st.serialDownUp()
+	st.window()
+	for l := lcd; l <= lt; l++ {
 		st.kspan("coarse2fine", l, func() { st.interp(st.u[l-1], st.u[l], l == lt) })
 		st.kspan("resid", l, func() { st.resid(st.u[l], st.rhs(l), st.r[l]) })
 		st.kspan("smooth", l, func() { st.psinv(st.r[l], st.u[l]) })
@@ -767,17 +778,18 @@ func (st *rankState) rhs(l int) *array.Array {
 	return st.r[l]
 }
 
-// serialDownUp runs the agglomerated part of the V-cycle on rank 0.
+// serialDownUp runs the whole-grid levels of the V-cycle, lcd−1 down to 1
+// and back — the same serial code on every rank.
 func (st *rankState) serialDownUp() {
 	st.serialComm = true
 	defer func() { st.serialComm = false }()
-	lcd := st.lcd
-	for l := lcd; l >= 2; l-- {
+	g := st.lcd - 1
+	for l := g; l >= 2; l-- {
 		st.kspan("fine2coarse", l-1, func() { st.rprj3(st.rFull[l], st.rFull[l-1]) })
 	}
 	st.uFull[1].Zero()
 	st.kspan("smooth", 1, func() { st.psinv(st.rFull[1], st.uFull[1]) })
-	for l := 2; l <= lcd-1; l++ {
+	for l := 2; l <= g; l++ {
 		st.kspan("coarse2fine", l, func() { st.interp(st.uFull[l-1], st.uFull[l], false) })
 		st.kspan("resid", l, func() { st.resid(st.uFull[l], st.rFull[l], st.rFull[l]) })
 		st.kspan("smooth", l, func() { st.psinv(st.rFull[l], st.uFull[l]) })
@@ -804,13 +816,11 @@ func (st *rankState) norms() (rnm2, rnmu float64) {
 	r := st.r[st.lt]
 	shp := r.Shape()
 	d := r.Data()
-	lp := shp[0] - 2 // planes owned along the decomposed axis 0
-	planes := make([]float64, lp, lp+1)
-	planeMax := make([]float64, lp)
+	planes, planeMax := st.planes, st.planeMax // one per plane owned along axis 0
 	// Per-plane partials may run on concurrent workers: each plane writes
 	// its own slot, and the serial folds below (ascending planes for the
 	// sum, any order for the max) keep the canonical association.
-	st.forPlanes(core.PlaneSpan{Lo: 1, Hi: lp}, func(p core.PlaneSpan) {
+	st.forPlanes(core.PlaneSpan{Lo: 1, Hi: len(planes)}, func(p core.PlaneSpan) {
 		for i3 := p.Lo; i3 <= p.Hi; i3++ {
 			var planeSum, planeAbs float64
 			for i2 := 1; i2 < shp[1]-1; i2++ {
@@ -846,11 +856,14 @@ func (st *rankState) norms() (rnm2, rnmu float64) {
 		return math.Sqrt(sum / total), maxAbs
 	}
 	if st.c.Rank() != 0 {
-		st.c.Send(0, tagNorm, append(planes, maxAbs))
+		st.c.Send(0, tagNorm, append(planes, maxAbs)) // into planes' spare slot
 		res := st.c.Broadcast(tagNorm, 0, nil)
-		return res[0], res[1]
+		rnm2, rnmu = res[0], res[1]
+		st.c.Release(res)
+		return rnm2, rnmu
 	}
-	planeTot := make([]float64, 1<<st.lt)
+	planeTot := st.planeTot
+	clear(planeTot)
 	addPlanes := func(rank int, part []float64) {
 		g0 := rank / (st.procs[1] * st.procs[2]) * st.local(st.lt, 0)
 		for i, p := range part {
@@ -864,12 +877,14 @@ func (st *rankState) norms() (rnm2, rnmu float64) {
 		if m := payload[len(payload)-1]; m > maxAbs {
 			maxAbs = m
 		}
+		st.c.Release(payload)
 	}
 	var sum float64
 	for _, p := range planeTot {
 		sum += p
 	}
 	rnm2 = math.Sqrt(sum / total)
-	st.c.Broadcast(tagNorm, 0, []float64{rnm2, maxAbs})
+	st.normOut = [2]float64{rnm2, maxAbs}
+	st.c.Broadcast(tagNorm, 0, st.normOut[:])
 	return rnm2, maxAbs
 }

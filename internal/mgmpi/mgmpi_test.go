@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/f77"
 	"repro/internal/metrics"
+	"repro/internal/mpi"
 	"repro/internal/nas"
 )
 
@@ -107,50 +108,58 @@ func TestRunsDeterministic(t *testing.T) {
 	}
 }
 
-// Communication structure: every rank sends the same number of halo
-// messages (the decomposition is symmetric), and the total volume scales
-// with the surface area, not the volume, of the slabs.
+// Communication structure, in closed form. With R ranks and A distributed
+// axes a comm3 is 2·A·R messages. A V-cycle and the residual after it make
+// one comm3 per distributed restriction (lt−lcd), two per distributed level
+// on the way up (resid, smooth), one for the residual, and the allgather of
+// level lcd−1, R·(R−1) messages: for 2-rank slabs 4·(lt−lcd) + 2 +
+// 8·(lt−lcd+1) + 4. Around the iterations come the scatter (R−1), two
+// comm3s (v and the first residual) and the final norm reduction (2·(R−1)).
+// The ranks' V-cycle traffic is identical; rank 0 sends the scatter and the
+// norm broadcast, the others one norm partial each.
 func TestCommunicationStructure(t *testing.T) {
-	s := New(nas.ClassS, 4)
-	s.Run()
-	per := s.RankStats()
-	// Ranks 1..N-1 are symmetric; rank 0 additionally scatters zran3,
-	// gathers the agglomerated level and broadcasts its solution.
-	if per[1].Messages != per[2].Messages || per[2].Messages != per[3].Messages {
-		t.Fatalf("non-root ranks asymmetric: %+v", per)
-	}
-	if per[0].Messages <= per[1].Messages {
-		t.Fatalf("root rank should send extra agglomeration traffic: %+v", per)
-	}
-	total := s.Stats()
-	if total.Messages == 0 || total.Bytes == 0 {
-		t.Fatal("no communication recorded")
-	}
-	// Surface scaling: each halo message carries one plane, ~(n+2)² values.
-	n := nas.ClassS.N
-	planeBytes := uint64((n+2)*(n+2)) * 8
-	if total.Bytes < planeBytes {
-		t.Fatalf("implausibly small traffic: %d bytes", total.Bytes)
-	}
-}
-
-// More ranks exchange more, smaller messages; the per-rank volume drops.
-func TestPerRankVolumeDropsWithRanks(t *testing.T) {
-	vol := map[int]uint64{}
-	for _, ranks := range []int{2, 8} {
-		s := New(nas.ClassS, ranks)
-		s.Run()
-		max := uint64(0)
-		for _, st := range s.RankStats()[1:] { // skip the root's extra traffic
-			if st.Bytes > max {
-				max = st.Bytes
+	for _, c := range []struct {
+		class nas.Class
+		procs [3]int
+		lcd   int // by the rule: one above level 4 (16³), the whole-grid threshold
+	}{
+		{nas.ClassS, [3]int{2, 1, 1}, 5},
+		{nas.ClassS, [3]int{4, 1, 1}, 5},
+		{nas.ClassS, [3]int{8, 1, 1}, 5},
+		{nas.ClassS, [3]int{2, 2, 2}, 5},
+		{nas.ClassW, [3]int{2, 1, 1}, 5},
+	} {
+		if c.class.Name == 'W' && testing.Short() {
+			continue
+		}
+		ranks, axes := 1, 0
+		for _, r := range c.procs {
+			ranks *= r
+			if r > 1 {
+				axes++
 			}
 		}
-		vol[ranks] = max
-	}
-	if vol[8] >= vol[2] {
-		t.Fatalf("per-rank halo volume did not drop: 2 ranks %d bytes, 8 ranks %d bytes",
-			vol[2], vol[8])
+		st := newRankState(mpi.NewComm(mpi.NewWorld(ranks).Transport(0)), c.class, c.procs)
+		if st.lcd != c.lcd {
+			t.Errorf("class %c procs %v: coarsest distributed level %d, want %d", c.class.Name, c.procs, st.lcd, c.lcd)
+		}
+		s := New3D(c.class, c.procs[0], c.procs[1], c.procs[2])
+		s.Run()
+		lt, R := c.class.LT(), uint64(ranks)
+		comm3 := 2 * uint64(axes) * R
+		perCycle := comm3*uint64((lt-c.lcd)+2*(lt-c.lcd+1)+1) + R*(R-1)
+		want := uint64(c.class.Iter)*perCycle + 2*comm3 + 3*(R-1)
+		if got := s.Stats().Messages; got != want {
+			t.Errorf("class %c procs %v: %d messages, the closed form says %d (%d per V-cycle)",
+				c.class.Name, c.procs, got, want, perCycle)
+		}
+		per := s.RankStats()
+		for r := 1; r < ranks; r++ {
+			if per[0].Messages != per[r].Messages+2*(R-1)-1 {
+				t.Errorf("class %c procs %v: rank 0 sent %d messages, rank %d %d: the V-cycle traffic is not symmetric",
+					c.class.Name, c.procs, per[0].Messages, r, per[r].Messages)
+			}
+		}
 	}
 }
 

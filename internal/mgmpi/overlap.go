@@ -51,7 +51,7 @@ func (st *rankState) fusedComm3(a *array.Array, compute func(core.PlaneSpan)) {
 
 // overlapActive reports whether the nonblocking split applies: overlap
 // selected, a genuinely distributed axis-0 exchange (slab decomposition,
-// more than one rank), and not inside rank 0's agglomerated serial phase.
+// more than one rank), and not on the whole-grid levels every rank solves.
 func (st *rankState) overlapActive() bool {
 	return st.overlap && !st.serialComm && st.procs[0] > 1
 }

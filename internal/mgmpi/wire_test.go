@@ -14,16 +14,19 @@ import (
 )
 
 // solveTCP runs one solve over an established mesh, every rank a
-// goroutine, and fails the test if a rank panics or does not verify.
-func solveTCP(t *testing.T, class nas.Class, mesh []*mpinet.Transport, overlap bool) {
+// goroutine, fails the test if a rank panics or does not verify, and
+// returns the ranks' solvers.
+func solveTCP(t *testing.T, class nas.Class, mesh []*mpinet.Transport, overlap bool) []*Solver {
 	t.Helper()
 	var wg sync.WaitGroup
+	solvers := make([]*Solver, len(mesh))
 	for r, tr := range mesh {
 		s, err := NewWithTransport(class, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.Overlap = overlap
+		solvers[r] = s
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
@@ -39,6 +42,7 @@ func solveTCP(t *testing.T, class nas.Class, mesh []*mpinet.Transport, overlap b
 		}(r)
 	}
 	wg.Wait()
+	return solvers
 }
 
 // meshTraffic sums the ranks' counters.
@@ -55,12 +59,12 @@ func meshTraffic(mesh []*mpinet.Transport) (s mpi.Stats) {
 // TestWarmTCPSolveAllocs pins the heap traffic of a warm 2-rank TCP solve
 // at class S, under both exchange modes. What a solve allocates is its
 // rank state — the grids of both ranks, rank 0's zran3 grid, the scatter's
-// whole-box one-offs — plus small objects: a fixed number per message
-// (requests, timers, closures; none at all on the synchronous fast path)
-// and the closures of the operator calls, charged to the messages here.
-// Nothing grows with a halo payload: everything beyond the rank state is
-// less than half the payload bytes the solve moves, where the parent's four
-// fresh buffers per message made it more than four times them.
+// whole-box one-offs, the rank's pack scratch and norm partials, and the
+// line buffers of a new solver's kernels — plus
+// small objects: the closures of the operator calls, a fixed number per
+// V-cycle, and a fixed number per message (timers, requests; none at all on
+// the synchronous fast path). Nothing grows with a halo payload: the
+// per-message budget is small against the payload the solve moves.
 func TestWarmTCPSolveAllocs(t *testing.T) {
 	if testing.Short() {
 		// Every race leg of CI runs -short, and the deltas below are the
@@ -68,14 +72,20 @@ func TestWarmTCPSolveAllocs(t *testing.T) {
 		// tests allocate too.
 		t.Skip("process-wide MemStats budget: not under -short (the race legs)")
 	}
+	// Measured synchronous: 88 objects and 28 KB per V-cycle (the operator
+	// closures, plus the size-class rounding of the grids), nothing per
+	// message; overlapped, 9 objects and 500 B more per message.
 	const (
-		objectsPerMessage = 16   // measured 2.2 synchronous, 11.3 overlapped
-		bytesPerMessage   = 1800 // measured 500 synchronous, 1130 overlapped
+		objectsPerCycle   = 128
+		bytesPerCycle     = 40000
+		objectsPerMessage = 16
+		bytesPerMessage   = 1200
 	)
 	class := nas.ClassS
 	mesh := tcpMesh(t, 2)
 
-	// The rank state, by construction: newRankState's grids, then reset's
+	// The rank state, by construction: newRankState's grids and norm
+	// partials, the scratch the allgather packs its box into, then reset's
 	// full grid, scatter pack and (never released) scatter payload.
 	var stateBytes, stateObjects uint64
 	for r := range mesh {
@@ -86,9 +96,17 @@ func TestWarmTCPSolveAllocs(t *testing.T) {
 				stateObjects += 3 // header, shape, data
 			}
 		}
+		g := st.r[st.lcd-1].Shape()
+		for _, n := range []int{cap(st.planes), len(st.planeMax), len(st.planeTot), (g[0] - 2) * (g[1] - 2) * (g[2] - 2)} {
+			if n > 0 {
+				stateBytes += 8 * uint64(n)
+				stateObjects++
+			}
+		}
 	}
 	box := uint64(class.N / 2 * class.N * class.N)
 	stateBytes += 8 * (uint64(class.ExtShape(class.LT()).Size()) + 2*box)
+	cycles := uint64(class.Iter)
 
 	for _, overlap := range []bool{false, true} {
 		solveTCP(t, class, mesh, overlap) // warm the transports' pools
@@ -96,21 +114,27 @@ func TestWarmTCPSolveAllocs(t *testing.T) {
 		var before, after runtime.MemStats
 		traffic := meshTraffic(mesh)
 		runtime.ReadMemStats(&before)
-		solveTCP(t, class, mesh, overlap)
+		solvers := solveTCP(t, class, mesh, overlap)
 		runtime.ReadMemStats(&after)
 		now := meshTraffic(mesh)
 		msgs, payload := now.Messages-traffic.Messages, now.Bytes-traffic.Bytes
+		stateBytes, stateObjects := stateBytes, stateObjects
+		for _, s := range solvers {
+			lines := s.mem.Stats()
+			stateBytes += lines.BytesAllocated
+			stateObjects += lines.Allocs
+		}
 
 		bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
-		t.Logf("overlap=%v: %d messages, %d payload bytes; allocated %d bytes (%d rank state) in %d objects (%d rank state)",
-			overlap, msgs, payload, bytes, stateBytes, objects, stateObjects)
-		if limit := stateBytes + msgs*bytesPerMessage; bytes > limit {
-			t.Errorf("overlap=%v: warm solve allocated %d bytes, budget %d (rank state %d + %d messages × %d)",
-				overlap, bytes, limit, stateBytes, msgs, bytesPerMessage)
+		t.Logf("overlap=%v: %d V-cycles, %d messages, %d payload bytes; allocated %d bytes (%d rank state) in %d objects (%d rank state)",
+			overlap, cycles, msgs, payload, bytes, stateBytes, objects, stateObjects)
+		if limit := stateBytes + cycles*bytesPerCycle + msgs*bytesPerMessage; bytes > limit {
+			t.Errorf("overlap=%v: warm solve allocated %d bytes, budget %d (rank state %d + %d V-cycles × %d + %d messages × %d)",
+				overlap, bytes, limit, stateBytes, cycles, bytesPerCycle, msgs, bytesPerMessage)
 		}
-		if limit := stateObjects + msgs*objectsPerMessage; objects > limit {
-			t.Errorf("overlap=%v: warm solve allocated %d objects, budget %d (rank state %d + %d messages × %d)",
-				overlap, objects, limit, stateObjects, msgs, objectsPerMessage)
+		if limit := stateObjects + cycles*objectsPerCycle + msgs*objectsPerMessage; objects > limit {
+			t.Errorf("overlap=%v: warm solve allocated %d objects, budget %d (rank state %d + %d V-cycles × %d + %d messages × %d)",
+				overlap, objects, limit, stateObjects, cycles, objectsPerCycle, msgs, objectsPerMessage)
 		}
 		if 2*msgs*bytesPerMessage > payload {
 			t.Errorf("overlap=%v: the message budget (%d × %d B) is not small against the payload (%d B)",
@@ -119,15 +143,18 @@ func TestWarmTCPSolveAllocs(t *testing.T) {
 	}
 }
 
-// TestTrafficExact pins the exact rows of a 2-rank solve: send-both-then-
-// receive and the recycled frames change when a message is built and
-// posted, never which messages exist or what is on the wire. The numbers are the
-// parent's; class W is the benchmark's dist_W2 workload and is left out
-// under -short.
+// TestTrafficExact pins the exact rows of a 2-rank solve, under both
+// exchange modes. The numbers were predicted before they were measured:
+// per V-cycle, one comm3 per distributed restriction and two per
+// distributed level on the way up, the residual's comm3 and a 2-message
+// allgather of level 4 (TestCommunicationStructure has the closed form).
+// How a message is built and written never changes which messages exist
+// or what is on the wire. Class W is the benchmark's dist_W2 workload and
+// is left out under -short.
 func TestTrafficExact(t *testing.T) {
 	want := map[byte][3]uint64{ // messages, payload bytes, wire bytes
-		'S': {211, 828824, 833044},
-		'W': {2491, 24290840, 24340660},
+		'S': {67, 780184, 781524},
+		'W': {1051, 23804440, 23825460},
 	}
 	mesh := tcpMesh(t, 2)
 	for _, class := range []nas.Class{nas.ClassS, nas.ClassW} {

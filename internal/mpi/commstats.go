@@ -121,10 +121,21 @@ func (r *CommRecorder) row(peer, tag int) *PeerStat {
 	return p
 }
 
+// NoQueue is the queue depth a transport without a departure queue
+// passes (mpinet, whose sender writes its own frame): no depth sample.
+const NoQueue = -1
+
+// observeDepth samples the departure-queue depth unless there is no queue.
+func (r *CommRecorder) observeDepth(queueDepth int) {
+	if queueDepth != NoQueue {
+		r.depth.Observe(int64(queueDepth))
+	}
+}
+
 // RecordSend accounts one completed send: payload bytes, the time the
 // caller was blocked inside the transport, and the departure-queue depth
-// observed before enqueue (mailbox fill for the channel transport, the
-// writer goroutine's backlog for mpinet).
+// observed before enqueue (mailbox fill for the channel transport;
+// NoQueue for mpinet).
 func (r *CommRecorder) RecordSend(peer, tag int, payloadBytes uint64, blockedNanos int64, queueDepth int) {
 	r.mu.Lock()
 	p := r.row(peer, tag)
@@ -132,7 +143,7 @@ func (r *CommRecorder) RecordSend(peer, tag int, payloadBytes uint64, blockedNan
 	p.SentBytes += payloadBytes
 	p.SendBlockedNanos += blockedNanos
 	r.blocked.Observe(blockedNanos)
-	r.depth.Observe(int64(queueDepth))
+	r.observeDepth(queueDepth)
 	r.mu.Unlock()
 }
 
@@ -147,7 +158,7 @@ func (r *CommRecorder) RecordSendPosted(peer, tag int, payloadBytes uint64, queu
 	p := r.row(peer, tag)
 	p.SentMsgs++
 	p.SentBytes += payloadBytes
-	r.depth.Observe(int64(queueDepth))
+	r.observeDepth(queueDepth)
 	r.mu.Unlock()
 }
 

@@ -56,7 +56,7 @@ type Stats struct {
 	Peers []PeerStat `json:"peers,omitempty"`
 	// BlockedHist is a power-of-two histogram of per-call blocked
 	// nanoseconds; QueueDepthHist of the departure-queue depth seen at
-	// enqueue (mailbox fill here, the writer backlog in mpinet).
+	// enqueue (mailbox fill here; mpinet has no queue and records none).
 	BlockedHist    Hist `json:"blockedHist,omitempty"`
 	QueueDepthHist Hist `json:"queueDepthHist,omitempty"`
 }
@@ -239,6 +239,10 @@ func (t *chanTransport) Stats() Stats {
 	t.w.rec[t.rank].SnapshotInto(&s)
 	return s
 }
+
+// ExchangeNanos is Stats().ExchangeNanos without the snapshot, for the
+// rank's own goroutine.
+func (t *chanTransport) ExchangeNanos() int64 { return t.w.stats[t.rank].ExchangeNanos }
 
 // Close is a no-op: the channel world owns no external resources.
 func (t *chanTransport) Close() error { return nil }

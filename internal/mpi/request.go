@@ -163,8 +163,9 @@ func (r *AsyncRequest) Test() (bool, []float64, error) {
 // that a queue-full (or inbox-empty) slow path cannot be overtaken by a
 // later operation on the same stream: each posted request chains on the
 // previous one's completion. The fast path stays fast — with no pending
-// predecessor the transport may complete the operation inline. Both
-// transports embed two (send and receive); the zero value is ready.
+// predecessor the transport may complete the operation inline. The channel
+// transport embeds two (send and receive), mpinet one (receive: its sends
+// are written before they return); the zero value is ready.
 type OpChain struct {
 	mu   sync.Mutex
 	tail map[int]*AsyncRequest

@@ -14,9 +14,9 @@ import (
 //   - the channel runtime in this package (all ranks in one address
 //     space, the "network" is Go channels — the simulation the original
 //     future-work comparison runs on), and
-//   - internal/mpinet, a real TCP transport with framed messages,
-//     checksums and per-peer writer goroutines, for runs where every
-//     rank is its own OS process (cmd/mgrank).
+//   - internal/mpinet, a real TCP transport with framed messages and
+//     checksums, written by the sending goroutine itself, for runs where
+//     every rank is its own OS process (cmd/mgrank).
 //
 // Errors are returned, not panicked, so a transport can report a dead
 // peer, a timeout or a corrupt frame precisely; Comm converts them to
@@ -32,8 +32,8 @@ type Transport interface {
 	// Size returns the world size.
 	Size() int
 	// Send transmits a copy of data to dst with the given tag. It blocks
-	// only for backpressure (a full peer queue) and must preserve
-	// per-(src, dst) FIFO ordering.
+	// only for backpressure (a full mailbox or socket buffer) and must
+	// preserve per-(src, dst) FIFO ordering.
 	Send(dst, tag int, data []float64) error
 	// Recv blocks for the next message from src, which must carry the
 	// expected tag (per-pair FIFO makes a mismatch a protocol error, not

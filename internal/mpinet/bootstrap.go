@@ -144,15 +144,6 @@ func readReply(conn net.Conn, timeout time.Duration, size int) ([]string, error)
 	return addrs, nil
 }
 
-func newPeer(rank int, conn net.Conn, queueDepth int) *peer {
-	return &peer{
-		rank:  rank,
-		conn:  conn,
-		out:   make(chan []float64, queueDepth),
-		inbox: make(chan inMsg, inboxDepth),
-	}
-}
-
 // Rendezvous is rank 0's open bootstrap: the listener exists (Addr
 // reports the bound address, useful with a ":0" ephemeral port) but the
 // world is not yet assembled.
@@ -255,7 +246,7 @@ func (r *Rendezvous) Accept() (*Transport, error) {
 	}
 	peers := make([]*peer, cfg.Size)
 	for rank := 1; rank < cfg.Size; rank++ {
-		peers[rank] = newPeer(rank, conns[rank], cfg.QueueDepth)
+		peers[rank] = newPeer(rank, conns[rank])
 	}
 	return newTransport(cfg, peers), nil
 }
@@ -328,7 +319,7 @@ func Join(cfg Config) (*Transport, error) {
 		return fail(err)
 	}
 	peers := make([]*peer, cfg.Size)
-	peers[0] = newPeer(0, conn, cfg.QueueDepth)
+	peers[0] = newPeer(0, conn)
 	closePeers := func() {
 		for _, p := range peers {
 			if p != nil {
@@ -350,7 +341,7 @@ func Join(cfg Config) (*Transport, error) {
 			ln.Close()
 			return nil, &PeerError{Peer: rank, Op: "mesh handshake", Err: err}
 		}
-		peers[rank] = newPeer(rank, mc, cfg.QueueDepth)
+		peers[rank] = newPeer(rank, mc)
 	}
 	// Accept the dials of every higher rank.
 	if tl, ok := ln.(*net.TCPListener); ok {
@@ -391,7 +382,7 @@ func Join(cfg Config) (*Transport, error) {
 			ln.Close()
 			return nil, &HandshakeError{Peer: ph.rank, Reason: fmt.Sprintf("rank %d dialed twice", ph.rank)}
 		}
-		peers[ph.rank] = newPeer(ph.rank, mc, cfg.QueueDepth)
+		peers[ph.rank] = newPeer(ph.rank, mc)
 	}
 	ln.Close()
 	return newTransport(cfg, peers), nil

@@ -7,7 +7,7 @@ import (
 
 // The typed failure modes of the TCP transport. Every way a distributed
 // solve can go wrong — a peer process dying, a corrupt or truncated
-// frame, a protocol mismatch at the handshake, a stalled queue — surfaces
+// frame, a protocol mismatch at the handshake, a stalled peer — surfaces
 // as one of these within the configured deadline, so a failed run is
 // diagnosable (which rank, which tag, what broke) instead of a hang.
 // All of them are matchable with errors.As.
@@ -101,8 +101,10 @@ func (e *HandshakeError) Error() string {
 }
 
 // TimeoutError reports an operation that exceeded its deadline: a Recv
-// with no matching message, a Send blocked on a full writer queue, or a
-// rendezvous still waiting for ranks to join.
+// with no matching message, a send that waited out another writer of the
+// same peer, or a rendezvous still waiting for ranks to join. (A write
+// that outlives its deadline is a PeerError wrapping the timeout: the
+// stream is torn.)
 type TimeoutError struct {
 	Peer int // the rank being waited on; -1 for the whole world
 	Tag  int

@@ -14,6 +14,7 @@ import (
 // the test's end of the wire.
 func rawPeer(t *testing.T, ioTimeout time.Duration) (*Transport, net.Conn) {
 	t.Helper()
+	noLeak(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +40,7 @@ func rawPeer(t *testing.T, ioTimeout time.Duration) (*Transport, net.Conn) {
 	}
 	cfg := Config{Rank: 0, Size: 2, Addr: "-", IOTimeout: ioTimeout, DialRetries: 1, DialBackoff: time.Millisecond}.withDefaults()
 	peers := make([]*peer, 2)
-	peers[1] = newPeer(1, accepted, cfg.QueueDepth)
+	peers[1] = newPeer(1, accepted)
 	tr := newTransport(cfg, peers)
 	t.Cleanup(func() { tr.Close(); raw.Close() })
 	return tr, raw
@@ -200,6 +201,7 @@ func TestFaultGoodbyeIsNotDeath(t *testing.T) {
 // version: rank 0's Accept and the joiner's own bootstrap must both
 // fail with VersionError.
 func TestFaultVersionMismatch(t *testing.T) {
+	noLeak(t)
 	cfg := Config{Rank: 0, Size: 2, Addr: "127.0.0.1:0", IOTimeout: 2 * time.Second}
 	rz, err := Listen(cfg)
 	if err != nil {
@@ -237,6 +239,7 @@ func TestFaultVersionMismatch(t *testing.T) {
 
 // TestFaultHandshakeBadRank joins with an out-of-range rank id.
 func TestFaultHandshakeBadRank(t *testing.T) {
+	noLeak(t)
 	cfg := Config{Rank: 0, Size: 2, Addr: "127.0.0.1:0", IOTimeout: 2 * time.Second}
 	rz, err := Listen(cfg)
 	if err != nil {
@@ -269,6 +272,7 @@ func TestFaultHandshakeBadRank(t *testing.T) {
 // 0 must give up at the rendezvous deadline with a TimeoutError naming
 // the missing ranks, not hang.
 func TestFaultRendezvousTimeout(t *testing.T) {
+	noLeak(t)
 	cfg := Config{
 		Rank: 0, Size: 3, Addr: "127.0.0.1:0",
 		IOTimeout: 300 * time.Millisecond, DialRetries: 1, DialBackoff: time.Millisecond,

@@ -1,7 +1,9 @@
 package mpinet
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -9,11 +11,39 @@ import (
 	"repro/internal/mpi"
 )
 
+// noLeak takes the goroutine count now and requires it back when the test
+// ends, after the cleanups registered later have closed the transports:
+// Close waits for a transport's readers, and a transport owns nothing else.
+func noLeak(t *testing.T) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		if n := settleGoroutines(base); n > base {
+			buf := make([]byte, 1<<16)
+			t.Errorf("%d goroutines left after Close, %d before the transports existed:\n%s",
+				n, base, buf[:runtime.Stack(buf, true)])
+		}
+	})
+}
+
+// settleGoroutines waits up to 5s for the goroutine count to drop to want
+// (exiting goroutines are still counted for a moment) and returns it.
+func settleGoroutines(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > want && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
 // localWorld bootstraps a size-rank world over loopback, one transport
 // per rank, all in this process. mut (optional) tweaks each rank's
 // config before bootstrap.
 func localWorld(t *testing.T, size int, mut func(rank int, cfg *Config)) []*Transport {
 	t.Helper()
+	noLeak(t)
 	base := Config{
 		Size:        size,
 		Addr:        "127.0.0.1:0",
@@ -74,6 +104,60 @@ func TestBootstrapSingleRank(t *testing.T) {
 	if world[0].Rank() != 0 || world[0].Size() != 1 {
 		t.Fatalf("rank/size = %d/%d", world[0].Rank(), world[0].Size())
 	}
+}
+
+// TestCleanShutdown: a transport owns one goroutine per peer, its reader
+// (frames are written by the goroutine that posts them), and a clean
+// Close after traffic leaves none of them behind.
+func TestCleanShutdown(t *testing.T) {
+	const size = 3
+	world := localWorld(t, size, nil)
+	if n := settleTransportGoroutines(size * (size - 1)); n != size*(size-1) {
+		t.Fatalf("%d transport goroutines for %d transports of %d peers each, want one per peer", n, size, size-1)
+	}
+	for r, tr := range world {
+		if err := tr.Send((r+1)%size, 3, []float64{float64(r)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r, tr := range world {
+		if got, err := tr.Recv((r+size-1)%size, 3); err != nil || got[0] != float64((r+size-1)%size) {
+			t.Fatalf("rank %d: Recv = %v, %v", r, got, err)
+		}
+	}
+	for _, tr := range world {
+		tr.Close()
+	}
+	if n := settleTransportGoroutines(0); n != 0 {
+		t.Errorf("%d transport goroutines left after every rank closed", n)
+	}
+	for r, tr := range world {
+		if err := tr.Err(); err != nil {
+			t.Errorf("rank %d: a clean shutdown failed the transport: %v", r, err)
+		}
+	}
+}
+
+// settleTransportGoroutines waits up to 5s for the number of goroutines
+// inside a Transport method to become want, and returns it.
+func settleTransportGoroutines(want int) int {
+	count := func() int {
+		buf := make([]byte, 1<<20)
+		n := 0
+		for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+			if bytes.Contains(g, []byte("mpinet.(*Transport).")) {
+				n++
+			}
+		}
+		return n
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	n := count()
+	for n != want && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+		n = count()
+	}
+	return n
 }
 
 func TestMeshExchange(t *testing.T) {
@@ -189,8 +273,10 @@ func TestPeerStatsOverTCP(t *testing.T) {
 		if st.BlockedHist.Count() != 2*(size-1) {
 			t.Errorf("rank %d: blocked hist count %d, want %d", rank, st.BlockedHist.Count(), 2*(size-1))
 		}
-		if st.QueueDepthHist.Count() != size-1 {
-			t.Errorf("rank %d: depth hist count %d, want %d", rank, st.QueueDepthHist.Count(), size-1)
+		// The sender writes its own frame: there is no departure queue to
+		// sample (the channel runtime's mailbox depth is pinned in mpi).
+		if n := st.QueueDepthHist.Count(); n != 0 {
+			t.Errorf("rank %d: %d queue-depth samples from a transport without a queue", rank, n)
 		}
 	}
 }

@@ -2,6 +2,9 @@ package mpinet
 
 import (
 	"errors"
+	"fmt"
+	"io"
+	"sort"
 	"testing"
 	"time"
 
@@ -50,8 +53,8 @@ func TestRequestTCPRoundTrip(t *testing.T) {
 	}
 }
 
-// A dropped Isend is still delivered: the frame was handed to the writer
-// at post time, and the message counters with it.
+// A dropped Isend is still delivered: the frame was written at post time,
+// and the message counters with it.
 func TestRequestTCPDroppedIsendDelivered(t *testing.T) {
 	world := localWorld(t, 2, nil)
 	world[0].Isend(1, 8, []float64{3, 4}) // never waited
@@ -95,6 +98,99 @@ func TestRequestTCPBlockingChainsBehindIrecv(t *testing.T) {
 	}
 	if err := <-got; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWriteFIFOUnderAbortRelay pins the one write path. The rank goroutine
+// interleaves Isend and Send to one peer and ends with Close's goodbye,
+// while another goroutine fails the transport and relays an abort to the
+// same peer. The peer must read only intact frames; the application frames
+// must be exactly the posts that reported success, in post order (an Isend
+// overtaken by a later Send shows up here as a tag out of order); the
+// abort arrives at most once, and before the goodbye whenever the failure
+// was visible when Close began; nothing of the rank's follows the goodbye.
+func TestWriteFIFOUnderAbortRelay(t *testing.T) {
+	const posts = 300
+	for round := 0; round < 8; round++ {
+		tr, raws := rawWorld(t, 3)
+		read := make(chan error, 1)
+		var tags []int
+		aborts, lateAborts := 0, 0
+		go func() { // raw rank 1: read every frame until the socket closes
+			read <- func() error {
+				hdr := make([]byte, headerLen)
+				goodbye := false
+				for {
+					raws[1].SetReadDeadline(time.Now().Add(5 * time.Second))
+					h, data, err := readFrame(raws[1], hdr, 0) // validates magic, length and CRC
+					switch {
+					case errors.Is(err, io.EOF):
+						return nil
+					case err != nil:
+						return err
+					case goodbye && h.tag != tagAbort: // a concurrent relay may land after the goodbye, nothing of ours may
+						return fmt.Errorf("tag %d arrived after the goodbye", h.tag)
+					case h.tag == tagGoodbye:
+						goodbye = true
+					case h.tag == tagAbort:
+						if len(data) != 1 || data[0] != 2 {
+							return fmt.Errorf("abort payload %v, want rank 2", data)
+						}
+						aborts++
+						if goodbye {
+							lateAborts++
+						}
+					case !sameFloats(data, face(h.tag, 1+h.tag%5)):
+						return fmt.Errorf("tag %d arrived with payload %v", h.tag, data)
+					default:
+						tags = append(tags, h.tag)
+					}
+				}
+			}()
+		}()
+
+		start, relayed := make(chan struct{}), make(chan struct{})
+		go func() {
+			<-start
+			tr.fail(&PeerError{Peer: 2, Op: "read", Err: io.ErrUnexpectedEOF})
+			close(relayed)
+		}()
+		var ok []int
+		reqs := map[int]mpi.Request{}
+		for i := 0; i < posts; i++ {
+			if i == posts/4+round*20 {
+				close(start)
+			}
+			if i%3 == 0 {
+				if err := tr.Send(1, i, face(i, 1+i%5)); err == nil {
+					ok = append(ok, i)
+				}
+				continue
+			}
+			reqs[i] = tr.Isend(1, i, face(i, 1+i%5))
+		}
+		failedFirst := tr.Err() != nil
+		tr.Close()
+		<-relayed
+		for i, req := range reqs {
+			if _, err := req.Wait(); err == nil {
+				ok = append(ok, i)
+			}
+		}
+		sort.Ints(ok)
+		if err := <-read; err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if fmt.Sprint(tags) != fmt.Sprint(ok) {
+			t.Fatalf("round %d: the peer read tags %v, the posts that succeeded were %v", round, tags, ok)
+		}
+		if aborts > 1 || (failedFirst && (aborts == 0 || lateAborts > 0)) {
+			t.Fatalf("round %d: %d aborts read, %d after the goodbye (failed before Close: %v)", round, aborts, lateAborts, failedFirst)
+		}
+		var pe *PeerError
+		if err := tr.Err(); !errors.As(err, &pe) || pe.Peer != 2 {
+			t.Fatalf("round %d: transport error %v, want the relayed PeerError naming rank 2", round, err)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 // raws[0] is nil.
 func rawWorld(t *testing.T, size int) (*Transport, []net.Conn) {
 	t.Helper()
+	noLeak(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +36,7 @@ func rawWorld(t *testing.T, size int) (*Transport, []net.Conn) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		peers[r] = newPeer(r, accepted, cfg.QueueDepth)
+		peers[r] = newPeer(r, accepted)
 	}
 	tr := newTransport(cfg, peers)
 	tr.free.SetParanoid(true) // before any traffic: a buffer given back twice panics
@@ -97,11 +98,10 @@ func sameFloats(a, b []float64) bool {
 }
 
 // TestRecycleControlFrames is the recycling-safety test the flake sweep
-// runs under -race. Control frames go to several peers at once, and every
-// writer returns the frame it wrote to the pool, so each peer must get
-// a frame of its own: a shared one would be recycled twice — the pool's
-// paranoid mode panics on that — and overwritten while the slower writer
-// still sends it.
+// runs under -race. Control frames go to several peers, and every write
+// returns the frame it wrote to the pool, so each peer must get a frame of
+// its own: a shared one would be recycled twice — the pool's paranoid mode
+// panics on that — and overwritten while it is still being sent.
 func TestRecycleControlFrames(t *testing.T) {
 	hdr := make([]byte, headerLen)
 	raw := func(c net.Conn) (frameHeader, []float64, error) {
@@ -122,7 +122,7 @@ func TestRecycleControlFrames(t *testing.T) {
 				t.Errorf("raw rank %d read header %+v payload %v (err %v), want an abort naming rank 3", r, h, data, err)
 			}
 		}
-		<-tr.failed // closed once the aborts are queued, so perhaps after they are read
+		<-tr.failed // closed before the aborts are written
 		var pe *PeerError
 		if err := tr.Err(); !errors.As(err, &pe) || pe.Peer != 3 {
 			t.Errorf("transport error %v, want a PeerError naming rank 3", err)
@@ -182,7 +182,7 @@ func TestRecycleControlFrames(t *testing.T) {
 // handed out again) and a held payload must still be intact at the end
 // (nothing is recycled until it is released). Half the released buffers come
 // back as frames of the echo stream, so under -race this also catches a
-// writer still sending a frame that has been handed out again.
+// frame still being written after it has been handed out again.
 func TestReleasedPayloadNeverSeenMutated(t *testing.T) {
 	const messages = 300
 	size := func(i int) int { return 900 + 17*(i%7) } // seven lengths, seven pool keys

@@ -13,10 +13,12 @@
 // listener. Once everyone has joined, rank 0 distributes the address
 // book and each pair of ranks establishes one TCP connection (the higher
 // rank dials the lower; connections to rank 0 reuse the rendezvous
-// sockets). Every connection then gets a reader goroutine and a writer
-// goroutine with a bounded outgoing queue — Send enqueues a frame and
-// blocks only when the queue is full (backpressure), Recv pops from the
-// per-peer inbox.
+// sockets). Every connection then gets one reader goroutine, which fills
+// a bounded per-peer inbox that Recv pops from and notices a peer's death
+// while the rank computes. There is no writer goroutine: Send and Isend
+// build the frame and write it to the socket themselves, under the peer's
+// write lock, so per-peer FIFO is program order and a full socket buffer
+// is the backpressure.
 //
 // Failure is loud by construction: read/write deadlines bound every
 // wire operation, a Recv waits at most the configured IOTimeout, and the
@@ -58,12 +60,9 @@ type Config struct {
 	// DialBackoff is the pause between dial attempts. Default 250ms.
 	DialBackoff time.Duration
 	// IOTimeout bounds every wire operation: frame reads and writes, a
-	// Recv with no matching message, a Send on a full writer queue.
+	// Recv with no matching message, the wait for a peer's write lock.
 	// Default 30s.
 	IOTimeout time.Duration
-	// QueueDepth bounds each peer's outgoing writer queue (frames), the
-	// backpressure window. Default 16.
-	QueueDepth int
 }
 
 // withDefaults fills unset tunables.
@@ -76,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IOTimeout <= 0 {
 		c.IOTimeout = 30 * time.Second
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 16
 	}
 	return c
 }
@@ -107,13 +103,17 @@ func (c Config) validate() error {
 // pushes back on the sender.
 const inboxDepth = 64
 
-// peer is one established connection: a writer goroutine draining a
-// bounded queue, and a reader goroutine filling a bounded inbox.
+// peer is one established connection: the lock its frames are written
+// under, and a reader goroutine filling a bounded inbox.
 type peer struct {
 	rank  int
 	conn  net.Conn
-	out   chan []float64 // built frames (buildFrame) awaiting the writer
-	inbox chan inMsg     // decoded messages awaiting Recv
+	wlock chan struct{} // one slot: held while a frame is written to conn
+	inbox chan inMsg    // decoded messages awaiting Recv
+}
+
+func newPeer(rank int, conn net.Conn) *peer {
+	return &peer{rank: rank, conn: conn, wlock: make(chan struct{}, 1), inbox: make(chan inMsg, inboxDepth)}
 }
 
 type inMsg struct {
@@ -131,46 +131,45 @@ type Transport struct {
 	peers []*peer // indexed by rank; peers[rank] is nil
 
 	failed    chan struct{} // closed on first failure; failErr is set before
+	relayed   chan struct{} // closed once that failure's abort relay is written
 	closed    chan struct{} // closed by Close
 	failErr   error
 	failOnce  sync.Once
 	closeOnce sync.Once
 	readWg    sync.WaitGroup
-	writeWg   sync.WaitGroup
 
 	msgs, payloadBytes, wireBytes atomic.Uint64
 	exchangeNanos                 atomic.Int64
 	rec                           mpi.CommRecorder
 
-	// free recycles frames (sender → writer → here) and received payloads
-	// (reader → Recv caller → Release → here); DESIGN.md §4 item 8.
+	// free recycles frames (built and written by the sender, then here) and
+	// received payloads (reader → Recv caller → Release → here); DESIGN.md
+	// §4 item 8.
 	free *mempool.Pool
 
-	sendChain mpi.OpChain // per-dst FIFO of in-flight nonblocking sends
 	recvChain mpi.OpChain // per-src FIFO of in-flight nonblocking receives
 }
 
 var _ mpi.Transport = (*Transport)(nil)
 
-// newTransport wires up the goroutines over an established mesh.
+// newTransport starts one reader goroutine per peer of an established mesh.
 func newTransport(cfg Config, peers []*peer) *Transport {
 	t := &Transport{
-		cfg:    cfg,
-		rank:   cfg.Rank,
-		size:   cfg.Size,
-		peers:  peers,
-		free:   mempool.New(true),
-		failed: make(chan struct{}),
-		closed: make(chan struct{}),
+		cfg:     cfg,
+		rank:    cfg.Rank,
+		size:    cfg.Size,
+		peers:   peers,
+		free:    mempool.New(true),
+		failed:  make(chan struct{}),
+		relayed: make(chan struct{}),
+		closed:  make(chan struct{}),
 	}
 	for _, p := range peers {
 		if p == nil {
 			continue
 		}
 		t.readWg.Add(1)
-		t.writeWg.Add(1)
 		go t.readLoop(p)
-		go t.writeLoop(p)
 	}
 	return t
 }
@@ -207,11 +206,15 @@ func (t *Transport) Stats() mpi.Stats {
 	return s
 }
 
-// awaitChain blocks until a still-in-flight nonblocking predecessor on
-// the same stream completes, so a blocking call posted after an Isend or
-// Irecv cannot overtake it (per-pair FIFO holds across both APIs). The
-// time spent here falls inside the blocking call's own elapsed window,
-// so it is accounted exactly like any other wait.
+// ExchangeNanos is Stats().ExchangeNanos without the snapshot: the time
+// charged as blocked so far.
+func (t *Transport) ExchangeNanos() int64 { return t.exchangeNanos.Load() }
+
+// awaitChain blocks until a still-in-flight Irecv on the same stream
+// completes, so a blocking Recv posted after it cannot overtake it
+// (per-pair FIFO holds across both APIs). The time spent here falls
+// inside the Recv's own elapsed window, so it is accounted exactly like
+// any other wait.
 func (t *Transport) awaitChain(prev *mpi.AsyncRequest, peer, tag int, op string) error {
 	if prev == nil {
 		return nil
@@ -230,8 +233,8 @@ func (t *Transport) awaitChain(prev *mpi.AsyncRequest, peer, tag int, op string)
 	}
 }
 
-// frame builds an outgoing message in a recycled buffer; the writer gives
-// it back once it is on the socket.
+// frame builds an outgoing message in a recycled buffer; write gives it
+// back once it is on the socket.
 func (t *Transport) frame(tag int, data []float64) []float64 {
 	return buildFrame(mpi.GetBuffer(t.free, frameWords(len(data))), t.rank, tag, data)
 }
@@ -239,40 +242,69 @@ func (t *Transport) frame(tag int, data []float64) []float64 {
 // Release recycles a received payload as a later frame or payload.
 func (t *Transport) Release(payload []float64) { mpi.PutBuffer(t.free, payload) }
 
-// Send frames data and enqueues it on dst's writer. It blocks only when
-// the bounded queue is full (backpressure), and at most IOTimeout.
-func (t *Transport) Send(dst, tag int, data []float64) error {
-	if dst < 0 || dst >= t.size || dst == t.rank {
-		return fmt.Errorf("invalid destination rank %d (world size %d, self %d)", dst, t.size, t.rank)
-	}
-	start := time.Now()
-	if err := t.awaitChain(t.sendChain.Pending(dst), dst, tag, "Send (pending Isend)"); err != nil {
-		return err
-	}
-	frame := t.frame(tag, data)
-	p := t.peers[dst]
-	depth := len(p.out)
+// write puts one frame on p's socket under p's write lock and recycles it.
+// The lock is waited for at most IOTimeout — its holder is itself bounded
+// by the write deadline — and the write gets IOTimeout more, so a full
+// socket buffer is the backpressure and a wedged peer a typed error.
+func (t *Transport) write(p *peer, tag int, frame []float64) error {
+	defer mpi.PutBuffer(t.free, frame)
 	select {
-	case p.out <- frame:
+	case p.wlock <- struct{}{}:
 	default:
 		timer := time.NewTimer(t.cfg.IOTimeout)
 		defer timer.Stop()
 		select {
-		case p.out <- frame:
-		case <-t.failed:
-			return t.failErr
-		case <-t.closed:
-			return net.ErrClosed
+		case p.wlock <- struct{}{}:
 		case <-timer.C:
-			return &TimeoutError{Peer: dst, Tag: tag, Op: "Send (writer queue full)", Wait: t.cfg.IOTimeout}
+			return &TimeoutError{Peer: p.rank, Tag: tag, Op: "write lock", Wait: t.cfg.IOTimeout}
 		}
 	}
-	elapsed := int64(time.Since(start))
+	defer func() { <-p.wlock }()
+	p.conn.SetWriteDeadline(time.Now().Add(t.cfg.IOTimeout))
+	if _, err := p.conn.Write(frameBytes(frame)); err != nil {
+		return &PeerError{Peer: p.rank, Op: "write", Err: err}
+	}
+	return nil
+}
+
+// send frames data and writes it to dst from the calling goroutine, so
+// sends to one peer reach the wire in program order. A failed write has
+// torn the stream: it fails the transport, naming dst.
+func (t *Transport) send(dst, tag int, data []float64) error {
+	if dst < 0 || dst >= t.size || dst == t.rank {
+		return fmt.Errorf("invalid destination rank %d (world size %d, self %d)", dst, t.size, t.rank)
+	}
+	select {
+	case <-t.failed:
+		return t.failErr
+	case <-t.closed:
+		return net.ErrClosed
+	default:
+	}
+	frame := t.frame(tag, data)
+	wire := len(frameBytes(frame))
+	if err := t.write(t.peers[dst], tag, frame); err != nil {
+		if !t.isShutdown() {
+			t.fail(err)
+		}
+		return err
+	}
 	t.msgs.Add(1)
 	t.payloadBytes.Add(uint64(8 * len(data)))
-	t.wireBytes.Add(uint64(len(frameBytes(frame))))
+	t.wireBytes.Add(uint64(wire))
+	return nil
+}
+
+// Send frames data and writes it to dst's socket before it returns. It
+// blocks only while the socket buffer is full, at most IOTimeout.
+func (t *Transport) Send(dst, tag int, data []float64) error {
+	start := time.Now()
+	if err := t.send(dst, tag, data); err != nil {
+		return err
+	}
+	elapsed := int64(time.Since(start))
 	t.exchangeNanos.Add(elapsed)
-	t.rec.RecordSend(dst, tag, uint64(8*len(data)), elapsed, depth)
+	t.rec.RecordSend(dst, tag, uint64(8*len(data)), elapsed, mpi.NoQueue)
 	return nil
 }
 
@@ -320,72 +352,25 @@ func (t *Transport) Recv(src, tag int) ([]float64, error) {
 	return m.data, nil
 }
 
-// Isend frames data at post time and hands it to dst's writer without
-// blocking: the per-peer writer queue is already asynchronous under the
-// hood, so the fast path is one non-blocking channel send. Message, byte
-// and wire counters are recorded here — the frame is in flight whether or
-// not the Request is ever waited — while blocked time (a full writer
-// queue, or a transport failure) is charged to the first Wait. A dead
-// peer therefore surfaces as the typed error (PeerDeadError et al.) at
-// Wait, never as a hang.
+// Isend writes the frame before it returns, exactly as Send does, so the
+// request is complete at post and a later Send cannot overtake it. The
+// counters are recorded at post; the write's duration is charged, as
+// blocked time, to the first Wait — one sample per waited message, none
+// for a dropped request, as the nonblocking accounting has it. A dead
+// peer surfaces as the typed error at Wait, never as a hang.
 func (t *Transport) Isend(dst, tag int, data []float64) mpi.Request {
-	if dst < 0 || dst >= t.size || dst == t.rank {
-		return mpi.CompletedRequest(nil, fmt.Errorf("invalid destination rank %d (world size %d, self %d)", dst, t.size, t.rank))
+	start := time.Now()
+	if err := t.send(dst, tag, data); err != nil {
+		return mpi.CompletedRequest(nil, err)
 	}
-	frame := t.frame(tag, data)
-	p := t.peers[dst]
-	depth := len(p.out)
-	t.msgs.Add(1)
-	t.payloadBytes.Add(uint64(8 * len(data)))
-	t.wireBytes.Add(uint64(len(frameBytes(frame))))
-	t.rec.RecordSendPosted(dst, tag, uint64(8*len(data)), depth)
+	posted := int64(time.Since(start))
+	t.rec.RecordSendPosted(dst, tag, uint64(8*len(data)), mpi.NoQueue)
 	req := mpi.NewRequest(func(blocked int64, _ []float64, _ error) {
-		t.exchangeNanos.Add(blocked)
-		t.rec.RecordSendWait(dst, tag, blocked)
+		t.exchangeNanos.Add(posted + blocked)
+		t.rec.RecordSendWait(dst, tag, posted+blocked)
 	})
-	prev := t.sendChain.Push(dst, req)
-	if prev == nil {
-		select {
-		case p.out <- frame:
-			req.Complete(nil, nil)
-			return req
-		default:
-		}
-	}
-	go t.finishIsend(req, prev, p, dst, tag, frame)
+	req.Complete(nil, nil)
 	return req
-}
-
-// finishIsend completes a slow-path Isend: after the chained predecessor
-// (if any), enqueue under the same failure/timeout watches blocking Send
-// has.
-func (t *Transport) finishIsend(req, prev *mpi.AsyncRequest, p *peer, dst, tag int, frame []float64) {
-	timer := time.NewTimer(t.cfg.IOTimeout)
-	defer timer.Stop()
-	if prev != nil {
-		select {
-		case <-prev.Done():
-		case <-t.failed:
-			req.Complete(nil, t.failErr)
-			return
-		case <-t.closed:
-			req.Complete(nil, net.ErrClosed)
-			return
-		case <-timer.C:
-			req.Complete(nil, &TimeoutError{Peer: dst, Tag: tag, Op: "Isend (writer queue full)", Wait: t.cfg.IOTimeout})
-			return
-		}
-	}
-	select {
-	case p.out <- frame:
-		req.Complete(nil, nil)
-	case <-t.failed:
-		req.Complete(nil, t.failErr)
-	case <-t.closed:
-		req.Complete(nil, net.ErrClosed)
-	case <-timer.C:
-		req.Complete(nil, &TimeoutError{Peer: dst, Tag: tag, Op: "Isend (writer queue full)", Wait: t.cfg.IOTimeout})
-	}
 }
 
 // Irecv posts a receive against src's reader inbox. Nothing is recorded
@@ -461,26 +446,26 @@ func (t *Transport) checkTag(m inMsg, src, tag int) ([]float64, error) {
 	return m.data, nil
 }
 
-// Close tears the mesh down: the writers flush whatever is still
-// queued (so a final broadcast enqueued just before Close reaches the
-// wire before the process exits), then the sockets close, the readers
-// exit, and blocked calls unblock. Safe to call more than once.
+// Close tears the mesh down: a goodbye to every peer, written under its
+// lock and so after every frame this rank posted (and after the abort
+// relay of a failure), then the sockets close, the readers exit, and
+// blocked calls unblock. Safe to call more than once.
 func (t *Transport) Close() error {
 	t.closeOnce.Do(func() {
+		select {
+		case <-t.failed:
+			<-t.relayed // a peer stops reading at the goodbye
+		default:
+		}
 		// Announce the clean departure so peers still mid-solve don't
-		// mistake the coming EOF for a death (best-effort: a full queue
-		// at shutdown is already abnormal). One frame per peer: each
-		// writer recycles the one it wrote.
+		// mistake the coming EOF for a death (best-effort: a peer that
+		// cannot take 20 bytes at shutdown is already abnormal).
 		for _, p := range t.peers {
 			if p != nil {
-				select {
-				case p.out <- t.frame(tagGoodbye, nil):
-				default:
-				}
+				t.write(p, tagGoodbye, t.frame(tagGoodbye, nil))
 			}
 		}
 		close(t.closed)
-		t.writeWg.Wait()
 		for _, p := range t.peers {
 			if p != nil {
 				p.conn.Close()
@@ -502,76 +487,43 @@ func (t *Transport) isShutdown() bool {
 	}
 }
 
-// fail records the first failure, unblocks every pending call, and
-// relays a best-effort abort frame naming the dead rank to all peers so
-// the rest of the world fails with the culprit's name instead of a
-// cascade of secondary timeouts.
+// fail records the first failure and unblocks every pending call, then
+// relays a best-effort abort frame naming the dead rank to all other
+// peers, so the rest of the world fails with the culprit's name instead of
+// a cascade of secondary timeouts. Each relay waits for its peer's write
+// lock at most IOTimeout.
 func (t *Transport) fail(err error) {
+	first := false
 	t.failOnce.Do(func() {
 		t.failErr = err
-		culprit := -1
-		var dead *PeerDeadError
-		var pe *PeerError
-		var fe *FrameError
-		var ce *ChecksumError
-		switch {
-		case errors.As(err, &dead):
-			culprit = dead.Peer
-		case errors.As(err, &pe):
-			culprit = pe.Peer
-		case errors.As(err, &fe):
-			culprit = fe.Peer
-		case errors.As(err, &ce):
-			culprit = ce.Peer
-		}
-		if culprit >= 0 {
-			for _, p := range t.peers {
-				if p != nil && p.rank != culprit {
-					select {
-					case p.out <- t.frame(tagAbort, []float64{float64(culprit)}):
-					default: // full queue: the peer will find out the hard way
-					}
-				}
-			}
-		}
 		close(t.failed)
+		first = true
 	})
-}
-
-// writeLoop drains one peer's queue onto the socket under a write
-// deadline. It keeps running after a failure (to flush the abort frame)
-// and exits on Close or a broken socket.
-func (t *Transport) writeLoop(p *peer) {
-	defer t.writeWg.Done()
-	write := func(frame []float64) bool {
-		p.conn.SetWriteDeadline(time.Now().Add(t.cfg.IOTimeout))
-		if _, err := p.conn.Write(frameBytes(frame)); err != nil {
-			if !t.isShutdown() {
-				t.fail(&PeerError{Peer: p.rank, Op: "write", Err: err})
-			}
-			return false
-		}
-		mpi.PutBuffer(t.free, frame)
-		return true
+	if !first {
+		return
 	}
-	for {
-		select {
-		case frame := <-p.out:
-			if !write(frame) {
-				return
-			}
-		case <-t.closed:
-			// Flush the remaining queue before Close drops the socket.
-			for {
-				select {
-				case frame := <-p.out:
-					if !write(frame) {
-						return
-					}
-				default:
-					return
-				}
-			}
+	defer close(t.relayed)
+	culprit := -1
+	var dead *PeerDeadError
+	var pe *PeerError
+	var fe *FrameError
+	var ce *ChecksumError
+	switch {
+	case errors.As(err, &dead):
+		culprit = dead.Peer
+	case errors.As(err, &pe):
+		culprit = pe.Peer
+	case errors.As(err, &fe):
+		culprit = fe.Peer
+	case errors.As(err, &ce):
+		culprit = ce.Peer
+	}
+	if culprit < 0 {
+		return
+	}
+	for _, p := range t.peers {
+		if p != nil && p.rank != culprit {
+			t.write(p, tagAbort, t.frame(tagAbort, []float64{float64(culprit)}))
 		}
 	}
 }

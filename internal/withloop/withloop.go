@@ -77,6 +77,11 @@ const (
 // String returns "O0".."O3".
 func (o OptLevel) String() string { return fmt.Sprintf("O%d", int(o)) }
 
+// DefaultSeqThreshold is SAC's "too small to split" rule: an index space of
+// at most this many points (16³) runs sequentially. Distributed solves use
+// the same rule for the coarse levels every rank solves whole.
+const DefaultSeqThreshold = 4096
+
 // Env is the runtime environment of a "compiled SAC program": the scheduler
 // (implicit multithreading), the memory manager (reference-count-style
 // reuse), and the optimization level. Envs are cheap descriptors; the same
@@ -123,7 +128,7 @@ func Default() *Env {
 		Sched:        sched.Sequential,
 		Pool:         mempool.New(true),
 		Opt:          O3,
-		SeqThreshold: 4096,
+		SeqThreshold: DefaultSeqThreshold,
 	}
 }
 
@@ -135,7 +140,7 @@ func Parallel(workers int) *Env {
 		Sched:        sched.NewPool(workers),
 		Pool:         mempool.New(true),
 		Opt:          O3,
-		SeqThreshold: 4096,
+		SeqThreshold: DefaultSeqThreshold,
 	}
 }
 
@@ -156,7 +161,7 @@ func Service(pool *sched.Pool, arena *mempool.Pool) *Env {
 		Sched:        pool,
 		Pool:         arena.Scope(),
 		Opt:          O3,
-		SeqThreshold: 4096,
+		SeqThreshold: DefaultSeqThreshold,
 	}
 }
 
