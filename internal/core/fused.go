@@ -52,13 +52,14 @@
 //     the additions per element from 26 to 14. Because the buffers hold
 //     exactly the canonical sub-sums, the results (grids and norms) are
 //     bit-identical to scalar.
-//   - simd: the buffered form with the buffer fills, the combine loop,
-//     interpolate's even/odd interleaving store and projectCondense's
-//     stride-2 combine vectorised 4-wide (internal/simd; AVX2 on amd64, a
-//     pure-Go fallback elsewhere). Lane arithmetic executes the same per-element operation
-//     tree, so simd output is bit-identical too — the combine rows always
-//     apply all four coefficient terms (like the generic O0 kernel) where
-//     the scalar loops drop exact-zero terms, which cannot change a sum.
+//   - simd: the buffered form four lanes wide, one AVX2 assembly call per
+//     plane (internal/simd): it fills every row's buffers and combines
+//     them, interpolate's even/odd interleaving store and
+//     projectCondense's stride-2 combine included. Lanes execute the
+//     buffered rows' operation tree and drop the same exact-zero terms,
+//     so simd output is bit-identical too. Where a primitive declines (no
+//     AVX2, MG_SIMD_DISABLE=1, a plane too small for a four-lane block),
+//     the buffered rows compute the plane.
 //
 // Which backend runs is the library's choice, not the caller's, and a
 // function of two observables: rows shorter than 8 points run scalar,
@@ -80,6 +81,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nas"
 	"repro/internal/shape"
+	"repro/internal/simd"
 	"repro/internal/stencil"
 	wl "repro/internal/withloop"
 )
@@ -254,9 +256,7 @@ func HasVariants(kernel string) bool {
 // projectCondense consumes only even fine columns so each coarse point
 // pays 12 fill adds (+5 s-adds, 4 mults, 3 combines = 24); interpolate
 // averages ≈3 (one buffered fill add plus a mult, or a mult alone). The
-// simd variant computes the full 4-term tree (+4 flops on the relax
-// kernels) but shares this model: the report tracks useful work, not
-// lanes spent multiplying exact zeros.
+// simd variant drops the same zero terms, so its flops are these.
 var bufferedKernelCosts = map[string]metrics.Cost{
 	"subRelax":        {Flops: 15, Bytes: 3 * 8},
 	"addRelax":        {Flops: 16, Bytes: 3 * 8},
@@ -278,7 +278,10 @@ func lined(variant string) bool {
 // serve a full grid (SubRelaxPlanes and friends slice it), a distributed
 // box, and the few-plane rings of pipeline.go. Each scheduler partition
 // borrows its own kern (worker-local by construction), so parallel sweeps
-// stay allocation-free once the pool is warm.
+// stay allocation-free once the pool is warm. With vec set (the simd
+// backend) a method first offers its plane to internal/simd's primitive,
+// one assembly call for all the plane's rows, and runs the buffered rows
+// only when the primitive declines.
 type kern struct {
 	lined, vec bool
 	frame      bool      // also write each plane's frame (PlaneSpan.Frame)
@@ -393,13 +396,17 @@ func SubRelaxPlanes(pool *mempool.Pool, od, vd, ud []float64, n1, n2 int, p Plan
 // planes below, at and above it; with norm set it also returns the plane's
 // norm partials, folded from the stored rows.
 func (k *kern) subRelax(o, v, um, uz, up []float64, n1, n2 int, c stencil.Coeffs, norm bool) (sum, maxAbs float64) {
-	if !k.lined {
+	done := false
+	if k.vec {
+		sum, maxAbs, done = simd.SubRelaxPlane(o, v, um, uz, up, n1, n2, (*[4]float64)(&c), k.u1, k.u2, norm)
+	}
+	if !done && !k.lined {
 		subRelaxPlane(o, v, um, uz, up, n1, n2, c)
 	}
-	if k.lined || norm {
+	if !done && (k.lined || norm) {
 		for zz := n2; zz < (n1-1)*n2; zz += n2 {
 			if k.lined {
-				subRelaxRowLined(o, v, um, uz, up, zz, n2, c, k.u1, k.u2, k.vec)
+				subRelaxRowLined(o, v, um, uz, up, zz, n2, c, k.u1, k.u2)
 			}
 			if !norm {
 				continue
@@ -518,9 +525,11 @@ func AddRelaxPlanes(pool *mempool.Pool, od, zd, ud, rd []float64, n1, n2 int, p 
 // addRelax computes one plane of addRelax (u == nil, o = z + S·r) or
 // addRelaxPlus (o = u + (z + S·r)) from r's planes below, at and above it.
 func (k *kern) addRelax(o, z, u, rm, rz, rp []float64, n1, n2 int, c stencil.Coeffs) {
-	if k.lined {
-		addRelaxPlaneLined(o, z, u, rm, rz, rp, n1, n2, c, k.u1, k.u2, k.vec)
-	} else {
+	switch {
+	case k.vec && simd.AddRelaxPlane(o, z, u, rm, rz, rp, n1, n2, (*[4]float64)(&c), k.u1, k.u2):
+	case k.lined:
+		addRelaxPlaneLined(o, z, u, rm, rz, rp, n1, n2, c, k.u1, k.u2)
+	default:
 		addRelaxPlane(o, z, u, rm, rz, rp, n1, n2, c)
 	}
 	if k.frame {
@@ -634,9 +643,11 @@ func ProjectCondensePlanes(pool *mempool.Pool, od, rd []float64, fn1, fn2 int, p
 // project computes one coarse plane of projectCondense from the fine
 // planes below, at and above the fine plane it sits under.
 func (k *kern) project(o, rm, rz, rp []float64, fn1, fn2 int, c stencil.Coeffs) {
-	if k.lined {
-		projectCondensePlaneLined(o, rm, rz, rp, fn1, fn2, c, k.u1, k.u2, k.vec)
-	} else {
+	switch {
+	case k.vec && simd.ProjectPlane(o, rm, rz, rp, fn1, fn2, (*[4]float64)(&c), k.u1, k.u2):
+	case k.lined:
+		projectCondensePlaneLined(o, rm, rz, rp, fn1, fn2, c, k.u1, k.u2)
+	default:
 		projectCondensePlane(o, rm, rz, rp, fn1, fn2, c)
 	}
 	if k.frame {
@@ -726,12 +737,14 @@ func InterpolatePlanes(pool *mempool.Pool, od, wd, zd []float64, cn1, cn2 int, p
 // twice when the fine plane index is even; o3 says it is odd): o = Q·z, or
 // o = w + Q·z.
 func (k *kern) interpolate(o, w, zl, zh []float64, o3 bool, cn1, cn2, m int, c stencil.Coeffs) {
-	if k.lined {
+	switch {
+	case k.vec && simd.InterpPlane(o, w, zl, zh, o3, cn1, cn2, m, (*[4]float64)(&c), k.u1):
+	case k.lined:
 		// One cross-row buffer of coarse-row length suffices: the parity
 		// cases pair at most the four coarse rows of one fine row. The
 		// accumulating form stages Q·z in a fine-row buffer.
-		interpolatePlaneLined(o, w, zl, zh, o3, cn1, cn2, m, c, k.u1, k.u2, k.vec)
-	} else {
+		interpolatePlaneLined(o, w, zl, zh, o3, cn1, cn2, m, c, k.u1, k.u2)
+	default:
 		interpolatePlane(o, w, zl, zh, o3, cn1, cn2, m, c)
 	}
 	if k.frame {

@@ -1,6 +1,6 @@
-// Line-buffered and SIMD backends of the fused O3 plane kernels — the
-// "buffered" and "simd" kernel variants (see the package comment's
-// "Kernel variants" section).
+// Line-buffered backend of the fused O3 plane kernels — the "buffered"
+// kernel variant, and the rows the "simd" variant falls back to (see the
+// package comment's "Kernel variants" section).
 //
 // The scalar kernels recompute every in-plane sub-sum of the canonical
 // association three times (at k−1, k and k+1 as the k loop slides). The
@@ -14,33 +14,24 @@
 // buffer entries. Because the buffers hold exactly the sub-sums the
 // canonical association already groups, memoisation changes no value:
 // the buffered results — grids and norms — are bit-identical to scalar
-// (TestBufferedBitIdentical). With vec set the fills and combines run
-// through internal/simd, whose lanes execute the same operation tree;
-// the simd combine applies all four coefficient terms where the scalar
-// branches drop exact zeros, which cannot change an IEEE-754 sum.
+// (TestBufferedBitIdentical). internal/simd runs these statements four
+// lanes wide, one call per plane, dropping the same exact-zero terms, so
+// its planes carry these rows' bits (internal/simd's tests compare the two
+// through this package's *Planes entry points); where it declines a plane,
+// these rows compute it.
 package core
 
-import (
-	"repro/internal/simd"
-	"repro/internal/stencil"
-)
+import "repro/internal/stencil"
 
 // subRelaxRowLined computes the residual row at offset zz of a plane,
 // o = v − A·u, from u's planes below, at and above it: the row statement
 // of kern.subRelax's lined backends.
-func subRelaxRowLined(o, v, um, uz, up []float64, zz, n2 int, c stencil.Coeffs,
-	u1, u2 []float64, vec bool) {
+func subRelaxRowLined(o, v, um, uz, up []float64, zz, n2 int, c stencil.Coeffs, u1, u2 []float64) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
 	uMM, uMZ, uMP := um[zz-n2:zz], um[zz:zz+n2], um[zz+n2:zz+2*n2]
 	uZM, uZZ, uZP := uz[zz-n2:zz], uz[zz:zz+n2], uz[zz+n2:zz+2*n2]
 	uPM, uPZ, uPP := up[zz-n2:zz], up[zz:zz+n2], up[zz+n2:zz+2*n2]
 	oZZ, vZZ := o[zz:zz+n2], v[zz:zz+n2]
-	if vec {
-		simd.Sum4(u1, uMZ, uZM, uZP, uPZ)
-		simd.Sum4(u2, uMM, uMP, uPM, uPP)
-		simd.SubRelaxRow(oZZ, vZZ, uZZ, u1, u2, (*[4]float64)(&c))
-		return
-	}
 	for k := 0; k < n2; k++ {
 		u1[k] = ((uMZ[k] + uZM[k]) + uZP[k]) + uPZ[k]
 		u2[k] = ((uMM[k] + uMP[k]) + uPM[k]) + uPP[k]
@@ -61,25 +52,13 @@ func subRelaxRowLined(o, v, um, uz, up []float64, zz, n2 int, c stencil.Coeffs,
 // addRelaxPlaneLined is addRelaxPlane in the line-buffered form:
 // o = z + S·r (u == nil) or o = u + (z + S·r) on the interior rows of one
 // plane.
-func addRelaxPlaneLined(o, z, u, rm, rz, rp []float64, n1, n2 int, c stencil.Coeffs,
-	u1, u2 []float64, vec bool) {
+func addRelaxPlaneLined(o, z, u, rm, rz, rp []float64, n1, n2 int, c stencil.Coeffs, u1, u2 []float64) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
-	cp := (*[4]float64)(&c)
 	for zz := n2; zz < (n1-1)*n2; zz += n2 {
 		rMM, rMZ, rMP := rm[zz-n2:zz], rm[zz:zz+n2], rm[zz+n2:zz+2*n2]
 		rZM, rZZ, rZP := rz[zz-n2:zz], rz[zz:zz+n2], rz[zz+n2:zz+2*n2]
 		rPM, rPZ, rPP := rp[zz-n2:zz], rp[zz:zz+n2], rp[zz+n2:zz+2*n2]
 		oZZ, zZZ := o[zz:zz+n2], z[zz:zz+n2]
-		if vec {
-			simd.Sum4(u1, rMZ, rZM, rZP, rPZ)
-			simd.Sum4(u2, rMM, rMP, rPM, rPP)
-			if u == nil {
-				simd.AddRelaxRow(oZZ, zZZ, rZZ, u1, u2, cp)
-			} else {
-				simd.AddRelaxPlusRow(oZZ, u[zz:zz+n2], zZZ, rZZ, u1, u2, cp)
-			}
-			continue
-		}
 		for k := 0; k < n2; k++ {
 			u1[k] = ((rMZ[k] + rZM[k]) + rZP[k]) + rPZ[k]
 			u2[k] = ((rMM[k] + rMP[k]) + rPM[k]) + rPP[k]
@@ -116,20 +95,13 @@ func addRelaxPlaneLined(o, z, u, rm, rz, rp []float64, n1, n2 int, c stencil.Coe
 // projectCondensePlaneLined is projectCondensePlane in the line-buffered
 // form. The buffers span the fine row (length fn2): every fine index
 // feeds some coarse point's s1/s2/s3, so nothing filled is wasted.
-func projectCondensePlaneLined(o, rm, rz, rp []float64, fn1, fn2 int, c stencil.Coeffs,
-	u1, u2 []float64, vec bool) {
+func projectCondensePlaneLined(o, rm, rz, rp []float64, fn1, fn2 int, c stencil.Coeffs, u1, u2 []float64) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
 	cn1, cn2 := fn1/2+1, fn2/2+1
 	for zz, base := 2*fn2, cn2; base < (cn1-1)*cn2; zz, base = zz+2*fn2, base+cn2 {
 		rMM, rMZ, rMP := rm[zz-fn2:zz], rm[zz:zz+fn2], rm[zz+fn2:zz+2*fn2]
 		rZM, rZZ, rZP := rz[zz-fn2:zz], rz[zz:zz+fn2], rz[zz+fn2:zz+2*fn2]
 		rPM, rPZ, rPP := rp[zz-fn2:zz], rp[zz:zz+fn2], rp[zz+fn2:zz+2*fn2]
-		if vec {
-			simd.Sum4(u1, rMZ, rZM, rZP, rPZ)
-			simd.Sum4(u2, rMM, rMP, rPM, rPP)
-			simd.ProjectRow(o[base:base+cn2], rZZ, u1, u2, (*[4]float64)(&c))
-			continue
-		}
 		for t := 1; t < fn2; t++ {
 			u1[t] = ((rMZ[t] + rZM[t]) + rZP[t]) + rPZ[t]
 			u2[t] = ((rMM[t] + rMP[t]) + rPM[t]) + rPP[t]
@@ -151,8 +123,7 @@ func projectCondensePlaneLined(o, rm, rz, rp []float64, fn1, fn2 int, c stencil.
 // (odd f1) — the even/odd interleaving store of interpRow. b has
 // coarse-row length cn2; t, the staging row of the accumulating form
 // (w != nil), fine-row length. Rows and columns [m, extent−m) are written.
-func interpolatePlaneLined(o, w, zl, zh []float64, o3 bool, cn1, cn2, m int, c stencil.Coeffs,
-	b, t []float64, vec bool) {
+func interpolatePlaneLined(o, w, zl, zh []float64, o3 bool, cn1, cn2, m int, c stencil.Coeffs, b, t []float64) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
 	fn1, fn2 := 2*cn1-2, 2*cn2-2
 	for f2, base := m, m*fn2; f2 < fn1-m; f2, base = f2+1, base+fn2 {
@@ -168,34 +139,30 @@ func interpolatePlaneLined(o, w, zl, zh []float64, o3 bool, cn1, cn2, m int, c s
 			// Both outer axes on-anchor: single coarse row, no buffer.
 			src, cEven, cOdd = zl[bl:bl+cn2], c0, c1
 		case !o3 && o2:
-			fillSum2(b, zl[bl:bl+cn2], zl[bh:bh+cn2], vec)
+			fillSum2(b, zl[bl:bl+cn2], zl[bh:bh+cn2])
 		case o3 && !o2:
-			fillSum2(b, zl[bl:bl+cn2], zh[bl:bl+cn2], vec)
+			fillSum2(b, zl[bl:bl+cn2], zh[bl:bl+cn2])
 		default:
-			fillSum4(b, zl[bl:bl+cn2], zl[bh:bh+cn2], zh[bl:bl+cn2], zh[bh:bh+cn2], vec)
+			fillSum4(b, zl[bl:bl+cn2], zl[bh:bh+cn2], zh[bl:bl+cn2], zh[bh:bh+cn2])
 			cEven, cOdd = c2, c3
 		}
 		oRow := o[base : base+fn2]
 		if w == nil {
-			interpRow(oRow, src, cEven, cOdd, m == 0, vec)
+			interpRow(oRow, src, cEven, cOdd, m == 0)
 			continue
 		}
-		interpRow(t, src, cEven, cOdd, m == 0, vec)
-		fillSum2(oRow[m:fn2-m], w[base+m:base+fn2-m], t[m:fn2-m], vec)
+		interpRow(t, src, cEven, cOdd, m == 0)
+		fillSum2(oRow[m:fn2-m], w[base+m:base+fn2-m], t[m:fn2-m])
 	}
 }
 
 // interpRow writes fine row o from the coarse buffer b: cEven·b[l] on the
-// even columns, cOdd·(b[l] + b[l+1]) on the odd ones, vectorised when vec
-// is set — the interior, plus the two end columns when ends is set.
-func interpRow(o, b []float64, cEven, cOdd float64, ends, vec bool) {
+// even columns, cOdd·(b[l] + b[l+1]) on the odd ones — the interior, plus
+// the two end columns when ends is set.
+func interpRow(o, b []float64, cEven, cOdd float64, ends bool) {
 	if ends {
 		o[0] = cEven * b[0]
 		o[len(o)-1] = cOdd * (b[len(b)-2] + b[len(b)-1])
-	}
-	if vec {
-		simd.InterpRow(o, b, cEven, cOdd)
-		return
 	}
 	for l := 0; l+2 < len(b); l++ {
 		o[2*l+1] = cOdd * (b[l] + b[l+1])
@@ -204,22 +171,14 @@ func interpRow(o, b []float64, cEven, cOdd float64, ends, vec bool) {
 }
 
 // fillSum2 and fillSum4 fill a cross-row buffer in the canonical
-// association, vectorised when vec is set.
-func fillSum2(dst, a, b []float64, vec bool) {
-	if vec {
-		simd.Sum2(dst, a, b)
-		return
-	}
+// association.
+func fillSum2(dst, a, b []float64) {
 	for m := range dst {
 		dst[m] = a[m] + b[m]
 	}
 }
 
-func fillSum4(dst, a, b, c, d []float64, vec bool) {
-	if vec {
-		simd.Sum4(dst, a, b, c, d)
-		return
-	}
+func fillSum4(dst, a, b, c, d []float64) {
 	for m := range dst {
 		dst[m] = ((a[m] + b[m]) + c[m]) + d[m]
 	}

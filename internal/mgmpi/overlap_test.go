@@ -126,7 +126,8 @@ const wantBitsEnv = "MGMPI_TEST_WANT_BITS"
 // to the synchronous single-threaded 1-rank solve — across rank counts,
 // thread counts, both exchange modes and both transports, and (the backend
 // being fixed per process) in child processes forced to the scalar,
-// buffered and simd backends and to simd's pure-Go fallback.
+// buffered and simd backends and to simd declining to the buffered rows
+// (MG_SIMD_DISABLE=1).
 func TestOverlapBitIdentical(t *testing.T) {
 	var want []uint64
 	child := os.Getenv(wantBitsEnv) != ""

@@ -27,23 +27,3 @@ func hasAVX2() bool {
 	_, ebx7, _, _ := cpuid(7, 0)
 	return ebx7&avx2 != 0
 }
-
-// sum2Asm adds the largest 4-aligned prefix with AVX2 and returns how
-// many elements it handled; the caller finishes the tail in Go.
-func sum2Asm(dst, a, b []float64) int {
-	m := len(dst) &^ 3
-	if m == 0 {
-		return 0
-	}
-	sum2AVX2(&dst[0], &a[0], &b[0], m)
-	return m
-}
-
-func sum4Asm(dst, a, b, c, d []float64) int {
-	m := len(dst) &^ 3
-	if m == 0 {
-		return 0
-	}
-	sum4AVX2(&dst[0], &a[0], &b[0], &c[0], &d[0], m)
-	return m
-}

@@ -2,15 +2,14 @@
 
 package simd
 
-// Non-amd64 builds have no assembly path: useAsm stays false and every
-// primitive runs its pure-Go loop.
+// Non-amd64 builds have no assembly path: useAsm stays false, every
+// primitive declines, and these are never called.
 func hasAVX2() bool { return false }
 
-func sum2Asm(dst, a, b []float64) int       { return 0 }
-func sum4Asm(dst, a, b, c, d []float64) int { return 0 }
-
-func subRelaxRowAVX2(o, v, x, u1, u2 *float64, n int, c *[4]float64)        {}
-func addRelaxRowAVX2(o, z, x, u1, u2 *float64, n int, c *[4]float64)        {}
-func addRelaxPlusRowAVX2(o, w, z, x, u1, u2 *float64, n int, c *[4]float64) {}
-func interpRowAVX2(o, b *float64, n int, cEven, cOdd float64)               {}
-func projectRowAVX2(o, x, u1, u2 *float64, n int, c *[4]float64)            {}
+func subRelaxPlaneAVX2(o, v, um, uz, up *float64, n1, n2 int, c *[4]float64, u1, u2 *float64, mode int) (sum, maxAbs float64) {
+	return 0, 0
+}
+func addRelaxPlaneAVX2(o, z, w, rm, rz, rp *float64, n1, n2 int, c *[4]float64, u1, u2 *float64, mode int) {
+}
+func projectPlaneAVX2(o, rm, rz, rp *float64, fn1, fn2 int, c *[4]float64, u1, u2 *float64) {}
+func interpPlaneAVX2(o, w, zl, zh *float64, o3, cn1, cn2, m int, c *[4]float64, b *float64) {}

@@ -1,80 +1,21 @@
-// AVX2 row kernels for the line-buffered stencil form. Every lane
-// evaluates the canonical association of internal/stencil with plain
-// VADDPD/VMULPD (no FMA), so results are bit-identical to the pure-Go
-// fallbacks; the interleave/gather kernels add only lane moves (unpack,
-// shuffle, permute) to that. n is a multiple of 4 (the Go wrappers handle
-// tails).
+// AVX2 plane kernels of the line-buffered stencil form. Each function
+// walks every interior row of one plane: per row it fills the line
+// buffers, then combines four lanes at a time and finishes the row with
+// one lane at a time, so no output element is computed twice (outputs may
+// alias their element-wise operands). Every lane evaluates the canonical
+// association of internal/stencil with plain VADDPD/VMULPD (no FMA), and a
+// term whose coefficient is exactly zero is dropped where the buffered Go
+// rows drop it, so the results are those rows' bits. Only the buffer fills
+// end on an overlapping block: they write private buffers, and writing an
+// element twice writes the same value.
+//
+// Register conventions: R8/R9/R10 walk the rows of the three input planes
+// (below, at and above the output plane), DX is their row stride in bytes,
+// DI walks the output rows, R11/R12 hold the line buffers, AX is the
+// column index, BX the last column of a loop, and Y12–Y15 hold the
+// broadcast coefficients c0–c3 (their low lanes serve the scalar tails).
 
 #include "textflag.h"
-
-// func sum2AVX2(dst, a, b *float64, n int)
-TEXT ·sum2AVX2(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), BX
-	MOVQ n+24(FP), R8
-	XORQ AX, AX
-sum2loop:
-	CMPQ AX, R8
-	JGE  sum2done
-	VMOVUPD (SI)(AX*8), Y0
-	VADDPD  (BX)(AX*8), Y0, Y0
-	VMOVUPD Y0, (DI)(AX*8)
-	ADDQ $4, AX
-	JMP  sum2loop
-sum2done:
-	VZEROUPPER
-	RET
-
-// func sum4AVX2(dst, a, b, c, d *float64, n int)
-// dst = ((a + b) + c) + d
-TEXT ·sum4AVX2(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), BX
-	MOVQ c+24(FP), CX
-	MOVQ d+32(FP), DX
-	MOVQ n+40(FP), R8
-	XORQ AX, AX
-sum4loop:
-	CMPQ AX, R8
-	JGE  sum4done
-	VMOVUPD (SI)(AX*8), Y0
-	VADDPD  (BX)(AX*8), Y0, Y0
-	VADDPD  (CX)(AX*8), Y0, Y0
-	VADDPD  (DX)(AX*8), Y0, Y0
-	VMOVUPD Y0, (DI)(AX*8)
-	ADDQ $4, AX
-	JMP  sum4loop
-sum4done:
-	VZEROUPPER
-	RET
-
-// The three relax rows share one combine tree over the centre row x and
-// the u1/u2 line buffers, computed for k = AX..AX+3 into Y3:
-//
-//	s1 = (x[k-1] + x[k+1]) + u1[k]                      (Y0)
-//	s2 = (u2[k] + u1[k-1]) + u1[k+1]                    (Y1)
-//	s3 = u2[k-1] + u2[k+1]                              (Y2)
-//	Y3 = ((c0*x[k] + c1*s1) + c2*s2) + c3*s3
-//
-// with the broadcast coefficients in Y12..Y15 and x/u1/u2 in R10/R11/R12.
-#define STENCIL_COMBINE \
-	VMOVUPD -8(R10)(AX*8), Y0  \
-	VADDPD  8(R10)(AX*8), Y0, Y0 \
-	VADDPD  (R11)(AX*8), Y0, Y0 \
-	VMOVUPD (R12)(AX*8), Y1    \
-	VADDPD  -8(R11)(AX*8), Y1, Y1 \
-	VADDPD  8(R11)(AX*8), Y1, Y1 \
-	VMOVUPD -8(R12)(AX*8), Y2  \
-	VADDPD  8(R12)(AX*8), Y2, Y2 \
-	VMULPD  (R10)(AX*8), Y12, Y3 \
-	VMULPD  Y0, Y13, Y4        \
-	VADDPD  Y4, Y3, Y3         \
-	VMULPD  Y1, Y14, Y4        \
-	VADDPD  Y4, Y3, Y3         \
-	VMULPD  Y2, Y15, Y4        \
-	VADDPD  Y4, Y3, Y3
 
 #define LOAD_COEFFS(creg) \
 	VBROADCASTSD 0(creg), Y12  \
@@ -82,149 +23,672 @@ sum4done:
 	VBROADCASTSD 16(creg), Y14 \
 	VBROADCASTSD 24(creg), Y15
 
-// func subRelaxRowAVX2(o, v, x, u1, u2 *float64, n int, c *[4]float64)
-// o[k] = v[k] - stencil(k) for k = 1..n
-TEXT ·subRelaxRowAVX2(SB), NOSPLIT, $0-56
+// dst[k] = ((a[k] + b[k]) + c[k]) + d[k] and dst[k] = a[k] + b[k] for
+// k = AX … AX+3.
+#define SUM4_AT(dst, a, b, c, d) \
+	VMOVUPD (a)(AX*8), Y0     \
+	VADDPD  (b)(AX*8), Y0, Y0 \
+	VADDPD  (c)(AX*8), Y0, Y0 \
+	VADDPD  (d)(AX*8), Y0, Y0 \
+	VMOVUPD Y0, (dst)(AX*8)
+
+#define SUM2_AT(dst, a, b) \
+	VMOVUPD (a)(AX*8), Y0     \
+	VADDPD  (b)(AX*8), Y0, Y0 \
+	VMOVUPD Y0, (dst)(AX*8)
+
+// FILL runs SUM over a whole buffer of BX ≥ 4 elements, the last block
+// ending flush with it.
+#define FILL(SUM, body, chk) \
+	SUBQ $4, BX  \
+	XORQ AX, AX  \
+	JMP  chk     \
+body:            \
+	SUM          \
+	ADDQ $4, AX  \
+chk:             \
+	CMPQ AX, BX  \
+	JLT  body    \
+	MOVQ BX, AX  \
+	SUM
+
+// FILL_ROWS fills the line buffers of the row R8/R9/R10 point at, BX
+// elements long:
+//
+//	u1 (R11) = ((m[j] + z[j−1]) + z[j+1]) + p[j]
+//	u2 (R12) = ((m[j−1] + m[j+1]) + p[j−1]) + p[j+1]
+//
+// It clobbers AX, BX, CX, R11, R14 and R15.
+#define FILL_ROWS(b1, c1, b2, c2) \
+	MOVQ BX, R15               \
+	MOVQ R9, CX                \
+	SUBQ DX, CX                \
+	LEAQ (R9)(DX*1), R14       \
+	FILL(SUM4_AT(R11, R8, CX, R14, R10), b1, c1) \
+	MOVQ R15, BX               \
+	MOVQ R8, CX                \
+	SUBQ DX, CX                \
+	LEAQ (R8)(DX*1), R14       \
+	MOVQ R10, R15              \
+	SUBQ DX, R15               \
+	LEAQ (R10)(DX*1), R11      \
+	FILL(SUM4_AT(R12, CX, R14, R15, R11), b2, c2)
+
+// Y3 = ((c0·x[k] + c1·s1) + c2·s2) + c3·s3 for k = AX … AX+3, with
+//
+//	s1 = (x[k−1] + x[k+1]) + u1[k]
+//	s2 = (u2[k] + u1[k−1]) + u1[k+1]
+//	s3 = u2[k−1] + u2[k+1]
+//
+// over the centre row x and the line buffers. TREE_NO1 and TREE_NO3 are
+// the tree without its c1 and without its c3 term; the _SD forms compute
+// lane 0 only, at k = AX.
+#define TREE(x, u1, u2) \
+	VMOVUPD -8(x)(AX*8), Y0      \
+	VADDPD  8(x)(AX*8), Y0, Y0   \
+	VADDPD  (u1)(AX*8), Y0, Y0   \
+	VMOVUPD (u2)(AX*8), Y1       \
+	VADDPD  -8(u1)(AX*8), Y1, Y1 \
+	VADDPD  8(u1)(AX*8), Y1, Y1  \
+	VMOVUPD -8(u2)(AX*8), Y2     \
+	VADDPD  8(u2)(AX*8), Y2, Y2  \
+	VMULPD  (x)(AX*8), Y12, Y3   \
+	VMULPD  Y0, Y13, Y4          \
+	VADDPD  Y4, Y3, Y3           \
+	VMULPD  Y1, Y14, Y4          \
+	VADDPD  Y4, Y3, Y3           \
+	VMULPD  Y2, Y15, Y4          \
+	VADDPD  Y4, Y3, Y3
+
+#define TREE_NO1(x, u1, u2) \
+	VMOVUPD (u2)(AX*8), Y1       \
+	VADDPD  -8(u1)(AX*8), Y1, Y1 \
+	VADDPD  8(u1)(AX*8), Y1, Y1  \
+	VMOVUPD -8(u2)(AX*8), Y2     \
+	VADDPD  8(u2)(AX*8), Y2, Y2  \
+	VMULPD  (x)(AX*8), Y12, Y3   \
+	VMULPD  Y1, Y14, Y4          \
+	VADDPD  Y4, Y3, Y3           \
+	VMULPD  Y2, Y15, Y4          \
+	VADDPD  Y4, Y3, Y3
+
+#define TREE_NO3(x, u1, u2) \
+	VMOVUPD -8(x)(AX*8), Y0      \
+	VADDPD  8(x)(AX*8), Y0, Y0   \
+	VADDPD  (u1)(AX*8), Y0, Y0   \
+	VMOVUPD (u2)(AX*8), Y1       \
+	VADDPD  -8(u1)(AX*8), Y1, Y1 \
+	VADDPD  8(u1)(AX*8), Y1, Y1  \
+	VMULPD  (x)(AX*8), Y12, Y3   \
+	VMULPD  Y0, Y13, Y4          \
+	VADDPD  Y4, Y3, Y3           \
+	VMULPD  Y1, Y14, Y4          \
+	VADDPD  Y4, Y3, Y3
+
+#define TREE_SD(x, u1, u2) \
+	VMOVSD  -8(x)(AX*8), X0      \
+	VADDSD  8(x)(AX*8), X0, X0   \
+	VADDSD  (u1)(AX*8), X0, X0   \
+	VMOVSD  (u2)(AX*8), X1       \
+	VADDSD  -8(u1)(AX*8), X1, X1 \
+	VADDSD  8(u1)(AX*8), X1, X1  \
+	VMOVSD  -8(u2)(AX*8), X2     \
+	VADDSD  8(u2)(AX*8), X2, X2  \
+	VMULSD  (x)(AX*8), X12, X3   \
+	VMULSD  X0, X13, X4          \
+	VADDSD  X4, X3, X3           \
+	VMULSD  X1, X14, X4          \
+	VADDSD  X4, X3, X3           \
+	VMULSD  X2, X15, X4          \
+	VADDSD  X4, X3, X3
+
+#define TREE_NO1_SD(x, u1, u2) \
+	VMOVSD  (u2)(AX*8), X1       \
+	VADDSD  -8(u1)(AX*8), X1, X1 \
+	VADDSD  8(u1)(AX*8), X1, X1  \
+	VMOVSD  -8(u2)(AX*8), X2     \
+	VADDSD  8(u2)(AX*8), X2, X2  \
+	VMULSD  (x)(AX*8), X12, X3   \
+	VMULSD  X1, X14, X4          \
+	VADDSD  X4, X3, X3           \
+	VMULSD  X2, X15, X4          \
+	VADDSD  X4, X3, X3
+
+#define TREE_NO3_SD(x, u1, u2) \
+	VMOVSD  -8(x)(AX*8), X0      \
+	VADDSD  8(x)(AX*8), X0, X0   \
+	VADDSD  (u1)(AX*8), X0, X0   \
+	VMOVSD  (u2)(AX*8), X1       \
+	VADDSD  -8(u1)(AX*8), X1, X1 \
+	VADDSD  8(u1)(AX*8), X1, X1  \
+	VMULSD  (x)(AX*8), X12, X3   \
+	VMULSD  X0, X13, X4          \
+	VADDSD  X4, X3, X3           \
+	VMULSD  X1, X14, X4          \
+	VADDSD  X4, X3, X3
+
+// ROW runs a row's combine from column AX: VEC four columns at a time
+// while AX ≤ BX, then SD one at a time while AX ≤ BX+3.
+#define ROW(VEC, SD, vb, vc, tb, tc) \
+	JMP  vc     \
+vb:             \
+	VEC         \
+	ADDQ $4, AX \
+vc:             \
+	CMPQ AX, BX \
+	JLE  vb     \
+	ADDQ $3, BX \
+	JMP  tc     \
+tb:             \
+	SD          \
+	INCQ AX     \
+tc:             \
+	CMPQ AX, BX \
+	JLE  tb
+
+// The row statements: o = v − tree (SI = v), o = z + tree (SI = z), and
+// o = w + (z + tree) (R13 = w), over x = R9 and the buffers R11/R12.
+#define SUB_V(TR) \
+	TR(R9, R11, R12)       \
+	VMOVUPD (SI)(AX*8), Y5 \
+	VSUBPD  Y3, Y5, Y5     \
+	VMOVUPD Y5, (DI)(AX*8)
+
+#define SUB_S(TR) \
+	TR(R9, R11, R12)      \
+	VMOVSD (SI)(AX*8), X5 \
+	VSUBSD X3, X5, X5     \
+	VMOVSD X5, (DI)(AX*8)
+
+#define ADD_V(TR) \
+	TR(R9, R11, R12)           \
+	VADDPD  (SI)(AX*8), Y3, Y3 \
+	VMOVUPD Y3, (DI)(AX*8)
+
+#define ADD_S(TR) \
+	TR(R9, R11, R12)          \
+	VADDSD (SI)(AX*8), X3, X3 \
+	VMOVSD X3, (DI)(AX*8)
+
+#define PLUS_V(TR) \
+	TR(R9, R11, R12)            \
+	VADDPD  (SI)(AX*8), Y3, Y3  \
+	VADDPD  (R13)(AX*8), Y3, Y3 \
+	VMOVUPD Y3, (DI)(AX*8)
+
+#define PLUS_S(TR) \
+	TR(R9, R11, R12)           \
+	VADDSD (SI)(AX*8), X3, X3  \
+	VADDSD (R13)(AX*8), X3, X3 \
+	VMOVSD X3, (DI)(AX*8)
+
+// NORM_COLS folds columns k = AX … of four stored rows (R11, R12, R14,
+// DI) into Y6, one row per lane — each lane adds its row's squares left
+// to right, exactly as one row's scalar sum does — and their absolute
+// values into the lane maxima Y7 (the maximum is order-free). Blocks of
+// four columns are transposed into four column vectors; the last columns
+// are gathered one at a time.
+#define NORM_COLS(vb, vc, tb, tc) \
+	JMP  vc                          \
+vb:                                  \
+	VMOVUPD    (R11)(AX*8), Y0       \
+	VMOVUPD    (R12)(AX*8), Y1       \
+	VMOVUPD    (R14)(AX*8), Y2       \
+	VMOVUPD    (DI)(AX*8), Y3        \
+	VANDPD     Y8, Y0, Y4            \
+	VMAXPD     Y7, Y4, Y7            \
+	VANDPD     Y8, Y1, Y4            \
+	VMAXPD     Y7, Y4, Y7            \
+	VANDPD     Y8, Y2, Y4            \
+	VMAXPD     Y7, Y4, Y7            \
+	VANDPD     Y8, Y3, Y4            \
+	VMAXPD     Y7, Y4, Y7            \
+	VUNPCKLPD  Y1, Y0, Y4            \
+	VUNPCKHPD  Y1, Y0, Y5            \
+	VUNPCKLPD  Y3, Y2, Y0            \
+	VUNPCKHPD  Y3, Y2, Y1            \
+	VPERM2F128 $0x20, Y0, Y4, Y2     \
+	VPERM2F128 $0x20, Y1, Y5, Y3     \
+	VPERM2F128 $0x31, Y0, Y4, Y4     \
+	VPERM2F128 $0x31, Y1, Y5, Y5     \
+	VMULPD     Y2, Y2, Y2            \
+	VADDPD     Y2, Y6, Y6            \
+	VMULPD     Y3, Y3, Y3            \
+	VADDPD     Y3, Y6, Y6            \
+	VMULPD     Y4, Y4, Y4            \
+	VADDPD     Y4, Y6, Y6            \
+	VMULPD     Y5, Y5, Y5            \
+	VADDPD     Y5, Y6, Y6            \
+	ADDQ       $4, AX                \
+vc:                                  \
+	CMPQ       AX, BX                \
+	JLE        vb                    \
+	ADDQ       $3, BX                \
+	JMP        tc                    \
+tb:                                  \
+	VMOVSD     (R11)(AX*8), X2       \
+	VMOVHPD    (R12)(AX*8), X2, X2   \
+	VMOVSD     (R14)(AX*8), X3       \
+	VMOVHPD    (DI)(AX*8), X3, X3    \
+	VINSERTF128 $1, X3, Y2, Y2       \
+	VMULPD     Y2, Y2, Y3            \
+	VADDPD     Y3, Y6, Y6            \
+	VANDPD     Y8, Y2, Y2            \
+	VMAXPD     Y7, Y2, Y7            \
+	INCQ       AX                    \
+tc:                                  \
+	CMPQ       AX, BX                \
+	JLE        tb
+
+// func subRelaxPlaneAVX2(o, v, um, uz, up *float64, n1, n2 int, c *[4]float64, u1, u2 *float64, mode int) (sum, maxAbs float64)
+// o = v − A·u on rows 1 … n1−2, columns 1 … n2−2 (n1 ≥ 3, n2 ≥ 4). Mode
+// bit 0 drops the c1 term; bit 1 also folds the stored rows into the norm
+// partials: each row's left-to-right sum of squares added to sum in row
+// order, and the largest absolute value. Rows fold four at a time, one
+// per lane, after the fourth of them is stored; the rows after the last
+// group of four fold one at a time (sum X10, maximum X11, lane maxima Y7).
+TEXT ·subRelaxPlaneAVX2(SB), NOSPLIT, $0-104
+	MOVQ c+56(FP), AX
+	LOAD_COEFFS(AX)
+	VPCMPEQQ Y8, Y8, Y8
+	VPSRLQ   $1, Y8, Y8 // the |·| mask
+	VXORPD   X10, X10, X10
+	VXORPD   X11, X11, X11
+	VXORPD   Y7, Y7, Y7
+	MOVQ n2+48(FP), DX
+	SHLQ $3, DX
 	MOVQ o+0(FP), DI
 	MOVQ v+8(FP), SI
-	MOVQ x+16(FP), R10
-	MOVQ u1+24(FP), R11
-	MOVQ u2+32(FP), R12
-	MOVQ n+40(FP), R8
-	MOVQ c+48(FP), R9
-	LOAD_COEFFS(R9)
+	MOVQ um+16(FP), R8
+	MOVQ uz+24(FP), R9
+	MOVQ up+32(FP), R10
+	ADDQ DX, DI
+	ADDQ DX, SI
+	ADDQ DX, R8
+	ADDQ DX, R9
+	ADDQ DX, R10
+	MOVQ n1+40(FP), R13
+	SUBQ $2, R13
+
+subrow:
+	MOVQ u1+64(FP), R11
+	MOVQ u2+72(FP), R12
+	MOVQ n2+48(FP), BX
+	FILL_ROWS(subf1, subf1c, subf2, subf2c)
+	MOVQ u1+64(FP), R11
+	MOVQ n2+48(FP), BX
+	SUBQ $5, BX
 	MOVQ $1, AX
-	ADDQ $1, R8   // limit: k runs 1..n inclusive
-subloop:
-	CMPQ AX, R8
-	JGE  subdone
-	STENCIL_COMBINE
-	VMOVUPD (SI)(AX*8), Y5
-	VSUBPD  Y3, Y5, Y5   // v - stencil
-	VMOVUPD Y5, (DI)(AX*8)
-	ADDQ $4, AX
-	JMP  subloop
-subdone:
+	MOVQ mode+80(FP), CX
+	TESTQ $1, CX
+	JNZ  subno1
+	ROW(SUB_V(TREE), SUB_S(TREE_SD), subv, subvc, subt, subtc)
+	JMP  subnorm
+
+subno1:
+	ROW(SUB_V(TREE_NO1), SUB_S(TREE_NO1_SD), subv1, subv1c, subt1, subt1c)
+
+subnorm:
+	MOVQ mode+80(FP), CX
+	TESTQ $2, CX
+	JZ   subnext
+	MOVQ n1+40(FP), BX
+	SUBQ $2, BX
+	MOVQ BX, CX
+	SUBQ R13, CX   // this row's index t among the interior rows
+	ANDQ $-4, BX   // rows in groups of four
+	CMPQ CX, BX
+	JGE  subrow1
+	ANDQ $3, CX
+	CMPQ CX, $3
+	JNE  subnext   // the group is not complete yet
+	MOVQ DI, R14
+	SUBQ DX, R14
+	MOVQ R14, R12
+	SUBQ DX, R12
+	MOVQ R12, R11
+	SUBQ DX, R11
+	MOVQ n2+48(FP), BX
+	SUBQ $5, BX
+	MOVQ $1, AX
+	VXORPD Y6, Y6, Y6
+	NORM_COLS(subn4, subn4c, subn1, subn1c)
+	VADDSD      X6, X10, X10
+	VPERMILPD   $1, X6, X4
+	VADDSD      X4, X10, X10
+	VEXTRACTF128 $1, Y6, X5
+	VADDSD      X5, X10, X10
+	VPERMILPD   $1, X5, X4
+	VADDSD      X4, X10, X10
+	JMP  subnext
+
+subrow1:
+	MOVQ n2+48(FP), BX
+	DECQ BX
+	MOVQ $1, AX
+	VXORPD X9, X9, X9
+
+subsq:
+	VMOVSD (DI)(AX*8), X0
+	VMULSD X0, X0, X1
+	VADDSD X1, X9, X9
+	VANDPD X8, X0, X0
+	VMAXSD X11, X0, X11 // |r| > max ? |r| : max, as math.Abs(r) > maxAbs
+	INCQ AX
+	CMPQ AX, BX
+	JLT  subsq
+	VADDSD X9, X10, X10
+
+subnext:
+	ADDQ DX, DI
+	ADDQ DX, SI
+	ADDQ DX, R8
+	ADDQ DX, R9
+	ADDQ DX, R10
+	DECQ R13
+	JNZ  subrow
+	VEXTRACTF128 $1, Y7, X4
+	VMAXPD    X4, X7, X7
+	VPERMILPD $1, X7, X4
+	VMAXSD    X4, X7, X7
+	VMAXSD    X11, X7, X11
+	VMOVSD X10, sum+88(FP)
+	VMOVSD X11, maxAbs+96(FP)
 	VZEROUPPER
 	RET
 
-// func addRelaxRowAVX2(o, z, x, u1, u2 *float64, n int, c *[4]float64)
-// o[k] = z[k] + stencil(k) for k = 1..n
-TEXT ·addRelaxRowAVX2(SB), NOSPLIT, $0-56
+// func addRelaxPlaneAVX2(o, z, w, rm, rz, rp *float64, n1, n2 int, c *[4]float64, u1, u2 *float64, mode int)
+// o = z + S·r (mode bit 1 clear) or o = w + (z + S·r) (set) on rows
+// 1 … n1−2, columns 1 … n2−2 (n1 ≥ 3, n2 ≥ 4). Mode bit 0 drops the c3
+// term.
+TEXT ·addRelaxPlaneAVX2(SB), NOSPLIT, $8-96
+	MOVQ c+64(FP), AX
+	LOAD_COEFFS(AX)
+	MOVQ n2+56(FP), DX
+	SHLQ $3, DX
 	MOVQ o+0(FP), DI
 	MOVQ z+8(FP), SI
-	MOVQ x+16(FP), R10
-	MOVQ u1+24(FP), R11
-	MOVQ u2+32(FP), R12
-	MOVQ n+40(FP), R8
-	MOVQ c+48(FP), R9
-	LOAD_COEFFS(R9)
+	MOVQ w+16(FP), R13
+	MOVQ rm+24(FP), R8
+	MOVQ rz+32(FP), R9
+	MOVQ rp+40(FP), R10
+	ADDQ DX, DI
+	ADDQ DX, SI
+	ADDQ DX, R13
+	ADDQ DX, R8
+	ADDQ DX, R9
+	ADDQ DX, R10
+	MOVQ n1+48(FP), AX
+	SUBQ $2, AX
+	MOVQ AX, rows-8(SP)
+
+addrow:
+	MOVQ u1+72(FP), R11
+	MOVQ u2+80(FP), R12
+	MOVQ n2+56(FP), BX
+	FILL_ROWS(addf1, addf1c, addf2, addf2c)
+	MOVQ u1+72(FP), R11
+	MOVQ n2+56(FP), BX
+	SUBQ $5, BX
 	MOVQ $1, AX
-	ADDQ $1, R8
-addloop:
-	CMPQ AX, R8
-	JGE  adddone
-	STENCIL_COMBINE
-	VMOVUPD (SI)(AX*8), Y5
-	VADDPD  Y3, Y5, Y5   // z + stencil
-	VMOVUPD Y5, (DI)(AX*8)
-	ADDQ $4, AX
-	JMP  addloop
-adddone:
+	MOVQ mode+88(FP), CX
+	CMPQ CX, $1
+	JEQ  addno3
+	CMPQ CX, $2
+	JEQ  addplus
+	CMPQ CX, $3
+	JEQ  addplusno3
+	ROW(ADD_V(TREE), ADD_S(TREE_SD), addv, addvc, addt, addtc)
+	JMP  addnext
+
+addno3:
+	ROW(ADD_V(TREE_NO3), ADD_S(TREE_NO3_SD), addv3, addv3c, addt3, addt3c)
+	JMP  addnext
+
+addplus:
+	ROW(PLUS_V(TREE), PLUS_S(TREE_SD), plusv, plusvc, plust, plustc)
+	JMP  addnext
+
+addplusno3:
+	ROW(PLUS_V(TREE_NO3), PLUS_S(TREE_NO3_SD), plusv3, plusv3c, plust3, plust3c)
+
+addnext:
+	ADDQ DX, DI
+	ADDQ DX, SI
+	ADDQ DX, R13
+	ADDQ DX, R8
+	ADDQ DX, R9
+	ADDQ DX, R10
+	DECQ rows-8(SP)
+	JNZ  addrow
 	VZEROUPPER
 	RET
 
-// func addRelaxPlusRowAVX2(o, w, z, x, u1, u2 *float64, n int, c *[4]float64)
-// o[k] = w[k] + (z[k] + stencil(k)) for k = 1..n
-TEXT ·addRelaxPlusRowAVX2(SB), NOSPLIT, $0-64
+// func projectPlaneAVX2(o, rm, rz, rp *float64, fn1, fn2 int, c *[4]float64, u1, u2 *float64)
+// The coarse plane o (extents fn1/2+1 × fn2/2+1) on rows and columns 1 …
+// extent−2: o[j] = tree(2j) over fine row 2j of the three fine planes
+// (fn1, fn2 ≥ 4). Four j per block: the tree runs at k … k+3 and at
+// k+3 … k+6 (so the highest index read is k+7, inside the fine row), and
+// the even-k lanes r[k], r[k+2] of the first and r[k+4], r[k+6] of the
+// second are gathered into one contiguous store.
+TEXT ·projectPlaneAVX2(SB), NOSPLIT, $0-72
+	MOVQ c+48(FP), AX
+	LOAD_COEFFS(AX)
+	MOVQ fn2+40(FP), DX
+	SHLQ $3, DX
+	MOVQ fn2+40(FP), SI
+	SHRQ $1, SI
+	INCQ SI
+	SHLQ $3, SI // coarse row stride in bytes
+	MOVQ o+0(FP), DI
+	ADDQ SI, DI
+	MOVQ rm+8(FP), R8
+	MOVQ rz+16(FP), R9
+	MOVQ rp+24(FP), R10
+	LEAQ (R8)(DX*2), R8
+	LEAQ (R9)(DX*2), R9
+	LEAQ (R10)(DX*2), R10
+	MOVQ fn1+32(FP), R13
+	SHRQ $1, R13
+	DECQ R13
+
+projrow:
+	MOVQ u1+56(FP), R11
+	MOVQ u2+64(FP), R12
+	MOVQ fn2+40(FP), BX
+	FILL_ROWS(projf1, projf1c, projf2, projf2c)
+	MOVQ u1+56(FP), R11
+	MOVQ SI, BX
+	SHRQ $3, BX
+	SUBQ $5, BX // last full block's first j
+	MOVQ $2, AX // k = 2j
+	MOVQ $1, CX // j
+	JMP  projvc
+
+projv:
+	TREE(R9, R11, R12)
+	VMOVAPD Y3, Y6           // r[k]   r[k+1] r[k+2] r[k+3]
+	ADDQ    $3, AX
+	TREE(R9, R11, R12)       // r[k+3] r[k+4] r[k+5] r[k+6]
+	VSHUFPD $0xA, Y3, Y6, Y6 // r[k]   r[k+4] r[k+2] r[k+6]
+	VPERMPD $0xD8, Y6, Y6    // r[k]   r[k+2] r[k+4] r[k+6]
+	VMOVUPD Y6, (DI)(CX*8)
+	ADDQ    $5, AX
+	ADDQ    $4, CX
+
+projvc:
+	CMPQ CX, BX
+	JLE  projv
+	ADDQ $3, BX
+	JMP  projtc
+
+projt:
+	TREE_SD(R9, R11, R12)
+	VMOVSD X3, (DI)(CX*8)
+	ADDQ   $2, AX
+	INCQ   CX
+
+projtc:
+	CMPQ CX, BX
+	JLE  projt
+	LEAQ (R8)(DX*2), R8
+	LEAQ (R9)(DX*2), R9
+	LEAQ (R10)(DX*2), R10
+	ADDQ SI, DI
+	DECQ R13
+	JNZ  projrow
+	VZEROUPPER
+	RET
+
+// One interleaving block of interpolate: for l = AX … AX+3 of the coarse
+// row R11, fine columns 2l+1 (CX = 2·AX) and 2l+2 get
+//
+//	o[2l+1] = cOdd·(b[l] + b[l+1])    o[2l+2] = cEven·b[l+1]
+//
+// (cEven in Y14, cOdd in Y15): odd (Y0) and even (Y1) products interleave
+// through unpack + 128-bit permute into Y4 and Y5, which ST stores.
+#define INTERP_V(ST) \
+	VMOVUPD    (R11)(AX*8), Y0  \
+	VMOVUPD    8(R11)(AX*8), Y1 \
+	VADDPD     Y1, Y0, Y0       \
+	VMULPD     Y0, Y15, Y0      \
+	VMULPD     Y1, Y14, Y1      \
+	VUNPCKLPD  Y1, Y0, Y2       \
+	VUNPCKHPD  Y1, Y0, Y3       \
+	VPERM2F128 $0x20, Y3, Y2, Y4 \
+	VPERM2F128 $0x31, Y3, Y2, Y5 \
+	ST                          \
+	ADDQ       $8, CX
+
+#define INTERP_S(ST) \
+	VMOVSD (R11)(AX*8), X0  \
+	VMOVSD 8(R11)(AX*8), X1 \
+	VADDSD X1, X0, X0       \
+	VMULSD X0, X15, X4      \
+	VMULSD X1, X14, X5      \
+	ST                      \
+	ADDQ   $2, CX
+
+#define STORE_V \
+	VMOVUPD Y4, 8(DI)(CX*8) \
+	VMOVUPD Y5, 40(DI)(CX*8)
+
+#define STORE_W_V \
+	VADDPD  8(SI)(CX*8), Y4, Y4  \
+	VADDPD  40(SI)(CX*8), Y5, Y5 \
+	STORE_V
+
+#define STORE_S \
+	VMOVSD X4, 8(DI)(CX*8) \
+	VMOVSD X5, 16(DI)(CX*8)
+
+#define STORE_W_S \
+	VADDSD 8(SI)(CX*8), X4, X4  \
+	VADDSD 16(SI)(CX*8), X5, X5 \
+	STORE_S
+
+// func interpPlaneAVX2(o, w, zl, zh *float64, o3, cn1, cn2, m int, c *[4]float64, b *float64)
+// Rows and columns m … extent−1−m (m ∈ {0, 1}) of one fine plane
+// (extents 2cn1−2 × 2cn2−2, cn2 ≥ 4) from the coarse planes zl and zh it
+// lies on or between (o3 = 1: between): o = Q·z, or o = w + Q·z when w is
+// not nil. A fine row on a coarse row reads it in place; otherwise its
+// canonical pair or quadruple sum is staged in b, and the Q weight of its
+// even and odd columns is c[o3+o2] and c[o3+o2+1].
+TEXT ·interpPlaneAVX2(SB), NOSPLIT, $16-80
+	MOVQ cn2+48(FP), DX
+	SHLQ $3, DX
+	LEAQ -16(DX)(DX*1), AX // fine row stride in bytes
+	MOVQ AX, fs-8(SP)
+	MOVQ m+56(FP), R13
+	MOVQ cn1+40(FP), BX
+	LEAQ -2(BX)(BX*1), BX
+	SUBQ R13, BX
+	MOVQ BX, end-16(SP)
+	IMULQ R13, AX
 	MOVQ o+0(FP), DI
 	MOVQ w+8(FP), SI
-	MOVQ z+16(FP), DX
-	MOVQ x+24(FP), R10
-	MOVQ u1+32(FP), R11
-	MOVQ u2+40(FP), R12
-	MOVQ n+48(FP), R8
-	MOVQ c+56(FP), R9
-	LOAD_COEFFS(R9)
-	MOVQ $1, AX
-	ADDQ $1, R8
-plusloop:
-	CMPQ AX, R8
-	JGE  plusdone
-	STENCIL_COMBINE
-	VMOVUPD (DX)(AX*8), Y5
-	VADDPD  Y3, Y5, Y5   // z + stencil
-	VMOVUPD (SI)(AX*8), Y6
-	VADDPD  Y5, Y6, Y6   // w + (z + stencil)
-	VMOVUPD Y6, (DI)(AX*8)
-	ADDQ $4, AX
-	JMP  plusloop
-plusdone:
-	VZEROUPPER
-	RET
+	ADDQ AX, DI
+	ADDQ AX, SI
+	MOVQ zl+16(FP), R8
+	MOVQ zh+24(FP), R9
 
-// func interpRowAVX2(o, b *float64, n int, cEven, cOdd float64)
-// For m = 0..n-1: o[2m+1] = cOdd*(b[m] + b[m+1]), o[2m+2] = cEven*b[m+1].
-// Four m per step: the odd (Y0) and even (Y1) products interleave through
-// unpack + 128-bit permute into two contiguous stores.
-TEXT ·interpRowAVX2(SB), NOSPLIT, $0-40
-	MOVQ o+0(FP), DI
-	MOVQ b+8(FP), SI
-	MOVQ n+16(FP), R8
-	VBROADCASTSD cEven+24(FP), Y14
-	VBROADCASTSD cOdd+32(FP), Y15
-	XORQ AX, AX   // m
-	XORQ CX, CX   // 2m
-interploop:
-	CMPQ AX, R8
-	JGE  interpdone
-	VMOVUPD (SI)(AX*8), Y0
-	VMOVUPD 8(SI)(AX*8), Y1
-	VADDPD  Y1, Y0, Y0          // b[m] + b[m+1]
-	VMULPD  Y0, Y15, Y0         // odd:  O0 O1 O2 O3
-	VMULPD  Y1, Y14, Y1         // even: E0 E1 E2 E3
-	VUNPCKLPD Y1, Y0, Y2        // O0 E0 O2 E2
-	VUNPCKHPD Y1, Y0, Y3        // O1 E1 O3 E3
-	VPERM2F128 $0x20, Y3, Y2, Y4 // O0 E0 O1 E1
-	VPERM2F128 $0x31, Y3, Y2, Y5 // O2 E2 O3 E3
-	VMOVUPD Y4, 8(DI)(CX*8)
-	VMOVUPD Y5, 40(DI)(CX*8)
-	ADDQ $4, AX
-	ADDQ $8, CX
-	JMP  interploop
-interpdone:
-	VZEROUPPER
-	RET
+interprow:
+	MOVQ  R13, AX
+	SHRQ  $1, AX
+	IMULQ DX, AX
+	LEAQ  (R8)(AX*1), R11 // zl, low coarse row
+	LEAQ  (R9)(AX*1), R14 // zh, low coarse row
+	MOVQ  R13, BX
+	ANDQ  $1, BX          // o2
+	MOVQ  BX, CX
+	IMULQ DX, CX
+	LEAQ  (R11)(CX*1), R12 // zl, high coarse row
+	LEAQ  (R14)(CX*1), R15 // zh, high coarse row
+	MOVQ  o3+32(FP), CX
+	LEAQ  (BX)(CX*1), AX
+	MOVQ  c+64(FP), R10
+	VBROADCASTSD (R10)(AX*8), Y14
+	VBROADCASTSD 8(R10)(AX*8), Y15
+	LEAQ  (BX)(CX*2), AX // o2 + 2·o3
+	CMPQ  AX, $0
+	JEQ   interpsrc
+	MOVQ  R12, R10
+	CMPQ  AX, $1
+	JEQ   interpsum2
+	MOVQ  R14, R10
+	CMPQ  AX, $2
+	JEQ   interpsum2
+	MOVQ  b+72(FP), CX
+	MOVQ  cn2+48(FP), BX
+	FILL(SUM4_AT(CX, R11, R12, R14, R15), interps4, interps4c)
+	MOVQ  CX, R11
+	JMP   interpsrc
 
-// func projectRowAVX2(o, x, u1, u2 *float64, n int, c *[4]float64)
-// o[j] = stencil(2j) for j = 1..n. Four j per step: the combine runs at
-// k..k+3 and at k+3..k+6 (so the highest index read is k+7, inside a row
-// of 2(n+1) elements), and the even-k lanes r[k], r[k+2] of the first and
-// r[k+4], r[k+6] of the second are gathered into one contiguous store.
-TEXT ·projectRowAVX2(SB), NOSPLIT, $0-48
-	MOVQ o+0(FP), DI
-	MOVQ x+8(FP), R10
-	MOVQ u1+16(FP), R11
-	MOVQ u2+24(FP), R12
-	MOVQ n+32(FP), R8
-	MOVQ c+40(FP), R9
-	LOAD_COEFFS(R9)
-	MOVQ $2, AX   // k = 2j
-	MOVQ $1, BX   // j
-	ADDQ $1, R8   // limit: j runs 1..n inclusive
-projloop:
-	CMPQ BX, R8
-	JGE  projdone
-	STENCIL_COMBINE
-	VMOVAPD Y3, Y6              // r[k]   r[k+1] r[k+2] r[k+3]
-	ADDQ $3, AX
-	STENCIL_COMBINE             // r[k+3] r[k+4] r[k+5] r[k+6]
-	VSHUFPD $0xA, Y3, Y6, Y6    // r[k]   r[k+4] r[k+2] r[k+6]
-	VPERMPD $0xD8, Y6, Y6       // r[k]   r[k+2] r[k+4] r[k+6]
-	VMOVUPD Y6, (DI)(BX*8)
-	ADDQ $5, AX
-	ADDQ $4, BX
-	JMP  projloop
-projdone:
+interpsum2:
+	MOVQ b+72(FP), CX
+	MOVQ cn2+48(FP), BX
+	FILL(SUM2_AT(CX, R11, R10), interps2, interps2c)
+	MOVQ CX, R11
+
+interpsrc:
+	MOVQ cn2+48(FP), BX
+	SUBQ $6, BX
+	XORQ AX, AX
+	XORQ CX, CX
+	MOVQ w+8(FP), R10
+	TESTQ R10, R10
+	JNZ  interpw
+	ROW(INTERP_V(STORE_V), INTERP_S(STORE_S), interpv, interpvc, interpt, interptc)
+	JMP  interpends
+
+interpw:
+	ROW(INTERP_V(STORE_W_V), INTERP_S(STORE_W_S), interpwv, interpwvc, interpwt, interpwtc)
+
+interpends:
+	MOVQ m+56(FP), AX
+	TESTQ AX, AX
+	JNZ  interpnext
+	MOVQ cn2+48(FP), AX
+	LEAQ (AX)(AX*1), CX
+	VMOVSD (R11), X4
+	VMULSD X4, X14, X4            // o[0] = cEven·b[0]
+	VMOVSD -16(R11)(AX*8), X5
+	VADDSD -8(R11)(AX*8), X5, X5
+	VMULSD X5, X15, X5            // o[last] = cOdd·(b[cn2−2] + b[cn2−1])
+	TESTQ R10, R10
+	JZ   interpendst
+	VADDSD (SI), X4, X4
+	VADDSD -24(SI)(CX*8), X5, X5
+
+interpendst:
+	VMOVSD X4, (DI)
+	VMOVSD X5, -24(DI)(CX*8)
+
+interpnext:
+	ADDQ fs-8(SP), DI
+	ADDQ fs-8(SP), SI
+	INCQ R13
+	CMPQ R13, end-16(SP)
+	JLT  interprow
 	VZEROUPPER
 	RET

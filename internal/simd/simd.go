@@ -1,154 +1,136 @@
-// Package simd provides 4-wide float64 row primitives for the MG stencil
-// kernels: the buffer fills and combine loops of the line-buffered form
-// (internal/stencil's canonical association), the even/odd interleaving
-// store of trilinear interpolation and the stride-2 combine of the
-// projection, vectorised with AVX2 on amd64 and implemented in pure Go
-// everywhere else.
+// Package simd runs the line-buffered rows of the MG stencil kernels four
+// lanes wide: one AVX2 assembly call per plane for each of internal/core's
+// four fused kernels — subRelax (with or without its norm rows), addRelax
+// and addRelaxPlus, projectCondense, and interpolate (Q·z and w + Q·z).
+// A call walks every interior row of its plane; per row it fills the line
+// buffers and combines, so the Go side pays one call per plane, not three
+// per row.
 //
 // # Bit-identity
 //
-// Every primitive evaluates, in each lane, exactly the operation tree of
-// the canonical association — plain VADDPD/VMULPD, never FMA, with the
-// same grouping as the scalar kernels. Lanes are independent outputs, so
-// the vector and fallback paths produce bit-identical results; the
-// package test asserts it on random rows. The combine rows apply all four
-// coefficient terms unconditionally (like the generic O0 kernel) where
-// the scalar fused kernels drop exact-zero terms — adding an exact zero
-// cannot change an IEEE-754 sum, so the values still agree bit for bit.
+// Every lane evaluates exactly the operation tree of the buffered Go rows
+// (internal/core/lined.go): plain VADDPD/VMULPD, never FMA, the same
+// grouping, and the same terms dropped where a coefficient is exactly zero
+// (subRelax's c1, addRelax's c3). Lanes are independent outputs and rows
+// end on one-lane tails, so a plane computed here carries those rows'
+// bits — NaN, infinities, signed zeros and subnormals included.
 //
-// # Dispatch
+// # Declining
 //
-// The AVX2 path is taken when the CPU supports it (runtime CPUID
-// detection, including the OSXSAVE/XCR0 check for OS-enabled YMM state)
-// and the MG_SIMD_DISABLE environment variable is unset. Otherwise every
-// call transparently runs the pure-Go fallback, so callers may select the
-// simd kernel variant unconditionally.
+// A primitive that cannot run returns false and writes nothing: when the
+// CPU lacks AVX2 (runtime CPUID detection, including the OSXSAVE/XCR0
+// check for OS-enabled YMM state), when the MG_SIMD_DISABLE environment
+// variable is set, on other architectures, and on planes whose rows are
+// too short for one four-lane block. The caller then runs its buffered Go
+// rows, which compute the same bits.
 package simd
 
 import "os"
 
-// useAsm gates the assembly fast path. It is a variable (not a constant)
-// so the package test can force the fallback and compare both paths.
+// useAsm gates the assembly. It is a variable (not a constant) so the
+// package test can take the declining path on an AVX2 host.
 var useAsm = hasAVX2() && os.Getenv("MG_SIMD_DISABLE") == ""
 
 // Available reports whether the AVX2 path is active (supported by the
-// hardware and not disabled via MG_SIMD_DISABLE). The row primitives work
-// either way; this is the CPU half of the backend rule — long rows run
-// simd where it is true and buffered where it is not
-// (withloop.DefaultVariant).
+// hardware and not disabled via MG_SIMD_DISABLE): the CPU half of the
+// backend rule — long rows run simd where it is true and buffered where it
+// is not (withloop.DefaultVariant).
 func Available() bool { return useAsm }
 
-// Sum2 computes dst[i] = a[i] + b[i].
-func Sum2(dst, a, b []float64) {
-	i := 0
-	if useAsm {
-		i = sum2Asm(dst, a, b)
+// Mode bits of the assembly kernels.
+const (
+	dropTerm = 1 // the coefficient of the term the buffered rows fold is exactly zero
+	normRows = 2 // subRelax: fold the stored rows into the norm partials
+	plusW    = 2 // addRelax: add the w operand
+)
+
+// fit reports whether every slice holds at least n elements.
+func fit(n int, s ...[]float64) bool {
+	for _, x := range s {
+		if len(x) < n {
+			return false
+		}
 	}
-	for ; i < len(dst); i++ {
-		dst[i] = a[i] + b[i]
-	}
+	return true
 }
 
-// Sum4 computes dst[i] = ((a[i] + b[i]) + c[i]) + d[i] — the u1/u2 buffer
-// fill of the canonical association.
-func Sum4(dst, a, b, c, d []float64) {
-	i := 0
-	if useAsm {
-		i = sum4Asm(dst, a, b, c, d)
+// SubRelaxPlane computes o = v − A·u on the interior rows and columns of
+// one n1×n2 plane from u's planes um, uz and up (below, at and above it),
+// through the line buffers u1 and u2 (n2 long). o may alias v. With norm
+// set it also returns the plane's norm partials over the stored rows: the
+// sum over rows, in order, of each row's sum of squares accumulated left
+// to right, and the largest absolute value.
+func SubRelaxPlane(o, v, um, uz, up []float64, n1, n2 int, c *[4]float64, u1, u2 []float64,
+	norm bool) (sum, maxAbs float64, ok bool) {
+	if !useAsm || n1 < 3 || n2 < 4 || !fit(n1*n2, o, v, um, uz, up) || !fit(n2, u1, u2) {
+		return 0, 0, false
 	}
-	for ; i < len(dst); i++ {
-		dst[i] = ((a[i] + b[i]) + c[i]) + d[i]
+	mode := 0
+	if c[1] == 0 {
+		mode = dropTerm
 	}
+	if norm {
+		mode |= normRows
+	}
+	sum, maxAbs = subRelaxPlaneAVX2(&o[0], &v[0], &um[0], &uz[0], &up[0], n1, n2, c, &u1[0], &u2[0], mode)
+	return sum, maxAbs, true
 }
 
-// stencilAt is the shared combine tree of the relax rows: the canonical
-// association over the centre row x and the u1/u2 line buffers.
-func stencilAt(x, u1, u2 []float64, k int, c *[4]float64) float64 {
-	s1 := (x[k-1] + x[k+1]) + u1[k]
-	s2 := (u2[k] + u1[k-1]) + u1[k+1]
-	s3 := u2[k-1] + u2[k+1]
-	return ((c[0]*x[k] + c[1]*s1) + c[2]*s2) + c[3]*s3
+// AddRelaxPlane computes o = z + S·r (w nil) or o = w + (z + S·r) on the
+// interior rows and columns of one n1×n2 plane from r's planes rm, rz and
+// rp, through the line buffers u1 and u2. o may alias z or w.
+func AddRelaxPlane(o, z, w, rm, rz, rp []float64, n1, n2 int, c *[4]float64, u1, u2 []float64) bool {
+	if !useAsm || n1 < 3 || n2 < 4 || !fit(n1*n2, o, z, rm, rz, rp) || !fit(n2, u1, u2) {
+		return false
+	}
+	mode := 0
+	if c[3] == 0 {
+		mode = dropTerm
+	}
+	var wp *float64
+	if w != nil {
+		if !fit(n1*n2, w) {
+			return false
+		}
+		wp, mode = &w[0], mode|plusW
+	}
+	addRelaxPlaneAVX2(&o[0], &z[0], wp, &rm[0], &rz[0], &rp[0], n1, n2, c, &u1[0], &u2[0], mode)
+	return true
 }
 
-// SubRelaxRow computes o[k] = v[k] − stencil(k) for the interior
-// k ∈ [1, len(o)−1) of one grid row, where stencil(k) folds the centre
-// row x and the u1/u2 line buffers in the canonical association.
-func SubRelaxRow(o, v, x, u1, u2 []float64, c *[4]float64) {
-	n := len(o)
-	k := 1
-	if useAsm && n-2 >= 4 {
-		m := (n - 2) &^ 3
-		subRelaxRowAVX2(&o[0], &v[0], &x[0], &u1[0], &u2[0], m, c)
-		k += m
+// ProjectPlane computes the interior rows and columns of one coarse plane
+// o of projectCondense from the fine planes rm, rz and rp (fn1×fn2, the
+// coarse plane (fn1/2+1)×(fn2/2+1)): the relax combine at the even fine
+// points, through the fine-row line buffers u1 and u2.
+func ProjectPlane(o, rm, rz, rp []float64, fn1, fn2 int, c *[4]float64, u1, u2 []float64) bool {
+	if !useAsm || fn1 < 4 || fn2 < 4 || !fit((fn1/2+1)*(fn2/2+1), o) || !fit(fn1*fn2, rm, rz, rp) || !fit(fn2, u1, u2) {
+		return false
 	}
-	for ; k < n-1; k++ {
-		o[k] = v[k] - stencilAt(x, u1, u2, k, c)
-	}
+	projectPlaneAVX2(&o[0], &rm[0], &rz[0], &rp[0], fn1, fn2, c, &u1[0], &u2[0])
+	return true
 }
 
-// AddRelaxRow computes o[k] = z[k] + stencil(k) for the interior of one
-// grid row.
-func AddRelaxRow(o, z, x, u1, u2 []float64, c *[4]float64) {
-	n := len(o)
-	k := 1
-	if useAsm && n-2 >= 4 {
-		m := (n - 2) &^ 3
-		addRelaxRowAVX2(&o[0], &z[0], &x[0], &u1[0], &u2[0], m, c)
-		k += m
+// InterpPlane computes rows and columns m … extent−1−m (m is 0 or 1) of
+// one fine plane of interpolate, (2cn1−2)×(2cn2−2), from the cn1×cn2
+// coarse planes zl and zh it lies on or between (o3: between): o = Q·z,
+// or o = w + Q·z when w is not nil (o may alias w). b (cn2 long) stages a
+// fine row's cross-row sum of coarse rows.
+func InterpPlane(o, w, zl, zh []float64, o3 bool, cn1, cn2, m int, c *[4]float64, b []float64) bool {
+	fn1, fn2 := 2*cn1-2, 2*cn2-2
+	if !useAsm || cn2 < 4 || m != 0 && m != 1 || fn1-2*m < 1 || !fit(fn1*fn2, o) || !fit(cn1*cn2, zl, zh) || !fit(cn2, b) {
+		return false
 	}
-	for ; k < n-1; k++ {
-		o[k] = z[k] + stencilAt(x, u1, u2, k, c)
+	var wp *float64
+	if w != nil {
+		if !fit(fn1*fn2, w) {
+			return false
+		}
+		wp = &w[0]
 	}
-}
-
-// AddRelaxPlusRow computes o[k] = w[k] + (z[k] + stencil(k)) for the
-// interior of one grid row — the fused MGrid correction tail.
-func AddRelaxPlusRow(o, w, z, x, u1, u2 []float64, c *[4]float64) {
-	n := len(o)
-	k := 1
-	if useAsm && n-2 >= 4 {
-		m := (n - 2) &^ 3
-		addRelaxPlusRowAVX2(&o[0], &w[0], &z[0], &x[0], &u1[0], &u2[0], m, c)
-		k += m
+	odd := 0
+	if o3 {
+		odd = 1
 	}
-	for ; k < n-1; k++ {
-		o[k] = w[k] + (z[k] + stencilAt(x, u1, u2, k, c))
-	}
-}
-
-// InterpRow computes the interior of one trilinear-interpolation fine row
-// o (length 2·len(b)−2) from the coarse cross-row buffer b: odd fine
-// columns average their two coarse neighbours, even ones sit on a coarse
-// point,
-//
-//	o[2m+1] = cOdd·(b[m] + b[m+1])    o[2m+2] = cEven·b[m+1]
-//
-// for m ∈ [0, len(b)−2). o[0] and o[len(o)−1] are not written.
-func InterpRow(o, b []float64, cEven, cOdd float64) {
-	n := len(b) - 2
-	m := 0
-	if useAsm && n >= 4 {
-		m = n &^ 3
-		interpRowAVX2(&o[0], &b[0], m, cEven, cOdd)
-	}
-	for ; m < n; m++ {
-		o[2*m+1] = cOdd * (b[m] + b[m+1])
-		o[2*m+2] = cEven * b[m+1]
-	}
-}
-
-// ProjectRow computes the interior of one projected coarse row o (length
-// len(x)/2+1): o[j] = stencil(2j) for j ∈ [1, len(o)−1), the combine tree
-// of the relax rows evaluated at the even fine columns only.
-func ProjectRow(o, x, u1, u2 []float64, c *[4]float64) {
-	n := len(o)
-	j := 1
-	if useAsm && n-2 >= 4 {
-		m := (n - 2) &^ 3
-		projectRowAVX2(&o[0], &x[0], &u1[0], &u2[0], m, c)
-		j += m
-	}
-	for ; j < n-1; j++ {
-		o[j] = stencilAt(x, u1, u2, 2*j, c)
-	}
+	interpPlaneAVX2(&o[0], wp, &zl[0], &zh[0], odd, cn1, cn2, m, c, &b[0])
+	return true
 }

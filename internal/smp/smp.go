@@ -1,7 +1,7 @@
 // Package smp simulates the shared-memory multiprocessor of the paper's
 // parallel experiments — a 12-processor SUN Ultra Enterprise 4000 — for
 // reproducing Figures 12 and 13 on hardware that cannot run ten real
-// processors (this container exposes a single core; see DESIGN.md §4,
+// processors (the reproduction host has two vCPUs; see DESIGN.md §4,
 // substitution 1).
 //
 // The simulator is a deterministic cost model. Its input is a Profile:

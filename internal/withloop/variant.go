@@ -38,9 +38,8 @@ const minLinedExtent = 8
 // run the scalar loops; longer rows run the line-buffered form — its AVX2
 // rows (simd) where that path is live, its pure-Go rows (buffered)
 // elsewhere. On a host without AVX2 buffered is the faster of the two
-// pure-Go forms (EXPERIMENTS.md T-variant); simd there would be the same
-// line buffers computing the full four-term combine the buffered rows
-// specialise away.
+// pure-Go forms (EXPERIMENTS.md T-variant); simd there would decline
+// every plane to the buffered rows.
 func DefaultVariant(level int) string {
 	switch {
 	case 1<<level < minLinedExtent:
