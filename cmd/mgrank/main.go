@@ -76,8 +76,8 @@ type result struct {
 	ExchangeNanos int64   `json:"exchangeNanos"`
 
 	Peers          []mpi.PeerStat `json:"peers,omitempty"`
-	BlockedHist    mpi.Hist       `json:"blockedHist,omitempty"`
-	QueueDepthHist mpi.Hist       `json:"queueDepthHist,omitempty"`
+	BlockedHist    metrics.Hist   `json:"blockedHist"`
+	QueueDepthHist metrics.Hist   `json:"queueDepthHist"`
 }
 
 // envBool reads an environment toggle: set and not one of "" / "0" /

@@ -75,8 +75,8 @@ type DistResult struct {
 	ExchangeNanos int64   `json:"exchangeNanos"`
 
 	Peers          []mpi.PeerStat `json:"peers,omitempty"`
-	BlockedHist    mpi.Hist       `json:"blockedHist,omitempty"`
-	QueueDepthHist mpi.Hist       `json:"queueDepthHist,omitempty"`
+	BlockedHist    metrics.Hist   `json:"blockedHist"`
+	QueueDepthHist metrics.Hist   `json:"queueDepthHist"`
 }
 
 // RunDistributed launches cfg.Ranks mgrank processes on localhost —

@@ -52,7 +52,7 @@ func TestRunDistributed(t *testing.T) {
 		}
 		// The per-peer breakdown must decompose the aggregates exactly:
 		// sent messages sum to the rank's Messages counter.
-		if len(r.Result.Peers) == 0 || len(r.Result.BlockedHist) == 0 {
+		if len(r.Result.Peers) == 0 || r.Result.BlockedHist.Count() == 0 {
 			t.Errorf("rank %d -json report lacks the per-peer breakdown", r.Rank)
 			continue
 		}

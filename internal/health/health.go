@@ -494,36 +494,20 @@ func (r Report) WriteText(w io.Writer) {
 // The verdict is a state metric: one mg_health_verdict series per known
 // verdict, value 1 for the active one.
 func (r Report) WritePrometheus(w io.Writer) {
-	fmt.Fprintln(w, "# HELP mg_health_verdict Convergence verdict of the running solve (1 = active state).")
-	fmt.Fprintln(w, "# TYPE mg_health_verdict gauge")
+	p := metrics.NewPromWriter(w)
 	for _, v := range Verdicts() {
-		val := 0
+		active := 0.0
 		if v.String() == r.Verdict {
-			val = 1
+			active = 1
 		}
-		fmt.Fprintf(w, "mg_health_verdict{verdict=%q} %d\n", v.String(), val)
+		p.Gauge("mg_health_verdict", "Convergence verdict of the running solve (1 = active state).", active, "verdict", v.String())
 	}
-	fmt.Fprintln(w, "# HELP mg_health_iterations_total Contraction ratios observed this solve.")
-	fmt.Fprintln(w, "# TYPE mg_health_iterations_total counter")
-	fmt.Fprintf(w, "mg_health_iterations_total %d\n", r.Iterations)
-	fmt.Fprintln(w, "# HELP mg_health_residual_norm Most recent residual L2 norm (NPB rnm2).")
-	fmt.Fprintln(w, "# TYPE mg_health_residual_norm gauge")
-	fmt.Fprintf(w, "mg_health_residual_norm %g\n", r.LastResidual)
-	fmt.Fprintln(w, "# HELP mg_health_convergence_rate Geometric-mean contraction ratio per iteration.")
-	fmt.Fprintln(w, "# TYPE mg_health_convergence_rate gauge")
-	fmt.Fprintf(w, "mg_health_convergence_rate %g\n", r.ConvergenceRate)
-	fmt.Fprintln(w, "# HELP mg_health_expected_rate Configured expected contraction ratio.")
-	fmt.Fprintln(w, "# TYPE mg_health_expected_rate gauge")
-	fmt.Fprintf(w, "mg_health_expected_rate %g\n", r.ExpectedRate)
-	fmt.Fprintln(w, "# HELP mg_health_nonfinite_total NaN/Inf observations (sampled guards and norms).")
-	fmt.Fprintln(w, "# TYPE mg_health_nonfinite_total counter")
-	fmt.Fprintf(w, "mg_health_nonfinite_total %d\n", r.NonFinite)
+	p.Counter("mg_health_iterations_total", "Contraction ratios observed this solve.", float64(r.Iterations))
+	p.Gauge("mg_health_residual_norm", "Most recent residual L2 norm (NPB rnm2).", r.LastResidual)
+	p.Gauge("mg_health_convergence_rate", "Geometric-mean contraction ratio per iteration.", r.ConvergenceRate)
+	p.Gauge("mg_health_expected_rate", "Configured expected contraction ratio.", r.ExpectedRate)
+	p.Counter("mg_health_nonfinite_total", "NaN/Inf observations (sampled guards and norms).", float64(r.NonFinite))
 	if r.WorkerImbalance > 0 {
-		fmt.Fprintln(w, "# HELP mg_health_worker_imbalance Max/mean per-worker busy time (1 = balanced).")
-		fmt.Fprintln(w, "# TYPE mg_health_worker_imbalance gauge")
-		fmt.Fprintf(w, "mg_health_worker_imbalance %g\n", r.WorkerImbalance)
-	}
-	for _, l := range r.Workers {
-		fmt.Fprintf(w, "mg_health_worker_busy_seconds_total{worker=\"%d\"} %g\n", l.Worker, l.BusySeconds)
+		p.Gauge("mg_health_worker_imbalance", "Max/mean per-worker busy time (1 = balanced).", r.WorkerImbalance)
 	}
 }

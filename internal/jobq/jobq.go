@@ -693,12 +693,9 @@ func (q *Queue) Stats() Stats {
 // the daemon's /metrics endpoint.
 func (q *Queue) WritePrometheus(w io.Writer) {
 	s := q.Stats()
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
+	p := metrics.NewPromWriter(w)
+	counter := func(name, help string, v uint64) { p.Counter(name, help, float64(v)) }
+	gauge := p.Gauge
 	counter("mgd_jobs_submitted_total", "Solve submissions admitted or coalesced.", s.Submitted)
 	counter("mgd_jobs_completed_total", "Jobs finished successfully.", s.Completed)
 	counter("mgd_jobs_failed_total", "Jobs that errored or produced non-finite norms.", s.Failed)

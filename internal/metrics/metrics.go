@@ -42,38 +42,47 @@ type Key struct {
 // String renders e.g. "subRelax@5".
 func (k Key) String() string { return fmt.Sprintf("%s@%d", k.Kernel, k.Level) }
 
-// HistBuckets is the number of log2 duration-histogram buckets per
-// (kernel, level): bucket i counts invocations with elapsed ≤ 1.024µs·2ⁱ
-// (see HistBound), the last bucket catching everything beyond ~8.6s —
-// comfortably past a class-C solve span. Power-of-two bounds make
-// bucketing a bit-length computation instead of a search, keeping the
-// enabled recording path cheap.
-const HistBuckets = 24
+// Hist is a histogram of non-negative integer samples (nanoseconds,
+// queue depths) with power-of-two buckets: Counts[0] holds samples v ≤ 1
+// and Counts[i] those with 2^(i−1) < v ≤ 2^i, so bucket i's bound 2^i is
+// inclusive, as Prometheus's le requires. Sum is the exact total of the
+// samples. Bucketing is a bit-length computation, and the fixed array
+// makes Observe and Merge allocation-free and a copy a snapshot.
+type Hist struct {
+	Counts [64]uint64 `json:"counts"`
+	Sum    uint64     `json:"sum"`
+}
 
-// HistBound returns the upper bound of histogram bucket i in nanoseconds
-// (1024·2ⁱ); the final bucket is unbounded.
-func HistBound(i int) uint64 { return 1024 << uint(i) }
+// Observe adds one sample. Negative samples (clock weirdness) count as
+// zero rather than corrupting the bucket index.
+func (h *Hist) Observe(v int64) {
+	v = max(v, 0)
+	h.Sum += uint64(v)
+	h.Counts[bits.Len64(uint64(max(v, 1)-1))]++
+}
 
-// histBucket maps an invocation duration to its bucket index: the
-// smallest i with ns ≤ HistBound(i), clamped to the overflow bucket.
-func histBucket(ns uint64) int {
-	if ns <= 1024 {
-		return 0
+// Merge adds o's samples to h.
+func (h *Hist) Merge(o *Hist) {
+	for i, n := range o.Counts {
+		h.Counts[i] += n
 	}
-	b := bits.Len64(ns-1) - 10
-	if b >= HistBuckets {
-		return HistBuckets - 1
+	h.Sum += o.Sum
+}
+
+// Count returns the number of samples.
+func (h *Hist) Count() uint64 {
+	var n uint64
+	for _, c := range h.Counts {
+		n += c
 	}
-	return b
+	return n
 }
 
 // cell accumulates one (kernel, level) inside one shard.
 type cell struct {
-	invocations uint64
-	points      uint64
-	nanos       uint64
-	variant     string // last recorded kernel variant; "" = none reported
-	hist        [HistBuckets]uint64
+	points  uint64
+	variant string // last recorded kernel variant; "" = none reported
+	hist    Hist   // invocation durations in nanoseconds
 }
 
 // shard is the private accumulator of one worker. The mutex is uncontended
@@ -133,13 +142,11 @@ func (c *Collector) RecordVariant(worker int, kernel string, level int, variant 
 		cl = &cell{}
 		s.kernels[key] = cl
 	}
-	cl.invocations++
 	cl.points += uint64(points)
-	cl.nanos += uint64(elapsed)
 	if variant != "" {
 		cl.variant = variant
 	}
-	cl.hist[histBucket(uint64(elapsed))]++
+	cl.hist.Observe(int64(elapsed))
 	s.mu.Unlock()
 }
 
@@ -171,9 +178,9 @@ func (c *Collector) Reset() {
 	}
 }
 
-// KernelStat is the merged statistic of one (kernel, level). Hist is the
-// per-bucket (non-cumulative) invocation-duration histogram; bucket i's
-// upper bound is HistBound(i) nanoseconds.
+// KernelStat is the merged statistic of one (kernel, level). Hist holds
+// the invocation durations in nanoseconds; Invocations and Nanos are its
+// count and sum.
 type KernelStat struct {
 	Kernel      string `json:"kernel"`
 	Level       int    `json:"level"`
@@ -182,8 +189,8 @@ type KernelStat struct {
 	Nanos       uint64 `json:"nanos"`
 	// Variant is the kernel backend the invocations dispatched to
 	// (RecordVariant); empty for kernels with a single backend.
-	Variant string   `json:"variant,omitempty"`
-	Hist    []uint64 `json:"hist,omitempty"`
+	Variant string `json:"variant,omitempty"`
+	Hist    Hist   `json:"hist"`
 }
 
 // Seconds returns the accumulated wall time.
@@ -235,19 +242,14 @@ func (c *Collector) Snapshot() Snapshot {
 		for key, cl := range s.kernels {
 			m := merged[key]
 			if m == nil {
-				m = &KernelStat{Kernel: key.Kernel, Level: key.Level,
-					Hist: make([]uint64, HistBuckets)}
+				m = &KernelStat{Kernel: key.Kernel, Level: key.Level}
 				merged[key] = m
 			}
-			m.Invocations += cl.invocations
 			m.Points += cl.points
-			m.Nanos += cl.nanos
 			if cl.variant != "" {
 				m.Variant = cl.variant
 			}
-			for b, n := range cl.hist {
-				m.Hist[b] += n
-			}
+			m.Hist.Merge(&cl.hist)
 		}
 		if s.loops > 0 {
 			snap.Workers = append(snap.Workers, WorkerStat{Worker: i, Loops: s.loops, BusyNanos: s.busy})
@@ -255,6 +257,7 @@ func (c *Collector) Snapshot() Snapshot {
 		s.mu.Unlock()
 	}
 	for _, m := range merged {
+		m.Invocations, m.Nanos = m.Hist.Count(), m.Hist.Sum
 		snap.Kernels = append(snap.Kernels, *m)
 	}
 	sort.Slice(snap.Kernels, func(i, j int) bool {

@@ -2,6 +2,9 @@ package metrics
 
 import (
 	"bytes"
+	"errors"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -97,7 +100,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 }
 
 func TestParsePrometheusEscapes(t *testing.T) {
-	in := `m_total{k="a\"b\\c\nd"} 1.5` + "\n"
+	in := "# TYPE m_total counter\n" + `m_total{k="a\"b\\c\nd"} 1.5` + "\n"
 	samples, err := ParsePrometheus(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +111,12 @@ func TestParsePrometheusEscapes(t *testing.T) {
 	if got := samples[0].Label("k"); got != "a\"b\\c\nd" {
 		t.Fatalf("label = %q", got)
 	}
+	// The writer escapes what the parser unescapes.
+	var buf bytes.Buffer
+	NewPromWriter(&buf).Gauge("m", "Escapes.", 1, "k", "a\"b\\c\nd")
+	if samples, err = ParsePrometheus(&buf); err != nil || samples[0].Label("k") != "a\"b\\c\nd" {
+		t.Fatalf("writer round trip: %+v, %v", samples, err)
+	}
 }
 
 func TestParsePrometheusRejectsGarbage(t *testing.T) {
@@ -117,6 +126,9 @@ func TestParsePrometheusRejectsGarbage(t *testing.T) {
 		`m{k="unterminated} 1`,
 		`m{k=unquoted} 1`,
 		"m not-a-number",
+		"m_total 1",                            // no # TYPE line
+		"# TYPE m gauge\n# TYPE m gauge\nm 1",  // a family declared twice
+		"# TYPE m gauge\nm_bucket{le=\"1\"} 1", // _bucket of a non-histogram
 	} {
 		if _, err := ParsePrometheus(strings.NewReader(bad + "\n")); err == nil {
 			t.Fatalf("ParsePrometheus accepted %q", bad)
@@ -124,20 +136,66 @@ func TestParsePrometheusRejectsGarbage(t *testing.T) {
 	}
 }
 
+// A sample counts in every exposed bucket whose le is at or above it and
+// in none below it, as Prometheus's le requires; the sum is exact, and
+// Observe and Merge allocate nothing.
 func TestHistBuckets(t *testing.T) {
-	cases := []struct {
-		ns   uint64
-		want int
-	}{
-		{0, 0}, {1, 0}, {1024, 0}, {1025, 1}, {2048, 1}, {2049, 2},
-		{1 << 40, HistBuckets - 1},
+	vals := []int64{0, math.MaxInt64}
+	for i := 0; i < 63; i++ {
+		vals = append(vals, 1<<i-1, 1<<i, 1<<i+1)
 	}
-	for _, c := range cases {
-		if got := histBucket(c.ns); got != c.want {
-			t.Fatalf("histBucket(%d) = %d, want %d", c.ns, got, c.want)
+	for _, v := range vals {
+		var h Hist
+		h.Observe(v)
+		if h.Sum != uint64(v) || h.Count() != 1 {
+			t.Fatalf("Observe(%d): sum %d, count %d", v, h.Sum, h.Count())
+		}
+		var buf bytes.Buffer
+		NewPromWriter(&buf).Histogram("h", "One sample.", &h, 1)
+		samples, err := ParsePrometheus(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range samples {
+			le, _ := strconv.ParseFloat(s.Label("le"), 64)
+			if s.Name != "h_bucket" || math.IsInf(le, 1) {
+				continue
+			}
+			want := 0.0
+			if uint64(v) <= uint64(le) {
+				want = 1
+			}
+			if s.Value != want {
+				t.Errorf("sample %d counts %g in le=%s, want %g", v, s.Value, s.Label("le"), want)
+			}
 		}
 	}
-	if HistBound(0) != 1024 || HistBound(1) != 2048 {
-		t.Fatal("HistBound bounds wrong")
+	var a, b Hist
+	a.Observe(5)
+	b.Observe(1 << 40)
+	a.Merge(&b)
+	if a.Count() != 2 || a.Sum != 5+1<<40 {
+		t.Fatalf("merged count %d, sum %d", a.Count(), a.Sum)
 	}
+	if allocs := testing.AllocsPerRun(100, func() { a.Observe(12345); a.Merge(&b) }); allocs != 0 {
+		t.Fatalf("Observe and Merge allocate %v per call", allocs)
+	}
+}
+
+// The writer keeps the first write error and writes nothing after it.
+func TestPromWriterLatchesError(t *testing.T) {
+	w := &failingWriter{}
+	p := NewPromWriter(w)
+	p.Counter("a_total", "A.", 1)
+	p.Gauge("b", "B.", 2, "k", "v")
+	if p.Err() == nil || w.writes != 1 {
+		t.Fatalf("Err() = %v after %d writes, want the first write's error and no more writes", p.Err(), w.writes)
+	}
+}
+
+type failingWriter struct{ writes int }
+
+func (w *failingWriter) Write([]byte) (int, error) {
+	w.writes++
+	return 0, errors.New("disk full")
 }

@@ -13,12 +13,12 @@
 package mpi
 
 import (
-	"fmt"
 	"io"
-	"math"
-	"math/bits"
 	"sort"
+	"strconv"
 	"sync"
+
+	"repro/internal/metrics"
 )
 
 // PeerStat is one rank's traffic with one peer under one tag: how many
@@ -38,64 +38,6 @@ type PeerStat struct {
 	RecvBlockedNanos int64  `json:"recvBlockedNs,omitempty"`
 }
 
-// Hist is a power-of-two-bucketed histogram of non-negative samples:
-// bucket 0 counts exact zeros, bucket i (i ≥ 1) counts values v with
-// 2^(i-1) <= v < 2^i. It grows on demand and never shrinks, so the
-// steady-state Observe path is allocation-free.
-type Hist []uint64
-
-// histIndex maps a sample to its bucket.
-func histIndex(v uint64) int { return bits.Len64(v) }
-
-// Observe adds one sample. Negative samples (clock weirdness) clamp to
-// zero rather than corrupting the bucket index.
-func (h *Hist) Observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	i := histIndex(uint64(v))
-	if n := len(*h); i >= n {
-		*h = append(*h, make(Hist, i+1-n)...)
-	}
-	(*h)[i]++
-}
-
-// Merge adds another histogram's counts into h.
-func (h *Hist) Merge(o Hist) {
-	if n := len(o); n > len(*h) {
-		*h = append(*h, make(Hist, n-len(*h))...)
-	}
-	for i, c := range o {
-		(*h)[i] += c
-	}
-}
-
-// Count returns the total number of observations.
-func (h Hist) Count() uint64 {
-	var n uint64
-	for _, c := range h {
-		n += c
-	}
-	return n
-}
-
-// Bound returns the exclusive upper bound of bucket i: 1 for bucket 0
-// (zeros), 2^i for bucket i.
-func (h Hist) Bound(i int) uint64 {
-	if i == 0 {
-		return 1
-	}
-	return 1 << uint(i)
-}
-
-// clone returns an independent copy (nil stays nil).
-func (h Hist) clone() Hist {
-	if h == nil {
-		return nil
-	}
-	return append(Hist(nil), h...)
-}
-
 // peerTag keys a recorder's per-peer rows.
 type peerTag struct{ peer, tag int }
 
@@ -104,8 +46,8 @@ type peerTag struct{ peer, tag int }
 type CommRecorder struct {
 	mu      sync.Mutex
 	peers   map[peerTag]*PeerStat
-	blocked Hist // nanoseconds blocked per Send/Recv call
-	depth   Hist // send-queue depth seen at enqueue time
+	blocked metrics.Hist // nanoseconds blocked per Send/Recv call
+	depth   metrics.Hist // send-queue depth seen at enqueue time
 }
 
 func (r *CommRecorder) row(peer, tag int) *PeerStat {
@@ -200,8 +142,7 @@ func (r *CommRecorder) SnapshotInto(s *Stats) {
 			return s.Peers[i].Tag < s.Peers[j].Tag
 		})
 	}
-	s.BlockedHist = r.blocked.clone()
-	s.QueueDepthHist = r.depth.clone()
+	s.BlockedHist, s.QueueDepthHist = r.blocked, r.depth
 }
 
 // MergePeers folds another rank's rows into s by (peer, tag) — used by
@@ -243,108 +184,31 @@ func (s Stats) BlockedNanos() int64 {
 }
 
 // WritePrometheus renders the stats in the Prometheus text exposition
-// format (0.0.4), the same dialect internal/metrics speaks: aggregate
-// counters, per-(peer, tag) labeled counters, and the blocked-time and
-// queue-depth histograms with power-of-two le bounds. rank labels every
-// series so scrapes from several mgrank processes aggregate cleanly.
+// format: aggregate counters, per-(peer, tag) labeled counters, and the
+// blocked-time and queue-depth histograms. rank labels every series so
+// scrapes from several mgrank processes aggregate cleanly.
 func (s Stats) WritePrometheus(w io.Writer, rank int) error {
-	bw := &errWriter{w: w}
-	p := func(format string, args ...any) { fmt.Fprintf(bw, format, args...) }
-
-	p("# HELP mg_mpi_messages_total Point-to-point messages sent by this rank.\n")
-	p("# TYPE mg_mpi_messages_total counter\n")
-	p("mg_mpi_messages_total{rank=\"%d\"} %d\n", rank, s.Messages)
-	p("# HELP mg_mpi_payload_bytes_total Payload bytes sent by this rank.\n")
-	p("# TYPE mg_mpi_payload_bytes_total counter\n")
-	p("mg_mpi_payload_bytes_total{rank=\"%d\"} %d\n", rank, s.Bytes)
-	p("# HELP mg_mpi_wire_bytes_total Framed bytes put on the wire by this rank.\n")
-	p("# TYPE mg_mpi_wire_bytes_total counter\n")
-	p("mg_mpi_wire_bytes_total{rank=\"%d\"} %d\n", rank, s.WireBytes)
-	p("# HELP mg_mpi_exchange_seconds_total Wall time blocked in communication.\n")
-	p("# TYPE mg_mpi_exchange_seconds_total counter\n")
-	p("mg_mpi_exchange_seconds_total{rank=\"%d\"} %g\n", rank, float64(s.ExchangeNanos)/1e9)
-
-	if len(s.Peers) > 0 {
-		p("# HELP mg_mpi_peer_messages_total Messages exchanged with one peer under one tag, by direction.\n")
-		p("# TYPE mg_mpi_peer_messages_total counter\n")
+	p := metrics.NewPromWriter(w)
+	r := strconv.Itoa(rank)
+	p.Counter("mg_mpi_messages_total", "Point-to-point messages sent by this rank.", float64(s.Messages), "rank", r)
+	p.Counter("mg_mpi_payload_bytes_total", "Payload bytes sent by this rank.", float64(s.Bytes), "rank", r)
+	p.Counter("mg_mpi_wire_bytes_total", "Framed bytes put on the wire by this rank.", float64(s.WireBytes), "rank", r)
+	p.Counter("mg_mpi_exchange_seconds_total", "Wall time blocked in communication.", float64(s.ExchangeNanos)/1e9, "rank", r)
+	perPeer := func(name, help string, send, recv func(PeerStat) float64) {
 		for _, ps := range s.Peers {
-			p("mg_mpi_peer_messages_total{rank=\"%d\",peer=\"%d\",tag=\"%d\",dir=\"send\"} %d\n", rank, ps.Peer, ps.Tag, ps.SentMsgs)
-			p("mg_mpi_peer_messages_total{rank=\"%d\",peer=\"%d\",tag=\"%d\",dir=\"recv\"} %d\n", rank, ps.Peer, ps.Tag, ps.RecvMsgs)
-		}
-		p("# HELP mg_mpi_peer_payload_bytes_total Payload bytes exchanged with one peer under one tag, by direction.\n")
-		p("# TYPE mg_mpi_peer_payload_bytes_total counter\n")
-		for _, ps := range s.Peers {
-			p("mg_mpi_peer_payload_bytes_total{rank=\"%d\",peer=\"%d\",tag=\"%d\",dir=\"send\"} %d\n", rank, ps.Peer, ps.Tag, ps.SentBytes)
-			p("mg_mpi_peer_payload_bytes_total{rank=\"%d\",peer=\"%d\",tag=\"%d\",dir=\"recv\"} %d\n", rank, ps.Peer, ps.Tag, ps.RecvBytes)
-		}
-		p("# HELP mg_mpi_peer_blocked_seconds_total Time blocked in the transport per peer and tag, by direction.\n")
-		p("# TYPE mg_mpi_peer_blocked_seconds_total counter\n")
-		for _, ps := range s.Peers {
-			p("mg_mpi_peer_blocked_seconds_total{rank=\"%d\",peer=\"%d\",tag=\"%d\",dir=\"send\"} %g\n", rank, ps.Peer, ps.Tag, float64(ps.SendBlockedNanos)/1e9)
-			p("mg_mpi_peer_blocked_seconds_total{rank=\"%d\",peer=\"%d\",tag=\"%d\",dir=\"recv\"} %g\n", rank, ps.Peer, ps.Tag, float64(ps.RecvBlockedNanos)/1e9)
+			peer, tag := strconv.Itoa(ps.Peer), strconv.Itoa(ps.Tag)
+			p.Counter(name, help, send(ps), "rank", r, "peer", peer, "tag", tag, "dir", "send")
+			p.Counter(name, help, recv(ps), "rank", r, "peer", peer, "tag", tag, "dir", "recv")
 		}
 	}
-
-	writeHist := func(name, help string, h Hist, scale float64) {
-		p("# HELP %s %s\n", name, help)
-		p("# TYPE %s histogram\n", name)
-		var cum uint64
-		var sum float64
-		for i, c := range h {
-			cum += c
-			// Bucket midpoint-free sum: use the exclusive bound as the
-			// conventional overestimate; exact sums live in the counter
-			// series above.
-			sum += float64(c) * float64(h.Bound(i)) * scale
-			p("%s_bucket{rank=\"%d\",le=\"%g\"} %d\n", name, rank, float64(h.Bound(i))*scale, cum)
-		}
-		p("%s_bucket{rank=\"%d\",le=\"+Inf\"} %d\n", name, rank, cum)
-		p("%s_sum{rank=\"%d\"} %g\n", name, rank, sum)
-		p("%s_count{rank=\"%d\"} %d\n", name, rank, cum)
-	}
-	writeHist("mg_mpi_blocked_seconds", "Blocked time per Send/Recv call.", s.BlockedHist, 1e-9)
-	writeHist("mg_mpi_send_queue_depth", "Departure-queue depth observed at enqueue.", s.QueueDepthHist, 1)
-
-	return bw.err
-}
-
-// errWriter latches the first write error so the exposition code above
-// can stay free of per-line error plumbing.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) Write(p []byte) (int, error) {
-	if e.err != nil {
-		return 0, e.err
-	}
-	n, err := e.w.Write(p)
-	if err != nil {
-		e.err = err
-	}
-	return n, err
-}
-
-// HistQuantile returns an upper bound for the q-quantile (0 < q <= 1) of
-// the histogram, in the sample's native unit — the exclusive bound of
-// the bucket where the cumulative count crosses q. Returns NaN on an
-// empty histogram.
-func HistQuantile(h Hist, q float64) float64 {
-	total := h.Count()
-	if total == 0 {
-		return math.NaN()
-	}
-	target := uint64(math.Ceil(q * float64(total)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h {
-		cum += c
-		if cum >= target {
-			return float64(h.Bound(i))
-		}
-	}
-	return float64(h.Bound(len(h) - 1))
+	perPeer("mg_mpi_peer_messages_total", "Messages exchanged with one peer under one tag, by direction.",
+		func(ps PeerStat) float64 { return float64(ps.SentMsgs) }, func(ps PeerStat) float64 { return float64(ps.RecvMsgs) })
+	perPeer("mg_mpi_peer_payload_bytes_total", "Payload bytes exchanged with one peer under one tag, by direction.",
+		func(ps PeerStat) float64 { return float64(ps.SentBytes) }, func(ps PeerStat) float64 { return float64(ps.RecvBytes) })
+	perPeer("mg_mpi_peer_blocked_seconds_total", "Time blocked in the transport per peer and tag, by direction.",
+		func(ps PeerStat) float64 { return float64(ps.SendBlockedNanos) / 1e9 },
+		func(ps PeerStat) float64 { return float64(ps.RecvBlockedNanos) / 1e9 })
+	p.Histogram("mg_mpi_blocked_seconds", "Blocked time per Send/Recv call.", &s.BlockedHist, 1e9, "rank", r)
+	p.Histogram("mg_mpi_send_queue_depth", "Departure-queue depth observed at enqueue.", &s.QueueDepthHist, 1, "rank", r)
+	return p.Err()
 }

@@ -2,54 +2,10 @@ package mpi
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"repro/internal/metrics"
 )
-
-func TestHistBuckets(t *testing.T) {
-	var h Hist
-	for _, v := range []int64{0, 1, 1, 3, 4, 1023, 1024, -5} {
-		h.Observe(v)
-	}
-	// 0 and -5 (clamped) land in bucket 0; 1,1 in bucket 1; 3 in bucket 2;
-	// 4 in bucket 3; 1023 in bucket 10; 1024 in bucket 11.
-	want := Hist{2, 2, 1, 1, 0, 0, 0, 0, 0, 0, 1, 1}
-	if len(h) != len(want) {
-		t.Fatalf("bucket count = %d, want %d (%v)", len(h), len(want), h)
-	}
-	for i := range want {
-		if h[i] != want[i] {
-			t.Errorf("bucket %d = %d, want %d", i, h[i], want[i])
-		}
-	}
-	if h.Count() != 8 {
-		t.Errorf("Count = %d, want 8", h.Count())
-	}
-	if h.Bound(0) != 1 || h.Bound(1) != 2 || h.Bound(10) != 1024 {
-		t.Errorf("Bound wrong: %d %d %d", h.Bound(0), h.Bound(1), h.Bound(10))
-	}
-}
-
-func TestHistMergeAndQuantile(t *testing.T) {
-	var a, b Hist
-	a.Observe(1)
-	b.Observe(1 << 20)
-	a.Merge(b)
-	if a.Count() != 2 {
-		t.Fatalf("merged count = %d, want 2", a.Count())
-	}
-	if q := HistQuantile(a, 0.5); q != 2 {
-		t.Errorf("p50 = %g, want 2", q)
-	}
-	if q := HistQuantile(a, 1.0); q != float64(1<<21) {
-		t.Errorf("p100 = %g, want %d", q, 1<<21)
-	}
-	if !math.IsNaN(HistQuantile(nil, 0.5)) {
-		t.Errorf("quantile of empty histogram should be NaN")
-	}
-}
 
 // TestPeerStatsChannelWorld checks that the channel transport's per-peer
 // rows agree with its aggregate counters, and that the per-peer blocked
@@ -183,6 +139,14 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 	}
 	if v, ok := find("mg_mpi_send_queue_depth_count", map[string]string{"rank": "3"}); !ok || v != 2 {
 		t.Errorf("depth hist count = %v ok=%v, want 2", v, ok)
+	}
+	// Bucket bounds are inclusive and the sum is exact: depths 2 and 0
+	// both count in le="2", and the blocked time totals 1500 + 0 + 9000 ns.
+	if v, ok := find("mg_mpi_send_queue_depth_bucket", map[string]string{"le": "2"}); !ok || v != 2 {
+		t.Errorf("depth le=2 bucket = %v ok=%v, want 2", v, ok)
+	}
+	if v, ok := find("mg_mpi_blocked_seconds_sum", map[string]string{"rank": "3"}); !ok || v != 10500e-9 {
+		t.Errorf("blocked sum = %v ok=%v, want 1.05e-05", v, ok)
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/mempool"
+	"repro/internal/metrics"
 )
 
 // Stats counts one rank's traffic.
@@ -54,11 +55,11 @@ type Stats struct {
 	// blocked time in each direction, sorted by (peer, tag). The per-peer
 	// blocked nanos sum to ExchangeNanos (see Stats.BlockedNanos).
 	Peers []PeerStat `json:"peers,omitempty"`
-	// BlockedHist is a power-of-two histogram of per-call blocked
-	// nanoseconds; QueueDepthHist of the departure-queue depth seen at
-	// enqueue (mailbox fill here; mpinet has no queue and records none).
-	BlockedHist    Hist `json:"blockedHist,omitempty"`
-	QueueDepthHist Hist `json:"queueDepthHist,omitempty"`
+	// BlockedHist holds per-call blocked nanoseconds, QueueDepthHist the
+	// departure-queue depth seen at enqueue (mailbox fill here; mpinet has
+	// no queue and records none).
+	BlockedHist    metrics.Hist `json:"blockedHist"`
+	QueueDepthHist metrics.Hist `json:"queueDepthHist"`
 }
 
 // DefaultStall bounds how long a channel-transport Send may wait on a
@@ -142,8 +143,8 @@ func (w *World) TotalStats() Stats {
 		t.WireBytes += s.WireBytes
 		t.ExchangeNanos += s.ExchangeNanos
 		t.MergePeers(s.Peers)
-		t.BlockedHist.Merge(s.BlockedHist)
-		t.QueueDepthHist.Merge(s.QueueDepthHist)
+		t.BlockedHist.Merge(&s.BlockedHist)
+		t.QueueDepthHist.Merge(&s.QueueDepthHist)
 	}
 	return t
 }

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // TestTraceIDMintParse pins the trace-id contract: NewTraceID mints
@@ -232,17 +234,17 @@ func TestStageHistPrometheus(t *testing.T) {
 		DedupWaitSeconds: []float64{0.3, 0.35}})
 	h.ObserveJob(JobRecord{State: "done", Cached: true, IngressSeconds: 0.0001})
 
-	byKey := map[string]StageSeries{}
+	count := map[string]uint64{}
 	for _, s := range h.Snapshot() {
-		byKey[s.Stage+"/"+s.Status] = s
+		count[s.Stage+"/"+s.Status] = s.Hist.Count()
 	}
-	if got := byKey["ingress/done"].Count; got != 2 {
+	if got := count["ingress/done"]; got != 2 {
 		t.Fatalf("ingress count = %d, want 2 (cold + cached)", got)
 	}
-	if got := byKey["solve/done"].Count; got != 1 {
+	if got := count["solve/done"]; got != 1 {
 		t.Fatalf("solve count = %d, want 1 (cached job must not observe solve)", got)
 	}
-	if got := byKey["dedup/done"].Count; got != 2 {
+	if got := count["dedup/done"]; got != 2 {
 		t.Fatalf("dedup count = %d, want one observation per waiter", got)
 	}
 
@@ -254,16 +256,27 @@ func TestStageHistPrometheus(t *testing.T) {
 		`mgd_stage_seconds_bucket{stage="solve",status="done",le="+Inf"} 1`,
 		`mgd_stage_seconds_count{stage="ingress",status="done"} 2`,
 		`mgd_stage_seconds_sum{stage="queue",status="done"}`,
+		// Power-of-two bounds in seconds: the 0.4 s solve lies above
+		// 2^28 ns and within 2^29 ns.
+		`mgd_stage_seconds_bucket{stage="solve",status="done",le="0.268435456"} 0`,
+		`mgd_stage_seconds_bucket{stage="solve",status="done",le="0.536870912"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)
 		}
 	}
 	// Buckets are cumulative: each count ≥ the previous bound's.
-	s := byKey["solve/done"]
-	for i := 1; i < len(s.Buckets); i++ {
-		if s.Buckets[i] < s.Buckets[i-1] {
-			t.Fatalf("bucket counts not cumulative at %d: %v", i, s.Buckets)
+	samples, err := metrics.ParsePrometheus(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := 0.0
+	for _, s := range samples {
+		if s.Name == "mgd_stage_seconds_bucket" && s.Label("stage") == "solve" {
+			if s.Value < prev {
+				t.Fatalf("bucket counts not cumulative at le=%s:\n%s", s.Label("le"), text)
+			}
+			prev = s.Value
 		}
 	}
 }
@@ -284,7 +297,7 @@ func TestObserverDisabledZeroAlloc(t *testing.T) {
 		rec.Add(JobRecord{})
 		rec.NoteDepth(1, 1)
 		rec.NoteHealth("x")
-		h.Observe(StageSolve, "done", 0.1)
+		h.Observe(StageSolve, "done", 100*time.Millisecond)
 		h.ObserveJob(JobRecord{})
 	})
 	if allocs != 0 {

@@ -17,10 +17,12 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync"
+	"time"
+
+	"repro/internal/metrics"
 )
 
 // Stage names, in pipeline order.
@@ -79,25 +81,12 @@ type JobRecord struct {
 	Cached bool `json:"cached,omitempty"`
 }
 
-// StageBuckets are the mgd_stage_seconds histogram bucket bounds, in
-// seconds: sub-millisecond ingress/respond hops through multi-minute
-// class-C solves.
-var StageBuckets = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300,
-}
-
-// histKey labels one histogram series.
-type histKey struct {
-	stage  string
-	status string
-}
-
-// hist is one cumulative histogram.
-type hist struct {
-	buckets []uint64 // one count per StageBuckets bound; +Inf is count
-	sum     float64
-	count   uint64
+// StageSeries is one (stage, terminal-status) series of the set, its
+// histogram in nanoseconds.
+type StageSeries struct {
+	Stage  string       `json:"stage"`
+	Status string       `json:"status"`
+	Hist   metrics.Hist `json:"hist"`
 }
 
 // StageHist is the per-(stage, terminal-status) latency histogram set
@@ -105,33 +94,27 @@ type hist struct {
 // use; a nil *StageHist drops observations for free.
 type StageHist struct {
 	mu     sync.Mutex
-	series map[histKey]*hist
+	series map[[2]string]*metrics.Hist // keyed by (stage, status)
 }
 
 // NewStageHist builds an empty histogram set.
 func NewStageHist() *StageHist {
-	return &StageHist{series: make(map[histKey]*hist)}
+	return &StageHist{series: make(map[[2]string]*metrics.Hist)}
 }
 
 // Observe records one stage duration under the job's terminal status.
-func (h *StageHist) Observe(stage, status string, seconds float64) {
+func (h *StageHist) Observe(stage, status string, d time.Duration) {
 	if h == nil {
 		return
 	}
-	key := histKey{stage: stage, status: status}
+	key := [2]string{stage, status}
 	h.mu.Lock()
 	s := h.series[key]
 	if s == nil {
-		s = &hist{buckets: make([]uint64, len(StageBuckets))}
+		s = new(metrics.Hist)
 		h.series[key] = s
 	}
-	for i, bound := range StageBuckets {
-		if seconds <= bound {
-			s.buckets[i]++
-		}
-	}
-	s.sum += seconds
-	s.count++
+	s.Observe(int64(d))
 	h.mu.Unlock()
 }
 
@@ -143,28 +126,21 @@ func (h *StageHist) ObserveJob(rec JobRecord) {
 	if h == nil {
 		return
 	}
-	h.Observe(StageIngress, rec.State, rec.IngressSeconds)
+	h.Observe(StageIngress, rec.State, seconds(rec.IngressSeconds))
 	if !rec.Cached {
-		h.Observe(StageQueue, rec.State, rec.QueueSeconds)
-		h.Observe(StageSolve, rec.State, rec.SolveSeconds)
-		h.Observe(StageRespond, rec.State, rec.RespondSeconds)
+		h.Observe(StageQueue, rec.State, seconds(rec.QueueSeconds))
+		h.Observe(StageSolve, rec.State, seconds(rec.SolveSeconds))
+		h.Observe(StageRespond, rec.State, seconds(rec.RespondSeconds))
 	}
 	for _, wait := range rec.DedupWaitSeconds {
-		h.Observe(StageDedup, rec.State, wait)
+		h.Observe(StageDedup, rec.State, seconds(wait))
 	}
 }
 
-// Snapshot returns the current series as (stage, status) → (buckets,
-// sum, count) in deterministic order, for tests and JSON views.
-type StageSeries struct {
-	Stage   string   `json:"stage"`
-	Status  string   `json:"status"`
-	Buckets []uint64 `json:"buckets"`
-	Sum     float64  `json:"sum"`
-	Count   uint64   `json:"count"`
-}
+// seconds converts a record's stage time back to a duration.
+func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
-// Snapshot copies the histogram set.
+// Snapshot copies the histogram set in (stage, status) order.
 func (h *StageHist) Snapshot() []StageSeries {
 	if h == nil {
 		return nil
@@ -173,13 +149,7 @@ func (h *StageHist) Snapshot() []StageSeries {
 	defer h.mu.Unlock()
 	out := make([]StageSeries, 0, len(h.series))
 	for key, s := range h.series {
-		out = append(out, StageSeries{
-			Stage:   key.stage,
-			Status:  key.status,
-			Buckets: append([]uint64(nil), s.buckets...),
-			Sum:     s.sum,
-			Count:   s.count,
-		})
+		out = append(out, StageSeries{Stage: key[0], Status: key[1], Hist: *s})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Stage != out[j].Stage {
@@ -190,30 +160,13 @@ func (h *StageHist) Snapshot() []StageSeries {
 	return out
 }
 
-// WritePrometheus renders the histogram set in Prometheus text
-// exposition format as mgd_stage_seconds — the request-latency rows of
-// the daemon's /metrics endpoint. Nil-safe (writes nothing).
+// WritePrometheus renders the histogram set as mgd_stage_seconds — the
+// request-latency rows of the daemon's /metrics endpoint. Nil-safe
+// (writes nothing).
 func (h *StageHist) WritePrometheus(w io.Writer) {
-	series := h.Snapshot()
-	if len(series) == 0 {
-		return
+	p := metrics.NewPromWriter(w)
+	for _, s := range h.Snapshot() {
+		p.Histogram("mgd_stage_seconds", "Per-stage request latency by terminal status.",
+			&s.Hist, 1e9, "stage", s.Stage, "status", s.Status)
 	}
-	fmt.Fprintf(w, "# HELP mgd_stage_seconds Per-stage request latency by terminal status.\n")
-	fmt.Fprintf(w, "# TYPE mgd_stage_seconds histogram\n")
-	for _, s := range series {
-		for i, bound := range StageBuckets {
-			fmt.Fprintf(w, "mgd_stage_seconds_bucket{stage=%q,status=%q,le=%q} %d\n",
-				s.Stage, s.Status, formatBound(bound), s.Buckets[i])
-		}
-		fmt.Fprintf(w, "mgd_stage_seconds_bucket{stage=%q,status=%q,le=\"+Inf\"} %d\n",
-			s.Stage, s.Status, s.Count)
-		fmt.Fprintf(w, "mgd_stage_seconds_sum{stage=%q,status=%q} %g\n", s.Stage, s.Status, s.Sum)
-		fmt.Fprintf(w, "mgd_stage_seconds_count{stage=%q,status=%q} %d\n", s.Stage, s.Status, s.Count)
-	}
-}
-
-// formatBound renders a bucket bound the way Prometheus clients expect
-// (no trailing zeros, no scientific notation for these magnitudes).
-func formatBound(v float64) string {
-	return fmt.Sprintf("%g", v)
 }
