@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"expvar"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -135,6 +136,14 @@ func TestPromEndpointRoundTrip(t *testing.T) {
 	}
 	if fromProm != fromSnap {
 		t.Fatalf("endpoint totals %d invocations, snapshot %d", fromProm, fromSnap)
+	}
+	// The families, their types and label names are pinned.
+	want, err := os.ReadFile("testdata/metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metrics.PromSchema(samples); got != string(want) {
+		t.Errorf("exposed families differ from testdata/metrics.golden:\n%s", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -375,5 +376,40 @@ func TestDaemonTraceSpanTree(t *testing.T) {
 		if !cats[id]["stage"] || !cats[id]["region"] {
 			t.Fatalf("trace %s block missing stage or kernel spans: %v", id, cats[id])
 		}
+	}
+}
+
+// The daemon's /metrics families — names, types and label names — are
+// pinned in testdata/metrics.golden; values change from run to run.
+func TestMetricsFamilies(t *testing.T) {
+	finished := make(finishedSignal, 1)
+	o := obs.New(obs.Config{Log: slog.New(finished)})
+	col := metrics.NewCollector(1)
+	q := jobq.New(jobq.Config{Runners: 1, Obs: o, Run: jobq.NewSolver(jobq.SolverConfig{Metrics: col, Obs: o})})
+	s := &server{q: q, collector: col, obs: o, started: time.Now()}
+	ts := httptest.NewServer(s.routes())
+	t.Cleanup(func() {
+		ts.Close()
+		q.Close()
+	})
+	if code, _, _ := postSolve(t, ts.URL, `{"class":"S","wait":true}`); code != http.StatusOK {
+		t.Fatalf("solve = %d", code)
+	}
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("observer did not record the job within 10s of its response")
+	}
+	_, body := getBody(t, ts.URL+"/metrics")
+	samples, err := metrics.ParsePrometheus(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metrics.PromSchema(samples); got != string(want) {
+		t.Errorf("exposed families differ from testdata/metrics.golden:\n%s", got)
 	}
 }

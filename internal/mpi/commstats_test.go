@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	"repro/internal/metrics"
@@ -174,5 +175,33 @@ func BenchmarkCommRecord(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rec.RecordSend(1, 3, 4096, int64(i), i&7)
+	}
+}
+
+// The families of a rank's exposition — names, types and label names —
+// are pinned in testdata/metrics.golden.
+func TestWritePrometheusFamilies(t *testing.T) {
+	w := NewWorld(2)
+	w.Run(func(c *Comm) {
+		if c.Rank() == 0 {
+			c.Send(1, 7, make([]float64, 8))
+		} else {
+			c.Recv(0, 7)
+		}
+	})
+	var buf bytes.Buffer
+	if err := w.Stats()[0].WritePrometheus(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := metrics.ParsePrometheus(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/metrics.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metrics.PromSchema(samples); got != string(want) {
+		t.Errorf("exposed families differ from testdata/metrics.golden:\n%s", got)
 	}
 }

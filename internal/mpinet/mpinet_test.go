@@ -3,11 +3,13 @@ package mpinet
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 )
 
@@ -366,6 +368,63 @@ func TestCommOverTCP(t *testing.T) {
 	for rank, got := range results {
 		if got != 10 { // 1+2+3+4
 			t.Errorf("rank %d: AllReduceSum = %v, want 10", rank, got)
+		}
+	}
+}
+
+// On both transports the blocked-time histogram's _sum equals the total of
+// the per-peer blocked counters and ExchangeNanos: each is a nanosecond
+// count divided by 1e9, so they compare exactly once rounded back to
+// nanoseconds.
+func TestBlockedSumMatchesPeers(t *testing.T) {
+	exchange := func(c *mpi.Comm) {
+		peer := 1 - c.Rank()
+		for i := 0; i < 5; i++ {
+			if c.Rank() == 0 {
+				c.Send(peer, 7, make([]float64, 64))
+				c.Recv(peer, 7)
+			} else {
+				c.Recv(peer, 7)
+				c.Send(peer, 7, make([]float64, 64))
+			}
+		}
+	}
+	ch := mpi.NewWorld(2)
+	ch.Run(exchange)
+	stats := ch.Stats()
+	world := localWorld(t, 2, nil)
+	var wg sync.WaitGroup
+	for _, tr := range world {
+		wg.Add(1)
+		go func(tr *Transport) {
+			defer wg.Done()
+			exchange(mpi.NewComm(tr))
+		}(tr)
+	}
+	wg.Wait()
+	for _, tr := range world {
+		stats = append(stats, tr.Stats())
+	}
+	for i, st := range stats {
+		var buf bytes.Buffer
+		if err := st.WritePrometheus(&buf, i%2); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := metrics.ParsePrometheus(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum, peers int64
+		for _, s := range samples {
+			switch ns := int64(math.Round(s.Value * 1e9)); s.Name {
+			case "mg_mpi_blocked_seconds_sum":
+				sum += ns
+			case "mg_mpi_peer_blocked_seconds_total":
+				peers += ns
+			}
+		}
+		if sum != peers || sum != st.ExchangeNanos {
+			t.Errorf("stats %d: _sum %d ns, per-peer counters %d ns, ExchangeNanos %d", i, sum, peers, st.ExchangeNanos)
 		}
 	}
 }
