@@ -8,6 +8,34 @@ import (
 	"repro/internal/metrics"
 )
 
+// TestHistBuckets checks the recorder's two histograms: every send and
+// receive adds one blocked-time sample, every queued send one depth
+// sample, and both bucket with inclusive power-of-two bounds and an
+// exact sum.
+func TestHistBuckets(t *testing.T) {
+	var r CommRecorder
+	for _, v := range []int64{0, 1, 1, 3, 4, 1023, 1024, -5} {
+		r.RecordRecv(0, 1, 8, v)
+		r.RecordSend(0, 1, 8, 0, int(max(v, 0)))
+	}
+	r.RecordSend(0, 1, 8, 0, NoQueue)
+	var s Stats
+	r.SnapshotInto(&s)
+	// 0, 1, 1 and -5 (clamped) land in bucket 0 (≤ 1); 3 and 4 in bucket
+	// 2 (≤ 4); 1023 and 1024 in bucket 10 (≤ 1024).
+	var want metrics.Hist
+	want.Counts[0], want.Counts[2], want.Counts[10] = 4, 2, 2
+	want.Sum = 0 + 1 + 1 + 3 + 4 + 1023 + 1024
+	if s.QueueDepthHist != want {
+		t.Errorf("depth hist = %v, want %v", s.QueueDepthHist, want)
+	}
+	// The blocked histogram also holds the nine sends' zero samples.
+	want.Counts[0] += 9
+	if s.BlockedHist != want {
+		t.Errorf("blocked hist = %v, want %v", s.BlockedHist, want)
+	}
+}
+
 // TestPeerStatsChannelWorld checks that the channel transport's per-peer
 // rows agree with its aggregate counters, and that the per-peer blocked
 // time sums exactly to ExchangeNanos.
