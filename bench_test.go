@@ -28,23 +28,8 @@ import (
 
 // --- Figure 11: single-processor performance ------------------------------------
 
-func benchF77(b *testing.B, class nas.Class) {
-	s := f77.New(class)
-	s.Reset()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.EvalResid()
-		for it := 0; it < class.Iter; it++ {
-			s.MG3P()
-			s.EvalResid()
-		}
-	}
-}
-
-func benchSAC(b *testing.B, class nas.Class) {
-	env := wl.Default()
-	defer env.Close()
-	bench := core.NewBenchmark(class, env)
+// benchSolve times the NPB timed section, Solve, on the state Reset built.
+func benchSolve(b *testing.B, bench nas.Benchmark) {
 	bench.Reset()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -52,25 +37,18 @@ func benchSAC(b *testing.B, class nas.Class) {
 	}
 }
 
-func benchCPort(b *testing.B, class nas.Class) {
-	s := cport.New(class)
-	s.Reset()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.EvalResid()
-		for it := 0; it < class.Iter; it++ {
-			s.MG3P()
-			s.EvalResid()
-		}
-	}
+func benchSAC(b *testing.B, class nas.Class) {
+	env := wl.Default()
+	defer env.Close()
+	benchSolve(b, core.NewBenchmark(class, env))
 }
 
-func BenchmarkFig11_F77_ClassS(b *testing.B) { benchF77(b, nas.ClassS) }
+func BenchmarkFig11_F77_ClassS(b *testing.B) { benchSolve(b, f77.New(nas.ClassS)) }
 func BenchmarkFig11_SAC_ClassS(b *testing.B) { benchSAC(b, nas.ClassS) }
-func BenchmarkFig11_C_ClassS(b *testing.B)   { benchCPort(b, nas.ClassS) }
-func BenchmarkFig11_F77_ClassW(b *testing.B) { benchF77(b, nas.ClassW) }
+func BenchmarkFig11_C_ClassS(b *testing.B)   { benchSolve(b, cport.New(nas.ClassS)) }
+func BenchmarkFig11_F77_ClassW(b *testing.B) { benchSolve(b, f77.New(nas.ClassW)) }
 func BenchmarkFig11_SAC_ClassW(b *testing.B) { benchSAC(b, nas.ClassW) }
-func BenchmarkFig11_C_ClassW(b *testing.B)   { benchCPort(b, nas.ClassW) }
+func BenchmarkFig11_C_ClassW(b *testing.B)   { benchSolve(b, cport.New(nas.ClassW)) }
 
 // --- Figures 12/13: profile collection + SMP simulation ---------------------------
 

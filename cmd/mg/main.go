@@ -142,14 +142,22 @@ func main() {
 		elapsed    time.Duration
 		solution   *array.Array
 		backend    string // sac, mpi: the plane-kernel variant the finest level ran
+		bench      nas.Benchmark
 	)
+	// The single-process arms only build their benchmark; the shared path
+	// after the switch runs Reset, times Solve and keeps U for -dump.
 	switch *implName {
-	case "sac":
+	case "sac", "periodic":
 		var env *wl.Env
 		if *threads > 1 {
 			env = wl.Parallel(*threads)
 		} else {
 			env = wl.Default()
+		}
+		defer env.Close()
+		if *implName == "periodic" {
+			bench = periodic.NewBenchmark(class, env)
+			break
 		}
 		if *opt < 0 || *opt > 3 {
 			fmt.Fprintln(os.Stderr, "mg: -opt must be 0..3")
@@ -161,83 +169,24 @@ func main() {
 		if env.Opt >= wl.O3 { // below O3 the fused plane kernels do not run
 			backend = wl.VariantFor(class.LT(), env.Variant)
 		}
-		b := core.NewBenchmark(class, env)
-		b.Reset()
-		start := time.Now()
-		rnm2, rnmu = b.Solve()
-		elapsed = time.Since(start)
-		solution = b.U()
-		env.Close()
-		if *withStats {
-			o.snapshot().WriteReport(os.Stdout, core.KernelCost)
-		}
-		if *withHealth && !*quiet {
-			o.healthReport().WriteText(os.Stdout)
-		}
-	case "f77":
-		var pool *sched.Pool
-		fmode := f77.Serial
-		if *threads > 1 {
-			pool = sched.NewPool(*threads)
-			switch *mode {
-			case "serial":
-				fmode = f77.Serial
-			case "autopar":
-				fmode = f77.AutoPar
-			case "fullpar":
-				fmode = f77.FullPar
-			default:
-				fmt.Fprintln(os.Stderr, "mg: unknown -mode", *mode)
-				os.Exit(2)
-			}
-		}
-		s := f77.NewParallel(class, pool, fmode)
-		s.Reset()
-		start := time.Now()
-		s.EvalResid()
-		for it := 0; it < class.Iter; it++ {
-			s.MG3P()
-			s.EvalResid()
-		}
-		rnm2, rnmu = s.Norms()
-		elapsed = time.Since(start)
-		solution = s.U()
-		if pool != nil {
-			pool.Close()
-		}
-	case "c":
+		bench = core.NewBenchmark(class, env)
+	case "f77", "c":
 		var pool *sched.Pool
 		if *threads > 1 {
 			pool = sched.NewPool(*threads)
+			defer pool.Close()
 		}
-		s := cport.NewParallel(class, pool)
-		s.Reset()
-		start := time.Now()
-		s.EvalResid()
-		for it := 0; it < class.Iter; it++ {
-			s.MG3P()
-			s.EvalResid()
+		if *implName == "c" {
+			bench = cport.NewParallel(class, pool)
+			break
 		}
-		rnm2, rnmu = s.Norms()
-		elapsed = time.Since(start)
-		solution = s.U()
-		if pool != nil {
-			pool.Close()
+		modes := map[string]f77.Mode{"serial": f77.Serial, "autopar": f77.AutoPar, "fullpar": f77.FullPar}
+		fmode, ok := modes[*mode]
+		if !ok && pool != nil {
+			fmt.Fprintln(os.Stderr, "mg: unknown -mode", *mode)
+			os.Exit(2)
 		}
-	case "periodic":
-		var env *wl.Env
-		if *threads > 1 {
-			env = wl.Parallel(*threads)
-		} else {
-			env = wl.Default()
-		}
-		b := periodic.NewBenchmark(class, env)
-		b.Reset()
-		start := time.Now()
-		rnm2, rnmu = b.Solve()
-		elapsed = time.Since(start)
-		solution = b.U()
-		env.Close()
+		bench = f77.NewParallel(class, pool, fmode)
 	case "mpi":
 		s := mgmpi.New(class, *threads)
 		s.Overlap = *overlap
@@ -257,6 +206,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mg: unknown -impl", *implName,
 			"(want sac, f77, c, periodic or mpi)")
 		os.Exit(2)
+	}
+	if bench != nil {
+		bench.Reset()
+		start := time.Now()
+		rnm2, rnmu = bench.Solve()
+		elapsed = time.Since(start)
+		solution = bench.U()
+	}
+	if *implName == "sac" {
+		if *withStats {
+			o.snapshot().WriteReport(os.Stdout, core.KernelCost)
+		}
+		if *withHealth && !*quiet {
+			o.healthReport().WriteText(os.Stdout)
+		}
 	}
 
 	if *dump != "" {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,8 +17,33 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nas"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	wl "repro/internal/withloop"
 )
+
+// noLeak takes the goroutine count now and requires it back within 5 s
+// when the test ends, after newTestDaemon's cleanup has closed the server
+// and the queue. Call it before newTestDaemon. The process-wide worker
+// pool the real solver uses is started first so it is part of the
+// baseline.
+func noLeak(t *testing.T) {
+	t.Helper()
+	sched.Shared()
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(5 * time.Second)
+		n := runtime.NumGoroutine()
+		for n > base && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		if n > base {
+			buf := make([]byte, 1<<16)
+			t.Errorf("%d goroutines left after shutdown, %d before the daemon started:\n%s",
+				n, base, buf[:runtime.Stack(buf, true)])
+		}
+	})
+}
 
 // newTestDaemon builds the full HTTP front end over a queue with the
 // given config, listening on an ephemeral port. The observer is always
@@ -178,6 +204,7 @@ func TestDaemonLifecycle(t *testing.T) {
 // daemon turns unready and refuses new work while admitted jobs run to
 // completion.
 func TestDaemonGracefulDrain(t *testing.T) {
+	noLeak(t)
 	release := make(chan struct{})
 	ts, q := newTestDaemon(t, jobq.Config{Run: func(ctx context.Context, req jobq.Request) (jobq.Result, error) {
 		select {
@@ -244,6 +271,7 @@ func TestDaemonQueueFullRejects(t *testing.T) {
 // the submitting client goes away mid-solve and no one else claimed the
 // job, the solve is cancelled instead of burning workers for nobody.
 func TestDaemonClientDisconnectCancels(t *testing.T) {
+	noLeak(t)
 	running := make(chan struct{}, 1)
 	ts, _ := newTestDaemon(t, jobq.Config{Run: func(ctx context.Context, req jobq.Request) (jobq.Result, error) {
 		running <- struct{}{}
@@ -285,6 +313,7 @@ func TestDaemonClientDisconnectCancels(t *testing.T) {
 // NaN-poisoned solve surfaces as a failed job — with the daemon alive
 // and serving clean traffic afterwards.
 func TestDaemonPoisonedSolveFailsJob(t *testing.T) {
+	noLeak(t)
 	ts, _ := newTestDaemon(t, jobq.Config{
 		Run: poisonTenant(jobq.Solver(nil, nil), "chaos"),
 	})

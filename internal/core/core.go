@@ -399,6 +399,8 @@ func planeGenerator(shp shape.Shape, axis, pos int) wl.Generator {
 
 // --- NAS benchmark driver -------------------------------------------------------
 
+var _ nas.Benchmark = (*Benchmark)(nil)
+
 // Benchmark runs the NPB MG benchmark with the SAC-style solver.
 type Benchmark struct {
 	// Class is the NPB size class.

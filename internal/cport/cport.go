@@ -59,6 +59,8 @@ func NumDirectives() int { return len(directives) }
 // Directives returns the annotation inventory (for documentation tools).
 func Directives() []string { return append([]string(nil), directives...) }
 
+var _ nas.Benchmark = (*Solver)(nil)
+
 // grid wraps an extended cubic grid with C-macro-style indexing.
 type grid struct {
 	m int
@@ -83,6 +85,9 @@ type Solver struct {
 	// Seed selects the zran3 charge stream; 0 means the official NPB
 	// seed (the verification constants apply only to that one).
 	Seed uint64
+	// Cancel, when non-nil, is polled once at the top of every Solve
+	// iteration; true abandons the remaining iterations.
+	Cancel func() bool
 
 	lt   int
 	u, r []*array.Array
@@ -323,14 +328,22 @@ func (s *Solver) Norms() (rnm2, rnmu float64) {
 	return nas.Norm2u3(s.r[s.lt], s.Class.N)
 }
 
-// Run executes the complete timed benchmark section and returns the final
-// norms.
-func (s *Solver) Run() (rnm2, rnmu float64) {
-	s.Reset()
+// Solve executes the timed benchmark section on the state Reset built and
+// returns the final norms; Cancel is polled at the top of every iteration.
+func (s *Solver) Solve() (rnm2, rnmu float64) {
 	s.EvalResid()
 	for it := 0; it < s.Class.Iter; it++ {
+		if s.Cancel != nil && s.Cancel() {
+			break
+		}
 		s.MG3P()
 		s.EvalResid()
 	}
 	return s.Norms()
+}
+
+// Run executes the complete benchmark: Reset, then Solve.
+func (s *Solver) Run() (rnm2, rnmu float64) {
+	s.Reset()
+	return s.Solve()
 }

@@ -40,6 +40,8 @@ import (
 	"repro/internal/stencil"
 )
 
+var _ nas.Benchmark = (*Solver)(nil)
+
 // Mode selects which loop nests run on the worker pool.
 type Mode int
 
@@ -78,6 +80,10 @@ type Solver struct {
 	// Seed selects the zran3 charge stream; 0 means the official NPB
 	// seed (the verification constants apply only to that one).
 	Seed uint64
+	// Cancel, when non-nil, is polled once at the top of every Solve
+	// iteration; true abandons the remaining iterations (as
+	// core.Solver.Cancel does).
+	Cancel func() bool
 
 	lt   int
 	u, r []*array.Array // levels 1..lt (index 0 unused)
@@ -402,15 +408,24 @@ func (s *Solver) Norms() (rnm2, rnmu float64) {
 	return nas.Norm2u3(s.r[s.lt], s.Class.N)
 }
 
-// Run executes the complete benchmark: reset, initial residual, then
-// Class.Iter iterations of (MG3P; resid), returning the final norms.
-// The work after Reset is exactly the timed section of the NPB rules.
-func (s *Solver) Run() (rnm2, rnmu float64) {
-	s.Reset()
+// Solve executes the timed section of the NPB rules on the state Reset
+// built: the initial resid, then Class.Iter iterations of (mg3P; resid),
+// returning the final norms. Cancel is polled at the top of every
+// iteration.
+func (s *Solver) Solve() (rnm2, rnmu float64) {
 	s.EvalResid()
 	for it := 0; it < s.Class.Iter; it++ {
+		if s.Cancel != nil && s.Cancel() {
+			break
+		}
 		s.MG3P()
 		s.EvalResid()
 	}
 	return s.Norms()
+}
+
+// Run executes the complete benchmark: Reset, then Solve.
+func (s *Solver) Run() (rnm2, rnmu float64) {
+	s.Reset()
+	return s.Solve()
 }

@@ -304,8 +304,8 @@ func RunFigDist(w io.Writer, binary string, classes []nas.Class, ranks int, over
 // — and enforces the acceptance gates: the solve stays bit-identical to
 // the channel transport with tracing enabled, every send event pairs
 // with exactly one recv (matched count == total transport sends), every
-// rank's traced blocked time agrees with its transport ExchangeNanos to
-// within 5%, and the aligned Perfetto trace validates.
+// rank's traced blocked time equals its transport ExchangeNanos to the
+// nanosecond, and the aligned Perfetto trace validates.
 //
 // With overlap set the ranks run the nonblocking halo exchange
 // (mgrank -overlap): the pairing and bit-identity gates are unchanged,
@@ -380,33 +380,33 @@ func RunFigComm(w io.Writer, binary string, class nas.Class, ranks int, overlap 
 	}
 	fmt.Fprintf(w, "matched %d send/recv pairs == %d transport sends; 0 unmatched\n", rep.Matched, totalSends)
 
-	// Per-rank attribution gate: the traced blocked time (observer spans)
-	// must agree with the transport's own ExchangeNanos within 5% — each
-	// Send/Recv event carries what the transport charged that call, so a
-	// gap is an event lost, duplicated or charged twice. In overlap mode the
-	// traced send events are stamped at post, not at Wait, so the gate
-	// additionally tolerates a small absolute gap (the send-side Wait
+	// Per-rank attribution gate. Every traced Send/Recv event carries what
+	// the transport charged that call to ExchangeNanos, so in sync mode
+	// the traced blocked time must equal ExchangeNanos to the nanosecond:
+	// any gap is an event lost, duplicated or charged twice. In overlap
+	// mode the traced send events are stamped at post, not at Wait, so
+	// the gate tolerates 5% plus a small absolute gap (the send-side Wait
 	// blocked time, which only the transport counter sees).
-	slack := int64(0)
-	if overlap {
-		slack = 2 * int64(time.Millisecond)
-	}
 	blockedByRank := map[int]int64{}
 	for _, l := range rep.Levels {
 		blockedByRank[l.Rank] += l.BlockedNanos
 	}
 	for _, r := range results {
 		traced, wire := blockedByRank[r.Rank], r.Result.ExchangeNanos
+		if !overlap && traced != wire {
+			return rep, fmt.Errorf("rank %d: traced blocked time %d ns != transport ExchangeNanos %d ns",
+				r.Rank, traced, wire)
+		}
 		diff := traced - wire
 		if diff < 0 {
 			diff = -diff
 		}
-		if wire > 0 && float64(diff) > 0.05*float64(wire)+float64(slack) {
-			return rep, fmt.Errorf("rank %d: traced blocked time %d ns vs transport ExchangeNanos %d ns (>5%% apart)",
+		if wire > 0 && float64(diff) > 0.05*float64(wire)+float64(2*time.Millisecond) {
+			return rep, fmt.Errorf("rank %d: traced blocked time %d ns vs transport ExchangeNanos %d ns (>5%%+2ms apart)",
 				r.Rank, traced, wire)
 		}
-		fmt.Fprintf(w, "rank %d blocked-time attribution: traced %.3f ms vs transport %.3f ms (within 5%%)\n",
-			r.Rank, float64(traced)/1e6, float64(wire)/1e6)
+		fmt.Fprintf(w, "rank %d blocked-time attribution: traced %d ns vs transport %d ns\n",
+			r.Rank, traced, wire)
 	}
 
 	ct := metrics.ChromeTraceAligned(events, metrics.OffsetMap(rep.Offsets))

@@ -68,7 +68,7 @@ func TestRunDistributed(t *testing.T) {
 
 // TestRunFigComm is the distributed-observability acceptance test
 // (FW-3c): a traced 4-rank class-S TCP solve, merged and analysed. The
-// pairing gate (matched == transport sends), the 5% blocked-time
+// pairing gate (matched == transport sends), the exact blocked-time
 // attribution gate and the Perfetto validation run inside RunFigComm;
 // this test additionally checks the artifacts on disk, the CI grep
 // phrases, the straggler attribution and the estimator's antisymmetry

@@ -32,14 +32,41 @@ import (
 	wl "repro/internal/withloop"
 )
 
-// ImplNames lists the three contestants in the paper's order.
-var ImplNames = []string{"F77", "SAC", "C/OpenMP"}
-
 // SACEnv builds the WITH-loop environment the SAC implementation runs in.
 // It defaults to the paper's sequential configuration; cmd/mgbench swaps
 // it to force a kernel variant (-variant) or to attach the observability
 // layer (-metrics, -trace).
 var SACEnv = wl.Default
+
+// contestant is one single-process implementation of the paper's
+// comparison: the name Figs. 11–13 print, a constructor that attaches a
+// kernel probe (nil: none), and the traits the SMP simulator gives it.
+type contestant struct {
+	name   string
+	build  func(nas.Class, nas.Probe) nas.Benchmark
+	traits smp.Traits
+}
+
+// contestants lists the three implementations in the paper's order.
+// Every figure times them through nas.Benchmark: Reset untimed, Solve
+// timed.
+var contestants = []contestant{
+	{"F77", func(c nas.Class, p nas.Probe) nas.Benchmark {
+		s := f77.New(c)
+		s.Probe = p
+		return s
+	}, smp.F77Auto},
+	{"SAC", func(c nas.Class, p nas.Probe) nas.Benchmark {
+		b := core.NewBenchmark(c, SACEnv())
+		b.Solver.Probe = p
+		return b
+	}, smp.SAC},
+	{"C/OpenMP", func(c nas.Class, p nas.Probe) nas.Benchmark {
+		s := cport.New(c)
+		s.Probe = p
+		return s
+	}, smp.OpenMP},
+}
 
 // Fig11Row is the measurement of one size class: best-of-repeats seconds
 // for the timed benchmark section per implementation, plus verification.
@@ -50,8 +77,8 @@ type Fig11Row struct {
 	Verified map[string]bool
 }
 
-// timed runs setup() once (untimed), then body() repeats times, returning
-// the minimum duration and the last result.
+// timed runs setup() (untimed) and then body() (timed) repeats times,
+// returning the minimum duration of body and its last result.
 func timed(repeats int, setup func(), body func() float64) (best time.Duration, norm float64) {
 	if repeats < 1 {
 		repeats = 1
@@ -84,41 +111,14 @@ func RunFig11(w io.Writer, classes []nas.Class, repeats int) []Fig11Row {
 			Verified: map[string]bool{},
 		}
 
-		fs := f77.New(class)
-		d, norm := timed(repeats, func() { fs.Reset() }, func() float64 {
-			fs.EvalResid()
-			for it := 0; it < class.Iter; it++ {
-				fs.MG3P()
-				fs.EvalResid()
-			}
-			rnm2, _ := fs.Norms()
-			return rnm2
-		})
-		row.Seconds["F77"], row.Norm["F77"] = d.Seconds(), norm
-
-		env := SACEnv()
-		sb := core.NewBenchmark(class, env)
-		d, norm = timed(repeats, func() { sb.Reset() }, func() float64 {
-			rnm2, _ := sb.Solve()
-			return rnm2
-		})
-		row.Seconds["SAC"], row.Norm["SAC"] = d.Seconds(), norm
-
-		cs := cport.New(class)
-		d, norm = timed(repeats, func() { cs.Reset() }, func() float64 {
-			cs.EvalResid()
-			for it := 0; it < class.Iter; it++ {
-				cs.MG3P()
-				cs.EvalResid()
-			}
-			rnm2, _ := cs.Norms()
-			return rnm2
-		})
-		row.Seconds["C/OpenMP"], row.Norm["C/OpenMP"] = d.Seconds(), norm
-
-		for _, impl := range ImplNames {
-			v, ok := class.Verify(row.Norm[impl])
-			row.Verified[impl] = v && ok
+		for _, c := range contestants {
+			b := c.build(class, nil)
+			d, norm := timed(repeats, b.Reset, func() float64 {
+				rnm2, _ := b.Solve()
+				return rnm2
+			})
+			v, ok := class.Verify(norm)
+			row.Seconds[c.name], row.Norm[c.name], row.Verified[c.name] = d.Seconds(), norm, v && ok
 		}
 		fmt.Fprintf(w, "%-28s %11.3fs %11.3fs %11.3fs\n", class.String(),
 			row.Seconds["F77"], row.Seconds["SAC"], row.Seconds["C/OpenMP"])
@@ -147,40 +147,14 @@ type SpeedupSeries struct {
 // name.
 func CollectProfiles(class nas.Class) map[string]smp.Profile {
 	out := map[string]smp.Profile{}
-
-	cf := smp.NewCollector("F77", class)
-	fs := f77.New(class)
-	fs.Probe = cf.Probe
-	fs.Run()
-	out["F77"] = cf.Profile()
-
-	csac := smp.NewCollector("SAC", class)
-	env := SACEnv()
-	sb := core.NewBenchmark(class, env)
-	sb.Solver.Probe = csac.Probe
-	sb.Run()
-	out["SAC"] = csac.Profile()
-
-	cc := smp.NewCollector("C/OpenMP", class)
-	cs := cport.New(class)
-	cs.Probe = cc.Probe
-	cs.Run()
-	out["C/OpenMP"] = cc.Profile()
-	return out
-}
-
-// traitsFor maps implementation names to their SMP simulator traits.
-func traitsFor(impl string) smp.Traits {
-	switch impl {
-	case "F77":
-		return smp.F77Auto
-	case "SAC":
-		return smp.SAC
-	case "C/OpenMP":
-		return smp.OpenMP
-	default:
-		panic("harness: unknown implementation " + impl)
+	for _, c := range contestants {
+		col := smp.NewCollector(c.name, class)
+		b := c.build(class, col.Probe)
+		b.Reset()
+		b.Solve()
+		out[c.name] = col.Profile()
 	}
+	return out
 }
 
 // RunFig12 regenerates Figure 12: per-implementation speedups relative to
@@ -195,15 +169,15 @@ func RunFig12(w io.Writer, classes []nas.Class, m smp.Machine) []SpeedupSeries {
 			fmt.Fprintf(w, "%6d", p)
 		}
 		fmt.Fprintln(w)
-		for _, impl := range ImplNames {
-			prof := profiles[impl]
-			s := m.Speedups(prof, traitsFor(impl))
+		for _, c := range contestants {
+			prof := profiles[c.name]
+			s := m.Speedups(prof, c.traits)
 			series = append(series, SpeedupSeries{
-				Impl: impl, Class: class,
+				Impl: c.name, Class: class,
 				Serial:   prof.SerialSeconds(),
 				Speedups: s,
 			})
-			fmt.Fprintf(w, "  %-10s (serial %7.3fs) ", impl, prof.SerialSeconds())
+			fmt.Fprintf(w, "  %-10s (serial %7.3fs) ", c.name, prof.SerialSeconds())
 			for _, v := range s {
 				fmt.Fprintf(w, "%6.2f", v)
 			}

@@ -18,7 +18,8 @@ func TestRunFig11ClassS(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	row := rows[0]
-	for _, impl := range ImplNames {
+	for _, c := range contestants {
+		impl := c.name
 		if row.Seconds[impl] <= 0 {
 			t.Errorf("%s: non-positive time %v", impl, row.Seconds[impl])
 		}
@@ -59,7 +60,8 @@ func TestTimedBestOfRepeats(t *testing.T) {
 
 func TestCollectProfilesClassS(t *testing.T) {
 	profiles := CollectProfiles(nas.ClassS)
-	for _, impl := range ImplNames {
+	for _, c := range contestants {
+		impl := c.name
 		p, ok := profiles[impl]
 		if !ok {
 			t.Fatalf("missing profile for %s", impl)
@@ -169,15 +171,6 @@ func TestRunCodeSizeBadDir(t *testing.T) {
 	if _, err := RunCodeSize(&buf, "/nonexistent-root"); err == nil {
 		t.Fatal("expected error for missing directory")
 	}
-}
-
-func TestTraitsForPanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown impl did not panic")
-		}
-	}()
-	traitsFor("pascal")
 }
 
 func TestRenderSpeedupChart(t *testing.T) {

@@ -12,8 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cport"
-	"repro/internal/f77"
 	"repro/internal/metrics"
 	"repro/internal/nas"
 	"repro/internal/perfdb"
@@ -144,39 +142,17 @@ func RunPerf(w io.Writer, classes []nas.Class, cfg PerfConfig) (*perfdb.Snapshot
 		}
 
 		// F77 and C/OpenMP: whole-benchmark rows only.
-		refs := []struct {
-			impl string
-			body func() float64
-		}{
-			{"F77", func() float64 {
-				s := f77.New(class)
-				s.Reset()
-				s.EvalResid()
-				for it := 0; it < class.Iter; it++ {
-					s.MG3P()
-					s.EvalResid()
-				}
-				n, _ := s.Norms()
-				return n
-			}},
-			{"C/OpenMP", func() float64 {
-				s := cport.New(class)
-				s.Reset()
-				s.EvalResid()
-				for it := 0; it < class.Iter; it++ {
-					s.MG3P()
-					s.EvalResid()
-				}
-				n, _ := s.Norms()
-				return n
-			}},
-		}
-		for _, ref := range refs {
+		for _, c := range contestants {
+			if c.name == "SAC" {
+				continue
+			}
+			b := c.build(class, nil)
 			var norm float64
 			var samples, refSpins []float64
 			for i := 0; i < cfg.Warmup+cfg.Samples; i++ {
+				b.Reset()
 				start := time.Now()
-				norm = ref.body()
+				norm, _ = b.Solve()
 				elapsed := time.Since(start).Seconds()
 				if i < cfg.Warmup {
 					continue
@@ -186,9 +162,9 @@ func RunPerf(w io.Writer, classes []nas.Class, cfg PerfConfig) (*perfdb.Snapshot
 			}
 			if v, known := class.Verify(norm); known && !v {
 				return nil, fmt.Errorf("harness: perf: %s class %s failed verification (rnm2 %.6e)",
-					ref.impl, className, norm)
+					c.name, className, norm)
 			}
-			row := perfdb.NewRow(perfdb.Key{Impl: ref.impl, Class: className,
+			row := perfdb.NewRow(perfdb.Key{Impl: c.name, Class: className,
 				Kernel: perfdb.TotalKernel, Level: class.LT()}, samples)
 			row.Calibration = perfstat.Median(perfstat.RejectOutliers(refSpins))
 			derive(&row, solvePoints(class))

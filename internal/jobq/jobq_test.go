@@ -3,6 +3,7 @@ package jobq
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -48,6 +49,27 @@ func gatedRun(release <-chan struct{}, order *[]string, mu *sync.Mutex) RunFunc 
 		}
 		return Result{Rnm2: 1}, nil
 	}
+}
+
+// noLeak takes the goroutine count now and requires it back within 5 s
+// when the test ends, after its deferred Close has stopped the runners.
+// Call it before New so the count excludes the queue.
+func noLeak(t *testing.T) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(5 * time.Second)
+		n := runtime.NumGoroutine()
+		for n > base && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		if n > base {
+			buf := make([]byte, 1<<16)
+			t.Errorf("%d goroutines left after Close, %d before New:\n%s",
+				n, base, buf[:runtime.Stack(buf, true)])
+		}
+	})
 }
 
 func waitDone(t *testing.T, tk *Ticket) Result {
@@ -254,6 +276,7 @@ func TestTenantPrioritiesOrderTheBacklog(t *testing.T) {
 }
 
 func TestReleaseCancelsAbandonedJob(t *testing.T) {
+	noLeak(t)
 	started := make(chan struct{}, 1)
 	q := New(Config{Run: func(ctx context.Context, req Request) (Result, error) {
 		started <- struct{}{}
@@ -311,6 +334,7 @@ func TestReleaseKeepsJobWithFireAndForgetOwner(t *testing.T) {
 }
 
 func TestNonFiniteNormFailsJobWithoutKillingQueue(t *testing.T) {
+	noLeak(t)
 	poison := true
 	q := New(Config{Run: func(ctx context.Context, req Request) (Result, error) {
 		if poison {
@@ -349,6 +373,7 @@ func TestNonFiniteNormFailsJobWithoutKillingQueue(t *testing.T) {
 }
 
 func TestDrainFinishesBacklogAndRefusesNewWork(t *testing.T) {
+	noLeak(t)
 	release := make(chan struct{})
 	q := New(Config{Runners: 2, Run: gatedRun(release, nil, nil)})
 	defer q.Close()
@@ -380,6 +405,7 @@ func TestDrainFinishesBacklogAndRefusesNewWork(t *testing.T) {
 }
 
 func TestDrainDeadlineCancelsStragglers(t *testing.T) {
+	noLeak(t)
 	q := New(Config{Run: func(ctx context.Context, req Request) (Result, error) {
 		<-ctx.Done() // a job that never finishes on its own
 		return Result{}, ctx.Err()

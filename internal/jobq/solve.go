@@ -10,6 +10,7 @@ import (
 	"repro/internal/health"
 	"repro/internal/mempool"
 	"repro/internal/metrics"
+	"repro/internal/nas"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	wl "repro/internal/withloop"
@@ -42,13 +43,6 @@ func Solver(pool *sched.Pool, mem *mempool.Pool) RunFunc {
 	return NewSolver(SolverConfig{Sched: pool, Mem: mem})
 }
 
-// ObservedSolver is Solver with a kernel-metrics collector attached to
-// every sac job's environment. Kept for callers that predate
-// SolverConfig; NewSolver is the full-width constructor.
-func ObservedSolver(pool *sched.Pool, mem *mempool.Pool, col *metrics.Collector) RunFunc {
-	return NewSolver(SolverConfig{Sched: pool, Mem: mem, Metrics: col})
-}
-
 // NewSolver builds the RunFunc from the config.
 func NewSolver(cfg SolverConfig) RunFunc {
 	if cfg.Sched == nil {
@@ -74,7 +68,10 @@ func solve(ctx context.Context, req Request, cfg SolverConfig) (Result, error) {
 	cancelled := func() bool { return ctx.Err() != nil }
 	start := time.Now()
 
-	var rnm2, rnmu float64
+	var (
+		b      nas.Benchmark
+		finish func() // sac: collect the scope and health, return the grids
+	)
 	switch req.Impl {
 	case "sac":
 		env := wl.Service(pool, cfg.Mem)
@@ -86,50 +83,35 @@ func solve(ctx context.Context, req Request, cfg SolverConfig) (Result, error) {
 		env.Trace = cfg.Trace.ForJob(req.TraceID, req.ID())
 		mon := health.New(health.Config{})
 		env.Health = mon
-		b := core.NewBenchmark(class, env)
-		b.Seed = req.Seed
-		b.Solver.Cancel = cancelled
-		rnm2, rnmu = b.Run()
-		scope := env.Pool.Stats()
-		res.MemAllocs, res.MemReuses = scope.Allocs, scope.Reuses
-		res.Health = mon.Report(metrics.Snapshot{}).Verdict
-		cfg.Obs.HealthVerdict(res.Health)
-		// Return the job's grids to the shared arena before the scope is
-		// discarded — the next job reuses the buffers instead of the heap.
-		env.Release(b.U())
-		env.Release(b.V())
-
+		cb := core.NewBenchmark(class, env)
+		cb.Seed = req.Seed
+		cb.Solver.Cancel = cancelled
+		b = cb
+		finish = func() {
+			scope := env.Pool.Stats()
+			res.MemAllocs, res.MemReuses = scope.Allocs, scope.Reuses
+			res.Health = mon.Report(metrics.Snapshot{}).Verdict
+			cfg.Obs.HealthVerdict(res.Health)
+			// Return the job's grids to the shared arena before the scope
+			// is discarded — the next job reuses the buffers instead of
+			// the heap.
+			env.Release(cb.U())
+			env.Release(cb.V())
+		}
+	// A nil or one-worker pool runs both ports serially.
 	case "f77":
-		var s *f77.Solver
-		if pool != nil && pool.Workers() > 1 {
-			s = f77.NewParallel(class, pool, f77.FullPar)
-		} else {
-			s = f77.New(class)
-		}
-		s.Seed = req.Seed
-		s.Reset()
-		s.EvalResid()
-		for it := 0; it < class.Iter && !cancelled(); it++ {
-			s.MG3P()
-			s.EvalResid()
-		}
-		rnm2, rnmu = s.Norms()
-
+		s := f77.NewParallel(class, pool, f77.FullPar)
+		s.Seed, s.Cancel = req.Seed, cancelled
+		b = s
 	case "c":
-		var s *cport.Solver
-		if pool != nil && pool.Workers() > 1 {
-			s = cport.NewParallel(class, pool)
-		} else {
-			s = cport.New(class)
-		}
-		s.Seed = req.Seed
-		s.Reset()
-		s.EvalResid()
-		for it := 0; it < class.Iter && !cancelled(); it++ {
-			s.MG3P()
-			s.EvalResid()
-		}
-		rnm2, rnmu = s.Norms()
+		s := cport.NewParallel(class, pool)
+		s.Seed, s.Cancel = req.Seed, cancelled
+		b = s
+	}
+	b.Reset()
+	rnm2, rnmu := b.Solve()
+	if finish != nil {
+		finish()
 	}
 
 	if err := ctx.Err(); err != nil {

@@ -309,3 +309,31 @@ func TestCacheHitLatency(t *testing.T) {
 	}
 	t.Logf("cold=%s hit=%s ratio=%.0fx", cold, perHit, float64(cold)/float64(perHit))
 }
+
+// pollCtx is a context that reads as cancelled from the first Err call on
+// and counts the calls; its Done channel never fires, so only a solver
+// that polls sees the cancellation.
+type pollCtx struct {
+	context.Context
+	polls int
+}
+
+func (c *pollCtx) Err() error { c.polls++; return context.Canceled }
+
+// TestSolveStopsOnCancel holds every implementation arm to wiring the job
+// context into its solver's Cancel: a job cancelled before its first
+// iteration polls once inside the solve, once more after it, and returns
+// the context's error.
+func TestSolveStopsOnCancel(t *testing.T) {
+	run := NewSolver(SolverConfig{}) // starts the shared pool before the baseline
+	noLeak(t)
+	for _, impl := range Impls {
+		ctx := &pollCtx{Context: context.Background()}
+		if _, err := run(ctx, sReq(t, func(r *Request) { r.Impl = impl })); err != context.Canceled {
+			t.Errorf("%s: err = %v, want context.Canceled", impl, err)
+		}
+		if ctx.polls != 2 {
+			t.Errorf("%s: context polled %d times, want 2 (once by Cancel, once after the solve)", impl, ctx.polls)
+		}
+	}
+}

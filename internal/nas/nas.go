@@ -345,3 +345,15 @@ func Norm2u3Planes(r *array.Array, n int) (rnm2, rnmu float64) {
 // invocation, tagged with the kernel name and grid level. The SMP cost
 // model (internal/smp) uses these measurements as its work profile.
 type Probe func(region string, level int, elapsed time.Duration)
+
+// Benchmark is the solve contract every single-process MG implementation
+// (core, periodic, f77, cport) meets. Reset builds the untimed initial
+// state: u = 0 and the zran3 right-hand side. Solve is the whole timed
+// section of the NPB rules — the initial resid plus Iter × (mg3P +
+// resid) — and returns the final norms. U is the finest-level solution
+// Solve left behind. Callers time Solve alone and never re-spell its loop.
+type Benchmark interface {
+	Reset()
+	Solve() (rnm2, rnmu float64)
+	U() *array.Array
+}

@@ -197,6 +197,8 @@ func (s *Solver) Coarse2Fine(zn *array.Array) *array.Array {
 
 // --- NAS benchmark driver --------------------------------------------------------
 
+var _ nas.Benchmark = (*Benchmark)(nil)
+
 // Benchmark runs the NPB MG benchmark on compact grids.
 type Benchmark struct {
 	Class  nas.Class
