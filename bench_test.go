@@ -265,7 +265,7 @@ func BenchmarkTraceJobView(b *testing.B) {
 func BenchmarkHealthEnabled(b *testing.B) {
 	env := wl.Default()
 	defer env.Close()
-	env.Health = health.New(health.Config{})
+	env.Health = health.New()
 	bench := core.NewBenchmark(nas.ClassS, env)
 	bench.Reset()
 	b.ResetTimer()

@@ -60,6 +60,9 @@ import (
 	wl "repro/internal/withloop"
 )
 
+// f77Modes maps -mode to the Fortran-77 port's parallelization modes.
+var f77Modes = map[string]f77.Mode{"serial": f77.Serial, "autopar": f77.AutoPar, "fullpar": f77.FullPar}
+
 func main() {
 	var (
 		implName   = flag.String("impl", "sac", "implementation: sac, f77, c, periodic or mpi")
@@ -75,14 +78,13 @@ func main() {
 		traceFile  = flag.String("trace", "", "write a JSON-lines V-cycle event trace (sac and mpi) to this file")
 		httpAddr   = flag.String("http", "", "serve expvar (/debug/vars, incl. mg.metrics), pprof and Prometheus /metrics on this address while running")
 		withHealth = flag.Bool("health", false, "monitor convergence health (sac only) and print the verdict")
-		variant    = flag.String("variant", "", "force the plane-kernel backend (sac only): scalar, buffered or simd (default: per level — scalar where rows have fewer than 8 points, else simd on AVX2 hosts and buffered elsewhere)")
 		overlap    = flag.Bool("overlap", false, "mpi only: overlap the halo exchange with interior compute (nonblocking Isend/Irecv; -threads is the rank count)")
 	)
 	flag.Parse()
 
-	if *variant != "" && !wl.ValidVariant(*variant) {
-		fmt.Fprintf(os.Stderr, "mg: unknown -variant %q (want %s, %s or %s)\n",
-			*variant, wl.VariantScalar, wl.VariantBuffered, wl.VariantSIMD)
+	fmode, ok := f77Modes[*mode]
+	if !ok {
+		fmt.Fprintln(os.Stderr, "mg: unknown -mode", *mode, "(want serial, autopar or fullpar)")
 		os.Exit(2)
 	}
 
@@ -106,7 +108,7 @@ func main() {
 		o.collector = metrics.NewCollector(max(*threads, runtime.GOMAXPROCS(0)))
 	}
 	if healthOn && *implName == "sac" {
-		o.monitor = health.New(health.Config{})
+		o.monitor = health.New()
 	}
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
@@ -164,7 +166,6 @@ func main() {
 			os.Exit(2)
 		}
 		env.Opt = wl.OptLevel(*opt)
-		env.Variant = *variant
 		o.attach(env)
 		if env.Opt >= wl.O3 { // below O3 the fused plane kernels do not run
 			backend = wl.VariantFor(class.LT(), env.Variant)
@@ -179,12 +180,6 @@ func main() {
 		if *implName == "c" {
 			bench = cport.NewParallel(class, pool)
 			break
-		}
-		modes := map[string]f77.Mode{"serial": f77.Serial, "autopar": f77.AutoPar, "fullpar": f77.FullPar}
-		fmode, ok := modes[*mode]
-		if !ok && pool != nil {
-			fmt.Fprintln(os.Stderr, "mg: unknown -mode", *mode)
-			os.Exit(2)
 		}
 		bench = f77.NewParallel(class, pool, fmode)
 	case "mpi":

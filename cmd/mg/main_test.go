@@ -2,9 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"expvar"
 	"net/http/httptest"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -84,7 +87,7 @@ func TestExpvarMatchesReport(t *testing.T) {
 func TestPromEndpointRoundTrip(t *testing.T) {
 	o := &obs{
 		collector: metrics.NewCollector(2),
-		monitor:   health.New(health.Config{}),
+		monitor:   health.New(),
 	}
 	solveWithObs(t, o, 2)
 
@@ -152,7 +155,7 @@ func TestPromEndpointRoundTrip(t *testing.T) {
 func TestHealthReportFromSolve(t *testing.T) {
 	o := &obs{
 		collector: metrics.NewCollector(2),
-		monitor:   health.New(health.Config{}),
+		monitor:   health.New(),
 	}
 	solveWithObs(t, o, 2)
 	rep := o.healthReport()
@@ -174,5 +177,24 @@ func TestHealthReportFromSolve(t *testing.T) {
 	// A disabled monitor must say so rather than fabricate a verdict.
 	if rep := (&obs{}).healthReport(); rep.Verdict != "disabled" {
 		t.Fatalf("nil monitor verdict = %q", rep.Verdict)
+	}
+}
+
+// An unknown -mode is a usage error whatever the thread count: it used to
+// pass silently on a sequential run, where the mode has no effect.
+func TestUnknownModeRejected(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "mg")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, threads := range []string{"1", "2"} {
+		out, err := exec.Command(bin, "-impl", "f77", "-class", "S", "-threads", threads, "-mode", "bogus").CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "unknown -mode bogus") {
+			t.Errorf("-threads %s -mode bogus: %v, output %q; want exit status 2 naming the mode", threads, err, out)
+		}
+	}
+	if out, err := exec.Command(bin, "-impl", "f77", "-class", "S", "-mode", "serial", "-quiet").CombinedOutput(); err != nil {
+		t.Errorf("-mode serial: %v\n%s", err, out)
 	}
 }

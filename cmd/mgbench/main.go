@@ -11,20 +11,10 @@
 // real measured kernel profiles — see DESIGN.md §4 for why the paper's
 // 12-processor SUN Enterprise 4000 is simulated rather than re-run.
 //
-// The observability layer (internal/metrics) hooks in with two flags:
-//
-//	mgbench -fig 11 -metrics                 # per-(kernel, level) table after the run
-//	mgbench -fig 11 -trace run.jsonl         # JSON-lines V-cycle event trace
-//
-// -metrics prints invocation counts, points, time, derived GFLOP/s and
-// effective bandwidth per (kernel, grid level), plus the fraction of the
-// solve the instrumented kernels account for. -trace streams level
-// transitions, kernel spans, iteration markers and solve summaries, one
-// JSON object per line (schema: DESIGN.md §3.2).
-//
-// -fig health runs each class once under the convergence-health monitor
-// (internal/health) and prints the verdict/rate/imbalance table — kept
-// out of the timed figures so monitoring never perturbs them.
+// The per-(kernel, level) metrics table, the V-cycle trace and the
+// convergence-health verdict of a SAC solve come from cmd/mg
+// (-metrics, -trace, -health); the solver service is driven by
+// cmd/mgload against cmd/mgd. mgbench keeps to the figures.
 //
 // -cpuprofile/-memprofile wrap the selected figure's measurements with the
 // standard runtime/pprof collectors for kernel-level inspection.
@@ -76,28 +66,21 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/metrics"
 	"repro/internal/nas"
 	"repro/internal/perfdb"
 	"repro/internal/perfstat"
 	"repro/internal/smp"
-	wl "repro/internal/withloop"
 )
 
 func main() {
 	var (
-		fig         = flag.String("fig", "all", "figure to regenerate: 11, 12, 13, mpi, dist, comm, codesize, perf, health, service or all")
+		fig         = flag.String("fig", "all", "figure to regenerate: 11, 12, 13, mpi, dist, comm, codesize, perf or all")
 		classes     = flag.String("classes", "S,W", "comma-separated size classes (paper: W,A)")
 		repeats     = flag.Int("repeats", 3, "repetitions per Fig. 11 measurement (best reported)")
-		procs       = flag.Int("procs", 10, "simulated processor count for Figs. 12/13")
 		repo        = flag.String("repo", ".", "repository root (for -fig codesize)")
-		workers     = flag.Int("workers", 0, "worker count for -fig health (0 = GOMAXPROCS)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the measurements to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile taken after the measurements to this file")
-		showMetrics = flag.Bool("metrics", false, "collect per-(kernel, level) metrics in the SAC runs and print the table afterwards")
-		traceFile   = flag.String("trace", "", "write a JSON-lines V-cycle event trace of the SAC runs to this file")
 		snapshotOut = flag.String("snapshot", "", "-fig perf: write the benchmark snapshot here (default BENCH_<gitsha>.json)")
 		baseline    = flag.String("baseline", "", "-fig perf: compare the fresh snapshot against this baseline and exit 1 on a significant regression")
 		threshold   = flag.Float64("threshold", 0.25, "-fig perf: minimum relative median change that counts (0.25 = 25%; tighten on quiet dedicated hardware)")
@@ -108,23 +91,8 @@ func main() {
 		distRanks   = flag.Int("ranks", 4, "-fig dist/comm: number of mgrank processes")
 		commOut     = flag.String("commout", "comm-artifacts", "-fig comm: directory for the per-rank traces, merged Perfetto timeline and comm report")
 		distOverlap = flag.Bool("overlap", false, "-fig dist/comm: run the ranks with the nonblocking overlapped halo exchange (mgrank -overlap)")
-		variant     = flag.String("variant", "", "force the SAC plane-kernel backend: scalar, buffered or simd (default: per level — scalar where rows have fewer than 8 points, else simd on AVX2 hosts and buffered elsewhere)")
 	)
 	flag.Parse()
-
-	if *variant != "" && !wl.ValidVariant(*variant) {
-		fmt.Fprintf(os.Stderr, "mgbench: unknown -variant %q (want %s, %s or %s)\n",
-			*variant, wl.VariantScalar, wl.VariantBuffered, wl.VariantSIMD)
-		os.Exit(2)
-	}
-	if *variant != "" {
-		prev := harness.SACEnv
-		harness.SACEnv = func() *wl.Env {
-			e := prev()
-			e.Variant = *variant
-			return e
-		}
-	}
 
 	var classList []nas.Class
 	for _, name := range strings.Split(*classes, ",") {
@@ -136,45 +104,7 @@ func main() {
 		classList = append(classList, c)
 	}
 	machine := smp.Enterprise4000()
-	machine.MaxProcs = *procs
 	out := os.Stdout
-
-	// Observability: attach a collector and/or tracer to every SAC
-	// environment the harness builds.
-	var collector *metrics.Collector
-	var tracer *metrics.Tracer
-	if *showMetrics {
-		collector = metrics.NewCollector(runtime.GOMAXPROCS(0))
-	}
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mgbench:", err)
-			os.Exit(1)
-		}
-		tracer = metrics.NewTracer(f)
-		defer func() {
-			if err := tracer.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "mgbench: trace:", err)
-			}
-			f.Close()
-			fmt.Fprintf(out, "Trace: %d events written to %s\n", tracer.Events(), *traceFile)
-		}()
-	}
-	if collector != nil || tracer != nil {
-		prev := harness.SACEnv
-		harness.SACEnv = func() *wl.Env {
-			e := prev()
-			e.AttachMetrics(collector)
-			e.AttachTrace(tracer)
-			return e
-		}
-		defer func() {
-			if collector != nil {
-				collector.Snapshot().WriteReport(out, core.KernelCost)
-			}
-		}()
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -250,15 +180,6 @@ func main() {
 		if _, err := harness.RunCodeSize(out, *repo); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
-		}
-	case "health":
-		harness.RunHealth(out, classList, *workers)
-	case "service":
-		for _, class := range classList {
-			if _, err := harness.RunService(out, class, harness.ServiceConfig{}); err != nil {
-				fmt.Fprintln(os.Stderr, "mgbench:", err)
-				os.Exit(1)
-			}
 		}
 	case "perf":
 		regressed, err := runPerf(out, classList, *repo, *snapshotOut, *baseline, *samples, *warmup, *alpha, *threshold)

@@ -69,7 +69,6 @@ func main() {
 		logFormat    = flag.String("log-format", "text", "structured log format: text or json")
 		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		tracePath    = flag.String("trace", "", "write the service's trace-tagged V-cycle event stream (JSON lines) to this file")
-		flightSize   = flag.Int("flight-size", 256, "flight recorder ring slots (recent terminal jobs)")
 		flightDir    = flag.String("flight-dir", "", "directory for anomaly-triggered flight recorder dumps (empty: HTTP snapshot only)")
 		chaosTenant  = flag.String("chaos-nan-tenant", "", "fault injection: poison this tenant's results with NaN (testing)")
 	)
@@ -103,11 +102,7 @@ func main() {
 		defer tracer.Close()
 	}
 
-	observer := obs.New(obs.Config{
-		Log:         logger,
-		FlightSlots: *flightSize,
-		FlightDir:   *flightDir,
-	})
+	observer := obs.New(obs.Config{Log: logger, FlightDir: *flightDir})
 
 	pool := sched.NewPersistent(*workers)
 	arena := mempool.Shared()
@@ -169,7 +164,7 @@ func main() {
 	logger.Info("serving", "addr", bound,
 		"workers", pool.Workers(), "runners", *runners,
 		"capacity", *capacity, "cache", *cacheSize,
-		"log_format", *logFormat, "flight_slots", *flightSize)
+		"log_format", *logFormat)
 	if err := httpServer.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Error("serve failed", "error", err)
 		os.Exit(1)

@@ -7,10 +7,7 @@
 //	mgd -addr :8750 &
 //	mgload -url http://localhost:8750 -clients 8 -duration 10s -repeat 75
 //
-// The report prints as a table, and -json / -snapshot feed it into the
-// performance lab: -snapshot writes a perfdb snapshot whose rows
-// ("service/<class> cachehit@0" and "service/<class> coldsolve@0") plug
-// into mgbench's baseline comparison machinery.
+// The report prints as a table; -json also writes it as one JSON object.
 package main
 
 import (
@@ -28,7 +25,6 @@ import (
 
 	"repro/internal/jobq"
 	"repro/internal/obs"
-	"repro/internal/perfdb"
 	"repro/internal/perfstat"
 )
 
@@ -42,7 +38,6 @@ func main() {
 		repeat    = flag.Int("repeat", 75, "percent of submissions that repeat the base problem (cache hits)")
 		seed      = flag.Int64("seed", 1, "RNG seed for the traffic mix")
 		jsonOut   = flag.String("json", "", "write the report as JSON to this file")
-		snapOut   = flag.String("snapshot", "", "write a perfdb snapshot of the latency samples to this file")
 		logFormat = flag.String("log-format", "text", "structured log format: text or json")
 	)
 	flag.Parse()
@@ -61,7 +56,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	rep, hitSamples, missSamples := run(*url, *clients, *duration, *class, *impl, *repeat, *seed)
+	rep := run(*url, *clients, *duration, *class, *impl, *repeat, *seed)
 	rep.write(os.Stdout)
 
 	if *jsonOut != "" {
@@ -72,12 +67,6 @@ func main() {
 		}
 		if err := os.WriteFile(*jsonOut, append(blob, '\n'), 0o644); err != nil {
 			logger.Error("write report", "path", *jsonOut, "error", err)
-			os.Exit(1)
-		}
-	}
-	if *snapOut != "" {
-		if err := saveSnapshot(*snapOut, *class, *clients, hitSamples, missSamples); err != nil {
-			logger.Error("write snapshot", "path", *snapOut, "error", err)
 			os.Exit(1)
 		}
 	}
@@ -143,7 +132,7 @@ func (r report) write(w *os.File) {
 
 // run drives the load and collects per-response latency, classified by
 // the daemon's Cached flag.
-func run(url string, clients int, duration time.Duration, class, impl string, repeat int, seed int64) (report, []float64, []float64) {
+func run(url string, clients int, duration time.Duration, class, impl string, repeat int, seed int64) report {
 	type sample struct {
 		seconds float64
 		cached  bool
@@ -253,27 +242,5 @@ func run(url string, clients int, duration time.Duration, class, impl string, re
 	if p50 := perfstat.Quantile(hits, 0.5); p50 > 0 {
 		rep.HitSpeedupP50 = perfstat.Quantile(misses, 0.5) / p50
 	}
-	return rep, hits, misses
-}
-
-// saveSnapshot exports the latency samples as a perfdb snapshot so the
-// service rows ride the same baseline/comparison tooling as the kernel
-// benchmarks.
-func saveSnapshot(path, class string, clients int, hits, misses []float64) error {
-	snap := &perfdb.Snapshot{
-		Schema:  perfdb.SchemaVersion,
-		Created: time.Now().Format(time.RFC3339),
-		Host:    perfdb.CollectHost(),
-		Git:     perfdb.CollectGit("."),
-		Config:  perfdb.Config{Samples: len(hits) + len(misses), Workers: clients},
-	}
-	if len(hits) > 0 {
-		snap.Rows = append(snap.Rows, perfdb.NewRow(
-			perfdb.Key{Impl: "service", Class: class, Kernel: "cachehit", Level: 0}, hits))
-	}
-	if len(misses) > 0 {
-		snap.Rows = append(snap.Rows, perfdb.NewRow(
-			perfdb.Key{Impl: "service", Class: class, Kernel: "coldsolve", Level: 0}, misses))
-	}
-	return snap.Save(path)
+	return rep
 }

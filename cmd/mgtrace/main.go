@@ -1,6 +1,6 @@
 // Command mgtrace analyses the JSON-lines V-cycle traces that cmd/mg,
-// cmd/mgbench and the mgmpi solver write (-trace run.jsonl; schema:
-// DESIGN.md §3.2):
+// cmd/mgrank and cmd/mgd write (-trace run.jsonl; schema: DESIGN.md
+// §3.2):
 //
 //	mgtrace run.jsonl                     # per-(kernel, level) span summary
 //	mgtrace -json run.jsonl               # the same summary as one JSON object

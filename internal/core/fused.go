@@ -65,8 +65,8 @@
 // function of two observables: rows shorter than 8 points run scalar,
 // longer rows run simd where the AVX2 path is live and buffered where it
 // is not (wl.DefaultVariant). The variant can be forced globally with the
-// MG_FORCE_VARIANT environment variable or the -variant flag
-// (Env.Variant); wl.VariantFor is the one place that precedence lives, and
+// MG_FORCE_VARIANT environment variable, or per environment with
+// Env.Variant; wl.VariantFor is the one place that precedence lives, and
 // since all three are bit-identical, none of this can change a result. A
 // pipelined sweep asks once per stage, so every one of these levers
 // reaches its stages unchanged.

@@ -21,7 +21,7 @@ func healthSolve(t *testing.T, workers int) (*health.Monitor, float64, float64) 
 		env = wl.Default()
 	}
 	defer env.Close()
-	m := health.New(health.Config{})
+	m := health.New()
 	env.Health = m
 	b := NewBenchmark(nas.ClassS, env)
 	b.Reset()
@@ -77,7 +77,7 @@ func TestHealthMonitorPreservesNorms(t *testing.T) {
 func TestInjectedNaNFlaggedWithinOneIteration(t *testing.T) {
 	env := wl.Default()
 	defer env.Close()
-	m := health.New(health.Config{})
+	m := health.New()
 	env.Health = m
 
 	const poisonAt = 2
@@ -115,7 +115,7 @@ func TestInjectedNaNFlaggedWithinOneIteration(t *testing.T) {
 func TestInjectedStallFlaggedWithinOneIteration(t *testing.T) {
 	env := wl.Default()
 	defer env.Close()
-	m := health.New(health.Config{})
+	m := health.New()
 	env.Health = m
 
 	var frozen float64

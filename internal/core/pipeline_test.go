@@ -124,7 +124,7 @@ func TestIterationNormsUnchanged(t *testing.T) {
 	for _, class := range classes {
 		want := iterationNormBits[class.Name]
 		env := wl.Default()
-		env.Health = health.New(health.Config{})
+		env.Health = health.New()
 		var got []uint64
 		testFaultNorm = func(sumSq float64) float64 {
 			got = append(got, math.Float64bits(sumSq))

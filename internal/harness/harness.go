@@ -32,12 +32,6 @@ import (
 	wl "repro/internal/withloop"
 )
 
-// SACEnv builds the WITH-loop environment the SAC implementation runs in.
-// It defaults to the paper's sequential configuration; cmd/mgbench swaps
-// it to force a kernel variant (-variant) or to attach the observability
-// layer (-metrics, -trace).
-var SACEnv = wl.Default
-
 // contestant is one single-process implementation of the paper's
 // comparison: the name Figs. 11–13 print, a constructor that attaches a
 // kernel probe (nil: none), and the traits the SMP simulator gives it.
@@ -57,7 +51,7 @@ var contestants = []contestant{
 		return s
 	}, smp.F77Auto},
 	{"SAC", func(c nas.Class, p nas.Probe) nas.Benchmark {
-		b := core.NewBenchmark(c, SACEnv())
+		b := core.NewBenchmark(c, wl.Default())
 		b.Solver.Probe = p
 		return b
 	}, smp.SAC},

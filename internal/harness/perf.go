@@ -79,7 +79,7 @@ func derive(r *perfdb.Row, points uint64) {
 // not worth recording.
 func RunPerf(w io.Writer, classes []nas.Class, cfg PerfConfig) (*perfdb.Snapshot, error) {
 	cfg = cfg.withDefaults()
-	env := SACEnv()
+	env := wl.Default()
 	defer env.Close()
 	snap := &perfdb.Snapshot{
 		Schema:  perfdb.SchemaVersion,

@@ -16,7 +16,7 @@
 //     attached it folds the NPB norm accumulation into that same traversal
 //     (core's subRelaxNorm), so the per-iteration rnm2 sequence costs no
 //     extra grid pass. The monitor tracks the contraction ratio
-//     rnm2_i / rnm2_{i−1} against the configured expectation.
+//     rnm2_i / rnm2_{i−1} against the expected rate (ExpectedRate).
 //  2. Sampled NaN/Inf guards. Checking every point of every kernel output
 //     would double the memory traffic; checking a strided sample costs a
 //     few dozen loads per kernel invocation and still catches non-finite
@@ -112,51 +112,31 @@ func Verdicts() []Verdict {
 // OK reports whether the verdict describes an acceptable solve.
 func (v Verdict) OK() bool { return v == Unknown || v == Healthy || v == Converged }
 
-// Config tunes the monitor's thresholds. The zero value selects the
-// defaults below, calibrated on the verified NPB classes (see the package
-// comment and the per-iteration ratio table in DESIGN.md §3.4).
-type Config struct {
-	// Expected is the anticipated per-iteration contraction factor of the
-	// residual norm — the paper's MG V-cycle contracts rnm2 by ~0.12–0.37
-	// per iteration on the verified classes, so the default expectation
-	// is 0.6 with headroom. It feeds the report (observed vs expected)
-	// and the Prometheus gauge; it is not a verdict threshold.
-	Expected float64
+// The monitor's thresholds, calibrated on the verified NPB classes (see
+// the package comment and the per-iteration ratio table in DESIGN.md
+// §3.4).
+const (
+	// ExpectedRate is the anticipated per-iteration contraction factor
+	// of the residual norm — the paper's MG V-cycle contracts rnm2 by
+	// ~0.12–0.37 per iteration on the verified classes, so the
+	// expectation is 0.6 with headroom. It feeds the report (observed vs
+	// expected) and the Prometheus gauge; it is not a verdict threshold.
+	ExpectedRate = 0.6
 	// StallRatio is the contraction ratio at or above which an iteration
-	// counts as stalled (default 0.97).
-	StallRatio float64
+	// counts as stalled.
+	StallRatio = 0.97
 	// DivergeRatio is the contraction ratio above which an iteration
-	// counts as diverging (default 1.5).
-	DivergeRatio float64
+	// counts as diverging.
+	DivergeRatio = 1.5
 	// FloorRatio is the residual level, relative to the first observed
 	// residual, below which flat ratios mean "converged to the
-	// floating-point floor" rather than "stalled" (default 1e-14; class W
-	// bottoms out at rnm2/first ≈ 3e-16 and keeps verifying).
-	FloorRatio float64
-	// SampleStride is the element stride of the NaN/Inf kernel guards
-	// (default 1024: a few dozen loads per kernel invocation at class-A
-	// sizes).
-	SampleStride int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Expected <= 0 {
-		c.Expected = 0.6
-	}
-	if c.StallRatio <= 0 {
-		c.StallRatio = 0.97
-	}
-	if c.DivergeRatio <= 0 {
-		c.DivergeRatio = 1.5
-	}
-	if c.FloorRatio <= 0 {
-		c.FloorRatio = 1e-14
-	}
-	if c.SampleStride <= 0 {
-		c.SampleStride = 1024
-	}
-	return c
-}
+	// floating-point floor" rather than "stalled" (class W bottoms out at
+	// rnm2/first ≈ 3e-16 and keeps verifying).
+	FloorRatio = 1e-14
+	// SampleStride is the element stride of the NaN/Inf kernel guards: a
+	// few dozen loads per kernel invocation at class-A sizes.
+	SampleStride = 1024
+)
 
 // Monitor accumulates convergence observations of one solve at a time.
 // It is attached through withloop.Env.Health; the solver hooks
@@ -165,8 +145,7 @@ func (c Config) withDefaults() Config {
 // resets the run state. All methods are safe for concurrent use and
 // nil-safe (see the package comment).
 type Monitor struct {
-	mu  sync.Mutex
-	cfg Config
+	mu sync.Mutex
 
 	iter        int     // current 1-based iteration
 	residSeen   bool    // iteration residual already observed this iteration
@@ -181,20 +160,11 @@ type Monitor struct {
 	nonFinite   uint64 // non-finite observations (samples and norms)
 }
 
-// New creates a monitor with the given thresholds (zero fields take the
-// documented defaults).
-func New(cfg Config) *Monitor { return &Monitor{cfg: cfg.withDefaults()} }
+// New creates a monitor.
+func New() *Monitor { return &Monitor{} }
 
 // Enabled reports whether the monitor is live (false for nil).
 func (m *Monitor) Enabled() bool { return m != nil }
-
-// Config returns the monitor's effective (default-filled) configuration.
-func (m *Monitor) Config() Config {
-	if m == nil {
-		return Config{}.withDefaults()
-	}
-	return m.cfg
-}
 
 // SampleStride returns the NaN/Inf guard stride (0 when disabled, which
 // callers must treat as "do not sample").
@@ -202,7 +172,7 @@ func (m *Monitor) SampleStride() int {
 	if m == nil {
 		return 0
 	}
-	return m.cfg.SampleStride
+	return SampleStride
 }
 
 // BeginIteration marks the start of MGrid iteration iter (1-based).
@@ -303,11 +273,11 @@ func (m *Monitor) observeNorm(norm float64) {
 	if ratio > 0 {
 		m.logSum += math.Log(ratio)
 	}
-	atFloor := m.first > 0 && norm <= m.first*m.cfg.FloorRatio
+	atFloor := m.first > 0 && norm <= m.first*FloorRatio
 	switch {
-	case ratio > m.cfg.DivergeRatio:
+	case ratio > DivergeRatio:
 		m.setVerdict(Diverging)
-	case ratio >= m.cfg.StallRatio && !atFloor:
+	case ratio >= StallRatio && !atFloor:
 		m.setVerdict(Stalled)
 	case atFloor:
 		if m.verdict == Unknown || m.verdict == Healthy {
@@ -367,7 +337,7 @@ type Report struct {
 	FirstResidual float64 `json:"firstResidual"`
 	LastResidual  float64 `json:"lastResidual"`
 	// ConvergenceRate is the geometric mean of the observed contraction
-	// ratios; ExpectedRate is the configured expectation it is judged
+	// ratios; ExpectedRate is the package constant it is judged
 	// against.
 	ConvergenceRate float64 `json:"convergenceRate"`
 	LastRatio       float64 `json:"lastRatio"`
@@ -408,7 +378,7 @@ func (m *Monitor) Report(snap metrics.Snapshot) Report {
 		FirstResidual:    m.first,
 		LastResidual:     m.last,
 		LastRatio:        m.lastRatio,
-		ExpectedRate:     m.cfg.Expected,
+		ExpectedRate:     ExpectedRate,
 		NonFinite:        m.nonFinite,
 		NonFiniteKernel:  m.faultKernel,
 		NonFiniteLevel:   m.faultLevel,
@@ -458,8 +428,7 @@ func workerLoads(workers []metrics.WorkerStat) []WorkerLoad {
 	return loads
 }
 
-// WriteText renders the human-readable health block (cmd/mg -health,
-// cmd/mgbench -fig health).
+// WriteText renders the human-readable health block (cmd/mg -health).
 func (r Report) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "Convergence health\n")
 	fmt.Fprintf(w, "verdict: %s", r.Verdict)

@@ -24,7 +24,7 @@ func feed(m *Monitor, norms []float64) {
 }
 
 func TestHealthyContraction(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	// A clean 0.2-per-iteration contraction, like the verified class-S run.
 	feed(m, []float64{1, 0.2, 0.04, 0.008})
 	m.ObserveFinal(0.0016, 0.0008)
@@ -47,7 +47,7 @@ func TestHealthyContraction(t *testing.T) {
 }
 
 func TestStallDetectedWithinOneIteration(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	// Contraction freezes at iteration 4: the norm stops moving while
 	// still far above the floating-point floor.
 	feed(m, []float64{1, 0.2, 0.04, 0.04})
@@ -64,7 +64,7 @@ func TestStallDetectedWithinOneIteration(t *testing.T) {
 }
 
 func TestDivergenceDetected(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	feed(m, []float64{1, 0.2, 0.4})
 	r := m.Report(metrics.Snapshot{})
 	if r.Verdict != "diverging" {
@@ -76,7 +76,7 @@ func TestDivergenceDetected(t *testing.T) {
 }
 
 func TestUnhealthyVerdictSticks(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	// A divergence followed by good ratios must stay flagged.
 	feed(m, []float64{1, 2, 0.2, 0.04})
 	r := m.Report(metrics.Snapshot{})
@@ -89,7 +89,7 @@ func TestUnhealthyVerdictSticks(t *testing.T) {
 }
 
 func TestFloorGuardSuppressesStall(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	// The measured class-W tail: the residual reaches the floating-point
 	// floor (~3e-16 of the first residual) and its ratios flatten to ~1.
 	// That is convergence, not a stall.
@@ -104,7 +104,7 @@ func TestFloorGuardSuppressesStall(t *testing.T) {
 }
 
 func TestNonFiniteResidual(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	m.BeginIteration(1)
 	m.ObserveResidual(5, math.NaN(), math.NaN(), 1)
 	r := m.Report(metrics.Snapshot{})
@@ -117,7 +117,7 @@ func TestNonFiniteResidual(t *testing.T) {
 }
 
 func TestNonFiniteSample(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	m.BeginIteration(2)
 	m.ObserveNonFinite("addRelax", 5)
 	r := m.Report(metrics.Snapshot{})
@@ -133,7 +133,7 @@ func TestNonFiniteSample(t *testing.T) {
 }
 
 func TestBeginIterationResetsRun(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	feed(m, []float64{1, 0.2, 0.4}) // diverging run
 	if v := m.Report(metrics.Snapshot{}).Verdict; v != "diverging" {
 		t.Fatalf("first run verdict = %s, want diverging", v)
@@ -149,7 +149,7 @@ func TestBeginIterationResetsRun(t *testing.T) {
 }
 
 func TestWantsResidOncePerIteration(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	m.BeginIteration(1)
 	if !m.WantsResid() {
 		t.Fatal("WantsResid false at iteration start")
@@ -169,7 +169,7 @@ func TestImbalanceFromSnapshot(t *testing.T) {
 		{Worker: 0, Loops: 10, BusyNanos: 3e9},
 		{Worker: 1, Loops: 10, BusyNanos: 1e9},
 	}}
-	m := New(Config{})
+	m := New()
 	feed(m, []float64{1, 0.2})
 	r := m.Report(snap)
 	// max 3s over mean 2s.
@@ -225,15 +225,15 @@ func TestNilMonitorZeroAlloc(t *testing.T) {
 	}
 }
 
+// A live monitor samples at SampleStride and reports ExpectedRate; the
+// calibration itself is pinned by the stall, divergence and floor tests.
 func TestConfigDefaults(t *testing.T) {
-	cfg := New(Config{}).Config()
-	if cfg.Expected != 0.6 || cfg.StallRatio != 0.97 || cfg.DivergeRatio != 1.5 ||
-		cfg.FloorRatio != 1e-14 || cfg.SampleStride != 1024 {
-		t.Fatalf("unexpected defaults: %+v", cfg)
+	m := New()
+	if got := m.SampleStride(); got != SampleStride {
+		t.Fatalf("SampleStride() = %d, want %d", got, SampleStride)
 	}
-	custom := New(Config{Expected: 0.3, SampleStride: 16}).Config()
-	if custom.Expected != 0.3 || custom.SampleStride != 16 || custom.StallRatio != 0.97 {
-		t.Fatalf("custom config not honoured: %+v", custom)
+	if got := m.Report(metrics.Snapshot{}).ExpectedRate; got != ExpectedRate {
+		t.Fatalf("report expected rate = %g, want %g", got, ExpectedRate)
 	}
 }
 
@@ -257,7 +257,7 @@ func TestVerdictStrings(t *testing.T) {
 }
 
 func TestWriteText(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	feed(m, []float64{1, 0.2, 0.04})
 	var buf bytes.Buffer
 	m.Report(metrics.Snapshot{Workers: []metrics.WorkerStat{
@@ -273,7 +273,7 @@ func TestWriteText(t *testing.T) {
 }
 
 func TestWritePrometheus(t *testing.T) {
-	m := New(Config{})
+	m := New()
 	feed(m, []float64{1, 0.2, 0.04})
 	var buf bytes.Buffer
 	m.Report(metrics.Snapshot{}).WritePrometheus(&buf)

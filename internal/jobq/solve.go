@@ -81,7 +81,7 @@ func solve(ctx context.Context, req Request, cfg SolverConfig) (Result, error) {
 		// and solve summary this job emits carries its trace/job tags
 		// (nil propagates — a disabled tracer stays one nil check).
 		env.Trace = cfg.Trace.ForJob(req.TraceID, req.ID())
-		mon := health.New(health.Config{})
+		mon := health.New()
 		env.Health = mon
 		cb := core.NewBenchmark(class, env)
 		cb.Seed = req.Seed

@@ -1,6 +1,6 @@
 // The V-cycle event tracer: a JSON-lines stream of level transitions,
 // kernel spans, iteration markers and whole-solve summaries, for offline
-// inspection of one benchmark run (cmd/mgbench -trace out.jsonl). One JSON
+// inspection of one benchmark run (cmd/mg -trace out.jsonl). One JSON
 // object per line; the schema is the Event struct below (documented in
 // DESIGN.md §3.2).
 //

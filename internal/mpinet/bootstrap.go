@@ -387,18 +387,3 @@ func Join(cfg Config) (*Transport, error) {
 	ln.Close()
 	return newTransport(cfg, peers), nil
 }
-
-// Bootstrap opens one rank's transport: rank 0 listens on cfg.Addr and
-// waits for the world, every other rank joins it. The convenience path
-// for cmd/mgrank, where the rendezvous address is fixed; tests that
-// need an ephemeral port use Listen/Accept + Join directly.
-func Bootstrap(cfg Config) (*Transport, error) {
-	if cfg.Rank == 0 {
-		rz, err := Listen(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return rz.Accept()
-	}
-	return Join(cfg)
-}

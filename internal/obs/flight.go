@@ -31,40 +31,13 @@ const (
 	ReasonRequest        = "http-request"
 )
 
-// FlightConfig configures a FlightRecorder; zero values select the
-// defaults documented on Config.
-type FlightConfig struct {
-	Slots           int
-	DepthSlots      int
-	HealthSlots     int
-	Dir             string
-	DumpMinInterval time.Duration
-	BurstWindow     time.Duration
-	BurstCount      int
-	OnDump          func(reason, path string)
-}
-
-func (c FlightConfig) withDefaults() FlightConfig {
-	if c.Slots < 1 {
-		c.Slots = 256
-	}
-	if c.DepthSlots < 1 {
-		c.DepthSlots = 512
-	}
-	if c.HealthSlots < 1 {
-		c.HealthSlots = 32
-	}
-	if c.DumpMinInterval <= 0 {
-		c.DumpMinInterval = 10 * time.Second
-	}
-	if c.BurstWindow <= 0 {
-		c.BurstWindow = 2 * time.Second
-	}
-	if c.BurstCount < 1 {
-		c.BurstCount = 16
-	}
-	return c
-}
+// Ring capacities: recent terminal jobs, queue-depth samples and health
+// verdicts.
+const (
+	jobSlots    = 256
+	depthSlots  = 512
+	healthSlots = 32
+)
 
 // DepthSample is one point of the queue-depth history.
 type DepthSample struct {
@@ -85,7 +58,7 @@ type HealthMark struct {
 // Trigger are concurrent-safe readers. A nil *FlightRecorder drops
 // everything for free.
 type FlightRecorder struct {
-	cfg FlightConfig
+	cfg Config
 
 	jobs      []atomic.Pointer[JobRecord]
 	jobSeq    atomic.Uint64
@@ -104,14 +77,14 @@ type FlightRecorder struct {
 	burstCount int
 }
 
-// NewFlightRecorder builds a recorder with the given config.
-func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
-	cfg = cfg.withDefaults()
+// newFlightRecorder builds a recorder with cfg's dump directory, dump
+// and burst timing and OnDump hook; New fills their defaults.
+func newFlightRecorder(cfg Config) *FlightRecorder {
 	return &FlightRecorder{
 		cfg:    cfg,
-		jobs:   make([]atomic.Pointer[JobRecord], cfg.Slots),
-		depth:  make([]atomic.Pointer[DepthSample], cfg.DepthSlots),
-		health: make([]atomic.Pointer[HealthMark], cfg.HealthSlots),
+		jobs:   make([]atomic.Pointer[JobRecord], jobSlots),
+		depth:  make([]atomic.Pointer[DepthSample], depthSlots),
+		health: make([]atomic.Pointer[HealthMark], healthSlots),
 	}
 }
 
@@ -238,10 +211,10 @@ func (r *FlightRecorder) WriteTo(w io.Writer, reason string) error {
 
 // Trigger takes an anomaly snapshot: rate-limited by DumpMinInterval
 // (a burst of anomalies produces one postmortem, not hundreds) and
-// written to a timestamped JSON file under Dir, after which OnDump (if
-// set) is told. Without a Dir the trigger only bumps the dump counter —
-// the snapshot stays available via Snapshot/HTTP. Returns the file path
-// (empty without a Dir) and whether the trigger fired.
+// written to a timestamped JSON file under FlightDir, after which OnDump
+// (if set) is told. Without a FlightDir the trigger only bumps the dump
+// counter — the snapshot stays available via Snapshot/HTTP. Returns the
+// file path (empty without a FlightDir) and whether the trigger fired.
 func (r *FlightRecorder) Trigger(reason string) (string, bool) {
 	if r == nil {
 		return "", false
@@ -255,10 +228,10 @@ func (r *FlightRecorder) Trigger(reason string) (string, bool) {
 	r.lastDump = now
 	r.mu.Unlock()
 	n := r.dumps.Add(1)
-	if r.cfg.Dir == "" {
+	if r.cfg.FlightDir == "" {
 		return "", true
 	}
-	path := filepath.Join(r.cfg.Dir,
+	path := filepath.Join(r.cfg.FlightDir,
 		fmt.Sprintf("flight-%s-%d-%s.json", now.UTC().Format("20060102T150405"), n, reason))
 	if err := r.writeFile(path, reason); err != nil {
 		return "", false

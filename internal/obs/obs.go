@@ -19,14 +19,12 @@ import (
 	"time"
 )
 
-// Config configures an Observer. Zero values select working defaults: a
-// discard logger, 256 flight-recorder slots, no dump directory (dumps go
+// Config configures an Observer and its flight recorder. Zero values
+// select working defaults: a discard logger, no dump directory (dumps go
 // to HTTP only).
 type Config struct {
 	// Log receives the service's structured log lines; nil discards.
 	Log *slog.Logger
-	// FlightSlots is the job-record ring capacity (default 256).
-	FlightSlots int
 	// FlightDir, when non-empty, is where anomaly-triggered dumps are
 	// written as JSON files; empty disables file dumps (the
 	// /debug/flightrecorder endpoint still serves snapshots).
@@ -55,23 +53,30 @@ type Observer struct {
 	rec  *FlightRecorder
 }
 
+// withDefaults fills the zero fields of c with the documented defaults.
+func (c Config) withDefaults() Config {
+	if c.Log == nil {
+		c.Log = Discard()
+	}
+	if c.DumpMinInterval <= 0 {
+		c.DumpMinInterval = 10 * time.Second
+	}
+	if c.BurstWindow <= 0 {
+		c.BurstWindow = 2 * time.Second
+	}
+	if c.BurstCount < 1 {
+		c.BurstCount = 16
+	}
+	return c
+}
+
 // New builds an Observer from the config.
 func New(cfg Config) *Observer {
-	log := cfg.Log
-	if log == nil {
-		log = Discard()
-	}
+	cfg = cfg.withDefaults()
 	return &Observer{
-		log:  log,
+		log:  cfg.Log,
 		hist: NewStageHist(),
-		rec: NewFlightRecorder(FlightConfig{
-			Slots:           cfg.FlightSlots,
-			Dir:             cfg.FlightDir,
-			DumpMinInterval: cfg.DumpMinInterval,
-			BurstWindow:     cfg.BurstWindow,
-			BurstCount:      cfg.BurstCount,
-			OnDump:          cfg.OnDump,
-		}),
+		rec:  newFlightRecorder(cfg),
 	}
 }
 

@@ -88,13 +88,14 @@ func TestLoggerFormats(t *testing.T) {
 	}
 }
 
-// TestFlightRingWraparound fills a small ring far past capacity from
-// concurrent writers (run under -race in CI) and checks the snapshot
-// invariants: capacity records retained, every record internally
-// consistent, sequence numbers unique and ordered, lifetime count exact.
+// TestFlightRingWraparound laps the job ring about 64 times from
+// concurrent writers (run under -race in CI), so writers often claim
+// the same slot, and checks the snapshot invariants: capacity records
+// retained, every record internally consistent, sequence numbers unique
+// and ordered, lifetime count exact.
 func TestFlightRingWraparound(t *testing.T) {
-	const slots, writers, perWriter = 8, 4, 100
-	rec := NewFlightRecorder(FlightConfig{Slots: slots})
+	const slots, writers, perWriter = jobSlots, 4, 16 * jobSlots
+	rec := New(Config{}).Recorder()
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		w := w
@@ -209,7 +210,7 @@ func TestFlightTriggerDump(t *testing.T) {
 // TestFlightBurstTrigger pins the queue-full-burst trigger: BurstCount
 // rejections inside one window fire exactly one dump.
 func TestFlightBurstTrigger(t *testing.T) {
-	rec := NewFlightRecorder(FlightConfig{BurstWindow: time.Hour, BurstCount: 3, DumpMinInterval: time.Hour})
+	rec := New(Config{BurstWindow: time.Hour, BurstCount: 3, DumpMinInterval: time.Hour}).Recorder()
 	for i := 0; i < 2; i++ {
 		if _, fired := rec.NoteRejection(); fired {
 			t.Fatalf("burst trigger fired after %d rejections, want 3", i+1)

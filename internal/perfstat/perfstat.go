@@ -1,8 +1,7 @@
 // Package perfstat is the statistical engine of the performance
-// regression lab: repeated-sample collection with warm-up discard,
-// Tukey-fence outlier rejection, median/mean summaries, bootstrap
-// confidence intervals for the median, and Mann–Whitney U comparison
-// verdicts (faster / slower / indistinguishable at a configurable
+// regression lab: Tukey-fence outlier rejection, median/mean summaries,
+// bootstrap confidence intervals for the median, and Mann–Whitney U
+// comparison verdicts (faster / slower / indistinguishable at a configurable
 // significance level and minimum effect size).
 //
 // The design follows the benchmarking methodology literature referenced
@@ -21,41 +20,6 @@ import (
 	"sort"
 	"time"
 )
-
-// Options configures Collect.
-type Options struct {
-	// Samples is the number of recorded measurements (default 10).
-	Samples int
-	// Warmup is the number of leading measurements discarded before
-	// recording starts — cold caches and first-touch page faults land
-	// here (default 2).
-	Warmup int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Samples < 1 {
-		o.Samples = 10
-	}
-	if o.Warmup < 0 {
-		o.Warmup = 2
-	}
-	return o
-}
-
-// Collect runs body Warmup+Samples times and returns the wall-clock
-// seconds of the recorded (post-warm-up) runs, in execution order.
-func Collect(opts Options, body func()) []float64 {
-	opts = opts.withDefaults()
-	samples := make([]float64, 0, opts.Samples)
-	for i := 0; i < opts.Warmup+opts.Samples; i++ {
-		start := time.Now()
-		body()
-		if i >= opts.Warmup {
-			samples = append(samples, time.Since(start).Seconds())
-		}
-	}
-	return samples
-}
 
 // CalibrationIters is the size of the fixed calibration workload: a
 // dependent multiply-add chain long enough (a few ms) to ride out

@@ -142,19 +142,3 @@ func TestCompareVerdicts(t *testing.T) {
 		t.Errorf("Delta = %v, want ~0.5", got.Delta)
 	}
 }
-
-func TestCollect(t *testing.T) {
-	calls := 0
-	samples := Collect(Options{Samples: 5, Warmup: 2}, func() { calls++ })
-	if calls != 7 {
-		t.Errorf("body ran %d times, want 7 (2 warmup + 5 samples)", calls)
-	}
-	if len(samples) != 5 {
-		t.Errorf("got %d samples, want 5", len(samples))
-	}
-	for _, s := range samples {
-		if s < 0 {
-			t.Errorf("negative sample %v", s)
-		}
-	}
-}

@@ -72,7 +72,7 @@ func mustNameVariant(source, v string) {
 
 // VariantFor resolves the backend a plane kernel at MG level `level` runs:
 // the MG_FORCE_VARIANT environment variable, else override (Env.Variant —
-// the -variant flag, a service request's field) when non-empty, else
+// a service request's field) when non-empty, else
 // DefaultVariant(level). It is the one place the precedence is spelled;
 // Env.PlanFor and core.PlaneVariant call it. An override that names no
 // variant panics like a misspelt MG_FORCE_VARIANT, whatever the variable

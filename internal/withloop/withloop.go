@@ -98,9 +98,10 @@ type Env struct {
 	SeqThreshold int
 	// Variant, when non-empty, forces the inner-loop kernel backend
 	// (VariantScalar/Buffered/SIMD) for every plane kernel, overriding
-	// the rule (DefaultVariant) — the -variant flag of cmd/mg and
-	// cmd/mgbench. The MG_FORCE_VARIANT environment variable overrides
-	// even this (VariantFor). Any other value panics at the first kernel.
+	// the rule (DefaultVariant) — a service request's field, or a test or
+	// benchmark pinning one backend. The MG_FORCE_VARIANT environment
+	// variable overrides even this (VariantFor). Any other value panics at
+	// the first kernel.
 	Variant string
 	// Metrics, when non-nil, receives per-(kernel, level) invocation
 	// statistics from the fused kernels and the benchmark driver

@@ -27,7 +27,7 @@ func tracedSolve(t *testing.T, class nas.Class) (metrics.Snapshot, []metrics.Eve
 	defer env.Close()
 	collector := metrics.NewCollector(env.Workers())
 	tracer := metrics.NewTracer(&buf)
-	monitor := health.New(health.Config{})
+	monitor := health.New()
 	env.AttachMetrics(collector)
 	env.AttachTrace(tracer)
 	env.Health = monitor
