@@ -183,6 +183,11 @@ func main() {
 		}
 		bench = f77.NewParallel(class, pool, fmode)
 	case "mpi":
+		if mgmpi.ValidateProcs(class, *threads, 1, 1) != nil {
+			fmt.Fprintf(os.Stderr, "mg: -impl mpi runs -threads ranks, a power of two from 1 to %d at class %c; got %d\n",
+				class.N/2, class.Name, *threads)
+			os.Exit(2)
+		}
 		s := mgmpi.New(class, *threads)
 		s.Overlap = *overlap
 		s.Trace = o.tracer

@@ -180,18 +180,30 @@ func TestHealthReportFromSolve(t *testing.T) {
 	}
 }
 
-// An unknown -mode is a usage error whatever the thread count: it used to
-// pass silently on a sequential run, where the mode has no effect.
+// Rejected invocations are one-line usage errors with exit status 2, never
+// a Go panic: an unknown -mode whatever the thread count (it used to pass
+// silently on a sequential run, where the mode has no effect), and an mpi
+// rank count the decomposition cannot take.
 func TestUnknownModeRejected(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "mg")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	for _, threads := range []string{"1", "2"} {
-		out, err := exec.Command(bin, "-impl", "f77", "-class", "S", "-threads", threads, "-mode", "bogus").CombinedOutput()
+	for _, c := range []struct {
+		args string
+		want string
+	}{
+		{"-impl f77 -threads 1 -mode bogus", "unknown -mode bogus"},
+		{"-impl f77 -threads 2 -mode bogus", "unknown -mode bogus"},
+		{"-impl mpi -threads 3", "mg: -impl mpi runs -threads ranks, a power of two from 1 to 16 at class S; got 3"},
+		{"-impl mpi -threads 0", "mg: -impl mpi runs -threads ranks, a power of two from 1 to 16 at class S; got 0"},
+	} {
+		out, err := exec.Command(bin, append([]string{"-class", "S"}, strings.Fields(c.args)...)...).CombinedOutput()
+		got := strings.TrimSpace(string(out))
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "unknown -mode bogus") {
-			t.Errorf("-threads %s -mode bogus: %v, output %q; want exit status 2 naming the mode", threads, err, out)
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || strings.Contains(got, "\n") ||
+			!strings.Contains(got, c.want) || strings.Contains(got, "panic:") {
+			t.Errorf("%s: %v, output %q; want exit status 2 and the one line %q", c.args, err, out, c.want)
 		}
 	}
 	if out, err := exec.Command(bin, "-impl", "f77", "-class", "S", "-mode", "serial", "-quiet").CombinedOutput(); err != nil {

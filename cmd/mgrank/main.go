@@ -41,7 +41,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -49,46 +48,10 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/mgmpi"
-	"repro/internal/mpi"
 	"repro/internal/mpinet"
 	"repro/internal/nas"
 	"repro/internal/obs"
 )
-
-// result is the -json report, one object per rank: the solve verdict
-// plus the full mpi.Stats breakdown, including the per-(peer, tag) rows
-// and the blocked-time / queue-depth histograms (power-of-two buckets).
-type result struct {
-	Rank          int     `json:"rank"`
-	Ranks         int     `json:"np"`
-	Class         string  `json:"class"`
-	Overlap       bool    `json:"overlap,omitempty"`
-	Threads       int     `json:"threads,omitempty"`
-	Variant       string  `json:"variant"` // plane-kernel backend of the finest level
-	Rnm2          float64 `json:"rnm2"`
-	Rnm2Bits      uint64  `json:"rnm2Bits"` // exact bit pattern, for differential checks
-	Rnmu          float64 `json:"rnmu"`
-	Verified      bool    `json:"verified"`
-	Seconds       float64 `json:"seconds"`
-	Messages      uint64  `json:"messages"`
-	Bytes         uint64  `json:"bytes"`
-	WireBytes     uint64  `json:"wireBytes"`
-	ExchangeNanos int64   `json:"exchangeNanos"`
-
-	Peers          []mpi.PeerStat `json:"peers,omitempty"`
-	BlockedHist    metrics.Hist   `json:"blockedHist"`
-	QueueDepthHist metrics.Hist   `json:"queueDepthHist"`
-}
-
-// envBool reads an environment toggle: set and not one of "" / "0" /
-// "false" / "no" means on.
-func envBool(name string) bool {
-	switch os.Getenv(name) {
-	case "", "0", "false", "no":
-		return false
-	}
-	return true
-}
 
 func main() {
 	var (
@@ -105,7 +68,7 @@ func main() {
 		logFormat    = flag.String("log-format", "text", "structured log format for stderr diagnostics: text or json")
 		tracePath    = flag.String("trace", "", "write this rank's JSON-lines trace (spans + pairable send/recv events) to this file")
 		metricsAddr  = flag.String("metrics-addr", "", "serve the transport's per-peer counters as Prometheus text on this address's /metrics")
-		overlap      = flag.Bool("overlap", envBool("MG_OVERLAP"), "overlap the halo exchange with interior compute (nonblocking Isend/Irecv; default $MG_OVERLAP)")
+		overlap      = flag.Bool("overlap", false, "overlap the halo exchange with interior compute (nonblocking Isend/Irecv)")
 		threads      = flag.Int("threads", 1, "worker threads per rank for the plane loops (hybrid MPI×SMP; 1 = serial)")
 	)
 	flag.Parse()
@@ -249,28 +212,18 @@ func main() {
 		fatalf("rank %d: trace write failed: %v", *rank, err)
 	}
 
-	verified, known := class.Verify(rnm2)
-	ok := verified && known
-	st := solver.Stats()
+	rep := solver.Report(*rank, rnm2, rnmu, seconds)
 	if *jsonOut {
-		json.NewEncoder(os.Stdout).Encode(result{
-			Rank: *rank, Ranks: *np, Class: string(class.Name),
-			Overlap: *overlap, Threads: *threads, Variant: solver.Variant(),
-			Rnm2: rnm2, Rnm2Bits: math.Float64bits(rnm2), Rnmu: rnmu,
-			Verified: ok, Seconds: seconds,
-			Messages: st.Messages, Bytes: st.Bytes,
-			WireBytes: st.WireBytes, ExchangeNanos: st.ExchangeNanos,
-			Peers: st.Peers, BlockedHist: st.BlockedHist, QueueDepthHist: st.QueueDepthHist,
-		})
+		json.NewEncoder(os.Stdout).Encode(rep)
 	} else {
 		verdict := "VERIFICATION FAILED"
-		if ok {
+		if rep.Verified {
 			verdict = "VERIFICATION SUCCESSFUL"
 		}
 		fmt.Printf("mgrank: rank %d/%d class %c: rnm2 %.10e  %s  (%.3fs, %d msgs, %d payload B, %d wire B)\n",
-			*rank, *np, class.Name, rnm2, verdict, seconds, st.Messages, st.Bytes, st.WireBytes)
+			*rank, *np, class.Name, rnm2, verdict, seconds, rep.Messages, rep.Bytes, rep.WireBytes)
 	}
-	if !ok {
+	if !rep.Verified {
 		os.Exit(1)
 	}
 }

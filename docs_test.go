@@ -1,8 +1,9 @@
 // The command surface the docs show must exist: every command line in a
-// fenced code block of README.md and DESIGN.md is checked against the
-// flags its cmd/<c> defines, the -fig modes mgbench accepts, the
-// internal/… and cmd/… paths in the tree and the MG_* variables the
-// program reads.
+// fenced code block of README.md, DESIGN.md and EXPERIMENTS.md, and every
+// inline code span outside the fences, is checked against the flags its
+// cmd/<c> defines, the -fig modes mgbench accepts, the internal/…, cmd/…
+// and examples/… paths in the tree and the MG_* variables the program
+// reads.
 package repro
 
 import (
@@ -18,16 +19,16 @@ import (
 	"testing"
 )
 
-var docsWithCommands = []string{"README.md", "DESIGN.md"}
+var docsWithCommands = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 
 func TestDocsCommandSurface(t *testing.T) {
 	flags := commandFlags(t)
 	figs := mgbenchFigs(t)
 	envVars := envVarsRead(t)
-	pathRE := regexp.MustCompile(`(?:^|[\s"'(=\x60])(?:\./)?((?:internal|cmd)/[\w./-]*)`)
+	pathRE := regexp.MustCompile(`(?:^|[\s"'(=\x60])(?:\./)?((?:internal|cmd|examples)/[\w./-]*)`)
 	envRE := regexp.MustCompile(`\bMG_[A-Z0-9_]+`)
 	for _, doc := range docsWithCommands {
-		lines, err := fencedLines(doc)
+		lines, err := codeLines(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,21 +78,46 @@ type docLine struct {
 	text string
 }
 
-// fencedLines returns the lines inside ``` fences of a markdown file,
-// with backslash-continued lines joined onto their first line.
-func fencedLines(path string) ([]docLine, error) {
+// codeLines returns the code of a markdown file: the lines inside ```
+// fences, with backslash-continued lines joined onto their first line,
+// then every inline code span outside them (a span may wrap onto the
+// next line of its paragraph). A span that starts with -fig is an
+// mgbench invocation.
+func codeLines(path string) ([]docLine, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var out []docLine
+	var out, spans []docLine
+	var span *docLine // the inline span open at the end of the last prose line
 	inFence, cont := false, false
 	for i, text := range strings.Split(string(blob), "\n") {
 		if strings.HasPrefix(strings.TrimSpace(text), "```") {
-			inFence, cont = !inFence, false
+			inFence, cont, span = !inFence, false, nil
 			continue
 		}
 		if !inFence {
+			if strings.TrimSpace(text) == "" {
+				span = nil // spans end with their paragraph
+			}
+			for k, part := range strings.Split(text, "`") {
+				switch {
+				case k > 0 && span == nil:
+					span = &docLine{i + 1, ""}
+				case k > 0:
+					if t, ok := strings.CutPrefix(span.text, "-fig "); ok {
+						span.text = "mgbench -fig " + t
+					}
+					spans = append(spans, *span)
+					span = nil
+				}
+				if span != nil {
+					span.text += part
+				}
+			}
+			if span != nil {
+				span.text += " "
+			}
 			continue
 		}
 		joined := strings.TrimSuffix(strings.TrimRight(text, " "), "\\")
@@ -102,7 +128,7 @@ func fencedLines(path string) ([]docLine, error) {
 		}
 		cont = strings.HasSuffix(strings.TrimRight(text, " "), "\\")
 	}
-	return out, nil
+	return append(out, spans...), nil
 }
 
 // shellSegments splits a shell line into its simple commands (at |, &,
@@ -155,7 +181,7 @@ func shellSegments(line string) [][]string {
 }
 
 // commandOf names the repository command a segment runs — `go run
-// ./cmd/<c>`, `./<c>` or `<c>`, after any NAME=value prefixes — and
+// ./cmd/<c>`, `./<c>`, `cmd/<c>` or `<c>`, after any NAME=value prefixes — and
 // returns its arguments; "" for any other command.
 func commandOf(seg []string, flags map[string]map[string]bool) (string, []string) {
 	for len(seg) > 0 && strings.Contains(seg[0], "=") && !strings.HasPrefix(seg[0], "-") {
@@ -169,7 +195,7 @@ func commandOf(seg []string, flags map[string]map[string]bool) (string, []string
 		return "", nil
 	}
 	if len(seg) > 0 {
-		if name := strings.TrimPrefix(seg[0], "./"); flags[name] != nil {
+		if name := strings.TrimPrefix(strings.TrimPrefix(seg[0], "./"), "cmd/"); flags[name] != nil {
 			return name, seg[1:]
 		}
 	}

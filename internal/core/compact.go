@@ -5,7 +5,7 @@
 // g[i] = G[i+1], whose halo is implicit. A sweep hands every worker one
 // contiguous span of output planes and a ring of three extended planes.
 // Each plane of G the stencil reaches is built in the ring from g — the
-// compact plane wrapPlane picks, with its frame from wrapFrame, the halo
+// compact plane wrapPlane picks, with its frame from WrapFrame, the halo
 // by index wrap of the pipelined legs — and kern's methods compute the
 // output plane in extended form, whose interior rows are then copied out.
 // Every value is the one the extended kernel computes from G, so a compact
@@ -74,7 +74,7 @@ func (cs *compactSweep) span(p PlaneSpan) {
 		d := planeOf(buf, q%3, pl)
 		if held[q%3] != q {
 			toExtended(d, planeOf(cs.x, wrapPlane(q, n)-1, n*n), n)
-			wrapFrame(d, xe, xe)
+			WrapFrame(d, xe, xe)
 			held[q%3] = q
 		}
 		return d

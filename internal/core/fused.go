@@ -412,12 +412,7 @@ func (k *kern) subRelax(o, v, um, uz, up []float64, n1, n2 int, c stencil.Coeffs
 				continue
 			}
 			var acc float64
-			for _, r := range o[zz+1 : zz+n2-1] {
-				acc += r * r
-				if a := math.Abs(r); a > maxAbs {
-					maxAbs = a
-				}
-			}
+			acc, maxAbs = nas.SumSquares(o[zz+1:zz+n2-1], maxAbs)
 			sum += acc
 		}
 	}

@@ -43,10 +43,11 @@ const pipeMinPlanes = 8
 // interior planes to the interior plane 1..n that holds its values.
 func wrapPlane(q, n int) int { return (q-1+n)%n + 1 }
 
-// wrapFrame refreshes the periodic frame of one plane from its own
+// WrapFrame refreshes the periodic frame of one plane from its own
 // interior — columns, then rows, nas.Comm3's order within a plane (not
 // shared with it: Comm3 is inside the F77 reference's timed section).
-func wrapFrame(d []float64, n1, n2 int) {
+// mgmpi's overlapped exchange refreshes a slab's lateral halos with it.
+func WrapFrame(d []float64, n1, n2 int) {
 	for row := n2; row < (n1-1)*n2; row += n2 {
 		d[row] = d[row+n2-2]
 		d[row+n2-1] = d[row+1]
@@ -155,7 +156,7 @@ func (sw *sweep) up(p PlaneSpan) {
 		r2 := r2At(q - 1)
 		kr.subRelax(r2, planeOf(sw.r, wrapPlane(q-1, n-2), pl), zAt(q-2), zAt(q-1), z, n, n, sw.s.Operator, false)
 		clk.lap(stResid)
-		wrapFrame(r2, n, n)
+		WrapFrame(r2, n, n)
 		clk.lap(stWrap)
 		if q < p.Lo+2 {
 			continue
@@ -231,7 +232,7 @@ func (sw *sweep) down(p PlaneSpan) {
 			sw.sums[f], sw.maxs[f] = sum, maxAbs
 		}
 		clk.lap(stResid)
-		wrapFrame(dst, n, n)
+		WrapFrame(dst, n, n)
 		clk.lap(stWrap)
 		if f&1 == 1 && f > 2*p.Lo {
 			kp.project(planeOf(sw.rn, f/2, cpl), planeOf(sw.r, f-2, pl), planeOf(sw.r, f-1, pl), dst, n, n, sw.s.Project)

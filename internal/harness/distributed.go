@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,7 +15,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/mgmpi"
-	"repro/internal/mpi"
 	"repro/internal/nas"
 )
 
@@ -52,31 +50,7 @@ type DistRank struct {
 	Stderr   string
 	// Result is the parsed -json report; nil when the rank exited
 	// without one (it died or failed before the solve completed).
-	Result *DistResult
-}
-
-// DistResult mirrors cmd/mgrank's -json object, including the per-peer
-// communication breakdown and histograms.
-type DistResult struct {
-	Rank          int     `json:"rank"`
-	Ranks         int     `json:"np"`
-	Class         string  `json:"class"`
-	Overlap       bool    `json:"overlap,omitempty"`
-	Threads       int     `json:"threads,omitempty"`
-	Variant       string  `json:"variant"`
-	Rnm2          float64 `json:"rnm2"`
-	Rnm2Bits      uint64  `json:"rnm2Bits"`
-	Rnmu          float64 `json:"rnmu"`
-	Verified      bool    `json:"verified"`
-	Seconds       float64 `json:"seconds"`
-	Messages      uint64  `json:"messages"`
-	Bytes         uint64  `json:"bytes"`
-	WireBytes     uint64  `json:"wireBytes"`
-	ExchangeNanos int64   `json:"exchangeNanos"`
-
-	Peers          []mpi.PeerStat `json:"peers,omitempty"`
-	BlockedHist    metrics.Hist   `json:"blockedHist"`
-	QueueDepthHist metrics.Hist   `json:"queueDepthHist"`
+	Result *mgmpi.RankReport
 }
 
 // RunDistributed launches cfg.Ranks mgrank processes on localhost —
@@ -205,7 +179,7 @@ func RunDistributed(cfg DistConfig) ([]DistRank, error) {
 		// line was consumed above).
 		lines := strings.Split(strings.TrimSpace(res.Stdout), "\n")
 		if last := lines[len(lines)-1]; strings.HasPrefix(last, "{") {
-			var dr DistResult
+			var dr mgmpi.RankReport
 			if err := json.Unmarshal([]byte(last), &dr); err == nil {
 				res.Result = &dr
 			}
@@ -216,33 +190,44 @@ func RunDistributed(cfg DistConfig) ([]DistRank, error) {
 }
 
 // CheckDistributed asserts the acceptance bar of a healthy distributed
-// run: every rank exited 0 with a parsed report, every rank passed NPB
-// verification, and every rank's rnm2 is bit-identical to the
-// in-process channel-transport solve of the same class and rank count.
-// It returns the per-rank results for further inspection.
-func CheckDistributed(cfg DistConfig) ([]DistRank, error) {
+// run against the in-process channel-transport solve of the same class,
+// rank count, overlap and threads: every rank exited 0 with a parsed
+// report and passed NPB verification, every rank's rnm2 is
+// bit-identical to the channel solve's, and the ranks' message and
+// payload totals equal the channel world's — same algorithm, same
+// decomposition. It returns the per-rank results and the channel
+// solve's report, whose Stats are the whole world's totals.
+func CheckDistributed(cfg DistConfig) ([]DistRank, mgmpi.RankReport, error) {
 	results, err := RunDistributed(cfg)
 	if err != nil {
-		return nil, err
+		return nil, mgmpi.RankReport{}, err
 	}
 	ref := mgmpi.New(cfg.Class, cfg.Ranks)
 	ref.Overlap = cfg.Overlap
 	ref.Threads = cfg.Threads
-	wantRnm2, _ := ref.Run()
+	rnm2, rnmu := ref.Run()
+	want := ref.Report(0, rnm2, rnmu, 0)
+	var msgs, payload uint64
 	for _, r := range results {
 		switch {
 		case r.ExitCode != 0:
-			return results, fmt.Errorf("rank %d exited %d: %s", r.Rank, r.ExitCode, strings.TrimSpace(r.Stderr))
+			return results, want, fmt.Errorf("rank %d exited %d: %s", r.Rank, r.ExitCode, strings.TrimSpace(r.Stderr))
 		case r.Result == nil:
-			return results, fmt.Errorf("rank %d produced no JSON report: %q", r.Rank, r.Stdout)
+			return results, want, fmt.Errorf("rank %d produced no JSON report: %q", r.Rank, r.Stdout)
 		case !r.Result.Verified:
-			return results, fmt.Errorf("rank %d failed NPB verification (rnm2 %v)", r.Rank, r.Result.Rnm2)
-		case r.Result.Rnm2Bits != math.Float64bits(wantRnm2):
-			return results, fmt.Errorf("rank %d rnm2 %x differs from channel transport %x",
-				r.Rank, r.Result.Rnm2, wantRnm2)
+			return results, want, fmt.Errorf("rank %d failed NPB verification (rnm2 %v)", r.Rank, r.Result.Rnm2)
+		case r.Result.Rnm2Bits != want.Rnm2Bits:
+			return results, want, fmt.Errorf("rank %d rnm2 %x differs from channel transport %x",
+				r.Rank, r.Result.Rnm2, want.Rnm2)
 		}
+		msgs += r.Result.Messages
+		payload += r.Result.Bytes
 	}
-	return results, nil
+	if msgs != want.Messages || payload != want.Bytes {
+		return results, want, fmt.Errorf("communication volume diverged: tcp %d msgs/%d B, channel %d msgs/%d B",
+			msgs, payload, want.Messages, want.Bytes)
+	}
+	return results, want, nil
 }
 
 // RunFigDist runs the channel-vs-TCP transport comparison for each
@@ -260,17 +245,12 @@ func RunFigDist(w io.Writer, binary string, classes []nas.Class, ranks int, over
 	fmt.Fprintf(w, "Distributed transport comparison — %d ranks, channel (in-process) vs TCP (multi-process)%s\n", ranks, mode)
 	fmt.Fprintf(w, "%-8s %-9s %-9s %12s %14s %14s %12s\n", "class", "transport", "kernels", "messages", "payload", "wire", "rnm2")
 	for _, class := range classes {
-		chanSolver := mgmpi.New(class, ranks)
-		chanSolver.Overlap = overlap
-		chanRnm2, _ := chanSolver.Run()
-		cst := chanSolver.Stats()
-		fmt.Fprintf(w, "%-8c %-9s %-9s %12d %11.2f MB %14s %12.6e\n",
-			class.Name, "channel", chanSolver.Variant(), cst.Messages, float64(cst.Bytes)/1e6, "—", chanRnm2)
-
-		results, err := CheckDistributed(DistConfig{Binary: binary, Class: class, Ranks: ranks, Overlap: overlap})
+		results, ch, err := CheckDistributed(DistConfig{Binary: binary, Class: class, Ranks: ranks, Overlap: overlap})
 		if err != nil {
 			return fmt.Errorf("class %c: %w", class.Name, err)
 		}
+		fmt.Fprintf(w, "%-8c %-9s %-9s %12d %11.2f MB %14s %12.6e\n",
+			class.Name, "channel", ch.Variant, ch.Messages, float64(ch.Bytes)/1e6, "—", ch.Rnm2)
 		var msgs, payload, wire uint64
 		for _, r := range results {
 			msgs += r.Result.Messages
@@ -279,10 +259,6 @@ func RunFigDist(w io.Writer, binary string, classes []nas.Class, ranks int, over
 		}
 		fmt.Fprintf(w, "%-8c %-9s %-9s %12d %11.2f MB %11.2f MB %12.6e\n",
 			class.Name, "tcp", results[0].Result.Variant, msgs, float64(payload)/1e6, float64(wire)/1e6, results[0].Result.Rnm2)
-		if msgs != cst.Messages || payload != cst.Bytes {
-			return fmt.Errorf("class %c: communication volume diverged: tcp %d msgs/%d B, channel %d msgs/%d B",
-				class.Name, msgs, payload, cst.Messages, cst.Bytes)
-		}
 		fmt.Fprintf(w, "  class %c: VERIFICATION SUCCESSFUL on all %d ranks; rnm2 bit-identical to channel transport\n",
 			class.Name, ranks)
 	}
@@ -302,7 +278,8 @@ func RunFigDist(w io.Writer, binary string, classes []nas.Class, ranks int, over
 //	commreport.txt  the skew/overlap report
 //
 // — and enforces the acceptance gates: the solve stays bit-identical to
-// the channel transport with tracing enabled, every send event pairs
+// the channel transport with tracing enabled and ships its message and
+// payload totals (CheckDistributed), every send event pairs
 // with exactly one recv (matched count == total transport sends), every
 // rank's traced blocked time equals its transport ExchangeNanos to the
 // nanosecond, and the aligned Perfetto trace validates.
@@ -326,7 +303,7 @@ func RunFigComm(w io.Writer, binary string, class nas.Class, ranks int, overlap 
 	}
 	fmt.Fprintf(w, "Distributed observability (FW-3c) — class %c, %d TCP ranks, tracing enabled, %s\n",
 		class.Name, ranks, mode)
-	results, err := CheckDistributed(DistConfig{
+	results, _, err := CheckDistributed(DistConfig{
 		Binary: binary, Class: class, Ranks: ranks, Overlap: overlap,
 		ExtraArgs: func(rank int) []string { return []string{"-trace", tracePath(rank)} },
 	})

@@ -34,7 +34,7 @@ func buildMgrank(t *testing.T) string {
 // every rank with rnm2 bit-identical to the in-process channel world.
 func TestRunDistributed(t *testing.T) {
 	bin := buildMgrank(t)
-	results, err := CheckDistributed(DistConfig{
+	results, _, err := CheckDistributed(DistConfig{
 		Binary: bin,
 		Class:  nas.ClassS,
 		Ranks:  4,

@@ -38,26 +38,8 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// StageBreakdown is the per-stage latency decomposition of one job —
-// the monotonic-timestamp differences the queue records at
-// submit/admit/dequeue/solve-start/solve-end/respond (stage model:
-// internal/obs). It is echoed in /v1/results/{id} so a client can see
-// where its request's time went without scraping histograms.
-type StageBreakdown struct {
-	// IngressSeconds is submit entry → admission decision.
-	IngressSeconds float64 `json:"ingressSeconds"`
-	// QueueSeconds is admission → a runner dequeued the job.
-	QueueSeconds float64 `json:"queueSeconds"`
-	// SolveSeconds is runner start → solver return.
-	SolveSeconds float64 `json:"solveSeconds"`
-	// RespondSeconds is solver return → terminal result published.
-	RespondSeconds float64 `json:"respondSeconds"`
-	// TotalSeconds is submit entry → terminal result published.
-	TotalSeconds float64 `json:"totalSeconds"`
-	// DedupWaiters counts submissions that coalesced onto this job
-	// instead of running their own solve.
-	DedupWaiters int `json:"dedupWaiters,omitempty"`
-}
+// StageBreakdown is the stage decomposition a Result carries.
+type StageBreakdown = obs.Stages
 
 // Result is the full record of one job: identity, lifecycle, norms,
 // verification and accounting. It is a value type — lookups return
@@ -341,15 +323,15 @@ func (q *Queue) Submit(req Request) (*Ticket, error) {
 			res.Cached = true
 			res.TraceID = req.TraceID
 			ingress := time.Since(ingressStart).Seconds()
-			res.Stages = &StageBreakdown{IngressSeconds: ingress, TotalSeconds: ingress}
+			stages := StageBreakdown{IngressSeconds: ingress, TotalSeconds: ingress}
+			res.Stages = &stages
 			q.trace.Emit(metrics.Event{Ev: "stage", Stage: obs.StageIngress,
 				Nanos: int64(time.Since(ingressStart)), Trace: req.TraceID, Job: id})
 			q.obs.JobFinished(obs.JobRecord{
 				TraceID: req.TraceID, JobID: id, Tenant: req.Tenant,
 				Class: req.Class, Impl: req.Impl,
 				State: string(StateDone), Cached: true,
-				SubmitUnixNano: ingressStart.UnixNano(),
-				IngressSeconds: ingress, TotalSeconds: ingress,
+				SubmitUnixNano: ingressStart.UnixNano(), Stages: stages,
 				Rnm2: res.Rnm2,
 			})
 			return &Ticket{q: q, res: res, cached: true}, nil
@@ -530,7 +512,7 @@ func (q *Queue) finishLocked(j *job, res Result, err error) obs.JobRecord {
 	}
 	res.Stages = &stages
 	if q.stageSecs == nil {
-		q.stageSecs = make(map[string]float64, len(obs.Stages))
+		q.stageSecs = map[string]float64{}
 	}
 	q.stageSecs[obs.StageIngress] += stages.IngressSeconds
 	q.stageSecs[obs.StageQueue] += stages.QueueSeconds
@@ -548,12 +530,7 @@ func (q *Queue) finishLocked(j *job, res Result, err error) obs.JobRecord {
 		Class: j.req.Class, Impl: j.req.Impl,
 		State: string(res.State), Error: res.Error, NonFinite: nonFinite,
 		SubmitUnixNano: j.submittedAt.UnixNano(),
-		IngressSeconds: stages.IngressSeconds,
-		QueueSeconds:   stages.QueueSeconds,
-		SolveSeconds:   stages.SolveSeconds,
-		RespondSeconds: stages.RespondSeconds,
-		TotalSeconds:   stages.TotalSeconds,
-		DedupWaiters:   stages.DedupWaiters,
+		Stages:         stages,
 		QueueDepth:     len(q.pending),
 		Running:        q.running,
 		Rnm2:           res.Rnm2,

@@ -135,13 +135,15 @@ func New(class nas.Class, ranks int) *Solver { return New3D(class, ranks, 1, 1) 
 // extent must be a power of two, and every distributed axis must keep at
 // least two cells per rank at some level (2·r ≤ class.N).
 func New3D(class nas.Class, r0, r1, r2 int) *Solver {
-	if err := validateProcs(class, r0, r1, r2); err != nil {
+	if err := ValidateProcs(class, r0, r1, r2); err != nil {
 		panic(err.Error())
 	}
 	return &Solver{Class: class, Procs: [3]int{r0, r1, r2}, world: mpi.NewWorld(r0 * r1 * r2), mem: mempool.New(true)}
 }
 
-func validateProcs(class nas.Class, r0, r1, r2 int) error {
+// ValidateProcs reports whether (r0, r1, r2) is a processor grid New3D
+// accepts for class.
+func ValidateProcs(class nas.Class, r0, r1, r2 int) error {
 	for _, r := range [3]int{r0, r1, r2} {
 		if r < 1 || r&(r-1) != 0 || (r > 1 && 2*r > class.N) {
 			return fmt.Errorf("mgmpi: processor grid extents must be powers of two with 2*r <= %d, got (%d,%d,%d)",
@@ -158,7 +160,7 @@ func validateProcs(class nas.Class, r0, r1, r2 int) error {
 // algorithm (and therefore the per-iteration rnm2) is identical to the
 // in-process channel world. Run the solve with RunRank.
 func NewWithTransport(class nas.Class, t mpi.Transport) (*Solver, error) {
-	if err := validateProcs(class, t.Size(), 1, 1); err != nil {
+	if err := ValidateProcs(class, t.Size(), 1, 1); err != nil {
 		return nil, err
 	}
 	return &Solver{Class: class, Procs: [3]int{t.Size(), 1, 1}, transport: t, mem: mempool.New(true)}, nil
@@ -191,18 +193,35 @@ func (s *Solver) RankStats() []mpi.Stats {
 	return s.world.Stats()
 }
 
-// span times f and, with a tracer attached, emits it as a rank-tagged
-// span event at the finest level (nil tracer: just f()).
-func (s *Solver) span(rank int, kernel string, f func()) {
-	tr := s.Trace
-	if tr == nil {
-		f()
-		return
+// RankReport is one rank's outcome of a solve — cmd/mgrank's -json
+// object, which the harness decodes: the verdict plus this rank's
+// mpi.Stats, with the per-(peer, tag) rows and the blocked-time /
+// queue-depth histograms (power-of-two buckets).
+type RankReport struct {
+	Rank     int     `json:"rank"`
+	Ranks    int     `json:"np"`
+	Class    string  `json:"class"`
+	Overlap  bool    `json:"overlap,omitempty"`
+	Threads  int     `json:"threads,omitempty"`
+	Variant  string  `json:"variant"` // plane-kernel backend of the finest level
+	Rnm2     float64 `json:"rnm2"`
+	Rnm2Bits uint64  `json:"rnm2Bits"` // exact bit pattern, for differential checks
+	Rnmu     float64 `json:"rnmu"`
+	Verified bool    `json:"verified"`
+	Seconds  float64 `json:"seconds"`
+	mpi.Stats
+}
+
+// Report returns the RankReport of a finished solve that returned rnm2
+// and rnmu in seconds; its Stats are those of Solver.Stats.
+func (s *Solver) Report(rank int, rnm2, rnmu, seconds float64) RankReport {
+	verified, _ := s.Class.Verify(rnm2)
+	return RankReport{
+		Rank: rank, Ranks: s.Ranks(), Class: string(s.Class.Name),
+		Overlap: s.Overlap, Threads: s.Threads, Variant: s.Variant(),
+		Rnm2: rnm2, Rnm2Bits: math.Float64bits(rnm2), Rnmu: rnmu,
+		Verified: verified, Seconds: seconds, Stats: s.Stats(),
 	}
-	start := time.Now()
-	f()
-	tr.Emit(metrics.Event{Ev: "span", Kernel: kernel, Level: s.Class.LT(),
-		Nanos: int64(time.Since(start)), Rank: rank})
 }
 
 // Run executes the full benchmark (reset, initial residual, Iter ×
@@ -254,16 +273,10 @@ func (s *Solver) runRank(c *mpi.Comm) (rnm2, rnmu float64) {
 		defer st.pool.Close()
 	}
 	st.obs = obs
-	if s.Trace != nil {
-		tr := s.Trace
-		st.spanFn = func(kernel string, level int, nanos int64) {
-			tr.Emit(metrics.Event{Ev: "span", Kernel: kernel, Level: level,
-				Nanos: nanos, Rank: rank})
-		}
-	}
+	st.trace = s.Trace
 	st.reset()
 	start := time.Now()
-	s.span(rank, "resid", st.evalResid)
+	st.kspan("resid", st.lt, st.evalResid)
 	report := func(iter int, n2, nu float64) {
 		if s.IterNorms != nil && rank == 0 {
 			s.IterNorms(iter, n2, nu)
@@ -284,8 +297,8 @@ func (s *Solver) runRank(c *mpi.Comm) (rnm2, rnmu float64) {
 		if obs != nil {
 			obs.iter = it + 1
 		}
-		s.span(rank, "mg3P", st.mg3P)
-		s.span(rank, "resid", st.evalResid)
+		st.kspan("mg3P", st.lt, st.mg3P)
+		st.kspan("resid", st.lt, st.evalResid)
 		if s.OnIter != nil {
 			s.OnIter(rank, it+1)
 		}
@@ -344,10 +357,10 @@ type rankState struct {
 	normOut                    [2]float64
 
 	// obs, when tracing, is the transport observer whose level/iter
-	// fields tag every send/recv event; spanFn emits per-level kernel
-	// spans. Both nil on the untraced path.
-	obs    *commObserver
-	spanFn func(kernel string, level int, nanos int64)
+	// fields tag every send/recv event; trace receives the kernel spans.
+	// Both nil on the untraced path.
+	obs   *commObserver
+	trace *metrics.Tracer
 }
 
 // setCommLevel tags subsequent send/recv events with the grid level the
@@ -358,16 +371,17 @@ func (st *rankState) setCommLevel(level int) {
 	}
 }
 
-// kspan times f and emits it as a per-level kernel span when tracing
-// (bare call otherwise).
+// kspan times f and emits it as a rank-tagged span at a level when
+// tracing (bare call otherwise).
 func (st *rankState) kspan(kernel string, level int, f func()) {
-	if st.spanFn == nil {
+	if st.trace == nil {
 		f()
 		return
 	}
 	start := time.Now()
 	f()
-	st.spanFn(kernel, level, int64(time.Since(start)))
+	st.trace.Emit(metrics.Event{Ev: "span", Kernel: kernel, Level: level,
+		Nanos: int64(time.Since(start)), Rank: st.c.Rank()})
 }
 
 func newRankState(c *mpi.Comm, class nas.Class, procs [3]int) *rankState {
@@ -826,13 +840,7 @@ func (st *rankState) norms() (rnm2, rnmu float64) {
 			for i2 := 1; i2 < shp[1]-1; i2++ {
 				base := (i3*shp[1] + i2) * shp[2]
 				var rowSum float64
-				for i1 := 1; i1 < shp[2]-1; i1++ {
-					v := d[base+i1]
-					rowSum += v * v
-					if a := math.Abs(v); a > planeAbs {
-						planeAbs = a
-					}
-				}
+				rowSum, planeAbs = nas.SumSquares(d[base+1:base+shp[2]-1], planeAbs)
 				planeSum += rowSum
 			}
 			planes[i3-1] = planeSum

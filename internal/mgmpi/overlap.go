@@ -56,22 +56,6 @@ func (st *rankState) overlapActive() bool {
 	return st.overlap && !st.serialComm && st.procs[0] > 1
 }
 
-// planeLocal refreshes the lateral (axis 2, then axis 1) periodic halos
-// of the single plane i3 — exactly the plane-i3 slice of the synchronous
-// comm3's local-copy steps, in the same axis order: axis-2 halo cells for
-// the interior rows first, then the full boundary rows, whose corner
-// cells read the axis-2 values just written.
-func planeLocal(d []float64, n1, n2, i3 int) {
-	for i2 := 1; i2 <= n1-2; i2++ {
-		base := (i3*n1 + i2) * n2
-		d[base] = d[base+n2-2]
-		d[base+n2-1] = d[base+1]
-	}
-	plane := d[i3*n1*n2 : (i3+1)*n1*n2]
-	copy(plane[:n2], plane[(n1-2)*n2:])
-	copy(plane[(n1-1)*n2:], plane[n2:2*n2])
-}
-
 // plane3 returns the inclusive box of plane i3 at its full lateral
 // extents — the payload of the axis-0 face exchange.
 func plane3(i3, n1, n2 int) (lo, hi [3]int) {
@@ -88,9 +72,11 @@ func plane3(i3, n1, n2 int) (lo, hi [3]int) {
 //
 // The messages (peers, tags, payloads) are those of the synchronous
 // comm3's axis-0 step; the lateral axes, undistributed in a slab, are
-// refreshed by per-plane local copies. Blocked time lands in the
-// requests' Waits, so the transport stats now show only the *exposed*
-// part of the exchange — the quantity the overlap report gates on.
+// refreshed plane by plane with core.WrapFrame — each plane's slice of
+// the synchronous comm3's axis-2, then axis-1 local copies. Blocked time
+// lands in the requests' Waits, so the transport stats now show only the
+// *exposed* part of the exchange — the quantity the overlap report gates
+// on.
 func (st *rankState) overlapComm3(a *array.Array, compute func(core.PlaneSpan)) {
 	shp := a.Shape()
 	n1, n2 := shp[1], shp[2]
@@ -100,9 +86,10 @@ func (st *rankState) overlapComm3(a *array.Array, compute func(core.PlaneSpan)) 
 		st.setCommLevel(bits.Len(uint(lp*st.procs[0])) - 1)
 	}
 	boundary, interior := core.SplitPlanes(shp[0])
+	pl := n1 * n2
 	for _, i3 := range boundary {
 		compute(core.PlaneSpan{Lo: i3, Hi: i3})
-		planeLocal(d, n1, n2, i3)
+		core.WrapFrame(d[i3*pl:(i3+1)*pl], n1, n2)
 	}
 	up := st.neighbour(0, +1)
 	down := st.neighbour(0, -1)
@@ -117,7 +104,7 @@ func (st *rankState) overlapComm3(a *array.Array, compute func(core.PlaneSpan)) 
 	st.forPlanes(interior, func(p core.PlaneSpan) {
 		compute(p)
 		for i3 := p.Lo; i3 <= p.Hi; i3++ {
-			planeLocal(d, n1, n2, i3)
+			core.WrapFrame(d[i3*pl:(i3+1)*pl], n1, n2)
 		}
 	})
 	rLo, rHi := plane3(0, n1, n2)

@@ -37,19 +37,19 @@ import (
 type Stats struct {
 	// Messages is the number of point-to-point sends (collectives are
 	// built from sends and are therefore included).
-	Messages uint64
+	Messages uint64 `json:"messages"`
 	// Bytes is the total payload volume sent, in bytes.
-	Bytes uint64
+	Bytes uint64 `json:"bytes"`
 	// WireBytes is the volume actually put on the wire, including
 	// framing (headers and checksums). The in-process channel transport
 	// reports zero: a simulated message pays no serialization.
-	WireBytes uint64
+	WireBytes uint64 `json:"wireBytes"`
 	// ExchangeNanos is wall time spent blocked in communication (waiting
 	// for mailbox space or for a peer's message). The channel transport
 	// counts only blocked time — an immediate channel operation costs no
 	// measurable exchange — while a real transport also pays framing and
 	// kernel time on every call.
-	ExchangeNanos int64
+	ExchangeNanos int64 `json:"exchangeNanos"`
 
 	// Peers breaks the traffic down per (peer, tag): counts, bytes and
 	// blocked time in each direction, sorted by (peer, tag). The per-peer

@@ -325,19 +325,29 @@ func Norm2u3Planes(r *array.Array, n int) (rnm2, rnmu float64) {
 		for i2 := 1; i2 < m1-1; i2++ {
 			base := (i3*m1 + i2) * m2
 			var rowSum float64
-			for i1 := 1; i1 < m2-1; i1++ {
-				v := d[base+i1]
-				rowSum += v * v
-				if a := math.Abs(v); a > maxAbs {
-					maxAbs = a
-				}
-			}
+			rowSum, maxAbs = SumSquares(d[base+1:base+m2-1], maxAbs)
 			planeSum += rowSum
 		}
 		sum += planeSum
 	}
 	total := float64(n) * float64(n) * float64(n)
 	return math.Sqrt(sum / total), maxAbs
+}
+
+// SumSquares is the one row fold of every plane-associated norm:
+// periodic's, mgmpi's, core's fused resid+norm rows and Norm2u3Planes.
+// It returns the running left-to-right sum of v·v over row and maxAbs
+// raised to the largest |v| in it. The bit-identity tests anchor on
+// this association; internal/simd's AVX2 fold is checked against it.
+func SumSquares(row []float64, maxAbs float64) (float64, float64) {
+	var sum float64
+	for _, v := range row {
+		sum += v * v
+		if a := math.Abs(v); a > maxAbs {
+			maxAbs = a
+		}
+	}
+	return sum, maxAbs
 }
 
 // Probe is the instrumentation hook shared by all MG implementations:

@@ -158,7 +158,7 @@ func TestFlightTriggerDump(t *testing.T) {
 	o.JobFinished(JobRecord{
 		TraceID: "00112233445566778899aabbccddeeff", JobID: "deadbeef00000001",
 		Tenant: "chaos", State: "failed", Error: "non-finite residual norm",
-		NonFinite: true, SolveSeconds: 0.25, TotalSeconds: 0.5,
+		NonFinite: true, Stages: Stages{SolveSeconds: 0.25, TotalSeconds: 0.5},
 	})
 
 	// Exactly the finished dump: the temp file it was written through is
@@ -230,10 +230,10 @@ func TestFlightBurstTrigger(t *testing.T) {
 func TestStageHistPrometheus(t *testing.T) {
 	h := NewStageHist()
 	h.ObserveJob(JobRecord{State: "done",
-		IngressSeconds: 0.0002, QueueSeconds: 0.02, SolveSeconds: 0.4,
-		RespondSeconds: 0.0001, TotalSeconds: 0.42,
+		Stages: Stages{IngressSeconds: 0.0002, QueueSeconds: 0.02, SolveSeconds: 0.4,
+			RespondSeconds: 0.0001, TotalSeconds: 0.42},
 		DedupWaitSeconds: []float64{0.3, 0.35}})
-	h.ObserveJob(JobRecord{State: "done", Cached: true, IngressSeconds: 0.0001})
+	h.ObserveJob(JobRecord{State: "done", Cached: true, Stages: Stages{IngressSeconds: 0.0001}})
 
 	count := map[string]uint64{}
 	for _, s := range h.Snapshot() {

@@ -34,8 +34,25 @@ const (
 	StageRespond = "respond"
 )
 
-// Stages lists the stage names in pipeline order.
-var Stages = []string{StageIngress, StageQueue, StageDedup, StageSolve, StageRespond}
+// Stages is the per-stage latency decomposition of one job, in seconds:
+// the monotonic-timestamp differences the queue records at
+// submit/admit/dequeue/solve-start/solve-end/respond. The job's result
+// (/v1/results/{id}) echoes it, and its JobRecord embeds it.
+type Stages struct {
+	// IngressSeconds is submit entry → admission decision.
+	IngressSeconds float64 `json:"ingressSeconds"`
+	// QueueSeconds is admission → a runner dequeued the job.
+	QueueSeconds float64 `json:"queueSeconds"`
+	// SolveSeconds is runner start → solver return.
+	SolveSeconds float64 `json:"solveSeconds"`
+	// RespondSeconds is solver return → terminal result published.
+	RespondSeconds float64 `json:"respondSeconds"`
+	// TotalSeconds is submit entry → terminal result published.
+	TotalSeconds float64 `json:"totalSeconds"`
+	// DedupWaiters counts submissions that coalesced onto this job
+	// instead of running their own solve.
+	DedupWaiters int `json:"dedupWaiters,omitempty"`
+}
 
 // JobRecord is the flight-record of one terminal job: identity, outcome
 // and the full stage decomposition. It is what the flight recorder
@@ -60,16 +77,9 @@ type JobRecord struct {
 	// SubmitUnixNano is the wall-clock submit time (the only wall stamp;
 	// stage durations are monotonic differences).
 	SubmitUnixNano int64 `json:"submitUnixNano"`
-	// The stage decomposition, in seconds.
-	IngressSeconds float64 `json:"ingressSeconds"`
-	QueueSeconds   float64 `json:"queueSeconds"`
-	SolveSeconds   float64 `json:"solveSeconds"`
-	RespondSeconds float64 `json:"respondSeconds"`
-	TotalSeconds   float64 `json:"totalSeconds"`
-	// DedupWaiters counts submissions that coalesced onto this job;
+	Stages
 	// DedupWaitSeconds holds each coalesced submitter's attach→terminal
 	// wait (the time the shared execution saved it).
-	DedupWaiters     int       `json:"dedupWaiters,omitempty"`
 	DedupWaitSeconds []float64 `json:"dedupWaitSeconds,omitempty"`
 	// QueueDepth/Running are the queue gauges at the terminal
 	// transition — the congestion context of the record.

@@ -276,16 +276,7 @@ func norms(r *array.Array) (rnm2, rnmu float64) {
 		for j := 0; j < n1; j++ {
 			base := (i*n1 + j) * n2
 			var rowSum float64
-			for _, v := range d[base : base+n2] {
-				rowSum += v * v
-				a := v
-				if a < 0 {
-					a = -a
-				}
-				if a > maxAbs {
-					maxAbs = a
-				}
-			}
+			rowSum, maxAbs = nas.SumSquares(d[base:base+n2], maxAbs)
 			planeSum += rowSum
 		}
 		sum += planeSum
