@@ -87,6 +87,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mg: unknown -mode", *mode, "(want serial, autopar or fullpar)")
 		os.Exit(2)
 	}
+	// -impl mpi checks its rank count against the class below.
+	if *threads < 1 && *implName != "mpi" {
+		fmt.Fprintf(os.Stderr, "mg: -threads must be at least 1; got %d\n", *threads)
+		os.Exit(2)
+	}
 
 	if *jsonOut {
 		*quiet = true

@@ -197,6 +197,14 @@ func TestUnknownModeRejected(t *testing.T) {
 		{"-impl f77 -threads 2 -mode bogus", "unknown -mode bogus"},
 		{"-impl mpi -threads 3", "mg: -impl mpi runs -threads ranks, a power of two from 1 to 16 at class S; got 3"},
 		{"-impl mpi -threads 0", "mg: -impl mpi runs -threads ranks, a power of two from 1 to 16 at class S; got 0"},
+		{"-impl sac -threads 0", "mg: -threads must be at least 1; got 0"},
+		{"-impl sac -threads -1", "mg: -threads must be at least 1; got -1"},
+		{"-impl f77 -threads 0", "mg: -threads must be at least 1; got 0"},
+		{"-impl f77 -threads -1", "mg: -threads must be at least 1; got -1"},
+		{"-impl c -threads 0", "mg: -threads must be at least 1; got 0"},
+		{"-impl c -threads -1", "mg: -threads must be at least 1; got -1"},
+		{"-impl periodic -threads 0", "mg: -threads must be at least 1; got 0"},
+		{"-impl periodic -threads -1", "mg: -threads must be at least 1; got -1"},
 	} {
 		out, err := exec.Command(bin, append([]string{"-class", "S"}, strings.Fields(c.args)...)...).CombinedOutput()
 		got := strings.TrimSpace(string(out))

@@ -107,7 +107,7 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		// The launcher (and harness.RunDistributed) scans stdout for
+		// The launcher (and the harness's runDistributed) scans stdout for
 		// this line to learn the ephemeral port before starting the
 		// other ranks.
 		fmt.Printf("MGRANK LISTEN %s\n", rz.Addr())

@@ -3,7 +3,9 @@
 // inline code span outside the fences, is checked against the flags its
 // cmd/<c> defines, the -fig modes mgbench accepts, the internal/…, cmd/…
 // and examples/… paths in the tree and the MG_* variables the program
-// reads.
+// reads. The run: blocks of the CI workflow are held to the same flags
+// and modes, and their go test -run/-fuzz patterns to the tests that
+// exist.
 package repro
 
 import (
@@ -45,32 +47,222 @@ func TestDocsCommandSurface(t *testing.T) {
 					t.Errorf("%s: no non-test Go file reads %s", where, v)
 				}
 			}
-			for _, seg := range shellSegments(l.text) {
-				cmd, args := commandOf(seg, flags)
-				if cmd == "" {
+			checkCommandFlags(t, where, l.text, flags, figs)
+		}
+	}
+	tests := testFuncs(t)
+	for _, s := range ciSteps(t) {
+		for _, l := range s.run {
+			where := ciPath + ":" + strconv.Itoa(l.no)
+			checkCommandFlags(t, where, l.text, flags, figs)
+			checkTestPatterns(t, where, l.text, tests)
+		}
+	}
+}
+
+// checkCommandFlags checks the flags of every repository command on a
+// shell line, and the mode of every mgbench -fig.
+func checkCommandFlags(t *testing.T, where, line string, flags map[string]map[string]bool, figs map[string]bool) {
+	t.Helper()
+	for _, seg := range shellSegments(line) {
+		cmd, args := commandOf(seg, flags)
+		if cmd == "" {
+			continue
+		}
+		for i, a := range args {
+			name, value, hasValue := flagToken(a)
+			if name == "" {
+				continue
+			}
+			if !flags[cmd][name] {
+				t.Errorf("%s: %s has no flag -%s", where, cmd, name)
+			}
+			if cmd != "mgbench" || name != "fig" {
+				continue
+			}
+			if !hasValue && i+1 < len(args) {
+				value = args[i+1]
+			}
+			if !figs[value] {
+				t.Errorf("%s: mgbench accepts no -fig %q", where, value)
+			}
+		}
+	}
+}
+
+// checkTestPatterns checks that every |-alternative of a `go test -run`
+// or `-fuzz` pattern on a shell line matches a Test or Fuzz function of
+// the packages the command names, so that a renamed test cannot leave a
+// step running nothing. ^$ (run no tests) is exempt.
+func checkTestPatterns(t *testing.T, where, line string, tests map[string][]string) {
+	t.Helper()
+	for _, seg := range shellSegments(line) {
+		if len(seg) < 2 || seg[0] != "go" || seg[1] != "test" {
+			continue
+		}
+		var dirs, patterns []string
+		for i := 2; i < len(seg); i++ {
+			a := seg[i]
+			switch {
+			case a == "./...":
+				dirs = append(dirs, sortedKeys(tests)...)
+			case a == "." || strings.HasPrefix(a, "./"):
+				dirs = append(dirs, strings.TrimPrefix(a, "./"))
+			case (a == "-run" || a == "-fuzz") && i+1 < len(seg):
+				patterns = append(patterns, seg[i+1])
+				i++
+			case strings.HasPrefix(a, "-run=") || strings.HasPrefix(a, "-fuzz="):
+				patterns = append(patterns, a[strings.Index(a, "=")+1:])
+			}
+		}
+		for _, p := range patterns {
+			for _, alt := range strings.Split(p, "|") {
+				if alt == "^$" {
 					continue
 				}
-				for i, a := range args {
-					name, value, hasValue := flagToken(a)
-					if name == "" {
-						continue
-					}
-					if !flags[cmd][name] {
-						t.Errorf("%s: %s has no flag -%s", where, cmd, name)
-					}
-					if cmd != "mgbench" || name != "fig" {
-						continue
-					}
-					if !hasValue && i+1 < len(args) {
-						value = args[i+1]
-					}
-					if !figs[value] {
-						t.Errorf("%s: mgbench accepts no -fig %q", where, value)
-					}
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("%s: bad test pattern %q: %v", where, alt, err)
+					continue
+				}
+				if !anyMatch(re, dirs, tests) {
+					t.Errorf("%s: pattern %q matches no Test or Fuzz function in %v", where, alt, dirs)
 				}
 			}
 		}
 	}
+}
+
+func anyMatch(re *regexp.Regexp, dirs []string, tests map[string][]string) bool {
+	for _, d := range dirs {
+		for _, name := range tests[d] {
+			if re.MatchString(name) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// testFuncs maps every directory to the Test and Fuzz functions its
+// _test.go files declare.
+func testFuncs(t *testing.T) map[string][]string {
+	t.Helper()
+	out := map[string][]string{}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && p != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(p))
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil &&
+				(strings.HasPrefix(fd.Name.Name, "Test") || strings.HasPrefix(fd.Name.Name, "Fuzz")) {
+				out[dir] = append(out[dir], fd.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+const ciPath = ".github/workflows/ci.yml"
+
+// ciStep is one step of the CI workflow: its job, its name and the lines
+// of its run block, backslash-continued lines joined.
+type ciStep struct {
+	job, name string
+	run       []docLine
+}
+
+// ciSteps reads the steps of the workflow. It knows only the shape
+// ci.yml has: jobs at two spaces of indentation, steps as list items, and
+// run: as an inline scalar or a | block.
+func ciSteps(t *testing.T) []ciStep {
+	t.Helper()
+	blob, err := os.ReadFile(ciPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobRE := regexp.MustCompile(`^  ([\w-]+):\s*$`)
+	keyRE := regexp.MustCompile(`^(\s*)(- )?(name|run): ?(.*)$`)
+	var steps []ciStep
+	job := ""
+	inJobs := false
+	blockIndent := -1 // the indentation of the run key whose block is open
+	cont := false
+	unquote := func(s string) string {
+		if u, err := strconv.Unquote(s); err == nil {
+			return u
+		}
+		return s
+	}
+	for i, line := range strings.Split(string(blob), "\n") {
+		indent := len(line) - len(strings.TrimLeft(line, " "))
+		if blockIndent >= 0 {
+			if strings.TrimSpace(line) == "" || indent > blockIndent {
+				s := &steps[len(steps)-1]
+				text := strings.TrimSuffix(strings.TrimSpace(line), "\\")
+				if cont {
+					s.run[len(s.run)-1].text += " " + text
+				} else {
+					s.run = append(s.run, docLine{i + 1, text})
+				}
+				cont = strings.HasSuffix(strings.TrimSpace(line), "\\")
+				continue
+			}
+			blockIndent, cont = -1, false
+		}
+		if line == "jobs:" {
+			inJobs = true
+			continue
+		}
+		if !inJobs {
+			continue
+		}
+		if m := jobRE.FindStringSubmatch(line); m != nil {
+			job = m[1]
+			continue
+		}
+		m := keyRE.FindStringSubmatch(line)
+		if m == nil {
+			if strings.HasPrefix(strings.TrimSpace(line), "- ") {
+				steps = append(steps, ciStep{job: job})
+			}
+			continue
+		}
+		if m[2] != "" {
+			steps = append(steps, ciStep{job: job})
+		}
+		if len(steps) == 0 || steps[len(steps)-1].job != job {
+			continue
+		}
+		s := &steps[len(steps)-1]
+		switch {
+		case m[3] == "name":
+			s.name = unquote(m[4])
+		case m[4] == "|":
+			blockIndent = len(m[1])
+		default:
+			s.run = append(s.run, docLine{i + 1, unquote(m[4])})
+		}
+	}
+	if len(steps) < 10 {
+		t.Fatalf("%s: found only %d steps", ciPath, len(steps))
+	}
+	return steps
 }
 
 type docLine struct {

@@ -238,22 +238,6 @@ func Scale(e *wl.Env, k float64, a *array.Array) *array.Array {
 	return e.Genarray(shp, wl.Full(shp), func(iv shape.Index) float64 { return k * a.At(iv) })
 }
 
-// AddScalar returns a + k element-wise.
-func AddScalar(e *wl.Env, a *array.Array, k float64) *array.Array {
-	shp := a.Shape()
-	if fused(e) {
-		out := e.NewArrayDirty(shp)
-		od, ad := out.Data(), a.Data()
-		e.Sched.For(len(od), e.SeqThreshold, func(lo, hi, _ int) {
-			for i := lo; i < hi; i++ {
-				od[i] = ad[i] + k
-			}
-		})
-		return out
-	}
-	return e.Genarray(shp, wl.Full(shp), func(iv shape.Index) float64 { return a.At(iv) + k })
-}
-
 // --- reductions ---------------------------------------------------------------
 
 // Sum folds + over all elements of a.
@@ -274,9 +258,9 @@ func Sum(e *wl.Env, a *array.Array) float64 {
 		func(iv shape.Index) float64 { return a.At(iv) })
 }
 
-// SumSq folds + over the squares of all elements of a (the building block
+// sumSq folds + over the squares of all elements of a (the building block
 // of L2 norms).
-func SumSq(e *wl.Env, a *array.Array) float64 {
+func sumSq(e *wl.Env, a *array.Array) float64 {
 	if fused(e) {
 		d := a.Data()
 		return e.Sched.Reduce(len(d), e.SeqThreshold, 0,
@@ -316,7 +300,7 @@ func MaxAbs(e *wl.Env, a *array.Array) float64 {
 // L2Norm returns sqrt(sum(a²)/size(a)) — the discrete L2 norm the NPB
 // verification uses (over whatever index set a covers).
 func L2Norm(e *wl.Env, a *array.Array) float64 {
-	return math.Sqrt(SumSq(e, a) / float64(a.Size()))
+	return math.Sqrt(sumSq(e, a) / float64(a.Size()))
 }
 
 // --- structural operations ------------------------------------------------------

@@ -3,11 +3,13 @@
 // "element-wise extensions of arithmetic and relational operators, typical
 // reduction operations like sum and product, various subarray selection
 // facilities, as well as shift and rotate operations". This file fills in
-// that catalogue: relational operators (boolean arrays are 0.0/1.0, as in
-// APL), the remaining reductions, subarray selection (Tile), structural
-// operations (Reshape, Transpose, Concat), and the APL staples Iota and
+// that catalogue: relational operators Eq and Greater (boolean arrays are
+// 0.0/1.0, as in APL), the remaining reductions, subarray selection (tile), structural
+// operations (reshape, transpose, concat), and the APL staples iota and
 // Where. Everything is defined through the WITH-loop engine, so all of it
 // is implicitly parallel and obeys the environment's optimization level.
+// Only Eq, Greater and Where have a caller outside the package
+// (examples/life); the rest stays unexported until a program needs it.
 package aplib
 
 import (
@@ -31,16 +33,6 @@ func boolVal(b bool) float64 {
 // Eq returns the element-wise a == b indicator array.
 func Eq(e *wl.Env, a, b *array.Array) *array.Array {
 	return binary(e, "Eq", a, b, func(x, y float64) float64 { return boolVal(x == y) })
-}
-
-// Less returns the element-wise a < b indicator array.
-func Less(e *wl.Env, a, b *array.Array) *array.Array {
-	return binary(e, "Less", a, b, func(x, y float64) float64 { return boolVal(x < y) })
-}
-
-// LessEq returns the element-wise a <= b indicator array.
-func LessEq(e *wl.Env, a, b *array.Array) *array.Array {
-	return binary(e, "LessEq", a, b, func(x, y float64) float64 { return boolVal(x <= y) })
 }
 
 // Greater returns the element-wise a > b indicator array.
@@ -76,21 +68,21 @@ func Where(e *wl.Env, cond, a, b *array.Array) *array.Array {
 	})
 }
 
-// Abs returns |a| element-wise.
-func Abs(e *wl.Env, a *array.Array) *array.Array {
+// abs returns |a| element-wise.
+func abs(e *wl.Env, a *array.Array) *array.Array {
 	shp := a.Shape()
 	return e.Genarray(shp, wl.Full(shp), func(iv shape.Index) float64 {
 		return math.Abs(a.At(iv))
 	})
 }
 
-// Neg returns -a element-wise.
-func Neg(e *wl.Env, a *array.Array) *array.Array { return Scale(e, -1, a) }
+// neg returns -a element-wise.
+func neg(e *wl.Env, a *array.Array) *array.Array { return Scale(e, -1, a) }
 
 // --- reductions -----------------------------------------------------------------
 
-// Product folds * over all elements (neutral element 1).
-func Product(e *wl.Env, a *array.Array) float64 {
+// product folds * over all elements (neutral element 1).
+func product(e *wl.Env, a *array.Array) float64 {
 	if fused(e) {
 		d := a.Data()
 		return e.Sched.Reduce(len(d), e.SeqThreshold, 1,
@@ -107,9 +99,9 @@ func Product(e *wl.Env, a *array.Array) float64 {
 		func(iv shape.Index) float64 { return a.At(iv) })
 }
 
-// MinVal folds min over all elements. Panics on an empty array (no finite
+// minVal folds min over all elements. Panics on an empty array (no finite
 // neutral element is universal; SAC's minval has the same restriction).
-func MinVal(e *wl.Env, a *array.Array) float64 {
+func minVal(e *wl.Env, a *array.Array) float64 {
 	if a.Size() == 0 {
 		panic("aplib: MinVal of an empty array")
 	}
@@ -118,8 +110,8 @@ func MinVal(e *wl.Env, a *array.Array) float64 {
 		func(iv shape.Index) float64 { return a.At(iv) })
 }
 
-// MaxVal folds max over all elements. Panics on an empty array.
-func MaxVal(e *wl.Env, a *array.Array) float64 {
+// maxVal folds max over all elements. Panics on an empty array.
+func maxVal(e *wl.Env, a *array.Array) float64 {
 	if a.Size() == 0 {
 		panic("aplib: MaxVal of an empty array")
 	}
@@ -128,25 +120,25 @@ func MaxVal(e *wl.Env, a *array.Array) float64 {
 		func(iv shape.Index) float64 { return a.At(iv) })
 }
 
-// All reports whether every element is non-zero (APL ∧/).
-func All(e *wl.Env, a *array.Array) bool {
+// allOf reports whether every element is non-zero (APL ∧/).
+func allOf(e *wl.Env, a *array.Array) bool {
 	shp := a.Shape()
 	v := e.Fold(shp, wl.Full(shp), math.Min, 1,
 		func(iv shape.Index) float64 { return boolVal(a.At(iv) != 0) })
 	return v != 0
 }
 
-// Any reports whether at least one element is non-zero (APL ∨/).
-func Any(e *wl.Env, a *array.Array) bool {
+// anyOf reports whether at least one element is non-zero (APL ∨/).
+func anyOf(e *wl.Env, a *array.Array) bool {
 	shp := a.Shape()
 	v := e.Fold(shp, wl.Full(shp), math.Max, 0,
 		func(iv shape.Index) float64 { return boolVal(a.At(iv) != 0) })
 	return v != 0
 }
 
-// SumAxis reduces a along one axis with +, producing an array of rank-1
+// sumAxis reduces a along one axis with +, producing an array of rank-1
 // lower (the sum over rows/columns/planes).
-func SumAxis(e *wl.Env, axis int, a *array.Array) *array.Array {
+func sumAxis(e *wl.Env, axis int, a *array.Array) *array.Array {
 	if axis < 0 || axis >= a.Dim() {
 		panic(fmt.Sprintf("aplib: SumAxis: axis %d out of range for rank %d", axis, a.Dim()))
 	}
@@ -173,9 +165,9 @@ func SumAxis(e *wl.Env, axis int, a *array.Array) *array.Array {
 
 // --- structural operations --------------------------------------------------------
 
-// Reshape reinterprets a's elements (row-major order preserved) under a
+// reshape reinterprets a's elements (row-major order preserved) under a
 // new shape of equal size.
-func Reshape(e *wl.Env, shp shape.Shape, a *array.Array) *array.Array {
+func reshape(e *wl.Env, shp shape.Shape, a *array.Array) *array.Array {
 	if shp.Size() != a.Size() {
 		panic(fmt.Sprintf("aplib: Reshape: %v (size %d) incompatible with %v (size %d)",
 			shp, shp.Size(), a.Shape(), a.Size()))
@@ -185,10 +177,10 @@ func Reshape(e *wl.Env, shp shape.Shape, a *array.Array) *array.Array {
 	return out
 }
 
-// Transpose permutes a's axes: out[iv] = a[iv permuted by perm], where
+// transpose permutes a's axes: out[iv] = a[iv permuted by perm], where
 // axis j of the result is axis perm[j] of the argument. Transpose(e, nil, a)
 // reverses the axes (the APL default).
-func Transpose(e *wl.Env, perm []int, a *array.Array) *array.Array {
+func transpose(e *wl.Env, perm []int, a *array.Array) *array.Array {
 	rank := a.Dim()
 	if perm == nil {
 		perm = make([]int, rank)
@@ -220,9 +212,9 @@ func Transpose(e *wl.Env, perm []int, a *array.Array) *array.Array {
 	})
 }
 
-// Concat concatenates a and b along the given axis. All other extents
+// concat concatenates a and b along the given axis. All other extents
 // must agree.
-func Concat(e *wl.Env, axis int, a, b *array.Array) *array.Array {
+func concat(e *wl.Env, axis int, a, b *array.Array) *array.Array {
 	if a.Dim() != b.Dim() {
 		panic(fmt.Sprintf("aplib: Concat: rank mismatch %d vs %d", a.Dim(), b.Dim()))
 	}
@@ -250,10 +242,10 @@ func Concat(e *wl.Env, axis int, a, b *array.Array) *array.Array {
 	})
 }
 
-// Tile extracts the rectangular sub-array of the given shape starting at
+// tile extracts the rectangular sub-array of the given shape starting at
 // pos — SAC's tile(shp, pos, a), the general subarray selection that Take
 // and Drop are special cases of.
-func Tile(e *wl.Env, shp shape.Shape, pos []int, a *array.Array) *array.Array {
+func tile(e *wl.Env, shp shape.Shape, pos []int, a *array.Array) *array.Array {
 	if shp.Rank() != a.Dim() || len(pos) != a.Dim() {
 		panic(fmt.Sprintf("aplib: Tile: rank mismatch shp %v pos %v a %v", shp, pos, a.Shape()))
 	}
@@ -266,8 +258,8 @@ func Tile(e *wl.Env, shp shape.Shape, pos []int, a *array.Array) *array.Array {
 	})
 }
 
-// Iota returns the rank-1 ramp [0, 1, ..., n-1] — APL's ι.
-func Iota(e *wl.Env, n int) *array.Array {
+// iota returns the rank-1 ramp [0, 1, ..., n-1] — APL's ι.
+func iota(e *wl.Env, n int) *array.Array {
 	shp := shape.Of(n)
 	return e.Genarray(shp, wl.Full(shp), func(iv shape.Index) float64 {
 		return float64(iv[0])

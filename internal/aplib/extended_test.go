@@ -17,12 +17,6 @@ func TestRelationalOperators(t *testing.T) {
 	if got := Eq(e, a, b); !got.Equal(array.FromSlice(shape.Of(4), []float64{0, 1, 0, 0})) {
 		t.Fatalf("Eq = %v", got)
 	}
-	if got := Less(e, a, b); !got.Equal(array.FromSlice(shape.Of(4), []float64{1, 0, 0, 0})) {
-		t.Fatalf("Less = %v", got)
-	}
-	if got := LessEq(e, a, b); !got.Equal(array.FromSlice(shape.Of(4), []float64{1, 1, 0, 0})) {
-		t.Fatalf("LessEq = %v", got)
-	}
 	if got := Greater(e, a, b); !got.Equal(array.FromSlice(shape.Of(4), []float64{0, 0, 1, 1})) {
 		t.Fatalf("Greater = %v", got)
 	}
@@ -53,10 +47,10 @@ func TestWhereShapeMismatchPanics(t *testing.T) {
 func TestAbsNeg(t *testing.T) {
 	e := wl.Default()
 	a := array.FromSlice(shape.Of(3), []float64{-1, 0, 2})
-	if got := Abs(e, a); !got.Equal(array.FromSlice(shape.Of(3), []float64{1, 0, 2})) {
+	if got := abs(e, a); !got.Equal(array.FromSlice(shape.Of(3), []float64{1, 0, 2})) {
 		t.Fatalf("Abs = %v", got)
 	}
-	if got := Neg(e, a); !got.Equal(array.FromSlice(shape.Of(3), []float64{1, 0, -2})) {
+	if got := neg(e, a); !got.Equal(array.FromSlice(shape.Of(3), []float64{1, 0, -2})) {
 		t.Fatalf("Neg = %v", got)
 	}
 }
@@ -64,12 +58,12 @@ func TestAbsNeg(t *testing.T) {
 func TestProduct(t *testing.T) {
 	for _, e := range testEnvs() {
 		a := array.FromSlice(shape.Of(4), []float64{1, 2, 3, 4})
-		if got := Product(e, a); got != 24 {
+		if got := product(e, a); got != 24 {
 			t.Fatalf("env %v: Product = %v", e.Opt, got)
 		}
 	}
 	// Empty array: the neutral element.
-	if got := Product(wl.Default(), array.New(shape.Of(0))); got != 1 {
+	if got := product(wl.Default(), array.New(shape.Of(0))); got != 1 {
 		t.Fatalf("Product of empty = %v", got)
 	}
 }
@@ -77,10 +71,10 @@ func TestProduct(t *testing.T) {
 func TestMinMaxVal(t *testing.T) {
 	e := wl.Default()
 	a := array.FromSlice(shape.Of(2, 3), []float64{3, -1, 4, 1, -5, 9})
-	if got := MinVal(e, a); got != -5 {
+	if got := minVal(e, a); got != -5 {
 		t.Fatalf("MinVal = %v", got)
 	}
-	if got := MaxVal(e, a); got != 9 {
+	if got := maxVal(e, a); got != 9 {
 		t.Fatalf("MaxVal = %v", got)
 	}
 	defer func() {
@@ -88,7 +82,7 @@ func TestMinMaxVal(t *testing.T) {
 			t.Error("MinVal of empty did not panic")
 		}
 	}()
-	MinVal(e, array.New(shape.Of(0)))
+	minVal(e, array.New(shape.Of(0)))
 }
 
 func TestAllAny(t *testing.T) {
@@ -96,10 +90,10 @@ func TestAllAny(t *testing.T) {
 	ones := array.NewFilled(shape.Of(3), 1)
 	mixed := array.FromSlice(shape.Of(3), []float64{1, 0, 1})
 	zeros := array.New(shape.Of(3))
-	if !All(e, ones) || All(e, mixed) || All(e, zeros) {
+	if !allOf(e, ones) || allOf(e, mixed) || allOf(e, zeros) {
 		t.Fatal("All wrong")
 	}
-	if !Any(e, ones) || !Any(e, mixed) || Any(e, zeros) {
+	if !anyOf(e, ones) || !anyOf(e, mixed) || anyOf(e, zeros) {
 		t.Fatal("Any wrong")
 	}
 }
@@ -107,11 +101,11 @@ func TestAllAny(t *testing.T) {
 func TestSumAxis(t *testing.T) {
 	e := wl.Default()
 	a := array.FromSlice(shape.Of(2, 3), []float64{1, 2, 3, 4, 5, 6})
-	rows := SumAxis(e, 1, a) // sum each row
+	rows := sumAxis(e, 1, a) // sum each row
 	if !rows.Equal(array.FromSlice(shape.Of(2), []float64{6, 15})) {
 		t.Fatalf("SumAxis(1) = %v", rows)
 	}
-	cols := SumAxis(e, 0, a) // sum each column
+	cols := sumAxis(e, 0, a) // sum each column
 	if !cols.Equal(array.FromSlice(shape.Of(3), []float64{5, 7, 9})) {
 		t.Fatalf("SumAxis(0) = %v", cols)
 	}
@@ -120,7 +114,7 @@ func TestSumAxis(t *testing.T) {
 			t.Error("SumAxis with bad axis did not panic")
 		}
 	}()
-	SumAxis(e, 2, a)
+	sumAxis(e, 2, a)
 }
 
 // Property: SumAxis composed over all axes equals the scalar Sum.
@@ -132,8 +126,8 @@ func TestSumAxisTotalsQuick(t *testing.T) {
 			data[i] = float64(v)
 		}
 		a := array.FromSlice(shape.Of(3, 4), data)
-		byRows := SumAxis(e, 0, a)
-		total := SumAxis(e, 0, byRows)
+		byRows := sumAxis(e, 0, a)
+		total := sumAxis(e, 0, byRows)
 		return math.Abs(total.At(shape.Index{})-Sum(e, a)) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -144,11 +138,11 @@ func TestSumAxisTotalsQuick(t *testing.T) {
 func TestReshape(t *testing.T) {
 	e := wl.Default()
 	a := array.FromSlice(shape.Of(2, 3), []float64{1, 2, 3, 4, 5, 6})
-	r := Reshape(e, shape.Of(3, 2), a)
+	r := reshape(e, shape.Of(3, 2), a)
 	if r.At(shape.Index{0, 1}) != 2 || r.At(shape.Index{2, 1}) != 6 {
 		t.Fatalf("Reshape order wrong: %v", r)
 	}
-	flat := Reshape(e, shape.Of(6), a)
+	flat := reshape(e, shape.Of(6), a)
 	if flat.Dim() != 1 || flat.At(shape.Index{4}) != 5 {
 		t.Fatal("Reshape to rank 1 wrong")
 	}
@@ -157,13 +151,13 @@ func TestReshape(t *testing.T) {
 			t.Error("size-changing Reshape did not panic")
 		}
 	}()
-	Reshape(e, shape.Of(5), a)
+	reshape(e, shape.Of(5), a)
 }
 
 func TestTranspose(t *testing.T) {
 	e := wl.Default()
 	a := array.FromSlice(shape.Of(2, 3), []float64{1, 2, 3, 4, 5, 6})
-	tr := Transpose(e, nil, a)
+	tr := transpose(e, nil, a)
 	if !tr.Shape().Equal(shape.Of(3, 2)) {
 		t.Fatalf("Transpose shape = %v", tr.Shape())
 	}
@@ -175,7 +169,7 @@ func TestTranspose(t *testing.T) {
 		}
 	}
 	// Identity permutation.
-	id := Transpose(e, []int{0, 1}, a)
+	id := transpose(e, []int{0, 1}, a)
 	if !id.Equal(a) {
 		t.Fatal("identity Transpose changed the array")
 	}
@@ -184,7 +178,7 @@ func TestTranspose(t *testing.T) {
 	for i := range b.Data() {
 		b.Data()[i] = float64(i)
 	}
-	cyc := Transpose(e, []int{1, 2, 0}, b)
+	cyc := transpose(e, []int{1, 2, 0}, b)
 	if !cyc.Shape().Equal(shape.Of(3, 4, 2)) {
 		t.Fatalf("cyclic Transpose shape = %v", cyc.Shape())
 	}
@@ -203,7 +197,7 @@ func TestTransposeBadPermPanics(t *testing.T) {
 					t.Errorf("Transpose(%v) did not panic", perm)
 				}
 			}()
-			Transpose(e, perm, a)
+			transpose(e, perm, a)
 		}()
 	}
 }
@@ -217,7 +211,7 @@ func TestTransposeInvolutionQuick(t *testing.T) {
 			data[i] = float64(v)
 		}
 		a := array.FromSlice(shape.Of(2, 3), data)
-		return Transpose(e, nil, Transpose(e, nil, a)).Equal(a)
+		return transpose(e, nil, transpose(e, nil, a)).Equal(a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -228,12 +222,12 @@ func TestConcat(t *testing.T) {
 	e := wl.Default()
 	a := array.FromSlice(shape.Of(2, 2), []float64{1, 2, 3, 4})
 	b := array.FromSlice(shape.Of(1, 2), []float64{5, 6})
-	v := Concat(e, 0, a, b)
+	v := concat(e, 0, a, b)
 	if !v.Equal(array.FromSlice(shape.Of(3, 2), []float64{1, 2, 3, 4, 5, 6})) {
 		t.Fatalf("Concat axis 0 = %v", v)
 	}
 	c := array.FromSlice(shape.Of(2, 1), []float64{9, 8})
-	h := Concat(e, 1, a, c)
+	h := concat(e, 1, a, c)
 	if !h.Equal(array.FromSlice(shape.Of(2, 3), []float64{1, 2, 9, 3, 4, 8})) {
 		t.Fatalf("Concat axis 1 = %v", h)
 	}
@@ -243,9 +237,9 @@ func TestConcatPanics(t *testing.T) {
 	e := wl.Default()
 	a := array.New(shape.Of(2, 2))
 	for name, f := range map[string]func(){
-		"rank":     func() { Concat(e, 0, a, array.New(shape.Of(2))) },
-		"axis":     func() { Concat(e, 5, a, a) },
-		"mismatch": func() { Concat(e, 0, a, array.New(shape.Of(2, 3))) },
+		"rank":     func() { concat(e, 0, a, array.New(shape.Of(2))) },
+		"axis":     func() { concat(e, 5, a, a) },
+		"mismatch": func() { concat(e, 0, a, array.New(shape.Of(2, 3))) },
 	} {
 		func() {
 			defer func() {
@@ -265,21 +259,21 @@ func TestTileGeneralizesTakeDropQuick(t *testing.T) {
 		a := ramp3(5, 6, 7)
 		pos := []int{int(posRaw[0] % 3), int(posRaw[1] % 3), int(posRaw[2] % 3)}
 		size := shape.Of(2, 3, 4)
-		tile := Tile(e, size, pos, a)
+		win := tile(e, size, pos, a)
 		// Tile(shp, 0, a) == Take(shp, a)
-		if !Tile(e, size, []int{0, 0, 0}, a).Equal(Take(e, size, a)) {
+		if !tile(e, size, []int{0, 0, 0}, a).Equal(Take(e, size, a)) {
 			return false
 		}
 		// Tile(shape-pos, pos, a) == Drop(pos, a)
 		rest := shape.Shape(shape.Sub([]int(a.Shape()), pos))
-		if !Tile(e, rest, pos, a).Equal(Drop(e, pos, a)) {
+		if !tile(e, rest, pos, a).Equal(Drop(e, pos, a)) {
 			return false
 		}
 		// Window contents.
 		for i := 0; i < 2; i++ {
 			for j := 0; j < 3; j++ {
 				for k := 0; k < 4; k++ {
-					if tile.At3(i, j, k) != a.At3(i+pos[0], j+pos[1], k+pos[2]) {
+					if win.At3(i, j, k) != a.At3(i+pos[0], j+pos[1], k+pos[2]) {
 						return false
 					}
 				}
@@ -300,15 +294,15 @@ func TestTilePanics(t *testing.T) {
 			t.Error("out-of-range Tile did not panic")
 		}
 	}()
-	Tile(e, shape.Of(3, 3, 3), []int{2, 2, 2}, a)
+	tile(e, shape.Of(3, 3, 3), []int{2, 2, 2}, a)
 }
 
 func TestIota(t *testing.T) {
 	e := wl.Default()
-	if got := Iota(e, 5); !got.Equal(array.FromSlice(shape.Of(5), []float64{0, 1, 2, 3, 4})) {
+	if got := iota(e, 5); !got.Equal(array.FromSlice(shape.Of(5), []float64{0, 1, 2, 3, 4})) {
 		t.Fatalf("Iota = %v", got)
 	}
-	if got := Iota(e, 0); got.Size() != 0 {
+	if got := iota(e, 0); got.Size() != 0 {
 		t.Fatalf("Iota(0) size = %d", got.Size())
 	}
 }

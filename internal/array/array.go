@@ -148,14 +148,6 @@ func (a *Array) Clone() *Array {
 	return c
 }
 
-// CopyFrom copies the contents of src into a. The shapes must be equal.
-func (a *Array) CopyFrom(src *Array) {
-	if !a.shp.Equal(src.shp) {
-		panic(fmt.Sprintf("array: CopyFrom: shape mismatch %v vs %v", a.shp, src.shp))
-	}
-	copy(a.data, src.data)
-}
-
 // Equal reports exact (bitwise on the float64 values) equality of shape and
 // contents. NaNs compare unequal, like ==.
 func (a *Array) Equal(b *Array) bool {

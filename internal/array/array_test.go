@@ -160,21 +160,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestCopyFrom(t *testing.T) {
-	a := New(shape.Of(2, 2))
-	b := NewFilled(shape.Of(2, 2), 3)
-	a.CopyFrom(b)
-	if !a.Equal(b) {
-		t.Fatal("CopyFrom failed")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("CopyFrom with shape mismatch did not panic")
-		}
-	}()
-	a.CopyFrom(New(shape.Of(3)))
-}
-
 func TestEqual(t *testing.T) {
 	a := FromSlice(shape.Of(2, 2), []float64{1, 2, 3, 4})
 	b := FromSlice(shape.Of(2, 2), []float64{1, 2, 3, 4})

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/shape"
 )
@@ -17,6 +18,13 @@ const ioMagic uint32 = 0x53414301
 // maxIORank bounds the rank accepted when reading, guarding against
 // corrupted headers.
 const maxIORank = 16
+
+// maxIOElems bounds the element count accepted when reading: the data's
+// byte size must fit an int.
+const maxIOElems = math.MaxInt / 8
+
+// ioChunk is how many elements ReadArray reads, and allocates, at a time.
+const ioChunk = 1 << 16
 
 // WriteTo serializes the array to w: magic, rank, extents and the
 // row-major element data, all little-endian. It returns the number of
@@ -64,20 +72,30 @@ func ReadArray(r io.Reader) (*Array, error) {
 		return nil, fmt.Errorf("array: implausible rank %d", rank)
 	}
 	shp := make(shape.Shape, rank)
+	size := uint64(1)
 	for i := range shp {
 		var e uint64
 		if err := binary.Read(r, binary.LittleEndian, &e); err != nil {
 			return nil, fmt.Errorf("array: read extent: %w", err)
 		}
-		const maxExtent = 1 << 32
-		if e > maxExtent {
-			return nil, fmt.Errorf("array: implausible extent %d", e)
+		if e > maxIOElems || e != 0 && size > maxIOElems/e {
+			return nil, fmt.Errorf("array: implausible size: %d elements times extent %d overflows", size, e)
 		}
+		size *= e
 		shp[i] = int(e)
 	}
-	a := New(shp)
-	if err := binary.Read(r, binary.LittleEndian, a.Data()); err != nil {
-		return nil, fmt.Errorf("array: read data: %w", err)
+	// Read in chunks, so a header that claims more data than the stream
+	// carries fails at the stream's end instead of allocating the claim.
+	data := make([]float64, 0, min(size, ioChunk))
+	for uint64(len(data)) < size {
+		n := int(min(size-uint64(len(data)), ioChunk))
+		data = append(data, make([]float64, n)...)
+		if err := binary.Read(r, binary.LittleEndian, data[len(data)-n:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("array: read data: %w", err)
+		}
 	}
-	return a, nil
+	return Wrap(shp, data), nil
 }

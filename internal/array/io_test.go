@@ -2,7 +2,11 @@ package array
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -67,16 +71,46 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestReadRejectsImplausibleHeader(t *testing.T) {
-	// A header claiming rank 1000.
+// header serializes the magic, rank and extents of an array, then the
+// given data bytes.
+func header(data []byte, extents ...uint64) []byte {
 	var buf bytes.Buffer
-	a := Scalar(1)
-	a.WriteTo(&buf)
-	data := buf.Bytes()
-	data[4] = 0xFF
-	data[5] = 0xFF
-	if _, err := ReadArray(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "rank") {
-		t.Fatalf("implausible rank accepted: %v", err)
+	binary.Write(&buf, binary.LittleEndian, ioMagic)
+	binary.Write(&buf, binary.LittleEndian, uint32(len(extents)))
+	binary.Write(&buf, binary.LittleEndian, extents)
+	return append(buf.Bytes(), data...)
+}
+
+func TestReadRejectsImplausibleHeader(t *testing.T) {
+	eight := make([]byte, 8)
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"rank 65535", header(nil, make([]uint64, 0xFFFF)...), "rank"},
+		// 2^60 elements: 2^63 bytes do not fit an int.
+		{"2^20 cubed", header(eight[:4], 1<<20, 1<<20, 1<<20), "size"},
+		// 2^64 elements: the product wraps to 0.
+		{"65536^4", header(eight[:4], 1<<16, 1<<16, 1<<16, 1<<16), "size"},
+		// No elements, but an extent beyond any int.
+		{"0 × 2^63", header(nil, 0, 1<<63), "implausible"},
+		// 8 GiB claimed, 8 bytes carried.
+		{"truncated 8 GiB", header(eight, 1<<10, 1<<10, 1<<10), io.ErrUnexpectedEOF.Error()},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		a, err := ReadArray(bytes.NewReader(c.data))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: ReadArray = %v, %v; want an error naming %q", c.name, a, err, c.want)
+		}
+		if c.want == io.ErrUnexpectedEOF.Error() && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: error %v does not wrap io.ErrUnexpectedEOF", c.name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+			t.Errorf("%s: allocated %d bytes reading %d", c.name, got, len(c.data))
+		}
 	}
 }
 

@@ -44,12 +44,12 @@ type PlaneSpan struct {
 	Frame bool
 }
 
-// Empty reports whether the span contains no planes.
-func (s PlaneSpan) Empty() bool { return s.Hi < s.Lo }
+// empty reports whether the span contains no planes.
+func (s PlaneSpan) empty() bool { return s.Hi < s.Lo }
 
 // Count returns the number of planes in the span.
 func (s PlaneSpan) Count() int {
-	if s.Empty() {
+	if s.empty() {
 		return 0
 	}
 	return s.Hi - s.Lo + 1

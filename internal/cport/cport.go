@@ -21,8 +21,8 @@
 // an algorithmic one). EXPERIMENTS.md reports the measured counterpart.
 //
 // Parallelism follows the OpenMP model: explicit directives on every
-// parallelizable loop nest. NumDirectives counts the parallel regions of
-// the port — the paper reports "a total of 30 manually introduced
+// parallelizable loop nest. The directives table lists the parallel
+// regions of the port — the paper reports "a total of 30 manually introduced
 // compilation directives" for the original.
 package cport
 
@@ -52,12 +52,6 @@ var directives = []string{
 	"mg3P:parallel-region", "resid:parallel-region", "psinv:parallel-region",
 	"rprj3:parallel-region", "interp:parallel-region", "main:parallel-region",
 }
-
-// NumDirectives is the number of OpenMP-style annotations in the port.
-func NumDirectives() int { return len(directives) }
-
-// Directives returns the annotation inventory (for documentation tools).
-func Directives() []string { return append([]string(nil), directives...) }
 
 var _ nas.Benchmark = (*Solver)(nil)
 
@@ -120,9 +114,6 @@ func NewParallel(class nas.Class, pool *sched.Pool) *Solver {
 	s.v = array.New(class.ExtShape(lt))
 	return s
 }
-
-// Levels returns the number of grid levels.
-func (s *Solver) Levels() int { return s.lt }
 
 // U returns the finest-level solution grid.
 func (s *Solver) U() *array.Array { return s.u[s.lt] }

@@ -61,16 +61,15 @@ func TestParallelBitIdentical(t *testing.T) {
 }
 
 func TestDirectiveInventory(t *testing.T) {
-	if NumDirectives() != 30 {
-		t.Fatalf("NumDirectives = %d, want 30 (the paper's count)", NumDirectives())
+	if len(directives) != 30 {
+		t.Fatalf("%d directives, want 30 (the paper's count)", len(directives))
 	}
-	ds := Directives()
-	if len(ds) != 30 {
-		t.Fatalf("Directives() length %d", len(ds))
-	}
-	ds[0] = "mutated"
-	if Directives()[0] == "mutated" {
-		t.Fatal("Directives() exposes internal state")
+	seen := map[string]bool{}
+	for _, d := range directives {
+		if seen[d] {
+			t.Errorf("directive %q listed twice", d)
+		}
+		seen[d] = true
 	}
 }
 
@@ -104,7 +103,7 @@ func TestProbe(t *testing.T) {
 	s.Reset()
 	s.EvalResid()
 	s.MG3P()
-	lt := s.Levels()
+	lt := s.lt
 	want := 1 + (lt - 1) + lt + (lt - 1) + (lt - 1) // resid+residups, psinvs, rprj3s, interps
 	if total != want {
 		t.Fatalf("probe count = %d, want %d", total, want)

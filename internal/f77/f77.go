@@ -126,17 +126,8 @@ func NewParallel(class nas.Class, pool *sched.Pool, mode Mode) *Solver {
 	return s
 }
 
-// Levels returns the number of grid levels (log2 of the interior extent).
-func (s *Solver) Levels() int { return s.lt }
-
 // U returns the solution grid at the finest level (extended form).
 func (s *Solver) U() *array.Array { return s.u[s.lt] }
-
-// V returns the right-hand side at the finest level (extended form).
-func (s *Solver) V() *array.Array { return s.v }
-
-// R returns the residual grid at the finest level (extended form).
-func (s *Solver) R() *array.Array { return s.r[s.lt] }
 
 // Reset restores the benchmark's initial state: u = 0 everywhere and
 // v = zran3 charges (deterministic).

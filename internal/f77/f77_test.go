@@ -121,7 +121,7 @@ func TestResidWithZeroU(t *testing.T) {
 	for i3 := 1; i3 <= n; i3 += 7 {
 		for i2 := 1; i2 <= n; i2 += 7 {
 			for i1 := 1; i1 <= n; i1 += 7 {
-				if s.R().At3(i3, i2, i1) != s.V().At3(i3, i2, i1) {
+				if s.r[s.lt].At3(i3, i2, i1) != s.v.At3(i3, i2, i1) {
 					t.Fatalf("r != v at (%d,%d,%d) with u=0", i3, i2, i1)
 				}
 			}
@@ -273,14 +273,14 @@ func TestProbeCoverage(t *testing.T) {
 	counts := map[string]int{}
 	s.Probe = func(region string, level int, _ time.Duration) {
 		counts[region]++
-		if level < 1 || level > s.Levels() {
+		if level < 1 || level > s.lt {
 			t.Errorf("probe level %d out of range", level)
 		}
 	}
 	s.Reset()
 	s.EvalResid()
 	s.MG3P()
-	lt := s.Levels()
+	lt := s.lt
 	want := map[string]int{
 		"rprj3":  lt - 1,
 		"psinv":  lt,

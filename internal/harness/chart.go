@@ -17,10 +17,10 @@ const chartHeight = 16
 // implMark maps each implementation to its curve marker.
 var implMark = map[string]byte{"F77": 'F', "SAC": 'S', "C/OpenMP": 'O'}
 
-// RenderSpeedupChart draws the given speedup series (all of one class) as
+// renderSpeedupChart draws the given speedup series (all of one class) as
 // an ASCII line chart: x = processors, y = speedup. Markers: F = F77,
 // S = SAC, O = C/OpenMP; '*' marks coinciding points.
-func RenderSpeedupChart(w io.Writer, title string, series []SpeedupSeries) {
+func renderSpeedupChart(w io.Writer, title string, series []SpeedupSeries) {
 	if len(series) == 0 {
 		return
 	}
@@ -75,9 +75,9 @@ func RenderSpeedupChart(w io.Writer, title string, series []SpeedupSeries) {
 	fmt.Fprintf(w, "%6s %s  (processors)\n\n", "", axis.String())
 }
 
-// Mops converts a measured benchmark time to the NPB reporting metric
+// mops converts a measured benchmark time to the NPB reporting metric
 // (millions of operations per second, using the class's official
 // operation count).
-func Mops(class nas.Class, seconds float64) float64 {
+func mops(class nas.Class, seconds float64) float64 {
 	return class.FlopCount() / seconds / 1e6
 }

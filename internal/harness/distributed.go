@@ -53,14 +53,14 @@ type DistRank struct {
 	Result *mgmpi.RankReport
 }
 
-// RunDistributed launches cfg.Ranks mgrank processes on localhost —
+// runDistributed launches cfg.Ranks mgrank processes on localhost —
 // rank 0 on an ephemeral rendezvous port, the rest joining the address
 // it prints — waits for all of them, and returns the per-rank
 // outcomes. It errors only on launch-level failures (missing binary,
 // no rendezvous address, watchdog expiry); a rank failing its solve is
 // reported in its DistRank, which is the point of the fault-injection
 // tests.
-func RunDistributed(cfg DistConfig) ([]DistRank, error) {
+func runDistributed(cfg DistConfig) ([]DistRank, error) {
 	if cfg.Ranks < 1 {
 		return nil, fmt.Errorf("harness: distributed run needs at least 1 rank, got %d", cfg.Ranks)
 	}
@@ -189,7 +189,7 @@ func RunDistributed(cfg DistConfig) ([]DistRank, error) {
 	return results, nil
 }
 
-// CheckDistributed asserts the acceptance bar of a healthy distributed
+// checkDistributed asserts the acceptance bar of a healthy distributed
 // run against the in-process channel-transport solve of the same class,
 // rank count, overlap and threads: every rank exited 0 with a parsed
 // report and passed NPB verification, every rank's rnm2 is
@@ -197,8 +197,8 @@ func RunDistributed(cfg DistConfig) ([]DistRank, error) {
 // payload totals equal the channel world's — same algorithm, same
 // decomposition. It returns the per-rank results and the channel
 // solve's report, whose Stats are the whole world's totals.
-func CheckDistributed(cfg DistConfig) ([]DistRank, mgmpi.RankReport, error) {
-	results, err := RunDistributed(cfg)
+func checkDistributed(cfg DistConfig) ([]DistRank, mgmpi.RankReport, error) {
+	results, err := runDistributed(cfg)
 	if err != nil {
 		return nil, mgmpi.RankReport{}, err
 	}
@@ -245,7 +245,7 @@ func RunFigDist(w io.Writer, binary string, classes []nas.Class, ranks int, over
 	fmt.Fprintf(w, "Distributed transport comparison — %d ranks, channel (in-process) vs TCP (multi-process)%s\n", ranks, mode)
 	fmt.Fprintf(w, "%-8s %-9s %-9s %12s %14s %14s %12s\n", "class", "transport", "kernels", "messages", "payload", "wire", "rnm2")
 	for _, class := range classes {
-		results, ch, err := CheckDistributed(DistConfig{Binary: binary, Class: class, Ranks: ranks, Overlap: overlap})
+		results, ch, err := checkDistributed(DistConfig{Binary: binary, Class: class, Ranks: ranks, Overlap: overlap})
 		if err != nil {
 			return fmt.Errorf("class %c: %w", class.Name, err)
 		}
@@ -279,7 +279,7 @@ func RunFigDist(w io.Writer, binary string, classes []nas.Class, ranks int, over
 //
 // — and enforces the acceptance gates: the solve stays bit-identical to
 // the channel transport with tracing enabled and ships its message and
-// payload totals (CheckDistributed), every send event pairs
+// payload totals (checkDistributed), every send event pairs
 // with exactly one recv (matched count == total transport sends), every
 // rank's traced blocked time equals its transport ExchangeNanos to the
 // nanosecond, and the aligned Perfetto trace validates.
@@ -303,7 +303,7 @@ func RunFigComm(w io.Writer, binary string, class nas.Class, ranks int, overlap 
 	}
 	fmt.Fprintf(w, "Distributed observability (FW-3c) — class %c, %d TCP ranks, tracing enabled, %s\n",
 		class.Name, ranks, mode)
-	results, _, err := CheckDistributed(DistConfig{
+	results, _, err := checkDistributed(DistConfig{
 		Binary: binary, Class: class, Ranks: ranks, Overlap: overlap,
 		ExtraArgs: func(rank int) []string { return []string{"-trace", tracePath(rank)} },
 	})

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -29,12 +30,33 @@ func buildMgrank(t *testing.T) string {
 	return bin
 }
 
+// noLeak takes the goroutine count now and requires it back within 5 s
+// when the test ends: every launched process waited for, every pipe
+// reader and in-process reference rank returned.
+func noLeak(t *testing.T) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(5 * time.Second)
+		n := runtime.NumGoroutine()
+		for n > base && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+			n = runtime.NumGoroutine()
+		}
+		if n > base {
+			buf := make([]byte, 1<<16)
+			t.Errorf("%d goroutines left, %d at the start:\n%s", n, base, buf[:runtime.Stack(buf, true)])
+		}
+	})
+}
+
 // TestRunDistributed is the distributed smoke test: a 4-rank class-S
 // solve across real processes over TCP must pass NPB verification on
 // every rank with rnm2 bit-identical to the in-process channel world.
 func TestRunDistributed(t *testing.T) {
 	bin := buildMgrank(t)
-	results, _, err := CheckDistributed(DistConfig{
+	noLeak(t)
+	results, _, err := checkDistributed(DistConfig{
 		Binary: bin,
 		Class:  nas.ClassS,
 		Ranks:  4,
@@ -75,6 +97,7 @@ func TestRunDistributed(t *testing.T) {
 // on the real (not synthetic) trace.
 func TestRunFigComm(t *testing.T) {
 	bin := buildMgrank(t)
+	noLeak(t)
 	dir := t.TempDir()
 	rep, err := RunFigComm(io.Discard, bin, nas.ClassS, 4, false, dir)
 	if err != nil {
@@ -154,6 +177,7 @@ func TestRunFigComm(t *testing.T) {
 // hold, and the report's overlap efficiency must stay well-formed.
 func TestRunFigCommOverlap(t *testing.T) {
 	bin := buildMgrank(t)
+	noLeak(t)
 	dir := t.TempDir()
 	rep, err := RunFigComm(io.Discard, bin, nas.ClassS, 4, true, dir)
 	if err != nil {
@@ -179,10 +203,11 @@ func TestRunFigCommOverlap(t *testing.T) {
 // the dead rank, within the configured deadline — never a hang.
 func TestDistributedDeadRank(t *testing.T) {
 	bin := buildMgrank(t)
+	noLeak(t)
 	const victim = 2
 	timeout := 5 * time.Second
 	start := time.Now()
-	results, err := RunDistributed(DistConfig{
+	results, err := runDistributed(DistConfig{
 		Binary:  bin,
 		Class:   nas.ClassS,
 		Ranks:   4,

@@ -117,8 +117,8 @@ func RunFig11(w io.Writer, classes []nas.Class, repeats int) []Fig11Row {
 		fmt.Fprintf(w, "%-28s %11.3fs %11.3fs %11.3fs\n", class.String(),
 			row.Seconds["F77"], row.Seconds["SAC"], row.Seconds["C/OpenMP"])
 		fmt.Fprintf(w, "%-28s %10.1fM %10.1fM %10.1fM   (Mop/s, NPB metric)\n", "  throughput",
-			Mops(class, row.Seconds["F77"]), Mops(class, row.Seconds["SAC"]),
-			Mops(class, row.Seconds["C/OpenMP"]))
+			mops(class, row.Seconds["F77"]), mops(class, row.Seconds["SAC"]),
+			mops(class, row.Seconds["C/OpenMP"]))
 		fmt.Fprintf(w, "%-28s %12s %11.2fx %11.2fx   (verified: %v %v %v)\n", "  relative to F77", "1.00x",
 			row.Seconds["SAC"]/row.Seconds["F77"], row.Seconds["C/OpenMP"]/row.Seconds["F77"],
 			row.Verified["F77"], row.Verified["SAC"], row.Verified["C/OpenMP"])
@@ -186,7 +186,7 @@ func RunFig12(w io.Writer, classes []nas.Class, m smp.Machine) []SpeedupSeries {
 				group = append(group, s)
 			}
 		}
-		RenderSpeedupChart(w, fmt.Sprintf("Figure 12, class %c", class.Name), group)
+		renderSpeedupChart(w, fmt.Sprintf("Figure 12, class %c", class.Name), group)
 	}
 	return series
 }
@@ -241,7 +241,7 @@ func RunFig13(w io.Writer, series []SpeedupSeries, m smp.Machine) []SpeedupSerie
 				group = append(group, s)
 			}
 		}
-		RenderSpeedupChart(w, fmt.Sprintf("Figure 13, class %c", name), group)
+		renderSpeedupChart(w, fmt.Sprintf("Figure 13, class %c", name), group)
 	}
 	return out
 }

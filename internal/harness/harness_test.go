@@ -180,7 +180,7 @@ func TestRenderSpeedupChart(t *testing.T) {
 		{Impl: "SAC", Speedups: []float64{1, 1.8, 2.5, 3.2}},
 		{Impl: "C/OpenMP", Speedups: []float64{1, 1.9, 2.8, 3.7}},
 	}
-	RenderSpeedupChart(&buf, "test chart", series)
+	renderSpeedupChart(&buf, "test chart", series)
 	out := buf.String()
 	for _, frag := range []string{"test chart", "F", "S", "O", "processors"} {
 		if !strings.Contains(out, frag) {
@@ -189,7 +189,7 @@ func TestRenderSpeedupChart(t *testing.T) {
 	}
 	// Empty input draws nothing.
 	var empty bytes.Buffer
-	RenderSpeedupChart(&empty, "none", nil)
+	renderSpeedupChart(&empty, "none", nil)
 	if empty.Len() != 0 {
 		t.Error("empty series produced output")
 	}
@@ -197,7 +197,7 @@ func TestRenderSpeedupChart(t *testing.T) {
 
 func TestMops(t *testing.T) {
 	// Class S: 58 * 32^3 * 4 flops; at 1 second that is ~7.6 Mop/s.
-	got := Mops(nas.ClassS, 1.0)
+	got := mops(nas.ClassS, 1.0)
 	want := 58.0 * 32 * 32 * 32 * 4 / 1e6
 	if got != want {
 		t.Fatalf("Mops = %v, want %v", got, want)

@@ -103,14 +103,14 @@ func (v Verdict) String() string {
 	}
 }
 
-// Verdicts lists every verdict, in declaration order (the Prometheus
+// verdicts lists every verdict, in declaration order (the Prometheus
 // state metric emits one series per entry).
-func Verdicts() []Verdict {
+func verdicts() []Verdict {
 	return []Verdict{Unknown, Healthy, Converged, Stalled, Diverging, NonFinite}
 }
 
-// OK reports whether the verdict describes an acceptable solve.
-func (v Verdict) OK() bool { return v == Unknown || v == Healthy || v == Converged }
+// ok reports whether the verdict describes an acceptable solve.
+func (v Verdict) ok() bool { return v == Unknown || v == Healthy || v == Converged }
 
 // The monitor's thresholds, calibrated on the verified NPB classes (see
 // the package comment and the per-iteration ratio table in DESIGN.md
@@ -162,9 +162,6 @@ type Monitor struct {
 
 // New creates a monitor.
 func New() *Monitor { return &Monitor{} }
-
-// Enabled reports whether the monitor is live (false for nil).
-func (m *Monitor) Enabled() bool { return m != nil }
 
 // SampleStride returns the NaN/Inf guard stride (0 when disabled, which
 // callers must treat as "do not sample").
@@ -355,9 +352,9 @@ type Report struct {
 
 // OK reports whether the report's verdict is acceptable.
 func (r Report) OK() bool {
-	for _, v := range Verdicts() {
+	for _, v := range verdicts() {
 		if v.String() == r.Verdict {
-			return v.OK()
+			return v.ok()
 		}
 	}
 	return false
@@ -387,15 +384,15 @@ func (m *Monitor) Report(snap metrics.Snapshot) Report {
 		r.ConvergenceRate = math.Exp(m.logSum / float64(m.ratios))
 	}
 	m.mu.Unlock()
-	r.WorkerImbalance = Imbalance(snap.Workers)
+	r.WorkerImbalance = imbalance(snap.Workers)
 	r.Workers = workerLoads(snap.Workers)
 	return r
 }
 
-// Imbalance derives the max/mean busy-time ratio from the collector's
+// imbalance derives the max/mean busy-time ratio from the collector's
 // per-worker statistics: 1.0 is perfectly balanced, W is one worker doing
 // everything, 0 means no data.
-func Imbalance(workers []metrics.WorkerStat) float64 {
+func imbalance(workers []metrics.WorkerStat) float64 {
 	var sum, maxBusy float64
 	for _, w := range workers {
 		b := float64(w.BusyNanos)
@@ -464,7 +461,7 @@ func (r Report) WriteText(w io.Writer) {
 // verdict, value 1 for the active one.
 func (r Report) WritePrometheus(w io.Writer) {
 	p := metrics.NewPromWriter(w)
-	for _, v := range Verdicts() {
+	for _, v := range verdicts() {
 		active := 0.0
 		if v.String() == r.Verdict {
 			active = 1

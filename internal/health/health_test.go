@@ -182,7 +182,7 @@ func TestImbalanceFromSnapshot(t *testing.T) {
 	if math.Abs(r.Workers[0].Share-0.75) > 1e-12 {
 		t.Fatalf("worker 0 share = %g, want 0.75", r.Workers[0].Share)
 	}
-	if Imbalance(nil) != 0 {
+	if imbalance(nil) != 0 {
 		t.Fatal("Imbalance(nil) != 0")
 	}
 }
@@ -196,9 +196,6 @@ func TestNilMonitorSafe(t *testing.T) {
 	m.ObserveResidual(5, 1, 1, 1)
 	m.ObserveFinal(1, 1)
 	m.ObserveNonFinite("x", 0)
-	if m.Enabled() {
-		t.Fatal("nil monitor claims enabled")
-	}
 	if m.SampleStride() != 0 {
 		t.Fatal("nil monitor has a sample stride")
 	}
@@ -239,7 +236,7 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestVerdictStrings(t *testing.T) {
 	want := []string{"unknown", "healthy", "converged", "stalled", "diverging", "non-finite"}
-	got := Verdicts()
+	got := verdicts()
 	if len(got) != len(want) {
 		t.Fatalf("Verdicts() has %d entries, want %d", len(got), len(want))
 	}
@@ -248,10 +245,10 @@ func TestVerdictStrings(t *testing.T) {
 			t.Fatalf("verdict %d = %s, want %s", i, v, want[i])
 		}
 	}
-	if !Healthy.OK() || !Converged.OK() || !Unknown.OK() {
+	if !Healthy.ok() || !Converged.ok() || !Unknown.ok() {
 		t.Fatal("good verdicts not OK")
 	}
-	if Stalled.OK() || Diverging.OK() || NonFinite.OK() {
+	if Stalled.ok() || Diverging.ok() || NonFinite.ok() {
 		t.Fatal("bad verdicts OK")
 	}
 }

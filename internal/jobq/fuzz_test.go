@@ -82,7 +82,7 @@ func FuzzSolveRequest(f *testing.F) {
 		if id := req.ID(); len(id) != 16 {
 			t.Fatalf("ID %q is not 16 hex digits", id)
 		}
-		if req.ID() != again.ID() || req.Key() != again.Key() {
+		if req.ID() != again.ID() || req.key() != again.key() {
 			t.Fatal("content address not stable under re-normalization")
 		}
 		// The canonical request survives a JSON round trip with the same
@@ -96,7 +96,7 @@ func FuzzSolveRequest(f *testing.F) {
 			t.Fatalf("canonical request %s rejected on re-parse: %v", blob, err)
 		}
 		if round.ID() != req.ID() {
-			t.Fatalf("round trip changed identity: %s vs %s", round.Key(), req.Key())
+			t.Fatalf("round trip changed identity: %s vs %s", round.key(), req.key())
 		}
 	})
 }

@@ -170,10 +170,10 @@ func (r Request) Normalize() (Request, error) {
 	return r, nil
 }
 
-// Key is the canonical identity string of the job's problem — the axes
+// key is the canonical identity string of the job's problem — the axes
 // the paper's harness sweeps, (class, seed, impl, iterations, variant) —
 // excluding transport options. Call on a normalized request.
-func (r Request) Key() string {
+func (r Request) key() string {
 	return fmt.Sprintf("class=%s seed=%d impl=%s iters=%d variant=%s",
 		r.Class, r.Seed, r.Impl, r.Iters, r.Variant)
 }
@@ -182,7 +182,7 @@ func (r Request) Key() string {
 // SHA-256 of the canonical key. Identical problems collide by design —
 // that is the dedup and cache identity.
 func (r Request) ID() string {
-	sum := sha256.Sum256([]byte(r.Key()))
+	sum := sha256.Sum256([]byte(r.key()))
 	return hex.EncodeToString(sum[:8])
 }
 

@@ -54,20 +54,19 @@ func (s Stats) String() string {
 }
 
 // Pool is a size-classed free list of float64 buffers. The zero value is
-// not usable; call New. A nil *Pool behaves like a disabled pool (every Get
-// allocates, every Put is dropped), so callers can thread an optional pool
-// without nil checks.
+// not usable; call New. A nil *Pool behaves like a disabled pool (every
+// request allocates, every Put is dropped), so callers can thread an
+// optional pool without nil checks.
 //
 // A Pool is safe for concurrent use. A process-global pool shared by many
 // concurrent solves (see Shared) hands each solve a Scope: a view whose
 // buffers come from and return to the shared free lists but whose Stats
 // count only that solve's traffic — per-job accounting over one arena.
 type Pool struct {
-	mu         sync.Mutex
-	free       map[int][]slot
-	stats      Stats
-	enabled    bool
-	maxPerSize int
+	mu      sync.Mutex
+	free    map[int][]slot
+	stats   Stats
+	enabled bool
 	// paranoid tracks live buffers to detect release-discipline bugs
 	// (double Put, Put of a foreign buffer) — the errors a real
 	// reference-counting runtime must never make. Keys are the address of
@@ -95,7 +94,7 @@ func (p *Pool) arena() *Pool {
 	return p
 }
 
-// Scope returns a per-job view of the pool: Get and Put operate on the
+// Scope returns a per-job view of the pool: GetDirty and Put operate on the
 // parent's free lists (and count in the parent's Stats as usual), but the
 // scope's own Stats count only the traffic that went through this view.
 // Scopes are cheap; create one per job. Scope of a scope shares the same
@@ -119,24 +118,20 @@ func Shared() *Pool {
 	return sharedPool
 }
 
-// DefaultMaxPerSize bounds the number of retained buffers per size class.
+// maxPerSize bounds the number of retained buffers per size class.
 // MG needs at most a handful of same-size temporaries alive at once.
-const DefaultMaxPerSize = 8
+const maxPerSize = 8
 
 // New creates a pool. If enabled is false the pool degenerates to plain
 // allocation but still counts events, which keeps the ablation code paths
 // identical.
 func New(enabled bool) *Pool {
-	return &Pool{
-		free:       make(map[int][]slot),
-		enabled:    enabled,
-		maxPerSize: DefaultMaxPerSize,
-	}
+	return &Pool{free: make(map[int][]slot), enabled: enabled}
 }
 
 // SetParanoid enables (or disables) release-discipline checking: every
-// buffer handed out by Get is tracked, and Put panics when given a buffer
-// that is not currently live — a double release or a foreign buffer.
+// buffer handed out is tracked, and Put panics when given a buffer that
+// is not currently live — a double release or a foreign buffer.
 // SAC's reference-counting correctness argument corresponds exactly to
 // this discipline; the MG solvers run their test suites with it on.
 func (p *Pool) SetParanoid(on bool) {
@@ -148,32 +143,6 @@ func (p *Pool) SetParanoid(on bool) {
 	} else {
 		a.paranoid = nil
 	}
-}
-
-// SetMaxPerSize changes the per-size-class retention bound.
-func (p *Pool) SetMaxPerSize(n int) {
-	a := p.arena()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.maxPerSize = n
-}
-
-// Enabled reports whether the pool actually recycles buffers.
-func (p *Pool) Enabled() bool {
-	if p == nil {
-		return false
-	}
-	a := p.arena()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.enabled
-}
-
-// Get returns a zeroed buffer of exactly n float64s.
-func (p *Pool) Get(n int) []float64 {
-	buf := p.GetDirty(n)
-	clear(buf)
-	return buf
 }
 
 // GetDirty returns a buffer of exactly n float64s with unspecified contents.
@@ -272,7 +241,7 @@ func (p *Pool) put(s slot) {
 		p.stats.Puts++
 	}
 	n := len(s.buf)
-	if !a.enabled || len(a.free[n]) >= a.maxPerSize {
+	if !a.enabled || len(a.free[n]) >= maxPerSize {
 		a.stats.Discards++
 		if p != a {
 			p.stats.Discards++
@@ -324,20 +293,4 @@ func (p *Pool) Live() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return len(a.paranoid)
-}
-
-// Retained returns the number of buffers currently held on free lists,
-// summed over all size classes.
-func (p *Pool) Retained() int {
-	if p == nil {
-		return 0
-	}
-	a := p.arena()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	total := 0
-	for _, list := range a.free {
-		total += len(list)
-	}
-	return total
 }

@@ -6,16 +6,31 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/array"
 	"repro/internal/shape"
 )
 
+// retained counts the buffers held on the arena's free lists.
+func retained(p *Pool) int {
+	if p == nil {
+		return 0
+	}
+	a := p.arena()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	n := 0
+	for _, list := range a.free {
+		n += len(list)
+	}
+	return n
+}
+
 func TestGetZeroed(t *testing.T) {
 	p := New(true)
-	buf := p.Get(8)
-	buf[3] = 42
-	p.Put(buf)
-	buf2 := p.Get(8)
-	for i, v := range buf2 {
+	a := p.NewArray(shape.Of(8))
+	a.Data()[3] = 42
+	p.Release(a)
+	for i, v := range p.NewArray(shape.Of(8)).Data() {
 		if v != 0 {
 			t.Fatalf("reused buffer not zeroed at %d: %g", i, v)
 		}
@@ -61,14 +76,14 @@ func TestDisabledPoolAlwaysAllocates(t *testing.T) {
 	if st.Allocs != 2 || st.Reuses != 0 || st.Discards != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if p.Enabled() {
-		t.Fatal("Enabled() = true for disabled pool")
+	if retained(p) != 0 {
+		t.Fatal("disabled pool retained a buffer")
 	}
 }
 
 func TestNilPoolSafe(t *testing.T) {
 	var p *Pool
-	buf := p.Get(4)
+	buf := p.GetDirty(4)
 	if len(buf) != 4 {
 		t.Fatalf("nil pool Get len = %d", len(buf))
 	}
@@ -76,10 +91,7 @@ func TestNilPoolSafe(t *testing.T) {
 	if p.Stats() != (Stats{}) {
 		t.Fatal("nil pool stats not zero")
 	}
-	if p.Enabled() {
-		t.Fatal("nil pool reports enabled")
-	}
-	if p.Retained() != 0 {
+	if retained(p) != 0 {
 		t.Fatal("nil pool retains buffers")
 	}
 	p.Reset() // must not panic
@@ -87,13 +99,15 @@ func TestNilPoolSafe(t *testing.T) {
 
 func TestMaxPerSizeBound(t *testing.T) {
 	p := New(true)
-	p.SetMaxPerSize(2)
-	bufs := [][]float64{p.GetDirty(4), p.GetDirty(4), p.GetDirty(4)}
+	var bufs [][]float64
+	for range maxPerSize + 1 {
+		bufs = append(bufs, p.GetDirty(4))
+	}
 	for _, b := range bufs {
 		p.Put(b)
 	}
-	if p.Retained() != 2 {
-		t.Fatalf("Retained = %d, want 2", p.Retained())
+	if n := retained(p); n != maxPerSize {
+		t.Fatalf("retained %d buffers, want %d", n, maxPerSize)
 	}
 	if p.Stats().Discards != 1 {
 		t.Fatalf("Discards = %d, want 1", p.Stats().Discards)
@@ -104,7 +118,7 @@ func TestPutEmptyNoop(t *testing.T) {
 	p := New(true)
 	p.Put(nil)
 	p.Put([]float64{})
-	if p.Stats().Puts != 0 || p.Retained() != 0 {
+	if p.Stats().Puts != 0 || retained(p) != 0 {
 		t.Fatal("empty Put was recorded")
 	}
 }
@@ -113,11 +127,11 @@ func TestReset(t *testing.T) {
 	p := New(true)
 	p.Put(p.GetDirty(8))
 	p.Reset()
-	if p.Retained() != 0 || p.Stats() != (Stats{}) {
+	if retained(p) != 0 || p.Stats() != (Stats{}) {
 		t.Fatal("Reset did not clear state")
 	}
 	// Pool still usable after Reset.
-	if len(p.Get(8)) != 8 {
+	if len(p.GetDirty(8)) != 8 {
 		t.Fatal("pool unusable after Reset")
 	}
 }
@@ -149,7 +163,7 @@ func TestConcurrentUse(t *testing.T) {
 		go func(size int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				b := p.Get(size)
+				b := p.GetDirty(size)
 				b[0] = float64(i)
 				p.Put(b)
 			}
@@ -162,27 +176,27 @@ func TestConcurrentUse(t *testing.T) {
 	}
 }
 
-// Property: a Get after a Put of size n always yields a zeroed buffer of
-// exactly n elements, for arbitrary interleavings of sizes.
+// Property: a NewArray after a Release of size n always yields a zeroed
+// array of exactly n elements, for arbitrary interleavings of sizes.
 func TestGetAfterPutQuick(t *testing.T) {
 	f := func(sizes [12]uint8) bool {
 		p := New(true)
-		var held [][]float64
+		var held []*array.Array
 		for _, s := range sizes {
 			n := int(s%32) + 1
-			b := p.Get(n)
-			if len(b) != n {
+			a := p.NewArray(shape.Of(n))
+			if len(a.Data()) != n {
 				return false
 			}
-			for _, v := range b {
+			for _, v := range a.Data() {
 				if v != 0 {
 					return false
 				}
 			}
-			b[0] = 1 // dirty it
-			held = append(held, b)
+			a.Data()[0] = 1 // dirty it
+			held = append(held, a)
 			if len(held) > 3 {
-				p.Put(held[0])
+				p.Release(held[0])
 				held = held[1:]
 			}
 		}
@@ -349,8 +363,8 @@ func TestScopeOfScopeSharesRoot(t *testing.T) {
 	s := arena.Scope().Scope()
 	buf := s.GetDirty(8)
 	s.Put(buf)
-	if arena.Retained() != 1 {
-		t.Fatalf("arena retained %d buffers, want 1", arena.Retained())
+	if retained(arena) != 1 {
+		t.Fatalf("arena retained %d buffers, want 1", retained(arena))
 	}
 }
 
@@ -364,7 +378,7 @@ func TestScopeResetLeavesArena(t *testing.T) {
 	if st := s.Stats(); st != (Stats{}) {
 		t.Fatalf("scope stats after Reset = %v", st)
 	}
-	if arena.Retained() != 1 {
+	if retained(arena) != 1 {
 		t.Fatal("scope Reset dropped the arena's free list")
 	}
 }
@@ -426,7 +440,7 @@ func TestSharedSingleton(t *testing.T) {
 	if Shared() != Shared() {
 		t.Fatal("Shared returned two arenas")
 	}
-	if !Shared().Enabled() {
+	if !Shared().enabled {
 		t.Fatal("shared arena is not recycling")
 	}
 }

@@ -196,17 +196,17 @@ type KernelStat struct {
 // Seconds returns the accumulated wall time.
 func (k KernelStat) Seconds() float64 { return float64(k.Nanos) / 1e9 }
 
-// GFLOPS derives the effective arithmetic rate from a per-point flop cost.
-func (k KernelStat) GFLOPS(flopsPerPoint float64) float64 {
+// gflops derives the effective arithmetic rate from a per-point flop cost.
+func (k KernelStat) gflops(flopsPerPoint float64) float64 {
 	if k.Nanos == 0 {
 		return 0
 	}
 	return float64(k.Points) * flopsPerPoint / float64(k.Nanos)
 }
 
-// GBPerSec derives the effective memory bandwidth from a per-point byte
+// gbPerSec derives the effective memory bandwidth from a per-point byte
 // cost (unique traffic: each stream counted once, not per stencil read).
-func (k KernelStat) GBPerSec(bytesPerPoint float64) float64 {
+func (k KernelStat) gbPerSec(bytesPerPoint float64) float64 {
 	if k.Nanos == 0 {
 		return 0
 	}
@@ -287,11 +287,6 @@ type Cost struct {
 // "no model": the row gets no derived throughput columns.
 type CostModel func(kernel, variant string) Cost
 
-// CostMap adapts a variant-blind per-kernel cost table to a CostModel.
-func CostMap(m map[string]Cost) CostModel {
-	return func(kernel, _ string) Cost { return m[kernel] }
-}
-
 // TotalKernel is the pseudo-kernel name under which whole-solve spans are
 // recorded (core.Benchmark.Solve); Coverage measures every other kernel
 // against it.
@@ -327,7 +322,7 @@ func (s Snapshot) WriteReport(w io.Writer, costs CostModel) {
 		line := fmt.Sprintf("%-18s %6d %9s %8d %14d %12.3f", k.Kernel, k.Level,
 			k.Variant, k.Invocations, k.Points, k.Seconds()*1e3)
 		if cost := costs(k.Kernel, k.Variant); cost != (Cost{}) {
-			line += fmt.Sprintf(" %9.2f %8.2f", k.GFLOPS(cost.Flops), k.GBPerSec(cost.Bytes))
+			line += fmt.Sprintf(" %9.2f %8.2f", k.gflops(cost.Flops), k.gbPerSec(cost.Bytes))
 		}
 		fmt.Fprintln(w, line)
 	}

@@ -61,14 +61,14 @@ func TestRecordConcurrent(t *testing.T) {
 
 func TestDerivedRates(t *testing.T) {
 	k := KernelStat{Points: 1e9, Nanos: 1e9} // 1 Gpoint in 1 s
-	if got := k.GFLOPS(24); got != 24 {
+	if got := k.gflops(24); got != 24 {
 		t.Fatalf("GFLOPS = %v, want 24", got)
 	}
-	if got := k.GBPerSec(24); got != 24 {
+	if got := k.gbPerSec(24); got != 24 {
 		t.Fatalf("GB/s = %v, want 24", got)
 	}
 	var zero KernelStat
-	if zero.GFLOPS(24) != 0 || zero.GBPerSec(24) != 0 {
+	if zero.gflops(24) != 0 || zero.gbPerSec(24) != 0 {
 		t.Fatal("zero-time stats must not divide by zero")
 	}
 }
@@ -126,7 +126,7 @@ func TestResetAndWriteReport(t *testing.T) {
 	c.Record(0, "subRelax", 5, 100, time.Millisecond)
 	c.Record(0, TotalKernel, 5, 100, 2*time.Millisecond)
 	var buf bytes.Buffer
-	c.Snapshot().WriteReport(&buf, CostMap(map[string]Cost{"subRelax": {Flops: 24, Bytes: 24}}))
+	c.Snapshot().WriteReport(&buf, costMap(map[string]Cost{"subRelax": {Flops: 24, Bytes: 24}}))
 	out := buf.String()
 	for _, want := range []string{"subRelax", "kernel coverage", "GFLOP/s"} {
 		if !strings.Contains(out, want) {
@@ -278,4 +278,9 @@ func TestCoverageAcrossWorkersAndLevels(t *testing.T) {
 	if !ok || frac < 0.799 || frac > 0.801 {
 		t.Fatalf("coverage after second solve = %v ok=%v, want 0.8", frac, ok)
 	}
+}
+
+// costMap adapts a variant-blind per-kernel cost table to a CostModel.
+func costMap(m map[string]Cost) CostModel {
+	return func(kernel, _ string) Cost { return m[kernel] }
 }

@@ -137,13 +137,13 @@ func (s Snapshot) WritePrometheus(w io.Writer, costs CostModel) {
 		for _, k := range s.Kernels {
 			if cost := costs(k.Kernel, k.Variant); cost != (Cost{}) {
 				p.Gauge("mg_kernel_gflops", "Effective GFLOP/s per (kernel, grid level), from the per-point work model.",
-					k.GFLOPS(cost.Flops), "kernel", k.Kernel, "level", strconv.Itoa(k.Level))
+					k.gflops(cost.Flops), "kernel", k.Kernel, "level", strconv.Itoa(k.Level))
 			}
 		}
 		for _, k := range s.Kernels {
 			if cost := costs(k.Kernel, k.Variant); cost != (Cost{}) {
 				p.Gauge("mg_kernel_gb_per_second", "Effective memory bandwidth per (kernel, grid level).",
-					k.GBPerSec(cost.Bytes), "kernel", k.Kernel, "level", strconv.Itoa(k.Level))
+					k.gbPerSec(cost.Bytes), "kernel", k.Kernel, "level", strconv.Itoa(k.Level))
 			}
 		}
 	}

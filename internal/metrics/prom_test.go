@@ -25,7 +25,7 @@ func promSnapshot() Snapshot {
 
 func TestPrometheusRoundTrip(t *testing.T) {
 	snap := promSnapshot()
-	costs := CostMap(map[string]Cost{"subRelax": {Flops: 24, Bytes: 24}})
+	costs := costMap(map[string]Cost{"subRelax": {Flops: 24, Bytes: 24}})
 	var buf bytes.Buffer
 	snap.WritePrometheus(&buf, costs)
 

@@ -175,17 +175,6 @@ func (t *Tracer) Events() int {
 	return t.core.n
 }
 
-// Flush drains the buffer and returns the first error seen. Flush after
-// Close reports the sealed verdict without touching the writer.
-func (t *Tracer) Flush() error {
-	if t == nil {
-		return nil
-	}
-	t.core.mu.Lock()
-	defer t.core.mu.Unlock()
-	return t.core.flushLocked()
-}
-
 func (c *tracerCore) flushLocked() error {
 	if c.closed {
 		return c.err
@@ -194,16 +183,6 @@ func (c *tracerCore) flushLocked() error {
 		c.err = err
 	}
 	return c.err
-}
-
-// Err returns the sticky error, if any.
-func (t *Tracer) Err() error {
-	if t == nil {
-		return nil
-	}
-	t.core.mu.Lock()
-	defer t.core.mu.Unlock()
-	return t.core.err
 }
 
 // Close flushes and seals the stream; it does not close the underlying

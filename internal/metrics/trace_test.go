@@ -46,9 +46,6 @@ func TestTracerCloseIdempotent(t *testing.T) {
 	if tr.Events() != n {
 		t.Errorf("Emit after Close counted: %d -> %d", n, tr.Events())
 	}
-	if err := tr.Flush(); err != nil {
-		t.Errorf("Flush after Close: %v", err)
-	}
 	if sb.String() != flushed {
 		t.Errorf("output grew after Close:\nbefore %q\nafter  %q", flushed, sb.String())
 	}
@@ -69,15 +66,9 @@ func TestTracerCloseOnErrorPath(t *testing.T) {
 	if err2 := tr.Close(); !errors.Is(err2, errSink) {
 		t.Errorf("second Close = %v, want the sealed %v", err2, errSink)
 	}
-	if err2 := tr.Flush(); !errors.Is(err2, errSink) {
-		t.Errorf("Flush after failed Close = %v, want the sealed %v", err2, errSink)
-	}
 	if w.fails != failsAfterFirstClose {
 		t.Errorf("sealed tracer re-touched the writer: %d -> %d failed writes",
 			failsAfterFirstClose, w.fails)
-	}
-	if got := tr.Err(); !errors.Is(got, errSink) {
-		t.Errorf("Err = %v, want %v", got, errSink)
 	}
 	// Emit after a failed Close stays silent.
 	tr.Emit(Event{Ev: "iter", Iter: 2})
@@ -91,7 +82,8 @@ func TestNilTracerCloseAndFlush(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Errorf("nil Close: %v", err)
 	}
-	if err := tr.Flush(); err != nil {
-		t.Errorf("nil Flush: %v", err)
+	tr.Emit(Event{Ev: "iter", Iter: 1})
+	if n := tr.Events(); n != 0 {
+		t.Errorf("nil tracer counted %d events", n)
 	}
 }

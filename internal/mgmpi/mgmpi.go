@@ -184,15 +184,6 @@ func (s *Solver) Stats() mpi.Stats {
 	return s.world.TotalStats()
 }
 
-// RankStats returns the accumulated per-rank communication counters (a
-// single entry — this process's rank — in transport mode).
-func (s *Solver) RankStats() []mpi.Stats {
-	if s.world == nil {
-		return []mpi.Stats{s.transport.Stats()}
-	}
-	return s.world.Stats()
-}
-
 // RankReport is one rank's outcome of a solve — cmd/mgrank's -json
 // object, which the harness decodes: the verdict plus this rank's
 // mpi.Stats, with the per-(peer, tag) rows and the blocked-time /

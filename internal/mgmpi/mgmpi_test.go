@@ -153,7 +153,7 @@ func TestCommunicationStructure(t *testing.T) {
 			t.Errorf("class %c procs %v: %d messages, the closed form says %d (%d per V-cycle)",
 				c.class.Name, c.procs, got, want, perCycle)
 		}
-		per := s.RankStats()
+		per := s.world.Stats()
 		for r := 1; r < ranks; r++ {
 			if per[0].Messages != per[r].Messages+2*(R-1)-1 {
 				t.Errorf("class %c procs %v: rank 0 sent %d messages, rank %d %d: the V-cycle traffic is not symmetric",
@@ -390,7 +390,7 @@ func TestCommEventsMatchStats(t *testing.T) {
 			recvs[pairKey{e.Peer, e.Rank, e.Tag, e.Seq}]++
 		}
 	}
-	for rank, st := range s.RankStats() {
+	for rank, st := range s.world.Stats() {
 		if sendsByRank[rank] != st.Messages {
 			t.Errorf("rank %d: %d send events != %d messages sent", rank, sendsByRank[rank], st.Messages)
 		}

@@ -208,7 +208,7 @@ func TestOverlapCommVolumeMatches(t *testing.T) {
 	}
 	// Blocked time still decomposes exactly onto the per-peer rows:
 	// overlap moves it into the Waits, it must not leak out of the stats.
-	for rank, st := range over.RankStats() {
+	for rank, st := range over.world.Stats() {
 		if st.BlockedNanos() != st.ExchangeNanos {
 			t.Errorf("rank %d: per-peer blocked %d != ExchangeNanos %d",
 				rank, st.BlockedNanos(), st.ExchangeNanos)
@@ -272,7 +272,7 @@ func TestOverlapTracedPairing(t *testing.T) {
 			recvs[pairKey{e.Peer, e.Rank, e.Tag, e.Seq}]++
 		}
 	}
-	for rank, st := range s.RankStats() {
+	for rank, st := range s.world.Stats() {
 		if sendsByRank[rank] != st.Messages {
 			t.Errorf("rank %d: %d send events != %d messages sent", rank, sendsByRank[rank], st.Messages)
 		}

@@ -145,11 +145,11 @@ func (r *CommRecorder) SnapshotInto(s *Stats) {
 	s.BlockedHist, s.QueueDepthHist = r.blocked, r.depth
 }
 
-// MergePeers folds another rank's rows into s by (peer, tag) — used by
+// mergePeers folds another rank's rows into s by (peer, tag) — used by
 // TotalStats and report code that aggregates a world. The result
 // describes volume per (peer, tag) across all ranks; the Peer field then
 // names the remote end as seen by each contributing rank.
-func (s *Stats) MergePeers(rows []PeerStat) {
+func (s *Stats) mergePeers(rows []PeerStat) {
 	for _, p := range rows {
 		i := sort.Search(len(s.Peers), func(i int) bool {
 			if s.Peers[i].Peer != p.Peer {

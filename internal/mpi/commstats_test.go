@@ -98,8 +98,8 @@ func TestPeerStatsChannelWorld(t *testing.T) {
 
 func TestMergePeers(t *testing.T) {
 	var s Stats
-	s.MergePeers([]PeerStat{{Peer: 1, Tag: 2, SentMsgs: 1}, {Peer: 0, Tag: 5, RecvMsgs: 2}})
-	s.MergePeers([]PeerStat{{Peer: 1, Tag: 2, SentMsgs: 3, SendBlockedNanos: 10}, {Peer: 1, Tag: 1, SentMsgs: 1}})
+	s.mergePeers([]PeerStat{{Peer: 1, Tag: 2, SentMsgs: 1}, {Peer: 0, Tag: 5, RecvMsgs: 2}})
+	s.mergePeers([]PeerStat{{Peer: 1, Tag: 2, SentMsgs: 3, SendBlockedNanos: 10}, {Peer: 1, Tag: 1, SentMsgs: 1}})
 	want := []PeerStat{
 		{Peer: 0, Tag: 5, RecvMsgs: 2},
 		{Peer: 1, Tag: 1, SentMsgs: 1},

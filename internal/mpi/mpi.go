@@ -119,9 +119,6 @@ func NewWorld(size int) *World {
 	return w
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
-
 // Stats returns a snapshot of every rank's traffic counters, including
 // the per-(peer, tag) rows and histograms. Call after Run has returned.
 func (w *World) Stats() []Stats {
@@ -133,7 +130,7 @@ func (w *World) Stats() []Stats {
 }
 
 // TotalStats sums the per-rank counters and merges the histograms; the
-// per-peer rows are folded with MergePeers, so the totals describe
+// per-peer rows are folded with mergePeers, so the totals describe
 // world-wide volume per (peer, tag).
 func (w *World) TotalStats() Stats {
 	var t Stats
@@ -142,7 +139,7 @@ func (w *World) TotalStats() Stats {
 		t.Bytes += s.Bytes
 		t.WireBytes += s.WireBytes
 		t.ExchangeNanos += s.ExchangeNanos
-		t.MergePeers(s.Peers)
+		t.mergePeers(s.Peers)
 		t.BlockedHist.Merge(&s.BlockedHist)
 		t.QueueDepthHist.Merge(&s.QueueDepthHist)
 	}

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -164,7 +165,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 	var before, after atomic.Int32
 	w.Run(func(c *Comm) {
 		before.Add(1)
-		c.Barrier()
+		c.barrier()
 		// Everyone must have incremented before anyone proceeds.
 		if before.Load() != 4 {
 			t.Errorf("rank %d passed the barrier with before = %d", c.Rank(), before.Load())
@@ -180,7 +181,7 @@ func TestBarrierReusable(t *testing.T) {
 	w := NewWorld(3)
 	w.Run(func(c *Comm) {
 		for i := 0; i < 10; i++ {
-			c.Barrier()
+			c.barrier()
 		}
 	})
 }
@@ -209,9 +210,9 @@ func TestAllReduceSumDeterministic(t *testing.T) {
 func TestAllReduceMax(t *testing.T) {
 	w := NewWorld(4)
 	w.Run(func(c *Comm) {
-		got := c.AllReduceMax(2, float64(-c.Rank()))
+		got := c.allReduce(2, float64(-c.Rank()), math.Max)
 		if got != 0 {
-			t.Errorf("AllReduceMax = %v, want 0", got)
+			t.Errorf("allReduce(max) = %v, want 0", got)
 		}
 	})
 }
@@ -245,7 +246,8 @@ func TestSendRecvExchange(t *testing.T) {
 	w.Run(func(c *Comm) {
 		right := (c.Rank() + 1) % c.Size()
 		left := (c.Rank() - 1 + c.Size()) % c.Size()
-		got := c.SendRecv(right, left, 9, []float64{float64(c.Rank())})
+		c.Send(right, 9, []float64{float64(c.Rank())})
+		got := c.Recv(left, 9)
 		if got[0] != float64(left) {
 			t.Errorf("rank %d received %v, want %d", c.Rank(), got[0], left)
 		}
@@ -270,7 +272,7 @@ func TestPanicPropagation(t *testing.T) {
 		// Other ranks block in a barrier; the aborting rank must release
 		// them rather than deadlocking the test.
 		defer func() { recover() }() // they get a "barrier broken" panic
-		c.Barrier()
+		c.barrier()
 	})
 }
 
@@ -324,7 +326,7 @@ func BenchmarkBarrier4(b *testing.B) {
 	b.ResetTimer()
 	w.Run(func(c *Comm) {
 		for i := 0; i < b.N; i++ {
-			c.Barrier()
+			c.barrier()
 		}
 	})
 }
@@ -347,8 +349,8 @@ func BenchmarkHaloExchange(b *testing.B) {
 }
 
 func TestWorldSize(t *testing.T) {
-	if NewWorld(7).Size() != 7 {
-		t.Fatal("World.Size wrong")
+	if NewWorld(7).size != 7 {
+		t.Fatal("World size wrong")
 	}
 }
 
@@ -476,11 +478,11 @@ func TestMessageBarrierFallback(t *testing.T) {
 		// Strip the native barrier by re-wrapping the raw transport.
 		cc := NewComm(noBarrier{c.Transport()})
 		before.Add(1)
-		cc.Barrier()
+		cc.barrier()
 		if before.Load() != 3 {
 			t.Errorf("rank %d passed the message barrier with before = %d", c.Rank(), before.Load())
 		}
-		cc.Barrier() // reusable
+		cc.barrier() // reusable
 	})
 }
 

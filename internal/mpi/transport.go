@@ -169,9 +169,6 @@ func (p *Pending) Wait() []float64 {
 	return data
 }
 
-// Request returns the underlying transport request (for Test/WaitAll).
-func (p *Pending) Request() Request { return p.req }
-
 // Isend posts a nonblocking send; the returned Pending's Wait panics on
 // transport failure like Comm.Send does.
 func (c *Comm) Isend(dst, tag int, data []float64) *Pending {
@@ -184,18 +181,10 @@ func (c *Comm) Irecv(src, tag int) *Pending {
 	return &Pending{req: c.t.Irecv(src, tag), rank: c.t.Rank(), peer: src, tag: tag, recv: true}
 }
 
-// SendRecv exchanges buffers with two (possibly equal) partners: sends
-// sendData to dst and receives from src, in an order that cannot
-// deadlock for buffered transports.
-func (c *Comm) SendRecv(dst, src, tag int, sendData []float64) []float64 {
-	c.Send(dst, tag, sendData)
-	return c.Recv(src, tag)
-}
-
-// Barrier blocks until every rank has reached it. Transports with a
+// barrier blocks until every rank has reached it. Transports with a
 // native barrier use it; otherwise the barrier is a gather-to-zero plus
 // broadcast over a reserved tag.
-func (c *Comm) Barrier() {
+func (c *Comm) barrier() {
 	if b, ok := c.t.(barrierTransport); ok {
 		if err := b.Barrier(); err != nil {
 			panic(fmt.Sprintf("mpi: rank %d: Barrier: %v", c.t.Rank(), err))
@@ -205,10 +194,10 @@ func (c *Comm) Barrier() {
 	c.AllReduceSum(tagInternal, 0)
 }
 
-// AllReduce combines one value from every rank with op, applied in
+// allReduce combines one value from every rank with op, applied in
 // ascending rank order (deterministic), and returns the result on every
 // rank. The reduction is implemented as gather-to-zero plus broadcast.
-func (c *Comm) AllReduce(tag int, x float64, op func(a, b float64) float64) float64 {
+func (c *Comm) allReduce(tag int, x float64, op func(a, b float64) float64) float64 {
 	if c.Size() == 1 {
 		return x
 	}
@@ -229,17 +218,7 @@ func (c *Comm) AllReduce(tag int, x float64, op func(a, b float64) float64) floa
 
 // AllReduceSum is AllReduce with addition.
 func (c *Comm) AllReduceSum(tag int, x float64) float64 {
-	return c.AllReduce(tag, x, func(a, b float64) float64 { return a + b })
-}
-
-// AllReduceMax is AllReduce with max.
-func (c *Comm) AllReduceMax(tag int, x float64) float64 {
-	return c.AllReduce(tag, x, func(a, b float64) float64 {
-		if b > a {
-			return b
-		}
-		return a
-	})
+	return c.allReduce(tag, x, func(a, b float64) float64 { return a + b })
 }
 
 // Broadcast distributes root's buffer to every rank and returns it (the

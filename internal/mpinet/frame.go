@@ -109,11 +109,6 @@ func buildFrame(buf []float64, src, tag int, data []float64) []float64 {
 	return buf
 }
 
-// encodeFrame marshals one message into a fresh wire frame.
-func encodeFrame(src int, tag int, data []float64) []byte {
-	return frameBytes(buildFrame(make([]float64, frameWords(len(data))), src, tag, data))
-}
-
 // frameHeader is the decoded fixed-size prefix of a frame.
 type frameHeader struct {
 	magic uint32
@@ -131,17 +126,13 @@ func decodeHeader(b []byte) frameHeader {
 	}
 }
 
-// readFrame reads and validates one frame sent by rank `from`: framing
+// recvFrame reads and validates one frame sent by rank `from`: framing
 // (magic), provenance (the source field must name the connection's peer), a
 // plausible length — checked before the payload buffer is taken — and the
 // checksum. The payload is read straight into a buffer from free (nil: a
 // fresh one), the checksum into the value after it. hdr is headerLen bytes
 // of scratch. Whatever the bytes, the outcome is a payload or a typed error
 // (*FrameError, *ChecksumError).
-func readFrame(r io.Reader, hdr []byte, from int) (frameHeader, []float64, error) {
-	return recvFrame(r, hdr, from, nil)
-}
-
 func recvFrame(r io.Reader, hdr []byte, from int, free *mempool.Pool) (frameHeader, []float64, error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return frameHeader{}, nil, &FrameError{Peer: from, Reason: "torn frame header", Err: err}

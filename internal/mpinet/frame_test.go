@@ -5,9 +5,20 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"io"
 	"math"
 	"testing"
 )
+
+// encodeFrame marshals one message into a fresh wire frame.
+func encodeFrame(src int, tag int, data []float64) []byte {
+	return frameBytes(buildFrame(make([]float64, frameWords(len(data))), src, tag, data))
+}
+
+// readFrame is recvFrame with a fresh payload buffer.
+func readFrame(r io.Reader, hdr []byte, from int) (frameHeader, []float64, error) {
+	return recvFrame(r, hdr, from, nil)
+}
 
 // goldenFrame is rank 3's message with tag 7 carrying {1.5, −0.0}, as it has
 // travelled since protocol version 1: any change to these bytes is a wire

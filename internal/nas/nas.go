@@ -53,12 +53,12 @@ var (
 	ClassC = Class{Name: 'C', N: 512, Iter: 20, verify: 0.5706732285740e-6, published: true}
 )
 
-// Classes lists all supported classes in size order.
-func Classes() []Class { return []Class{ClassS, ClassW, ClassA, ClassB, ClassC} }
+// classes lists all supported classes in size order.
+func classes() []Class { return []Class{ClassS, ClassW, ClassA, ClassB, ClassC} }
 
 // ClassByName resolves a one-letter class name.
 func ClassByName(name string) (Class, error) {
-	for _, c := range Classes() {
+	for _, c := range classes() {
 		if len(name) == 1 && name[0] == c.Name {
 			return c, nil
 		}

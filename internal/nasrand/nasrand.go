@@ -39,21 +39,8 @@ type Rand struct {
 // composition can legitimately pass through any state the caller computed.
 func New(seed uint64) *Rand { return &Rand{x: seed & modMask} }
 
-// Default returns a stream with the NPB default seed.
-func Default() *Rand { return New(DefaultSeed) }
-
 // State returns the current 46-bit state x_k.
 func (r *Rand) State() uint64 { return r.x }
-
-// SetState replaces the state (modulo 2^46).
-func (r *Rand) SetState(x uint64) { r.x = x & modMask }
-
-// Next advances the stream once and returns the new value scaled to (0,1)
-// — NPB's randlc(x, a) with the default multiplier.
-func (r *Rand) Next() float64 {
-	r.x = (r.x * Mult) & modMask
-	return float64(r.x) * scale
-}
 
 // NextWith advances the stream once using the multiplier a mod 2^46 —
 // the general randlc(x, a). NPB uses this to jump streams by precomputed
@@ -72,12 +59,6 @@ func (r *Rand) Fill(dst []float64) {
 		dst[i] = float64(x) * scale
 	}
 	r.x = x
-}
-
-// Skip advances the stream by n steps in O(log n) using
-// x ← x · a^n mod 2^46. It matches n calls of Next exactly.
-func (r *Rand) Skip(n uint64) {
-	r.x = (r.x * PowMod(Mult, n)) & modMask
 }
 
 // PowMod computes a^n mod 2^46 by binary exponentiation — NPB's power

@@ -6,21 +6,21 @@ import (
 )
 
 func TestFirstValuesMatchRecurrence(t *testing.T) {
-	r := Default()
+	r := New(DefaultSeed)
 	x := DefaultSeed
 	for i := 0; i < 100; i++ {
 		x = (x * Mult) & (1<<46 - 1)
 		want := float64(x) / (1 << 46)
-		if got := r.Next(); got != want {
+		if got := r.NextWith(Mult); got != want {
 			t.Fatalf("value %d = %v, want %v", i, got, want)
 		}
 	}
 }
 
 func TestValuesInOpenUnitInterval(t *testing.T) {
-	r := Default()
+	r := New(DefaultSeed)
 	for i := 0; i < 10000; i++ {
-		v := r.Next()
+		v := r.NextWith(Mult)
 		if v <= 0 || v >= 1 {
 			t.Fatalf("value %d = %v outside (0,1)", i, v)
 		}
@@ -38,30 +38,30 @@ func TestMultIs5To13(t *testing.T) {
 }
 
 func TestFillMatchesNext(t *testing.T) {
-	a := Default()
-	b := Default()
+	a := New(DefaultSeed)
+	b := New(DefaultSeed)
 	buf := make([]float64, 257)
 	a.Fill(buf)
 	for i, v := range buf {
-		if w := b.Next(); v != w {
-			t.Fatalf("Fill[%d] = %v, Next = %v", i, v, w)
+		if w := b.NextWith(Mult); v != w {
+			t.Fatalf("Fill[%d] = %v, NextWith(Mult) = %v", i, v, w)
 		}
 	}
 	if a.State() != b.State() {
-		t.Fatal("Fill and Next leave different states")
+		t.Fatal("Fill and NextWith(Mult) leave different states")
 	}
 }
 
 func TestSkipMatchesNext(t *testing.T) {
 	for _, n := range []uint64{0, 1, 2, 7, 100, 12345} {
-		a := Default()
-		b := Default()
-		a.Skip(n)
+		a := New(DefaultSeed)
+		b := New(DefaultSeed)
+		a.NextWith(PowMod(Mult, n))
 		for i := uint64(0); i < n; i++ {
-			b.Next()
+			b.NextWith(Mult)
 		}
 		if a.State() != b.State() {
-			t.Fatalf("Skip(%d) state %d != Next^%d state %d", n, a.State(), n, b.State())
+			t.Fatalf("jump by %d: state %d != NextWith(Mult)^%d state %d", n, a.State(), n, b.State())
 		}
 	}
 }
@@ -96,14 +96,14 @@ func TestStreamSplittingQuick(t *testing.T) {
 	f := func(rows uint8, rowLenRaw uint8) bool {
 		rowLen := uint64(rowLenRaw%32) + 1
 		aRow := PowMod(Mult, rowLen)
-		seq := Default()
-		split := Default()
+		seq := New(DefaultSeed)
+		split := New(DefaultSeed)
 		for row := 0; row < int(rows%16)+1; row++ {
 			rowStart := New(split.State())
 			buf := make([]float64, rowLen)
 			rowStart.Fill(buf)
 			for _, v := range buf {
-				if v != seq.Next() {
+				if v != seq.NextWith(Mult) {
 					return false
 				}
 			}
@@ -117,10 +117,8 @@ func TestStreamSplittingQuick(t *testing.T) {
 }
 
 func TestSetStateMasks(t *testing.T) {
-	r := New(0)
-	r.SetState(1<<63 | 5)
-	if r.State() != 5 {
-		t.Fatalf("SetState did not mask: %d", r.State())
+	if s := New(1<<63 | 5).State(); s != 5 {
+		t.Fatalf("New did not mask: %d", s)
 	}
 	if s := New(1<<50 | 3).State(); s != (1<<50|3)&(1<<46-1) {
 		t.Fatalf("New did not mask: %d", s)
@@ -128,11 +126,11 @@ func TestSetStateMasks(t *testing.T) {
 }
 
 func TestMeanIsApproximatelyHalf(t *testing.T) {
-	r := Default()
+	r := New(DefaultSeed)
 	const n = 1 << 16
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		sum += r.Next()
+		sum += r.NextWith(Mult)
 	}
 	mean := sum / n
 	if mean < 0.49 || mean > 0.51 {
@@ -141,16 +139,16 @@ func TestMeanIsApproximatelyHalf(t *testing.T) {
 }
 
 func BenchmarkNext(b *testing.B) {
-	r := Default()
+	r := New(DefaultSeed)
 	var s float64
 	for i := 0; i < b.N; i++ {
-		s += r.Next()
+		s += r.NextWith(Mult)
 	}
 	_ = s
 }
 
 func BenchmarkFill1K(b *testing.B) {
-	r := Default()
+	r := New(DefaultSeed)
 	buf := make([]float64, 1024)
 	b.SetBytes(1024 * 8)
 	for i := 0; i < b.N; i++ {

@@ -88,9 +88,9 @@ func newFlightRecorder(cfg Config) *FlightRecorder {
 	}
 }
 
-// Add records one terminal job, stamping its Seq. The oldest record in
+// add records one terminal job, stamping its Seq. The oldest record in
 // the ring is overwritten once the ring has wrapped.
-func (r *FlightRecorder) Add(rec JobRecord) {
+func (r *FlightRecorder) add(rec JobRecord) {
 	if r == nil {
 		return
 	}
@@ -103,8 +103,8 @@ func (r *FlightRecorder) Add(rec JobRecord) {
 	r.jobs[seq%uint64(len(r.jobs))].Store(&stored)
 }
 
-// NoteDepth records one queue-depth sample.
-func (r *FlightRecorder) NoteDepth(queued, running int) {
+// noteDepth records one queue-depth sample.
+func (r *FlightRecorder) noteDepth(queued, running int) {
 	if r == nil {
 		return
 	}
@@ -113,8 +113,8 @@ func (r *FlightRecorder) NoteDepth(queued, running int) {
 	r.depth[seq%uint64(len(r.depth))].Store(s)
 }
 
-// NoteHealth records one health verdict.
-func (r *FlightRecorder) NoteHealth(verdict string) {
+// noteHealth records one health verdict.
+func (r *FlightRecorder) noteHealth(verdict string) {
 	if r == nil {
 		return
 	}
@@ -123,11 +123,11 @@ func (r *FlightRecorder) NoteHealth(verdict string) {
 	r.health[seq%uint64(len(r.health))].Store(m)
 }
 
-// NoteRejection feeds the queue-full-burst trigger: when BurstCount
+// noteRejection feeds the queue-full-burst trigger: when BurstCount
 // rejections land inside one BurstWindow, the recorder dumps itself
 // once (subject to the dump rate limit) and resets the window. Returns
 // the dump path and true when a dump was written.
-func (r *FlightRecorder) NoteRejection() (string, bool) {
+func (r *FlightRecorder) noteRejection() (string, bool) {
 	if r == nil {
 		return "", false
 	}
@@ -168,10 +168,10 @@ type Dump struct {
 	Dumps uint64 `json:"dumps"`
 }
 
-// Snapshot collects the rings into a Dump. Concurrent writers may land
+// snapshot collects the rings into a Dump. Concurrent writers may land
 // mid-snapshot; each slot read is atomic, so every record is internally
 // consistent and ordering is restored by Seq.
-func (r *FlightRecorder) Snapshot(reason string) Dump {
+func (r *FlightRecorder) snapshot(reason string) Dump {
 	d := Dump{
 		Time:   time.Now().UTC().Format(time.RFC3339Nano),
 		Reason: reason,
@@ -206,7 +206,7 @@ func (r *FlightRecorder) Snapshot(reason string) Dump {
 func (r *FlightRecorder) WriteTo(w io.Writer, reason string) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot(reason))
+	return enc.Encode(r.snapshot(reason))
 }
 
 // Trigger takes an anomaly snapshot: rate-limited by DumpMinInterval

@@ -13,7 +13,8 @@ import (
 	"strings"
 )
 
-// discard is the process-wide no-op logger behind Discard.
+// discard is the process-wide no-op logger — the default when no log
+// sink is configured, so call sites never nil-check.
 var discard = slog.New(discardHandler{})
 
 // discardHandler drops every record before formatting (Enabled is
@@ -25,10 +26,6 @@ func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false 
 func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
 func (h discardHandler) WithGroup(string) slog.Handler           { return h }
-
-// Discard returns a logger that drops everything — the default when no
-// log sink is configured, so call sites never nil-check.
-func Discard() *slog.Logger { return discard }
 
 // NewLogger builds the service logger: format "text" (the default,
 // logfmt-style key=value lines) or "json" (one JSON object per line,

@@ -56,7 +56,7 @@ type Observer struct {
 // withDefaults fills the zero fields of c with the documented defaults.
 func (c Config) withDefaults() Config {
 	if c.Log == nil {
-		c.Log = Discard()
+		c.Log = discard
 	}
 	if c.DumpMinInterval <= 0 {
 		c.DumpMinInterval = 10 * time.Second
@@ -75,16 +75,16 @@ func New(cfg Config) *Observer {
 	cfg = cfg.withDefaults()
 	return &Observer{
 		log:  cfg.Log,
-		hist: NewStageHist(),
+		hist: newStageHist(),
 		rec:  newFlightRecorder(cfg),
 	}
 }
 
-// Log returns the observer's logger; Discard() when the observer is nil,
+// Log returns the observer's logger; the discard logger when the observer is nil,
 // so callers can log unconditionally.
 func (o *Observer) Log() *slog.Logger {
 	if o == nil {
-		return Discard()
+		return discard
 	}
 	return o.log
 }
@@ -110,7 +110,7 @@ func (o *Observer) JobAdmitted(traceID, jobID, tenant string, queued, running in
 	if o == nil {
 		return
 	}
-	o.rec.NoteDepth(queued, running)
+	o.rec.noteDepth(queued, running)
 	o.log.Info("job admitted",
 		"trace_id", traceID, "job_id", jobID, "tenant", tenant,
 		"stage", StageQueue, "queue_depth", queued)
@@ -136,7 +136,7 @@ func (o *Observer) JobRejected(traceID, tenant string, retryAfter time.Duration)
 	o.log.Warn("job rejected: queue full",
 		"trace_id", traceID, "tenant", tenant,
 		"stage", StageIngress, "retry_after", retryAfter.String())
-	if path, ok := o.rec.NoteRejection(); ok {
+	if path, ok := o.rec.noteRejection(); ok {
 		o.log.Warn("flight recorder dumped", "reason", ReasonQueueFullBurst, "path", path)
 	}
 }
@@ -148,9 +148,9 @@ func (o *Observer) JobFinished(rec JobRecord) {
 	if o == nil {
 		return
 	}
-	o.hist.ObserveJob(rec)
-	o.rec.Add(rec)
-	o.rec.NoteDepth(rec.QueueDepth, rec.Running)
+	o.hist.observeJob(rec)
+	o.rec.add(rec)
+	o.rec.noteDepth(rec.QueueDepth, rec.Running)
 	attrs := []any{
 		"trace_id", rec.TraceID, "job_id", rec.JobID, "tenant", rec.Tenant,
 		"stage", StageRespond, "state", rec.State,
@@ -189,5 +189,5 @@ func (o *Observer) HealthVerdict(verdict string) {
 	if o == nil {
 		return
 	}
-	o.rec.NoteHealth(verdict)
+	o.rec.noteHealth(verdict)
 }

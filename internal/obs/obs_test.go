@@ -15,13 +15,13 @@ import (
 )
 
 // TestTraceIDMintParse pins the trace-id contract: NewTraceID mints
-// distinct, valid, 32-hex-digit IDs; ParseTraceID round-trips them and
+// distinct, valid, 32-hex-digit IDs; parseTraceID round-trips them and
 // rejects everything malformed (wrong length, non-hex, all-zero).
 func TestTraceIDMintParse(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 64; i++ {
 		id := NewTraceID()
-		if !id.Valid() {
+		if !id.valid() {
 			t.Fatalf("minted invalid trace ID %v", id)
 		}
 		s := id.String()
@@ -32,7 +32,7 @@ func TestTraceIDMintParse(t *testing.T) {
 			t.Fatalf("duplicate trace ID %q", s)
 		}
 		seen[s] = true
-		back, err := ParseTraceID(s)
+		back, err := parseTraceID(s)
 		if err != nil || back != id {
 			t.Fatalf("round trip of %q: %v %v", s, back, err)
 		}
@@ -42,7 +42,7 @@ func TestTraceIDMintParse(t *testing.T) {
 		strings.Repeat("a", 31), strings.Repeat("a", 33),
 		"ABCDEF00112233445566778899aabbcc", // upper case is not canonical
 	} {
-		if _, err := ParseTraceID(bad); err == nil {
+		if _, err := parseTraceID(bad); err == nil {
 			t.Errorf("ParseTraceID(%q) accepted", bad)
 		}
 		if ValidTraceID(bad) {
@@ -104,15 +104,15 @@ func TestFlightRingWraparound(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				id := fmt.Sprintf("w%d-%d", w, i)
-				rec.Add(JobRecord{TraceID: id, JobID: id, State: "done"})
-				rec.NoteDepth(i, w)
-				rec.NoteHealth("converging")
+				rec.add(JobRecord{TraceID: id, JobID: id, State: "done"})
+				rec.noteDepth(i, w)
+				rec.noteHealth("converging")
 			}
 		}()
 	}
 	wg.Wait()
 
-	d := rec.Snapshot(ReasonRequest)
+	d := rec.snapshot(ReasonRequest)
 	if d.JobsSeen != writers*perWriter {
 		t.Fatalf("JobsSeen = %d, want %d", d.JobsSeen, writers*perWriter)
 	}
@@ -212,11 +212,11 @@ func TestFlightTriggerDump(t *testing.T) {
 func TestFlightBurstTrigger(t *testing.T) {
 	rec := New(Config{BurstWindow: time.Hour, BurstCount: 3, DumpMinInterval: time.Hour}).Recorder()
 	for i := 0; i < 2; i++ {
-		if _, fired := rec.NoteRejection(); fired {
+		if _, fired := rec.noteRejection(); fired {
 			t.Fatalf("burst trigger fired after %d rejections, want 3", i+1)
 		}
 	}
-	if _, fired := rec.NoteRejection(); !fired {
+	if _, fired := rec.noteRejection(); !fired {
 		t.Fatal("burst trigger did not fire on the 3rd rejection")
 	}
 	if rec.Dumps() != 1 {
@@ -228,15 +228,15 @@ func TestFlightBurstTrigger(t *testing.T) {
 // histogram series per (stage, status) with cumulative buckets, +Inf,
 // sum and count; cached jobs observe ingress only.
 func TestStageHistPrometheus(t *testing.T) {
-	h := NewStageHist()
-	h.ObserveJob(JobRecord{State: "done",
+	h := newStageHist()
+	h.observeJob(JobRecord{State: "done",
 		Stages: Stages{IngressSeconds: 0.0002, QueueSeconds: 0.02, SolveSeconds: 0.4,
 			RespondSeconds: 0.0001, TotalSeconds: 0.42},
 		DedupWaitSeconds: []float64{0.3, 0.35}})
-	h.ObserveJob(JobRecord{State: "done", Cached: true, Stages: Stages{IngressSeconds: 0.0001}})
+	h.observeJob(JobRecord{State: "done", Cached: true, Stages: Stages{IngressSeconds: 0.0001}})
 
 	count := map[string]uint64{}
-	for _, s := range h.Snapshot() {
+	for _, s := range h.snapshot() {
 		count[s.Stage+"/"+s.Status] = s.Hist.Count()
 	}
 	if got := count["ingress/done"]; got != 2 {
@@ -295,11 +295,11 @@ func TestObserverDisabledZeroAlloc(t *testing.T) {
 		o.JobRejected("t", "tenant", time.Second)
 		o.JobFinished(JobRecord{})
 		o.HealthVerdict("converging")
-		rec.Add(JobRecord{})
-		rec.NoteDepth(1, 1)
-		rec.NoteHealth("x")
-		h.Observe(StageSolve, "done", 100*time.Millisecond)
-		h.ObserveJob(JobRecord{})
+		rec.add(JobRecord{})
+		rec.noteDepth(1, 1)
+		rec.noteHealth("x")
+		h.observe(StageSolve, "done", 100*time.Millisecond)
+		h.observeJob(JobRecord{})
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled observer path allocates %v bytes/op, want 0", allocs)

@@ -107,13 +107,13 @@ type StageHist struct {
 	series map[[2]string]*metrics.Hist // keyed by (stage, status)
 }
 
-// NewStageHist builds an empty histogram set.
-func NewStageHist() *StageHist {
+// newStageHist builds an empty histogram set.
+func newStageHist() *StageHist {
 	return &StageHist{series: make(map[[2]string]*metrics.Hist)}
 }
 
-// Observe records one stage duration under the job's terminal status.
-func (h *StageHist) Observe(stage, status string, d time.Duration) {
+// observe records one stage duration under the job's terminal status.
+func (h *StageHist) observe(stage, status string, d time.Duration) {
 	if h == nil {
 		return
 	}
@@ -128,30 +128,30 @@ func (h *StageHist) Observe(stage, status string, d time.Duration) {
 	h.mu.Unlock()
 }
 
-// ObserveJob records a terminal job's full stage decomposition: every
+// observeJob records a terminal job's full stage decomposition: every
 // stage the job passed through, labelled with its terminal state. The
 // dedup stage is observed once per coalesced waiter (their wait is the
 // time the shared execution saved them).
-func (h *StageHist) ObserveJob(rec JobRecord) {
+func (h *StageHist) observeJob(rec JobRecord) {
 	if h == nil {
 		return
 	}
-	h.Observe(StageIngress, rec.State, seconds(rec.IngressSeconds))
+	h.observe(StageIngress, rec.State, seconds(rec.IngressSeconds))
 	if !rec.Cached {
-		h.Observe(StageQueue, rec.State, seconds(rec.QueueSeconds))
-		h.Observe(StageSolve, rec.State, seconds(rec.SolveSeconds))
-		h.Observe(StageRespond, rec.State, seconds(rec.RespondSeconds))
+		h.observe(StageQueue, rec.State, seconds(rec.QueueSeconds))
+		h.observe(StageSolve, rec.State, seconds(rec.SolveSeconds))
+		h.observe(StageRespond, rec.State, seconds(rec.RespondSeconds))
 	}
 	for _, wait := range rec.DedupWaitSeconds {
-		h.Observe(StageDedup, rec.State, seconds(wait))
+		h.observe(StageDedup, rec.State, seconds(wait))
 	}
 }
 
 // seconds converts a record's stage time back to a duration.
 func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
-// Snapshot copies the histogram set in (stage, status) order.
-func (h *StageHist) Snapshot() []StageSeries {
+// snapshot copies the histogram set in (stage, status) order.
+func (h *StageHist) snapshot() []StageSeries {
 	if h == nil {
 		return nil
 	}
@@ -175,7 +175,7 @@ func (h *StageHist) Snapshot() []StageSeries {
 // (writes nothing).
 func (h *StageHist) WritePrometheus(w io.Writer) {
 	p := metrics.NewPromWriter(w)
-	for _, s := range h.Snapshot() {
+	for _, s := range h.snapshot() {
 		p.Histogram("mgd_stage_seconds", "Per-stage request latency by terminal status.",
 			&s.Hist, 1e9, "stage", s.Stage, "status", s.Status)
 	}

@@ -48,15 +48,15 @@ func (id TraceID) String() string {
 	return hex.EncodeToString(id[:])
 }
 
-// Valid reports whether the ID is non-zero.
-func (id TraceID) Valid() bool { return id != zeroTrace }
+// valid reports whether the ID is non-zero.
+func (id TraceID) valid() bool { return id != zeroTrace }
 
-// ParseTraceID parses a 32-hex-digit trace ID (the wire format of
+// parseTraceID parses a 32-hex-digit trace ID (the wire format of
 // TraceHeader). The W3C trace-context format is strict: exactly 32
 // lower-case hex digits, and the all-zero ID is the invalid marker —
 // upper case, other lengths and non-hex bytes are all rejected, so a
 // parsed ID always round-trips through String unchanged.
-func ParseTraceID(s string) (TraceID, error) {
+func parseTraceID(s string) (TraceID, error) {
 	var id TraceID
 	if len(s) != 32 {
 		return id, fmt.Errorf("obs: trace ID %q: want 32 hex digits, have %d bytes", s, len(s))
@@ -69,7 +69,7 @@ func ParseTraceID(s string) (TraceID, error) {
 	if _, err := hex.Decode(id[:], []byte(s)); err != nil {
 		return TraceID{}, fmt.Errorf("obs: trace ID %q: %v", s, err)
 	}
-	if !id.Valid() {
+	if !id.valid() {
 		return TraceID{}, fmt.Errorf("obs: trace ID %q: the all-zero ID is invalid", s)
 	}
 	return id, nil
@@ -77,6 +77,6 @@ func ParseTraceID(s string) (TraceID, error) {
 
 // ValidTraceID reports whether s parses as a trace ID.
 func ValidTraceID(s string) bool {
-	_, err := ParseTraceID(s)
+	_, err := parseTraceID(s)
 	return err == nil
 }

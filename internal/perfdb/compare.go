@@ -118,9 +118,9 @@ func ratioFold(r float64) float64 {
 	return r
 }
 
-// Regressions returns the rows judged Slower, ordered by their absolute
+// regressions returns the rows judged Slower, ordered by their absolute
 // contribution (largest first) — the attribution order.
-func (c *Comparison) Regressions() []RowResult {
+func (c *Comparison) regressions() []RowResult {
 	var out []RowResult
 	for _, r := range c.Rows {
 		if r.Verdict == perfstat.Slower {
@@ -143,10 +143,10 @@ func (c *Comparison) HasRegression() bool {
 	return false
 }
 
-// Attribute explains the (impl, class) benchmark's end-to-end delta: it
+// attribute explains the (impl, class) benchmark's end-to-end delta: it
 // returns the non-"solve" rows of that benchmark ordered by absolute
 // median change, largest first — "which kernels moved the total".
-func (c *Comparison) Attribute(impl, class string) []RowResult {
+func (c *Comparison) attribute(impl, class string) []RowResult {
 	var out []RowResult
 	for _, r := range c.Rows {
 		if r.Key.Impl == impl && r.Key.Class == class && r.Key.Kernel != TotalKernel {
@@ -197,7 +197,7 @@ func (c *Comparison) WriteTable(w io.Writer) {
 		fmt.Fprintf(w, "\n%s/%s end-to-end %s by %+.1f%% (%+.3fms); largest movers:\n",
 			r.Key.Impl, r.Key.Class, r.Verdict, r.Delta*100, r.ContribSec*1e3)
 		total := r.ContribSec
-		for i, k := range c.Attribute(r.Key.Impl, r.Key.Class) {
+		for i, k := range c.attribute(r.Key.Impl, r.Key.Class) {
 			if i >= 5 || k.ContribSec == 0 {
 				break
 			}
@@ -210,7 +210,7 @@ func (c *Comparison) WriteTable(w io.Writer) {
 		}
 	}
 
-	if regs := c.Regressions(); len(regs) > 0 {
+	if regs := c.regressions(); len(regs) > 0 {
 		fmt.Fprintf(w, "\nREGRESSION: %d row(s) significantly slower:\n", len(regs))
 		for _, r := range regs {
 			fmt.Fprintf(w, "  %s: %+.1f%% (p=%.4f, %+.3fms)\n",

@@ -238,8 +238,8 @@ func (s *Snapshot) Validate() error {
 	return nil
 }
 
-// Write marshals the snapshot (canonically sorted, validated) to w.
-func (s *Snapshot) Write(w io.Writer) error {
+// write marshals the snapshot (canonically sorted, validated) to w.
+func (s *Snapshot) write(w io.Writer) error {
 	s.SortRows()
 	if err := s.Validate(); err != nil {
 		return err
@@ -256,7 +256,7 @@ func (s *Snapshot) Save(path string) error {
 	if err != nil {
 		return fmt.Errorf("perfdb: save: %w", err)
 	}
-	if err := s.Write(f); err != nil {
+	if err := s.write(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -272,8 +272,8 @@ func (s *Snapshot) Save(path string) error {
 	return nil
 }
 
-// Read unmarshals and validates a snapshot from r.
-func Read(r io.Reader) (*Snapshot, error) {
+// read unmarshals and validates a snapshot from r.
+func read(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&s); err != nil {
@@ -293,7 +293,7 @@ func Load(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("perfdb: load: %w", err)
 	}
 	defer f.Close()
-	s, err := Read(f)
+	s, err := read(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -73,10 +73,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func copySnapshot(t *testing.T, s *Snapshot) *Snapshot {
 	t.Helper()
 	var sb strings.Builder
-	if err := s.Write(&sb); err != nil {
+	if err := s.write(&sb); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := Read(strings.NewReader(sb.String()))
+	cp, err := read(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestValidateRejectsCorruptSnapshots(t *testing.T) {
 
 func TestReadAndLoadRejectCorruptFiles(t *testing.T) {
 	// Syntactically broken input fails with a clear parse error.
-	if _, err := Read(strings.NewReader("not a snapshot{")); err == nil ||
+	if _, err := read(strings.NewReader("not a snapshot{")); err == nil ||
 		!strings.Contains(err.Error(), "not a benchmark snapshot") {
 		t.Errorf("Read parse error = %v, want 'not a benchmark snapshot'", err)
 	}
@@ -149,10 +149,10 @@ func TestVariantRoundTrip(t *testing.T) {
 	s := fixtureSnapshot("", 0, 1)
 	s.Rows[0].Variant = "buffered"
 	var buf bytes.Buffer
-	if err := s.Write(&buf); err != nil {
+	if err := s.write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(bytes.NewReader(buf.Bytes()))
+	back, err := read(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestVariantRoundTrip(t *testing.T) {
 	}
 	unstamped := fixtureSnapshot("", 0, 1)
 	buf.Reset()
-	if err := unstamped.Write(&buf); err != nil {
+	if err := unstamped.write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Contains(buf.Bytes(), []byte(`"variant"`)) {
@@ -197,7 +197,7 @@ func TestCompareFlagsInjectedSlowdown(t *testing.T) {
 	if !cmp.HasRegression() {
 		t.Fatal("injected slowdown not flagged")
 	}
-	regs := cmp.Regressions()
+	regs := cmp.regressions()
 	// The top regression by contribution must be either the slowed kernel
 	// row or the solve row it inflates; the slowed kernel row itself must
 	// be present and correctly attributed.
@@ -217,7 +217,7 @@ func TestCompareFlagsInjectedSlowdown(t *testing.T) {
 		t.Fatalf("subRelax@5 missing from regressions: %+v", regs)
 	}
 	// Attribution of the solve delta names subRelax@5 first.
-	attr := cmp.Attribute("SAC", "S")
+	attr := cmp.attribute("SAC", "S")
 	if len(attr) == 0 || attr[0].Key.Kernel != "subRelax" || attr[0].Key.Level != 5 {
 		t.Fatalf("attribution did not rank subRelax@5 first: %+v", attr)
 	}

@@ -165,12 +165,12 @@ func BootstrapCI(xs []float64, conf float64, iters int) (lo, hi float64) {
 	return quantileSorted(meds, tail), quantileSorted(meds, 1-tail)
 }
 
-// MannWhitney runs the two-sided Mann–Whitney U test on two independent
+// mannWhitney runs the two-sided Mann–Whitney U test on two independent
 // samples, returning the U statistic (the smaller of U1/U2) and the
 // p-value under the tie-corrected normal approximation with continuity
 // correction. Degenerate inputs (an empty side, or all observations
 // tied) return p = 1: no evidence of a difference.
-func MannWhitney(a, b []float64) (u, p float64) {
+func mannWhitney(a, b []float64) (u, p float64) {
 	n1, n2 := float64(len(a)), float64(len(b))
 	if n1 == 0 || n2 == 0 {
 		return 0, 1
@@ -310,7 +310,7 @@ func Compare(base, cur []float64, th Thresholds) Comparison {
 	b := RejectOutliers(base)
 	c := RejectOutliers(cur)
 	bm, cm := Median(b), Median(c)
-	_, p := MannWhitney(b, c)
+	_, p := mannWhitney(b, c)
 	delta := 0.0
 	if bm > 0 {
 		delta = (cm - bm) / bm

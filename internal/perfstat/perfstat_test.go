@@ -78,29 +78,29 @@ func TestBootstrapCI(t *testing.T) {
 func TestMannWhitney(t *testing.T) {
 	// Identical samples: every observation tied, p = 1.
 	a := []float64{1, 1, 1, 1, 1, 1, 1, 1}
-	if _, p := MannWhitney(a, a); p != 1 {
+	if _, p := mannWhitney(a, a); p != 1 {
 		t.Errorf("all-ties p = %v, want 1", p)
 	}
 	// Fully separated samples: decisive.
 	lo := []float64{1, 1.1, 0.9, 1.05, 0.95, 1.02, 0.98, 1.01, 0.99, 1}
 	hi := []float64{2, 2.1, 1.9, 2.05, 1.95, 2.02, 1.98, 2.01, 1.99, 2}
-	if _, p := MannWhitney(lo, hi); p >= 0.001 {
+	if _, p := mannWhitney(lo, hi); p >= 0.001 {
 		t.Errorf("separated samples p = %v, want < 0.001", p)
 	}
 	// Symmetry: order of arguments must not matter.
-	_, p1 := MannWhitney(lo, hi)
-	_, p2 := MannWhitney(hi, lo)
+	_, p1 := mannWhitney(lo, hi)
+	_, p2 := mannWhitney(hi, lo)
 	if math.Abs(p1-p2) > 1e-12 {
 		t.Errorf("asymmetric p: %v vs %v", p1, p2)
 	}
 	// Empty side: no evidence.
-	if _, p := MannWhitney(nil, hi); p != 1 {
+	if _, p := mannWhitney(nil, hi); p != 1 {
 		t.Errorf("empty-side p = %v, want 1", p)
 	}
 	// Heavily overlapping samples: not significant.
 	b := []float64{1, 1.2, 0.8, 1.1, 0.9, 1.05, 0.95, 1}
 	c := []float64{1.02, 1.18, 0.82, 1.08, 0.92, 1.03, 0.97, 1.01}
-	if _, p := MannWhitney(b, c); p < 0.05 {
+	if _, p := mannWhitney(b, c); p < 0.05 {
 		t.Errorf("overlapping samples p = %v, want >= 0.05", p)
 	}
 }

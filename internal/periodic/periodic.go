@@ -109,8 +109,8 @@ func (s *Solver) MGrid(v *array.Array, iter int) *array.Array {
 	e := s.Env
 	u := e.NewArray(v.Shape())
 	for i := 0; i < iter; i++ {
-		r := s.ResidSubtract(v, u)
-		z := s.VCycle(r)
+		r := s.residSubtract(v, u)
+		z := s.vcycle(r)
 		e.Release(r)
 		u2 := s.add(u, z)
 		e.Release(z)
@@ -120,23 +120,23 @@ func (s *Solver) MGrid(v *array.Array, iter int) *array.Array {
 	return u
 }
 
-// VCycle recurses down to the 2³ grid, exactly like Fig. 4 — but the
+// vcycle recurses down to the 2³ grid, exactly like Fig. 4 — but the
 // termination condition reads shape > 2, not 2+2: no artificial borders.
-func (s *Solver) VCycle(r *array.Array) *array.Array {
+func (s *Solver) vcycle(r *array.Array) *array.Array {
 	e := s.Env
 	if r.Shape()[0] > 2 {
-		rn := s.Fine2Coarse(r)
-		zn := s.VCycle(rn)
+		rn := s.fine2Coarse(r)
+		zn := s.vcycle(rn)
 		e.Release(rn)
-		z := s.Coarse2Fine(zn)
+		z := s.coarse2Fine(zn)
 		e.Release(zn)
-		r2 := s.ResidSubtract(r, z)
-		z2 := s.SmoothAdd(z, r2)
+		r2 := s.residSubtract(r, z)
+		z2 := s.smoothAdd(z, r2)
 		e.Release(r2)
 		e.Release(z)
 		return z2
 	}
-	return s.SmoothAdd(nil, r)
+	return s.smoothAdd(nil, r)
 }
 
 // add returns u + z element-wise (the MGrid correction step).
@@ -149,10 +149,10 @@ func (s *Solver) add(u, z *array.Array) *array.Array {
 	return out
 }
 
-// ResidSubtract computes v − A·u with wrapped neighbour accesses —
+// residSubtract computes v − A·u with wrapped neighbour accesses —
 // the Resid of Fig. 6 fused with the subtraction, without any border
 // preparation.
-func (s *Solver) ResidSubtract(v, u *array.Array) *array.Array {
+func (s *Solver) residSubtract(v, u *array.Array) *array.Array {
 	checkCompact("ResidSubtract", u)
 	return s.probe("resid", levelOf(u), func() *array.Array {
 		out := s.Env.NewArrayDirty(u.Shape())
@@ -161,9 +161,9 @@ func (s *Solver) ResidSubtract(v, u *array.Array) *array.Array {
 	})
 }
 
-// SmoothAdd computes z + S·r (or just S·r when z is nil — the coarsest
+// smoothAdd computes z + S·r (or just S·r when z is nil — the coarsest
 // level of Fig. 4, z = Smooth(r)).
-func (s *Solver) SmoothAdd(z, r *array.Array) *array.Array {
+func (s *Solver) smoothAdd(z, r *array.Array) *array.Array {
 	checkCompact("SmoothAdd", r)
 	return s.probe("smooth", levelOf(r), func() *array.Array {
 		out := s.Env.NewArrayDirty(r.Shape())
@@ -172,10 +172,10 @@ func (s *Solver) SmoothAdd(z, r *array.Array) *array.Array {
 	})
 }
 
-// Fine2Coarse restricts r (n³) to the next coarser grid ((n/2)³): the P
+// fine2Coarse restricts r (n³) to the next coarser grid ((n/2)³): the P
 // stencil evaluated at the odd compact positions (the coarse anchors; see
 // the package comment on the index shift).
-func (s *Solver) Fine2Coarse(r *array.Array) *array.Array {
+func (s *Solver) fine2Coarse(r *array.Array) *array.Array {
 	n := checkCompact("Fine2Coarse", r)
 	return s.probe("fine2coarse", levelOf(r), func() *array.Array {
 		out := s.Env.NewArrayDirty(shape.Of(n/2, n/2, n/2))
@@ -184,9 +184,9 @@ func (s *Solver) Fine2Coarse(r *array.Array) *array.Array {
 	})
 }
 
-// Coarse2Fine interpolates zn ((n/2)³) to the next finer grid (n³):
+// coarse2Fine interpolates zn ((n/2)³) to the next finer grid (n³):
 // trilinear interpolation with the coarse anchors at odd fine positions.
-func (s *Solver) Coarse2Fine(zn *array.Array) *array.Array {
+func (s *Solver) coarse2Fine(zn *array.Array) *array.Array {
 	nc := checkCompact("Coarse2Fine", zn)
 	return s.probe("coarse2fine", levelOf(zn)+1, func() *array.Array {
 		out := s.Env.NewArrayDirty(shape.Of(2*nc, 2*nc, 2*nc))
@@ -243,7 +243,7 @@ func (b *Benchmark) Solve() (rnm2, rnmu float64) {
 		e.Release(b.u)
 	}
 	b.u = b.Solver.MGrid(b.v, b.Class.Iter)
-	r := b.Solver.ResidSubtract(b.v, b.u)
+	r := b.Solver.residSubtract(b.v, b.u)
 	rnm2, rnmu = norms(r)
 	e.Release(r)
 	return rnm2, rnmu
@@ -257,9 +257,6 @@ func (b *Benchmark) Run() (rnm2, rnmu float64) {
 
 // U returns the compact solution grid of the last Solve.
 func (b *Benchmark) U() *array.Array { return b.u }
-
-// V returns the compact right-hand side.
-func (b *Benchmark) V() *array.Array { return b.v }
 
 // norms computes the NPB norms over a compact grid (every element is
 // interior). The sum of squares folds in the canonical row→plane order of

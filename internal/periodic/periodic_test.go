@@ -94,7 +94,7 @@ func TestResidSubtractMatchesExtended(t *testing.T) {
 		}
 	}
 	s := New(env)
-	got := s.ResidSubtract(vc, uc)
+	got := s.residSubtract(vc, uc)
 	extSolver := core.New(env)
 	want := extSolver.Env.NewArray(ue.Shape())
 	_ = want
@@ -116,11 +116,11 @@ func TestResidSubtractMatchesExtended(t *testing.T) {
 func TestMappingShapes(t *testing.T) {
 	s := New(wl.Default())
 	fine := array.New(shape.Of(16, 16, 16))
-	coarse := s.Fine2Coarse(fine)
+	coarse := s.fine2Coarse(fine)
 	if !coarse.Shape().Equal(shape.Of(8, 8, 8)) {
 		t.Fatalf("Fine2Coarse shape = %v", coarse.Shape())
 	}
-	back := s.Coarse2Fine(coarse)
+	back := s.coarse2Fine(coarse)
 	if !back.Shape().Equal(shape.Of(16, 16, 16)) {
 		t.Fatalf("Coarse2Fine shape = %v", back.Shape())
 	}
@@ -130,7 +130,7 @@ func TestMappingShapes(t *testing.T) {
 func TestCoarse2FineConstants(t *testing.T) {
 	s := New(wl.Default())
 	coarse := array.NewFilled(shape.Of(4, 4, 4), 3.25)
-	fine := s.Coarse2Fine(coarse)
+	fine := s.coarse2Fine(coarse)
 	for _, v := range fine.Data() {
 		if math.Abs(v-3.25) > 1e-14 {
 			t.Fatalf("interpolated constant = %v", v)
@@ -144,7 +144,7 @@ func TestOperatorAnnihilatesConstantsEverywhere(t *testing.T) {
 	s := New(wl.Default())
 	u := array.NewFilled(shape.Of(8, 8, 8), 5.0)
 	v := array.New(shape.Of(8, 8, 8))
-	r := s.ResidSubtract(v, u)
+	r := s.residSubtract(v, u)
 	for i, x := range r.Data() {
 		if math.Abs(x) > 1e-12 {
 			t.Fatalf("r[%d] = %v on a constant grid (boundary cells included)", i, x)
@@ -164,7 +164,7 @@ func TestTranslationInvariance(t *testing.T) {
 		u.Data()[i] = math.Sin(float64(i) * 1.7)
 	}
 	v := array.New(shape.Of(n, n, n))
-	r := s.ResidSubtract(v, u)
+	r := s.residSubtract(v, u)
 	// Shift u by (1, 2, 3) cyclically and recompute.
 	shifted := array.New(shape.Of(n, n, n))
 	for i := 0; i < n; i++ {
@@ -174,7 +174,7 @@ func TestTranslationInvariance(t *testing.T) {
 			}
 		}
 	}
-	rs := s.ResidSubtract(v, shifted)
+	rs := s.residSubtract(v, shifted)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			for k := 0; k < n; k++ {
@@ -208,8 +208,8 @@ func TestVCycleBaseCase(t *testing.T) {
 	for i := range r.Data() {
 		r.Data()[i] = float64(i + 1)
 	}
-	got := s.VCycle(r)
-	want := s.SmoothAdd(nil, r)
+	got := s.vcycle(r)
+	want := s.smoothAdd(nil, r)
 	if !got.Equal(want) {
 		t.Fatal("base case is not a single smoothing step")
 	}
@@ -221,7 +221,7 @@ func TestChecksPanic(t *testing.T) {
 		"rank":       func() { s.MGrid(array.New(shape.Of(4, 4)), 1) },
 		"non-cube":   func() { s.MGrid(array.New(shape.Of(4, 4, 8)), 1) },
 		"non-pow2":   func() { s.MGrid(array.New(shape.Of(6, 6, 6)), 1) },
-		"resid-rank": func() { s.ResidSubtract(array.New(shape.Of(2, 2)), array.New(shape.Of(2, 2))) },
+		"resid-rank": func() { s.residSubtract(array.New(shape.Of(2, 2)), array.New(shape.Of(2, 2))) },
 	} {
 		func() {
 			defer func() {
@@ -245,7 +245,7 @@ func TestProbe(t *testing.T) {
 		}
 	}
 	b.Reset()
-	u := b.Solver.MGrid(b.V(), 1)
+	u := b.Solver.MGrid(b.v, 1)
 	env.Release(u)
 	lt := nas.ClassS.LT()
 	if counts["resid"] != lt || counts["smooth"] != lt ||
@@ -302,11 +302,11 @@ func TestRelaxAllCoefficientsNonZero(t *testing.T) {
 	for i := range r.Data() {
 		r.Data()[i] = float64(i%7) - 3
 	}
-	out := s.SmoothAdd(nil, r)
+	out := s.smoothAdd(nil, r)
 	// Constant check: sum of weights × constant.
 	c := array.NewFilled(shape.Of(4, 4, 4), 2.0)
 	total := 0.5 + 6*0.25 + 12*0.125 + 8*0.0625
-	outC := s.SmoothAdd(nil, c)
+	outC := s.smoothAdd(nil, c)
 	for _, v := range outC.Data() {
 		if math.Abs(v-2*total) > 1e-13 {
 			t.Fatalf("full-coefficient relax on constants = %v, want %v", v, 2*total)
@@ -315,14 +315,14 @@ func TestRelaxAllCoefficientsNonZero(t *testing.T) {
 	_ = out
 	// And the add/sub merge modes with full coefficients.
 	z := array.NewFilled(shape.Of(4, 4, 4), 1.0)
-	added := s.SmoothAdd(z, c)
+	added := s.smoothAdd(z, c)
 	for _, v := range added.Data() {
 		if math.Abs(v-(1+2*total)) > 1e-13 {
 			t.Fatalf("full-coefficient SmoothAdd = %v", v)
 		}
 	}
 	s.Operator = s.Smoother
-	sub := s.ResidSubtract(z, c)
+	sub := s.residSubtract(z, c)
 	for _, v := range sub.Data() {
 		if math.Abs(v-(1-2*total)) > 1e-13 {
 			t.Fatalf("full-coefficient ResidSubtract = %v", v)
@@ -350,26 +350,26 @@ func TestMatchesOracleSpecification(t *testing.T) {
 	for i := range want.Data() {
 		want.Data()[i] = v.Data()[i] - au.Data()[i]
 	}
-	got := s.ResidSubtract(v, u)
+	got := s.residSubtract(v, u)
 	if !got.ApproxEqual(want, 1e-12) {
 		t.Fatalf("ResidSubtract diverges from the oracle (max diff %g)", got.MaxAbsDiff(want))
 	}
 
 	// Restriction and prolongation.
-	if fc := s.Fine2Coarse(u); !fc.ApproxEqual(nas.OracleRestrict(u), 1e-12) {
+	if fc := s.fine2Coarse(u); !fc.ApproxEqual(nas.OracleRestrict(u), 1e-12) {
 		t.Fatal("Fine2Coarse diverges from the oracle")
 	}
 	zc := array.New(shape.Of(n/2, n/2, n/2))
 	for i := range zc.Data() {
 		zc.Data()[i] = math.Sin(float64(i) * 1.3)
 	}
-	if cf := s.Coarse2Fine(zc); !cf.ApproxEqual(nas.OracleInterp(zc), 1e-12) {
+	if cf := s.coarse2Fine(zc); !cf.ApproxEqual(nas.OracleInterp(zc), 1e-12) {
 		t.Fatal("Coarse2Fine diverges from the oracle")
 	}
 
 	// The whole V-cycle.
-	r := s.ResidSubtract(v, u)
-	gotZ := s.VCycle(r)
+	r := s.residSubtract(v, u)
+	gotZ := s.vcycle(r)
 	wantZ := nas.OracleVCycle(r, [4]float64(s.Operator), [4]float64(s.Smoother))
 	if !gotZ.ApproxEqual(wantZ, 1e-11) {
 		t.Fatalf("VCycle diverges from the oracle (max diff %g)", gotZ.MaxAbsDiff(wantZ))

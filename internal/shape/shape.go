@@ -105,27 +105,10 @@ func (s Shape) Offset(idx Index) int {
 	return off
 }
 
-// OffsetUnchecked linearizes idx without bounds checks. Hot loops that have
-// already validated their generator against the shape use this form.
-func (s Shape) OffsetUnchecked(idx Index) int {
-	off := 0
-	for j, e := range s {
-		off = off*e + idx[j]
-	}
-	return off
-}
-
-// Unflatten is the inverse of Offset: it converts a linear offset back to an
-// index vector. It panics if off is outside [0, Size()).
-func (s Shape) Unflatten(off int) Index {
-	idx := make(Index, len(s))
-	s.UnflattenInto(off, idx)
-	return idx
-}
-
-// UnflattenInto is Unflatten writing into a caller-provided index vector,
-// avoiding the allocation in per-element loops.
-func (s Shape) UnflattenInto(off int, idx Index) {
+// unflattenInto is the inverse of Offset: it converts a linear offset back
+// to an index vector, written into idx. It panics if off is outside
+// [0, Size()) or idx has the wrong rank.
+func (s Shape) unflattenInto(off int, idx Index) {
 	if off < 0 || off >= s.Size() {
 		panic(fmt.Sprintf("shape: offset %d out of range for shape %v", off, s))
 	}
@@ -137,19 +120,6 @@ func (s Shape) UnflattenInto(off int, idx Index) {
 		idx[j] = off % e
 		off /= e
 	}
-}
-
-// Contains reports whether idx is a valid in-bounds position of s.
-func (s Shape) Contains(idx Index) bool {
-	if len(idx) != len(s) {
-		return false
-	}
-	for j, e := range s {
-		if idx[j] < 0 || idx[j] >= e {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the shape in SAC vector notation, e.g. "[4,4,4]".
@@ -170,16 +140,6 @@ func vecString(v []int) string {
 	b.WriteByte(']')
 	return b.String()
 }
-
-// Clone returns an independent copy of idx.
-func (i Index) Clone() Index {
-	c := make(Index, len(i))
-	copy(c, i)
-	return c
-}
-
-// Equal reports whether two index vectors are identical.
-func (i Index) Equal(j Index) bool { return Shape(i).Equal(Shape(j)) }
 
 // --- element-wise vector algebra -------------------------------------------
 //
@@ -210,27 +170,6 @@ func Sub(a, b []int) []int {
 	c := make([]int, len(a))
 	for j := range a {
 		c[j] = a[j] - b[j]
-	}
-	return c
-}
-
-// Mul returns a*b element-wise.
-func Mul(a, b []int) []int {
-	checkRank("Mul", a, b)
-	c := make([]int, len(a))
-	for j := range a {
-		c[j] = a[j] * b[j]
-	}
-	return c
-}
-
-// Div returns a/b element-wise (Go integer division). It panics if any
-// component of b is zero.
-func Div(a, b []int) []int {
-	checkRank("Div", a, b)
-	c := make([]int, len(a))
-	for j := range a {
-		c[j] = a[j] / b[j]
 	}
 	return c
 }
@@ -279,17 +218,6 @@ func Zeros(rank int) []int { return make([]int, rank) }
 // Ones returns the all-one vector of the given rank.
 func Ones(rank int) []int { return Replicate(rank, 1) }
 
-// AllLess reports whether a[j] < b[j] for every axis.
-func AllLess(a, b []int) bool {
-	checkRank("AllLess", a, b)
-	for j := range a {
-		if a[j] >= b[j] {
-			return false
-		}
-	}
-	return true
-}
-
 // AllLessEq reports whether a[j] <= b[j] for every axis.
 func AllLessEq(a, b []int) bool {
 	checkRank("AllLessEq", a, b)
@@ -301,9 +229,9 @@ func AllLessEq(a, b []int) bool {
 	return true
 }
 
-// Min returns the element-wise minimum of a and b.
-func Min(a, b []int) []int {
-	checkRank("Min", a, b)
+// minOf returns the element-wise minimum of a and b.
+func minOf(a, b []int) []int {
+	checkRank("minOf", a, b)
 	c := make([]int, len(a))
 	for j := range a {
 		c[j] = min(a[j], b[j])
@@ -311,9 +239,9 @@ func Min(a, b []int) []int {
 	return c
 }
 
-// Max returns the element-wise maximum of a and b.
-func Max(a, b []int) []int {
-	checkRank("Max", a, b)
+// maxOf returns the element-wise maximum of a and b.
+func maxOf(a, b []int) []int {
+	checkRank("maxOf", a, b)
 	c := make([]int, len(a))
 	for j := range a {
 		c[j] = max(a[j], b[j])

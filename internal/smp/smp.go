@@ -259,14 +259,3 @@ func (m Machine) Speedups(p Profile, tr Traits) []float64 {
 	}
 	return out
 }
-
-// RelativeSpeedups returns the speedup curve relative to an external
-// baseline time (the fastest sequential solution — Figure 13's rebasing
-// to the serial Fortran-77 runtime).
-func (m Machine) RelativeSpeedups(p Profile, tr Traits, baseline float64) []float64 {
-	out := make([]float64, m.MaxProcs)
-	for procs := 1; procs <= m.MaxProcs; procs++ {
-		out[procs-1] = baseline / m.Predict(p, tr, procs)
-	}
-	return out
-}

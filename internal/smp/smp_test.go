@@ -189,20 +189,6 @@ func TestSequentialRegionsUnaffected(t *testing.T) {
 	}
 }
 
-func TestRelativeSpeedups(t *testing.T) {
-	m := Enterprise4000()
-	p := mgLikeProfile("sac", nas.ClassA, 0.2)
-	own := m.Speedups(p, SAC)
-	base := p.SerialSeconds() * 0.8 // a faster baseline (f77 serial)
-	rel := m.RelativeSpeedups(p, SAC, base)
-	for i := range rel {
-		want := own[i] * 0.8
-		if math.Abs(rel[i]-want) > 1e-9 {
-			t.Fatalf("P=%d: relative %v, want %v", i+1, rel[i], want)
-		}
-	}
-}
-
 func TestCollectorAggregates(t *testing.T) {
 	c := NewCollector("sac", nas.ClassS)
 	c.Probe("resid", 5, 2*time.Millisecond)
@@ -259,9 +245,9 @@ func TestSweepsMonotone(t *testing.T) {
 	p := mgLikeProfile("sac", nas.ClassW, 1.5e-3)
 	factors := []float64{0.25, 0.5, 1, 2, 4}
 
-	beta := m.SweepBeta(p, SAC, factors)
-	fj := m.SweepForkJoin(p, SAC, factors)
-	alloc := m.SweepAlloc(p, SAC, factors)
+	beta := m.sweepBeta(p, SAC, factors)
+	fj := m.sweepForkJoin(p, SAC, factors)
+	alloc := m.sweepAlloc(p, SAC, factors)
 	for name, pts := range map[string][]SweepPoint{"beta": beta, "forkjoin": fj, "alloc": alloc} {
 		if len(pts) != len(factors) {
 			t.Fatalf("%s: %d points", name, len(pts))

@@ -17,9 +17,9 @@ type SweepPoint struct {
 	SpeedupAtMax float64
 }
 
-// SweepBeta evaluates the speedup endpoint under scaled bus-contention
+// sweepBeta evaluates the speedup endpoint under scaled bus-contention
 // coefficients (factors scale the machine's Beta).
-func (m Machine) SweepBeta(p Profile, tr Traits, factors []float64) []SweepPoint {
+func (m Machine) sweepBeta(p Profile, tr Traits, factors []float64) []SweepPoint {
 	var out []SweepPoint
 	for _, f := range factors {
 		mm := m
@@ -33,9 +33,9 @@ func (m Machine) SweepBeta(p Profile, tr Traits, factors []float64) []SweepPoint
 	return out
 }
 
-// SweepForkJoin evaluates the speedup endpoint under scaled fork/join
+// sweepForkJoin evaluates the speedup endpoint under scaled fork/join
 // costs.
-func (m Machine) SweepForkJoin(p Profile, tr Traits, factors []float64) []SweepPoint {
+func (m Machine) sweepForkJoin(p Profile, tr Traits, factors []float64) []SweepPoint {
 	var out []SweepPoint
 	for _, f := range factors {
 		t := tr
@@ -49,9 +49,9 @@ func (m Machine) SweepForkJoin(p Profile, tr Traits, factors []float64) []SweepP
 	return out
 }
 
-// SweepAlloc evaluates the speedup endpoint under scaled memory-management
+// sweepAlloc evaluates the speedup endpoint under scaled memory-management
 // costs (both the invariant and the size-proportional components).
-func (m Machine) SweepAlloc(p Profile, tr Traits, factors []float64) []SweepPoint {
+func (m Machine) sweepAlloc(p Profile, tr Traits, factors []float64) []SweepPoint {
 	var out []SweepPoint
 	for _, f := range factors {
 		t := tr
@@ -74,9 +74,9 @@ func (m Machine) WriteSensitivity(w io.Writer, p Profile, tr Traits) {
 	fmt.Fprintf(w, "model sensitivity (%s on %s class %c): speedup at P=%d\n",
 		tr.Name, p.Impl, p.Class.Name, m.MaxProcs)
 	rows := map[string][]SweepPoint{
-		"bus contention": m.SweepBeta(p, tr, factors),
-		"fork/join":      m.SweepForkJoin(p, tr, factors),
-		"memory manager": m.SweepAlloc(p, tr, factors),
+		"bus contention": m.sweepBeta(p, tr, factors),
+		"fork/join":      m.sweepForkJoin(p, tr, factors),
+		"memory manager": m.sweepAlloc(p, tr, factors),
 	}
 	for _, name := range []string{"bus contention", "fork/join", "memory manager"} {
 		fmt.Fprintf(w, "  %-15s", name)

@@ -32,7 +32,7 @@ func FuzzGenarrayMatchesContains(f *testing.F) {
 			for j := 0; j < 8; j++ {
 				iv[0], iv[1] = i, j
 				want := 0.0
-				if g.Contains(iv) {
+				if g.contains(iv) {
 					want = val(iv)
 				}
 				if got := a.At(iv); got != want {

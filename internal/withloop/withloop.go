@@ -287,15 +287,8 @@ func (g Generator) WithStep(step []int) Generator {
 	return g
 }
 
-// WithWidth returns a copy of g with the given width filter. Only
-// meaningful together with a step.
-func (g Generator) WithWidth(width []int) Generator {
-	g.Width = width
-	return g
-}
-
-// Rank returns the rank of the generator's index vectors.
-func (g Generator) Rank() int { return len(g.Lower) }
+// rank returns the rank of the generator's index vectors.
+func (g Generator) rank() int { return len(g.Lower) }
 
 // validate panics unless the generator is well-formed for the given rank.
 func (g Generator) validate(rank int) {
@@ -329,32 +322,10 @@ func (g Generator) validate(rank int) {
 	}
 }
 
-// Contains reports whether iv is a member of the generator's index set.
-func (g Generator) Contains(iv shape.Index) bool {
-	if len(iv) != g.Rank() {
-		return false
-	}
-	for j := range iv {
-		if iv[j] < g.Lower[j] || iv[j] >= g.Upper[j] {
-			return false
-		}
-		if g.Step != nil {
-			w := 1
-			if g.Width != nil {
-				w = g.Width[j]
-			}
-			if (iv[j]-g.Lower[j])%g.Step[j] >= w {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // positions returns, per axis, the list of coordinate values the generator
 // selects. The generator's index set is the cross product of these lists.
 func (g Generator) positions() [][]int {
-	pos := make([][]int, g.Rank())
+	pos := make([][]int, g.rank())
 	for j := range pos {
 		var list []int
 		step, width := 1, 1
@@ -383,9 +354,9 @@ func (g Generator) Count() int {
 	return n
 }
 
-// IsFull reports whether the generator densely covers all of shp.
-func (g Generator) IsFull(shp shape.Shape) bool {
-	if g.Rank() != shp.Rank() || g.Step != nil {
+// isFull reports whether the generator densely covers all of shp.
+func (g Generator) isFull(shp shape.Shape) bool {
+	if g.rank() != shp.Rank() || g.Step != nil {
 		return false
 	}
 	for j := range g.Lower {
@@ -559,7 +530,7 @@ type ElemFunc func(iv shape.Index) float64
 func (e *Env) Genarray(shp shape.Shape, g Generator, f ElemFunc) *array.Array {
 	g.validate(shp.Rank())
 	var out *array.Array
-	if g.IsFull(shp) {
+	if g.isFull(shp) {
 		out = e.NewArrayDirty(shp) // every element will be written
 	} else {
 		out = e.NewArray(shp) // zero default outside the generator

@@ -89,7 +89,8 @@ func TestGenarrayScalar(t *testing.T) {
 func TestGenarrayStepWidth(t *testing.T) {
 	// ( [0] <= iv < [10] step [3] width [2] ) selects 0,1,3,4,6,7,9.
 	for _, e := range envs() {
-		g := Gen([]int{0}, []int{10}).WithStep([]int{3}).WithWidth([]int{2})
+		g := Gen([]int{0}, []int{10}).WithStep([]int{3})
+		g.Width = []int{2}
 		a := e.Genarray(shape.Of(10), g, func(iv shape.Index) float64 { return 1 })
 		want := []float64{1, 1, 0, 1, 1, 0, 1, 1, 0, 1}
 		for i, w := range want {
@@ -237,7 +238,7 @@ func TestLevelsAndWorkersEquivalent(t *testing.T) {
 		Inner(shp),
 		Gen([]int{0, 2, 1}, []int{9, 8, 6}),
 		Full(shp).WithStep([]int{2, 1, 3}),
-		Full(shp).WithStep([]int{3, 2, 2}).WithWidth([]int{2, 1, 2}),
+		{Lower: []int{0, 0, 0}, Upper: []int(shp), Step: []int{3, 2, 2}, Width: []int{2, 1, 2}},
 	}
 	f := func(iv shape.Index) float64 {
 		return math.Sqrt(float64(iv[0]+1)) * float64(iv[1]) * 0.25 * float64(iv[2]*iv[2])
@@ -263,7 +264,8 @@ func TestLevelsAndWorkersEquivalent(t *testing.T) {
 }
 
 func TestGeneratorContains(t *testing.T) {
-	g := Gen([]int{1, 0}, []int{5, 6}).WithStep([]int{2, 3}).WithWidth([]int{1, 2})
+	g := Gen([]int{1, 0}, []int{5, 6}).WithStep([]int{2, 3})
+	g.Width = []int{1, 2}
 	cases := []struct {
 		iv   shape.Index
 		want bool
@@ -278,14 +280,14 @@ func TestGeneratorContains(t *testing.T) {
 		{shape.Index{1}, false},    // rank mismatch
 	}
 	for _, c := range cases {
-		if got := g.Contains(c.iv); got != c.want {
+		if got := g.contains(c.iv); got != c.want {
 			t.Errorf("Contains(%v) = %v, want %v", c.iv, got, c.want)
 		}
 	}
 }
 
 // Property: Genarray agrees with a direct evaluation using
-// Generator.Contains for random generators.
+// the contains oracle for random generators.
 func TestGenarrayMatchesContainsQuick(t *testing.T) {
 	e := Default()
 	e.SeqThreshold = 0
@@ -304,7 +306,7 @@ func TestGenarrayMatchesContainsQuick(t *testing.T) {
 			for j := 0; j < 9; j++ {
 				iv[0], iv[1] = i, j
 				want := 0.0
-				if g.Contains(iv) {
+				if g.contains(iv) {
 					want = val(iv)
 				}
 				if a.At(iv) != want {
@@ -347,11 +349,11 @@ func TestFoldMatchesGenarraySumQuick(t *testing.T) {
 func TestValidatePanics(t *testing.T) {
 	e := Default()
 	bad := []Generator{
-		Gen([]int{0}, []int{2, 2}),                                                 // rank mismatch in bounds
-		Gen([]int{0, 0}, []int{2, 2}).WithStep([]int{1}),                           // step rank
-		Gen([]int{0, 0}, []int{2, 2}).WithStep([]int{0, 1}),                        // step < 1
-		Gen([]int{0, 0}, []int{2, 2}).WithStep([]int{2, 2}).WithWidth([]int{3, 1}), // width > step
-		{Lower: []int{0, 0}, Upper: []int{2, 2}, Width: []int{1, 1}},               // width without step
+		Gen([]int{0}, []int{2, 2}),                                                      // rank mismatch in bounds
+		Gen([]int{0, 0}, []int{2, 2}).WithStep([]int{1}),                                // step rank
+		Gen([]int{0, 0}, []int{2, 2}).WithStep([]int{0, 1}),                             // step < 1
+		{Lower: []int{0, 0}, Upper: []int{2, 2}, Step: []int{2, 2}, Width: []int{3, 1}}, // width > step
+		{Lower: []int{0, 0}, Upper: []int{2, 2}, Width: []int{1, 1}},                    // width without step
 	}
 	for i, g := range bad {
 		func() {
@@ -366,7 +368,8 @@ func TestValidatePanics(t *testing.T) {
 }
 
 func TestGeneratorString(t *testing.T) {
-	g := Gen([]int{0, 0}, []int{4, 4}).WithStep([]int{2, 2}).WithWidth([]int{1, 2})
+	g := Gen([]int{0, 0}, []int{4, 4}).WithStep([]int{2, 2})
+	g.Width = []int{1, 2}
 	s := g.String()
 	for _, frag := range []string{"[0,0]", "[4,4]", "step", "width"} {
 		if !strings.Contains(s, frag) {
@@ -417,11 +420,11 @@ func TestParallelEnvClose(t *testing.T) {
 func TestFullInnerGenerators(t *testing.T) {
 	shp := shape.Of(5, 6)
 	full := Full(shp)
-	if full.Count() != 30 || !full.IsFull(shp) {
+	if full.Count() != 30 || !full.isFull(shp) {
 		t.Fatalf("Full generator wrong: %v", full)
 	}
 	inner := Inner(shp)
-	if inner.Count() != 3*4 || inner.IsFull(shp) {
+	if inner.Count() != 3*4 || inner.isFull(shp) {
 		t.Fatalf("Inner generator wrong: %v", inner)
 	}
 }
@@ -472,7 +475,7 @@ func TestModarrayStrided(t *testing.T) {
 			for j := 0; j < 6; j++ {
 				iv[0], iv[1] = i, j
 				want := 1.0
-				if g.Contains(iv) {
+				if g.contains(iv) {
 					want = 9
 				}
 				if out.At(iv) != want {
@@ -501,4 +504,27 @@ func TestFoldStridedAllLevels(t *testing.T) {
 			t.Fatalf("env %v/%dw: strided fold = %v, want %v", e.Opt, e.Workers(), got, ref)
 		}
 	}
+}
+
+// contains reports whether iv is a member of the generator's index set:
+// the membership oracle the Genarray tests check the engine against.
+func (g Generator) contains(iv shape.Index) bool {
+	if len(iv) != g.rank() {
+		return false
+	}
+	for j := range iv {
+		if iv[j] < g.Lower[j] || iv[j] >= g.Upper[j] {
+			return false
+		}
+		if g.Step != nil {
+			w := 1
+			if g.Width != nil {
+				w = g.Width[j]
+			}
+			if (iv[j]-g.Lower[j])%g.Step[j] >= w {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -205,12 +205,6 @@ var (
 	ClassC = nas.ClassC // 512³, 20 iterations
 )
 
-// Classes lists all size classes.
-func Classes() []Class { return nas.Classes() }
-
-// ClassByName resolves "S", "W", "A", "B" or "C".
-func ClassByName(name string) (Class, error) { return nas.ClassByName(name) }
-
 // --- SMP simulation ---------------------------------------------------------------
 
 // Machine is the simulated shared-memory multiprocessor used to reproduce
@@ -259,39 +253,10 @@ type CommStats = mpi.Stats
 
 // --- the wider array library -----------------------------------------------------
 
-// Eq, Less, LessEq and Greater are the element-wise relational operators
-// (APL booleans: 0.0 / 1.0).
+// Eq and Greater are element-wise relational operators (APL booleans:
+// 0.0 / 1.0).
 func Eq(e *Env, a, b *Array) *Array      { return aplib.Eq(e, a, b) }
-func Less(e *Env, a, b *Array) *Array    { return aplib.Less(e, a, b) }
-func LessEq(e *Env, a, b *Array) *Array  { return aplib.LessEq(e, a, b) }
 func Greater(e *Env, a, b *Array) *Array { return aplib.Greater(e, a, b) }
 
 // Where selects element-wise: cond ? a : b.
 func Where(e *Env, cond, a, b *Array) *Array { return aplib.Where(e, cond, a, b) }
-
-// Abs and Neg are element-wise absolute value and negation.
-func Abs(e *Env, a *Array) *Array { return aplib.Abs(e, a) }
-func Neg(e *Env, a *Array) *Array { return aplib.Neg(e, a) }
-
-// Product, MinVal and MaxVal are the remaining full reductions.
-func Product(e *Env, a *Array) float64 { return aplib.Product(e, a) }
-func MinVal(e *Env, a *Array) float64  { return aplib.MinVal(e, a) }
-func MaxVal(e *Env, a *Array) float64  { return aplib.MaxVal(e, a) }
-
-// All and Any are the boolean reductions.
-func All(e *Env, a *Array) bool { return aplib.All(e, a) }
-func Any(e *Env, a *Array) bool { return aplib.Any(e, a) }
-
-// SumAxis reduces along one axis with +.
-func SumAxis(e *Env, axis int, a *Array) *Array { return aplib.SumAxis(e, axis, a) }
-
-// Reshape, Transpose, Concat, Tile and Iota are the structural operations.
-func Reshape(e *Env, shp Shape, a *Array) *Array    { return aplib.Reshape(e, shp, a) }
-func Transpose(e *Env, perm []int, a *Array) *Array { return aplib.Transpose(e, perm, a) }
-func Concat(e *Env, axis int, a, b *Array) *Array   { return aplib.Concat(e, axis, a, b) }
-func Tile(e *Env, shp Shape, pos []int, a *Array) *Array {
-	return aplib.Tile(e, shp, pos, a)
-}
-
-// Iota returns [0, 1, ..., n-1].
-func Iota(e *Env, n int) *Array { return aplib.Iota(e, n) }
