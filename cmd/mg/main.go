@@ -78,7 +78,7 @@ func main() {
 		traceFile  = flag.String("trace", "", "write a JSON-lines V-cycle event trace (sac and mpi) to this file")
 		httpAddr   = flag.String("http", "", "serve expvar (/debug/vars, incl. mg.metrics), pprof and Prometheus /metrics on this address while running")
 		withHealth = flag.Bool("health", false, "monitor convergence health (sac only) and print the verdict")
-		overlap    = flag.Bool("overlap", false, "mpi only: overlap the halo exchange with interior compute (nonblocking Isend/Irecv; -threads is the rank count)")
+		overlap    = flag.Bool("overlap", false, "mpi only: overlap the halo exchange with interior compute (send the boundary planes before the interior sweep; -threads is the rank count)")
 	)
 	flag.Parse()
 
@@ -90,6 +90,10 @@ func main() {
 	// -impl mpi checks its rank count against the class below.
 	if *threads < 1 && *implName != "mpi" {
 		fmt.Fprintf(os.Stderr, "mg: -threads must be at least 1; got %d\n", *threads)
+		os.Exit(2)
+	}
+	if *overlap && *implName != "mpi" {
+		fmt.Fprintf(os.Stderr, "mg: -overlap applies only to -impl mpi; got -impl %s\n", *implName)
 		os.Exit(2)
 	}
 

@@ -205,6 +205,7 @@ func TestUnknownModeRejected(t *testing.T) {
 		{"-impl c -threads -1", "mg: -threads must be at least 1; got -1"},
 		{"-impl periodic -threads 0", "mg: -threads must be at least 1; got 0"},
 		{"-impl periodic -threads -1", "mg: -threads must be at least 1; got -1"},
+		{"-impl sac -overlap", "mg: -overlap applies only to -impl mpi; got -impl sac"},
 	} {
 		out, err := exec.Command(bin, append([]string{"-class", "S"}, strings.Fields(c.args)...)...).CombinedOutput()
 		got := strings.TrimSpace(string(out))

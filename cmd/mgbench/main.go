@@ -34,7 +34,7 @@
 //	mgbench -fig comm -mgrank ./mgrank -classes S -ranks 4 -commout comm-artifacts
 //
 // Both distributed figures accept -overlap, which runs the ranks with
-// the nonblocking overlapped halo exchange (mgrank -overlap); -fig comm
+// the overlapped halo exchange (mgrank -overlap); -fig comm
 // additionally prints one `overlap efficiency: <x>` summary line per
 // class, the number CI's overlap gate compares between the synchronous
 // and overlapped runs.
@@ -90,7 +90,7 @@ func main() {
 		mgrankBin   = flag.String("mgrank", "", "-fig dist/comm: path to a built cmd/mgrank binary")
 		distRanks   = flag.Int("ranks", 4, "-fig dist/comm: number of mgrank processes")
 		commOut     = flag.String("commout", "comm-artifacts", "-fig comm: directory for the per-rank traces, merged Perfetto timeline and comm report")
-		distOverlap = flag.Bool("overlap", false, "-fig dist/comm: run the ranks with the nonblocking overlapped halo exchange (mgrank -overlap)")
+		distOverlap = flag.Bool("overlap", false, "-fig dist/comm: run the ranks with the overlapped halo exchange (mgrank -overlap)")
 	)
 	flag.Parse()
 

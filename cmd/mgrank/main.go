@@ -68,7 +68,7 @@ func main() {
 		logFormat    = flag.String("log-format", "text", "structured log format for stderr diagnostics: text or json")
 		tracePath    = flag.String("trace", "", "write this rank's JSON-lines trace (spans + pairable send/recv events) to this file")
 		metricsAddr  = flag.String("metrics-addr", "", "serve the transport's per-peer counters as Prometheus text on this address's /metrics")
-		overlap      = flag.Bool("overlap", false, "overlap the halo exchange with interior compute (nonblocking Isend/Irecv)")
+		overlap      = flag.Bool("overlap", false, "overlap the halo exchange with interior compute (send the boundary planes before the interior sweep)")
 		threads      = flag.Int("threads", 1, "worker threads per rank for the plane loops (hybrid MPI×SMP; 1 = serial)")
 	)
 	flag.Parse()

@@ -31,7 +31,7 @@ type DistConfig struct {
 	// means 30s. The whole run is additionally bounded by twice this
 	// plus a launch allowance, so a wedged world returns, not hangs.
 	Timeout time.Duration
-	// Overlap selects the nonblocking halo exchange (mgrank -overlap);
+	// Overlap selects the overlapped halo exchange (mgrank -overlap);
 	// the solve must stay bit-identical to the synchronous path.
 	Overlap bool
 	// Threads is the per-rank worker-pool width (mgrank -threads);
@@ -235,7 +235,7 @@ func checkDistributed(cfg DistConfig) ([]DistRank, mgmpi.RankReport, error) {
 // world and over ranks mgrank processes, reporting message counts,
 // payload and wire volume, and the bit-exactness of the result — the
 // EXPERIMENTS.md transport table and the CI distributed smoke test.
-// With overlap set both worlds run the nonblocking halo exchange,
+// With overlap set both worlds run the overlapped halo exchange,
 // which ships the same messages — the volume gate is unchanged.
 func RunFigDist(w io.Writer, binary string, classes []nas.Class, ranks int, overlap bool) error {
 	mode := ""
@@ -284,11 +284,8 @@ func RunFigDist(w io.Writer, binary string, classes []nas.Class, ranks int, over
 // rank's traced blocked time equals its transport ExchangeNanos to the
 // nanosecond, and the aligned Perfetto trace validates.
 //
-// With overlap set the ranks run the nonblocking halo exchange
-// (mgrank -overlap): the pairing and bit-identity gates are unchanged,
-// but the attribution gate loosens to 5% plus a 2 ms absolute
-// allowance — traced send events are stamped at post time, so the
-// send-side Wait blocked time appears only in the transport counter.
+// With overlap set the ranks run the overlapped halo exchange
+// (mgrank -overlap) under the same gates.
 func RunFigComm(w io.Writer, binary string, class nas.Class, ranks int, overlap bool, outDir string) (metrics.CommReport, error) {
 	var rep metrics.CommReport
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
@@ -358,28 +355,17 @@ func RunFigComm(w io.Writer, binary string, class nas.Class, ranks int, overlap 
 	fmt.Fprintf(w, "matched %d send/recv pairs == %d transport sends; 0 unmatched\n", rep.Matched, totalSends)
 
 	// Per-rank attribution gate. Every traced Send/Recv event carries what
-	// the transport charged that call to ExchangeNanos, so in sync mode
-	// the traced blocked time must equal ExchangeNanos to the nanosecond:
-	// any gap is an event lost, duplicated or charged twice. In overlap
-	// mode the traced send events are stamped at post, not at Wait, so
-	// the gate tolerates 5% plus a small absolute gap (the send-side Wait
-	// blocked time, which only the transport counter sees).
+	// the transport charged that call to ExchangeNanos, so the traced
+	// blocked time must equal ExchangeNanos to the nanosecond: any gap is
+	// an event lost, duplicated or charged twice.
 	blockedByRank := map[int]int64{}
 	for _, l := range rep.Levels {
 		blockedByRank[l.Rank] += l.BlockedNanos
 	}
 	for _, r := range results {
 		traced, wire := blockedByRank[r.Rank], r.Result.ExchangeNanos
-		if !overlap && traced != wire {
+		if traced != wire {
 			return rep, fmt.Errorf("rank %d: traced blocked time %d ns != transport ExchangeNanos %d ns",
-				r.Rank, traced, wire)
-		}
-		diff := traced - wire
-		if diff < 0 {
-			diff = -diff
-		}
-		if wire > 0 && float64(diff) > 0.05*float64(wire)+float64(2*time.Millisecond) {
-			return rep, fmt.Errorf("rank %d: traced blocked time %d ns vs transport ExchangeNanos %d ns (>5%%+2ms apart)",
 				r.Rank, traced, wire)
 		}
 		fmt.Fprintf(w, "rank %d blocked-time attribution: traced %d ns vs transport %d ns\n",

@@ -171,9 +171,9 @@ func TestRunFigComm(t *testing.T) {
 }
 
 // TestRunFigCommOverlap runs the same traced distributed experiment
-// with the nonblocking overlapped exchange (FW-3d): every gate in
-// RunFigComm — bit-identity against the overlapped channel reference,
-// pairing, the (relaxed) attribution gate, Perfetto validation — must
+// with the overlapped exchange (FW-3d): every gate in RunFigComm —
+// bit-identity against the overlapped channel reference, pairing, the
+// exact attribution gate, Perfetto validation — must
 // hold, and the report's overlap efficiency must stay well-formed.
 func TestRunFigCommOverlap(t *testing.T) {
 	bin := buildMgrank(t)

@@ -10,8 +10,6 @@
 package mgmpi
 
 import (
-	"time"
-
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 )
@@ -26,10 +24,10 @@ type seqKey struct{ peer, tag int }
 // sides makes (src, dst, tag, seq) a globally unique pairing key: the
 // n-th send on a stream is received by the n-th matching recv.
 //
-// A Send, Recv or receive Wait event carries what the transport charged
-// that call as blocked time — the difference of its running total around
-// the call — so the traced and the transport's views bracket one region
-// and agree exactly, however the rank is descheduled around the call.
+// A Send or Recv event carries what the transport charged that call as
+// blocked time — the difference of its running total around the call —
+// so the traced and the transport's views bracket one region and agree
+// exactly, however the rank is descheduled around the call.
 //
 // level and iter are plain fields written by the owning rank's goroutine
 // between communication phases (a rank's solve is single-threaded); the
@@ -108,84 +106,4 @@ func (o *commObserver) Recv(src, tag int) ([]float64, error) {
 		Nanos: o.clock.ExchangeNanos() - before,
 	})
 	return data, nil
-}
-
-// Isend emits its send event at post time — the message is on its way
-// from here, and the pairing window against the matching recv must span
-// the compute the caller overlaps, not collapse to the Wait. Nanos is
-// the post call's own duration (over TCP, the write): the transport
-// charges it, with any blocked tail, at the send's Wait, which is not
-// traced. The sequence number is taken at post, which is delivery order
-// on a FIFO stream.
-func (o *commObserver) Isend(dst, tag int, data []float64) mpi.Request {
-	start := time.Now()
-	req := o.inner.Isend(dst, tag, data)
-	k := seqKey{dst, tag}
-	seq := o.sendSeq[k]
-	o.sendSeq[k] = seq + 1
-	o.tr.Emit(metrics.Event{
-		Ev: "send", Rank: o.rank, Peer: dst, Tag: tag,
-		Level: o.level, Iter: o.iter,
-		Bytes: int64(8 * len(data)), Seq: seq,
-		Nanos: int64(time.Since(start)),
-	})
-	return req
-}
-
-// Irecv assigns the stream sequence number at post (post order is
-// delivery order on a FIFO stream) but emits the recv event from the
-// first Wait, when the payload — and its true size — exists. The event's
-// Nanos is what that Wait was charged as blocked: the exposed
-// (non-overlapped) part of the exchange, which is exactly what the
-// overlap report should see.
-func (o *commObserver) Irecv(src, tag int) mpi.Request {
-	k := seqKey{src, tag}
-	seq := o.recvSeq[k]
-	o.recvSeq[k] = seq + 1
-	return &tracedRecv{
-		req: o.inner.Irecv(src, tag),
-		o:   o, src: src, tag: tag, seq: seq,
-		level: o.level, iter: o.iter,
-	}
-}
-
-// tracedRecv wraps an Irecv request to emit the recv trace event exactly
-// once, on the first successful Wait/Test. The level/iter context is
-// captured at post time — the event must describe the phase that posted
-// the receive, not whatever phase the solver is in when it waits.
-type tracedRecv struct {
-	req         mpi.Request
-	o           *commObserver
-	src, tag    int
-	seq         uint64
-	level, iter int
-	emitted     bool
-}
-
-func (r *tracedRecv) emit(data []float64, err error, nanos int64) {
-	if r.emitted || err != nil {
-		return
-	}
-	r.emitted = true
-	r.o.tr.Emit(metrics.Event{
-		Ev: "recv", Rank: r.o.rank, Peer: r.src, Tag: r.tag,
-		Level: r.level, Iter: r.iter,
-		Bytes: int64(8 * len(data)), Seq: r.seq,
-		Nanos: nanos,
-	})
-}
-
-func (r *tracedRecv) Wait() ([]float64, error) {
-	before := r.o.clock.ExchangeNanos()
-	data, err := r.req.Wait()
-	r.emit(data, err, r.o.clock.ExchangeNanos()-before)
-	return data, err
-}
-
-func (r *tracedRecv) Test() (bool, []float64, error) {
-	done, data, err := r.req.Test()
-	if done {
-		r.emit(data, err, 0)
-	}
-	return done, data, err
 }

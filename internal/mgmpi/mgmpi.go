@@ -106,10 +106,10 @@ type Solver struct {
 	// reduction. cmd/mgrank uses it to kill a rank mid-solve at a
 	// deterministic point for fault-injection tests.
 	OnIter func(rank, iter int)
-	// Overlap selects the nonblocking halo exchange: each kernel computes
-	// its boundary planes first, posts Irecv/Isend for the axis-0 face
-	// exchange, fills the interior planes while the wire drains, and only
-	// then waits (DESIGN.md §4.7). Per-iteration rnm2 is bit-identical to
+	// Overlap selects the overlapped halo exchange: each kernel computes
+	// its boundary planes first, sends the axis-0 faces, fills the
+	// interior planes while the wire drains, and only then receives
+	// (DESIGN.md §4.7). Per-iteration rnm2 is bit-identical to
 	// the synchronous path — the split reorders whole planes, never the
 	// statements within one. Requires a 1-D slab decomposition (Procs =
 	// (R,1,1)); runRank panics otherwise.
@@ -333,7 +333,7 @@ type rankState struct {
 	// works on whole grids.
 	serialComm bool
 
-	// overlap selects the nonblocking interior/boundary-split exchange
+	// overlap selects the interior/boundary-split exchange
 	// (Solver.Overlap); pool, when non-nil, fans each kernel's plane loop
 	// over multiple workers (Solver.Threads). Both nil/false by default.
 	overlap bool
@@ -562,8 +562,8 @@ func (st *rankState) comm3(a *array.Array) {
 	}
 }
 
-// pack returns the box [lo, hi] of d as one slice for a Send or Isend to
-// copy into its frame: d's own memory where the box is whole axis-0 planes
+// pack returns the box [lo, hi] of d as one slice for a Send to copy into
+// its frame: d's own memory where the box is whole axis-0 planes
 // (every face of a slab), else the rank's scratch, valid until the next pack.
 func (st *rankState) pack(d []float64, n1, n2 int, lo, hi [3]int) []float64 {
 	if lo[1] == 0 && hi[1] == n1-1 && lo[2] == 0 && hi[2] == n2-1 {

@@ -4,13 +4,17 @@
 //
 // The synchronous path computes every plane, then exchanges faces. The
 // overlap path reorders whole planes: boundary planes (the ones the
-// exchange ships) compute first and go on the wire as nonblocking
-// Isend/Irecv; the interior planes compute while the network drains; the
-// Waits come last. Bit-identity holds because a plane's statements are
-// identical under every schedule — only the order *between* planes moves,
-// and no two planes overlap in their writes. The same argument covers the
-// thread fan-out (disjoint plane ranges per worker) and the per-plane
-// lateral halo copies (plane i3's copies touch only plane i3).
+// exchange ships) compute first and go on the wire; the interior planes
+// compute while the network drains; the receives come last. Both
+// transports buffer inbound messages eagerly (a mailbox, a per-peer
+// inbox), so a Recv after the interior sweep sees the bytes that arrived
+// during it, and plain Send/Recv are all the schedule needs.
+//
+// Bit-identity holds because a plane's statements are identical under
+// every schedule — only the order *between* planes moves, and no two
+// planes overlap in their writes. The same argument covers the thread
+// fan-out (disjoint plane ranges per worker) and the per-plane lateral
+// halo copies (plane i3's copies touch only plane i3).
 package mgmpi
 
 import (
@@ -49,9 +53,10 @@ func (st *rankState) fusedComm3(a *array.Array, compute func(core.PlaneSpan)) {
 	st.comm3(a)
 }
 
-// overlapActive reports whether the nonblocking split applies: overlap
-// selected, a genuinely distributed axis-0 exchange (slab decomposition,
-// more than one rank), and not on the whole-grid levels every rank solves.
+// overlapActive reports whether the interior/boundary split applies:
+// overlap selected, a genuinely distributed axis-0 exchange (slab
+// decomposition, more than one rank), and not on the whole-grid levels
+// every rank solves.
 func (st *rankState) overlapActive() bool {
 	return st.overlap && !st.serialComm && st.procs[0] > 1
 }
@@ -62,21 +67,21 @@ func plane3(i3, n1, n2 int) (lo, hi [3]int) {
 	return [3]int{i3, 0, 0}, [3]int{i3, n1 - 1, n2 - 1}
 }
 
-// overlapComm3 is the fused compute + nonblocking exchange for a slab
+// overlapComm3 is the fused compute + overlapped exchange for a slab
 // decomposition. Schedule:
 //
 //	compute boundary planes → refresh their lateral halos →
-//	post Irecv (both halo planes) and Isend (both faces) →
+//	Send both faces (up, then down) →
 //	compute + refresh the interior planes while the wire drains →
-//	wait for the receives, unpack the halo planes, wait for the sends.
+//	Recv both halo planes (from down, then from up) and unpack them.
 //
-// The messages (peers, tags, payloads) are those of the synchronous
-// comm3's axis-0 step; the lateral axes, undistributed in a slab, are
-// refreshed plane by plane with core.WrapFrame — each plane's slice of
-// the synchronous comm3's axis-2, then axis-1 local copies. Blocked time
-// lands in the requests' Waits, so the transport stats now show only the
-// *exposed* part of the exchange — the quantity the overlap report gates
-// on.
+// The messages (peers, tags, payloads) and their per-stream order are
+// those of the synchronous comm3's axis-0 step; the lateral axes,
+// undistributed in a slab, are refreshed plane by plane with
+// core.WrapFrame — each plane's slice of the synchronous comm3's axis-2,
+// then axis-1 local copies. A Recv blocks only for what the interior sweep
+// did not hide, so the transport stats show only the *exposed* part of the
+// exchange — the quantity the overlap report gates on.
 func (st *rankState) overlapComm3(a *array.Array, compute func(core.PlaneSpan)) {
 	shp := a.Shape()
 	n1, n2 := shp[1], shp[2]
@@ -95,12 +100,10 @@ func (st *rankState) overlapComm3(a *array.Array, compute func(core.PlaneSpan)) 
 	down := st.neighbour(0, -1)
 	tagHi := tagHaloBase     // my top face → up's low halo
 	tagLo := tagHaloBase + 1 // my bottom face → down's high halo
-	recvDown := st.c.Irecv(down, tagHi)
-	recvUp := st.c.Irecv(up, tagLo)
 	sLo, sHi := plane3(lp, n1, n2)
-	sendUp := st.c.Isend(up, tagHi, st.pack(d, n1, n2, sLo, sHi))
+	st.c.Send(up, tagHi, st.pack(d, n1, n2, sLo, sHi))
 	sLo, sHi = plane3(1, n1, n2)
-	sendDown := st.c.Isend(down, tagLo, st.pack(d, n1, n2, sLo, sHi))
+	st.c.Send(down, tagLo, st.pack(d, n1, n2, sLo, sHi))
 	st.forPlanes(interior, func(p core.PlaneSpan) {
 		compute(p)
 		for i3 := p.Lo; i3 <= p.Hi; i3++ {
@@ -108,9 +111,7 @@ func (st *rankState) overlapComm3(a *array.Array, compute func(core.PlaneSpan)) 
 		}
 	})
 	rLo, rHi := plane3(0, n1, n2)
-	st.unpack(d, n1, n2, rLo, rHi, recvDown.Wait())
+	st.unpack(d, n1, n2, rLo, rHi, st.c.Recv(down, tagHi))
 	rLo, rHi = plane3(lp+1, n1, n2)
-	st.unpack(d, n1, n2, rLo, rHi, recvUp.Wait())
-	sendUp.Wait()
-	sendDown.Wait()
+	st.unpack(d, n1, n2, rLo, rHi, st.c.Recv(up, tagLo))
 }

@@ -6,15 +6,19 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/mpi"
 	"repro/internal/mpinet"
 	"repro/internal/nas"
+	"repro/internal/sched"
 )
 
 // config is one row of the bit-identity matrix.
@@ -207,7 +211,8 @@ func TestOverlapCommVolumeMatches(t *testing.T) {
 			ss.Messages, ss.Bytes, os.Messages, os.Bytes)
 	}
 	// Blocked time still decomposes exactly onto the per-peer rows:
-	// overlap moves it into the Waits, it must not leak out of the stats.
+	// overlap moves it into the late Recvs, it must not leak out of the
+	// stats.
 	for rank, st := range over.world.Stats() {
 		if st.BlockedNanos() != st.ExchangeNanos {
 			t.Errorf("rank %d: per-peer blocked %d != ExchangeNanos %d",
@@ -237,8 +242,8 @@ func TestOverlapNonSlabPanics(t *testing.T) {
 // A traced overlap run keeps the observability invariants: the solve
 // verifies, per rank the send events equal the transport's message
 // count, and every send pairs with exactly one recv under the
-// (src, dst, tag, seq) key — with send events stamped at post time and
-// recv events at Wait.
+// (src, dst, tag, seq) key, with the sends stamped before the interior
+// sweep and the recvs after it.
 func TestOverlapTracedPairing(t *testing.T) {
 	var buf bytes.Buffer
 	tr := metrics.NewTracer(&buf)
@@ -288,6 +293,88 @@ func TestOverlapTracedPairing(t *testing.T) {
 	for k := range recvs {
 		if sends[k] != 1 {
 			t.Errorf("recv %+v has no matching send", k)
+		}
+	}
+}
+
+// orderLog records one rank's exchange calls and computed planes in the
+// order they start; the pool's workers log interior planes concurrently.
+type orderLog struct {
+	mu  sync.Mutex
+	ops []string
+}
+
+func (l *orderLog) add(format string, args ...any) {
+	l.mu.Lock()
+	l.ops = append(l.ops, fmt.Sprintf(format, args...))
+	l.mu.Unlock()
+}
+
+// recordingTransport logs each Send and Recv before passing it on.
+type recordingTransport struct {
+	mpi.Transport
+	log *orderLog
+}
+
+func (r recordingTransport) Send(dst, tag int, data []float64) error {
+	r.log.add("send %d/%d", dst, tag)
+	return r.Transport.Send(dst, tag, data)
+}
+
+func (r recordingTransport) Recv(src, tag int) ([]float64, error) {
+	r.log.add("recv %d/%d", src, tag)
+	return r.Transport.Recv(src, tag)
+}
+
+// TestOverlapSendsPrecedeInterior pins the overlapped comm3's schedule,
+// which bit-identity cannot see: on every rank, at every distributed
+// level and with the plane loop inline or fanned over a pool, the boundary
+// planes are computed first, then both faces are sent (up, then down),
+// then every interior plane is computed, and only then are both halos
+// received (from down, then from up).
+func TestOverlapSendsPrecedeInterior(t *testing.T) {
+	for _, class := range []nas.Class{nas.ClassS, nas.ClassW} {
+		for _, ranks := range []int{2, 4} {
+			for _, threads := range []int{1, 2} {
+				mpi.NewWorld(ranks).Run(func(c *mpi.Comm) {
+					log := &orderLog{}
+					st := newRankState(mpi.NewComm(recordingTransport{c.Transport(), log}), class, [3]int{ranks, 1, 1})
+					st.overlap = true
+					if threads > 1 {
+						st.pool = sched.NewPool(threads)
+						defer st.pool.Close()
+					}
+					up, down := st.neighbour(0, +1), st.neighbour(0, -1)
+					for l := st.lcd; l <= st.lt; l++ {
+						a := st.u[l]
+						log.ops = nil
+						st.fusedComm3(a, func(p core.PlaneSpan) {
+							for i3 := p.Lo; i3 <= p.Hi; i3++ {
+								log.add("plane %03d", i3)
+							}
+						})
+						boundary, interior := core.SplitPlanes(a.Shape()[0])
+						var want []string
+						for _, i3 := range boundary {
+							want = append(want, fmt.Sprintf("plane %03d", i3))
+						}
+						want = append(want, fmt.Sprintf("send %d/%d", up, tagHaloBase), fmt.Sprintf("send %d/%d", down, tagHaloBase+1))
+						lo := len(want)
+						for i3 := interior.Lo; i3 <= interior.Hi; i3++ {
+							want = append(want, fmt.Sprintf("plane %03d", i3))
+						}
+						want = append(want, fmt.Sprintf("recv %d/%d", down, tagHaloBase), fmt.Sprintf("recv %d/%d", up, tagHaloBase+1))
+						got := log.ops
+						if len(got) == len(want) { // the pool computes interior planes in any order
+							sort.Strings(got[lo : lo+interior.Count()])
+						}
+						if fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Errorf("class %c ranks=%d threads=%d rank %d level %d: order\n%v\nwant\n%v",
+								class.Name, ranks, threads, c.Rank(), l, got, want)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -67,13 +67,6 @@ func (r *CommRecorder) row(peer, tag int) *PeerStat {
 // passes (mpinet, whose sender writes its own frame): no depth sample.
 const NoQueue = -1
 
-// observeDepth samples the departure-queue depth unless there is no queue.
-func (r *CommRecorder) observeDepth(queueDepth int) {
-	if queueDepth != NoQueue {
-		r.depth.Observe(int64(queueDepth))
-	}
-}
-
 // RecordSend accounts one completed send: payload bytes, the time the
 // caller was blocked inside the transport, and the departure-queue depth
 // observed before enqueue (mailbox fill for the channel transport;
@@ -85,32 +78,9 @@ func (r *CommRecorder) RecordSend(peer, tag int, payloadBytes uint64, blockedNan
 	p.SentBytes += payloadBytes
 	p.SendBlockedNanos += blockedNanos
 	r.blocked.Observe(blockedNanos)
-	r.observeDepth(queueDepth)
-	r.mu.Unlock()
-}
-
-// RecordSendPosted accounts a nonblocking send at post time: the message
-// and byte counters and the departure-queue depth, but no blocked time —
-// for nonblocking operations blocked time is measured inside Wait
-// (RecordSendWait), not inside the post call. The blocked-time histogram
-// therefore gets exactly one sample per message in both APIs: the call
-// for blocking sends, the Wait for nonblocking ones.
-func (r *CommRecorder) RecordSendPosted(peer, tag int, payloadBytes uint64, queueDepth int) {
-	r.mu.Lock()
-	p := r.row(peer, tag)
-	p.SentMsgs++
-	p.SentBytes += payloadBytes
-	r.observeDepth(queueDepth)
-	r.mu.Unlock()
-}
-
-// RecordSendWait accounts the blocked time of a nonblocking send's first
-// Wait, completing the row its RecordSendPosted opened.
-func (r *CommRecorder) RecordSendWait(peer, tag int, blockedNanos int64) {
-	r.mu.Lock()
-	p := r.row(peer, tag)
-	p.SendBlockedNanos += blockedNanos
-	r.blocked.Observe(blockedNanos)
+	if queueDepth != NoQueue {
+		r.depth.Observe(int64(queueDepth))
+	}
 	r.mu.Unlock()
 }
 

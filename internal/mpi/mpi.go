@@ -209,22 +209,14 @@ func (w *World) Run(body func(c *Comm)) {
 // --- channel transport --------------------------------------------------------
 
 // chanTransport is one rank's view of the in-process channel runtime: the
-// original simulated network, now behind the Transport seam. Fast paths
-// are the plain channel operations; only a full (or empty) mailbox takes
-// the slow path that watches for world aborts and the stall bound.
-//
-// Blocking Send/Recv are implemented as Isend/Irecv + Wait, so blocking
-// and nonblocking operations share one code path and one per-(peer,
-// direction) FIFO chain — a blocking Send cannot overtake an Isend that
-// is still queued behind a full mailbox. The accounting is equivalent:
-// RecordSendPosted + RecordSendWait touch the same counters and observe
-// the same histograms, once per message, as a single RecordSend.
+// original simulated network, behind the Transport seam. Fast paths are
+// the plain channel operations; only a full (or empty) mailbox takes the
+// slow path that watches for world aborts and the stall bound. Both run on
+// the calling goroutine, which must be the rank's own: the aggregate Stats
+// entry is goroutine-owned.
 type chanTransport struct {
 	w    *World
 	rank int
-
-	sendChain OpChain // per-dst FIFO of in-flight sends
-	recvChain OpChain // per-src FIFO of in-flight receives
 }
 
 func (t *chanTransport) Rank() int { return t.rank }
@@ -254,147 +246,75 @@ func (t *chanTransport) Barrier() error {
 	return nil
 }
 
+// Send copies data into the dst mailbox. A full mailbox blocks, at most
+// the stall bound, and the wait is charged as exchange time.
 func (t *chanTransport) Send(dst, tag int, data []float64) error {
-	_, err := t.Isend(dst, tag, data).Wait()
-	return err
-}
-
-func (t *chanTransport) Recv(src, tag int) ([]float64, error) {
-	return t.Irecv(src, tag).Wait()
-}
-
-// Isend posts a send. The payload is copied and the message/byte counters
-// and queue-depth sample are recorded here, at post time — the message is
-// in flight whether or not the Request is ever waited. Blocked time (if
-// the mailbox is full) is charged to the first Wait, on the waiting
-// goroutine, which for this transport must be the rank's own: the
-// aggregate Stats entry is goroutine-owned.
-func (t *chanTransport) Isend(dst, tag int, data []float64) Request {
 	w := t.w
 	if dst < 0 || dst >= w.size {
-		return CompletedRequest(nil, fmt.Errorf("invalid rank %d (world size %d)", dst, w.size))
+		return fmt.Errorf("invalid rank %d (world size %d)", dst, w.size)
 	}
 	buf := GetBuffer(w.free, len(data))
 	copy(buf, data)
 	m := message{tag: tag, data: buf}
-	depth := len(w.mail[t.rank][dst])
-	w.stats[t.rank].Messages++
-	w.stats[t.rank].Bytes += uint64(len(data)) * 8
-	w.rec[t.rank].RecordSendPosted(dst, tag, uint64(len(data))*8, depth)
-
-	req := NewRequest(func(blocked int64, _ []float64, _ error) {
-		w.stats[t.rank].ExchangeNanos += blocked
-		w.rec[t.rank].RecordSendWait(dst, tag, blocked)
-	})
-	prev := t.sendChain.Push(dst, req)
-	if prev == nil {
-		// No predecessor in flight: try to deliver inline.
-		select {
-		case w.mail[t.rank][dst] <- m:
-			req.Complete(nil, nil)
-			return req
-		default:
-		}
-	}
-	go t.finishSend(req, prev, dst, m)
-	return req
-}
-
-// finishSend completes a slow-path Isend: after the chained predecessor
-// (if any) finishes, deliver with the same abort/stall watches blocking
-// Send always had. It touches only channels and the request — never the
-// rank's unsynchronized Stats.
-func (t *chanTransport) finishSend(req, prev *AsyncRequest, dst int, m message) {
-	w := t.w
-	start := time.Now()
-	timer := time.NewTimer(w.stall())
-	defer timer.Stop()
-	if prev != nil {
-		select {
-		case <-prev.Done():
-		case <-w.aborted:
-			req.Complete(nil, fmt.Errorf("world aborted while blocked on a full mailbox (peer rank %d may be dead)", dst))
-			return
-		case <-timer.C:
-			req.Complete(nil, fmt.Errorf("mailbox full for %v — no matching Recv on rank %d (deadlocked exchange?)",
-				time.Since(start).Round(time.Millisecond), dst))
-			return
-		}
-	}
+	box := w.mail[t.rank][dst]
+	depth := len(box)
+	var blocked int64
 	select {
-	case w.mail[t.rank][dst] <- m:
-		req.Complete(nil, nil)
-	case <-w.aborted:
-		req.Complete(nil, fmt.Errorf("world aborted while blocked on a full mailbox (peer rank %d may be dead)", dst))
-	case <-timer.C:
-		req.Complete(nil, fmt.Errorf("mailbox full for %v — no matching Recv on rank %d (deadlocked exchange?)",
-			time.Since(start).Round(time.Millisecond), dst))
+	case box <- m:
+	default:
+		start := time.Now()
+		timer := time.NewTimer(w.stall())
+		defer timer.Stop()
+		select {
+		case box <- m:
+			blocked = int64(time.Since(start))
+		case <-w.aborted:
+			return fmt.Errorf("world aborted while blocked on a full mailbox (peer rank %d may be dead)", dst)
+		case <-timer.C:
+			return fmt.Errorf("mailbox full for %v — no matching Recv on rank %d (deadlocked exchange?)",
+				time.Since(start).Round(time.Millisecond), dst)
+		}
 	}
+	st := &w.stats[t.rank]
+	st.Messages++
+	st.Bytes += uint64(len(data)) * 8
+	st.ExchangeNanos += blocked
+	w.rec[t.rank].RecordSend(dst, tag, uint64(len(data))*8, blocked, depth)
+	return nil
 }
 
-// Irecv posts a receive. Nothing is recorded at post time: the
-// receive-side row (message, bytes, blocked time) is recorded by the
-// first Wait, on the waiting goroutine — a dropped Request consumes its
-// message in the background but was never observed by the caller, so it
-// never appears in the stats.
-func (t *chanTransport) Irecv(src, tag int) Request {
+// Recv pops the next message from src's mailbox and checks its tag. An
+// empty mailbox blocks, at most the stall bound, and the wait is charged
+// as exchange time.
+func (t *chanTransport) Recv(src, tag int) ([]float64, error) {
 	w := t.w
 	if src < 0 || src >= w.size {
-		return CompletedRequest(nil, fmt.Errorf("invalid rank %d (world size %d)", src, w.size))
+		return nil, fmt.Errorf("invalid rank %d (world size %d)", src, w.size)
 	}
-	req := NewRequest(func(blocked int64, data []float64, err error) {
-		w.stats[t.rank].ExchangeNanos += blocked
-		if err == nil {
-			w.rec[t.rank].RecordRecv(src, tag, uint64(len(data))*8, blocked)
-		}
-	})
-	prev := t.recvChain.Push(src, req)
-	if prev == nil {
-		select {
-		case m := <-w.mail[src][t.rank]:
-			req.Complete(recvCheck(m, src, tag))
-			return req
-		default:
-		}
-	}
-	go t.finishRecv(req, prev, src, tag)
-	return req
-}
-
-// finishRecv completes a slow-path Irecv after its chained predecessor.
-func (t *chanTransport) finishRecv(req, prev *AsyncRequest, src, tag int) {
-	w := t.w
-	start := time.Now()
-	timer := time.NewTimer(w.stall())
-	defer timer.Stop()
-	if prev != nil {
-		select {
-		case <-prev.Done():
-		case <-w.aborted:
-			req.Complete(nil, fmt.Errorf("world aborted while waiting (peer rank %d may be dead)", src))
-			return
-		case <-timer.C:
-			req.Complete(nil, fmt.Errorf("no message from rank %d for %v (deadlocked exchange?)",
-				src, time.Since(start).Round(time.Millisecond)))
-			return
-		}
-	}
+	box := w.mail[src][t.rank]
+	var m message
+	var blocked int64
 	select {
-	case m := <-w.mail[src][t.rank]:
-		req.Complete(recvCheck(m, src, tag))
-	case <-w.aborted:
-		req.Complete(nil, fmt.Errorf("world aborted while waiting (peer rank %d may be dead)", src))
-	case <-timer.C:
-		req.Complete(nil, fmt.Errorf("no message from rank %d for %v (deadlocked exchange?)",
-			src, time.Since(start).Round(time.Millisecond)))
+	case m = <-box:
+	default:
+		start := time.Now()
+		timer := time.NewTimer(w.stall())
+		defer timer.Stop()
+		select {
+		case m = <-box:
+			blocked = int64(time.Since(start))
+		case <-w.aborted:
+			return nil, fmt.Errorf("world aborted while waiting (peer rank %d may be dead)", src)
+		case <-timer.C:
+			return nil, fmt.Errorf("no message from rank %d for %v (deadlocked exchange?)",
+				src, time.Since(start).Round(time.Millisecond))
+		}
 	}
-}
-
-// recvCheck validates a popped message's tag against the posted receive.
-func recvCheck(m message, src, tag int) ([]float64, error) {
+	w.stats[t.rank].ExchangeNanos += blocked
 	if m.tag != tag {
 		return nil, fmt.Errorf("expected tag %d, got tag %d", tag, m.tag)
 	}
+	w.rec[t.rank].RecordRecv(src, tag, uint64(len(m.data))*8, blocked)
 	return m.data, nil
 }
 

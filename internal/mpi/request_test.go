@@ -1,41 +1,27 @@
 package mpi
 
 import (
-	"errors"
 	"strings"
 	"testing"
 	"time"
 )
 
-// peerRow finds the (peer, tag) row in a snapshot, or a zero row.
-func peerRow(s Stats, peer, tag int) PeerStat {
-	for _, p := range s.Peers {
-		if p.Peer == peer && p.Tag == tag {
-			return p
-		}
-	}
-	return PeerStat{}
-}
-
-// A nonblocking ring exchange: every rank posts its receive, then its
-// send, computes "while the wire drains", and waits. The split
-// accounting must be indistinguishable from the blocking API's: blocked
-// time sums match ExchangeNanos, and both histograms hold exactly one
-// sample per message.
+// A ring exchange in the overlapped halo exchange's shape: every rank
+// sends, computes "while the wire drains", then receives. The accounting
+// holds its invariants: blocked time sums match ExchangeNanos, and the
+// blocked histogram holds exactly one sample per call.
 func TestRequestOverlapExchangeStats(t *testing.T) {
 	w := NewWorld(4)
 	w.Run(func(c *Comm) {
 		tr := c.Transport()
 		right := (c.Rank() + 1) % c.Size()
 		left := (c.Rank() - 1 + c.Size()) % c.Size()
-		rr := tr.Irecv(left, 1)
-		sr := tr.Isend(right, 1, []float64{float64(c.Rank())})
-		data, err := rr.Wait()
+		if err := tr.Send(right, 1, []float64{float64(c.Rank())}); err != nil {
+			t.Errorf("rank %d send failed: %v", c.Rank(), err)
+		}
+		data, err := tr.Recv(left, 1)
 		if err != nil || len(data) != 1 || data[0] != float64(left) {
 			t.Errorf("rank %d received %v, %v; want [%d]", c.Rank(), data, err, left)
-		}
-		if err := WaitAll(sr); err != nil {
-			t.Errorf("rank %d send failed: %v", c.Rank(), err)
 		}
 	})
 	for rank, st := range w.Stats() {
@@ -46,7 +32,7 @@ func TestRequestOverlapExchangeStats(t *testing.T) {
 			t.Errorf("rank %d per-peer blocked %d != ExchangeNanos %d",
 				rank, st.BlockedNanos(), st.ExchangeNanos)
 		}
-		if got := st.BlockedHist.Count(); got != 2 { // one send Wait + one recv Wait
+		if got := st.BlockedHist.Count(); got != 2 { // one Send + one Recv
 			t.Errorf("rank %d blocked-hist samples = %d, want 2", rank, got)
 		}
 		if got := st.QueueDepthHist.Count(); got != 1 {
@@ -55,133 +41,9 @@ func TestRequestOverlapExchangeStats(t *testing.T) {
 	}
 }
 
-// Waits may happen in any order: the per-stream chain completes
-// operations in post order regardless of which Request the caller
-// blocks on first.
-func TestRequestOutOfOrderWait(t *testing.T) {
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
-		tr := c.Transport()
-		if c.Rank() == 0 {
-			for tag := 0; tag < 3; tag++ {
-				if err := tr.Send(1, tag, []float64{float64(tag)}); err != nil {
-					t.Errorf("send tag %d: %v", tag, err)
-				}
-			}
-			return
-		}
-		reqs := make([]Request, 3)
-		for tag := 0; tag < 3; tag++ {
-			reqs[tag] = tr.Irecv(0, tag)
-		}
-		for tag := 2; tag >= 0; tag-- { // reverse of post order
-			data, err := reqs[tag].Wait()
-			if err != nil || data[0] != float64(tag) {
-				t.Errorf("tag %d: got %v, %v", tag, data, err)
-			}
-		}
-	})
-	if st := w.Stats()[1]; peerRow(st, 0, 2).RecvMsgs != 1 {
-		t.Fatalf("rank 1 rows = %+v", st.Peers)
-	}
-}
-
-// Double Wait is defined: the second call returns the same result
-// without blocking and without double-counting — the receive row is
-// latched by the first Wait only.
-func TestRequestDoubleWaitLatchesOnce(t *testing.T) {
-	w := NewWorld(2)
-	t0, t1 := w.Transport(0), w.Transport(1)
-	if err := t0.Send(1, 4, []float64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	req := t1.Irecv(0, 4)
-	d1, err1 := req.Wait()
-	d2, err2 := req.Wait()
-	if err1 != nil || err2 != nil || len(d1) != 2 || len(d2) != 2 || d1[0] != d2[0] {
-		t.Fatalf("Waits disagree: %v,%v / %v,%v", d1, err1, d2, err2)
-	}
-	st := w.Stats()[1]
-	if row := peerRow(st, 0, 4); row.RecvMsgs != 1 || row.RecvBytes != 16 {
-		t.Fatalf("double Wait double-counted: %+v", row)
-	}
-	if got := st.BlockedHist.Count(); got != 1 {
-		t.Fatalf("blocked-hist samples = %d, want 1", got)
-	}
-}
-
-// A dropped Isend is still delivered (the payload was captured at post),
-// and its message counters were recorded at post — but no blocked-time
-// sample, because the caller never stood still for it. A dropped Irecv
-// consumes its message in the background without ever appearing in the
-// receive rows.
-func TestRequestDroppedStillDelivered(t *testing.T) {
-	w := NewWorld(2)
-	t0, t1 := w.Transport(0), w.Transport(1)
-
-	buf := []float64{42}
-	t0.Isend(1, 9, buf) // dropped: never waited
-	buf[0] = -1         // must not affect the in-flight copy
-	if data, err := t1.Recv(0, 9); err != nil || data[0] != 42 {
-		t.Fatalf("Recv after dropped Isend = %v, %v", data, err)
-	}
-	st0 := w.Stats()[0]
-	if st0.Messages != 1 || peerRow(st0, 1, 9).SentMsgs != 1 {
-		t.Fatalf("dropped Isend undercounted: %+v", st0)
-	}
-	if got := st0.BlockedHist.Count(); got != 0 {
-		t.Fatalf("dropped Isend charged blocked time: %d samples", got)
-	}
-
-	dropped := t1.Irecv(0, 10).(*AsyncRequest) // posted before the send: slow path
-	if err := t0.Send(1, 10, []float64{7}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-dropped.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("dropped Irecv never consumed its message")
-	}
-	st1 := w.Stats()[1]
-	if row := peerRow(st1, 0, 10); row.RecvMsgs != 0 {
-		t.Fatalf("dropped Irecv recorded a receive row: %+v", row)
-	}
-}
-
-// Test is a non-blocking Wait: false while in flight, and a true result
-// latches exactly once.
-func TestRequestTestPolls(t *testing.T) {
-	w := NewWorld(2)
-	t0, t1 := w.Transport(0), w.Transport(1)
-	req := t1.Irecv(0, 3)
-	if done, _, _ := req.Test(); done {
-		t.Fatal("Test reported done before any send")
-	}
-	if err := t0.Send(1, 3, []float64{9}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		done, data, err := req.Test()
-		if done {
-			if err != nil || data[0] != 9 {
-				t.Fatalf("Test completed with %v, %v", data, err)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("Test never reported completion")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if row := peerRow(w.Stats()[1], 0, 3); row.RecvMsgs != 1 {
-		t.Fatalf("successful Test did not latch the receive row: %+v", row)
-	}
-}
-
-// Nonblocking sends queued past the mailbox depth stay FIFO, and a
-// blocking Send posted behind them cannot overtake: the receiver drains
-// every tag in post order.
+// Sends queued past the mailbox depth stay FIFO: the sender blocks on the
+// full mailbox, the receiver drains every tag in send order, and the
+// sender's wait is charged as exchange time on its (peer, tag) rows.
 func TestRequestFIFOUnderBackpressure(t *testing.T) {
 	const n = 3 * mailboxDepth
 	w := NewWorld(2)
@@ -190,36 +52,33 @@ func TestRequestFIFOUnderBackpressure(t *testing.T) {
 		defer close(done)
 		tr := w.Transport(1)
 		time.Sleep(10 * time.Millisecond) // let the sender overrun the mailbox
-		for tag := 0; tag < n; tag++ {
+		for tag := 0; tag <= n; tag++ {
 			data, err := tr.Recv(0, tag)
 			if err != nil || data[0] != float64(tag) {
 				t.Errorf("tag %d out of order: %v, %v", tag, data, err)
 				return
 			}
 		}
-		if data, err := tr.Recv(0, n); err != nil || data[0] != float64(n) {
-			t.Errorf("blocking Send overtook the queued Isends: %v, %v", data, err)
-		}
 	}()
 	tr := w.Transport(0)
-	reqs := make([]Request, n)
-	for tag := 0; tag < n; tag++ {
-		reqs[tag] = tr.Isend(1, tag, []float64{float64(tag)})
-	}
-	if err := tr.Send(1, n, []float64{float64(n)}); err != nil { // chains behind the Isends
-		t.Fatal(err)
-	}
-	if err := WaitAll(reqs...); err != nil {
-		t.Fatal(err)
+	for tag := 0; tag <= n; tag++ {
+		if err := tr.Send(1, tag, []float64{float64(tag)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	<-done
-	if st := w.Stats()[0]; st.Messages != n+1 {
+	st := w.Stats()[0]
+	if st.Messages != n+1 {
 		t.Fatalf("sender counted %d messages, want %d", st.Messages, n+1)
+	}
+	if st.ExchangeNanos <= 0 || st.BlockedNanos() != st.ExchangeNanos {
+		t.Fatalf("sender blocked on a full mailbox: ExchangeNanos %d, per-peer blocked %d",
+			st.ExchangeNanos, st.BlockedNanos())
 	}
 }
 
-// An Irecv from a rank that dies surfaces the failure at Wait — never a
-// hang — and repeated Waits return the same error.
+// A Recv from a rank that dies fails with an error naming the dead rank —
+// never a hang — and a second Recv from it fails the same way.
 func TestRequestIrecvDeadRankFailsAtWait(t *testing.T) {
 	w := NewWorld(2)
 	var msg string
@@ -229,52 +88,36 @@ func TestRequestIrecvDeadRankFailsAtWait(t *testing.T) {
 			if c.Rank() == 1 {
 				panic("rank 1 dies")
 			}
-			req := c.Transport().Irecv(1, 7)
-			_, err := req.Wait()
+			_, err := c.Transport().Recv(1, 7)
 			if err == nil {
-				t.Error("Irecv from a dead rank completed successfully")
+				t.Error("Recv from a dead rank completed successfully")
 				return
 			}
 			msg = err.Error()
-			if _, err2 := req.Wait(); err2 == nil || err2.Error() != msg {
-				t.Errorf("second Wait returned %v, want the latched %q", err2, msg)
+			if _, err2 := c.Transport().Recv(1, 7); err2 == nil || err2.Error() != msg {
+				t.Errorf("second Recv returned %v, want %q", err2, msg)
 			}
 		})
 	}()
 	for _, want := range []string{"rank 1", "dead"} {
 		if !strings.Contains(msg, want) {
-			t.Fatalf("dead-peer Wait error %q does not mention %q", msg, want)
+			t.Fatalf("dead-peer Recv error %q does not mention %q", msg, want)
 		}
 	}
 }
 
-// Posting to an invalid rank fails at Wait with a diagnosable error and
-// records no traffic.
+// Sending to or receiving from an invalid rank fails with a diagnosable
+// error and records no traffic.
 func TestRequestInvalidRank(t *testing.T) {
 	w := NewWorld(1)
 	tr := w.Transport(0)
-	if _, err := tr.Isend(3, 0, []float64{1}).Wait(); err == nil || !strings.Contains(err.Error(), "invalid rank 3") {
-		t.Fatalf("Isend to invalid rank: %v", err)
+	if err := tr.Send(3, 0, []float64{1}); err == nil || !strings.Contains(err.Error(), "invalid rank 3") {
+		t.Fatalf("Send to invalid rank: %v", err)
 	}
-	if _, err := tr.Irecv(-1, 0).Wait(); err == nil || !strings.Contains(err.Error(), "invalid rank -1") {
-		t.Fatalf("Irecv from invalid rank: %v", err)
+	if _, err := tr.Recv(-1, 0); err == nil || !strings.Contains(err.Error(), "invalid rank -1") {
+		t.Fatalf("Recv from invalid rank: %v", err)
 	}
 	if st := w.Stats()[0]; st.Messages != 0 || len(st.Peers) != 0 {
-		t.Fatalf("invalid-rank posts recorded traffic: %+v", st)
-	}
-}
-
-// WaitAll waits for everything and reports the first error in argument
-// order, skipping nils.
-func TestRequestWaitAllFirstError(t *testing.T) {
-	boom := errors.New("boom")
-	later := errors.New("later")
-	err := WaitAll(CompletedRequest(nil, nil), nil,
-		CompletedRequest(nil, boom), CompletedRequest(nil, later))
-	if err != boom {
-		t.Fatalf("WaitAll = %v, want %v", err, boom)
-	}
-	if err := WaitAll(); err != nil {
-		t.Fatalf("empty WaitAll = %v", err)
+		t.Fatalf("invalid-rank calls recorded traffic: %+v", st)
 	}
 }

@@ -39,20 +39,9 @@ type Transport interface {
 	// expected tag (per-pair FIFO makes a mismatch a protocol error, not
 	// a reordering).
 	Recv(src, tag int) ([]float64, error)
-	// Isend posts a send without blocking: the payload is captured at
-	// post time and delivered in program order with every other send to
-	// dst (blocking or not). Completion — and any transport error — is
-	// observed through the returned Request; blocked time is measured
-	// inside Wait, not here. See request.go for the full contract.
-	Isend(dst, tag int, data []float64) Request
-	// Irecv posts a receive without blocking. The returned Request's
-	// Wait yields the payload; receives from src complete in post order,
-	// so tag matching behaves exactly as under blocking Recv.
-	Irecv(src, tag int) Request
-	// Release gives a payload returned by Recv (or an Irecv request's Wait)
-	// back once it is unpacked: a later message may reuse the memory, so the
-	// caller must not touch it, or Wait on its request, again. Never
-	// required — an unreleased payload is ordinary garbage.
+	// Release gives a payload returned by Recv back once it is unpacked: a
+	// later message may reuse the memory, so the caller must not touch it
+	// again. Never required — an unreleased payload is ordinary garbage.
 	Release(payload []float64)
 	// Stats snapshots this rank's accumulated traffic counters.
 	Stats() Stats
@@ -140,45 +129,6 @@ func PutBuffer(pool *mempool.Pool, b []float64) {
 	if b = b[:cap(b)]; len(b) < maxRecycledFloats {
 		pool.Put(b)
 	}
-}
-
-// Pending is an in-flight nonblocking operation posted through the Comm
-// veneer: like Comm.Send/Recv it converts transport errors to panics
-// naming the (rank, peer, tag) triple, but only when they surface — at
-// Wait, where a nonblocking failure becomes observable.
-type Pending struct {
-	req       Request
-	rank      int
-	peer, tag int
-	recv      bool
-}
-
-// Wait blocks until the operation completes and returns the payload
-// (nil for a send). Transport failures panic with the rank/peer/tag
-// named, matching Comm.Send/Recv.
-func (p *Pending) Wait() []float64 {
-	data, err := p.req.Wait()
-	if err != nil {
-		op := "Isend to"
-		if p.recv {
-			op = "Irecv from"
-		}
-		panic(fmt.Sprintf("mpi: rank %d: %s rank %d (tag %d): %v",
-			p.rank, op, p.peer, p.tag, err))
-	}
-	return data
-}
-
-// Isend posts a nonblocking send; the returned Pending's Wait panics on
-// transport failure like Comm.Send does.
-func (c *Comm) Isend(dst, tag int, data []float64) *Pending {
-	return &Pending{req: c.t.Isend(dst, tag, data), rank: c.t.Rank(), peer: dst, tag: tag}
-}
-
-// Irecv posts a nonblocking receive; the returned Pending's Wait yields
-// the payload and panics on transport failure like Comm.Recv does.
-func (c *Comm) Irecv(src, tag int) *Pending {
-	return &Pending{req: c.t.Irecv(src, tag), rank: c.t.Rank(), peer: src, tag: tag, recv: true}
 }
 
 // barrier blocks until every rank has reached it. Transports with a

@@ -15,10 +15,10 @@
 // rank dials the lower; connections to rank 0 reuse the rendezvous
 // sockets). Every connection then gets one reader goroutine, which fills
 // a bounded per-peer inbox that Recv pops from and notices a peer's death
-// while the rank computes. There is no writer goroutine: Send and Isend
-// build the frame and write it to the socket themselves, under the peer's
-// write lock, so per-peer FIFO is program order and a full socket buffer
-// is the backpressure.
+// while the rank computes. There is no writer goroutine: Send builds the
+// frame and writes it to the socket itself, under the peer's write lock,
+// so per-peer FIFO is program order and a full socket buffer is the
+// backpressure.
 //
 // Failure is loud by construction: read/write deadlines bound every
 // wire operation, a Recv waits at most the configured IOTimeout, and the
@@ -146,8 +146,6 @@ type Transport struct {
 	// received payloads (reader → Recv caller → Release → here); DESIGN.md
 	// §4 item 8.
 	free *mempool.Pool
-
-	recvChain mpi.OpChain // per-src FIFO of in-flight nonblocking receives
 }
 
 var _ mpi.Transport = (*Transport)(nil)
@@ -210,29 +208,6 @@ func (t *Transport) Stats() mpi.Stats {
 // charged as blocked so far.
 func (t *Transport) ExchangeNanos() int64 { return t.exchangeNanos.Load() }
 
-// awaitChain blocks until a still-in-flight Irecv on the same stream
-// completes, so a blocking Recv posted after it cannot overtake it
-// (per-pair FIFO holds across both APIs). The time spent here falls
-// inside the Recv's own elapsed window, so it is accounted exactly like
-// any other wait.
-func (t *Transport) awaitChain(prev *mpi.AsyncRequest, peer, tag int, op string) error {
-	if prev == nil {
-		return nil
-	}
-	timer := time.NewTimer(t.cfg.IOTimeout)
-	defer timer.Stop()
-	select {
-	case <-prev.Done():
-		return nil
-	case <-t.failed:
-		return t.failErr
-	case <-t.closed:
-		return net.ErrClosed
-	case <-timer.C:
-		return &TimeoutError{Peer: peer, Tag: tag, Op: op, Wait: t.cfg.IOTimeout}
-	}
-}
-
 // frame builds an outgoing message in a recycled buffer; write gives it
 // back once it is on the socket.
 func (t *Transport) frame(tag int, data []float64) []float64 {
@@ -267,10 +242,13 @@ func (t *Transport) write(p *peer, tag int, frame []float64) error {
 	return nil
 }
 
-// send frames data and writes it to dst from the calling goroutine, so
-// sends to one peer reach the wire in program order. A failed write has
-// torn the stream: it fails the transport, naming dst.
-func (t *Transport) send(dst, tag int, data []float64) error {
+// Send frames data and writes it to dst's socket from the calling
+// goroutine before it returns, so sends to one peer reach the wire in
+// program order. It blocks only while the socket buffer is full, at most
+// IOTimeout. A failed write has torn the stream: it fails the transport,
+// naming dst.
+func (t *Transport) Send(dst, tag int, data []float64) error {
+	start := time.Now()
 	if dst < 0 || dst >= t.size || dst == t.rank {
 		return fmt.Errorf("invalid destination rank %d (world size %d, self %d)", dst, t.size, t.rank)
 	}
@@ -289,20 +267,10 @@ func (t *Transport) send(dst, tag int, data []float64) error {
 		}
 		return err
 	}
+	elapsed := int64(time.Since(start))
 	t.msgs.Add(1)
 	t.payloadBytes.Add(uint64(8 * len(data)))
 	t.wireBytes.Add(uint64(wire))
-	return nil
-}
-
-// Send frames data and writes it to dst's socket before it returns. It
-// blocks only while the socket buffer is full, at most IOTimeout.
-func (t *Transport) Send(dst, tag int, data []float64) error {
-	start := time.Now()
-	if err := t.send(dst, tag, data); err != nil {
-		return err
-	}
-	elapsed := int64(time.Since(start))
 	t.exchangeNanos.Add(elapsed)
 	t.rec.RecordSend(dst, tag, uint64(8*len(data)), elapsed, mpi.NoQueue)
 	return nil
@@ -316,9 +284,6 @@ func (t *Transport) Recv(src, tag int) ([]float64, error) {
 		return nil, fmt.Errorf("invalid source rank %d (world size %d, self %d)", src, t.size, t.rank)
 	}
 	start := time.Now()
-	if err := t.awaitChain(t.recvChain.Pending(src), src, tag, "Recv (pending Irecv)"); err != nil {
-		return nil, err
-	}
 	p := t.peers[src]
 	var m inMsg
 	select {
@@ -349,100 +314,6 @@ func (t *Transport) Recv(src, tag int) ([]float64, error) {
 	elapsed := int64(time.Since(start))
 	t.exchangeNanos.Add(elapsed)
 	t.rec.RecordRecv(src, tag, uint64(8*len(m.data)), elapsed)
-	return m.data, nil
-}
-
-// Isend writes the frame before it returns, exactly as Send does, so the
-// request is complete at post and a later Send cannot overtake it. The
-// counters are recorded at post; the write's duration is charged, as
-// blocked time, to the first Wait — one sample per waited message, none
-// for a dropped request, as the nonblocking accounting has it. A dead
-// peer surfaces as the typed error at Wait, never as a hang.
-func (t *Transport) Isend(dst, tag int, data []float64) mpi.Request {
-	start := time.Now()
-	if err := t.send(dst, tag, data); err != nil {
-		return mpi.CompletedRequest(nil, err)
-	}
-	posted := int64(time.Since(start))
-	t.rec.RecordSendPosted(dst, tag, uint64(8*len(data)), mpi.NoQueue)
-	req := mpi.NewRequest(func(blocked int64, _ []float64, _ error) {
-		t.exchangeNanos.Add(posted + blocked)
-		t.rec.RecordSendWait(dst, tag, posted+blocked)
-	})
-	req.Complete(nil, nil)
-	return req
-}
-
-// Irecv posts a receive against src's reader inbox. Nothing is recorded
-// at post time; the receive row and blocked time are recorded by the
-// first Wait — a dropped Request consumes its message in the background
-// but was never observed by the caller.
-func (t *Transport) Irecv(src, tag int) mpi.Request {
-	if src < 0 || src >= t.size || src == t.rank {
-		return mpi.CompletedRequest(nil, fmt.Errorf("invalid source rank %d (world size %d, self %d)", src, t.size, t.rank))
-	}
-	p := t.peers[src]
-	req := mpi.NewRequest(func(blocked int64, data []float64, err error) {
-		t.exchangeNanos.Add(blocked)
-		if err == nil {
-			t.rec.RecordRecv(src, tag, uint64(8*len(data)), blocked)
-		}
-	})
-	prev := t.recvChain.Push(src, req)
-	if prev == nil {
-		select {
-		case m := <-p.inbox:
-			req.Complete(t.checkTag(m, src, tag))
-			return req
-		default:
-		}
-	}
-	go t.finishIrecv(req, prev, p, src, tag)
-	return req
-}
-
-// finishIrecv completes a slow-path Irecv after its chained predecessor,
-// with the same delivered-just-before-failure drain nicety blocking Recv
-// has.
-func (t *Transport) finishIrecv(req, prev *mpi.AsyncRequest, p *peer, src, tag int) {
-	timer := time.NewTimer(t.cfg.IOTimeout)
-	defer timer.Stop()
-	if prev != nil {
-		select {
-		case <-prev.Done():
-		case <-t.failed:
-			req.Complete(nil, t.failErr)
-			return
-		case <-t.closed:
-			req.Complete(nil, net.ErrClosed)
-			return
-		case <-timer.C:
-			req.Complete(nil, &TimeoutError{Peer: src, Tag: tag, Op: "Irecv", Wait: t.cfg.IOTimeout})
-			return
-		}
-	}
-	select {
-	case m := <-p.inbox:
-		req.Complete(t.checkTag(m, src, tag))
-	case <-t.failed:
-		select {
-		case m := <-p.inbox:
-			req.Complete(t.checkTag(m, src, tag))
-		default:
-			req.Complete(nil, t.failErr)
-		}
-	case <-t.closed:
-		req.Complete(nil, net.ErrClosed)
-	case <-timer.C:
-		req.Complete(nil, &TimeoutError{Peer: src, Tag: tag, Op: "Irecv", Wait: t.cfg.IOTimeout})
-	}
-}
-
-// checkTag validates a popped message against the posted receive's tag.
-func (t *Transport) checkTag(m inMsg, src, tag int) ([]float64, error) {
-	if m.tag != tag {
-		return nil, fmt.Errorf("expected tag %d from rank %d, got tag %d", tag, src, m.tag)
-	}
 	return m.data, nil
 }
 
