@@ -74,6 +74,18 @@ func main() {
 	)
 	flag.Parse()
 
+	// jobq.New and sched.NewPersistent would quietly replace these with
+	// their defaults; a value the operator did not mean is a usage error.
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{{"runners", *runners, 1}, {"capacity", *capacity, 1}, {"cache", *cacheSize, 1}, {"workers", *workers, 0}} {
+		if f.val < f.min {
+			fmt.Fprintf(os.Stderr, "mgd: -%s must be at least %d; got %d\n", f.name, f.min, f.val)
+			os.Exit(2)
+		}
+	}
+
 	level, err := obs.ParseLevel(*logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mgd:", err)

@@ -3,9 +3,12 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os/exec"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -348,5 +351,34 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// An invalid count flag is a one-line usage error with exit status 2, not
+// a daemon quietly running with the default jobq or sched substitutes for
+// it. The daemon exits before it starts a pool or listens.
+func TestInvalidCountFlagsRejected(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "mgd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, c := range []struct {
+		args string
+		want string
+	}{
+		{"-runners 0", "mgd: -runners must be at least 1; got 0"},
+		{"-capacity 0", "mgd: -capacity must be at least 1; got 0"},
+		{"-cache 0", "mgd: -cache must be at least 1; got 0"},
+		{"-workers -1", "mgd: -workers must be at least 0; got -1"},
+	} {
+		// A daemon that accepted the value would serve until killed.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, bin, append([]string{"-addr", "127.0.0.1:0"}, strings.Fields(c.args)...)...).CombinedOutput()
+		cancel()
+		got := strings.TrimSpace(string(out))
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || got != c.want {
+			t.Errorf("%s: %v, output %q; want exit status 2 and the one line %q", c.args, err, out, c.want)
+		}
 	}
 }

@@ -808,13 +808,24 @@ func setRun(o, a, b []float64, lo, hi int) {
 
 // writeFrame writes the boundary value (setRun) on the frame of one plane
 // — rows 0 and n1−1, columns 0 and n2−1. The plane kernels call it right
-// after the plane's rows, while they are in cache.
+// after the plane's rows, while they are in cache. The columns take
+// setRun's three cases as three loops, so the case is chosen once per plane.
 func writeFrame(o, a, b []float64, n1, n2 int) {
 	bot := (n1 - 1) * n2
 	setRun(o, a, b, 0, n2)
-	for row := n2; row < bot; row += n2 {
-		setRun(o, a, b, row, row+1)
-		setRun(o, a, b, row+n2-1, row+n2)
+	switch {
+	case a == nil:
+		for row := n2; row < bot; row += n2 {
+			o[row], o[row+n2-1] = 0, 0
+		}
+	case b == nil:
+		for row := n2; row < bot; row += n2 {
+			o[row], o[row+n2-1] = a[row], a[row+n2-1]
+		}
+	default:
+		for row := n2; row < bot; row += n2 {
+			o[row], o[row+n2-1] = a[row]+b[row], a[row+n2-1]+b[row+n2-1]
+		}
 	}
 	setRun(o, a, b, bot, bot+n2)
 }

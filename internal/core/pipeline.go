@@ -140,8 +140,9 @@ func (sw *sweep) up(p PlaneSpan) {
 	ring := pool.GetDirty(6 * pl)
 	zAt := func(q int) []float64 { return planeOf(ring, (q+3)%3, pl) }
 	r2At := func(q int) []float64 { return planeOf(ring, 3+(q+3)%3, pl) }
-	clk := sw.watch.start()
+	clk := stageClock{w: sw.watch}
 	for q := p.Lo - 2; q <= p.Hi+2; q++ {
+		clk.plane(q - (p.Lo + 2))
 		f, z := wrapPlane(q, n-2), zAt(q)
 		ki.interpolate(z, nil, planeOf(sw.zn, f/2, cpl), planeOf(sw.zn, (f+1)/2, cpl), f&1 == 1, cn, cn, 0, sw.s.Interp)
 		if q == 0 && p.Lo == 1 || q == n-1 && p.Hi == n-2 {
@@ -218,8 +219,9 @@ func (sw *sweep) down(p PlaneSpan) {
 	kr := borrowKern(pool, sw.mid.variant, false, n, n)
 	kp := borrowKern(pool, sw.end.variant, true, n, n)
 	spare := pool.GetDirty(pl)
-	clk := sw.watch.start()
+	clk := stageClock{w: sw.watch}
 	for f := 2*p.Lo - 1; f <= 2*p.Hi+1; f++ {
+		clk.plane(f - 2*p.Lo)
 		src, dst, norm := f, spare, false
 		if f <= 2*p.Hi {
 			dst, norm = planeOf(sw.r, f, pl), sw.sums != nil

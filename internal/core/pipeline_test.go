@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -92,6 +93,66 @@ func TestPipelinedLegsBitIdentical(t *testing.T) {
 					env.Close()
 				}
 			}
+		}
+	}
+}
+
+// TestSampledClocksFileEveryStage holds the stage clocks' sampling rule
+// (observe.go) at its edges: a worker span of 1, 2, 15, 16 or 17 planes —
+// one sampled run, a run cut short, a span ending just before, on and just
+// after the next run — still laps every stage of both legs, so each
+// stage's row gets time, with 1, 2 or 4 workers filing into one watch.
+// The workers sweep the same span into output grids of their own.
+func TestSampledClocksFileEveryStage(t *testing.T) {
+	const n = 66 // 64 fine and 32 coarse interior planes: room for 17 on either leg
+	cn := n/2 + 1
+	zn, r := randomBox(1, cn, cn, cn), randomBox(2, n, n, n)
+	u, v := randomBox(3, n, n, n), randomBox(4, n, n, n)
+	per := (n - 2) * (n - 2)
+	for _, workers := range []int{1, 2, 4} {
+		for _, planes := range []int{1, 2, 15, 16, 17} {
+			name := fmt.Sprintf("w%d span of %d planes", workers, planes)
+			env := legEnv(workers, "")
+			col := metrics.NewCollector(workers)
+			env.AttachMetrics(col)
+			s := New(env)
+			up := sweep{s: s, zn: zn.Data(), r: r.Data(), n: n, cn: cn, watch: s.watch(),
+				top: planPlanes(env, "interpolate", n, per),
+				mid: planPlanes(env, "subRelax", n, per),
+				end: planPlanes(env, "addRelax", n, per)}
+			down := sweep{s: s, u: u.Data(), v: v.Data(), n: n, cn: cn, watch: s.watch(),
+				mid: up.mid, end: planPlanes(env, "projectCondense", cn, (cn-2)*(cn-2))}
+			var wg sync.WaitGroup
+			for range workers {
+				mineUp, mineDown := up, down
+				mineUp.out = make([]float64, n*n*n)
+				mineDown.r, mineDown.rn = make([]float64, n*n*n), make([]float64, cn*cn*cn)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					mineUp.span(PlaneSpan{Lo: 1, Hi: planes})
+					mineDown.span(PlaneSpan{Lo: 1, Hi: planes})
+				}()
+			}
+			wg.Wait()
+
+			filed := func(leg string, kernels ...string) {
+				rows := map[string]bool{}
+				for _, k := range col.Snapshot().Kernels {
+					rows[fmt.Sprintf("%s@%d", k.Kernel, k.Level)] = k.Nanos > 0
+				}
+				for _, k := range kernels {
+					if !rows[k] {
+						t.Errorf("%s, way %s: no time filed under %s: %v", name, leg, k, rows)
+					}
+				}
+				col.Reset()
+			}
+			up.watch.fileUp(&up)
+			filed("up", "interpolate@6", "subRelax@6", "comm3@6", "addRelax@6")
+			down.watch.fileDown(&down)
+			filed("down", "subRelax@6", "comm3@6", "projectCondense@5")
+			env.Close()
 		}
 	}
 }
@@ -323,6 +384,32 @@ func downLegSeparate(s *Solver, v, u, _, _ *array.Array) {
 	r := s.residSubtract(v, u)
 	s.Env.Release(s.Fine2Coarse(r))
 	s.Env.Release(r)
+}
+
+// BenchmarkObservedSolve times a warm solve plain and with a metrics
+// collector attached, as mgd attaches one to every cold request: the ratio
+// of the two is what the ledger costs a solve.
+func BenchmarkObservedSolve(b *testing.B) {
+	for _, class := range []nas.Class{nas.ClassS, nas.ClassW} {
+		for _, observed := range []bool{false, true} {
+			name := fmt.Sprintf("%c/plain", class.Name)
+			if observed {
+				name = fmt.Sprintf("%c/collector", class.Name)
+			}
+			b.Run(name, func(b *testing.B) {
+				env := wl.Default()
+				if observed {
+					env.AttachMetrics(metrics.NewCollector(1))
+				}
+				bench := NewBenchmark(class, env)
+				bench.Run() // warm the pool
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					bench.Solve()
+				}
+			})
+		}
+	}
 }
 
 func BenchmarkUpLegPipelined(b *testing.B) {

@@ -154,11 +154,17 @@ func Zran3Seeded(v *array.Array, n int, seed uint64) {
 	if shp.Rank() != 3 || shp[0] != n+2 || shp[1] != n+2 || shp[2] != n+2 {
 		panic(fmt.Sprintf("nas: Zran3: grid %v does not match interior size %d", shp, n))
 	}
-	v.Zero()
-	data := v.Data()
 	m := n + 2 // extended extent
 
 	// Stream layout: plane stride a2 = a^(nx*ny), row stride a1 = a^nx.
+	// Each row is scanned for the ten largest and ten smallest values
+	// while it is still in the Fill buffer, so the field itself is never
+	// written to the grid. Scanning order matches the Fortran loops (i3
+	// outer, i1 inner); strict comparisons keep the first occurrence on
+	// (improbable) ties.
+	const mm = 10
+	large := make([]extreme, 0, mm) // ascending; large[0] is the smallest of the top ten
+	small := make([]extreme, 0, mm) // descending; small[0] is the largest of the bottom ten
 	a1 := nasrand.PowMod(nasrand.Mult, uint64(n))
 	a2 := nasrand.PowMod(nasrand.Mult, uint64(n)*uint64(n))
 	x0 := nasrand.New(seed)
@@ -168,34 +174,22 @@ func Zran3Seeded(v *array.Array, n int, seed uint64) {
 		for i2 := 1; i2 <= n; i2++ {
 			xx := nasrand.New(x1.State())
 			xx.Fill(row)
-			copy(data[(i3*m+i2)*m+1:(i3*m+i2)*m+1+n], row)
+			base := (i3*m+i2)*m + 1
+			for i, z := range row {
+				if len(large) < mm || z > large[0].val {
+					large = insertAscending(large, extreme{z, base + i}, mm)
+				}
+				if len(small) < mm || z < small[0].val {
+					small = insertDescending(small, extreme{z, base + i}, mm)
+				}
+			}
 			x1.NextWith(a1)
 		}
 		x0.NextWith(a2)
 	}
 
-	// Select the ten largest and ten smallest interior values. Scanning
-	// order matches the Fortran loops (i3 outer, i1 inner); strict
-	// comparisons keep the first occurrence on (improbable) ties.
-	const mm = 10
-	large := make([]extreme, 0, mm) // ascending; large[0] is the smallest of the top ten
-	small := make([]extreme, 0, mm) // descending; small[0] is the largest of the bottom ten
-	for i3 := 1; i3 <= n; i3++ {
-		for i2 := 1; i2 <= n; i2++ {
-			base := (i3*m + i2) * m
-			for i1 := 1; i1 <= n; i1++ {
-				z := data[base+i1]
-				if len(large) < mm || z > large[0].val {
-					large = insertAscending(large, extreme{z, base + i1}, mm)
-				}
-				if len(small) < mm || z < small[0].val {
-					small = insertDescending(small, extreme{z, base + i1}, mm)
-				}
-			}
-		}
-	}
-
 	v.Zero()
+	data := v.Data()
 	for _, e := range large {
 		data[e.pos] = 1.0
 	}
