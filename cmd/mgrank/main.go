@@ -87,9 +87,24 @@ func main() {
 		os.Exit(1)
 	}
 
+	// Usage errors surface before this rank listens or dials: a lone rank
+	// would otherwise wait out the rendezvous for peers that cannot help.
+	usage := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "mgrank: "+format+"\n", args...)
+		os.Exit(2)
+	}
 	class, err := nas.ClassByName(*className)
 	if err != nil {
-		fatalf("%v", err)
+		usage("%v", err)
+	}
+	if mgmpi.ValidateProcs(class, *np, 1, 1) != nil {
+		usage("-np must be a power of two from 1 to %d at class %c; got %d", class.N/2, class.Name, *np)
+	}
+	if *rank < 0 || *rank >= *np {
+		usage("-rank must be in 0..%d; got %d", *np-1, *rank)
+	}
+	if *threads < 1 {
+		usage("-threads must be at least 1; got %d", *threads)
 	}
 	cfg := mpinet.Config{
 		Rank:        *rank,

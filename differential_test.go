@@ -75,11 +75,10 @@ func mpiIterNorms(t *testing.T, class sacmg.Class, ranks, threads int, overlap b
 // TestDifferentialIterNorms is the differential sweep: the SMP solver and
 // the message-passing solver each produce a per-iteration rnm2 sequence
 // that is bit-identical for every worker/rank count (the determinism
-// contract of both runtimes), and the two backends agree on every
-// iteration to the cross-implementation tolerance (their grids match to
-// ~1e-10 relative; see the integration test). The message-passing ranks run
-// the SMP solver's plane kernels, so under a forced backend (MG_FORCE_VARIANT,
-// CI's variants legs) its rows are that backend's too.
+// contract of both runtimes), and the two sequences are bit-identical to
+// each other. The message-passing ranks run the SMP solver's plane kernels,
+// so under a forced backend (MG_FORCE_VARIANT, CI's variants legs) its rows
+// are that backend's too.
 func TestDifferentialIterNorms(t *testing.T) {
 	classes := []sacmg.Class{sacmg.ClassS}
 	if !testing.Short() {
@@ -133,21 +132,12 @@ func TestDifferentialIterNorms(t *testing.T) {
 			}
 		}
 
-		// Cross-backend: the grids of the two implementations differ at
-		// ~1e-10 relative (the same kernels in a different algorithm: mgmpi
-		// corrects u in place and takes the finest residual against v, the
-		// SAC solver folds the correction into its smoother), so the norms
-		// can only agree to a tolerance — and near
-		// convergence (class W drives rnm2 to ~1e-18 while u and v stay
-		// ~1e-4) catastrophic cancellation in r = v − A·u amplifies that
-		// grid difference without bound, so late iterations are compared
-		// against the absolute size of the residual entries instead.
+		// Cross-backend: the message-passing ranks run the SMP solver's
+		// legs on their slabs, so the two sequences are one, bit for bit.
 		for i := range sacRef {
-			diff := math.Abs(sacRef[i] - mpiRef[i])
-			rel := diff / math.Max(sacRef[i], mpiRef[i])
-			if rel > 1e-6 && diff > 1e-13 {
-				t.Fatalf("class %c: iter %d: SAC rnm2 = %.17e vs mgmpi %.17e (rel %.2e)",
-					class.Name, i, sacRef[i], mpiRef[i], rel)
+			if math.Float64bits(sacRef[i]) != math.Float64bits(mpiRef[i]) {
+				t.Fatalf("class %c: iter %d: SAC rnm2 = %.17e vs mgmpi %.17e (not bit-identical)",
+					class.Name, i, sacRef[i], mpiRef[i])
 			}
 		}
 

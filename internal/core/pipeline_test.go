@@ -116,12 +116,13 @@ func TestSampledClocksFileEveryStage(t *testing.T) {
 			col := metrics.NewCollector(workers)
 			env.AttachMetrics(col)
 			s := New(env)
-			up := sweep{s: s, zn: zn.Data(), r: r.Data(), n: n, cn: cn, watch: s.watch(),
-				top: planPlanes(env, "interpolate", n, per),
-				mid: planPlanes(env, "subRelax", n, per),
-				end: planPlanes(env, "addRelax", n, per)}
-			down := sweep{s: s, u: u.Data(), v: v.Data(), n: n, cn: cn, watch: s.watch(),
-				mid: up.mid, end: planPlanes(env, "projectCondense", cn, (cn-2)*(cn-2))}
+			up, down := s.newSweep(n, s.watch()), s.newSweep(n, s.watch())
+			up.zn, up.r = zn.Data(), r.Data()
+			up.top = planPlanes(env, "interpolate", n, per)
+			up.mid = planPlanes(env, "subRelax", n, per)
+			up.end = planPlanes(env, "addRelax", n, per)
+			down.u, down.v = u.Data(), v.Data()
+			down.mid, down.end = up.mid, planPlanes(env, "projectCondense", cn, (cn-2)*(cn-2))
 			var wg sync.WaitGroup
 			for range workers {
 				mineUp, mineDown := up, down

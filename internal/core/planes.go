@@ -1,12 +1,16 @@
 // The kernel layer's public face: plane-range entry points of the four
-// fused kernels, and the interior/boundary plane split a distributed
-// caller schedules them with.
+// fused kernels and of the two pipelined V-cycle legs, and the
+// interior/boundary plane split a distributed caller schedules them with.
 //
 // SubRelaxPlanes, AddRelaxPlanes, ProjectCondensePlanes and
 // InterpolatePlanes (fused.go) are the plane loops core's own subRelax,
 // addRelax, projectCondense and interpolate run — the same functions, not
 // wrappers — opened to callers that own the grid: internal/mgmpi's ranks
-// run them on their sub-boxes. The contract:
+// run them on their sub-boxes. CorrectPlanes and ResidProjectPlanes
+// (pipeline.go) are core's way up and way down, the same sweep, run on a
+// slab: a grid cut along axis 0 whose planes beyond its interior are halo
+// planes the caller exchanged, not the periodic wrap (their layout is in
+// their comments). The contract:
 //
 //   - A grid is a flat row-major box with one halo cell on every side and
 //     lateral extents (n1, n2), halos included; any number of planes. The
@@ -61,23 +65,19 @@ func (s PlaneSpan) Count() int {
 // not the number of planes, so a thin slab of long rows still vectorises.
 func PlaneVariant(row int) string { return wl.VariantFor(levelOfExtent(row), "") }
 
-// SplitPlanes partitions the interior planes of an extended grid of n0
-// planes (interior 1..n0-2, halo planes 0 and n0-1) into the boundary
-// planes — those a periodic face exchange along the decomposed axis puts
-// on the wire, in the order they should be computed and sent — and the
-// interior span whose computation can overlap that exchange.
-//
-// With one interior plane the single plane is both faces (it is sent in
-// both directions); with two there is no overlappable interior at all.
-// SplitPlanes panics below one interior plane: such a level must be
-// solved whole, never exchanged.
-func SplitPlanes(n0 int) (boundary []int, interior PlaneSpan) {
-	lp := n0 - 2
-	if lp < 1 {
+// SplitPlanes partitions the interior planes 1..planes of a slab into its
+// two faces — the first lo planes, which a periodic exchange along axis 0
+// ships down, and the last hi, which it ships up; one span, and an empty
+// second, when they meet — and the interior span whose computation can
+// overlap that exchange. SplitPlanes panics below one interior plane: such
+// a level must be solved whole, never exchanged.
+func SplitPlanes(planes, lo, hi int) (faces [2]PlaneSpan, interior PlaneSpan) {
+	if planes < 1 {
 		panic("core: SplitPlanes needs at least one interior plane")
 	}
-	if lp == 1 {
-		return []int{1}, PlaneSpan{Lo: 2, Hi: 1}
+	interior = PlaneSpan{Lo: lo + 1, Hi: planes - hi}
+	if lo+hi >= planes {
+		return [2]PlaneSpan{{Lo: 1, Hi: planes}, {Lo: 1, Hi: 0}}, interior
 	}
-	return []int{1, lp}, PlaneSpan{Lo: 2, Hi: lp - 1}
+	return [2]PlaneSpan{{Lo: 1, Hi: lo}, {Lo: planes + 1 - hi, Hi: planes}}, interior
 }

@@ -14,54 +14,52 @@ import (
 )
 
 func TestSplitPlanes(t *testing.T) {
+	empty := PlaneSpan{Lo: 1, Hi: 0}
 	cases := []struct {
-		n0       int
-		boundary []int
-		interior PlaneSpan
+		planes, lo, hi int
+		faces          [2]PlaneSpan
+		interior       PlaneSpan
 	}{
-		{3, []int{1}, PlaneSpan{Lo: 2, Hi: 1}},          // one interior plane: both faces
-		{4, []int{1, 2}, PlaneSpan{Lo: 2, Hi: 1}},       // two planes: nothing to overlap
-		{5, []int{1, 3}, PlaneSpan{Lo: 2, Hi: 2}},       // one overlappable plane
-		{34, []int{1, 32}, PlaneSpan{Lo: 2, Hi: 31}},    // class-S slab over 8 ranks
-		{258, []int{1, 256}, PlaneSpan{Lo: 2, Hi: 255}}, // class-A slab, 1 rank
+		{1, 1, 1, [2]PlaneSpan{{Lo: 1, Hi: 1}, empty}, PlaneSpan{Lo: 2, Hi: 0}},                  // one plane: both faces
+		{2, 1, 1, [2]PlaneSpan{{Lo: 1, Hi: 2}, empty}, PlaneSpan{Lo: 2, Hi: 1}},                  // two planes: the faces meet
+		{3, 1, 1, [2]PlaneSpan{{Lo: 1, Hi: 1}, {Lo: 3, Hi: 3}}, PlaneSpan{Lo: 2, Hi: 2}},         // one overlappable plane
+		{32, 1, 1, [2]PlaneSpan{{Lo: 1, Hi: 1}, {Lo: 32, Hi: 32}}, PlaneSpan{Lo: 2, Hi: 31}},     // class-S r over 1 rank
+		{2, 2, 2, [2]PlaneSpan{{Lo: 1, Hi: 2}, empty}, PlaneSpan{Lo: 3, Hi: 0}},                  // a 16-rank class-S slab's u
+		{3, 1, 2, [2]PlaneSpan{{Lo: 1, Hi: 3}, empty}, PlaneSpan{Lo: 2, Hi: 1}},                  // faces meet
+		{8, 1, 2, [2]PlaneSpan{{Lo: 1, Hi: 1}, {Lo: 7, Hi: 8}}, PlaneSpan{Lo: 2, Hi: 6}},         // a correction's faces
+		{256, 2, 2, [2]PlaneSpan{{Lo: 1, Hi: 2}, {Lo: 255, Hi: 256}}, PlaneSpan{Lo: 3, Hi: 254}}, // class-A u, 1 rank
 	}
 	for _, c := range cases {
-		boundary, interior := SplitPlanes(c.n0)
-		if len(boundary) != len(c.boundary) {
-			t.Fatalf("n0=%d: boundary %v, want %v", c.n0, boundary, c.boundary)
+		faces, interior := SplitPlanes(c.planes, c.lo, c.hi)
+		if faces != c.faces || interior != c.interior {
+			t.Fatalf("SplitPlanes(%d, %d, %d) = %+v, %+v; want %+v, %+v", c.planes, c.lo, c.hi, faces, interior, c.faces, c.interior)
 		}
-		for i := range boundary {
-			if boundary[i] != c.boundary[i] {
-				t.Fatalf("n0=%d: boundary %v, want %v", c.n0, boundary, c.boundary)
+		// The split must cover the interior exactly once, and the faces
+		// must hold the planes the exchange ships.
+		seen := map[int]int{}
+		for _, p := range append(faces[:], interior) {
+			for q := p.Lo; q <= p.Hi; q++ {
+				seen[q]++
 			}
 		}
-		if interior != c.interior {
-			t.Fatalf("n0=%d: interior %+v, want %+v", c.n0, interior, c.interior)
-		}
-		// The split must cover the interior exactly once.
-		seen := map[int]bool{}
-		for _, p := range boundary {
-			seen[p] = true
-		}
-		for p := interior.Lo; p <= interior.Hi; p++ {
-			if seen[p] {
-				t.Fatalf("n0=%d: plane %d both boundary and interior", c.n0, p)
+		for q := 1; q <= c.planes; q++ {
+			if seen[q] != 1 {
+				t.Fatalf("SplitPlanes(%d, %d, %d): plane %d covered %d times", c.planes, c.lo, c.hi, q, seen[q])
 			}
-			seen[p] = true
+			if (q <= c.lo || q > c.planes-c.hi) && q >= interior.Lo && q <= interior.Hi {
+				t.Fatalf("SplitPlanes(%d, %d, %d): face plane %d in the interior", c.planes, c.lo, c.hi, q)
+			}
 		}
-		if got, want := len(seen), c.n0-2; got != want {
-			t.Fatalf("n0=%d: split covers %d planes, want %d", c.n0, got, want)
-		}
-		if got := interior.Count(); got != c.n0-2-len(c.boundary) {
-			t.Fatalf("n0=%d: interior Count=%d", c.n0, got)
+		if len(seen) != c.planes {
+			t.Fatalf("SplitPlanes(%d, %d, %d) covers planes outside 1..%d", c.planes, c.lo, c.hi, c.planes)
 		}
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("SplitPlanes(2) did not panic")
+			t.Fatal("SplitPlanes(0, 1, 1) did not panic")
 		}
 	}()
-	SplitPlanes(2)
+	SplitPlanes(0, 1, 1)
 }
 
 // randomBox returns a box of the given extents with reproducible non-zero

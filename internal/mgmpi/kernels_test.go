@@ -15,6 +15,7 @@ import (
 	"repro/internal/mempool"
 	"repro/internal/mpi"
 	"repro/internal/nas"
+	"repro/internal/sched"
 	wl "repro/internal/withloop"
 )
 
@@ -71,19 +72,20 @@ func TestOperatorsEqualCoreKernels(t *testing.T) {
 		sameBits(t, name("resid in place"), r, periodic(aplib.Sub(env, v, ref.Resid(u))))
 
 		want := periodic(aplib.Add(env, u, ref.Smooth(r)))
-		st.psinv(r, u)
+		st.psinv(r, u, u, false)
 		sameBits(t, name("psinv"), u, want)
+
+		z := randomBox(5, u) // the finest level's form: u + (z + S·r)
+		want = periodic(aplib.Add(env, u, aplib.Add(env, z, ref.Smooth(r))))
+		st.psinv(r, z, u, true)
+		sameBits(t, name("psinv into u"), u, want)
 
 		coarse := randomBox(4, box(l-1))
 		st.rprj3(r, coarse)
 		sameBits(t, name("rprj3"), coarse, periodic(ref.Fine2Coarse(r)))
 
-		q := ref.Coarse2Fine(coarse)
-		want = periodic(aplib.Add(env, u, q))
-		st.interp(coarse, u, true)
-		sameBits(t, name("interp accumulating"), u, want)
-		st.interp(coarse, u, false)
-		sameBits(t, name("interp"), u, periodic(q))
+		st.interp(coarse, u)
+		sameBits(t, name("interp"), u, periodic(ref.Coarse2Fine(coarse)))
 	}
 }
 
@@ -154,6 +156,112 @@ func TestPoolBalancedAfterDeadRank(t *testing.T) {
 		}
 		if st.Puts == 0 && s.Variant() != wl.VariantScalar { // scalar needs no line buffers
 			t.Fatalf("overlap=%v: the %s kernels never used the pool", overlap, s.Variant())
+		}
+	}
+}
+
+// TestSlabLegsBitIdentical holds a slab's legs and the exchanges between
+// them to core's three-call V-cycle on the whole grid, plane for plane and
+// halos included: from random u, v and coarse solution, each rank's way
+// down (r and its projection), its way up at every distributed level and
+// the halo planes the exchanges leave must be the whole grid's planes the
+// rank's slab covers, periodically wrapped — for 1, 2 and 4 ranks, inline
+// and over two workers, synchronous and overlapped. Class S has one
+// distributed level, class W two (the lower one's r and correction
+// exchanged too).
+func TestSlabLegsBitIdentical(t *testing.T) {
+	classes := []nas.Class{nas.ClassS}
+	if !testing.Short() {
+		classes = append(classes, nas.ClassW)
+	}
+	env := wl.Default()
+	ref := core.New(env)
+	periodic := func(a *array.Array) *array.Array { nas.Comm3(a); return a }
+	for _, class := range classes {
+		ref.Smoother = class.SmootherCoeffs()
+		probe := newRankState(mpi.NewComm(mpi.NewWorld(1).Transport(0)), class, [3]int{1, 1, 1})
+		lt, lcd := probe.lt, probe.lcd
+		whole := func(seed int64, l int) *array.Array { return randomBox(seed, array.New(class.ExtShape(l))) }
+		u, v, zn := whole(1, lt), whole(2, lt), whole(3, lcd-1)
+		// up is the way up at one level: z + S·(r − A·z), z = Q·zn, plus u.
+		up := func(u, zn, r *array.Array) *array.Array {
+			z := ref.Coarse2Fine(zn)
+			out := aplib.Add(env, z, ref.Smooth(aplib.Sub(env, r, ref.Resid(z))))
+			if u != nil {
+				out = aplib.Add(env, u, out)
+			}
+			return periodic(out)
+		}
+		want := map[string]*array.Array{}
+		want["r"] = periodic(aplib.Sub(env, v, ref.Resid(u)))
+		want["rn"] = periodic(ref.Fine2Coarse(want["r"]))
+		if lt-1 >= lcd {
+			want["correction"] = up(nil, zn, want["rn"])
+			zn = want["correction"]
+		}
+		want["u"] = up(u, zn, want["r"])
+
+		for _, ranks := range []int{1, 2, 4} {
+			for _, threads := range []int{1, 2} {
+				for _, overlap := range []bool{false, true} {
+					name := fmt.Sprintf("class %c ranks=%d threads=%d overlap=%v", class.Name, ranks, threads, overlap)
+					mpi.NewWorld(ranks).Run(func(c *mpi.Comm) {
+						st := newRankState(c, class, [3]int{ranks, 1, 1})
+						st.mem, st.overlap, st.another = mempool.New(true), overlap, true
+						if threads > 1 {
+							st.pool = sched.NewPool(threads)
+							defer st.pool.Close()
+						}
+						// check compares logical planes lo … hi of a slab box at
+						// level l with the whole grid's planes they stand for.
+						check := func(what string, a *array.Array, l, lo, hi int, w *array.Array) {
+							lp, pl := st.local(l, 0), w.Shape()[1]*w.Shape()[2]
+							for q := lo; q <= hi; q++ {
+								g := (st.coord[0]*lp+q-1+(1<<l))%(1<<l) + 1
+								got, exp := st.slabPlanes(a, l, q, q), w.Data()[g*pl:(g+1)*pl]
+								for i := range exp {
+									if math.Float64bits(got[i]) != math.Float64bits(exp[i]) {
+										t.Errorf("%s rank %d: %s plane %d value %d = %.17g, core's %.17g",
+											name, c.Rank(), what, q, i, got[i], exp[i])
+										return
+									}
+								}
+							}
+						}
+						fill := func(a *array.Array, l, lo, hi int, w *array.Array) {
+							lp, pl := st.local(l, 0), w.Shape()[1]*w.Shape()[2]
+							for q := lo; q <= hi; q++ {
+								g := (st.coord[0]*lp+q-1+(1<<l))%(1<<l) + 1
+								copy(st.slabPlanes(a, l, q, q), w.Data()[g*pl:(g+1)*pl])
+							}
+						}
+						lp := st.local(lt, 0)
+						fill(st.u[lt], lt, 1, lp, u)
+						fill(st.v, lt, 1, lp, v)
+						for _, x := range []struct {
+							a *array.Array
+							h halo
+						}{{st.u[lt], halo{2, 2}}, {st.v, halo{1, 1}}} {
+							st.sendFaces(x.a, lt, x.h)
+							st.recvFaces(x.a, lt, x.h)
+						}
+						copy(st.uFull[lcd-1].Data(), whole(3, lcd-1).Data())
+						st.window()
+
+						st.evalResid()
+						check("r", st.r[lt], lt, 0, lp+1, want["r"])
+						if lt-1 >= lcd {
+							check("rn", st.r[lt-1], lt-1, 0, st.local(lt-1, 0)+1, want["rn"])
+							st.correct(lt - 1)
+							check("correction", st.u[lt-1], lt-1, -1, st.local(lt-1, 0)+1, want["correction"])
+						} else {
+							check("rn", st.r[lt-1], lt-1, 1, st.local(lt-1, 0), want["rn"])
+						}
+						st.correct(lt)
+						check("u", st.u[lt], lt, -1, lp+2, want["u"])
+					})
+				}
+			}
 		}
 	}
 }

@@ -28,26 +28,30 @@
 // New3D takes an explicit processor grid.
 //
 // The package is the decomposition and the halo schedule, not the
-// arithmetic: resid, psinv, rprj3 and interp run internal/core's fused
-// plane kernels (core/planes.go) on the rank's boxes, in whichever backend
-// core.PlaneVariant picks for the box's rows (Solver.Variant reports it).
-// The MG algorithm is mg.f's — u += Q·z at the finest level, the residual
-// against v, in-place updates — and the per-point association is the
-// canonical one of internal/stencil, so a solve agrees with internal/f77
-// to the cross-implementation tolerance, not bit for bit; f77 and cport
-// stay the independent paper artifacts.
+// arithmetic, and it computes internal/core's bits. On a slab
+// decomposition every distributed level runs core's pipelined V-cycle legs
+// on the rank's slab (core.ResidProjectPlanes down at the finest level,
+// core.CorrectPlanes up at each level), and halos are exchanged between
+// legs only, at the depth the next leg reads: per V-cycle one two-plane
+// exchange of the finest u and, at each lower distributed level, one of r
+// after its projection and one of that level's correction. 3-D processor
+// grids run the three-call kernels — resid, psinv, rprj3 and interp, thin
+// callers of core's plane entry points (core/planes.go) — with a comm3
+// after each, and so do the whole-grid levels. Either way the update is
+// core's: u + (z + S·(r − A·z)) with z = Q·zn at the finest level, not
+// mg.f's u += Q·z; r = v − A·u; u += S·r, and every plane runs in whichever
+// backend core.PlaneVariant picks for its rows (Solver.Variant reports it).
+// internal/f77 and cport stay the independent paper artifacts.
 //
-// Correctness: on one rank each operator equals the corresponding core
-// kernel over the full grid bit for bit, halos included. Every backend is
-// bit-identical, a plane's statements do not depend on the plane schedule,
-// and the norm reduction uses the canonical plane association of
-// nas.Norm2u3Planes, so for slab decompositions the per-iteration rnm2 is
-// bit-identical across rank counts, threads, sync/overlapped exchange,
-// transports and backends; 3-D processor grids split planes across ranks
-// and are deterministic but not plane-exact, and the NPB verification
-// still passes (all asserted by tests). The package also reports the
-// communication volume per benchmark run (messages and bytes), the
-// quantity a real distributed run pays for.
+// Correctness: a plane's statements do not depend on the plane schedule,
+// every backend is bit-identical, and the norm reduction uses the
+// canonical plane association of nas.Norm2u3Planes, so for slab
+// decompositions the per-iteration rnm2 is core's, bit for bit, across rank
+// counts, threads, sync/overlapped exchange, transports and backends; 3-D
+// processor grids split planes across ranks and are deterministic but not
+// plane-exact, and the NPB verification still passes (all asserted by
+// tests). The package also reports the communication volume per benchmark
+// run (messages and bytes), the quantity a real distributed run pays for.
 package mgmpi
 
 import (
@@ -106,13 +110,13 @@ type Solver struct {
 	// reduction. cmd/mgrank uses it to kill a rank mid-solve at a
 	// deterministic point for fault-injection tests.
 	OnIter func(rank, iter int)
-	// Overlap selects the overlapped halo exchange: each kernel computes
-	// its boundary planes first, sends the axis-0 faces, fills the
-	// interior planes while the wire drains, and only then receives
-	// (DESIGN.md §4.7). Per-iteration rnm2 is bit-identical to
-	// the synchronous path — the split reorders whole planes, never the
-	// statements within one. Requires a 1-D slab decomposition (Procs =
-	// (R,1,1)); runRank panics otherwise.
+	// Overlap selects the overlapped halo exchange, a span order: the
+	// spans holding a face's planes compute first, the faces go out, the
+	// interior span computes while the wire drains, and only then are the
+	// halos received (DESIGN.md §4.7). It sends the synchronous path's
+	// messages, and per-iteration rnm2 is bit-identical to it — the split
+	// reorders whole planes, never the statements within one. Requires a
+	// 1-D slab decomposition (Procs = (R,1,1)); runRank panics otherwise.
 	Overlap bool
 	// Threads is the number of sched.Pool workers each rank drives over
 	// its plane loops (hybrid MPI×SMP). 0 or 1 keeps the rank serial.
@@ -267,6 +271,7 @@ func (s *Solver) runRank(c *mpi.Comm) (rnm2, rnmu float64) {
 	st.trace = s.Trace
 	st.reset()
 	start := time.Now()
+	st.another = s.Class.Iter > 0
 	st.kspan("resid", st.lt, st.evalResid)
 	report := func(iter int, n2, nu float64) {
 		if s.IterNorms != nil && rank == 0 {
@@ -289,6 +294,7 @@ func (s *Solver) runRank(c *mpi.Comm) (rnm2, rnmu float64) {
 			obs.iter = it + 1
 		}
 		st.kspan("mg3P", st.lt, st.mg3P)
+		st.another = it+1 < s.Class.Iter
 		st.kspan("resid", st.lt, st.evalResid)
 		if s.OnIter != nil {
 			s.OnIter(rank, it+1)
@@ -323,9 +329,17 @@ type rankState struct {
 
 	// u, r hold local sub-boxes of levels lcd−1..lt; at lcd−1 they are the
 	// rank's share of the whole grid — the restriction the allgather ships
-	// (r) and the window of the coarse solution it prolongs from (u).
+	// (r) and the window of the coarse solution it prolongs from (u). On a
+	// slab u's boxes store two halo planes either side along axis 0 (plane
+	// q at index q+1, uShape), the depth core's legs read.
 	u, r map[int]*array.Array
 	v    *array.Array // finest right-hand-side sub-box
+	z    *array.Array // 3-D grids: the finest level's interpolated correction
+
+	// slab: the processor grid is (R, 1, 1), and the distributed levels run
+	// core's pipelined legs. another: a V-cycle follows the residual
+	// evalResid computes, so its projection's halo is exchanged.
+	slab, another bool
 
 	uFull, rFull map[int]*array.Array // levels 1..lcd−1, whole grids
 
@@ -333,7 +347,7 @@ type rankState struct {
 	// works on whole grids.
 	serialComm bool
 
-	// overlap selects the interior/boundary-split exchange
+	// overlap selects the overlapped exchange's span order
 	// (Solver.Overlap); pool, when non-nil, fans each kernel's plane loop
 	// over multiple workers (Solver.Threads). Both nil/false by default.
 	overlap bool
@@ -402,12 +416,16 @@ func newRankState(c *mpi.Comm, class nas.Class, procs [3]int) *rankState {
 		a: stencil.A, cs: class.SmootherCoeffs(),
 		u: map[int]*array.Array{}, r: map[int]*array.Array{},
 		uFull: map[int]*array.Array{}, rFull: map[int]*array.Array{},
+		slab: procs[1] == 1 && procs[2] == 1,
 	}
 	for l := lcd - 1; l <= lt; l++ {
-		st.u[l] = array.New(st.boxShape(l))
+		st.u[l] = array.New(st.uShape(l))
 		st.r[l] = array.New(st.boxShape(l))
 	}
 	st.v = array.New(st.boxShape(lt))
+	if !st.slab {
+		st.z = array.New(st.boxShape(lt))
+	}
 	for l := 1; l < lcd; l++ {
 		st.uFull[l] = array.New(class.ExtShape(l))
 		st.rFull[l] = array.New(class.ExtShape(l))
@@ -427,6 +445,15 @@ func (st *rankState) local(level, axis int) int { return (1 << level) / st.procs
 
 func (st *rankState) boxShape(level int) shape.Shape {
 	return shape.Of(st.local(level, 0)+2, st.local(level, 1)+2, st.local(level, 2)+2)
+}
+
+// uShape is the shape of u's box at a level: two more planes on a slab.
+func (st *rankState) uShape(level int) shape.Shape {
+	shp := st.boxShape(level)
+	if st.slab {
+		shp[0] += 2
+	}
+	return shp
 }
 
 // neighbour returns the rank of the grid neighbour along axis a (offset
@@ -653,14 +680,14 @@ func (st *rankState) scatterFromRoot(level int, full, box *array.Array) {
 
 // --- kernels: core's plane kernels over the rank's boxes ---------------------------
 //
-// Each operator hands its box to the plane-range entry point of the
-// matching fused kernel (core/planes.go) and leaves the plane schedule to
+// The three-call operators of the whole-grid levels and of 3-D processor
+// grids. Each hands its box to the plane-range entry point of the matching
+// fused kernel (core/planes.go) and leaves the plane schedule to
 // fusedComm3. The backend follows the row the line buffers see (axis 2),
 // not the slab thickness.
 
 // resid computes r = v − A·u over the box interior and refreshes the
-// periodic boundary — synchronously, or with the interior planes
-// overlapping the halo exchange (fusedComm3). r may be v.
+// periodic boundary. r may be v.
 func (st *rankState) resid(u, v, r *array.Array) {
 	shp := u.Shape()
 	n1, n2 := shp[1], shp[2]
@@ -671,14 +698,19 @@ func (st *rankState) resid(u, v, r *array.Array) {
 	})
 }
 
-// psinv computes u = u + S·r over the box interior and refreshes u's halo.
-func (st *rankState) psinv(r, u *array.Array) {
+// psinv computes u = z + S·r over the box interior — with add, u + (z +
+// S·r) — and refreshes u's halo. z may be u.
+func (st *rankState) psinv(r, z, u *array.Array, add bool) {
 	shp := u.Shape()
 	n1, n2 := shp[1], shp[2]
-	rd, ud := r.Data(), u.Data()
+	rd, zd, ud := r.Data(), z.Data(), u.Data()
+	var wd []float64
+	if add {
+		wd = ud
+	}
 	variant := core.PlaneVariant(n2 - 2)
 	st.fusedComm3(u, func(p core.PlaneSpan) {
-		core.AddRelaxPlanes(st.mem, ud, ud, nil, rd, n1, n2, p, variant, st.cs)
+		core.AddRelaxPlanes(st.mem, ud, zd, wd, rd, n1, n2, p, variant, st.cs)
 	})
 }
 
@@ -699,30 +731,41 @@ func (st *rankState) project(rk, rj *array.Array) func(core.PlaneSpan) {
 }
 
 // interp prolongs the coarse box z onto the whole fine box u (coarse local
-// cell c under fine local 2c along every axis) — u = Q·z, or u += Q·z with
-// add. The fine halos are interpolated from z's halos like any other cell,
-// so no exchange follows.
-func (st *rankState) interp(z, u *array.Array, add bool) {
+// cell c under fine local 2c along every axis), u = Q·z. The fine halos
+// are interpolated from z's halos like any other cell, so no exchange
+// follows.
+func (st *rankState) interp(z, u *array.Array) {
 	zs := z.Shape()
 	zd, ud := z.Data(), u.Data()
-	var wd []float64
-	if add {
-		wd = ud
-	}
 	variant := core.PlaneVariant(u.Shape()[2] - 2)
 	st.forPlanes(core.PlaneSpan{Lo: 0, Hi: u.Shape()[0] - 1}, func(p core.PlaneSpan) {
-		core.InterpolatePlanes(st.mem, ud, wd, zd, zs[1], zs[2], p, true, variant, stencil.Q)
+		core.InterpolatePlanes(st.mem, ud, nil, zd, zs[1], zs[2], p, true, variant, stencil.Q)
 	})
 }
 
 // window copies this rank's window of the whole coarse solution uFull[g],
-// g = lcd−1 — its coarse cells and one halo cell either side — into its
-// box u[g], from which interp prolongs onto the level-lcd box.
+// g = lcd−1 — its coarse cells and one halo cell either side, and on a
+// slab one more plane below, which the way up at lcd reads — into its box
+// u[g], from which the finer level prolongs.
 func (st *rankState) window() {
 	g := st.lcd - 1
 	win, full := st.u[g], st.uFull[g]
 	ws, fs := win.Shape(), full.Shape()
 	lo, hi := st.globalBox(g)
+	if st.slab {
+		// Whole planes, global plane lo−2 … hi+1; the one below plane 0
+		// wraps.
+		pl := fs[1] * fs[2]
+		for q := lo[0] - 2; q <= hi[0]+1; q++ {
+			src := q
+			if src < 0 {
+				src += fs[0] - 2
+			}
+			i := q - lo[0] + 2
+			copy(win.Data()[i*pl:(i+1)*pl], full.Data()[src*pl:])
+		}
+		return
+	}
 	for a := range lo {
 		lo[a], hi[a] = lo[a]-1, hi[a]+1
 	}
@@ -732,7 +775,8 @@ func (st *rankState) window() {
 // --- driver -----------------------------------------------------------------------
 
 // reset builds the initial state on newRankState's zeroed grids: rank 0
-// evaluates zran3 on the full finest grid and scatters the sub-boxes.
+// evaluates zran3 on the full finest grid and scatters the sub-boxes,
+// whose halos are then refreshed.
 func (st *rankState) reset() {
 	if st.c.Rank() == 0 {
 		full := array.New(st.class.ExtShape(st.lt))
@@ -741,7 +785,11 @@ func (st *rankState) reset() {
 	} else {
 		st.scatterFromRoot(st.lt, nil, st.v)
 	}
-	st.comm3(st.v)
+	if !st.slab {
+		st.comm3(st.v)
+		return
+	}
+	st.haloed(st.v, st.lt, halo{1, 1}, st.framed(st.v, func(core.PlaneSpan) {}))
 }
 
 // mg3P is one V-cycle. Down the distributed levels each rank restricts its
@@ -749,11 +797,15 @@ func (st *rankState) reset() {
 // exchange, because the allgather that follows makes the whole grid on
 // every rank. Every rank then runs the whole-grid levels itself and
 // prolongs its own window back up. With a tracer attached every kernel
-// call is also emitted as a per-level span (restrict at the target coarse
-// level, prolong at the target fine level, matching the single-process
-// tracer's naming), so the comm report can attribute compute vs blocked
-// time per level.
+// call (on a slab, every leg) is also emitted as a per-level span
+// (restrict at the target coarse level, prolong at the target fine level,
+// matching the single-process tracer's naming), so the comm report can
+// attribute compute vs blocked time per level.
 func (st *rankState) mg3P() {
+	if st.slab {
+		st.slabCycle()
+		return
+	}
 	lt, lcd := st.lt, st.lcd
 	for l := lt; l > lcd; l-- {
 		st.kspan("fine2coarse", l-1, func() { st.rprj3(st.r[l], st.r[l-1]) })
@@ -766,21 +818,59 @@ func (st *rankState) mg3P() {
 	st.serialDownUp()
 	st.window()
 	for l := lcd; l <= lt; l++ {
-		st.kspan("coarse2fine", l, func() { st.interp(st.u[l-1], st.u[l], l == lt) })
-		st.kspan("resid", l, func() { st.resid(st.u[l], st.rhs(l), st.r[l]) })
-		st.kspan("smooth", l, func() { st.psinv(st.r[l], st.u[l]) })
+		// z = Q·zn, r = r − A·z, then z + S·r — or at the finest level
+		// u + (z + S·r), z in a box of its own.
+		z := st.u[l]
+		if l == lt {
+			z = st.z
+		}
+		st.kspan("coarse2fine", l, func() { st.interp(st.u[l-1], z) })
+		st.kspan("resid", l, func() { st.resid(z, st.r[l], st.r[l]) })
+		st.kspan("smooth", l, func() { st.psinv(st.r[l], z, st.u[l], l == lt) })
 	}
 }
 
-// rhs returns the right-hand side of level l's residual. Only the finest
-// level corrects a standing u (u += Q·z, against v); below it u is the
-// correction itself, written by interp over the whole box, and the residual
-// updates in place.
-func (st *rankState) rhs(l int) *array.Array {
-	if l == st.lt {
-		return st.v
+// slabCycle is mg3P on a slab. The finest r and its projection come from
+// the way down of the residual before it (evalResid); the levels below
+// project and exchange r, and on the way up each distributed level runs
+// core's leg and exchanges the result.
+func (st *rankState) slabCycle() {
+	lt, lcd, g := st.lt, st.lcd, st.lcd-1
+	for l := lt - 1; l >= lcd; l-- {
+		st.kspan("fine2coarse", l-1, func() {
+			project := st.project(st.r[l], st.r[l-1])
+			if l-1 == g {
+				st.forPlanes(core.PlaneSpan{Lo: 1, Hi: st.local(g, 0)}, project)
+				return
+			}
+			st.haloed(st.r[l-1], l-1, halo{1, 1}, st.framed(st.r[l-1], project))
+		})
 	}
-	return st.r[l]
+	st.allgather()
+	st.serialDownUp()
+	st.window()
+	for l := lcd; l <= lt; l++ {
+		st.kspan("correct", l, func() { st.correct(l) })
+	}
+}
+
+// correct is the way up at distributed level l of a slab: z + S·(r − A·z)
+// with z = Q·zn into u[l] — at the finest level u + that, in place — and
+// the exchange of u[l]'s halo the next leg reads: two planes below and one
+// above for the next level's prolongation, two either side for the finest
+// level's residual.
+func (st *rankState) correct(l int) {
+	u, zn, r := st.u[l], st.u[l-1], st.r[l]
+	n, lp := u.Shape()[2], st.local(l, 0)
+	od, zd, rd := u.Data(), zn.Data(), r.Data()
+	var ud []float64
+	h := halo{2, 1}
+	if l == st.lt {
+		ud, h = od, halo{2, 2}
+	}
+	st.haloed(u, l, h, func(p core.PlaneSpan) {
+		core.CorrectPlanes(st.mem, od, ud, zd, rd, n, lp, p, st.a, st.cs, stencil.Q)
+	})
 }
 
 // serialDownUp runs the whole-grid levels of the V-cycle, lcd−1 down to 1
@@ -793,17 +883,35 @@ func (st *rankState) serialDownUp() {
 		st.kspan("fine2coarse", l-1, func() { st.rprj3(st.rFull[l], st.rFull[l-1]) })
 	}
 	st.uFull[1].Zero()
-	st.kspan("smooth", 1, func() { st.psinv(st.rFull[1], st.uFull[1]) })
+	st.kspan("smooth", 1, func() { st.psinv(st.rFull[1], st.uFull[1], st.uFull[1], false) })
 	for l := 2; l <= g; l++ {
-		st.kspan("coarse2fine", l, func() { st.interp(st.uFull[l-1], st.uFull[l], false) })
+		st.kspan("coarse2fine", l, func() { st.interp(st.uFull[l-1], st.uFull[l]) })
 		st.kspan("resid", l, func() { st.resid(st.uFull[l], st.rFull[l], st.rFull[l]) })
-		st.kspan("smooth", l, func() { st.psinv(st.rFull[l], st.uFull[l]) })
+		st.kspan("smooth", l, func() { st.psinv(st.rFull[l], st.uFull[l], st.uFull[l], false) })
 	}
 }
 
-// evalResid recomputes the finest-level residual.
+// evalResid computes the finest-level residual r = v − A·u. On a slab it
+// is core's way down, which also projects r onto the next level (onto the
+// rank's share of level lcd−1 when that is the next) and computes r's halo
+// planes; the projection's halo is exchanged when another V-cycle follows.
 func (st *rankState) evalResid() {
-	st.resid(st.u[st.lt], st.v, st.r[st.lt])
+	lt := st.lt
+	if !st.slab {
+		st.resid(st.u[lt], st.v, st.r[lt])
+		return
+	}
+	u, v, r, rn := st.u[lt], st.v, st.r[lt], st.r[lt-1]
+	n, lp := u.Shape()[2], st.local(lt, 0)
+	ud, vd, rd, rnd := u.Data(), v.Data(), r.Data(), rn.Data()
+	down := func(p core.PlaneSpan) {
+		core.ResidProjectPlanes(st.mem, rd, rnd, vd, ud, n, lp, p, st.a, stencil.P)
+	}
+	if !st.another || lt-1 < st.lcd {
+		st.forPlanes(core.PlaneSpan{Lo: 1, Hi: lp / 2}, down)
+		return
+	}
+	st.haloed(rn, lt-1, halo{1, 1}, down)
 }
 
 // norms computes the NPB norms over the distributed finest grid in the

@@ -1,24 +1,27 @@
-// Overlapped halo exchange: the interior/boundary plane split that hides
-// comm3 behind compute (ROADMAP item 1, DESIGN.md §4.7), plus the pool
-// fan-out that makes each rank a hybrid MPI×SMP worker.
+// The slab halo exchange and its two schedules (ROADMAP item 1, DESIGN.md
+// §4.7), plus the pool fan-out that makes each rank a hybrid MPI×SMP
+// worker.
 //
-// The synchronous path computes every plane, then exchanges faces. The
-// overlap path reorders whole planes: boundary planes (the ones the
-// exchange ships) compute first and go on the wire; the interior planes
-// compute while the network drains; the receives come last. Both
-// transports buffer inbound messages eagerly (a mailbox, a per-peer
-// inbox), so a Recv after the interior sweep sees the bytes that arrived
-// during it, and plain Send/Recv are all the schedule needs.
+// On a slab decomposition a halo is exchanged only between two of core's
+// legs, at the depth the next leg reads: haloed runs the computation that
+// produces a box and then refreshes its halo planes. The synchronous
+// schedule computes every plane, then exchanges. The overlapped one is a
+// span order: the spans holding the planes that go out compute first, both
+// faces go on the wire, the interior span computes while the network
+// drains, and the receives come last. Both transports buffer inbound
+// messages eagerly (a mailbox, a per-peer inbox), so a Recv after the
+// interior sweep sees the bytes that arrived during it, and plain
+// Send/Recv are all the schedule needs.
 //
 // Bit-identity holds because a plane's statements are identical under
-// every schedule — only the order *between* planes moves, and no two
-// planes overlap in their writes. The same argument covers the thread
-// fan-out (disjoint plane ranges per worker) and the per-plane lateral
-// halo copies (plane i3's copies touch only plane i3).
+// every schedule — only the order *between* spans moves, a leg recomputes
+// its lead-in planes wherever a span starts, and no two spans overlap in
+// their writes. The same argument covers the thread fan-out (disjoint
+// plane ranges per worker).
 package mgmpi
 
 import (
-	"math/bits"
+	"fmt"
 
 	"repro/internal/array"
 	"repro/internal/core"
@@ -39,79 +42,102 @@ func (st *rankState) forPlanes(p core.PlaneSpan, f func(core.PlaneSpan)) {
 	st.pool.For(n, 0, func(a, b, _ int) { f(core.PlaneSpan{Lo: p.Lo + a, Hi: p.Lo + b - 1}) })
 }
 
-// fusedComm3 runs a kernel's plane loop and the halo refresh of its
-// output box a as one fused operation: the synchronous path computes all
-// planes (pool fan-out) then calls comm3; the overlap path interleaves
-// them. compute must fill the planes of a it is handed and be safe for
-// disjoint concurrent spans.
+// fusedComm3 runs a three-call kernel's plane loop over the interior
+// planes of its output box a (pool fan-out), then refreshes a's halo with
+// comm3.
 func (st *rankState) fusedComm3(a *array.Array, compute func(core.PlaneSpan)) {
-	if st.overlapActive() {
-		st.overlapComm3(a, compute)
-		return
-	}
 	st.forPlanes(core.PlaneSpan{Lo: 1, Hi: a.Shape()[0] - 2}, compute)
 	st.comm3(a)
 }
 
-// overlapActive reports whether the interior/boundary split applies:
-// overlap selected, a genuinely distributed axis-0 exchange (slab
-// decomposition, more than one rank), and not on the whole-grid levels
-// every rank solves.
-func (st *rankState) overlapActive() bool {
-	return st.overlap && !st.serialComm && st.procs[0] > 1
-}
+// halo is the depth of a slab box's halo along axis 0: below planes under
+// plane 1, above planes over the last interior plane.
+type halo struct{ below, above int }
 
-// plane3 returns the inclusive box of plane i3 at its full lateral
-// extents — the payload of the axis-0 face exchange.
-func plane3(i3, n1, n2 int) (lo, hi [3]int) {
-	return [3]int{i3, 0, 0}, [3]int{i3, n1 - 1, n2 - 1}
-}
-
-// overlapComm3 is the fused compute + overlapped exchange for a slab
-// decomposition. Schedule:
-//
-//	compute boundary planes → refresh their lateral halos →
-//	Send both faces (up, then down) →
-//	compute + refresh the interior planes while the wire drains →
-//	Recv both halo planes (from down, then from up) and unpack them.
-//
-// The messages (peers, tags, payloads) and their per-stream order are
-// those of the synchronous comm3's axis-0 step; the lateral axes,
-// undistributed in a slab, are refreshed plane by plane with
-// core.WrapFrame — each plane's slice of the synchronous comm3's axis-2,
-// then axis-1 local copies. A Recv blocks only for what the interior sweep
-// did not hide, so the transport stats show only the *exposed* part of the
-// exchange — the quantity the overlap report gates on.
-func (st *rankState) overlapComm3(a *array.Array, compute func(core.PlaneSpan)) {
-	shp := a.Shape()
-	n1, n2 := shp[1], shp[2]
-	d := a.Data()
-	lp := shp[0] - 2
-	if st.obs != nil {
-		st.setCommLevel(bits.Len(uint(lp*st.procs[0])) - 1)
+// haloed computes the interior planes 1..lp of a slab box a at a
+// distributed level with compute, which must also write each plane's
+// periodic frame, and refreshes a's halo planes h: synchronously, or in
+// the overlapped span order — the faces core.SplitPlanes finds (the bottom
+// h.above planes, which go down, and the top h.below, which go up; one
+// span when they meet), both sends, the interior span, both receives.
+func (st *rankState) haloed(a *array.Array, level int, h halo, compute func(core.PlaneSpan)) {
+	lp := st.local(level, 0)
+	all := core.PlaneSpan{Lo: 1, Hi: lp}
+	if !st.overlap || st.procs[0] == 1 {
+		st.forPlanes(all, compute)
+		st.sendFaces(a, level, h)
+		st.recvFaces(a, level, h)
+		return
 	}
-	boundary, interior := core.SplitPlanes(shp[0])
-	pl := n1 * n2
-	for _, i3 := range boundary {
-		compute(core.PlaneSpan{Lo: i3, Hi: i3})
-		core.WrapFrame(d[i3*pl:(i3+1)*pl], n1, n2)
-	}
-	up := st.neighbour(0, +1)
-	down := st.neighbour(0, -1)
-	tagHi := tagHaloBase     // my top face → up's low halo
-	tagLo := tagHaloBase + 1 // my bottom face → down's high halo
-	sLo, sHi := plane3(lp, n1, n2)
-	st.c.Send(up, tagHi, st.pack(d, n1, n2, sLo, sHi))
-	sLo, sHi = plane3(1, n1, n2)
-	st.c.Send(down, tagLo, st.pack(d, n1, n2, sLo, sHi))
-	st.forPlanes(interior, func(p core.PlaneSpan) {
-		compute(p)
-		for i3 := p.Lo; i3 <= p.Hi; i3++ {
-			core.WrapFrame(d[i3*pl:(i3+1)*pl], n1, n2)
+	faces, interior := core.SplitPlanes(lp, h.above, h.below)
+	for _, p := range faces {
+		if p.Count() > 0 {
+			compute(p)
 		}
-	})
-	rLo, rHi := plane3(0, n1, n2)
-	st.unpack(d, n1, n2, rLo, rHi, st.c.Recv(down, tagHi))
-	rLo, rHi = plane3(lp+1, n1, n2)
-	st.unpack(d, n1, n2, rLo, rHi, st.c.Recv(up, tagLo))
+	}
+	st.sendFaces(a, level, h)
+	st.forPlanes(interior, compute)
+	st.recvFaces(a, level, h)
+}
+
+// framed is compute followed by the periodic frame of every plane it
+// wrote, for a kernel that writes interior rows only (or none).
+func (st *rankState) framed(a *array.Array, compute func(core.PlaneSpan)) func(core.PlaneSpan) {
+	shp := a.Shape()
+	n1, n2, d := shp[1], shp[2], a.Data()
+	return func(p core.PlaneSpan) {
+		compute(p)
+		for i := p.Lo; i <= p.Hi; i++ {
+			core.WrapFrame(d[i*n1*n2:(i+1)*n1*n2], n1, n2)
+		}
+	}
+}
+
+// slabPlanes returns a slab box's storage and the index range of logical
+// planes lo … hi in it: u's boxes store plane q at index q+1, the others at
+// q.
+func (st *rankState) slabPlanes(a *array.Array, level, lo, hi int) []float64 {
+	shp := a.Shape()
+	pl, off := shp[1]*shp[2], (shp[0]-2-st.local(level, 0))/2
+	return a.Data()[(lo+off)*pl : (hi+1+off)*pl]
+}
+
+// sendFaces is the first half of a slab box's halo exchange: the top
+// h.below interior planes go up, to become the upper neighbour's planes
+// 1−h.below … 0, and the bottom h.above go down, to become the lower
+// neighbour's planes above its last. Tags and per-stream order are those
+// of comm3's axis-0 step. One rank copies its own planes instead.
+func (st *rankState) sendFaces(a *array.Array, level int, h halo) {
+	lp := st.local(level, 0)
+	top, bottom := st.slabPlanes(a, level, lp+1-h.below, lp), st.slabPlanes(a, level, 1, h.above)
+	if st.procs[0] == 1 {
+		copy(st.slabPlanes(a, level, 1-h.below, 0), top)
+		copy(st.slabPlanes(a, level, lp+1, lp+h.above), bottom)
+		return
+	}
+	st.setCommLevel(level)
+	st.c.Send(st.neighbour(0, +1), tagHaloBase, top)
+	st.c.Send(st.neighbour(0, -1), tagHaloBase+1, bottom)
+}
+
+// recvFaces is the second half: the halo planes from below, then from
+// above.
+func (st *rankState) recvFaces(a *array.Array, level int, h halo) {
+	if st.procs[0] == 1 {
+		return
+	}
+	lp := st.local(level, 0)
+	st.setCommLevel(level)
+	st.unpackPlanes(st.slabPlanes(a, level, 1-h.below, 0), st.c.Recv(st.neighbour(0, -1), tagHaloBase))
+	st.unpackPlanes(st.slabPlanes(a, level, lp+1, lp+h.above), st.c.Recv(st.neighbour(0, +1), tagHaloBase+1))
+}
+
+// unpackPlanes copies a received run of halo planes into place and gives
+// the payload back to the transport.
+func (st *rankState) unpackPlanes(dst, payload []float64) {
+	if len(payload) != len(dst) {
+		panic(fmt.Sprintf("mgmpi: rank %d: halo payload of %d values, want %d", st.c.Rank(), len(payload), len(dst)))
+	}
+	copy(dst, payload)
+	st.c.Release(payload)
 }

@@ -7,18 +7,20 @@ import (
 	"os"
 	"os/exec"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/aplib"
+	"repro/internal/array"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/mpinet"
 	"repro/internal/nas"
 	"repro/internal/sched"
+	wl "repro/internal/withloop"
 )
 
 // config is one row of the bit-identity matrix.
@@ -119,33 +121,47 @@ func iterBits(t *testing.T, class nas.Class, c config) []uint64 {
 	return append(bits, math.Float64bits(rnm2))
 }
 
-// wantBitsEnv carries the parent's reference bits to the child processes
-// TestOverlapBitIdentical re-runs itself in under other kernel backends.
-const wantBitsEnv = "MGMPI_TEST_WANT_BITS"
+// coreIterBits returns internal/core's rnm2 after the initial residual and
+// after every V-cycle, as bits: the iteration MGrid runs, one V-cycle at a
+// time — r = v − A·u, u + VCycle(r), whose finest level is the folded u +
+// (z + S·(r − A·z)) — with the residual norm of every iterate.
+func coreIterBits(class nas.Class) []uint64 {
+	env := wl.Default()
+	s := core.New(env)
+	s.Smoother = class.SmootherCoeffs()
+	v := env.NewArray(class.ExtShape(class.LT()))
+	nas.Zran3(v, class.N)
+	u := env.NewArray(v.Shape())
+	var bits []uint64
+	for it := 0; ; it++ {
+		rnm2, _ := s.ResidNorm(v, u, class.N)
+		bits = append(bits, math.Float64bits(rnm2))
+		if it == class.Iter {
+			return bits
+		}
+		au := s.Resid(u)
+		r := aplib.Sub(env, v, au)
+		z := s.VCycle(r)
+		next := aplib.Add(env, u, z)
+		for _, a := range []*array.Array{au, r, z, u} {
+			env.Release(a)
+		}
+		u = next
+	}
+}
 
 // TestOverlapBitIdentical is the differential acceptance test of the
 // distributed path: the overlapped halo exchange, the hybrid thread
 // fan-out, the transport and the plane-kernel backend are pure schedule
-// and speed choices, so every intermediate rnm2 must be bitwise identical
-// to the synchronous single-threaded 1-rank solve — across rank counts,
-// thread counts, both exchange modes and both transports, and (the backend
-// being fixed per process) in child processes forced to the scalar,
-// buffered and simd backends and to simd declining to the buffered rows
-// (MG_SIMD_DISABLE=1).
+// and speed choices, and the slab ranks run core's legs, so every
+// intermediate rnm2 must be bitwise core's, computed in this process —
+// across rank counts, thread counts, both exchange modes and both
+// transports, and (the backend being fixed per process) in child processes
+// forced to the scalar, buffered and simd backends and to simd declining
+// to the buffered rows (MG_SIMD_DISABLE=1).
 func TestOverlapBitIdentical(t *testing.T) {
-	var want []uint64
-	child := os.Getenv(wantBitsEnv) != ""
-	if child {
-		for _, f := range strings.Split(os.Getenv(wantBitsEnv), ",") {
-			b, err := strconv.ParseUint(f, 16, 64)
-			if err != nil {
-				t.Fatalf("%s: %v", wantBitsEnv, err)
-			}
-			want = append(want, b)
-		}
-	} else {
-		want = iterBits(t, nas.ClassS, config{ranks: 1, threads: 1})
-	}
+	want := coreIterBits(nas.ClassS)
+	want = append(want, want[len(want)-1]) // iterBits ends with the returned rnm2
 	for _, ranks := range []int{1, 2, 4} {
 		for _, threads := range []int{1, 2} {
 			for _, overlap := range []bool{false, true} {
@@ -160,7 +176,7 @@ func TestOverlapBitIdentical(t *testing.T) {
 					}
 					for i := range got {
 						if got[i] != want[i] {
-							t.Fatalf("%s: norm %d = %016x, want %016x (not bit-identical)",
+							t.Fatalf("%s: norm %d = %016x, core's %016x (not bit-identical)",
 								c, i, got[i], want[i])
 						}
 					}
@@ -168,20 +184,15 @@ func TestOverlapBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	if child || testing.Short() {
+	if os.Getenv("MG_FORCE_VARIANT") != "" || testing.Short() {
 		return
-	}
-	hex := make([]string, len(want))
-	for i, b := range want {
-		hex[i] = strconv.FormatUint(b, 16)
 	}
 	var base []string
 	for _, kv := range os.Environ() {
-		if !strings.HasPrefix(kv, "MG_FORCE_VARIANT=") && !strings.HasPrefix(kv, "MG_SIMD_DISABLE=") {
+		if !strings.HasPrefix(kv, "MG_SIMD_DISABLE=") {
 			base = append(base, kv)
 		}
 	}
-	base = append(base, wantBitsEnv+"="+strings.Join(hex, ","))
 	for _, leg := range [][]string{
 		{"MG_FORCE_VARIANT=scalar"},
 		{"MG_FORCE_VARIANT=buffered"},
@@ -326,12 +337,15 @@ func (r recordingTransport) Recv(src, tag int) ([]float64, error) {
 	return r.Transport.Recv(src, tag)
 }
 
-// TestOverlapSendsPrecedeInterior pins the overlapped comm3's schedule,
-// which bit-identity cannot see: on every rank, at every distributed
-// level and with the plane loop inline or fanned over a pool, the boundary
-// planes are computed first, then both faces are sent (up, then down),
-// then every interior plane is computed, and only then are both halos
-// received (from down, then from up).
+// TestOverlapSendsPrecedeInterior pins the overlapped exchange's span
+// order, which bit-identity cannot see: on every rank, at every distributed
+// level, for each halo depth the solve exchanges (the finest u's two planes
+// either side, a correction's two below and one above, r's one) and with
+// the plane loop inline or fanned over a pool, the spans holding the
+// planes that go out are computed first (the bottom span, then the top
+// one, or one span when they meet), then both faces are sent (up, then
+// down), then every interior plane is computed, and only then are both
+// halos received (from down, then from up).
 func TestOverlapSendsPrecedeInterior(t *testing.T) {
 	for _, class := range []nas.Class{nas.ClassS, nas.ClassW} {
 		for _, ranks := range []int{2, 4} {
@@ -346,35 +360,57 @@ func TestOverlapSendsPrecedeInterior(t *testing.T) {
 					}
 					up, down := st.neighbour(0, +1), st.neighbour(0, -1)
 					for l := st.lcd; l <= st.lt; l++ {
-						a := st.u[l]
-						log.ops = nil
-						st.fusedComm3(a, func(p core.PlaneSpan) {
-							for i3 := p.Lo; i3 <= p.Hi; i3++ {
-								log.add("plane %03d", i3)
+						for _, h := range []halo{{2, 2}, {2, 1}, {1, 1}} {
+							log.ops = nil
+							st.haloed(st.u[l], l, h, func(p core.PlaneSpan) {
+								log.add("span %03d-%03d", p.Lo, p.Hi)
+							})
+							lp := st.local(l, 0)
+							var want []string
+							if h.above+h.below >= lp {
+								want = append(want, fmt.Sprintf("span %03d-%03d", 1, lp))
+							} else {
+								want = append(want, fmt.Sprintf("span %03d-%03d", 1, h.above), fmt.Sprintf("span %03d-%03d", lp+1-h.below, lp))
 							}
-						})
-						boundary, interior := core.SplitPlanes(a.Shape()[0])
-						var want []string
-						for _, i3 := range boundary {
-							want = append(want, fmt.Sprintf("plane %03d", i3))
-						}
-						want = append(want, fmt.Sprintf("send %d/%d", up, tagHaloBase), fmt.Sprintf("send %d/%d", down, tagHaloBase+1))
-						lo := len(want)
-						for i3 := interior.Lo; i3 <= interior.Hi; i3++ {
-							want = append(want, fmt.Sprintf("plane %03d", i3))
-						}
-						want = append(want, fmt.Sprintf("recv %d/%d", down, tagHaloBase), fmt.Sprintf("recv %d/%d", up, tagHaloBase+1))
-						got := log.ops
-						if len(got) == len(want) { // the pool computes interior planes in any order
-							sort.Strings(got[lo : lo+interior.Count()])
-						}
-						if fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Errorf("class %c ranks=%d threads=%d rank %d level %d: order\n%v\nwant\n%v",
-								class.Name, ranks, threads, c.Rank(), l, got, want)
+							want = append(want, fmt.Sprintf("send %d/%d", up, tagHaloBase), fmt.Sprintf("send %d/%d", down, tagHaloBase+1))
+							lo, interior := len(want), core.PlaneSpan{Lo: h.above + 1, Hi: lp - h.below}
+							if interior.Count() > 0 {
+								want = append(want, fmt.Sprintf("span %03d-%03d", interior.Lo, interior.Hi))
+							}
+							want = append(want, fmt.Sprintf("recv %d/%d", down, tagHaloBase), fmt.Sprintf("recv %d/%d", up, tagHaloBase+1))
+							got := coverSpans(log.ops, lo, len(log.ops)-2)
+							if fmt.Sprint(got) != fmt.Sprint(want) {
+								t.Errorf("class %c ranks=%d threads=%d rank %d level %d halo %v: order\n%v\nwant\n%v",
+									class.Name, ranks, threads, c.Rank(), l, h, got, want)
+							}
 						}
 					}
 				})
 			}
 		}
 	}
+}
+
+// coverSpans replaces ops[lo:hi], the spans a pool computed in any order,
+// by the one span they tile — or leaves them, sorted, when they do not.
+func coverSpans(ops []string, lo, hi int) []string {
+	if hi <= lo {
+		return ops
+	}
+	mid := append([]string(nil), ops[lo:hi]...)
+	sort.Strings(mid)
+	first, last, next := -1, -1, -1
+	for _, op := range mid {
+		var a, b int
+		if _, err := fmt.Sscanf(op, "span %d-%d", &a, &b); err != nil || next >= 0 && a != next {
+			return append(append(append([]string(nil), ops[:lo]...), mid...), ops[hi:]...)
+		}
+		if first < 0 {
+			first = a
+		}
+		last, next = b, b+1
+	}
+	out := append([]string(nil), ops[:lo]...)
+	out = append(out, fmt.Sprintf("span %03d-%03d", first, last))
+	return append(out, ops[hi:]...)
 }

@@ -147,31 +147,28 @@ func TestWarmTCPSolveAllocs(t *testing.T) {
 	}
 }
 
-// TestTrafficExact pins the exact rows of a 2-rank solve, under both
-// exchange modes. The numbers were predicted before they were measured:
-// per V-cycle, one comm3 per distributed restriction and two per
-// distributed level on the way up, the residual's comm3 and a 2-message
-// allgather of level 4 (TestCommunicationStructure has the closed form).
-// How a message is built and written never changes which messages exist
-// or what is on the wire. Class W is the benchmark's dist_W2 workload and
-// is left out under -short.
+// TestTrafficExact pins the exact rows of a 2-rank TCP solve, under both
+// exchange modes, to the closed form (closedForm: S 31 messages, 595 224
+// payload bytes; W 567 and 17 349 528), with the frame overhead on top for
+// the wire. How a message is built and written never changes which
+// messages exist or what is on the wire. Class W is the benchmark's dist_W2
+// workload and is left out under -short.
 func TestTrafficExact(t *testing.T) {
-	want := map[byte][3]uint64{ // messages, payload bytes, wire bytes
-		'S': {67, 780184, 781524},
-		'W': {1051, 23804440, 23825460},
-	}
+	const frameOverhead = 20 // mpinet's header and checksum, per message
 	mesh := tcpMesh(t, 2)
 	for _, class := range []nas.Class{nas.ClassS, nas.ClassW} {
 		if class.Name == 'W' && testing.Short() {
 			continue
 		}
+		messages, bytes := closedForm(class, [3]int{2, 1, 1}, 5)
+		want := [3]uint64{messages, bytes, bytes + frameOverhead*messages}
 		for _, overlap := range []bool{false, true} {
 			before := meshTraffic(mesh)
 			solveTCP(t, class, mesh, overlap)
 			after := meshTraffic(mesh)
 			got := [3]uint64{after.Messages - before.Messages, after.Bytes - before.Bytes, after.WireBytes - before.WireBytes}
-			if got != want[class.Name] {
-				t.Errorf("class %c overlap=%v: messages, payload bytes, wire bytes = %v, want %v", class.Name, overlap, got, want[class.Name])
+			if got != want {
+				t.Errorf("class %c overlap=%v: messages, payload bytes, wire bytes = %v, want %v", class.Name, overlap, got, want)
 			}
 		}
 	}
@@ -194,7 +191,7 @@ func TestComm3EqualsSerialHalos(t *testing.T) {
 
 	check := func(t *testing.T, procs [3]int, c *mpi.Comm) {
 		st := newRankState(c, class, procs)
-		box := st.u[st.lt]
+		box := array.New(st.boxShape(st.lt))
 		bs := box.Shape()
 		for i := range box.Data() {
 			box.Data()[i] = math.NaN()
