@@ -775,8 +775,7 @@ func (st *rankState) window() {
 // --- driver -----------------------------------------------------------------------
 
 // reset builds the initial state on newRankState's zeroed grids: rank 0
-// evaluates zran3 on the full finest grid and scatters the sub-boxes,
-// whose halos are then refreshed.
+// evaluates zran3 on the full finest grid and scatters the sub-boxes.
 func (st *rankState) reset() {
 	if st.c.Rank() == 0 {
 		full := array.New(st.class.ExtShape(st.lt))
@@ -785,11 +784,7 @@ func (st *rankState) reset() {
 	} else {
 		st.scatterFromRoot(st.lt, nil, st.v)
 	}
-	if !st.slab {
-		st.comm3(st.v)
-		return
-	}
-	st.haloed(st.v, st.lt, halo{1, 1}, st.framed(st.v, func(core.PlaneSpan) {}))
+	st.comm3(st.v)
 }
 
 // mg3P is one V-cycle. Down the distributed levels each rank restricts its

@@ -81,7 +81,7 @@ func (st *rankState) haloed(a *array.Array, level int, h halo, compute func(core
 }
 
 // framed is compute followed by the periodic frame of every plane it
-// wrote, for a kernel that writes interior rows only (or none).
+// wrote, for a kernel that writes interior rows only.
 func (st *rankState) framed(a *array.Array, compute func(core.PlaneSpan)) func(core.PlaneSpan) {
 	shp := a.Shape()
 	n1, n2, d := shp[1], shp[2], a.Data()
