@@ -434,8 +434,9 @@ func (r CommReport) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "overlap efficiency: %.3f (exposed %.3f ms of %.3f ms aligned comm windows)\n",
 		r.OverlapEfficiency, ms(r.ExposedNanos), ms(r.WindowNanos))
 	if r.SolveNanos > 0 {
-		// Blocked time also covers the setup exchange (scatter/broadcast
-		// before the timed solve), so the share can exceed 100%.
+		// Blocked time also covers the set-up exchange (zran3's
+		// candidate swap before the timed solve), so the share can
+		// exceed 100%.
 		fmt.Fprintf(w, "total blocked: %.3f ms incl. setup; solve wall %.3f ms; comm share %.1f%% of %d × wall\n",
 			ms(r.TotalBlockedNanos), ms(r.SolveNanos), 100*r.CommShare, r.Ranks)
 	} else {

@@ -117,9 +117,9 @@ func TestRunsDeterministic(t *testing.T) {
 // Other processor grids run a comm3 — 2·A·R messages over A distributed
 // axes — after every kernel: per V-cycle one per distributed restriction
 // (lt−lcd), two per distributed level on the way up (resid, smooth), one
-// for the residual. Around the iterations come the scatter (R−1), the
-// halo refresh of v (and, off a slab, of the first residual) and the
-// final norm reduction (2·(R−1)).
+// for the residual. Around the iterations come zran3's candidate
+// exchange (R·(R−1) messages of 40 values), off a slab the halo refresh
+// of the first residual, and the final norm reduction (2·(R−1)).
 func closedForm(class nas.Class, procs [3]int, lcd int) (messages, bytes uint64) {
 	lt, g := class.LT(), lcd-1
 	R, axes := uint64(procs[0]*procs[1]*procs[2]), uint64(0)
@@ -133,8 +133,8 @@ func closedForm(class nas.Class, procs [3]int, lcd int) (messages, bytes uint64)
 	cube := func(l int) uint64 { return uint64(1) << (3 * l) } // interior cells of level l
 	perCycle := R * (R - 1)
 	cycleBytes := 8 * (R - 1) * cube(g)
-	once := 3 * (R - 1)
-	onceBytes := 8*(R-1)*cube(lt)/R + 8*(R-1)*(local[0]+1) + 16*(R-1)
+	once := R*(R-1) + 2*(R-1)
+	onceBytes := 8*40*R*(R-1) + 8*(R-1)*(local[0]+1) + 16*(R-1)
 	if procs[1] == 1 && procs[2] == 1 {
 		plane := func(l int) uint64 { return 8 * uint64((1<<l)+2) * uint64((1<<l)+2) }
 		perCycle += 2 * R * uint64(2*(lt-lcd)+1)
@@ -142,8 +142,7 @@ func closedForm(class nas.Class, procs [3]int, lcd int) (messages, bytes uint64)
 		for l := lcd; l < lt; l++ {
 			cycleBytes += 2*R*plane(l) + 3*R*plane(l)
 		}
-		return uint64(class.Iter)*perCycle + 2*R + once,
-			uint64(class.Iter)*cycleBytes + 2*R*plane(lt) + onceBytes
+		return uint64(class.Iter)*perCycle + once, uint64(class.Iter)*cycleBytes + onceBytes
 	}
 	comm3 := func(l int) uint64 { // payload bytes of one comm3 at level l
 		var lp [3]uint64
@@ -163,14 +162,14 @@ func closedForm(class nas.Class, procs [3]int, lcd int) (messages, bytes uint64)
 	for l := lcd; l <= lt; l++ {
 		cycleBytes += 3 * comm3(l)
 	}
-	return uint64(class.Iter)*perCycle + 2*2*axes*R + once,
-		uint64(class.Iter)*cycleBytes + 2*comm3(lt) + onceBytes
+	return uint64(class.Iter)*perCycle + 2*axes*R + once,
+		uint64(class.Iter)*cycleBytes + comm3(lt) + onceBytes
 }
 
 // Communication structure: the closed form, message for message and byte
-// for byte, on slabs and on a 3-D grid. The ranks' V-cycle traffic is
-// identical; rank 0 sends the scatter and the norm broadcast, the others
-// one norm partial each.
+// for byte, on slabs and on a 3-D grid. The ranks' V-cycle traffic and
+// their candidate messages are identical; rank 0 sends the norm broadcast,
+// the others one norm partial each.
 func TestCommunicationStructure(t *testing.T) {
 	for _, c := range []struct {
 		class nas.Class
@@ -202,7 +201,7 @@ func TestCommunicationStructure(t *testing.T) {
 		R := uint64(ranks)
 		per := s.world.Stats()
 		for r := 1; r < ranks; r++ {
-			if per[0].Messages != per[r].Messages+2*(R-1)-1 {
+			if per[0].Messages != per[r].Messages+(R-1)-1 {
 				t.Errorf("class %c procs %v: rank 0 sent %d messages, rank %d %d: the V-cycle traffic is not symmetric",
 					c.class.Name, c.procs, per[0].Messages, r, per[r].Messages)
 			}
@@ -382,7 +381,9 @@ func TestRankTaggedTrace(t *testing.T) {
 // the send/recv events against the transport's own counters: per rank,
 // send events equal Stats().Messages, and globally every send pairs with
 // exactly one recv under the (src, dst, tag, seq) key — the invariant
-// the distributed observability layer (DESIGN.md §3.5) rests on.
+// the distributed observability layer (DESIGN.md §3.5) rests on. The
+// set-up is zran3's candidate exchange alone: R·(R−1) sends of 320 B
+// before the first iteration.
 func TestCommEventsMatchStats(t *testing.T) {
 	var buf bytes.Buffer
 	tr := metrics.NewTracer(&buf)
@@ -407,9 +408,16 @@ func TestCommEventsMatchStats(t *testing.T) {
 	recvsByRank := map[int]uint64{}
 	sends := map[pairKey]int{}
 	recvs := map[pairKey]int{}
+	var charges int
 	for _, e := range events {
 		switch e.Ev {
 		case "send":
+			if e.Tag == tagCharges {
+				charges++
+				if e.Bytes != 320 || e.Iter != 0 {
+					t.Errorf("charge message %+v: want 320 bytes before the first iteration", e)
+				}
+			}
 			sendsByRank[e.Rank]++
 			sends[pairKey{e.Rank, e.Peer, e.Tag, e.Seq}]++
 			if e.Bytes <= 0 {
@@ -430,6 +438,9 @@ func TestCommEventsMatchStats(t *testing.T) {
 	}
 	if len(sends) == 0 {
 		t.Fatal("no send events in a 4-rank traced run")
+	}
+	if charges != 4*3 {
+		t.Errorf("%d charge messages, want R·(R−1) = 12", charges)
 	}
 	for k, n := range sends {
 		if n != 1 {

@@ -1,9 +1,11 @@
 package mgmpi
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -73,9 +75,10 @@ func TestWarmTCPSolveAllocs(t *testing.T) {
 		t.Skip("process-wide MemStats budget: not under -short (the race legs)")
 	}
 	// Measured, both legs alike (30 runs each, 2-vCPU x86-64, Go 1.24): at
-	// most 376 objects and 146 KB beyond the rank state for 4 V-cycles and
-	// 67 messages, so about 90 objects and 35 KB per V-cycle (the operator
-	// closures, plus the size-class rounding of the grids). Per message, a
+	// most 349 objects and 151 KB (median 345 and 95 KB) beyond the rank
+	// state for 4 V-cycles and 28 messages, so about 90 objects and 35 KB
+	// per V-cycle (the operator closures, the size-class rounding of the
+	// grids, and reset's candidate lists). Per message, a
 	// 2-rank TCP ping-pong whose every Recv waits allocates 2.7-3.0
 	// objects and 220-250 B (the wait's timer); the overlapped leg
 	// allocates nothing more than the synchronous one.
@@ -89,8 +92,7 @@ func TestWarmTCPSolveAllocs(t *testing.T) {
 	mesh := tcpMesh(t, 2)
 
 	// The rank state, by construction: newRankState's grids and norm
-	// partials, the scratch the allgather packs its box into, then reset's
-	// full grid, scatter pack and (never released) scatter payload.
+	// partials and the scratch the allgather packs its box into.
 	var stateBytes, stateObjects uint64
 	for r := range mesh {
 		st := newRankState(mpi.NewComm(mpi.NewWorld(2).Transport(r)), class, [3]int{2, 1, 1})
@@ -108,8 +110,6 @@ func TestWarmTCPSolveAllocs(t *testing.T) {
 			}
 		}
 	}
-	box := uint64(class.N / 2 * class.N * class.N)
-	stateBytes += 8 * (uint64(class.ExtShape(class.LT()).Size()) + 2*box)
 	cycles := uint64(class.Iter)
 
 	for _, overlap := range []bool{false, true} {
@@ -148,27 +148,33 @@ func TestWarmTCPSolveAllocs(t *testing.T) {
 }
 
 // TestTrafficExact pins the exact rows of a 2-rank TCP solve, under both
-// exchange modes, to the closed form (closedForm: S 31 messages, 595 224
-// payload bytes; W 567 and 17 349 528), with the frame overhead on top for
-// the wire. How a message is built and written never changes which
+// exchange modes: S 28 messages and 427 800 payload bytes, W 564 and
+// 16 162 200 — what closedForm gives too — with the frame overhead on top
+// for the wire. How a message is built and written never changes which
 // messages exist or what is on the wire. Class W is the benchmark's dist_W2
 // workload and is left out under -short.
 func TestTrafficExact(t *testing.T) {
 	const frameOverhead = 20 // mpinet's header and checksum, per message
 	mesh := tcpMesh(t, 2)
-	for _, class := range []nas.Class{nas.ClassS, nas.ClassW} {
-		if class.Name == 'W' && testing.Short() {
+	for _, c := range []struct {
+		class           nas.Class
+		messages, bytes uint64
+	}{{nas.ClassS, 28, 427800}, {nas.ClassW, 564, 16162200}} {
+		if c.class.Name == 'W' && testing.Short() {
 			continue
 		}
-		messages, bytes := closedForm(class, [3]int{2, 1, 1}, 5)
-		want := [3]uint64{messages, bytes, bytes + frameOverhead*messages}
+		if messages, bytes := closedForm(c.class, [3]int{2, 1, 1}, 5); messages != c.messages || bytes != c.bytes {
+			t.Errorf("class %c: the closed form says %d messages, %d payload bytes; pinned %d, %d",
+				c.class.Name, messages, bytes, c.messages, c.bytes)
+		}
+		want := [3]uint64{c.messages, c.bytes, c.bytes + frameOverhead*c.messages}
 		for _, overlap := range []bool{false, true} {
 			before := meshTraffic(mesh)
-			solveTCP(t, class, mesh, overlap)
+			solveTCP(t, c.class, mesh, overlap)
 			after := meshTraffic(mesh)
 			got := [3]uint64{after.Messages - before.Messages, after.Bytes - before.Bytes, after.WireBytes - before.WireBytes}
 			if got != want {
-				t.Errorf("class %c overlap=%v: messages, payload bytes, wire bytes = %v, want %v", class.Name, overlap, got, want)
+				t.Errorf("class %c overlap=%v: messages, payload bytes, wire bytes = %v, want %v", c.class.Name, overlap, got, want)
 			}
 		}
 	}
@@ -228,6 +234,86 @@ func TestComm3EqualsSerialHalos(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+	}
+}
+
+// TestResetEqualsSerialZran3 runs reset — each rank scans its share of
+// zran3's planes, the ranks swap candidates, each writes the charges in
+// its box — on slabs of 1 to 8 ranks and on a (2,2,2) grid over channels,
+// and on 2 ranks over TCP, from boxes that hold garbage, and requires
+// every rank's v, halo for halo, to be its window of the serial
+// nas.Zran3 grid bit for bit.
+func TestResetEqualsSerialZran3(t *testing.T) {
+	for _, class := range []nas.Class{nas.ClassS, nas.ClassW} {
+		full := array.New(class.ExtShape(class.LT()))
+		nas.Zran3(full, class.N)
+		fs := full.Shape()
+		check := func(t *testing.T, procs [3]int, c *mpi.Comm) {
+			st := newRankState(c, class, procs)
+			for i := range st.v.Data() {
+				st.v.Data()[i] = math.NaN()
+			}
+			st.reset()
+			lo, hi := st.globalBox(st.lt)
+			for x := range lo {
+				lo[x], hi[x] = lo[x]-1, hi[x]+1
+			}
+			want := packBox(nil, full.Data(), fs[1], fs[2], lo, hi)
+			for i, v := range st.v.Data() {
+				if math.Float64bits(v) != math.Float64bits(want[i]) {
+					t.Errorf("class %c procs %v rank %d: v value %d is %v, the serial zran3 grid has %v",
+						class.Name, procs, c.Rank(), i, v, want[i])
+					return
+				}
+			}
+		}
+		for _, procs := range [][3]int{{1, 1, 1}, {2, 1, 1}, {4, 1, 1}, {8, 1, 1}, {2, 2, 2}} {
+			mpi.NewWorld(procs[0] * procs[1] * procs[2]).Run(func(c *mpi.Comm) { check(t, procs, c) })
+		}
+		var wg sync.WaitGroup
+		for _, tr := range tcpMesh(t, 2) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("class %c rank %d over TCP: %v", class.Name, tr.Rank(), p)
+					}
+				}()
+				check(t, [3]int{2, 1, 1}, mpi.NewComm(tr))
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestPayloadLengthChecked: a payload of the wrong length — what a peer
+// built for another set-up protocol sends — fails naming the rank and the
+// length, whether it is short or long, instead of an index panic or a
+// partial copy.
+func TestPayloadLengthChecked(t *testing.T) {
+	st := newRankState(mpi.NewComm(mpi.NewWorld(1).Transport(0)), nas.ClassS, [3]int{1, 1, 1})
+	d := st.v.Data()
+	shp := st.v.Shape()
+	lo, hi := [3]int{1, 1, 1}, [3]int{2, 2, 2} // 8 values
+	for _, c := range []struct {
+		name string
+		run  func()
+		want string
+	}{
+		{"short box", func() { st.unpack(d, shp[1], shp[2], lo, hi, make([]float64, 7)) }, "rank 0: payload of 7 values for a box of 8"},
+		{"long box", func() { st.unpack(d, shp[1], shp[2], lo, hi, make([]float64, 9)) }, "rank 0: payload of 9 values for a box of 8"},
+		{"long charges", func() { st.unpackCandidates(1, make([]float64, 4096)) }, "rank 0: charge message of 4096 values from rank 1, want 40"},
+		{"short charges", func() { st.unpackCandidates(1, make([]float64, 39)) }, "rank 0: charge message of 39 values from rank 1, want 40"},
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), c.want) {
+					t.Errorf("%s: panic %v, want one containing %q", c.name, p, c.want)
+				}
+			}()
+			c.run()
+		}()
 	}
 }
 

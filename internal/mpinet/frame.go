@@ -41,10 +41,11 @@ const (
 	frameOverhead = headerLen + checksumLen
 
 	// maxFrameFloats bounds a single frame's payload (1 GiB of floats).
-	// The largest legitimate message is a scatter of one rank's finest
-	// sub-box; anything bigger is a corrupt length field, and rejecting
-	// it keeps a desynchronized stream from demanding absurd
-	// allocations.
+	// The solver's largest messages are whole halo planes and the
+	// allgather of a coarse level's share, a few MB even at class C;
+	// the bound leaves room far above those, so anything bigger is a
+	// corrupt length field, and rejecting it keeps a desynchronized
+	// stream from demanding absurd allocations.
 	maxFrameFloats = 1 << 27
 
 	// tagAbort is the transport-internal control tag that relays a

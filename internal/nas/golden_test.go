@@ -3,6 +3,7 @@ package nas
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -181,4 +182,93 @@ func TestGoldenZran3Charges(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestZran3MergedScans: for the seeds TestGoldenZran3Charges pins, at S and
+// W, merging in order the scans of the runs of a split of the planes —
+// whole, uneven, one plane per run, with empty runs, and random cuts —
+// places exactly the charges of the whole-grid Zran3Seeded, so the
+// offsets that test pins.
+func TestZran3MergedScans(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, class := range []Class{ClassS, ClassW} {
+		n := class.N
+		// Each split lists the last plane of every run.
+		splits := [][]int{{n}, {1, n}, {n - 1, n}, {5, 6, 20, n}, {0, n / 2, n / 2, n, n}}
+		var single []int
+		for p := 1; p <= n; p++ {
+			single = append(single, p)
+		}
+		splits = append(splits, single)
+		for range 3 {
+			cuts := []int{n}
+			for range 1 + rng.Intn(8) {
+				cuts = append(cuts, 1+rng.Intn(n-1))
+			}
+			slices.Sort(cuts)
+			splits = append(splits, cuts)
+		}
+		for _, seed := range []uint64{nasrand.DefaultSeed, 1, 271828183} {
+			whole := array.New(class.ExtShape(class.LT()))
+			Zran3Seeded(whole, n, seed)
+			for _, ends := range splits {
+				var merged Extremes
+				lo := 1
+				for _, hi := range ends {
+					merged.Merge(Zran3Scan(n, seed, lo, hi))
+					lo = hi + 1
+				}
+				got := array.New(whole.Shape())
+				merged.Fill(got, n, [3]int{})
+				if !got.Equal(whole) {
+					t.Errorf("class %c seed %d, runs ending at planes %v: merged charges +%v −%v differ from the whole grid's",
+						class.Name, seed, ends, positions(merged.Large), positions(merged.Small))
+				}
+			}
+		}
+	}
+}
+
+// TestExtremesMergeTies: on a field of five values, so almost every
+// candidate ties, merging the runs' candidates in order keeps what one
+// pass over the whole field keeps — the first occurrences of equal values.
+// One pass is a merge per value: a one-value run's scan is that value.
+func TestExtremesMergeTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	field := make([]float64, 200)
+	for i := range field {
+		field[i] = float64(rng.Intn(5))
+	}
+	scan := func(lo, hi int) Extremes {
+		var e Extremes
+		for pos := lo; pos < hi; pos++ {
+			c := []Extreme{{field[pos], pos}}
+			e.Merge(Extremes{Large: c, Small: c})
+		}
+		return e
+	}
+	whole := scan(0, len(field))
+	for _, ends := range [][]int{{1, 200}, {13, 77, 78, 200}, {100, 100, 199, 200}} {
+		var merged Extremes
+		lo := 0
+		for _, hi := range ends {
+			merged.Merge(scan(lo, hi))
+			lo = hi
+		}
+		for _, l := range [][2][]Extreme{{merged.Large, whole.Large}, {merged.Small, whole.Small}} {
+			if got, want := positions(l[0]), positions(l[1]); !slices.Equal(got, want) {
+				t.Errorf("runs ending at %v: merged keeps positions %v, one pass %v", ends, got, want)
+			}
+		}
+	}
+}
+
+// positions returns the candidates' offsets in ascending order.
+func positions(list []Extreme) []int {
+	var out []int
+	for _, c := range list {
+		out = append(out, c.Pos)
+	}
+	slices.Sort(out)
+	return out
 }
