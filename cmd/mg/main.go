@@ -192,7 +192,7 @@ func main() {
 		}
 		bench = f77.NewParallel(class, pool, fmode)
 	case "mpi":
-		if mgmpi.ValidateProcs(class, *threads, 1, 1) != nil {
+		if mgmpi.ValidateProcs(class, *threads) != nil {
 			fmt.Fprintf(os.Stderr, "mg: -impl mpi runs -threads ranks, a power of two from 1 to %d at class %c; got %d\n",
 				class.N/2, class.Name, *threads)
 			os.Exit(2)

@@ -97,7 +97,7 @@ func main() {
 	if err != nil {
 		usage("%v", err)
 	}
-	if mgmpi.ValidateProcs(class, *np, 1, 1) != nil {
+	if mgmpi.ValidateProcs(class, *np) != nil {
 		usage("-np must be a power of two from 1 to %d at class %c; got %d", class.N/2, class.Name, *np)
 	}
 	if *rank < 0 || *rank >= *np {

@@ -14,7 +14,7 @@
 //
 //   - A grid is a flat row-major box with one halo cell on every side and
 //     lateral extents (n1, n2), halos included; any number of planes. The
-//     lateral extents may differ (a 3-D processor grid's boxes do).
+//     lateral extents may differ.
 //   - A call computes the planes of its PlaneSpan only, reads the planes
 //     either side of them, and never writes outside the span; calls on
 //     disjoint spans may run concurrently. Halos are the caller's to

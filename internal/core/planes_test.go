@@ -88,10 +88,10 @@ func sameBits(t *testing.T, what string, got, want *array.Array) {
 }
 
 // TestPlaneEntryPointsRectangular drives the four plane-range entry points
-// on a box whose three extents all differ — what a rank of a 3-D processor
-// grid owns — in every backend, split into two spans, and holds them to the
-// generic O0 composition (stencil.Relax and the aplib array operations,
-// which are shape-generic). InterpolatePlanes is also checked in its halo
+// on a box whose three extents all differ, in every backend, split into
+// two spans, and holds them to the generic O0 composition (stencil.Relax
+// and the aplib array operations, which are shape-generic).
+// InterpolatePlanes is also checked in its halo
 // form (the fine halo interpolated from the coarse halo must equal the
 // periodic image of the interior) and its accumulating form.
 func TestPlaneEntryPointsRectangular(t *testing.T) {

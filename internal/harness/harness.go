@@ -277,15 +277,8 @@ func RunMPIStats(w io.Writer, class nas.Class, rankCounts []int) []MPIStatsRow {
 	for _, ranks := range rankCounts {
 		run(fmt.Sprintf("(%d,1,1)", ranks), mgmpi.New(class, ranks))
 	}
-	// The cube decomposition at the largest slab rank count, beside the
-	// slab of the same size (the NPB MPI reference uses 3-D grids).
-	if len(rankCounts) > 0 && rankCounts[len(rankCounts)-1] >= 8 {
-		run("(2,2,2)", mgmpi.New3D(class, 2, 2, 2))
-	}
 	fmt.Fprintf(w, "Messages grow with ranks (more halo partners, an allgather among more\n")
-	fmt.Fprintf(w, "ranks); slab faces do not shrink with the slab. A slab exchanges halos\n")
-	fmt.Fprintf(w, "between V-cycle legs, a 3-D grid after every kernel, so at 8 ranks the\n")
-	fmt.Fprintf(w, "cube's smaller faces do not make up for its more frequent exchanges.\n\n")
+	fmt.Fprintf(w, "ranks); slab faces do not shrink with the slab.\n\n")
 	return rows
 }
 

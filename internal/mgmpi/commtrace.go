@@ -33,11 +33,6 @@ type seqKey struct{ peer, tag int }
 // between communication phases (a rank's solve is single-threaded); the
 // wrapper is NOT safe for concurrent use by multiple goroutines, matching
 // the solver's use of its Comm.
-//
-// commObserver deliberately does not implement the optional Barrier
-// method: the solver never calls Comm.Barrier, and hiding the inner
-// transport's native barrier keeps the wrapper honest about what it can
-// sequence-number (a native barrier would bypass Send/Recv accounting).
 type commObserver struct {
 	inner mpi.Transport
 	clock blockedClock // inner's running blocked-time total

@@ -2,6 +2,7 @@ package mgmpi
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -109,116 +110,85 @@ func TestRunsDeterministic(t *testing.T) {
 }
 
 // closedForm is a solve's communication in closed form, all ranks
-// together: messages and payload bytes. A slab (R, 1, 1) exchanges halos
-// between core's legs only: per V-cycle two planes either side of the
-// finest u (2R messages), and at each lower distributed level one plane
-// either side of r and two below and one above of the correction (2R
-// messages each), plus the allgather of level lcd−1, R·(R−1) messages.
-// Other processor grids run a comm3 — 2·A·R messages over A distributed
-// axes — after every kernel: per V-cycle one per distributed restriction
-// (lt−lcd), two per distributed level on the way up (resid, smooth), one
-// for the residual. Around the iterations come zran3's candidate
-// exchange (R·(R−1) messages of 40 values), off a slab the halo refresh
-// of the first residual, and the final norm reduction (2·(R−1)).
-func closedForm(class nas.Class, procs [3]int, lcd int) (messages, bytes uint64) {
-	lt, g := class.LT(), lcd-1
-	R, axes := uint64(procs[0]*procs[1]*procs[2]), uint64(0)
-	var local [3]uint64 // interior cells per rank along each axis, at the finest level
-	for a, r := range procs {
-		local[a] = uint64(class.N / r)
-		if r > 1 {
-			axes++
-		}
+// together: messages and payload bytes. The slabs exchange halos between
+// core's legs only: per V-cycle two planes either side of the finest u (2R
+// messages), and at each lower distributed level one plane either side of
+// r and two below and one above of the correction (2R messages each), plus
+// the allgather of level lcd−1, R·(R−1) messages. Around the iterations
+// come zran3's candidate exchange (R·(R−1) messages of 40 values) and the
+// final norm reduction (2·(R−1)).
+func closedForm(class nas.Class, ranks, lcd int) (messages, bytes uint64) {
+	lt, g, R := class.LT(), lcd-1, uint64(ranks)
+	plane := func(l int) uint64 { return 8 * uint64((1<<l)+2) * uint64((1<<l)+2) }
+	perCycle := R*(R-1) + 2*R*uint64(2*(lt-lcd)+1)
+	cycleBytes := 8*(R-1)*(uint64(1)<<(3*g)) + 2*R*2*plane(lt)
+	for l := lcd; l < lt; l++ {
+		cycleBytes += 2*R*plane(l) + 3*R*plane(l)
 	}
-	cube := func(l int) uint64 { return uint64(1) << (3 * l) } // interior cells of level l
-	perCycle := R * (R - 1)
-	cycleBytes := 8 * (R - 1) * cube(g)
 	once := R*(R-1) + 2*(R-1)
-	onceBytes := 8*40*R*(R-1) + 8*(R-1)*(local[0]+1) + 16*(R-1)
-	if procs[1] == 1 && procs[2] == 1 {
-		plane := func(l int) uint64 { return 8 * uint64((1<<l)+2) * uint64((1<<l)+2) }
-		perCycle += 2 * R * uint64(2*(lt-lcd)+1)
-		cycleBytes += 2 * R * 2 * plane(lt)
-		for l := lcd; l < lt; l++ {
-			cycleBytes += 2*R*plane(l) + 3*R*plane(l)
-		}
-		return uint64(class.Iter)*perCycle + once, uint64(class.Iter)*cycleBytes + onceBytes
-	}
-	comm3 := func(l int) uint64 { // payload bytes of one comm3 at level l
-		var lp [3]uint64
-		for a := range lp {
-			lp[a] = local[a] >> (lt - l)
-		}
-		face := [3]uint64{(lp[1] + 2) * (lp[2] + 2), lp[0] * (lp[2] + 2), lp[0] * lp[1]}
-		var b uint64
-		for a, r := range procs {
-			if r > 1 {
-				b += 2 * 8 * R * face[a]
-			}
-		}
-		return b
-	}
-	perCycle += 2 * axes * R * uint64(3*(lt-lcd+1))
-	for l := lcd; l <= lt; l++ {
-		cycleBytes += 3 * comm3(l)
-	}
-	return uint64(class.Iter)*perCycle + 2*axes*R + once,
-		uint64(class.Iter)*cycleBytes + comm3(lt) + onceBytes
+	onceBytes := 8*40*R*(R-1) + 8*(R-1)*(uint64(class.N/ranks)+1) + 16*(R-1)
+	return uint64(class.Iter)*perCycle + once, uint64(class.Iter)*cycleBytes + onceBytes
 }
 
 // Communication structure: the closed form, message for message and byte
-// for byte, on slabs and on a 3-D grid. The ranks' V-cycle traffic and
-// their candidate messages are identical; rank 0 sends the norm broadcast,
-// the others one norm partial each.
+// for byte, up to the largest slab class S admits (16 ranks). The ranks'
+// V-cycle traffic and their candidate messages are identical; rank 0 sends
+// the norm broadcast, the others one norm partial each.
 func TestCommunicationStructure(t *testing.T) {
 	for _, c := range []struct {
 		class nas.Class
-		procs [3]int
+		ranks int
 		lcd   int // by the rule: one above level 4 (16³), the whole-grid threshold
 	}{
-		{nas.ClassS, [3]int{2, 1, 1}, 5},
-		{nas.ClassS, [3]int{4, 1, 1}, 5},
-		{nas.ClassS, [3]int{8, 1, 1}, 5},
-		{nas.ClassS, [3]int{2, 2, 2}, 5},
-		{nas.ClassW, [3]int{2, 1, 1}, 5},
-		{nas.ClassW, [3]int{4, 1, 1}, 5},
+		{nas.ClassS, 2, 5},
+		{nas.ClassS, 4, 5},
+		{nas.ClassS, 8, 5},
+		{nas.ClassS, 16, 5},
+		{nas.ClassW, 2, 5},
+		{nas.ClassW, 4, 5},
 	} {
 		if c.class.Name == 'W' && testing.Short() {
 			continue
 		}
-		ranks := c.procs[0] * c.procs[1] * c.procs[2]
-		st := newRankState(mpi.NewComm(mpi.NewWorld(ranks).Transport(0)), c.class, c.procs)
+		st := newRankState(mpi.NewComm(mpi.NewWorld(c.ranks).Transport(0)), c.class)
 		if st.lcd != c.lcd {
-			t.Errorf("class %c procs %v: coarsest distributed level %d, want %d", c.class.Name, c.procs, st.lcd, c.lcd)
+			t.Errorf("class %c ranks %d: coarsest distributed level %d, want %d", c.class.Name, c.ranks, st.lcd, c.lcd)
 		}
-		s := New3D(c.class, c.procs[0], c.procs[1], c.procs[2])
+		s := New(c.class, c.ranks)
 		s.Run()
-		messages, bytes := closedForm(c.class, c.procs, c.lcd)
+		messages, bytes := closedForm(c.class, c.ranks, c.lcd)
 		if got := s.Stats(); got.Messages != messages || got.Bytes != bytes {
-			t.Errorf("class %c procs %v: %d messages, %d payload bytes; the closed form says %d, %d",
-				c.class.Name, c.procs, got.Messages, got.Bytes, messages, bytes)
+			t.Errorf("class %c ranks %d: %d messages, %d payload bytes; the closed form says %d, %d",
+				c.class.Name, c.ranks, got.Messages, got.Bytes, messages, bytes)
 		}
-		R := uint64(ranks)
+		R := uint64(c.ranks)
 		per := s.world.Stats()
-		for r := 1; r < ranks; r++ {
+		for r := 1; r < c.ranks; r++ {
 			if per[0].Messages != per[r].Messages+(R-1)-1 {
-				t.Errorf("class %c procs %v: rank 0 sent %d messages, rank %d %d: the V-cycle traffic is not symmetric",
-					c.class.Name, c.procs, per[0].Messages, r, per[r].Messages)
+				t.Errorf("class %c ranks %d: rank 0 sent %d messages, rank %d %d: the V-cycle traffic is not symmetric",
+					c.class.Name, c.ranks, per[0].Messages, r, per[r].Messages)
 			}
 		}
 	}
 }
 
+// New rejects a rank count that is not a power of two or leaves a rank
+// fewer than two planes (2R > N), naming the bound and the count, and
+// accepts the largest slab class S admits.
 func TestInvalidRanksPanics(t *testing.T) {
 	for _, ranks := range []int{0, 3, 5, nas.ClassS.N} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("ranks=%d did not panic", ranks)
+				want := fmt.Sprintf("mgmpi: the rank count must be a power of two with 2*ranks <= 32, got %d", ranks)
+				if p := recover(); fmt.Sprint(p) != want {
+					t.Errorf("ranks=%d: panic %v, want %q", ranks, p, want)
 				}
 			}()
 			New(nas.ClassS, ranks)
 		}()
+	}
+	if s := New(nas.ClassS, 16); s.Ranks() != 16 {
+		t.Errorf("New(ClassS, 16) has %d ranks", s.Ranks())
 	}
 }
 
@@ -227,78 +197,6 @@ func BenchmarkClassS4Ranks(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Run()
-	}
-}
-
-// True 3-D processor grids — boxes whose lateral extents differ, through
-// the same shared kernels: every decomposition of the same world size
-// verifies officially, repeats its own bits, and matches the 1-rank solve —
-// rnmu exactly (every cell's arithmetic is the 1-rank solve's and max has
-// no association), rnm2 to the reassociation of the split plane sums.
-func Test3DDecompositionsVerify(t *testing.T) {
-	want, wantU := New(nas.ClassS, 1).Run()
-	grids := [][3]int{
-		{2, 2, 1}, {1, 2, 2}, {2, 1, 2}, // 4 ranks, 2-D decompositions
-		{2, 2, 2},            // 8 ranks, full 3-D
-		{4, 2, 1}, {1, 4, 2}, // mixed extents
-		{4, 4, 4}, // 64 ranks
-	}
-	for _, g := range grids {
-		s := New3D(nas.ClassS, g[0], g[1], g[2])
-		got, gotU := s.Run()
-		if verified, ok := nas.ClassS.Verify(got); !ok || !verified {
-			t.Fatalf("grid %v: rnm2 = %.13e did not verify", g, got)
-		}
-		if rel := math.Abs(got-want) / want; rel > 1e-12 {
-			t.Fatalf("grid %v: rnm2 = %.15e vs 1 rank %.15e (rel %.2e)", g, got, want, rel)
-		}
-		if gotU != wantU {
-			t.Fatalf("grid %v: rnmu = %.17e vs 1 rank %.17e", g, gotU, wantU)
-		}
-		if again, againU := s.Run(); again != got || againU != gotU {
-			t.Fatalf("grid %v: second run (%.17e, %.17e) differs from the first (%.17e, %.17e)",
-				g, again, againU, got, gotU)
-		}
-	}
-}
-
-// Decomposing different axes of the same world size yields identical
-// interior arithmetic: the norms agree across orientations bitwise (the
-// kernels sweep the same global cells; only the reduction blocking could
-// differ, and for equal rank counts it does not).
-func Test3DOrientationConsistency(t *testing.T) {
-	a, aU := New3D(nas.ClassS, 4, 1, 1).Run()
-	b, bU := New3D(nas.ClassS, 1, 1, 4).Run()
-	if aU != bU {
-		t.Fatalf("rnmu differs across orientations: %.17e vs %.17e", aU, bU)
-	}
-	if rel := math.Abs(a-b) / a; rel > 1e-13 {
-		t.Fatalf("rnm2 differs across orientations: %.17e vs %.17e", a, b)
-	}
-}
-
-func Test3DClassW(t *testing.T) {
-	if testing.Short() {
-		t.Skip("class W skipped in -short")
-	}
-	s := New3D(nas.ClassW, 2, 2, 2)
-	rnm2, _ := s.Run()
-	if verified, ok := nas.ClassW.Verify(rnm2); !ok || !verified {
-		want, _, _ := nas.ClassW.VerifyValue()
-		t.Fatalf("(2,2,2) class W rnm2 = %.13e, want %.13e", rnm2, want)
-	}
-}
-
-func TestNew3DValidation(t *testing.T) {
-	for _, g := range [][3]int{{3, 1, 1}, {0, 1, 1}, {1, 1, nas.ClassS.N}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("grid %v did not panic", g)
-				}
-			}()
-			New3D(nas.ClassS, g[0], g[1], g[2])
-		}()
 	}
 }
 

@@ -2,9 +2,9 @@
 // §4.7), plus the pool fan-out that makes each rank a hybrid MPI×SMP
 // worker.
 //
-// On a slab decomposition a halo is exchanged only between two of core's
+// A slab's halo is exchanged only between two of core's
 // legs, at the depth the next leg reads: haloed runs the computation that
-// produces a box and then refreshes its halo planes. The synchronous
+// produces a slab and then refreshes its halo planes. The synchronous
 // schedule computes every plane, then exchanges. The overlapped one is a
 // span order: the spans holding the planes that go out compute first, both
 // faces go on the wire, the interior span computes while the network
@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/array"
 	"repro/internal/core"
+	"repro/internal/nas"
 )
 
 // forPlanes runs f over the planes of p, fanned over the rank's pool when
@@ -43,27 +44,27 @@ func (st *rankState) forPlanes(p core.PlaneSpan, f func(core.PlaneSpan)) {
 }
 
 // fusedComm3 runs a three-call kernel's plane loop over the interior
-// planes of its output box a (pool fan-out), then refreshes a's halo with
-// comm3.
+// planes of its output grid a (pool fan-out), then refreshes a's halo with
+// nas.Comm3.
 func (st *rankState) fusedComm3(a *array.Array, compute func(core.PlaneSpan)) {
 	st.forPlanes(core.PlaneSpan{Lo: 1, Hi: a.Shape()[0] - 2}, compute)
-	st.comm3(a)
+	nas.Comm3(a)
 }
 
-// halo is the depth of a slab box's halo along axis 0: below planes under
+// halo is the depth of a slab's halo: below planes under
 // plane 1, above planes over the last interior plane.
 type halo struct{ below, above int }
 
-// haloed computes the interior planes 1..lp of a slab box a at a
+// haloed computes the interior planes 1..lp of a slab a at a
 // distributed level with compute, which must also write each plane's
 // periodic frame, and refreshes a's halo planes h: synchronously, or in
 // the overlapped span order — the faces core.SplitPlanes finds (the bottom
 // h.above planes, which go down, and the top h.below, which go up; one
 // span when they meet), both sends, the interior span, both receives.
 func (st *rankState) haloed(a *array.Array, level int, h halo, compute func(core.PlaneSpan)) {
-	lp := st.local(level, 0)
+	lp := st.local(level)
 	all := core.PlaneSpan{Lo: 1, Hi: lp}
-	if !st.overlap || st.procs[0] == 1 {
+	if !st.overlap || st.c.Size() == 1 {
 		st.forPlanes(all, compute)
 		st.sendFaces(a, level, h)
 		st.recvFaces(a, level, h)
@@ -93,43 +94,43 @@ func (st *rankState) framed(a *array.Array, compute func(core.PlaneSpan)) func(c
 	}
 }
 
-// slabPlanes returns a slab box's storage and the index range of logical
-// planes lo … hi in it: u's boxes store plane q at index q+1, the others at
+// slabPlanes returns a slab's storage and the index range of logical
+// planes lo … hi in it: u's slabs store plane q at index q+1, the others at
 // q.
 func (st *rankState) slabPlanes(a *array.Array, level, lo, hi int) []float64 {
 	shp := a.Shape()
-	pl, off := shp[1]*shp[2], (shp[0]-2-st.local(level, 0))/2
+	pl, off := shp[1]*shp[2], (shp[0]-2-st.local(level))/2
 	return a.Data()[(lo+off)*pl : (hi+1+off)*pl]
 }
 
-// sendFaces is the first half of a slab box's halo exchange: the top
+// sendFaces is the first half of a slab's halo exchange: the top
 // h.below interior planes go up, to become the upper neighbour's planes
 // 1−h.below … 0, and the bottom h.above go down, to become the lower
-// neighbour's planes above its last. Tags and per-stream order are those
-// of comm3's axis-0 step. One rank copies its own planes instead.
+// neighbour's planes above its last. One rank copies its own planes
+// instead.
 func (st *rankState) sendFaces(a *array.Array, level int, h halo) {
-	lp := st.local(level, 0)
+	lp := st.local(level)
 	top, bottom := st.slabPlanes(a, level, lp+1-h.below, lp), st.slabPlanes(a, level, 1, h.above)
-	if st.procs[0] == 1 {
+	if st.c.Size() == 1 {
 		copy(st.slabPlanes(a, level, 1-h.below, 0), top)
 		copy(st.slabPlanes(a, level, lp+1, lp+h.above), bottom)
 		return
 	}
 	st.setCommLevel(level)
-	st.c.Send(st.neighbour(0, +1), tagHaloBase, top)
-	st.c.Send(st.neighbour(0, -1), tagHaloBase+1, bottom)
+	st.c.Send(st.neighbour(+1), tagHaloBase, top)
+	st.c.Send(st.neighbour(-1), tagHaloBase+1, bottom)
 }
 
 // recvFaces is the second half: the halo planes from below, then from
 // above.
 func (st *rankState) recvFaces(a *array.Array, level int, h halo) {
-	if st.procs[0] == 1 {
+	if st.c.Size() == 1 {
 		return
 	}
-	lp := st.local(level, 0)
+	lp := st.local(level)
 	st.setCommLevel(level)
-	st.unpackPlanes(st.slabPlanes(a, level, 1-h.below, 0), st.c.Recv(st.neighbour(0, -1), tagHaloBase))
-	st.unpackPlanes(st.slabPlanes(a, level, lp+1, lp+h.above), st.c.Recv(st.neighbour(0, +1), tagHaloBase+1))
+	st.unpackPlanes(st.slabPlanes(a, level, 1-h.below, 0), st.c.Recv(st.neighbour(-1), tagHaloBase))
+	st.unpackPlanes(st.slabPlanes(a, level, lp+1, lp+h.above), st.c.Recv(st.neighbour(+1), tagHaloBase+1))
 }
 
 // unpackPlanes copies a received run of halo planes into place and gives

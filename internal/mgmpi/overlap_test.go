@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -207,6 +208,19 @@ func TestOverlapBitIdentical(t *testing.T) {
 	}
 }
 
+// The largest slab class S admits, 16 ranks of two planes each, computes
+// core's rnm2 after every V-cycle under both exchange modes.
+func TestLargestSlabBitIdentical(t *testing.T) {
+	want := coreIterBits(nas.ClassS)
+	want = append(want, want[len(want)-1]) // iterBits ends with the returned rnm2
+	for _, overlap := range []bool{false, true} {
+		c := config{ranks: 16, threads: 1, overlap: overlap}
+		if got := iterBits(t, nas.ClassS, c); !slices.Equal(got, want) {
+			t.Errorf("%s: norms %016x, core's %016x", c, got, want)
+		}
+	}
+}
+
 // The overlapped exchange ships exactly the synchronous exchange's
 // messages — same count, same payload volume — it only moves when they
 // are posted and waited.
@@ -230,24 +244,6 @@ func TestOverlapCommVolumeMatches(t *testing.T) {
 				rank, st.BlockedNanos(), st.ExchangeNanos)
 		}
 	}
-}
-
-// Overlap requires a slab decomposition: the interior/boundary split
-// only hides the axis-0 exchange, so a 3-D processor grid must be
-// rejected loudly, not silently run a half-overlapped solve.
-func TestOverlapNonSlabPanics(t *testing.T) {
-	s := New3D(nas.ClassS, 2, 2, 1)
-	s.Overlap = true
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("overlap on a non-slab decomposition did not panic")
-		}
-		if msg := fmt.Sprint(r); !strings.Contains(msg, "slab") {
-			t.Fatalf("panic %q does not name the slab requirement", msg)
-		}
-	}()
-	s.Run()
 }
 
 // A traced overlap run keeps the observability invariants: the solve
@@ -352,20 +348,20 @@ func TestOverlapSendsPrecedeInterior(t *testing.T) {
 			for _, threads := range []int{1, 2} {
 				mpi.NewWorld(ranks).Run(func(c *mpi.Comm) {
 					log := &orderLog{}
-					st := newRankState(mpi.NewComm(recordingTransport{c.Transport(), log}), class, [3]int{ranks, 1, 1})
+					st := newRankState(mpi.NewComm(recordingTransport{c.Transport(), log}), class)
 					st.overlap = true
 					if threads > 1 {
 						st.pool = sched.NewPool(threads)
 						defer st.pool.Close()
 					}
-					up, down := st.neighbour(0, +1), st.neighbour(0, -1)
+					up, down := st.neighbour(+1), st.neighbour(-1)
 					for l := st.lcd; l <= st.lt; l++ {
 						for _, h := range []halo{{2, 2}, {2, 1}, {1, 1}} {
 							log.ops = nil
 							st.haloed(st.u[l], l, h, func(p core.PlaneSpan) {
 								log.add("span %03d-%03d", p.Lo, p.Hi)
 							})
-							lp := st.local(l, 0)
+							lp := st.local(l)
 							var want []string
 							if h.above+h.below >= lp {
 								want = append(want, fmt.Sprintf("span %03d-%03d", 1, lp))

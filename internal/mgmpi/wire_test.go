@@ -3,7 +3,6 @@ package mgmpi
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -60,9 +59,8 @@ func meshTraffic(mesh []*mpinet.Transport) (s mpi.Stats) {
 
 // TestWarmTCPSolveAllocs pins the heap traffic of a warm 2-rank TCP solve
 // at class S, under both exchange modes. What a solve allocates is its
-// rank state — the grids of both ranks, rank 0's zran3 grid, the scatter's
-// whole-box one-offs, the rank's pack scratch and norm partials, and the
-// line buffers of a new solver's kernels — plus
+// rank state — the grids of both ranks, the allgather's pack scratch, the
+// norm partials, and the line buffers of a new solver's kernels — plus
 // small objects: the closures of the operator calls, a fixed number per
 // V-cycle, and a fixed number per message (the timer of a receive that
 // waits; none on the fast path). Nothing grows with a halo payload: the
@@ -95,7 +93,7 @@ func TestWarmTCPSolveAllocs(t *testing.T) {
 	// partials and the scratch the allgather packs its box into.
 	var stateBytes, stateObjects uint64
 	for r := range mesh {
-		st := newRankState(mpi.NewComm(mpi.NewWorld(2).Transport(r)), class, [3]int{2, 1, 1})
+		st := newRankState(mpi.NewComm(mpi.NewWorld(2).Transport(r)), class)
 		for _, grids := range []map[int]*array.Array{st.u, st.r, st.uFull, st.rFull, {0: st.v}} {
 			for _, a := range grids {
 				stateBytes += 8 * uint64(a.Size())
@@ -163,7 +161,7 @@ func TestTrafficExact(t *testing.T) {
 		if c.class.Name == 'W' && testing.Short() {
 			continue
 		}
-		if messages, bytes := closedForm(c.class, [3]int{2, 1, 1}, 5); messages != c.messages || bytes != c.bytes {
+		if messages, bytes := closedForm(c.class, 2, 5); messages != c.messages || bytes != c.bytes {
 			t.Errorf("class %c: the closed form says %d messages, %d payload bytes; pinned %d, %d",
 				c.class.Name, messages, bytes, c.messages, c.bytes)
 		}
@@ -180,67 +178,10 @@ func TestTrafficExact(t *testing.T) {
 	}
 }
 
-// TestComm3EqualsSerialHalos runs the distributed comm3 — both faces of an
-// axis posted before either is received — on every rank of slab, pencil and
-// block processor grids, over channels and over TCP, from sub-boxes whose
-// halos hold garbage, and requires every rank's box, halo for halo, to be
-// its window of the whole grid after the serial nas.Comm3.
-func TestComm3EqualsSerialHalos(t *testing.T) {
-	class := nas.ClassS
-	full := array.New(class.ExtShape(class.LT()))
-	rng := rand.New(rand.NewSource(7))
-	for i := range full.Data() {
-		full.Data()[i] = rng.NormFloat64()
-	}
-	nas.Comm3(full)
-	fs := full.Shape()
-
-	check := func(t *testing.T, procs [3]int, c *mpi.Comm) {
-		st := newRankState(c, class, procs)
-		box := array.New(st.boxShape(st.lt))
-		bs := box.Shape()
-		for i := range box.Data() {
-			box.Data()[i] = math.NaN()
-		}
-		lo, hi := st.globalBox(st.lt)
-		copyBox(box.Data(), bs[1], bs[2], [3]int{1, 1, 1}, full.Data(), fs[1], fs[2], lo, hi)
-		st.comm3(box)
-		for x := range lo {
-			lo[x], hi[x] = lo[x]-1, hi[x]+1
-		}
-		want := packBox(nil, full.Data(), fs[1], fs[2], lo, hi)
-		for i, v := range box.Data() {
-			if math.Float64bits(v) != math.Float64bits(want[i]) {
-				t.Errorf("procs %v rank %d: box value %d is %v, the serial halo update has %v", procs, c.Rank(), i, v, want[i])
-				return
-			}
-		}
-	}
-	for _, procs := range [][3]int{{2, 1, 1}, {2, 2, 1}, {2, 2, 2}} {
-		ranks := procs[0] * procs[1] * procs[2]
-		mpi.NewWorld(ranks).Run(func(c *mpi.Comm) { check(t, procs, c) })
-
-		var wg sync.WaitGroup
-		for _, tr := range tcpMesh(t, ranks) {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if p := recover(); p != nil {
-						t.Errorf("procs %v rank %d over TCP: %v", procs, tr.Rank(), p)
-					}
-				}()
-				check(t, procs, mpi.NewComm(tr))
-			}()
-		}
-		wg.Wait()
-	}
-}
-
 // TestResetEqualsSerialZran3 runs reset — each rank scans its share of
 // zran3's planes, the ranks swap candidates, each writes the charges in
-// its box — on slabs of 1 to 8 ranks and on a (2,2,2) grid over channels,
-// and on 2 ranks over TCP, from boxes that hold garbage, and requires
+// its slab — on 1 to 8 ranks over channels and on 2 ranks over TCP, from
+// slabs that hold garbage, and requires
 // every rank's v, halo for halo, to be its window of the serial
 // nas.Zran3 grid bit for bit.
 func TestResetEqualsSerialZran3(t *testing.T) {
@@ -248,27 +189,27 @@ func TestResetEqualsSerialZran3(t *testing.T) {
 		full := array.New(class.ExtShape(class.LT()))
 		nas.Zran3(full, class.N)
 		fs := full.Shape()
-		check := func(t *testing.T, procs [3]int, c *mpi.Comm) {
-			st := newRankState(c, class, procs)
+		check := func(t *testing.T, c *mpi.Comm) {
+			st := newRankState(c, class)
 			for i := range st.v.Data() {
 				st.v.Data()[i] = math.NaN()
 			}
 			st.reset()
-			lo, hi := st.globalBox(st.lt)
+			lo, hi := st.rankBoxOf(st.lt, c.Rank())
 			for x := range lo {
 				lo[x], hi[x] = lo[x]-1, hi[x]+1
 			}
 			want := packBox(nil, full.Data(), fs[1], fs[2], lo, hi)
 			for i, v := range st.v.Data() {
 				if math.Float64bits(v) != math.Float64bits(want[i]) {
-					t.Errorf("class %c procs %v rank %d: v value %d is %v, the serial zran3 grid has %v",
-						class.Name, procs, c.Rank(), i, v, want[i])
+					t.Errorf("class %c ranks %d rank %d: v value %d is %v, the serial zran3 grid has %v",
+						class.Name, c.Size(), c.Rank(), i, v, want[i])
 					return
 				}
 			}
 		}
-		for _, procs := range [][3]int{{1, 1, 1}, {2, 1, 1}, {4, 1, 1}, {8, 1, 1}, {2, 2, 2}} {
-			mpi.NewWorld(procs[0] * procs[1] * procs[2]).Run(func(c *mpi.Comm) { check(t, procs, c) })
+		for _, ranks := range []int{1, 2, 4, 8} {
+			mpi.NewWorld(ranks).Run(func(c *mpi.Comm) { check(t, c) })
 		}
 		var wg sync.WaitGroup
 		for _, tr := range tcpMesh(t, 2) {
@@ -280,7 +221,7 @@ func TestResetEqualsSerialZran3(t *testing.T) {
 						t.Errorf("class %c rank %d over TCP: %v", class.Name, tr.Rank(), p)
 					}
 				}()
-				check(t, [3]int{2, 1, 1}, mpi.NewComm(tr))
+				check(t, mpi.NewComm(tr))
 			}()
 		}
 		wg.Wait()
@@ -292,7 +233,7 @@ func TestResetEqualsSerialZran3(t *testing.T) {
 // length, whether it is short or long, instead of an index panic or a
 // partial copy.
 func TestPayloadLengthChecked(t *testing.T) {
-	st := newRankState(mpi.NewComm(mpi.NewWorld(1).Transport(0)), nas.ClassS, [3]int{1, 1, 1})
+	st := newRankState(mpi.NewComm(mpi.NewWorld(1).Transport(0)), nas.ClassS)
 	d := st.v.Data()
 	shp := st.v.Shape()
 	lo, hi := [3]int{1, 1, 1}, [3]int{2, 2, 2} // 8 values
@@ -314,28 +255,5 @@ func TestPayloadLengthChecked(t *testing.T) {
 			}()
 			c.run()
 		}()
-	}
-}
-
-// TestCopyBoxStridedColumn pins the one-value-wide path of copyBox against
-// the row-copy path it replaces, between two grids of different extents.
-func TestCopyBoxStridedColumn(t *testing.T) {
-	src := make([]float64, 5*6*7)
-	for i := range src {
-		src[i] = float64(i)
-	}
-	lo, hi := [3]int{1, 2, 3}, [3]int{3, 5, 3}
-	got := make([]float64, 4*5*3)
-	copyBox(got, 5, 3, [3]int{0, 1, 2}, src, 6, 7, lo, hi)
-	want := make([]float64, len(got))
-	for i := lo[0]; i <= hi[0]; i++ {
-		for j := lo[1]; j <= hi[1]; j++ {
-			want[((i-lo[0])*5+j-lo[1]+1)*3+2] = src[(i*6+j)*7+3]
-		}
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("value %d: got %v, want %v", i, got[i], want[i])
-		}
 	}
 }

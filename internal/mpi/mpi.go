@@ -12,7 +12,7 @@
 //   - World.Run, which launches one goroutine per rank over the channel
 //     transport and joins them;
 //   - Comm, the rank-facing communicator: blocking point-to-point ops
-//     plus collective Barrier, AllReduce and Broadcast with deterministic
+//     plus collective AllReduce and Broadcast with deterministic
 //     (rank-ordered) reduction — results are identical across runs;
 //   - per-rank traffic statistics (message and byte counts), the basis of
 //     the communication-cost reporting in EXPERIMENTS.md.
@@ -76,12 +76,11 @@ type World struct {
 	// blocks in Send/Recv before the operation fails diagnosably.
 	Stall time.Duration
 
-	size    int
-	mail    [][]chan message // mail[src][dst]
-	stats   []Stats
-	rec     []CommRecorder // per-rank (peer, tag) rows and histograms
-	barrier *barrier
-	free    *mempool.Pool // payload copies in flight, back here on Release
+	size  int
+	mail  [][]chan message // mail[src][dst]
+	stats []Stats
+	rec   []CommRecorder // per-rank (peer, tag) rows and histograms
+	free  *mempool.Pool  // payload copies in flight, back here on Release
 
 	aborted   chan struct{} // closed when any rank panics
 	abortOnce sync.Once
@@ -106,7 +105,6 @@ func NewWorld(size int) *World {
 		mail:    make([][]chan message, size),
 		stats:   make([]Stats, size),
 		rec:     make([]CommRecorder, size),
-		barrier: newBarrier(size),
 		free:    mempool.New(true),
 		aborted: make(chan struct{}),
 	}
@@ -164,18 +162,16 @@ func (w *World) stall() time.Duration {
 	return DefaultStall
 }
 
-// abort marks the world failed: the barrier breaks and every rank
-// blocked in Send/Recv fails with a dead-peer error.
+// abort marks the world failed: every rank blocked in Send/Recv fails
+// with a dead-peer error.
 func (w *World) abort() {
-	w.barrier.abort()
 	w.abortOnce.Do(func() { close(w.aborted) })
 }
 
 // Run executes body once per rank, concurrently, and waits for all ranks
 // to return. A panic on any rank is re-raised on the caller after the
-// remaining ranks have been given the chance to finish or abort: the
-// world's barrier breaks and blocked Send/Recv calls fail, so no rank
-// hangs on a dead peer. Run may be called multiple times on the same
+// remaining ranks have been given the chance to finish or abort: blocked
+// Send/Recv calls fail, so no rank hangs on a dead peer. Run may be called multiple times on the same
 // world; statistics accumulate.
 func (w *World) Run(body func(c *Comm)) {
 	var (
@@ -239,12 +235,6 @@ func (t *chanTransport) Close() error { return nil }
 
 // Release recycles a received payload as a later send's copy.
 func (t *chanTransport) Release(payload []float64) { PutBuffer(t.w.free, payload) }
-
-// Barrier uses the world's shared in-process barrier.
-func (t *chanTransport) Barrier() error {
-	t.w.barrier.await()
-	return nil
-}
 
 // Send copies data into the dst mailbox. A full mailbox blocks, at most
 // the stall bound, and the wait is charged as exchange time.
@@ -316,51 +306,4 @@ func (t *chanTransport) Recv(src, tag int) ([]float64, error) {
 	}
 	w.rec[t.rank].RecordRecv(src, tag, uint64(len(m.data))*8, blocked)
 	return m.data, nil
-}
-
-// --- reusable barrier ---------------------------------------------------------
-
-type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	size    int
-	waiting int
-	gen     uint64
-	broken  bool
-}
-
-func newBarrier(size int) *barrier {
-	b := &barrier{size: size}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) await() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.broken {
-		panic("mpi: barrier used after a rank panicked")
-	}
-	gen := b.gen
-	b.waiting++
-	if b.waiting == b.size {
-		b.waiting = 0
-		b.gen++
-		b.cond.Broadcast()
-		return
-	}
-	for gen == b.gen && !b.broken {
-		b.cond.Wait()
-	}
-	if b.broken {
-		panic("mpi: barrier broken by a panicking rank")
-	}
-}
-
-// abort releases any ranks blocked in the barrier after a panic.
-func (b *barrier) abort() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.broken = true
-	b.cond.Broadcast()
 }

@@ -160,32 +160,6 @@ func TestInvalidRankPanics(t *testing.T) {
 	w.Run(func(c *Comm) { c.Send(3, 0, nil) })
 }
 
-func TestBarrierSynchronizes(t *testing.T) {
-	w := NewWorld(4)
-	var before, after atomic.Int32
-	w.Run(func(c *Comm) {
-		before.Add(1)
-		c.barrier()
-		// Everyone must have incremented before anyone proceeds.
-		if before.Load() != 4 {
-			t.Errorf("rank %d passed the barrier with before = %d", c.Rank(), before.Load())
-		}
-		after.Add(1)
-	})
-	if after.Load() != 4 {
-		t.Fatal("not all ranks finished")
-	}
-}
-
-func TestBarrierReusable(t *testing.T) {
-	w := NewWorld(3)
-	w.Run(func(c *Comm) {
-		for i := 0; i < 10; i++ {
-			c.barrier()
-		}
-	})
-}
-
 func TestAllReduceSumDeterministic(t *testing.T) {
 	w := NewWorld(6)
 	results := make([]float64, 6)
@@ -269,10 +243,10 @@ func TestPanicPropagation(t *testing.T) {
 		if c.Rank() == 1 {
 			panic("boom")
 		}
-		// Other ranks block in a barrier; the aborting rank must release
-		// them rather than deadlocking the test.
-		defer func() { recover() }() // they get a "barrier broken" panic
-		c.barrier()
+		// Other ranks block in a Recv from the dead rank; the abort must
+		// release them rather than deadlocking the test.
+		defer func() { recover() }() // they get a "world aborted" panic
+		c.Recv(1, 0)
 	})
 }
 
@@ -319,16 +293,6 @@ func TestStatsAccumulateAcrossRuns(t *testing.T) {
 	if per[0].Messages != 2 || per[1].Messages != 0 {
 		t.Fatalf("per-rank stats = %+v", per)
 	}
-}
-
-func BenchmarkBarrier4(b *testing.B) {
-	w := NewWorld(4)
-	b.ResetTimer()
-	w.Run(func(c *Comm) {
-		for i := 0; i < b.N; i++ {
-			c.barrier()
-		}
-	})
 }
 
 func BenchmarkHaloExchange(b *testing.B) {
@@ -468,24 +432,3 @@ func TestWorldTransportDirect(t *testing.T) {
 		t.Fatalf("sender stats = %+v (channel transport must report zero wire bytes)", st)
 	}
 }
-
-// The message-based barrier fallback (used by transports without a native
-// barrier) synchronizes and is reusable.
-func TestMessageBarrierFallback(t *testing.T) {
-	w := NewWorld(3)
-	var before atomic.Int32
-	w.Run(func(c *Comm) {
-		// Strip the native barrier by re-wrapping the raw transport.
-		cc := NewComm(noBarrier{c.Transport()})
-		before.Add(1)
-		cc.barrier()
-		if before.Load() != 3 {
-			t.Errorf("rank %d passed the message barrier with before = %d", c.Rank(), before.Load())
-		}
-		cc.barrier() // reusable
-	})
-}
-
-// noBarrier hides the channel transport's native barrier so Comm takes
-// the message-based path.
-type noBarrier struct{ Transport }

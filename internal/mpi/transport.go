@@ -50,18 +50,6 @@ type Transport interface {
 	Close() error
 }
 
-// barrierTransport is implemented by transports with a native barrier
-// (the channel runtime uses a shared in-process barrier). Comm falls
-// back to a message-based barrier otherwise.
-type barrierTransport interface {
-	Barrier() error
-}
-
-// tagInternal is the tag space reserved for Comm-level collectives built
-// on Send/Recv (the message-based barrier). Negative tags never collide
-// with application tags, which are conventionally small positive ints.
-const tagInternal = -1
-
 // Comm is one rank's communicator: the blocking, panic-on-error API the
 // solver kernels program against, plus deterministic collectives built
 // from point-to-point messages. A Comm is a thin veneer over a
@@ -129,19 +117,6 @@ func PutBuffer(pool *mempool.Pool, b []float64) {
 	if b = b[:cap(b)]; len(b) < maxRecycledFloats {
 		pool.Put(b)
 	}
-}
-
-// barrier blocks until every rank has reached it. Transports with a
-// native barrier use it; otherwise the barrier is a gather-to-zero plus
-// broadcast over a reserved tag.
-func (c *Comm) barrier() {
-	if b, ok := c.t.(barrierTransport); ok {
-		if err := b.Barrier(); err != nil {
-			panic(fmt.Sprintf("mpi: rank %d: Barrier: %v", c.t.Rank(), err))
-		}
-		return
-	}
-	c.AllReduceSum(tagInternal, 0)
 }
 
 // allReduce combines one value from every rank with op, applied in

@@ -191,8 +191,8 @@ func Zran3Scan(n int, seed uint64, lo, hi int) Extremes {
 	// Each row is scanned for the ten largest and ten smallest values
 	// while it is still in the Fill buffer, so the field itself is never
 	// written to a grid.
-	large := make([]Extreme, 0, Zran3Charges)
-	small := make([]Extreme, 0, Zran3Charges)
+	large := make([]Extreme, 0, Zran3Charges+1) // room for the insert before the drop
+	small := make([]Extreme, 0, Zran3Charges+1)
 	a1 := nasrand.PowMod(nasrand.Mult, uint64(n))
 	a2 := nasrand.PowMod(nasrand.Mult, uint64(n)*uint64(n))
 	x0 := nasrand.New(seed)
@@ -277,6 +277,9 @@ func (e Extremes) Fill(box *array.Array, n int, lo [3]int) {
 	}
 }
 
+// insertAscending and insertDescending insert e into a sorted list and drop
+// its head past limit. The head goes in place, so a list made with
+// capacity limit+1 never reallocates.
 func insertAscending(list []Extreme, e Extreme, limit int) []Extreme {
 	i := 0
 	for i < len(list) && list[i].Val < e.Val {
@@ -285,10 +288,7 @@ func insertAscending(list []Extreme, e Extreme, limit int) []Extreme {
 	list = append(list, Extreme{})
 	copy(list[i+1:], list[i:])
 	list[i] = e
-	if len(list) > limit {
-		list = list[1:]
-	}
-	return list
+	return dropHead(list, limit)
 }
 
 func insertDescending(list []Extreme, e Extreme, limit int) []Extreme {
@@ -299,8 +299,13 @@ func insertDescending(list []Extreme, e Extreme, limit int) []Extreme {
 	list = append(list, Extreme{})
 	copy(list[i+1:], list[i:])
 	list[i] = e
+	return dropHead(list, limit)
+}
+
+func dropHead(list []Extreme, limit int) []Extreme {
 	if len(list) > limit {
-		list = list[1:]
+		copy(list, list[1:])
+		list = list[:limit]
 	}
 	return list
 }

@@ -317,6 +317,27 @@ func TestInitialNormOfV(t *testing.T) {
 	}
 }
 
+// A candidate list made with room for one insert past the limit is never
+// reallocated however many values go in: the insert drops the head in
+// place instead of sliding the list and shrinking its capacity.
+func TestInsertPastLimitAllocatesNothing(t *testing.T) {
+	allocs := testing.AllocsPerRun(20, func() {
+		large := make([]Extreme, 0, Zran3Charges+1)
+		small := make([]Extreme, 0, Zran3Charges+1)
+		for i := 0; i < 1000; i++ {
+			z := math.Mod(float64(i)*0.6180339887, 1)
+			large = insertAscending(large, Extreme{z, i}, Zran3Charges)
+			small = insertDescending(small, Extreme{z, i}, Zran3Charges)
+		}
+		if len(large) != Zran3Charges || len(small) != Zran3Charges {
+			t.Fatalf("lists of %d and %d, want %d each", len(large), len(small), Zran3Charges)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("1000 inserts into each list made %.0f allocations, want at most the 2 makes", allocs)
+	}
+}
+
 func BenchmarkZran3ClassS(b *testing.B) {
 	n := 32
 	v := array.New(shape.Of(n+2, n+2, n+2))

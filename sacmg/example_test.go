@@ -143,15 +143,6 @@ func ExampleNewPeriodicBenchmark() {
 	// Output: verified: true
 }
 
-// The NPB MPI reference's decomposition: a 2 × 2 × 1 processor grid.
-func ExampleNewMPISolver3D() {
-	s := sacmg.NewMPISolver3D(sacmg.ClassS, 2, 2, 1)
-	rnm2, _ := s.Run()
-	ok, _ := sacmg.ClassS.Verify(rnm2)
-	fmt.Println("verified:", ok)
-	// Output: verified: true
-}
-
 // The simulated machine of the paper's parallel experiments.
 func ExampleEnterprise4000() {
 	m := sacmg.Enterprise4000()

@@ -242,12 +242,6 @@ type MPISolver = mgmpi.Solver
 // of ranks (a power of two; 2·ranks must not exceed the class extent).
 func NewMPISolver(class Class, ranks int) *MPISolver { return mgmpi.New(class, ranks) }
 
-// NewMPISolver3D creates a solver over an explicit 3-D processor grid —
-// the decomposition the NPB MPI reference uses.
-func NewMPISolver3D(class Class, r0, r1, r2 int) *MPISolver {
-	return mgmpi.New3D(class, r0, r1, r2)
-}
-
 // CommStats reports message-passing traffic (messages, bytes).
 type CommStats = mpi.Stats
 

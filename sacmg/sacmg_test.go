@@ -238,11 +238,3 @@ func TestWCycleViaFacade(t *testing.T) {
 		t.Fatalf("W(0,2)-cycle residual %v worse than V-cycle reference %v", rnm2, ref)
 	}
 }
-
-func TestMPI3DViaFacade(t *testing.T) {
-	s := sacmg.NewMPISolver3D(sacmg.ClassS, 2, 2, 1)
-	rnm2, _ := s.Run()
-	if ok, known := sacmg.ClassS.Verify(rnm2); !known || !ok {
-		t.Fatalf("3-D MPI solver did not verify: %v", rnm2)
-	}
-}
