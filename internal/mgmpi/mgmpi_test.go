@@ -192,6 +192,31 @@ func TestInvalidRanksPanics(t *testing.T) {
 	}
 }
 
+// ValidateProcs, the rule New, NewWithTransport and the command-line
+// front ends share, follows the class: every power of two up to N/2 is a
+// slab decomposition, and zero, negative, non-power-of-two and
+// fewer-than-two-planes counts are refused with the class's bound named.
+// NewWithTransport returns the same error rather than panicking.
+func TestValidateProcs(t *testing.T) {
+	for _, class := range []nas.Class{nas.ClassS, nas.ClassW, nas.ClassA} {
+		for ranks := 1; 2*ranks <= class.N; ranks *= 2 {
+			if err := ValidateProcs(class, ranks); err != nil {
+				t.Errorf("class %c ranks=%d: %v", class.Name, ranks, err)
+			}
+		}
+		for _, ranks := range []int{-2, 0, 3, 6, class.N/2 + 1, class.N, 2 * class.N} {
+			want := fmt.Sprintf("mgmpi: the rank count must be a power of two with 2*ranks <= %d, got %d", class.N, ranks)
+			if err := ValidateProcs(class, ranks); err == nil || err.Error() != want {
+				t.Errorf("class %c ranks=%d: error %v, want %q", class.Name, ranks, err, want)
+			}
+		}
+	}
+	s, err := NewWithTransport(nas.ClassS, mpi.NewWorld(3).Transport(0))
+	if want := ValidateProcs(nas.ClassS, 3); s != nil || err == nil || err.Error() != want.Error() {
+		t.Errorf("NewWithTransport over 3 ranks: (%v, %v), want (nil, %v)", s, err, want)
+	}
+}
+
 func BenchmarkClassS4Ranks(b *testing.B) {
 	s := New(nas.ClassS, 4)
 	b.ResetTimer()
