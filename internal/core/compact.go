@@ -60,11 +60,15 @@ type compactSweep struct {
 func (cs *compactSweep) span(p PlaneSpan) {
 	pool, n, on := cs.e.Pool, cs.n, cs.on
 	xe, pl, opl := n+2, (n+2)*(n+2), on*on
-	b2 := xe // the interpolate backend has no second row buffer
-	if cs.kernel == "interpolate" {
-		b2 = 0
+	var k kern
+	switch cs.kernel {
+	case "subRelax", "addRelax":
+		k = borrowRelax(pool, cs.variant, false, xe)
+	case "interpolate": // no second row buffer
+		k = borrowKern(pool, cs.variant, false, xe, 0)
+	default:
+		k = borrowKern(pool, cs.variant, false, xe, xe)
 	}
-	k := borrowKern(pool, cs.variant, false, xe, b2)
 	buf := pool.GetDirty(3*pl + (on+2)*(on+2))
 	o := buf[3*pl:] // the extended output plane
 	held := [3]int{-1, -1, -1}

@@ -281,7 +281,9 @@ func lined(variant string) bool {
 // stay allocation-free once the pool is warm. With vec set (the simd
 // backend) a method first offers its plane to internal/simd's primitive,
 // one assembly call for all the plane's rows, and runs the buffered rows
-// only when the primitive declines.
+// only when the primitive declines. The relax kernels borrow one buffer of
+// simd.RelaxLines rows in u1 (borrowRelax), of which the buffered rows use
+// the first two.
 type kern struct {
 	lined, vec bool
 	frame      bool      // also write each plane's frame (PlaneSpan.Frame)
@@ -299,6 +301,17 @@ func borrowKern(pool *mempool.Pool, variant string, frame bool, b1, b2 int) kern
 		}
 	}
 	return k
+}
+
+// borrowRelax is borrowKern for subRelax and addRelax, whose rows are n2
+// long: one buffer of simd.RelaxLines rows.
+func borrowRelax(pool *mempool.Pool, variant string, frame bool, n2 int) kern {
+	return borrowKern(pool, variant, frame, simd.RelaxLines*n2, 0)
+}
+
+// lines are the buffered rows' line buffers u1 and u2 for rows of n2.
+func (k *kern) lines(n2 int) (u1, u2 []float64) {
+	return k.u1[:n2], k.u1[n2 : 2*n2]
 }
 
 func (k *kern) release(pool *mempool.Pool) {
@@ -380,7 +393,7 @@ func foldNorms(sums, maxs []float64, n0 int) (sumSq, maxAbs float64) {
 // index.
 func SubRelaxPlanes(pool *mempool.Pool, od, vd, ud []float64, n1, n2 int, p PlaneSpan, variant string,
 	c stencil.Coeffs, sums, maxs []float64) {
-	k := borrowKern(pool, variant, p.Frame, n2, n2)
+	k := borrowRelax(pool, variant, p.Frame, n2)
 	pl := n1 * n2
 	for i := p.Lo; i <= p.Hi; i++ {
 		sum, maxAbs := k.subRelax(planeOf(od, i, pl), planeOf(vd, i, pl),
@@ -398,15 +411,19 @@ func SubRelaxPlanes(pool *mempool.Pool, od, vd, ud []float64, n1, n2 int, p Plan
 func (k *kern) subRelax(o, v, um, uz, up []float64, n1, n2 int, c stencil.Coeffs, norm bool) (sum, maxAbs float64) {
 	done := false
 	if k.vec {
-		sum, maxAbs, done = simd.SubRelaxPlane(o, v, um, uz, up, n1, n2, (*[4]float64)(&c), k.u1, k.u2, norm)
+		sum, maxAbs, done = simd.SubRelaxPlane(o, v, um, uz, up, n1, n2, (*[4]float64)(&c), k.u1, norm)
 	}
 	if !done && !k.lined {
 		subRelaxPlane(o, v, um, uz, up, n1, n2, c)
 	}
 	if !done && (k.lined || norm) {
+		var u1, u2 []float64
+		if k.lined {
+			u1, u2 = k.lines(n2)
+		}
 		for zz := n2; zz < (n1-1)*n2; zz += n2 {
 			if k.lined {
-				subRelaxRowLined(o, v, um, uz, up, zz, n2, c, k.u1, k.u2)
+				subRelaxRowLined(o, v, um, uz, up, zz, n2, c, u1, u2)
 			}
 			if !norm {
 				continue
@@ -508,7 +525,7 @@ func addRelaxSweep(e *wl.Env, u, z, r *array.Array, c stencil.Coeffs) *array.Arr
 // out = z + Relax(r, c)) and addRelaxPlus (out = u + (z + Relax(r, c))) on
 // the interior rows of planes p (planes.go). od may alias zd or ud.
 func AddRelaxPlanes(pool *mempool.Pool, od, zd, ud, rd []float64, n1, n2 int, p PlaneSpan, variant string, c stencil.Coeffs) {
-	k := borrowKern(pool, variant, p.Frame, n2, n2)
+	k := borrowRelax(pool, variant, p.Frame, n2)
 	pl := n1 * n2
 	for i := p.Lo; i <= p.Hi; i++ {
 		k.addRelax(planeOf(od, i, pl), planeOf(zd, i, pl), planeOf(ud, i, pl),
@@ -521,9 +538,10 @@ func AddRelaxPlanes(pool *mempool.Pool, od, zd, ud, rd []float64, n1, n2 int, p 
 // addRelaxPlus (o = u + (z + S·r)) from r's planes below, at and above it.
 func (k *kern) addRelax(o, z, u, rm, rz, rp []float64, n1, n2 int, c stencil.Coeffs) {
 	switch {
-	case k.vec && simd.AddRelaxPlane(o, z, u, rm, rz, rp, n1, n2, (*[4]float64)(&c), k.u1, k.u2):
+	case k.vec && simd.AddRelaxPlane(o, z, u, rm, rz, rp, n1, n2, (*[4]float64)(&c), k.u1):
 	case k.lined:
-		addRelaxPlaneLined(o, z, u, rm, rz, rp, n1, n2, c, k.u1, k.u2)
+		u1, u2 := k.lines(n2)
+		addRelaxPlaneLined(o, z, u, rm, rz, rp, n1, n2, c, u1, u2)
 	default:
 		addRelaxPlane(o, z, u, rm, rz, rp, n1, n2, c)
 	}

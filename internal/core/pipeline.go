@@ -172,8 +172,8 @@ func (sw *sweep) up(p PlaneSpan) {
 	pool, n, cn, d := sw.pool, sw.n, sw.cn, sw.deep()
 	pl, cpl := n*n, cn*cn
 	ki := borrowKern(pool, sw.top.variant, false, cn, 0)
-	kr := borrowKern(pool, sw.mid.variant, false, n, n)
-	ka := borrowKern(pool, sw.end.variant, !sw.slab, n, n)
+	kr := borrowRelax(pool, sw.mid.variant, false, n)
+	ka := borrowRelax(pool, sw.end.variant, !sw.slab, n)
 	ring := pool.GetDirty(6 * pl)
 	zAt := func(q int) []float64 { return planeOf(ring, (q+3)%3, pl) }
 	r2At := func(q int) []float64 { return planeOf(ring, 3+(q+3)%3, pl) }
@@ -261,7 +261,7 @@ func (s *Solver) residProject(v, u *array.Array) (r, rn *array.Array) {
 func (sw *sweep) down(p PlaneSpan) {
 	pool, n, cn, d := sw.pool, sw.n, sw.cn, sw.deep()
 	pl, cpl := n*n, cn*cn
-	kr := borrowKern(pool, sw.mid.variant, false, n, n)
+	kr := borrowRelax(pool, sw.mid.variant, false, n)
 	kp := borrowKern(pool, sw.end.variant, !sw.slab, n, n)
 	spare := pool.GetDirty(pl)
 	clk := stageClock{w: sw.watch}

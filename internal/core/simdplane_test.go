@@ -11,24 +11,24 @@ import (
 )
 
 // BenchmarkPlane* time one plane of each kernel in the buffered rows and
-// in the simd primitive, at the row lengths of classes W and A, in
-// nanoseconds per output point.
+// in the simd primitive, at the finest row lengths of classes S, W and A,
+// in nanoseconds per output point.
 func BenchmarkPlaneSubRelax(b *testing.B) {
-	planeBench(b, 0, func(k *kern, n int, p [6][]float64) int {
+	planeBench(b, relaxBufs, func(k *kern, n int, p [6][]float64) int {
 		k.subRelax(p[0], p[1], p[2], p[3], p[4], n, n, stencil.A, false)
 		return (n - 2) * (n - 2)
 	})
 }
 
 func BenchmarkPlaneAddRelax(b *testing.B) {
-	planeBench(b, 0, func(k *kern, n int, p [6][]float64) int {
+	planeBench(b, relaxBufs, func(k *kern, n int, p [6][]float64) int {
 		k.addRelax(p[0], p[1], nil, p[2], p[3], p[4], n, n, stencil.SClassSWA)
 		return (n - 2) * (n - 2)
 	})
 }
 
 func BenchmarkPlaneProject(b *testing.B) {
-	planeBench(b, 0, func(k *kern, n int, p [6][]float64) int {
+	planeBench(b, func(n int) (int, int) { return n, n }, func(k *kern, n int, p [6][]float64) int {
 		k.project(p[0], p[2], p[3], p[4], n, n, stencil.P)
 		return (n/2 - 1) * (n/2 - 1)
 	})
@@ -37,17 +37,20 @@ func BenchmarkPlaneProject(b *testing.B) {
 // The interpolated plane is the fine one; its cross-row buffer spans the
 // coarse row under it.
 func BenchmarkPlaneInterpolate(b *testing.B) {
-	planeBench(b, -1, func(k *kern, n int, p [6][]float64) int {
+	planeBench(b, func(n int) (int, int) { return n/2 + 1, n }, func(k *kern, n int, p [6][]float64) int {
 		cn := n/2 + 1
 		k.interpolate(p[0], nil, p[2], p[3], true, cn, cn, 1, stencil.Q)
 		return (n - 2) * (n - 2)
 	})
 }
 
-// planeBench runs plane on n×n planes; coarse < 0 sizes the first line
-// buffer for the coarse row of an n-point fine row.
-func planeBench(b *testing.B, coarse int, plane func(k *kern, n int, p [6][]float64) int) {
-	for _, n := range []int{66, 258} {
+// relaxBufs is the relax kernels' one line buffer (borrowRelax).
+func relaxBufs(n int) (int, int) { return simd.RelaxLines * n, 0 }
+
+// planeBench runs plane on n×n planes with line buffers of the lengths
+// bufs returns for n.
+func planeBench(b *testing.B, bufs func(n int) (b1, b2 int), plane func(k *kern, n int, p [6][]float64) int) {
+	for _, n := range []int{34, 66, 258} {
 		for _, variant := range []string{wl.VariantBuffered, wl.VariantSIMD} {
 			b.Run(fmt.Sprintf("row%d/%s", n, variant), func(b *testing.B) {
 				rng := rand.New(rand.NewSource(int64(n)))
@@ -58,11 +61,8 @@ func planeBench(b *testing.B, coarse int, plane func(k *kern, n int, p [6][]floa
 						p[i][j] = rng.NormFloat64()
 					}
 				}
-				b1 := n
-				if coarse < 0 {
-					b1 = n/2 + 1
-				}
-				k := borrowKern(nil, variant, false, b1, n)
+				b1, b2 := bufs(n)
+				k := borrowKern(nil, variant, false, b1, b2)
 				points := plane(&k, n, p)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

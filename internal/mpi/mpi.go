@@ -12,8 +12,9 @@
 //   - World.Run, which launches one goroutine per rank over the channel
 //     transport and joins them;
 //   - Comm, the rank-facing communicator: blocking point-to-point ops
-//     plus collective AllReduce and Broadcast with deterministic
-//     (rank-ordered) reduction — results are identical across runs;
+//     plus a root-to-all Broadcast (reductions are the caller's: mgmpi
+//     folds its norm partials at rank 0 in rank order, so results are
+//     identical across runs);
 //   - per-rank traffic statistics (message and byte counts), the basis of
 //     the communication-cost reporting in EXPERIMENTS.md.
 //
@@ -35,8 +36,8 @@ import (
 
 // Stats counts one rank's traffic.
 type Stats struct {
-	// Messages is the number of point-to-point sends (collectives are
-	// built from sends and are therefore included).
+	// Messages is the number of point-to-point sends (Broadcast is built
+	// from sends and is therefore included).
 	Messages uint64 `json:"messages"`
 	// Bytes is the total payload volume sent, in bytes.
 	Bytes uint64 `json:"bytes"`

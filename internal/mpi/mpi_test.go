@@ -2,11 +2,9 @@ package mpi
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -160,46 +158,6 @@ func TestInvalidRankPanics(t *testing.T) {
 	w.Run(func(c *Comm) { c.Send(3, 0, nil) })
 }
 
-func TestAllReduceSumDeterministic(t *testing.T) {
-	w := NewWorld(6)
-	results := make([]float64, 6)
-	w.Run(func(c *Comm) {
-		results[c.Rank()] = c.AllReduceSum(1, float64(c.Rank())+0.5)
-	})
-	want := results[0]
-	sum := 0.0
-	for r := 0; r < 6; r++ {
-		sum += float64(r) + 0.5
-	}
-	if want != sum {
-		t.Fatalf("AllReduceSum = %v, want %v", want, sum)
-	}
-	for r, v := range results {
-		if v != want {
-			t.Fatalf("rank %d got %v, rank 0 got %v", r, v, want)
-		}
-	}
-}
-
-func TestAllReduceMax(t *testing.T) {
-	w := NewWorld(4)
-	w.Run(func(c *Comm) {
-		got := c.allReduce(2, float64(-c.Rank()), math.Max)
-		if got != 0 {
-			t.Errorf("allReduce(max) = %v, want 0", got)
-		}
-	})
-}
-
-func TestAllReduceSingleRank(t *testing.T) {
-	w := NewWorld(1)
-	w.Run(func(c *Comm) {
-		if got := c.AllReduceSum(0, 7); got != 7 {
-			t.Errorf("single-rank AllReduce = %v", got)
-		}
-	})
-}
-
 func TestBroadcast(t *testing.T) {
 	w := NewWorld(4)
 	w.Run(func(c *Comm) {
@@ -248,31 +206,6 @@ func TestPanicPropagation(t *testing.T) {
 		defer func() { recover() }() // they get a "world aborted" panic
 		c.Recv(1, 0)
 	})
-}
-
-// Property: AllReduceSum equals the rank-ordered sequential sum exactly
-// (deterministic reduction order), for arbitrary per-rank values.
-func TestAllReduceOrderQuick(t *testing.T) {
-	f := func(vals [5]float32) bool {
-		w := NewWorld(5)
-		var out [5]float64
-		w.Run(func(c *Comm) {
-			out[c.Rank()] = c.AllReduceSum(0, float64(vals[c.Rank()]))
-		})
-		want := 0.0
-		for _, v := range vals {
-			want += float64(v)
-		}
-		for _, got := range out {
-			if got != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestStatsAccumulateAcrossRuns(t *testing.T) {

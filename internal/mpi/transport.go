@@ -51,8 +51,8 @@ type Transport interface {
 }
 
 // Comm is one rank's communicator: the blocking, panic-on-error API the
-// solver kernels program against, plus deterministic collectives built
-// from point-to-point messages. A Comm is a thin veneer over a
+// solver kernels program against, plus a Broadcast built from
+// point-to-point messages. A Comm is a thin veneer over a
 // Transport; NewComm adapts any transport, and World.Run hands each rank
 // a Comm over the in-process channel transport.
 type Comm struct {
@@ -117,33 +117,6 @@ func PutBuffer(pool *mempool.Pool, b []float64) {
 	if b = b[:cap(b)]; len(b) < maxRecycledFloats {
 		pool.Put(b)
 	}
-}
-
-// allReduce combines one value from every rank with op, applied in
-// ascending rank order (deterministic), and returns the result on every
-// rank. The reduction is implemented as gather-to-zero plus broadcast.
-func (c *Comm) allReduce(tag int, x float64, op func(a, b float64) float64) float64 {
-	if c.Size() == 1 {
-		return x
-	}
-	if c.Rank() == 0 {
-		acc := x
-		for src := 1; src < c.Size(); src++ {
-			v := c.Recv(src, tag)
-			acc = op(acc, v[0])
-		}
-		for dst := 1; dst < c.Size(); dst++ {
-			c.Send(dst, tag, []float64{acc})
-		}
-		return acc
-	}
-	c.Send(0, tag, []float64{x})
-	return c.Recv(0, tag)[0]
-}
-
-// AllReduceSum is AllReduce with addition.
-func (c *Comm) AllReduceSum(tag int, x float64) float64 {
-	return c.allReduce(tag, x, func(a, b float64) float64 { return a + b })
 }
 
 // Broadcast distributes root's buffer to every rank and returns it (the

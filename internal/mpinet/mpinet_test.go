@@ -349,25 +349,38 @@ func TestTagMatching(t *testing.T) {
 	}
 }
 
-// TestCommOverTCP runs mpi.Comm collectives over the TCP transport —
-// the same veneer the solver uses.
+// TestCommOverTCP runs the mpi.Comm veneer the solver uses over the TCP
+// transport, in the shape of mgmpi's norm reduction: every rank sends a
+// partial to rank 0, which folds them in rank order and broadcasts the
+// result; every rank must receive rank 0's exact values.
 func TestCommOverTCP(t *testing.T) {
 	const size = 4
 	world := localWorld(t, size, nil)
 	var wg sync.WaitGroup
-	results := make([]float64, size)
+	results := make([][]float64, size)
 	for _, tr := range world {
 		wg.Add(1)
 		go func(tr *Transport) {
 			defer wg.Done()
 			c := mpi.NewComm(tr)
-			results[c.Rank()] = c.AllReduceSum(3, float64(c.Rank()+1))
+			part := []float64{float64(c.Rank() + 1), -float64(c.Rank())}
+			if c.Rank() != 0 {
+				c.Send(0, 3, part)
+				results[c.Rank()] = c.Broadcast(3, 0, nil)
+				return
+			}
+			sum, low := part[0], part[1]
+			for src := 1; src < c.Size(); src++ {
+				p := c.Recv(src, 3)
+				sum, low = sum+p[0], min(low, p[1])
+			}
+			results[0] = c.Broadcast(3, 0, []float64{sum, low})
 		}(tr)
 	}
 	wg.Wait()
 	for rank, got := range results {
-		if got != 10 { // 1+2+3+4
-			t.Errorf("rank %d: AllReduceSum = %v, want 10", rank, got)
+		if len(got) != 2 || got[0] != 10 || got[1] != -3 { // 1+2+3+4, min(0, −1, −2, −3)
+			t.Errorf("rank %d: reduced %v, want [10 -3]", rank, got)
 		}
 	}
 }

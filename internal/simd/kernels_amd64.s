@@ -1,8 +1,12 @@
 // AVX2 plane kernels of the line-buffered stencil form. Each function
-// walks every interior row of one plane: per row it fills the line
-// buffers, then combines four lanes at a time and finishes the row with
-// one lane at a time, so no output element is computed twice (outputs may
-// alias their element-wise operands). Every lane evaluates the canonical
+// walks every interior row of one plane: it fills the line buffers, then
+// combines four lanes at a time and finishes the row with one lane at a
+// time, so no output element is computed twice (outputs may alias their
+// element-wise operands). subRelax and addRelax take the rows in pairs:
+// one column pass fills both rows' buffers from rows j−1 … j+2 of the
+// three input planes (FILL_PAIR, 12 row loads per four-column block where
+// two one-row fills take 16), then the two rows combine back to back; an
+// odd last row fills its own (FILL_ROWS). Every lane evaluates the canonical
 // association of internal/stencil with plain VADDPD/VMULPD (no FMA), and a
 // term whose coefficient is exactly zero is dropped where the buffered Go
 // rows drop it, so the results are those rows' bits. Only the buffer fills
@@ -10,10 +14,11 @@
 // element twice writes the same value.
 //
 // Register conventions: R8/R9/R10 walk the rows of the three input planes
-// (below, at and above the output plane), DX is their row stride in bytes,
-// DI walks the output rows, R11/R12 hold the line buffers, AX is the
-// column index, BX the last column of a loop, and Y12–Y15 hold the
-// broadcast coefficients c0–c3 (their low lanes serve the scalar tails).
+// (below, at and above the output plane), DX is their row stride in bytes
+// (and a line buffer's), DI walks the output rows, R11/R12 hold the line
+// buffers, AX is the column index, BX the last column of a loop, and
+// Y12–Y15 hold the broadcast coefficients c0–c3 (their low lanes serve the
+// scalar tails).
 
 #include "textflag.h"
 
@@ -73,6 +78,94 @@ chk:             \
 	SUBQ DX, R15               \
 	LEAQ (R10)(DX*1), R11      \
 	FILL(SUM4_AT(R12, CX, R14, R15, R11), b2, c2)
+
+// FILL_PAIR fills the line buffers of the row pair j, j+1 that R8/R9/R10
+// point at (row j) in one column pass, n2 ≥ 4 elements long, into the
+// four buffer rows around R11: u1 and u2 of row j at −DX and 0, of row j+1
+// at DX and 2·DX (a buffer row is as long as a plane row):
+//
+//	u1[j]   = ((m[j] + z[j−1]) + z[j+1]) + p[j]
+//	u2[j]   = ((m[j−1] + m[j+1]) + p[j−1]) + p[j+1]
+//	u1[j+1] = ((m[j+1] + z[j]) + z[j+2]) + p[j+1]
+//	u2[j+1] = ((m[j] + m[j+2]) + p[j]) + p[j+2]
+//
+// m[j], m[j+1], p[j] and p[j+1] serve both rows, so a block takes twelve
+// row loads, not the sixteen of two FILL_ROWS. CX, R14 and R15 walk the
+// columns of m, z and p, R12 = −DX, and the last block ends flush with the
+// rows. It clobbers BX, CX, R11, R12, R14 and R15.
+#define PAIR_BLOCK \
+	VMOVUPD (CX), Y1             \
+	VMOVUPD (CX)(DX*1), Y2       \
+	VMOVUPD (R15), Y3            \
+	VMOVUPD (R15)(DX*1), Y4      \
+	VADDPD  (R14)(R12*1), Y1, Y0 \
+	VADDPD  (R14)(DX*1), Y0, Y0  \
+	VADDPD  Y3, Y0, Y0           \
+	VMOVUPD Y0, (R11)(R12*1)     \
+	VMOVUPD (CX)(R12*1), Y0      \
+	VADDPD  Y2, Y0, Y0           \
+	VADDPD  (R15)(R12*1), Y0, Y0 \
+	VADDPD  Y4, Y0, Y0           \
+	VMOVUPD Y0, (R11)            \
+	VADDPD  (R14), Y2, Y0        \
+	VADDPD  (R14)(DX*2), Y0, Y0  \
+	VADDPD  Y4, Y0, Y0           \
+	VMOVUPD Y0, (R11)(DX*1)      \
+	VADDPD  (CX)(DX*2), Y1, Y0   \
+	VADDPD  Y3, Y0, Y0           \
+	VADDPD  (R15)(DX*2), Y0, Y0  \
+	VMOVUPD Y0, (R11)(DX*2)
+
+#define FILL_PAIR(body, chk) \
+	MOVQ R8, CX                  \
+	MOVQ R9, R14                 \
+	MOVQ R10, R15                \
+	MOVQ DX, R12                 \
+	NEGQ R12                     \
+	LEAQ -32(R11)(DX*1), BX      \
+	JMP  chk                     \
+body:                            \
+	PAIR_BLOCK                   \
+	ADDQ $32, CX                 \
+	ADDQ $32, R14                \
+	ADDQ $32, R15                \
+	ADDQ $32, R11                \
+chk:                             \
+	CMPQ R11, BX                 \
+	JLT  body                    \
+	SUBQ BX, R11                 \
+	SUBQ R11, CX                 \
+	SUBQ R11, R14                \
+	SUBQ R11, R15                \
+	MOVQ BX, R11                 \
+	PAIR_BLOCK
+
+// LINES points R11 and R12 at the line buffers u1 and u2 of interior row
+// t = n1−2−rows from the buffer ubuf (4·n2 long): the first row of a pair
+// fills both rows' buffers, the second finds its own filled, and a last
+// row without a pair fills its own with FILL_ROWS.
+#define LINES(ubuf, n1, n2, rows, second, one, lined, pb, pc, f1, c1, f2, c2) \
+	MOVQ  ubuf, R11              \
+	MOVQ  n1, CX                 \
+	SUBQ  rows, CX               \
+	TESTQ $1, CX                 \
+	JNZ   second                 \
+	CMPQ  rows, $1               \
+	JEQ   one                    \
+	ADDQ  DX, R11                \
+	FILL_PAIR(pb, pc)            \
+	MOVQ  ubuf, R11              \
+	JMP   lined                  \
+second:                          \
+	LEAQ  (R11)(DX*2), R11       \
+	JMP   lined                  \
+one:                             \
+	LEAQ  (R11)(DX*1), R12       \
+	MOVQ  n2, BX                 \
+	FILL_ROWS(f1, c1, f2, c2)    \
+	MOVQ  ubuf, R11              \
+lined:                           \
+	LEAQ  (R11)(DX*1), R12
 
 // Y3 = ((c0·x[k] + c1·s1) + c2·s2) + c3·s3 for k = AX … AX+3, with
 //
@@ -280,14 +373,14 @@ tc:                                  \
 	CMPQ       AX, BX                \
 	JLE        tb
 
-// func subRelaxPlaneAVX2(o, v, um, uz, up *float64, n1, n2 int, c *[4]float64, u1, u2 *float64, mode int) (sum, maxAbs float64)
+// func subRelaxPlaneAVX2(o, v, um, uz, up *float64, n1, n2 int, c *[4]float64, u *float64, mode int) (sum, maxAbs float64)
 // o = v − A·u on rows 1 … n1−2, columns 1 … n2−2 (n1 ≥ 3, n2 ≥ 4). Mode
 // bit 0 drops the c1 term; bit 1 also folds the stored rows into the norm
 // partials: each row's left-to-right sum of squares added to sum in row
 // order, and the largest absolute value. Rows fold four at a time, one
 // per lane, after the fourth of them is stored; the rows after the last
 // group of four fold one at a time (sum X10, maximum X11, lane maxima Y7).
-TEXT ·subRelaxPlaneAVX2(SB), NOSPLIT, $0-104
+TEXT ·subRelaxPlaneAVX2(SB), NOSPLIT, $0-96
 	MOVQ c+56(FP), AX
 	LOAD_COEFFS(AX)
 	VPCMPEQQ Y8, Y8, Y8
@@ -311,15 +404,11 @@ TEXT ·subRelaxPlaneAVX2(SB), NOSPLIT, $0-104
 	SUBQ $2, R13
 
 subrow:
-	MOVQ u1+64(FP), R11
-	MOVQ u2+72(FP), R12
-	MOVQ n2+48(FP), BX
-	FILL_ROWS(subf1, subf1c, subf2, subf2c)
-	MOVQ u1+64(FP), R11
+	LINES(u+64(FP), n1+40(FP), n2+48(FP), R13, subsecond, subone, sublined, subp, subpc, subf1, subf1c, subf2, subf2c)
 	MOVQ n2+48(FP), BX
 	SUBQ $5, BX
 	MOVQ $1, AX
-	MOVQ mode+80(FP), CX
+	MOVQ mode+72(FP), CX
 	TESTQ $1, CX
 	JNZ  subno1
 	ROW(SUB_V(TREE), SUB_S(TREE_SD), subv, subvc, subt, subtc)
@@ -329,7 +418,7 @@ subno1:
 	ROW(SUB_V(TREE_NO1), SUB_S(TREE_NO1_SD), subv1, subv1c, subt1, subt1c)
 
 subnorm:
-	MOVQ mode+80(FP), CX
+	MOVQ mode+72(FP), CX
 	TESTQ $2, CX
 	JZ   subnext
 	MOVQ n1+40(FP), BX
@@ -392,16 +481,16 @@ subnext:
 	VPERMILPD $1, X7, X4
 	VMAXSD    X4, X7, X7
 	VMAXSD    X11, X7, X11
-	VMOVSD X10, sum+88(FP)
-	VMOVSD X11, maxAbs+96(FP)
+	VMOVSD X10, sum+80(FP)
+	VMOVSD X11, maxAbs+88(FP)
 	VZEROUPPER
 	RET
 
-// func addRelaxPlaneAVX2(o, z, w, rm, rz, rp *float64, n1, n2 int, c *[4]float64, u1, u2 *float64, mode int)
+// func addRelaxPlaneAVX2(o, z, w, rm, rz, rp *float64, n1, n2 int, c *[4]float64, u *float64, mode int)
 // o = z + S·r (mode bit 1 clear) or o = w + (z + S·r) (set) on rows
 // 1 … n1−2, columns 1 … n2−2 (n1 ≥ 3, n2 ≥ 4). Mode bit 0 drops the c3
 // term.
-TEXT ·addRelaxPlaneAVX2(SB), NOSPLIT, $8-96
+TEXT ·addRelaxPlaneAVX2(SB), NOSPLIT, $8-88
 	MOVQ c+64(FP), AX
 	LOAD_COEFFS(AX)
 	MOVQ n2+56(FP), DX
@@ -423,15 +512,11 @@ TEXT ·addRelaxPlaneAVX2(SB), NOSPLIT, $8-96
 	MOVQ AX, rows-8(SP)
 
 addrow:
-	MOVQ u1+72(FP), R11
-	MOVQ u2+80(FP), R12
-	MOVQ n2+56(FP), BX
-	FILL_ROWS(addf1, addf1c, addf2, addf2c)
-	MOVQ u1+72(FP), R11
+	LINES(u+72(FP), n1+48(FP), n2+56(FP), rows-8(SP), addsecond, addone, addlined, addp, addpc, addf1, addf1c, addf2, addf2c)
 	MOVQ n2+56(FP), BX
 	SUBQ $5, BX
 	MOVQ $1, AX
-	MOVQ mode+88(FP), CX
+	MOVQ mode+80(FP), CX
 	CMPQ CX, $1
 	JEQ  addno3
 	CMPQ CX, $2

@@ -4,7 +4,11 @@
 // and addRelaxPlus, projectCondense, and interpolate (Q·z and w + Q·z).
 // A call walks every interior row of its plane; per row it fills the line
 // buffers and combines, so the Go side pays one call per plane, not three
-// per row.
+// per row. subRelax and addRelax take the rows in pairs: one column pass
+// fills both rows' buffers from rows j−1 … j+2 of the three input planes
+// (12 row loads per four-column block where two one-row fills take 16)
+// into one line buffer of RelaxLines rows, then both rows combine; an odd last row
+// fills its own.
 //
 // # Bit-identity
 //
@@ -37,6 +41,10 @@ var useAsm = hasAVX2() && os.Getenv("MG_SIMD_DISABLE") == ""
 // is not (withloop.DefaultVariant).
 func Available() bool { return useAsm }
 
+// RelaxLines is how many rows of n2 the line buffer of SubRelaxPlane and
+// AddRelaxPlane holds: u1 and u2 of a row pair, filled in one column pass.
+const RelaxLines = 4
+
 // Mode bits of the assembly kernels.
 const (
 	dropTerm = 1 // the coefficient of the term the buffered rows fold is exactly zero
@@ -56,13 +64,13 @@ func fit(n int, s ...[]float64) bool {
 
 // SubRelaxPlane computes o = v − A·u on the interior rows and columns of
 // one n1×n2 plane from u's planes um, uz and up (below, at and above it),
-// through the line buffers u1 and u2 (n2 long). o may alias v. With norm
-// set it also returns the plane's norm partials over the stored rows: the
-// sum over rows, in order, of each row's sum of squares accumulated left
-// to right, and the largest absolute value.
-func SubRelaxPlane(o, v, um, uz, up []float64, n1, n2 int, c *[4]float64, u1, u2 []float64,
+// through the line buffer u (RelaxLines·n2 long). o may alias v. With norm set it also returns the plane's norm
+// partials over the stored rows: the sum over rows, in order, of each
+// row's sum of squares accumulated left to right, and the largest
+// absolute value.
+func SubRelaxPlane(o, v, um, uz, up []float64, n1, n2 int, c *[4]float64, u []float64,
 	norm bool) (sum, maxAbs float64, ok bool) {
-	if !useAsm || n1 < 3 || n2 < 4 || !fit(n1*n2, o, v, um, uz, up) || !fit(n2, u1, u2) {
+	if !useAsm || n1 < 3 || n2 < 4 || !fit(n1*n2, o, v, um, uz, up) || !fit(RelaxLines*n2, u) {
 		return 0, 0, false
 	}
 	mode := 0
@@ -72,15 +80,15 @@ func SubRelaxPlane(o, v, um, uz, up []float64, n1, n2 int, c *[4]float64, u1, u2
 	if norm {
 		mode |= normRows
 	}
-	sum, maxAbs = subRelaxPlaneAVX2(&o[0], &v[0], &um[0], &uz[0], &up[0], n1, n2, c, &u1[0], &u2[0], mode)
+	sum, maxAbs = subRelaxPlaneAVX2(&o[0], &v[0], &um[0], &uz[0], &up[0], n1, n2, c, &u[0], mode)
 	return sum, maxAbs, true
 }
 
 // AddRelaxPlane computes o = z + S·r (w nil) or o = w + (z + S·r) on the
 // interior rows and columns of one n1×n2 plane from r's planes rm, rz and
-// rp, through the line buffers u1 and u2. o may alias z or w.
-func AddRelaxPlane(o, z, w, rm, rz, rp []float64, n1, n2 int, c *[4]float64, u1, u2 []float64) bool {
-	if !useAsm || n1 < 3 || n2 < 4 || !fit(n1*n2, o, z, rm, rz, rp) || !fit(n2, u1, u2) {
+// rp, through the line buffer u (RelaxLines·n2 long). o may alias z or w.
+func AddRelaxPlane(o, z, w, rm, rz, rp []float64, n1, n2 int, c *[4]float64, u []float64) bool {
+	if !useAsm || n1 < 3 || n2 < 4 || !fit(n1*n2, o, z, rm, rz, rp) || !fit(RelaxLines*n2, u) {
 		return false
 	}
 	mode := 0
@@ -94,7 +102,7 @@ func AddRelaxPlane(o, z, w, rm, rz, rp []float64, n1, n2 int, c *[4]float64, u1,
 		}
 		wp, mode = &w[0], mode|plusW
 	}
-	addRelaxPlaneAVX2(&o[0], &z[0], wp, &rm[0], &rz[0], &rp[0], n1, n2, c, &u1[0], &u2[0], mode)
+	addRelaxPlaneAVX2(&o[0], &z[0], wp, &rm[0], &rz[0], &rp[0], n1, n2, c, &u[0], mode)
 	return true
 }
 

@@ -34,7 +34,10 @@ func withAsm(t *testing.T, f func(t *testing.T)) {
 }
 
 var (
-	planeRows    = []int{3, 4, 5, 10}
+	// Interior row counts 1 … 9: a lone row, row pairs with and without a
+	// last unpaired row, and subRelax's norm groups of four with 0 … 3
+	// rows left over.
+	planeRows    = []int{3, 4, 5, 6, 7, 8, 9, 10, 11}
 	planeExtents = []int{3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 18, 34, 66, 130, 258}
 	// The stencils' own vectors, a vector with no zero term, and one whose
 	// face coefficient is a negative zero.
@@ -148,7 +151,10 @@ func conform(t *testing.T, what string, offset int, run func(variant string, a *
 
 // conformRelax checks subRelax (with and without its norm rows, o apart
 // from v and o = v) and addRelax (z + S·r and w + (z + S·r), o apart, o = z
-// and o = w) on one n1×n2 plane.
+// and o = w) on one n1×n2 plane. The aliased forms reach both rows of
+// every row pair, whose line buffers are filled before either row is
+// stored; the pool offers only the relax kernels' line buffer, inside
+// canaries.
 func conformRelax(t *testing.T, n1, n2 int, in func(int) []float64) {
 	pl := n1 * n2
 	v, um, uz, up, o := in(pl), in(pl), in(pl), in(pl), in(pl)
@@ -167,7 +173,7 @@ func conformRelax(t *testing.T, n1, n2 int, in func(int) []float64) {
 					if norm {
 						sums, maxs = make([]float64, 3), make([]float64, 3)
 					}
-					core.SubRelaxPlanes(a.pool(n2, n2), od, vd, a.stack(pl, um, uz, up), n1, n2, p, variant, c, sums, maxs)
+					core.SubRelaxPlanes(a.pool(simd.RelaxLines*n2), od, vd, a.stack(pl, um, uz, up), n1, n2, p, variant, c, sums, maxs)
 					return od, append(sums, maxs...)
 				})
 			}
@@ -190,7 +196,7 @@ func conformRelax(t *testing.T, n1, n2 int, in func(int) []float64) {
 					case "o=w":
 						od = wd
 					}
-					core.AddRelaxPlanes(a.pool(n2, n2), od, zd, wd, a.stack(pl, rm, rz, rp), n1, n2, p, variant, c)
+					core.AddRelaxPlanes(a.pool(simd.RelaxLines*n2), od, zd, wd, a.stack(pl, rm, rz, rp), n1, n2, p, variant, c)
 					return od, nil
 				})
 			}
@@ -317,6 +323,7 @@ func TestAsmMatchesFallback(t *testing.T) {
 				pl := n1 * n2
 				x := values(rng, pl, false)
 				buf, buf2 := values(rng, max(n2, 4), false), values(rng, max(n2, 4), false)
+				lines := values(rng, simd.RelaxLines*max(n2, 4), false)
 				expect := func(what string, ran, want bool, out []float64) {
 					t.Helper()
 					if ran != want {
@@ -330,13 +337,13 @@ func TestAsmMatchesFallback(t *testing.T) {
 				}
 				relax := asm && n1 >= 3 && n2 >= 4
 				o := (&arena{}).window(pl)
-				_, _, ran := simd.SubRelaxPlane(o, x, x, x, x, n1, n2, c, buf, buf2, false)
+				_, _, ran := simd.SubRelaxPlane(o, x, x, x, x, n1, n2, c, lines, false)
 				expect("SubRelaxPlane", ran, relax, o)
 				o = (&arena{}).window(pl)
-				expect("AddRelaxPlane", simd.AddRelaxPlane(o, x, nil, x, x, x, n1, n2, c, buf, buf2), relax, o)
+				expect("AddRelaxPlane", simd.AddRelaxPlane(o, x, nil, x, x, x, n1, n2, c, lines), relax, o)
 				if relax {
 					o = (&arena{}).window(pl)
-					expect("AddRelaxPlane with a short line buffer", simd.AddRelaxPlane(o, x, nil, x, x, x, n1, n2, c, buf[:n2-1], buf2), false, o)
+					expect("AddRelaxPlane with a short line buffer", simd.AddRelaxPlane(o, x, nil, x, x, x, n1, n2, c, lines[:simd.RelaxLines*n2-1]), false, o)
 				}
 				o = (&arena{}).window((n1/2 + 1) * (n2/2 + 1))
 				expect("ProjectPlane", simd.ProjectPlane(o, x, x, x, n1, n2, c, buf, buf2), asm && n1 >= 4 && n2 >= 4, o)
