@@ -1,8 +1,9 @@
-// Every package and every exported function must earn its place.
+// Every package and every function must earn its place.
 // TestPackagesJustified holds DESIGN.md §2's package table to the tree:
 // each package is listed once, with the figure, CI step or program that
 // needs it. TestExportsUsed type-checks the module and fails on an
-// exported function or method that nothing outside its own package uses.
+// exported function or method that nothing outside its own package uses,
+// and on an unexported one that only tests use.
 package repro
 
 import (
@@ -79,15 +80,30 @@ func TestPackagesJustified(t *testing.T) {
 	}
 }
 
+// TestExportsUsed holds every package-level function and method to a
+// caller. An exported one of internal/… or sacmg needs a user outside its
+// package (tests count); an unexported one anywhere but bench/ needs a
+// caller in non-test code other than its own body. Either passes when it
+// makes its receiver satisfy an interface. bench/ is the repository
+// benchmark, frozen between benchmark changes, so it is not checked.
 func TestExportsUsed(t *testing.T) {
 	m := loadModule(t)
 	var hits []string
 	for dir, p := range m.pkgs {
-		if !(strings.HasPrefix(dir, "internal/") || dir == "sacmg") {
+		if dir == "bench" || strings.HasPrefix(dir, "bench/") {
 			continue
 		}
-		for _, f := range p.exported {
+		for _, f := range p.funcs {
 			key := dir + "." + f.key
+			if !f.obj.Exported() {
+				if !m.usedInside[key] && !m.satisfiesInterface(f.obj) {
+					hits = append(hits, key+": nothing but tests uses it (delete it)")
+				}
+				continue
+			}
+			if !(strings.HasPrefix(dir, "internal/") || dir == "sacmg") {
+				continue
+			}
 			if _, ok := keptExports[key]; ok {
 				continue
 			}
@@ -121,21 +137,23 @@ type modPkg struct {
 	types     *types.Package
 	files     []*ast.File
 	tests     []*ast.File // the _test.go files, in-package and external
-	exported  []exportedFunc
+	funcs     []declFunc  // package-level functions and methods
 }
 
-type exportedFunc struct {
+type declFunc struct {
 	key string // Name or Recv.Name
 	obj *types.Func
 }
 
 type module struct {
-	fset       *token.FileSet
-	std        types.Importer
-	pkgs       map[string]*modPkg // by directory, "." for the root
-	ifaces     map[*types.Interface]bool
-	declared   map[string]bool
-	usedInside map[string]bool // by the declaring package's own non-test code
+	fset     *token.FileSet
+	std      types.Importer
+	pkgs     map[string]*modPkg // by directory, "." for the root
+	ifaces   map[*types.Interface]bool
+	declared map[string]bool
+	// usedInside holds the keys used by the declaring package's own
+	// non-test code, apart from a function's use of itself.
+	usedInside map[string]bool
 	// usedOutside holds the keys used by any file outside the declaring
 	// directory, tests included; inExamples those used by sacmg's Examples.
 	usedOutside, inExamples map[string]bool
@@ -144,7 +162,7 @@ type module struct {
 var loaded *module
 
 // loadModule parses every package of the module, type-checks it with its
-// tests, and records which exported functions each file uses.
+// tests, and records which of its functions each file uses.
 func loadModule(t *testing.T) *module {
 	t.Helper()
 	if loaded != nil {
@@ -251,12 +269,14 @@ func (m *module) check(dir string) (*types.Package, error) {
 	m.record(dir, info, p.files, false)
 	for _, f := range p.files {
 		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
-				obj := info.Defs[fd.Name].(*types.Func)
-				e := exportedFunc{key: funcKey(obj), obj: obj}
-				p.exported = append(p.exported, e)
-				m.declared[dir+"."+e.key] = true
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil && (fd.Name.Name == "init" || fd.Name.Name == "main") {
+				continue
 			}
+			obj := info.Defs[fd.Name].(*types.Func)
+			e := declFunc{key: funcKey(obj), obj: obj}
+			p.funcs = append(p.funcs, e)
+			m.declared[dir+"."+e.key] = true
 		}
 	}
 	return tp, nil
@@ -326,8 +346,13 @@ func (m *module) record(dir string, info *types.Info, files []*ast.File, test bo
 	}
 	for _, f := range files {
 		var example *ast.FuncDecl
+		var self types.Object // the function whose body is being walked
 		ast.Inspect(f, func(n ast.Node) bool {
+			if _, ok := n.(*ast.GenDecl); ok {
+				self = nil
+			}
 			if fd, ok := n.(*ast.FuncDecl); ok {
+				self = info.Defs[fd.Name]
 				example = nil
 				if strings.HasPrefix(fd.Name.Name, "Example") {
 					example = fd
@@ -338,7 +363,7 @@ func (m *module) record(dir string, info *types.Info, files []*ast.File, test bo
 				return true
 			}
 			fn, ok := info.Uses[id].(*types.Func)
-			if !ok || fn.Pkg() == nil || !strings.HasPrefix(fn.Pkg().Path(), modulePath) {
+			if !ok || fn.Pkg() == nil || !strings.HasPrefix(fn.Pkg().Path(), modulePath) || fn.Origin() == self {
 				return true
 			}
 			from := strings.TrimPrefix(strings.TrimPrefix(strings.TrimSuffix(fn.Pkg().Path(), "_test"), modulePath), "/")

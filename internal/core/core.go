@@ -60,15 +60,6 @@ type Solver struct {
 	// dimension-appropriate sets — the paper's point that programmers can
 	// customise the building blocks themselves.
 	Operator, Project, Interp stencil.Coeffs
-	// Gamma is the cycle index: 1 (or 0) is the V-cycle of the benchmark
-	// (Fig. 3); 2 is the W-cycle of the multigrid literature the paper
-	// cites (Hackbusch) — the coarse-grid correction is applied Gamma
-	// times per level, re-evaluating the coarse residual in between.
-	Gamma int
-	// PostSmooth is the number of smoothing steps after the coarse-grid
-	// correction; 1 (or 0) is the benchmark's single step. Extra steps
-	// re-evaluate the residual first: z += Smooth(r − A·z).
-	PostSmooth int
 	// Probe, when non-nil, receives per-operation timings (see nas.Probe).
 	Probe nas.Probe
 	// Cancel, when non-nil, is polled once at the top of every MGrid
@@ -112,7 +103,7 @@ func (s *Solver) MGrid(v *array.Array, iter int) *array.Array {
 			break
 		}
 		s.traceIter(i, v)
-		if s.foldable(u) && v.Shape()[0] > 2+2 && s.Gamma <= 1 && s.PostSmooth <= 1 {
+		if s.foldable(u) && v.Shape()[0] > 2+2 {
 			// Folded iteration: the finest V-cycle level is inlined so
 			// that u + (z + Smooth(r₂)) becomes a single traversal —
 			// one more WITH-loop folding step across the VCycle call
@@ -200,33 +191,12 @@ func (s *Solver) VCycle(r *array.Array) *array.Array {
 	if r.Shape()[0] > 2+2 {
 		rn := s.Fine2Coarse(r)
 		zn := s.VCycle(rn)
-		// W-cycle extension: apply the coarse-grid correction Gamma
-		// times, refreshing the coarse residual in between. Gamma <= 1
-		// is the benchmark's plain V-cycle and adds no work.
-		for g := 1; g < s.Gamma; g++ {
-			rn2 := s.residSubtract(rn, zn)
-			dz := s.VCycle(rn2)
-			e.Release(rn2)
-			zn2 := aplib.Add(e, zn, dz)
-			e.Release(dz)
-			e.Release(zn)
-			zn = zn2
-		}
 		e.Release(rn)
 		// z = Coarse2Fine(zn); r₂ = r − Resid(z); z + Smooth(r₂) — as
 		// three calls, or at O3 as one plane-pipelined sweep.
-		z2 := s.correct(nil, zn, r)
+		z := s.correct(nil, zn, r)
 		e.Release(zn)
-		// Extra post-smoothing steps (PostSmooth > 1): each re-evaluates
-		// the residual of the current correction.
-		for ps := 1; ps < s.PostSmooth; ps++ {
-			r3 := s.residSubtract(r, z2)
-			z3 := s.smoothAdd(z2, r3)
-			e.Release(r3)
-			e.Release(z2)
-			z2 = z3
-		}
-		return z2
+		return z
 	}
 	return s.Smooth(r)
 }

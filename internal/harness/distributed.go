@@ -34,9 +34,6 @@ type DistConfig struct {
 	// Overlap selects the overlapped halo exchange (mgrank -overlap);
 	// the solve must stay bit-identical to the synchronous path.
 	Overlap bool
-	// Threads is the per-rank worker-pool width (mgrank -threads);
-	// zero or one means serial plane loops.
-	Threads int
 	// ExtraArgs, when non-nil, appends per-rank flags — fault-injection
 	// tests use it to pass -die-after-iter to one rank.
 	ExtraArgs func(rank int) []string
@@ -84,9 +81,6 @@ func runDistributed(cfg DistConfig) ([]DistRank, error) {
 		}
 		if cfg.Overlap {
 			a = append(a, "-overlap")
-		}
-		if cfg.Threads > 1 {
-			a = append(a, "-threads", fmt.Sprint(cfg.Threads))
 		}
 		if cfg.ExtraArgs != nil {
 			a = append(a, cfg.ExtraArgs(rank)...)
@@ -204,7 +198,6 @@ func checkDistributed(cfg DistConfig) ([]DistRank, mgmpi.RankReport, error) {
 	}
 	ref := mgmpi.New(cfg.Class, cfg.Ranks)
 	ref.Overlap = cfg.Overlap
-	ref.Threads = cfg.Threads
 	rnm2, rnmu := ref.Run()
 	want := ref.Report(0, rnm2, rnmu, 0)
 	var msgs, payload uint64

@@ -230,10 +230,6 @@ func TestReadEventsTolerant(t *testing.T) {
 			t.Fatalf("ev=%d torn=%d err=%v", len(ev), torn, err)
 		}
 	})
-	// The strict reader still rejects a torn tail outright.
-	if _, err := ReadEvents(strings.NewReader(whole + `{"torn`)); err == nil {
-		t.Fatal("strict ReadEvents must reject a torn tail")
-	}
 }
 
 func TestChromeTraceAlignedCommTracksAndFlows(t *testing.T) {

@@ -44,33 +44,8 @@ import (
 	"sort"
 )
 
-// ReadEvents parses a JSON-lines trace stream back into events, in stream
-// order. Blank lines are skipped; a malformed line aborts with its line
-// number.
-func ReadEvents(r io.Reader) ([]Event, error) {
-	var events []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, fmt.Errorf("metrics: trace line %d: %w", lineNo, err)
-		}
-		events = append(events, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return events, nil
-}
-
-// ReadEventsTolerant parses like ReadEvents but forgives a torn trailing
+// ReadEventsTolerant parses a JSON-lines trace stream back into events,
+// in stream order, skipping blank lines. It forgives a torn trailing
 // write — the signature of a rank killed mid-line, which leaves a
 // truncated JSON object at the very end of its file. Malformed lines
 // with no valid event after them are skipped and counted; a malformed
@@ -368,22 +343,17 @@ const (
 	TidJobStride = 100
 )
 
-// ChromeTraceFrom converts a trace stream to Chrome trace-event JSON:
+// ChromeTraceAligned converts a trace stream to Chrome trace-event JSON:
 // pid = rank, one thread per solve/level/worker track, named via metadata
 // events. Span starts are reconstructed as T − Nanos (the tracer stamps
-// events when they end).
-func ChromeTraceFrom(events []Event) ChromeTrace {
-	return ChromeTraceAligned(events, nil)
-}
-
-// ChromeTraceAligned is ChromeTraceFrom with per-rank clock alignment:
-// each event's T is shifted by the rank's estimated offset (OffsetMap of
-// EstimateOffsets) and the merged stream is rebased so the earliest span
-// start lands at 0 — Perfetto then shows one coherent timeline instead
-// of per-rank epochs. Matched send/recv pairs additionally get flow
-// arrows ("s" at the send span's midpoint, "f" at the recv's) so each
-// message is a visible edge between its two processes. A nil or empty
-// offsets map applies no shift.
+// events when they end). Ranks' clocks are aligned: each event's T is
+// shifted by the rank's estimated offset (OffsetMap of EstimateOffsets)
+// and the merged stream is rebased so the earliest span start lands at
+// 0 — Perfetto then shows one coherent timeline instead of per-rank
+// epochs. A nil or empty offsets map applies no shift. Matched send/recv
+// pairs additionally get flow arrows ("s" at the send span's midpoint,
+// "f" at the recv's) so each message is a visible edge between its two
+// processes.
 func ChromeTraceAligned(events []Event, offsets map[int]int64) ChromeTrace {
 	if len(offsets) > 0 {
 		shifted := make([]Event, len(events))

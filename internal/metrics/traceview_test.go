@@ -30,20 +30,22 @@ func traceStream(t *testing.T) []Event {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ReadEvents(&buf)
-	if err != nil {
-		t.Fatal(err)
+	events, torn, err := ReadEventsTolerant(&buf)
+	if err != nil || torn != 0 {
+		t.Fatalf("reading the trace: %d torn lines, err %v", torn, err)
 	}
 	return events
 }
 
+// A line that is not JSON at all is a torn tail when nothing valid
+// follows it, and corruption when an event does.
 func TestReadEventsRejectsGarbage(t *testing.T) {
-	if _, err := ReadEvents(strings.NewReader("{\"ev\":\"span\"}\nnot json\n")); err == nil {
-		t.Fatal("ReadEvents accepted malformed line")
+	events, torn, err := ReadEventsTolerant(strings.NewReader("{\"ev\":\"span\"}\nnot json\n"))
+	if err != nil || torn != 1 || len(events) != 1 {
+		t.Fatalf("garbage last line: %d events, %d torn, err %v", len(events), torn, err)
 	}
-	events, err := ReadEvents(strings.NewReader(""))
-	if err != nil || len(events) != 0 {
-		t.Fatalf("empty stream: %v, %d events", err, len(events))
+	if _, _, err := ReadEventsTolerant(strings.NewReader("not json\n{\"ev\":\"span\"}\n")); err == nil {
+		t.Fatal("an event after a garbage line was accepted")
 	}
 }
 
@@ -104,7 +106,7 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestChromeTraceSchema(t *testing.T) {
-	ct := ChromeTraceFrom(traceStream(t))
+	ct := ChromeTraceAligned(traceStream(t), nil)
 	if err := ct.Validate(); err != nil {
 		t.Fatalf("converter output invalid: %v", err)
 	}
@@ -158,7 +160,7 @@ func TestChromeTraceSchema(t *testing.T) {
 }
 
 func TestChromeTraceTracks(t *testing.T) {
-	ct := ChromeTraceFrom(traceStream(t))
+	ct := ChromeTraceAligned(traceStream(t), nil)
 	// Both ranks must appear as processes, and the three track families
 	// (solve, level, worker) must be named.
 	type track struct {

@@ -34,7 +34,6 @@ package periodic
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/array"
 	"repro/internal/core"
@@ -55,8 +54,6 @@ type Solver struct {
 	// Smoother, Operator, Project and Interp are the stencil coefficient
 	// sets, defaulting to the NPB vectors.
 	Smoother, Operator, Project, Interp stencil.Coeffs
-	// Probe, when non-nil, receives per-operation timings.
-	Probe nas.Probe
 }
 
 // New creates a solver with the NPB stencils and the S/W/A smoother.
@@ -68,25 +65,6 @@ func New(env *wl.Env) *Solver {
 		Project:  stencil.P,
 		Interp:   stencil.Q,
 	}
-}
-
-func (s *Solver) probe(region string, level int, f func() *array.Array) *array.Array {
-	if s.Probe == nil {
-		return f()
-	}
-	start := time.Now()
-	out := f()
-	s.Probe(region, level, time.Since(start))
-	return out
-}
-
-func levelOf(a *array.Array) int {
-	n := a.Shape()[0]
-	l := 0
-	for ; n > 1; n >>= 1 {
-		l++
-	}
-	return l
 }
 
 func checkCompact(op string, a *array.Array) int {
@@ -154,22 +132,18 @@ func (s *Solver) add(u, z *array.Array) *array.Array {
 // preparation.
 func (s *Solver) residSubtract(v, u *array.Array) *array.Array {
 	checkCompact("ResidSubtract", u)
-	return s.probe("resid", levelOf(u), func() *array.Array {
-		out := s.Env.NewArrayDirty(u.Shape())
-		core.CompactSweep(s.Env, "subRelax", out, v, u, s.Operator)
-		return out
-	})
+	out := s.Env.NewArrayDirty(u.Shape())
+	core.CompactSweep(s.Env, "subRelax", out, v, u, s.Operator)
+	return out
 }
 
 // smoothAdd computes z + S·r (or just S·r when z is nil — the coarsest
 // level of Fig. 4, z = Smooth(r)).
 func (s *Solver) smoothAdd(z, r *array.Array) *array.Array {
 	checkCompact("SmoothAdd", r)
-	return s.probe("smooth", levelOf(r), func() *array.Array {
-		out := s.Env.NewArrayDirty(r.Shape())
-		core.CompactSweep(s.Env, "addRelax", out, z, r, s.Smoother)
-		return out
-	})
+	out := s.Env.NewArrayDirty(r.Shape())
+	core.CompactSweep(s.Env, "addRelax", out, z, r, s.Smoother)
+	return out
 }
 
 // fine2Coarse restricts r (n³) to the next coarser grid ((n/2)³): the P
@@ -177,22 +151,18 @@ func (s *Solver) smoothAdd(z, r *array.Array) *array.Array {
 // the package comment on the index shift).
 func (s *Solver) fine2Coarse(r *array.Array) *array.Array {
 	n := checkCompact("Fine2Coarse", r)
-	return s.probe("fine2coarse", levelOf(r), func() *array.Array {
-		out := s.Env.NewArrayDirty(shape.Of(n/2, n/2, n/2))
-		core.CompactSweep(s.Env, "projectCondense", out, nil, r, s.Project)
-		return out
-	})
+	out := s.Env.NewArrayDirty(shape.Of(n/2, n/2, n/2))
+	core.CompactSweep(s.Env, "projectCondense", out, nil, r, s.Project)
+	return out
 }
 
 // coarse2Fine interpolates zn ((n/2)³) to the next finer grid (n³):
 // trilinear interpolation with the coarse anchors at odd fine positions.
 func (s *Solver) coarse2Fine(zn *array.Array) *array.Array {
 	nc := checkCompact("Coarse2Fine", zn)
-	return s.probe("coarse2fine", levelOf(zn)+1, func() *array.Array {
-		out := s.Env.NewArrayDirty(shape.Of(2*nc, 2*nc, 2*nc))
-		core.CompactSweep(s.Env, "interpolate", out, nil, zn, s.Interp)
-		return out
-	})
+	out := s.Env.NewArrayDirty(shape.Of(2*nc, 2*nc, 2*nc))
+	core.CompactSweep(s.Env, "interpolate", out, nil, zn, s.Interp)
+	return out
 }
 
 // --- NAS benchmark driver --------------------------------------------------------

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/array"
 	"repro/internal/core"
@@ -231,26 +230,6 @@ func TestChecksPanic(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestProbe(t *testing.T) {
-	env := wl.Default()
-	b := NewBenchmark(nas.ClassS, env)
-	counts := map[string]int{}
-	b.Solver.Probe = func(region string, level int, _ time.Duration) {
-		counts[region]++
-		if level < 1 || level > nas.ClassS.LT() {
-			t.Errorf("level %d out of range for region %s", level, region)
-		}
-	}
-	b.Reset()
-	u := b.Solver.MGrid(b.v, 1)
-	env.Release(u)
-	lt := nas.ClassS.LT()
-	if counts["resid"] != lt || counts["smooth"] != lt ||
-		counts["fine2coarse"] != lt-1 || counts["coarse2fine"] != lt-1 {
-		t.Fatalf("probe counts wrong: %v", counts)
 	}
 }
 

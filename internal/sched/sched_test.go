@@ -322,9 +322,9 @@ func TestWspanEmission(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	events, err := metrics.ReadEvents(&buf)
-	if err != nil {
-		t.Fatal(err)
+	events, torn, err := metrics.ReadEventsTolerant(&buf)
+	if err != nil || torn != 0 {
+		t.Fatalf("reading the trace: %d torn lines, err %v", torn, err)
 	}
 	seen := map[int]int{}
 	for _, e := range events {

@@ -13,13 +13,12 @@ func FuzzOffsetRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, d0, d1, d2 uint8, off uint32) {
 		s := Of(int(d0%64)+1, int(d1%64)+1, int(d2%64)+1)
 		o := int(off) % s.Size()
-		idx := make(Index, 3)
-		s.unflattenInto(o, idx)
+		idx := unflatten(s, o)
 		if !s.contains(idx) {
-			t.Fatalf("unflattenInto(%d) = %v not contained in %v", o, idx, s)
+			t.Fatalf("unflatten(%d) = %v not contained in %v", o, idx, s)
 		}
 		if got := s.Offset(idx); got != o {
-			t.Fatalf("Offset(unflattenInto(%d)) = %d", o, got)
+			t.Fatalf("Offset(unflatten(%d)) = %d", o, got)
 		}
 	})
 }

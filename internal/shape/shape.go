@@ -105,23 +105,6 @@ func (s Shape) Offset(idx Index) int {
 	return off
 }
 
-// unflattenInto is the inverse of Offset: it converts a linear offset back
-// to an index vector, written into idx. It panics if off is outside
-// [0, Size()) or idx has the wrong rank.
-func (s Shape) unflattenInto(off int, idx Index) {
-	if off < 0 || off >= s.Size() {
-		panic(fmt.Sprintf("shape: offset %d out of range for shape %v", off, s))
-	}
-	if len(idx) != len(s) {
-		panic(fmt.Sprintf("shape: rank mismatch: index buffer rank %d vs shape %v", len(idx), s))
-	}
-	for j := len(s) - 1; j >= 0; j-- {
-		e := s[j]
-		idx[j] = off % e
-		off /= e
-	}
-}
-
 // String renders the shape in SAC vector notation, e.g. "[4,4,4]".
 func (s Shape) String() string { return vecString([]int(s)) }
 
@@ -227,24 +210,4 @@ func AllLessEq(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// minOf returns the element-wise minimum of a and b.
-func minOf(a, b []int) []int {
-	checkRank("minOf", a, b)
-	c := make([]int, len(a))
-	for j := range a {
-		c[j] = min(a[j], b[j])
-	}
-	return c
-}
-
-// maxOf returns the element-wise maximum of a and b.
-func maxOf(a, b []int) []int {
-	checkRank("maxOf", a, b)
-	c := make([]int, len(a))
-	for j := range a {
-		c[j] = max(a[j], b[j])
-	}
-	return c
 }

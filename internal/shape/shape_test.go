@@ -1,7 +1,6 @@
 package shape
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -92,34 +91,18 @@ func TestOffsetPanics(t *testing.T) {
 	}
 }
 
-// unflatten converts off back to an index vector of s.
+// unflatten converts an offset in [0, s.Size()) back to an index vector
+// of s: the inverse Offset is checked against.
 func unflatten(s Shape, off int) Index {
 	idx := make(Index, len(s))
-	s.unflattenInto(off, idx)
+	for j := len(s) - 1; j >= 0; j-- {
+		idx[j] = off % s[j]
+		off /= s[j]
+	}
 	return idx
 }
 
-func TestUnflattenPanics(t *testing.T) {
-	s := Of(2, 3)
-	for _, off := range []int{-1, 6, 100} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("unflattenInto(%d) on %v did not panic", off, s)
-				}
-			}()
-			unflatten(s, off)
-		}()
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("unflattenInto with a rank-1 buffer on a rank-2 shape did not panic")
-		}
-	}()
-	s.unflattenInto(0, make(Index, 1))
-}
-
-// Property: unflattenInto is the exact inverse of Offset over the whole space.
+// Property: unflatten is the exact inverse of Offset over the whole space.
 func TestOffsetUnflattenRoundTrip(t *testing.T) {
 	shapes := []Shape{Of(1), Of(7), Of(3, 5), Of(2, 3, 4), Of(2, 2, 2, 2)}
 	for _, s := range shapes {
@@ -142,17 +125,6 @@ func TestOffsetUnflattenQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestUnflattenInto(t *testing.T) {
-	s := Of(3, 4)
-	buf := make(Index, 2)
-	for off := 0; off < s.Size(); off++ {
-		s.unflattenInto(off, buf)
-		if want := (Index{off / 4, off % 4}); !Shape(buf).Equal(Shape(want)) {
-			t.Fatalf("unflattenInto(%d) = %v, want %v", off, buf, want)
-		}
 	}
 }
 
@@ -245,16 +217,6 @@ func TestComparisons(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	a, b := []int{1, 5, 3}, []int{2, 4, 3}
-	if got := minOf(a, b); !Shape(got).Equal(Of(1, 4, 3)) {
-		t.Errorf("minOf = %v", got)
-	}
-	if got := maxOf(a, b); !Shape(got).Equal(Of(2, 5, 3)) {
-		t.Errorf("maxOf = %v", got)
-	}
-}
-
 // Property: Sub(Add(a,b), b) == a for random vectors.
 func TestAddSubQuick(t *testing.T) {
 	f := func(av, bv [4]int16) bool {
@@ -273,17 +235,6 @@ func BenchmarkOffset3D(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = s.Offset(idx)
-	}
-}
-
-func BenchmarkUnflattenInto(b *testing.B) {
-	s := Of(64, 64, 64)
-	buf := make(Index, 3)
-	r := rand.New(rand.NewSource(1))
-	off := r.Intn(s.Size())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.unflattenInto(off, buf)
 	}
 }
 

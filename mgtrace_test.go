@@ -1,7 +1,7 @@
 // End-to-end trace-analysis test: one instrumented 2-worker solve feeds
 // both exposition paths — the metrics collector and the JSON-lines trace
 // analysed by cmd/mgtrace's library (metrics.Summarize /
-// metrics.ChromeTraceFrom) — and the two views must agree: the trace's
+// metrics.ChromeTraceAligned) — and the two views must agree: the trace's
 // solve span is the very measurement the collector's "solve" row holds,
 // the fused-kernel rows nest inside the region spans which nest inside
 // the solve, and the Perfetto conversion is schema-valid.
@@ -42,9 +42,9 @@ func tracedSolve(t *testing.T, class nas.Class) (metrics.Snapshot, []metrics.Eve
 	if err := tracer.Close(); err != nil {
 		t.Fatal(err)
 	}
-	events, err := metrics.ReadEvents(&buf)
-	if err != nil {
-		t.Fatal(err)
+	events, torn, err := metrics.ReadEventsTolerant(&buf)
+	if err != nil || torn != 0 {
+		t.Fatalf("reading the trace: %d torn lines, err %v", torn, err)
 	}
 	return collector.Snapshot(), events, monitor
 }
@@ -130,7 +130,7 @@ func TestTraceConvertsToValidPerfetto(t *testing.T) {
 		class = nas.ClassS
 	}
 	_, events, _ := tracedSolve(t, class)
-	ct := metrics.ChromeTraceFrom(events)
+	ct := metrics.ChromeTraceAligned(events, nil)
 	if err := ct.Validate(); err != nil {
 		t.Fatalf("real-run trace converts to invalid Chrome JSON: %v", err)
 	}
