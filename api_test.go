@@ -1,9 +1,10 @@
-// Every package and every function must earn its place.
+// Every package, function and option must earn its place.
 // TestPackagesJustified holds DESIGN.md §2's package table to the tree:
 // each package is listed once, with the figure, CI step or program that
 // needs it. TestExportsUsed type-checks the module and fails on an
-// exported function or method that nothing outside its own package uses,
-// and on an unexported one that only tests use.
+// exported function or method that no non-test code outside its own
+// package uses, on an unexported one that only tests use, and on an
+// exported option field that only tests set.
 package repro
 
 import (
@@ -17,6 +18,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -25,11 +27,18 @@ import (
 
 const modulePath = "repro"
 
-// keptExports are exports with no caller outside their package that stay
-// anyway, each for the reason given. Keep this list short.
+// keptExports are exports with no non-test user outside their package,
+// and fields with no non-test writer, that stay anyway, each for the
+// reason given. Keep this list short.
 var keptExports = map[string]string{
-	"internal/array.ReadArray": "the only decoder of `mg -dump` files; its round-trip tests pin WriteTo's format",
+	"internal/array.ReadArray":          "the only decoder of `mg -dump` files; its round-trip tests pin WriteTo's format",
+	"internal/mempool.Pool.SetParanoid": "the release-discipline checker: safety code that tests switch on around solves",
+	"internal/mgmpi.Solver.IterNorms":   "the differential sweep's hook; the norm reduction is collective, so nothing outside the solver can observe it",
 }
+
+// testOnly is the package of test oracles shared across packages: only
+// tests may import it, and each of its exports needs a test caller.
+const testOnly = "internal/mgtest"
 
 func TestPackagesJustified(t *testing.T) {
 	m := loadModule(t)
@@ -69,8 +78,12 @@ func TestPackagesJustified(t *testing.T) {
 			} else if !m.imports(rest, r.dir) {
 				t.Errorf("DESIGN.md §2: %s: %s does not import it", r.dir, rest)
 			}
+		case "test-only":
+			if dirs := m.importers(r.dir); len(dirs) > 0 {
+				t.Errorf("DESIGN.md §2: %s: justified as test-only, but %v import it", r.dir, dirs)
+			}
 		default:
-			t.Errorf("DESIGN.md §2: %s: justification %q is none of `-fig <mode>`, `ci: <job> / <step>`, `caller: <program>`", r.dir, r.why)
+			t.Errorf("DESIGN.md §2: %s: justification %q is none of `-fig <mode>`, `ci: <job> / <step>`, `caller: <program>`, `test-only`", r.dir, r.why)
 		}
 	}
 	for dir, p := range m.pkgs {
@@ -81,11 +94,18 @@ func TestPackagesJustified(t *testing.T) {
 }
 
 // TestExportsUsed holds every package-level function and method to a
-// caller. An exported one of internal/… or sacmg needs a user outside its
-// package (tests count); an unexported one anywhere but bench/ needs a
-// caller in non-test code other than its own body. Either passes when it
-// makes its receiver satisfy an interface. bench/ is the repository
-// benchmark, frozen between benchmark changes, so it is not checked.
+// user, and every option field to a writer. An exported function of
+// internal/… or sacmg needs a non-test user (sacmg's Examples count),
+// and one outside its package or a test outside it that needs it
+// exported; an unexported one anywhere but bench/ needs a caller
+// in non-test code other than its own body. Either passes when it makes
+// its receiver satisfy an interface. An exported field of an exported
+// struct of internal/… needs a non-test writer (an assignment, an & or a
+// composite-literal key; a sacmg Example counts) unless it carries a json
+// tag, which makes it wire input. The test-only package is the other way
+// round: no non-test package may import it, and each export needs a test
+// caller outside it. bench/ is the repository benchmark, frozen between
+// benchmark changes, so it is not checked, but it counts as a user.
 func TestExportsUsed(t *testing.T) {
 	m := loadModule(t)
 	var hits []string
@@ -101,21 +121,37 @@ func TestExportsUsed(t *testing.T) {
 				}
 				continue
 			}
+			if dir == testOnly {
+				if !m.usedInTests[key] {
+					hits = append(hits, key+": no test outside its package calls it (delete it)")
+				}
+				continue
+			}
 			if !(strings.HasPrefix(dir, "internal/") || dir == "sacmg") {
 				continue
 			}
 			if _, ok := keptExports[key]; ok {
 				continue
 			}
-			if m.usedOutside[key] || dir == "sacmg" && m.inExamples[key] || m.satisfiesInterface(f.obj) {
+			if m.usedOutside[key] || m.satisfiesInterface(f.obj) {
 				continue
 			}
-			if m.usedInside[key] {
+			switch {
+			case !m.usedInside[key]:
+				hits = append(hits, key+": no non-test code uses it (delete it)")
+			case !m.usedInTests[key]:
 				hits = append(hits, key+": only its own package uses it (unexport it)")
-			} else {
-				hits = append(hits, key+": nothing but its own tests uses it (delete it)")
 			}
 		}
+		for _, f := range p.fields {
+			key := dir + "." + f.key
+			if _, ok := keptExports[key]; !ok && !m.written[f.obj.Pos()] {
+				hits = append(hits, key+": only tests set it (delete it, or unexport it if its package reads it)")
+			}
+		}
+	}
+	for _, dir := range m.importers(testOnly) {
+		hits = append(hits, dir+": imports "+testOnly+", which only tests may import")
 	}
 	for key := range keptExports {
 		if !m.declared[key] {
@@ -138,11 +174,17 @@ type modPkg struct {
 	files     []*ast.File
 	tests     []*ast.File // the _test.go files, in-package and external
 	funcs     []declFunc  // package-level functions and methods
+	fields    []declField // option fields: see TestExportsUsed
 }
 
 type declFunc struct {
 	key string // Name or Recv.Name
 	obj *types.Func
+}
+
+type declField struct {
+	key string // Type.Field
+	obj *types.Var
 }
 
 type module struct {
@@ -154,9 +196,12 @@ type module struct {
 	// usedInside holds the keys used by the declaring package's own
 	// non-test code, apart from a function's use of itself.
 	usedInside map[string]bool
-	// usedOutside holds the keys used by any file outside the declaring
-	// directory, tests included; inExamples those used by sacmg's Examples.
-	usedOutside, inExamples map[string]bool
+	// usedOutside holds the keys used by non-test code outside the
+	// declaring directory or by a sacmg Example, usedInTests those used by
+	// tests outside the declaring directory.
+	usedOutside, usedInTests map[string]bool
+	// written holds the positions of the fields that non-test code writes.
+	written map[token.Pos]bool
 }
 
 var loaded *module
@@ -177,7 +222,8 @@ func loadModule(t *testing.T) *module {
 		declared:    map[string]bool{},
 		usedInside:  map[string]bool{},
 		usedOutside: map[string]bool{},
-		inExamples:  map[string]bool{},
+		usedInTests: map[string]bool{},
+		written:     map[token.Pos]bool{},
 	}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -279,6 +325,26 @@ func (m *module) check(dir string) (*types.Package, error) {
 			m.declared[dir+"."+e.key] = true
 		}
 	}
+	if strings.HasPrefix(dir, "internal/") {
+		for _, name := range tp.Scope().Names() {
+			tn, ok := tp.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if _, wire := reflect.StructTag(st.Tag(i)).Lookup("json"); f.Exported() && !wire {
+					e := declField{key: name + "." + f.Name(), obj: f}
+					p.fields = append(p.fields, e)
+					m.declared[dir+"."+e.key] = true
+				}
+			}
+		}
+	}
 	return tp, nil
 }
 
@@ -337,7 +403,8 @@ func (m *module) newInfo() *types.Info {
 }
 
 // record notes every module function that files (type-checked as part of
-// dir) use, and every non-empty interface type they mention.
+// dir) use, every field that they write, and every non-empty interface
+// type they mention.
 func (m *module) record(dir string, info *types.Info, files []*ast.File, test bool) {
 	for _, tv := range info.Types {
 		if it, ok := tv.Type.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
@@ -358,6 +425,10 @@ func (m *module) record(dir string, info *types.Info, files []*ast.File, test bo
 					example = fd
 				}
 			}
+			nonTest := !test || dir == "sacmg" && example != nil
+			if nonTest {
+				m.recordWrites(info, n)
+			}
 			id, ok := n.(*ast.Ident)
 			if !ok {
 				return true
@@ -372,16 +443,73 @@ func (m *module) record(dir string, info *types.Info, files []*ast.File, test bo
 			}
 			key := from + "." + funcKey(fn)
 			switch {
-			case from != dir:
+			case nonTest && (from != dir || example != nil):
 				m.usedOutside[key] = true
-			case example != nil:
-				m.inExamples[key] = true
+			case from != dir:
+				m.usedInTests[key] = true
 			case !test:
 				m.usedInside[key] = true
 			}
 			return true
 		})
 	}
+}
+
+// recordWrites notes the fields that node n writes: the target of an
+// assignment or increment (x.F = v, x.F[i] = v, x.F++), an operand of &,
+// and the keys of a struct literal, or every field of an unkeyed one.
+func (m *module) recordWrites(info *types.Info, n ast.Node) {
+	var targets []ast.Expr
+	switch n := n.(type) {
+	case *ast.AssignStmt:
+		targets = n.Lhs
+	case *ast.IncDecStmt:
+		targets = []ast.Expr{n.X}
+	case *ast.UnaryExpr:
+		if n.Op == token.AND {
+			targets = []ast.Expr{n.X}
+		}
+	case *ast.CompositeLit:
+		st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		for i, e := range n.Elts {
+			if kv, ok := e.(*ast.KeyValueExpr); ok {
+				targets = append(targets, kv.Key)
+			} else {
+				m.written[st.Field(i).Origin().Pos()] = true
+			}
+		}
+	}
+	for _, e := range targets {
+		for ix, ok := e.(*ast.IndexExpr); ok; ix, ok = e.(*ast.IndexExpr) {
+			e = ix.X
+		}
+		var id *ast.Ident
+		switch e := e.(type) {
+		case *ast.SelectorExpr:
+			id = e.Sel
+		case *ast.Ident:
+			id = e
+		}
+		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+			m.written[v.Origin().Pos()] = true
+		}
+	}
+}
+
+// importers lists the packages whose non-test code imports dep.
+func (m *module) importers(dep string) []string {
+	var dirs []string
+	for _, dir := range sortedKeys(m.pkgs) {
+		for _, q := range m.pkgs[dir].types.Imports() {
+			if q.Path() == importPath(dep) {
+				dirs = append(dirs, dir)
+			}
+		}
+	}
+	return dirs
 }
 
 // funcKey names a function Name and a method Recv.Name.

@@ -39,7 +39,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -70,7 +69,6 @@ func main() {
 		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn or error")
 		tracePath    = flag.String("trace", "", "write the service's trace-tagged V-cycle event stream (JSON lines) to this file")
 		flightDir    = flag.String("flight-dir", "", "directory for anomaly-triggered flight recorder dumps (empty: HTTP snapshot only)")
-		chaosTenant  = flag.String("chaos-nan-tenant", "", "fault injection: poison this tenant's results with NaN (testing)")
 	)
 	flag.Parse()
 
@@ -123,9 +121,6 @@ func main() {
 		Sched: pool, Mem: arena,
 		Metrics: collector, Trace: tracer, Obs: observer,
 	})
-	if *chaosTenant != "" {
-		run = poisonTenant(run, *chaosTenant)
-	}
 	q := jobq.New(jobq.Config{
 		Capacity:     *capacity,
 		Runners:      *runners,
@@ -208,20 +203,6 @@ func parsePriorities(s string) (map[string]int, error) {
 		out[name] = n
 	}
 	return out, nil
-}
-
-// poisonTenant wraps a RunFunc with NaN fault injection for one tenant —
-// the chaos hook behind the fault-injection tests: the queue must turn
-// the poisoned norm into a failed job, never a cached success or a dead
-// process.
-func poisonTenant(run jobq.RunFunc, tenant string) jobq.RunFunc {
-	return func(ctx context.Context, req jobq.Request) (jobq.Result, error) {
-		res, err := run(ctx, req)
-		if err == nil && req.Tenant == tenant {
-			res.Rnm2 = math.NaN()
-		}
-		return res, err
-	}
 }
 
 // server is the HTTP front end over the queue.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os/exec"
@@ -46,6 +47,19 @@ func noLeak(t *testing.T) {
 				n, base, buf[:runtime.Stack(buf, true)])
 		}
 	})
+}
+
+// poisonTenant wraps a RunFunc with NaN fault injection for one tenant:
+// the queue must turn the poisoned norm into a failed job, never a cached
+// success or a dead process.
+func poisonTenant(run jobq.RunFunc, tenant string) jobq.RunFunc {
+	return func(ctx context.Context, req jobq.Request) (jobq.Result, error) {
+		res, err := run(ctx, req)
+		if err == nil && req.Tenant == tenant {
+			res.Rnm2 = math.NaN()
+		}
+		return res, err
+	}
 }
 
 // newTestDaemon builds the full HTTP front end over a queue with the

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/jobq"
 	"repro/internal/metrics"
+	"repro/internal/mgtest"
 	"repro/internal/obs"
 )
 
@@ -191,17 +192,9 @@ func TestDaemonFlightRecorderEndpoint(t *testing.T) {
 // dump file on disk naming that job.
 func TestDaemonNaNTriggersFlightDump(t *testing.T) {
 	dir := t.TempDir()
-	dumped := make(chan string, 1) // one dump expected; a second must not block the queue's runner
 	ts, _ := newTestDaemon(t, jobq.Config{
 		Run: poisonTenant(jobq.Solver(nil, nil), "chaos"),
-		Obs: obs.New(obs.Config{FlightDir: dir, OnDump: func(reason, path string) {
-			if reason == obs.ReasonNonFinite {
-				select {
-				case dumped <- path:
-				default:
-				}
-			}
-		}}),
+		Obs: obs.New(obs.Config{FlightDir: dir}),
 	})
 
 	code, res, _ := postSolve(t, ts.URL, `{"class":"S","tenant":"chaos","wait":true}`)
@@ -210,16 +203,17 @@ func TestDaemonNaNTriggersFlightDump(t *testing.T) {
 	}
 
 	// The job reports done before its observer hooks run: wait for the
-	// dump itself, not for the response.
-	var path string
-	select {
-	case path = <-dumped:
-	case <-time.After(10 * time.Second):
-		t.Fatal("no non-finite dump within 10s of the failed job")
-	}
+	// dump itself, not for the response. A dump gets its final name only
+	// once it is complete on disk.
+	var dumps []string
+	waitFor(t, func() bool {
+		dumps, _ = filepath.Glob(filepath.Join(dir, "flight-*-"+obs.ReasonNonFinite+".json"))
+		return len(dumps) > 0
+	}, "a non-finite dump")
+	path := dumps[0]
 	files, err := filepath.Glob(filepath.Join(dir, "flight-*"))
 	if err != nil || len(files) != 1 || files[0] != path {
-		t.Fatalf("dump dir holds %v (err %v), want exactly the reported dump %s", files, err, path)
+		t.Fatalf("dump dir holds %v (err %v), want exactly the non-finite dump %s", files, err, path)
 	}
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -249,10 +243,12 @@ func TestDaemonNaNTriggersFlightDump(t *testing.T) {
 func TestDaemonTraceSpanTree(t *testing.T) {
 	var buf bytes.Buffer
 	tr := metrics.NewTracer(&buf)
+	o := obs.New(obs.Config{})
 	ts, _ := newTestDaemon(t, jobq.Config{
 		Runners: 2,
 		Run:     jobq.NewSolver(jobq.SolverConfig{Trace: tr}),
 		Trace:   tr,
+		Obs:     o,
 	})
 
 	traces := []string{
@@ -274,16 +270,15 @@ func TestDaemonTraceSpanTree(t *testing.T) {
 	for range traces {
 		<-done
 	}
-	// The respond-stage events are emitted just after the waiters wake;
-	// each terminal job emits 4+ stage events plus its solver stream, so
-	// wait for the count to pass the floor and go quiet before sealing.
-	prev := -1
+	// The respond-stage events are emitted just after the waiters wake,
+	// and a job enters the flight recorder's ring just after its respond
+	// event: wait for both jobs there before sealing.
 	waitFor(t, func() bool {
-		n := tr.Events()
-		settled := n == prev && n >= 8
-		prev = n
-		return settled
-	}, "trace event stream to settle")
+		var snap bytes.Buffer
+		var d obs.Dump
+		return o.Recorder().WriteTo(&snap, "test") == nil &&
+			json.Unmarshal(snap.Bytes(), &d) == nil && len(d.Jobs) == len(traces)
+	}, "both jobs to finish")
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +396,7 @@ func TestMetricsFamilies(t *testing.T) {
 		t.Fatal("observer did not record the job within 10s of its response")
 	}
 	_, body := getBody(t, ts.URL+"/metrics")
-	samples, err := metrics.ParsePrometheus(strings.NewReader(body))
+	samples, err := mgtest.ParsePrometheus(strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +404,7 @@ func TestMetricsFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := metrics.PromSchema(samples); got != string(want) {
+	if got := mgtest.PromSchema(samples); got != string(want) {
 		t.Errorf("exposed families differ from testdata/metrics.golden:\n%s", got)
 	}
 }

@@ -13,7 +13,6 @@ package array
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/shape"
@@ -32,14 +31,6 @@ func New(shp shape.Shape) *Array {
 		panic(fmt.Sprintf("array: invalid shape %v", shp))
 	}
 	return &Array{shp: shp.Clone(), data: make([]float64, shp.Size())}
-}
-
-// NewFilled allocates an array of the given shape with every element set to
-// val.
-func NewFilled(shp shape.Shape, val float64) *Array {
-	a := New(shp)
-	a.Fill(val)
-	return a
 }
 
 // Wrap builds an array around an existing flat buffer without copying.
@@ -160,35 +151,6 @@ func (a *Array) Equal(b *Array) bool {
 		}
 	}
 	return true
-}
-
-// ApproxEqual reports whether a and b have the same shape and every pair of
-// elements differs by at most tol in absolute value.
-func (a *Array) ApproxEqual(b *Array, tol float64) bool {
-	if !a.shp.Equal(b.shp) {
-		return false
-	}
-	for i, v := range a.data {
-		if d := math.Abs(v - b.data[i]); !(d <= tol) { // NaN-propagating
-			return false
-		}
-	}
-	return true
-}
-
-// MaxAbsDiff returns the largest absolute element-wise difference between a
-// and b. The shapes must be equal.
-func (a *Array) MaxAbsDiff(b *Array) float64 {
-	if !a.shp.Equal(b.shp) {
-		panic(fmt.Sprintf("array: MaxAbsDiff: shape mismatch %v vs %v", a.shp, b.shp))
-	}
-	m := 0.0
-	for i, v := range a.data {
-		if d := math.Abs(v - b.data[i]); d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 // String renders small arrays fully and large arrays as a summary, so that

@@ -30,15 +30,6 @@ func TestNewInvalidShapePanics(t *testing.T) {
 	New(shape.Of(2, -1))
 }
 
-func TestNewFilled(t *testing.T) {
-	a := NewFilled(shape.Of(4), 2.5)
-	for _, v := range a.Data() {
-		if v != 2.5 {
-			t.Fatal("NewFilled wrong value")
-		}
-	}
-}
-
 func TestScalar(t *testing.T) {
 	s := Scalar(3.14)
 	if s.Dim() != 0 || s.Size() != 1 {
@@ -149,7 +140,8 @@ func TestFillZero(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	a := NewFilled(shape.Of(2, 2), 1)
+	a := New(shape.Of(2, 2))
+	a.Fill(1)
 	b := a.Clone()
 	b.Set(shape.Index{0, 0}, 5)
 	if a.At(shape.Index{0, 0}) != 1 {
@@ -179,32 +171,6 @@ func TestEqualNaN(t *testing.T) {
 	a := FromSlice(shape.Of(1), []float64{math.NaN()})
 	if a.Equal(a.Clone()) {
 		t.Fatal("NaN should compare unequal, like ==")
-	}
-}
-
-func TestApproxEqual(t *testing.T) {
-	a := FromSlice(shape.Of(2), []float64{1, 2})
-	b := FromSlice(shape.Of(2), []float64{1.0000001, 2})
-	if !a.ApproxEqual(b, 1e-6) {
-		t.Fatal("ApproxEqual too strict")
-	}
-	if a.ApproxEqual(b, 1e-9) {
-		t.Fatal("ApproxEqual too lax")
-	}
-	if a.ApproxEqual(FromSlice(shape.Of(1), []float64{1}), 1) {
-		t.Fatal("ApproxEqual ignored shape")
-	}
-	nan := FromSlice(shape.Of(2), []float64{math.NaN(), 2})
-	if a.ApproxEqual(nan, 1) || nan.ApproxEqual(a, 1) {
-		t.Fatal("ApproxEqual must reject NaN")
-	}
-}
-
-func TestMaxAbsDiff(t *testing.T) {
-	a := FromSlice(shape.Of(3), []float64{1, 2, 3})
-	b := FromSlice(shape.Of(3), []float64{1, 2.5, 2})
-	if got := a.MaxAbsDiff(b); got != 1 {
-		t.Fatalf("MaxAbsDiff = %g, want 1", got)
 	}
 }
 

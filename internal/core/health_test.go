@@ -80,15 +80,22 @@ func TestInjectedNaNFlaggedWithinOneIteration(t *testing.T) {
 	m := health.New()
 	env.Health = m
 
+	// The iteration residual is folded once per iteration, before the
+	// iteration's V-cycle, so counting the folds tracks the iteration.
 	const poisonAt = 2
+	var iter int
 	var poisoned bool
+	testFaultNorm = func(sumSq float64) float64 {
+		iter++
+		return sumSq
+	}
 	testFaultGrid = func(kernel string, level int, data []float64) {
-		if m.Iteration() == poisonAt && !poisoned && len(data) > 0 {
+		if iter == poisonAt && !poisoned && len(data) > 0 {
 			data[0] = math.NaN()
 			poisoned = true
 		}
 	}
-	defer func() { testFaultGrid = nil }()
+	defer func() { testFaultGrid, testFaultNorm = nil, nil }()
 
 	b := NewBenchmark(nas.ClassS, env)
 	b.Reset()

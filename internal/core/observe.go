@@ -1,8 +1,8 @@
 // Observability hooks of the SAC solver: every metrics/trace call site
 // lives here so that core.go stays the clean transliteration of the
 // paper's SAC program. The code-size figure (harness.RunCodeSize) counts
-// core.go alone as the algorithm; this file rides in the excluded row
-// with fused.go, the modeled sac2c output.
+// core.go alone as the generic program and this file as its
+// instrumentation.
 //
 // The hooks partition the solve into disjoint timed windows — the fused
 // kernels (fused.go), the border exchange (comm3), and the initial-guess

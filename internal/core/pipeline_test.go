@@ -74,8 +74,8 @@ func TestPipelinedLegsBitIdentical(t *testing.T) {
 					env.Release(gotR)
 					env.Release(gotRn)
 
-					if live := env.Pool.Live(); live != 0 {
-						t.Fatalf("%s%d pool buffers still out after the legs", name, live)
+					if st := env.Pool.Stats(); st.Allocs+st.Reuses != st.Puts {
+						t.Fatalf("%s%d pool buffers still out after the legs", name, st.Allocs+st.Reuses-st.Puts)
 					}
 					if observed && n >= pipeMinPlanes {
 						rows := map[string]bool{}
@@ -226,8 +226,8 @@ func TestSweepsReturnTheirBuffers(t *testing.T) {
 				b.Solver.Cancel = func() bool { polls++; return polls > cancelAt }
 			}
 			b.Run()
-			if live := env.Pool.Live(); live != 2 {
-				t.Errorf("%d workers, cancel at %d: %d buffers live after the solve, want v and u", workers, cancelAt, live)
+			if live := env.Pool.Stats(); live.Allocs+live.Reuses-live.Puts != 2 {
+				t.Errorf("%d workers, cancel at %d: %v after the solve, want v and u live", workers, cancelAt, live)
 			}
 			env.Close()
 		}

@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/aplib"
 	"repro/internal/array"
+	"repro/internal/mgtest"
 	"repro/internal/nas"
 	"repro/internal/shape"
 	"repro/internal/stencil"
@@ -444,7 +445,7 @@ func TestEvalExprMemoizesSharedNodes(t *testing.T) {
 	for i := range want.Data() {
 		want.Data()[i] = ra.Data()[i] + rs.Data()[i]
 	}
-	if !got.ApproxEqual(want, 0) {
+	if !mgtest.ApproxEqual(got, want, 0) {
 		t.Fatal("shared-node evaluation wrong")
 	}
 }

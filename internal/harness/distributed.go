@@ -27,10 +27,11 @@ type DistConfig struct {
 	Class nas.Class
 	// Ranks is the world size (one process per rank).
 	Ranks int
-	// Timeout is the per-rank I/O deadline (mgrank -timeout); zero
-	// means 30s. The whole run is additionally bounded by twice this
-	// plus a launch allowance, so a wedged world returns, not hangs.
-	Timeout time.Duration
+	// timeout is the per-rank I/O deadline (mgrank -timeout); zero
+	// means 30s, and only the fault tests shorten it. The whole run is
+	// additionally bounded by twice this plus a launch allowance, so a
+	// wedged world returns, not hangs.
+	timeout time.Duration
 	// Overlap selects the overlapped halo exchange (mgrank -overlap);
 	// the solve must stay bit-identical to the synchronous path.
 	Overlap bool
@@ -61,7 +62,7 @@ func runDistributed(cfg DistConfig) ([]DistRank, error) {
 	if cfg.Ranks < 1 {
 		return nil, fmt.Errorf("harness: distributed run needs at least 1 rank, got %d", cfg.Ranks)
 	}
-	timeout := cfg.Timeout
+	timeout := cfg.timeout
 	if timeout == 0 {
 		timeout = 30 * time.Second
 	}

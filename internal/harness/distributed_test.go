@@ -211,7 +211,7 @@ func TestDistributedDeadRank(t *testing.T) {
 		Binary:  bin,
 		Class:   nas.ClassS,
 		Ranks:   4,
-		Timeout: timeout,
+		timeout: timeout,
 		ExtraArgs: func(rank int) []string {
 			if rank == victim {
 				return []string{"-die-after-iter", "2"}

@@ -289,23 +289,42 @@ type CodeSizeRow struct {
 	Lines int
 }
 
+// codeRoles splits the SAC program's source by role: the generic
+// program a SAC programmer writes, the specialisation that makes -opt 3
+// fast, and the instrumentation. sac2c generates its specialisation;
+// here it is written by hand, so the generated row stays empty until a
+// generator exists. Every non-test file of internal/core and
+// internal/simd has exactly one role (TestRunCodeSize), so a new kernel
+// file cannot go uncounted.
+func codeRoles() []CodeSizeRow {
+	return []CodeSizeRow{
+		{Impl: "SAC program, generic (Figs. 4/6/7 + driver)", Files: []string{"internal/core/core.go"}},
+		{Impl: "  hand-written specialisation (-opt 3)", Files: []string{
+			"internal/core/fused.go", "internal/core/lined.go", "internal/core/pipeline.go",
+			"internal/core/compact.go", "internal/core/planes.go",
+			"internal/simd/simd.go", "internal/simd/detect_amd64.go", "internal/simd/detect_other.go",
+			"internal/simd/stubs_amd64.go", "internal/simd/kernels_amd64.s", "internal/simd/cpuid_amd64.s",
+		}},
+		{Impl: "  instrumentation (metrics, trace, health)", Files: []string{"internal/core/observe.go"}},
+		{Impl: "  generated specialisation"},
+	}
+}
+
 // RunCodeSize regenerates T-codesize: the paper reports the SAC source to
 // be "more than an order of magnitude" smaller than the low-level codes.
-// It counts non-blank, non-comment lines of the benchmark implementations.
-// The SAC-style algorithm is core.go alone — fused.go is the modeled
-// output of the SAC compiler's WITH-loop folding, not source a SAC
-// programmer writes. The measured Go-level ratio understates the paper's,
-// because the original artifacts are ~2000 lines of Fortran-77 (mg.f with
-// its own zran3/norms/driver) against ~150 lines of SAC, while our ports
-// share the NPB problem spec (internal/nas) and the Go runtime.
+// It counts non-blank, non-comment lines of the benchmark implementations:
+// the SAC program by role (codeRoles), then the F77 and C ports and the
+// NPB problem spec they share. The measured Go-level ratio understates
+// the paper's, because the original artifacts are ~2000 lines of
+// Fortran-77 (mg.f with its own zran3/norms/driver) against ~150 lines of
+// SAC, while our ports share the NPB problem spec (internal/nas) and the
+// Go runtime.
 func RunCodeSize(w io.Writer, repoRoot string) ([]CodeSizeRow, error) {
-	rows := []CodeSizeRow{
-		{Impl: "SAC program (paper Figs. 4/6/7 + driver)", Files: []string{"internal/core/core.go"}},
-		{Impl: "  sac2c folding output + instrumentation (excluded)", Files: []string{"internal/core/fused.go", "internal/core/observe.go"}},
-		{Impl: "F77 reference port", Files: []string{"internal/f77/f77.go"}},
-		{Impl: "C/OpenMP port", Files: []string{"internal/cport/cport.go"}},
-		{Impl: "shared NPB spec (zran3/comm3/norms)", Files: []string{"internal/nas/nas.go"}},
-	}
+	rows := append(codeRoles(),
+		CodeSizeRow{Impl: "F77 reference port", Files: []string{"internal/f77/f77.go"}},
+		CodeSizeRow{Impl: "C/OpenMP port", Files: []string{"internal/cport/cport.go"}},
+		CodeSizeRow{Impl: "shared NPB spec (zran3/comm3/norms)", Files: []string{"internal/nas/nas.go"}},
+	)
 	fmt.Fprintf(w, "Code size (non-blank, non-comment lines, excluding tests)\n")
 	for i := range rows {
 		total := 0
@@ -321,7 +340,8 @@ func RunCodeSize(w io.Writer, repoRoot string) ([]CodeSizeRow, error) {
 	}
 	fmt.Fprintf(w, "Context: the paper compares ~150 lines of SAC against ~2000 lines of\n")
 	fmt.Fprintf(w, "Fortran-77 (mg.f carries its own random numbers, norms and driver, which\n")
-	fmt.Fprintf(w, "these ports share via internal/nas), hence its >10x claim.\n\n")
+	fmt.Fprintf(w, "these ports share via internal/nas), hence its >10x claim. sac2c generates\n")
+	fmt.Fprintf(w, "the specialisation that this repository writes by hand.\n\n")
 	return rows, nil
 }
 

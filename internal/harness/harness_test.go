@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -151,18 +152,47 @@ func TestRunCodeSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 {
+	roles := len(codeRoles())
+	if len(rows) != roles+3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {
-		if r.Lines < 50 {
+		if r.Lines < 50 && len(r.Files) > 0 {
 			t.Errorf("%s: implausible line count %d", r.Impl, r.Lines)
 		}
 	}
-	// The paper's direction: the SAC algorithm is the smallest artifact.
-	if rows[0].Lines >= rows[2].Lines {
+	// The paper's direction: the generic SAC program is smaller than the
+	// F77 port.
+	if rows[0].Lines >= rows[roles].Lines {
 		t.Errorf("SAC program (%d lines) not smaller than the F77 port (%d lines)",
-			rows[0].Lines, rows[2].Lines)
+			rows[0].Lines, rows[roles].Lines)
+	}
+	// Every source file of the SAC program has exactly one role.
+	role := map[string][]string{}
+	for _, r := range rows[:roles] {
+		for _, f := range r.Files {
+			role[f] = append(role[f], r.Impl)
+		}
+	}
+	for _, dir := range []string{"internal/core", "internal/simd"} {
+		entries, err := os.ReadDir(filepath.Join(root, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			name := e.Name()
+			if strings.HasSuffix(name, "_test.go") || !strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, ".s") {
+				continue
+			}
+			rel := dir + "/" + name
+			if len(role[rel]) != 1 {
+				t.Errorf("%s has %d roles %v, want exactly one", rel, len(role[rel]), role[rel])
+			}
+			delete(role, rel)
+		}
+	}
+	for f := range role {
+		t.Errorf("%s has a role but is not a source file of the SAC program", f)
 	}
 }
 

@@ -109,9 +109,6 @@ func verdicts() []Verdict {
 	return []Verdict{Unknown, Healthy, Converged, Stalled, Diverging, NonFinite}
 }
 
-// ok reports whether the verdict describes an acceptable solve.
-func (v Verdict) ok() bool { return v == Unknown || v == Healthy || v == Converged }
-
 // The monitor's thresholds, calibrated on the verified NPB classes (see
 // the package comment and the per-iteration ratio table in DESIGN.md
 // §3.4).
@@ -190,16 +187,6 @@ func (m *Monitor) BeginIteration(iter int) {
 	m.iter = iter
 	m.residSeen = false
 	m.mu.Unlock()
-}
-
-// Iteration returns the current 1-based iteration (0 before the first).
-func (m *Monitor) Iteration() int {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.iter
 }
 
 // WantsResid reports whether the solver should fold the residual norm
@@ -348,16 +335,6 @@ type Report struct {
 	// perfectly balanced, 0 means no worker data was collected).
 	WorkerImbalance float64      `json:"workerImbalance,omitempty"`
 	Workers         []WorkerLoad `json:"workers,omitempty"`
-}
-
-// OK reports whether the report's verdict is acceptable.
-func (r Report) OK() bool {
-	for _, v := range verdicts() {
-		if v.String() == r.Verdict {
-			return v.ok()
-		}
-	}
-	return false
 }
 
 // Report summarizes the monitor's run state, deriving the load-balance

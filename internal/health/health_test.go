@@ -32,9 +32,6 @@ func TestHealthyContraction(t *testing.T) {
 	if r.Verdict != "healthy" {
 		t.Fatalf("verdict = %s, want healthy", r.Verdict)
 	}
-	if !r.OK() {
-		t.Fatalf("healthy report not OK: %+v", r)
-	}
 	if math.Abs(r.ConvergenceRate-0.2) > 1e-12 {
 		t.Fatalf("convergence rate = %g, want 0.2", r.ConvergenceRate)
 	}
@@ -57,9 +54,6 @@ func TestStallDetectedWithinOneIteration(t *testing.T) {
 	}
 	if r.VerdictIteration != 4 {
 		t.Fatalf("stall flagged at iteration %d, want 4 (within one iteration)", r.VerdictIteration)
-	}
-	if r.OK() {
-		t.Fatal("stalled report claims OK")
 	}
 }
 
@@ -97,9 +91,6 @@ func TestFloorGuardSuppressesStall(t *testing.T) {
 	r := m.Report(metrics.Snapshot{})
 	if r.Verdict != "converged" {
 		t.Fatalf("verdict = %s, want converged (floor guard)", r.Verdict)
-	}
-	if !r.OK() {
-		t.Fatal("converged report not OK")
 	}
 }
 
@@ -199,9 +190,6 @@ func TestNilMonitorSafe(t *testing.T) {
 	if m.SampleStride() != 0 {
 		t.Fatal("nil monitor has a sample stride")
 	}
-	if m.Iteration() != 0 {
-		t.Fatal("nil monitor has an iteration")
-	}
 	if r := m.Report(metrics.Snapshot{}); r.Verdict != "disabled" {
 		t.Fatalf("nil monitor verdict = %s, want disabled", r.Verdict)
 	}
@@ -244,12 +232,6 @@ func TestVerdictStrings(t *testing.T) {
 		if v.String() != want[i] {
 			t.Fatalf("verdict %d = %s, want %s", i, v, want[i])
 		}
-	}
-	if !Healthy.ok() || !Converged.ok() || !Unknown.ok() {
-		t.Fatal("good verdicts not OK")
-	}
-	if Stalled.ok() || Diverging.ok() || NonFinite.ok() {
-		t.Fatal("bad verdicts OK")
 	}
 }
 

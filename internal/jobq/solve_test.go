@@ -260,8 +260,8 @@ func TestConcurrentSolvesLeaveArenaBalanced(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if live := arena.Live(); live != 0 {
-		t.Fatalf("%d arena buffers still out after both jobs finished", live)
+	if st := arena.Stats(); st.Allocs+st.Reuses != st.Puts {
+		t.Fatalf("%d arena buffers still out after both jobs finished", st.Allocs+st.Reuses-st.Puts)
 	}
 }
 

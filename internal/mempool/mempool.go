@@ -32,7 +32,7 @@ import (
 	"repro/internal/shape"
 )
 
-// Stats counts memory-manager events since the pool was created or Reset.
+// Stats counts memory-manager events since the pool was created.
 type Stats struct {
 	// Allocs is the number of requests that had to allocate fresh memory.
 	Allocs uint64
@@ -261,36 +261,4 @@ func (p *Pool) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return p.stats
-}
-
-// Reset drops all retained buffers and zeroes the counters. On a Scope it
-// zeroes only the scope's counters — the shared arena is untouched.
-func (p *Pool) Reset() {
-	if p == nil {
-		return
-	}
-	a := p.arena()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	p.stats = Stats{}
-	if p != a {
-		return
-	}
-	a.free = make(map[int][]slot)
-	if a.paranoid != nil {
-		a.paranoid = make(map[*float64]bool)
-	}
-}
-
-// Live returns the number of buffers currently tracked as outstanding
-// (paranoid mode only; 0 otherwise). A steady-state leak in a solver
-// shows up as Live growing across iterations.
-func (p *Pool) Live() int {
-	if p == nil {
-		return 0
-	}
-	a := p.arena()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.paranoid)
 }

@@ -94,7 +94,6 @@ func TestNilPoolSafe(t *testing.T) {
 	if retained(p) != 0 {
 		t.Fatal("nil pool retains buffers")
 	}
-	p.Reset() // must not panic
 }
 
 func TestMaxPerSizeBound(t *testing.T) {
@@ -120,19 +119,6 @@ func TestPutEmptyNoop(t *testing.T) {
 	p.Put([]float64{})
 	if p.Stats().Puts != 0 || retained(p) != 0 {
 		t.Fatal("empty Put was recorded")
-	}
-}
-
-func TestReset(t *testing.T) {
-	p := New(true)
-	p.Put(p.GetDirty(8))
-	p.Reset()
-	if retained(p) != 0 || p.Stats() != (Stats{}) {
-		t.Fatal("Reset did not clear state")
-	}
-	// Pool still usable after Reset.
-	if len(p.GetDirty(8)) != 8 {
-		t.Fatal("pool unusable after Reset")
 	}
 }
 
@@ -255,12 +241,12 @@ func TestParanoidTracksReuse(t *testing.T) {
 	a := p.GetDirty(8)
 	p.Put(a)
 	b := p.GetDirty(8) // reuses a's buffer; must be live again
-	if p.Live() != 1 {
-		t.Fatalf("Live = %d, want 1", p.Live())
+	if len(p.paranoid) != 1 {
+		t.Fatalf("%d buffers live, want 1", len(p.paranoid))
 	}
 	p.Put(b) // must not panic
-	if p.Live() != 0 {
-		t.Fatalf("Live = %d after final Put", p.Live())
+	if len(p.paranoid) != 0 {
+		t.Fatalf("%d buffers live after final Put", len(p.paranoid))
 	}
 }
 
@@ -269,8 +255,8 @@ func TestParanoidOffByDefault(t *testing.T) {
 	buf := p.GetDirty(8)
 	p.Put(buf)
 	p.Put(buf) // tolerated without paranoid mode (documented hazard)
-	if p.Live() != 0 {
-		t.Fatal("Live non-zero without paranoid mode")
+	if p.paranoid != nil {
+		t.Fatal("buffers tracked without paranoid mode")
 	}
 }
 
@@ -301,8 +287,8 @@ func TestArraysRecycleHeaderWithBuffer(t *testing.T) {
 			t.Fatalf("NewArray element %d = %v, want 0", i, v)
 		}
 	}
-	if p.Live() != 1 {
-		t.Fatalf("Live = %d, want 1", p.Live())
+	if len(p.paranoid) != 1 {
+		t.Fatalf("%d buffers live, want 1", len(p.paranoid))
 	}
 	p.Release(b)
 	if got := p.Stats(); got.Allocs != 1 || got.Reuses != 1 || got.Puts != 2 {
@@ -365,21 +351,6 @@ func TestScopeOfScopeSharesRoot(t *testing.T) {
 	s.Put(buf)
 	if retained(arena) != 1 {
 		t.Fatalf("arena retained %d buffers, want 1", retained(arena))
-	}
-}
-
-// Reset on a scope clears only the scope's counters, never the shared
-// free lists another job may be drawing from.
-func TestScopeResetLeavesArena(t *testing.T) {
-	arena := New(true)
-	s := arena.Scope()
-	s.Put(s.GetDirty(16))
-	s.Reset()
-	if st := s.Stats(); st != (Stats{}) {
-		t.Fatalf("scope stats after Reset = %v", st)
-	}
-	if retained(arena) != 1 {
-		t.Fatal("scope Reset dropped the arena's free list")
 	}
 }
 

@@ -5,9 +5,10 @@ import (
 	"errors"
 	"math"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/mgtest"
 )
 
 // promSnapshot builds a small collector snapshot with two kernels and two
@@ -29,14 +30,14 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	snap.WritePrometheus(&buf, costs)
 
-	samples, err := ParsePrometheus(bytes.NewReader(buf.Bytes()))
+	samples, err := mgtest.ParsePrometheus(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("round trip failed: %v", err)
 	}
-	idx := PromIndex(samples)
+	idx := mgtest.PromIndex(samples)
 
 	// The counters must round-trip exactly.
-	find := func(name, kernel, level string) PromSample {
+	find := func(name, kernel, level string) mgtest.PromSample {
 		t.Helper()
 		for _, s := range idx[name] {
 			if s.Label("kernel") == kernel && s.Label("level") == level {
@@ -44,7 +45,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 			}
 		}
 		t.Fatalf("no sample %s{kernel=%q,level=%q} in:\n%s", name, kernel, level, buf.String())
-		return PromSample{}
+		return mgtest.PromSample{}
 	}
 	if v := find("mg_kernel_invocations_total", "subRelax", "5").Value; v != 2 {
 		t.Fatalf("subRelax@5 invocations = %g, want 2", v)
@@ -99,40 +100,13 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParsePrometheusEscapes(t *testing.T) {
-	in := "# TYPE m_total counter\n" + `m_total{k="a\"b\\c\nd"} 1.5` + "\n"
-	samples, err := ParsePrometheus(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 1 || samples[0].Value != 1.5 {
-		t.Fatalf("parsed %+v", samples)
-	}
-	if got := samples[0].Label("k"); got != "a\"b\\c\nd" {
-		t.Fatalf("label = %q", got)
-	}
-	// The writer escapes what the parser unescapes.
+// The writer escapes what the parser unescapes.
+func TestPromWriterEscapes(t *testing.T) {
 	var buf bytes.Buffer
 	NewPromWriter(&buf).Gauge("m", "Escapes.", 1, "k", "a\"b\\c\nd")
-	if samples, err = ParsePrometheus(&buf); err != nil || samples[0].Label("k") != "a\"b\\c\nd" {
+	samples, err := mgtest.ParsePrometheus(&buf)
+	if err != nil || len(samples) != 1 || samples[0].Label("k") != "a\"b\\c\nd" {
 		t.Fatalf("writer round trip: %+v, %v", samples, err)
-	}
-}
-
-func TestParsePrometheusRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{
-		"1leading_digit 2",
-		"name_only",
-		`m{k="unterminated} 1`,
-		`m{k=unquoted} 1`,
-		"m not-a-number",
-		"m_total 1",                            // no # TYPE line
-		"# TYPE m gauge\n# TYPE m gauge\nm 1",  // a family declared twice
-		"# TYPE m gauge\nm_bucket{le=\"1\"} 1", // _bucket of a non-histogram
-	} {
-		if _, err := ParsePrometheus(strings.NewReader(bad + "\n")); err == nil {
-			t.Fatalf("ParsePrometheus accepted %q", bad)
-		}
 	}
 }
 
@@ -152,7 +126,7 @@ func TestHistBuckets(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		NewPromWriter(&buf).Histogram("h", "One sample.", &h, 1)
-		samples, err := ParsePrometheus(&buf)
+		samples, err := mgtest.ParsePrometheus(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}

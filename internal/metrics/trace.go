@@ -92,7 +92,6 @@ type tracerCore struct {
 	bw     *bufio.Writer
 	enc    *json.Encoder
 	start  time.Time
-	n      int
 	err    error
 	closed bool
 }
@@ -125,7 +124,7 @@ func NewTracer(w io.Writer) *Tracer {
 
 // ForJob derives a view of the tracer that stamps every emitted event
 // with the given trace and job IDs. The view shares the parent's
-// stream, epoch, counters and error state — events from many jobs
+// stream, epoch and error state — events from many jobs
 // interleave on one stream and mgtrace regroups them by tag. ForJob on
 // a nil tracer returns nil (the disabled tracer propagates for free),
 // so the call is safe on any service path.
@@ -157,22 +156,9 @@ func (t *Tracer) Emit(e Event) {
 		e.T = int64(time.Since(c.start))
 		if err := c.enc.Encode(e); err != nil {
 			c.err = err
-		} else {
-			c.n++
 		}
 	}
 	c.mu.Unlock()
-}
-
-// Events returns the number of events written so far (across all views
-// of the stream).
-func (t *Tracer) Events() int {
-	if t == nil {
-		return 0
-	}
-	t.core.mu.Lock()
-	defer t.core.mu.Unlock()
-	return t.core.n
 }
 
 func (c *tracerCore) flushLocked() error {

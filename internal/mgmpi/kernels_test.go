@@ -51,7 +51,7 @@ func sameBits(t *testing.T, what string, got, want *array.Array) {
 // vectorise under the default dispatch and on one whose rows do not.
 func TestOperatorsEqualCoreKernels(t *testing.T) {
 	class := nas.ClassS
-	st := newRankState(mpi.NewComm(mpi.NewWorld(1).Transport(0)), class)
+	st := newRankState(rankComm(1, 0), class)
 	st.mem = mempool.New(true)
 	env := wl.Default()
 	ref := core.New(env)
@@ -146,8 +146,8 @@ func TestPoolBalancedAfterDeadRank(t *testing.T) {
 			s.Run()
 		}()
 		st := s.mem.Stats()
-		if live := s.mem.Live(); live != 0 || st.Allocs+st.Reuses != st.Puts {
-			t.Fatalf("overlap=%v: %d buffers outstanding after the aborted solve (%v)", overlap, live, st)
+		if st.Allocs+st.Reuses != st.Puts {
+			t.Fatalf("overlap=%v: %d buffers outstanding after the aborted solve (%v)", overlap, st.Allocs+st.Reuses-st.Puts, st)
 		}
 		if st.Puts == 0 && s.Variant() != wl.VariantScalar { // scalar needs no line buffers
 			t.Fatalf("overlap=%v: the %s kernels never used the pool", overlap, s.Variant())
@@ -174,7 +174,7 @@ func TestSlabLegsBitIdentical(t *testing.T) {
 	periodic := func(a *array.Array) *array.Array { nas.Comm3(a); return a }
 	for _, class := range classes {
 		ref.Smoother = class.SmootherCoeffs()
-		probe := newRankState(mpi.NewComm(mpi.NewWorld(1).Transport(0)), class)
+		probe := newRankState(rankComm(1, 0), class)
 		lt, lcd := probe.lt, probe.lcd
 		whole := func(seed int64, l int) *array.Array { return randomBox(seed, array.New(class.ExtShape(l))) }
 		u, v, zn := whole(1, lt), whole(2, lt), whole(3, lcd-1)

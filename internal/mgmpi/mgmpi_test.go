@@ -150,7 +150,7 @@ func TestCommunicationStructure(t *testing.T) {
 		if c.class.Name == 'W' && testing.Short() {
 			continue
 		}
-		st := newRankState(mpi.NewComm(mpi.NewWorld(c.ranks).Transport(0)), c.class)
+		st := newRankState(rankComm(c.ranks, 0), c.class)
 		if st.lcd != c.lcd {
 			t.Errorf("class %c ranks %d: coarsest distributed level %d, want %d", c.class.Name, c.ranks, st.lcd, c.lcd)
 		}
@@ -211,7 +211,7 @@ func TestValidateProcs(t *testing.T) {
 			}
 		}
 	}
-	s, err := NewWithTransport(nas.ClassS, mpi.NewWorld(3).Transport(0))
+	s, err := NewWithTransport(nas.ClassS, rankComm(3, 0).Transport())
 	if want := ValidateProcs(nas.ClassS, 3); s != nil || err == nil || err.Error() != want.Error() {
 		t.Errorf("NewWithTransport over 3 ranks: (%v, %v), want (nil, %v)", s, err, want)
 	}
@@ -439,4 +439,16 @@ func BenchmarkDisabledObservability(b *testing.B) {
 		st.kspan("resid", 5, func() { sink++ })
 	}
 	_ = sink
+}
+
+// rankComm returns rank's Comm in a fresh world of size ranks, taken from
+// World.Run; the ranks exchange nothing.
+func rankComm(size, rank int) *mpi.Comm {
+	var comm *mpi.Comm
+	mpi.NewWorld(size).Run(func(c *mpi.Comm) {
+		if c.Rank() == rank {
+			comm = c
+		}
+	})
+	return comm
 }

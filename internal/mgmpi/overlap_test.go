@@ -239,9 +239,12 @@ func TestOverlapCommVolumeMatches(t *testing.T) {
 	// overlap moves it into the late Recvs, it must not leak out of the
 	// stats.
 	for rank, st := range over.world.Stats() {
-		if st.BlockedNanos() != st.ExchangeNanos {
-			t.Errorf("rank %d: per-peer blocked %d != ExchangeNanos %d",
-				rank, st.BlockedNanos(), st.ExchangeNanos)
+		var blocked int64
+		for _, p := range st.Peers {
+			blocked += p.SendBlockedNanos + p.RecvBlockedNanos
+		}
+		if blocked != st.ExchangeNanos {
+			t.Errorf("rank %d: per-peer blocked %d != ExchangeNanos %d", rank, blocked, st.ExchangeNanos)
 		}
 	}
 }

@@ -93,7 +93,7 @@ func TestWarmTCPSolveAllocs(t *testing.T) {
 	// partials and the scratch the allgather packs its box into.
 	var stateBytes, stateObjects uint64
 	for r := range mesh {
-		st := newRankState(mpi.NewComm(mpi.NewWorld(2).Transport(r)), class)
+		st := newRankState(rankComm(2, r), class)
 		for _, grids := range []map[int]*array.Array{st.u, st.r, st.uFull, st.rFull, {0: st.v}} {
 			for _, a := range grids {
 				stateBytes += 8 * uint64(a.Size())
@@ -233,7 +233,7 @@ func TestResetEqualsSerialZran3(t *testing.T) {
 // length, whether it is short or long, instead of an index panic or a
 // partial copy.
 func TestPayloadLengthChecked(t *testing.T) {
-	st := newRankState(mpi.NewComm(mpi.NewWorld(1).Transport(0)), nas.ClassS)
+	st := newRankState(rankComm(1, 0), nas.ClassS)
 	d := st.v.Data()
 	shp := st.v.Shape()
 	lo, hi := [3]int{1, 1, 1}, [3]int{2, 2, 2} // 8 values

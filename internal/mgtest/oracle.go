@@ -2,11 +2,12 @@
 // only as a test oracle. Every operation is written in the most obvious
 // possible form — modular indexing on the torus, 27 explicit coefficient
 // lookups per point, no buffers, no fusion, no extended grids — so its
-// correctness can be checked by eye against the paper's Fig. 2. The fast
-// implementations (internal/core, f77, cport, periodic, mgmpi) are tested
-// against it on small grids; the oracle itself is validated by the
-// official verification values.
-package nas
+// correctness can be checked by eye against the paper's Fig. 2. The
+// border-free solver (internal/periodic) is tested against it on small
+// grids; the oracle itself is validated by the official verification
+// values (internal/nas's golden test).
+
+package mgtest
 
 import "repro/internal/array"
 

@@ -143,16 +143,6 @@ func (s *Stats) mergePeers(rows []PeerStat) {
 	}
 }
 
-// BlockedNanos sums the per-peer blocked time (send + recv) of the rows
-// — by construction equal to the transport's aggregate ExchangeNanos.
-func (s Stats) BlockedNanos() int64 {
-	var n int64
-	for _, p := range s.Peers {
-		n += p.SendBlockedNanos + p.RecvBlockedNanos
-	}
-	return n
-}
-
 // WritePrometheus renders the stats in the Prometheus text exposition
 // format: aggregate counters, per-(peer, tag) labeled counters, and the
 // blocked-time and queue-depth histograms. rank labels every series so

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/mgtest"
 )
 
 // TestHistBuckets checks the recorder's two histograms: every send and
@@ -77,7 +78,7 @@ func TestPeerStatsChannelWorld(t *testing.T) {
 		if sentBytes != s.Bytes {
 			t.Errorf("rank %d: per-peer bytes %d != Bytes %d", rank, sentBytes, s.Bytes)
 		}
-		if got := s.BlockedNanos(); got != s.ExchangeNanos {
+		if got := blockedNanos(s); got != s.ExchangeNanos {
 			t.Errorf("rank %d: per-peer blocked %d != ExchangeNanos %d", rank, got, s.ExchangeNanos)
 		}
 		if s.BlockedHist.Count() != 2*s.Messages {
@@ -88,7 +89,7 @@ func TestPeerStatsChannelWorld(t *testing.T) {
 		}
 	}
 	tot := w.TotalStats()
-	if got := tot.BlockedNanos(); got != tot.ExchangeNanos {
+	if got := blockedNanos(tot); got != tot.ExchangeNanos {
 		t.Errorf("total per-peer blocked %d != total ExchangeNanos %d", got, tot.ExchangeNanos)
 	}
 	if tot.BlockedHist.Count() != 2*tot.Messages {
@@ -131,7 +132,7 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 	if err := s.WritePrometheus(&buf, 3); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
-	samples, err := metrics.ParsePrometheus(bytes.NewReader(buf.Bytes()))
+	samples, err := mgtest.ParsePrometheus(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("ParsePrometheus: %v\n%s", err, buf.String())
 	}
@@ -221,7 +222,7 @@ func TestWritePrometheusFamilies(t *testing.T) {
 	if err := w.Stats()[0].WritePrometheus(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	samples, err := metrics.ParsePrometheus(&buf)
+	samples, err := mgtest.ParsePrometheus(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestWritePrometheusFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := metrics.PromSchema(samples); got != string(want) {
+	if got := mgtest.PromSchema(samples); got != string(want) {
 		t.Errorf("exposed families differ from testdata/metrics.golden:\n%s", got)
 	}
 }

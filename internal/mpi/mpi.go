@@ -66,16 +66,15 @@ type Stats struct {
 // DefaultStall bounds how long a channel-transport Send may wait on a
 // full mailbox or a Recv on an empty one before failing with an error
 // naming the (rank, tag) pair. A healthy halo exchange waits
-// microseconds; minutes means the pairing is deadlocked. Override per
-// world with World.Stall.
+// microseconds; minutes means the pairing is deadlocked.
 const DefaultStall = 2 * time.Minute
 
 // World is one SPMD program instance: a fixed set of ranks and their
 // mailboxes.
 type World struct {
-	// Stall overrides DefaultStall when positive: the longest a rank
-	// blocks in Send/Recv before the operation fails diagnosably.
-	Stall time.Duration
+	// stall is the longest a rank blocks in Send/Recv before the
+	// operation fails diagnosably: DefaultStall, shortened by tests.
+	stall time.Duration
 
 	size  int
 	mail  [][]chan message // mail[src][dst]
@@ -102,6 +101,7 @@ func NewWorld(size int) *World {
 		panic(fmt.Sprintf("mpi: invalid world size %d", size))
 	}
 	w := &World{
+		stall:   DefaultStall,
 		size:    size,
 		mail:    make([][]chan message, size),
 		stats:   make([]Stats, size),
@@ -143,24 +143,6 @@ func (w *World) TotalStats() Stats {
 		t.QueueDepthHist.Merge(&s.QueueDepthHist)
 	}
 	return t
-}
-
-// Transport returns the channel transport of one rank — the same
-// substrate World.Run wires up, for callers that drive a single rank
-// directly (tests, mgmpi.NewWithTransport differential runs).
-func (w *World) Transport(rank int) Transport {
-	if rank < 0 || rank >= w.size {
-		panic(fmt.Sprintf("mpi: invalid rank %d", rank))
-	}
-	return &chanTransport{w: w, rank: rank}
-}
-
-// stall returns the effective Send/Recv stall bound.
-func (w *World) stall() time.Duration {
-	if w.Stall > 0 {
-		return w.Stall
-	}
-	return DefaultStall
 }
 
 // abort marks the world failed: every rank blocked in Send/Recv fails
@@ -254,7 +236,7 @@ func (t *chanTransport) Send(dst, tag int, data []float64) error {
 	case box <- m:
 	default:
 		start := time.Now()
-		timer := time.NewTimer(w.stall())
+		timer := time.NewTimer(w.stall)
 		defer timer.Stop()
 		select {
 		case box <- m:
@@ -289,7 +271,7 @@ func (t *chanTransport) Recv(src, tag int) ([]float64, error) {
 	case m = <-box:
 	default:
 		start := time.Now()
-		timer := time.NewTimer(w.stall())
+		timer := time.NewTimer(w.stall)
 		defer timer.Stop()
 		select {
 		case m = <-box:

@@ -256,7 +256,7 @@ func TestWorldSize(t *testing.T) {
 // deadlocked halo exchange needs to be diagnosable.
 func TestSendFullMailboxDiagnostics(t *testing.T) {
 	w := NewWorld(2)
-	w.Stall = 30 * time.Millisecond
+	w.stall = 30 * time.Millisecond
 	var msg string
 	func() {
 		defer func() { recover() }() // Run re-raises rank 0's panic
@@ -311,7 +311,7 @@ func TestRecvFromDeadRankNamesRankAndTag(t *testing.T) {
 // A Recv with no matching Send must fail at the stall bound, not hang.
 func TestRecvStallTimesOut(t *testing.T) {
 	w := NewWorld(2)
-	w.Stall = 30 * time.Millisecond
+	w.stall = 30 * time.Millisecond
 	start := time.Now()
 	var msg string
 	func() {
@@ -344,7 +344,7 @@ func TestRecvStallTimesOut(t *testing.T) {
 // accounted in the stats.
 func TestWorldTransportDirect(t *testing.T) {
 	w := NewWorld(2)
-	t0, t1 := w.Transport(0), w.Transport(1)
+	t0, t1 := &chanTransport{w: w, rank: 0}, &chanTransport{w: w, rank: 1}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

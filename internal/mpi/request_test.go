@@ -28,9 +28,9 @@ func TestRequestOverlapExchangeStats(t *testing.T) {
 		if st.Messages != 1 || st.Bytes != 8 {
 			t.Errorf("rank %d counters = %+v", rank, st)
 		}
-		if st.BlockedNanos() != st.ExchangeNanos {
+		if blockedNanos(st) != st.ExchangeNanos {
 			t.Errorf("rank %d per-peer blocked %d != ExchangeNanos %d",
-				rank, st.BlockedNanos(), st.ExchangeNanos)
+				rank, blockedNanos(st), st.ExchangeNanos)
 		}
 		if got := st.BlockedHist.Count(); got != 2 { // one Send + one Recv
 			t.Errorf("rank %d blocked-hist samples = %d, want 2", rank, got)
@@ -41,16 +41,33 @@ func TestRequestOverlapExchangeStats(t *testing.T) {
 	}
 }
 
+// blockedNanos sums the per-peer blocked time (send + recv) of the rows,
+// which must equal the transport's aggregate ExchangeNanos.
+func blockedNanos(st Stats) int64 {
+	var n int64
+	for _, p := range st.Peers {
+		n += p.SendBlockedNanos + p.RecvBlockedNanos
+	}
+	return n
+}
+
 // Sends queued past the mailbox depth stay FIFO: the sender blocks on the
 // full mailbox, the receiver drains every tag in send order, and the
 // sender's wait is charged as exchange time on its (peer, tag) rows.
 func TestRequestFIFOUnderBackpressure(t *testing.T) {
 	const n = 3 * mailboxDepth
 	w := NewWorld(2)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		tr := w.Transport(1)
+	w.Run(func(c *Comm) {
+		tr := c.Transport()
+		if c.Rank() == 0 {
+			for tag := 0; tag <= n; tag++ {
+				if err := tr.Send(1, tag, []float64{float64(tag)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			return
+		}
 		time.Sleep(10 * time.Millisecond) // let the sender overrun the mailbox
 		for tag := 0; tag <= n; tag++ {
 			data, err := tr.Recv(0, tag)
@@ -59,21 +76,14 @@ func TestRequestFIFOUnderBackpressure(t *testing.T) {
 				return
 			}
 		}
-	}()
-	tr := w.Transport(0)
-	for tag := 0; tag <= n; tag++ {
-		if err := tr.Send(1, tag, []float64{float64(tag)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	<-done
+	})
 	st := w.Stats()[0]
 	if st.Messages != n+1 {
 		t.Fatalf("sender counted %d messages, want %d", st.Messages, n+1)
 	}
-	if st.ExchangeNanos <= 0 || st.BlockedNanos() != st.ExchangeNanos {
+	if st.ExchangeNanos <= 0 || blockedNanos(st) != st.ExchangeNanos {
 		t.Fatalf("sender blocked on a full mailbox: ExchangeNanos %d, per-peer blocked %d",
-			st.ExchangeNanos, st.BlockedNanos())
+			st.ExchangeNanos, blockedNanos(st))
 	}
 }
 
@@ -110,7 +120,7 @@ func TestRequestIrecvDeadRankFailsAtWait(t *testing.T) {
 // error and records no traffic.
 func TestRequestInvalidRank(t *testing.T) {
 	w := NewWorld(1)
-	tr := w.Transport(0)
+	tr := &chanTransport{w: w, rank: 0}
 	if err := tr.Send(3, 0, []float64{1}); err == nil || !strings.Contains(err.Error(), "invalid rank 3") {
 		t.Fatalf("Send to invalid rank: %v", err)
 	}

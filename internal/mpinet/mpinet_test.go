@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
+	"repro/internal/mgtest"
 	"repro/internal/mpi"
 )
 
@@ -269,7 +269,7 @@ func TestPeerStatsOverTCP(t *testing.T) {
 		if sent != st.Messages || recv != st.Messages {
 			t.Errorf("rank %d: per-peer sent/recv %d/%d != Messages %d", rank, sent, recv, st.Messages)
 		}
-		if got := st.BlockedNanos(); got != st.ExchangeNanos {
+		if got := blockedNanos(st); got != st.ExchangeNanos {
 			t.Errorf("rank %d: per-peer blocked %d != ExchangeNanos %d", rank, got, st.ExchangeNanos)
 		}
 		if st.BlockedHist.Count() != 2*(size-1) {
@@ -423,7 +423,7 @@ func TestBlockedSumMatchesPeers(t *testing.T) {
 		if err := st.WritePrometheus(&buf, i%2); err != nil {
 			t.Fatal(err)
 		}
-		samples, err := metrics.ParsePrometheus(&buf)
+		samples, err := mgtest.ParsePrometheus(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -440,4 +440,14 @@ func TestBlockedSumMatchesPeers(t *testing.T) {
 			t.Errorf("stats %d: _sum %d ns, per-peer counters %d ns, ExchangeNanos %d", i, sum, peers, st.ExchangeNanos)
 		}
 	}
+}
+
+// blockedNanos sums the per-peer blocked time (send + recv) of the rows,
+// which must equal the transport's aggregate ExchangeNanos.
+func blockedNanos(st mpi.Stats) int64 {
+	var n int64
+	for _, p := range st.Peers {
+		n += p.SendBlockedNanos + p.RecvBlockedNanos
+	}
+	return n
 }

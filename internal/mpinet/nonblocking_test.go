@@ -33,9 +33,9 @@ func TestRequestTCPRoundTrip(t *testing.T) {
 		if st.Messages != 1 || st.Bytes != 8 || st.WireBytes <= st.Bytes {
 			t.Errorf("rank %d counters = %+v (framing must exceed payload)", rank, st)
 		}
-		if st.BlockedNanos() != st.ExchangeNanos {
+		if blockedNanos(st) != st.ExchangeNanos {
 			t.Errorf("rank %d per-peer blocked %d != ExchangeNanos %d",
-				rank, st.BlockedNanos(), st.ExchangeNanos)
+				rank, blockedNanos(st), st.ExchangeNanos)
 		}
 		if got := st.BlockedHist.Count(); got != 2 { // one Send + one Recv
 			t.Errorf("rank %d blocked-hist samples = %d, want 2", rank, got)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/array"
+	"repro/internal/mgtest"
 	"repro/internal/nasrand"
 	"repro/internal/shape"
 )
@@ -100,7 +101,7 @@ func oracleBenchmark(class Class) float64 {
 
 	u := array.New(shape.Of(n, n, n))
 	residual := func() *array.Array {
-		au := OracleStencil(u, opA)
+		au := mgtest.OracleStencil(u, opA)
 		r := array.New(v.Shape())
 		for i := range r.Data() {
 			r.Data()[i] = v.Data()[i] - au.Data()[i]
@@ -109,7 +110,7 @@ func oracleBenchmark(class Class) float64 {
 	}
 	for it := 0; it < class.Iter; it++ {
 		r := residual()
-		z := OracleVCycle(r, opA, opS)
+		z := mgtest.OracleVCycle(r, opA, opS)
 		for i := range u.Data() {
 			u.Data()[i] += z.Data()[i]
 		}

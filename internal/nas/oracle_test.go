@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/array"
+	"repro/internal/mgtest"
 	"repro/internal/shape"
 )
 
@@ -17,10 +18,10 @@ func torusGrid(n int, seed float64) *array.Array {
 }
 
 func TestOracleStencilConstants(t *testing.T) {
-	u := array.NewFilled(shape.Of(4, 4, 4), 3.0)
+	u := mgtest.NewFilled(shape.Of(4, 4, 4), 3.0)
 	c := [4]float64{0.5, 0.25, 0.125, 0.0625}
 	total := c[0] + 6*c[1] + 12*c[2] + 8*c[3]
-	out := OracleStencil(u, c)
+	out := mgtest.OracleStencil(u, c)
 	for _, v := range out.Data() {
 		if math.Abs(v-3*total) > 1e-13 {
 			t.Fatalf("oracle stencil on constants = %v, want %v", v, 3*total)
@@ -29,8 +30,8 @@ func TestOracleStencilConstants(t *testing.T) {
 }
 
 func TestOracleInterpConstants(t *testing.T) {
-	z := array.NewFilled(shape.Of(4, 4, 4), 2.5)
-	out := OracleInterp(z)
+	z := mgtest.NewFilled(shape.Of(4, 4, 4), 2.5)
+	out := mgtest.OracleInterp(z)
 	if out.Shape()[0] != 8 {
 		t.Fatalf("interp shape %v", out.Shape())
 	}
@@ -43,13 +44,13 @@ func TestOracleInterpConstants(t *testing.T) {
 
 func TestOracleRestrictShape(t *testing.T) {
 	r := torusGrid(8, 1)
-	c := OracleRestrict(r)
+	c := mgtest.OracleRestrict(r)
 	if c.Shape()[0] != 4 {
 		t.Fatalf("restrict shape %v", c.Shape())
 	}
 	// Restriction of a constant grid: the P weights sum to 4.
-	k := array.NewFilled(shape.Of(8, 8, 8), 1.0)
-	ck := OracleRestrict(k)
+	k := mgtest.NewFilled(shape.Of(8, 8, 8), 1.0)
+	ck := mgtest.OracleRestrict(k)
 	for _, v := range ck.Data() {
 		if math.Abs(v-4) > 1e-13 {
 			t.Fatalf("restrict of ones = %v, want 4", v)
@@ -60,8 +61,8 @@ func TestOracleRestrictShape(t *testing.T) {
 func TestOracleVCycleBaseCase(t *testing.T) {
 	r := torusGrid(2, 3)
 	opS := [4]float64{-3.0 / 8.0, 1.0 / 32.0, -1.0 / 64.0, 0}
-	got := OracleVCycle(r, [4]float64{-8.0 / 3.0, 0, 1.0 / 6.0, 1.0 / 12.0}, opS)
-	want := OracleStencil(r, opS)
+	got := mgtest.OracleVCycle(r, [4]float64{-8.0 / 3.0, 0, 1.0 / 6.0, 1.0 / 12.0}, opS)
+	want := mgtest.OracleStencil(r, opS)
 	if !got.Equal(want) {
 		t.Fatal("oracle base case is not a single smoothing")
 	}
@@ -84,7 +85,7 @@ func TestOracleVCycleConverges(t *testing.T) {
 		}
 	}
 	norm := func(u *array.Array) float64 {
-		au := OracleStencil(u, opA)
+		au := mgtest.OracleStencil(u, opA)
 		s := 0.0
 		for i, x := range v.Data() {
 			d := x - au.Data()[i]
@@ -95,12 +96,12 @@ func TestOracleVCycleConverges(t *testing.T) {
 	u := array.New(shape.Of(n, n, n))
 	start := norm(u)
 	for it := 0; it < 3; it++ {
-		au := OracleStencil(u, opA)
+		au := mgtest.OracleStencil(u, opA)
 		r := array.New(v.Shape())
 		for i := range r.Data() {
 			r.Data()[i] = v.Data()[i] - au.Data()[i]
 		}
-		z := OracleVCycle(r, opA, opS)
+		z := mgtest.OracleVCycle(r, opA, opS)
 		for i := range u.Data() {
 			u.Data()[i] += z.Data()[i]
 		}

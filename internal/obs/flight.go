@@ -77,8 +77,8 @@ type FlightRecorder struct {
 	burstCount int
 }
 
-// newFlightRecorder builds a recorder with cfg's dump directory, dump
-// and burst timing and OnDump hook; New fills their defaults.
+// newFlightRecorder builds a recorder with cfg's dump directory and its
+// dump and burst timing; New fills their defaults.
 func newFlightRecorder(cfg Config) *FlightRecorder {
 	return &FlightRecorder{
 		cfg:    cfg,
@@ -211,10 +211,11 @@ func (r *FlightRecorder) WriteTo(w io.Writer, reason string) error {
 
 // Trigger takes an anomaly snapshot: rate-limited by DumpMinInterval
 // (a burst of anomalies produces one postmortem, not hundreds) and
-// written to a timestamped JSON file under FlightDir, after which OnDump
-// (if set) is told. Without a FlightDir the trigger only bumps the dump
-// counter — the snapshot stays available via Snapshot/HTTP. Returns the
-// file path (empty without a FlightDir) and whether the trigger fired.
+// written to a timestamped JSON file under FlightDir; the file appears
+// under its final name only once complete. Without a FlightDir the
+// trigger only bumps the dump counter — the snapshot stays available via
+// Snapshot/HTTP. Returns the file path (empty without a FlightDir) and
+// whether the trigger fired.
 func (r *FlightRecorder) Trigger(reason string) (string, bool) {
 	if r == nil {
 		return "", false
@@ -235,9 +236,6 @@ func (r *FlightRecorder) Trigger(reason string) (string, bool) {
 		fmt.Sprintf("flight-%s-%d-%s.json", now.UTC().Format("20060102T150405"), n, reason))
 	if err := r.writeFile(path, reason); err != nil {
 		return "", false
-	}
-	if r.cfg.OnDump != nil {
-		r.cfg.OnDump(reason, path)
 	}
 	return path, true
 }

@@ -37,11 +37,6 @@ type Config struct {
 	// recorder (defaults 2s / 16).
 	BurstWindow time.Duration
 	BurstCount  int
-	// OnDump, when non-nil, is called with the trigger reason and file
-	// path after each anomaly dump is complete on disk. Jobs report
-	// done before their observer hooks run, so this — not the job's
-	// completion — is the signal that its postmortem can be read.
-	OnDump func(reason, path string)
 }
 
 // Observer ties the layer together for the job queue and the HTTP front

@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
+	"repro/internal/mgtest"
 )
 
 // TestTraceIDMintParse pins the trace-id contract: NewTraceID mints
@@ -151,9 +151,7 @@ func TestFlightTriggerDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reported []string
-	o := New(Config{Log: log, FlightDir: dir, DumpMinInterval: time.Hour,
-		OnDump: func(reason, path string) { reported = append(reported, reason+" "+path) }})
+	o := New(Config{Log: log, FlightDir: dir, DumpMinInterval: time.Hour})
 
 	o.JobFinished(JobRecord{
 		TraceID: "00112233445566778899aabbccddeeff", JobID: "deadbeef00000001",
@@ -162,13 +160,10 @@ func TestFlightTriggerDump(t *testing.T) {
 	})
 
 	// Exactly the finished dump: the temp file it was written through is
-	// gone, and OnDump named it.
+	// gone.
 	files, err := filepath.Glob(filepath.Join(dir, "*"))
 	if err != nil || len(files) != 1 || !strings.HasSuffix(files[0], "-"+ReasonNonFinite+".json") {
 		t.Fatalf("dump dir holds %v (err %v), want exactly one non-finite dump", files, err)
-	}
-	if len(reported) != 1 || reported[0] != ReasonNonFinite+" "+files[0] {
-		t.Fatalf("OnDump calls = %v, want one for %s", reported, files[0])
 	}
 	blob, err := os.ReadFile(files[0])
 	if err != nil {
@@ -267,7 +262,7 @@ func TestStageHistPrometheus(t *testing.T) {
 		}
 	}
 	// Buckets are cumulative: each count ≥ the previous bound's.
-	samples, err := metrics.ParsePrometheus(strings.NewReader(text))
+	samples, err := mgtest.ParsePrometheus(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/array"
 	"repro/internal/core"
+	"repro/internal/mgtest"
 	"repro/internal/nas"
 	"repro/internal/shape"
 	wl "repro/internal/withloop"
@@ -128,7 +129,7 @@ func TestMappingShapes(t *testing.T) {
 // Interpolating a constant coarse grid reproduces the constant everywhere.
 func TestCoarse2FineConstants(t *testing.T) {
 	s := New(wl.Default())
-	coarse := array.NewFilled(shape.Of(4, 4, 4), 3.25)
+	coarse := mgtest.NewFilled(shape.Of(4, 4, 4), 3.25)
 	fine := s.coarse2Fine(coarse)
 	for _, v := range fine.Data() {
 		if math.Abs(v-3.25) > 1e-14 {
@@ -141,7 +142,7 @@ func TestCoarse2FineConstants(t *testing.T) {
 // special boundary handling, which is the point of this variant.
 func TestOperatorAnnihilatesConstantsEverywhere(t *testing.T) {
 	s := New(wl.Default())
-	u := array.NewFilled(shape.Of(8, 8, 8), 5.0)
+	u := mgtest.NewFilled(shape.Of(8, 8, 8), 5.0)
 	v := array.New(shape.Of(8, 8, 8))
 	r := s.residSubtract(v, u)
 	for i, x := range r.Data() {
@@ -264,9 +265,10 @@ func TestReleaseDisciplineParanoid(t *testing.T) {
 	env.Pool.SetParanoid(true)
 	b := NewBenchmark(nas.ClassS, env)
 	b.Run()
-	live1 := env.Pool.Live()
+	live := func() uint64 { st := env.Pool.Stats(); return st.Allocs + st.Reuses - st.Puts }
+	live1 := live()
 	b.Run()
-	if live2 := env.Pool.Live(); live2 > live1 {
+	if live2 := live(); live2 > live1 {
 		t.Fatalf("live buffers grew between runs: %d -> %d (leak)", live1, live2)
 	}
 }
@@ -283,7 +285,7 @@ func TestRelaxAllCoefficientsNonZero(t *testing.T) {
 	}
 	out := s.smoothAdd(nil, r)
 	// Constant check: sum of weights × constant.
-	c := array.NewFilled(shape.Of(4, 4, 4), 2.0)
+	c := mgtest.NewFilled(shape.Of(4, 4, 4), 2.0)
 	total := 0.5 + 6*0.25 + 12*0.125 + 8*0.0625
 	outC := s.smoothAdd(nil, c)
 	for _, v := range outC.Data() {
@@ -293,7 +295,7 @@ func TestRelaxAllCoefficientsNonZero(t *testing.T) {
 	}
 	_ = out
 	// And the add/sub merge modes with full coefficients.
-	z := array.NewFilled(shape.Of(4, 4, 4), 1.0)
+	z := mgtest.NewFilled(shape.Of(4, 4, 4), 1.0)
 	added := s.smoothAdd(z, c)
 	for _, v := range added.Data() {
 		if math.Abs(v-(1+2*total)) > 1e-13 {
@@ -324,33 +326,33 @@ func TestMatchesOracleSpecification(t *testing.T) {
 	}
 
 	// v − A·u.
-	au := nas.OracleStencil(u, [4]float64(s.Operator))
+	au := mgtest.OracleStencil(u, [4]float64(s.Operator))
 	want := array.New(u.Shape())
 	for i := range want.Data() {
 		want.Data()[i] = v.Data()[i] - au.Data()[i]
 	}
 	got := s.residSubtract(v, u)
-	if !got.ApproxEqual(want, 1e-12) {
-		t.Fatalf("ResidSubtract diverges from the oracle (max diff %g)", got.MaxAbsDiff(want))
+	if !mgtest.ApproxEqual(got, want, 1e-12) {
+		t.Fatalf("ResidSubtract diverges from the oracle (max diff %g)", mgtest.MaxAbsDiff(got, want))
 	}
 
 	// Restriction and prolongation.
-	if fc := s.fine2Coarse(u); !fc.ApproxEqual(nas.OracleRestrict(u), 1e-12) {
+	if fc := s.fine2Coarse(u); !mgtest.ApproxEqual(fc, mgtest.OracleRestrict(u), 1e-12) {
 		t.Fatal("Fine2Coarse diverges from the oracle")
 	}
 	zc := array.New(shape.Of(n/2, n/2, n/2))
 	for i := range zc.Data() {
 		zc.Data()[i] = math.Sin(float64(i) * 1.3)
 	}
-	if cf := s.coarse2Fine(zc); !cf.ApproxEqual(nas.OracleInterp(zc), 1e-12) {
+	if cf := s.coarse2Fine(zc); !mgtest.ApproxEqual(cf, mgtest.OracleInterp(zc), 1e-12) {
 		t.Fatal("Coarse2Fine diverges from the oracle")
 	}
 
 	// The whole V-cycle.
 	r := s.residSubtract(v, u)
 	gotZ := s.vcycle(r)
-	wantZ := nas.OracleVCycle(r, [4]float64(s.Operator), [4]float64(s.Smoother))
-	if !gotZ.ApproxEqual(wantZ, 1e-11) {
-		t.Fatalf("VCycle diverges from the oracle (max diff %g)", gotZ.MaxAbsDiff(wantZ))
+	wantZ := mgtest.OracleVCycle(r, [4]float64(s.Operator), [4]float64(s.Smoother))
+	if !mgtest.ApproxEqual(gotZ, wantZ, 1e-11) {
+		t.Fatalf("VCycle diverges from the oracle (max diff %g)", mgtest.MaxAbsDiff(gotZ, wantZ))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/array"
+	"repro/internal/mgtest"
 	"repro/internal/shape"
 	wl "repro/internal/withloop"
 )
@@ -54,7 +55,7 @@ func TestRelaxConstantGrid(t *testing.T) {
 		"A": A, "S(SWA)": SClassSWA, "S(BC)": SClassBC, "P": P, "Q": Q,
 	} {
 		total := c[0] + 6*c[1] + 12*c[2] + 8*c[3]
-		a := array.NewFilled(shape.Of(5, 5, 5), 2.0)
+		a := mgtest.NewFilled(shape.Of(5, 5, 5), 2.0)
 		got := Relax(fusedEnv(), a, c)
 		for i := 1; i < 4; i++ {
 			for j := 1; j < 4; j++ {
@@ -75,7 +76,7 @@ func TestAStencilAnnihilatesConstants(t *testing.T) {
 	if math.Abs(sum) > 1e-15 {
 		t.Fatalf("A coefficients sum to %g, want 0", sum)
 	}
-	a := array.NewFilled(shape.Of(4, 4, 4), 7.3)
+	a := mgtest.NewFilled(shape.Of(4, 4, 4), 7.3)
 	got := Relax(fusedEnv(), a, A)
 	for i := 1; i < 3; i++ {
 		for j := 1; j < 3; j++ {
@@ -149,7 +150,7 @@ func TestFusedMatchesGenericBitwise(t *testing.T) {
 			got := Relax(fusedEnv(), a, c)
 			if !got.Equal(ref) {
 				t.Fatalf("dims %v coeffs %v: O3 relaxation diverges from O0 (max diff %g)",
-					dims, c, got.MaxAbsDiff(ref))
+					dims, c, mgtest.MaxAbsDiff(got, ref))
 			}
 		}
 	}
@@ -188,7 +189,7 @@ func TestRelaxLinearityQuick(t *testing.T) {
 		right := e.Genarray(shp, wl.Full(shp), func(iv shape.Index) float64 {
 			return alpha*rx.At(iv) + beta*ry.At(iv)
 		})
-		return left.ApproxEqual(right, 1e-12)
+		return mgtest.ApproxEqual(left, right, 1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -201,7 +202,7 @@ func TestRelaxRank1And2(t *testing.T) {
 	a1 := array.FromSlice(shape.Of(4), []float64{1, 2, 3, 4})
 	got1 := Relax(e, a1, Coeffs{2, 1, 0, 0})
 	want1 := array.FromSlice(shape.Of(4), []float64{0, 2*2 + (1 + 3), 2*3 + (2 + 4), 0})
-	if !got1.ApproxEqual(want1, 1e-14) {
+	if !mgtest.ApproxEqual(got1, want1, 1e-14) {
 		t.Fatalf("rank-1 relax = %v, want %v", got1, want1)
 	}
 	// Rank 2: check one inner element by hand.
@@ -230,7 +231,7 @@ func TestRelaxRankPanics(t *testing.T) {
 func TestTinyGridsAllZero(t *testing.T) {
 	// Grids with no inner points produce all-zero output.
 	for _, dims := range [][3]int{{2, 5, 5}, {5, 2, 5}, {5, 5, 2}, {1, 1, 1}} {
-		a := array.NewFilled(shape.Of(dims[0], dims[1], dims[2]), 3)
+		a := mgtest.NewFilled(shape.Of(dims[0], dims[1], dims[2]), 3)
 		for _, v := range Relax(fusedEnv(), a, A).Data() {
 			if v != 0 {
 				t.Fatalf("dims %v: tiny grid relax non-zero", dims)

@@ -345,15 +345,6 @@ func (g Generator) positions() [][]int {
 	return pos
 }
 
-// Count returns the number of index vectors in the generator's set.
-func (g Generator) Count() int {
-	n := 1
-	for _, p := range g.positions() {
-		n *= len(p)
-	}
-	return n
-}
-
 // isFull reports whether the generator densely covers all of shp.
 func (g Generator) isFull(shp shape.Shape) bool {
 	if g.rank() != shp.Rank() || g.Step != nil {

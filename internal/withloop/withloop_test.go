@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/array"
 	"repro/internal/mempool"
+	"repro/internal/mgtest"
 	"repro/internal/sched"
 	"repro/internal/shape"
 )
@@ -97,9 +98,6 @@ func TestGenarrayStepWidth(t *testing.T) {
 			if a.Data()[i] != w {
 				t.Fatalf("env %v: step/width element %d = %g, want %g", e.Opt, i, a.Data()[i], w)
 			}
-		}
-		if g.Count() != 7 {
-			t.Fatalf("Count = %d, want 7", g.Count())
 		}
 	}
 }
@@ -420,11 +418,11 @@ func TestParallelEnvClose(t *testing.T) {
 func TestFullInnerGenerators(t *testing.T) {
 	shp := shape.Of(5, 6)
 	full := Full(shp)
-	if full.Count() != 30 || !full.isFull(shp) {
+	if full.String() != "([0,0] <= iv < [5,6])" || !full.isFull(shp) {
 		t.Fatalf("Full generator wrong: %v", full)
 	}
 	inner := Inner(shp)
-	if inner.Count() != 3*4 || inner.isFull(shp) {
+	if inner.String() != "([1,1] <= iv < [4,5])" || inner.isFull(shp) {
 		t.Fatalf("Inner generator wrong: %v", inner)
 	}
 }
@@ -467,7 +465,7 @@ var _ = mempool.New // keep import if unused in some build configurations
 // replaced.
 func TestModarrayStrided(t *testing.T) {
 	for _, e := range envs() {
-		base := array.NewFilled(shape.Of(6, 6), 1)
+		base := mgtest.NewFilled(shape.Of(6, 6), 1)
 		g := Full(base.Shape()).WithStep([]int{2, 3})
 		out := e.Modarray(base, g, func(iv shape.Index) float64 { return 9 })
 		iv := make(shape.Index, 2)

@@ -38,6 +38,17 @@ func ExampleGen() {
 	// Output: [1 0 1 0 1 0]
 }
 
+// A width keeps a run of elements per stride:
+// ( [0] <= iv < [10] step [3] width [2] ) selects 0, 1, 3, 4, 6, 7 and 9.
+func ExampleGen_width() {
+	env := sacmg.NewEnv()
+	g := sacmg.Gen([]int{0}, []int{10}).WithStep([]int{3})
+	g.Width = []int{2}
+	a := env.Genarray(sacmg.ShapeOf(10), g, func(sacmg.Index) float64 { return 1 })
+	fmt.Println(a.Data())
+	// Output: [1 1 0 1 1 0 1 1 0 1]
+}
+
 // The Fig. 10 library functions compose: condense∘scatter is the identity.
 func ExampleCondense() {
 	env := sacmg.NewEnv()

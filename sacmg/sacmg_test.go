@@ -45,10 +45,6 @@ func TestWithLoopViaFacade(t *testing.T) {
 	if got := sacmg.Sum(env, inner); got != 4 {
 		t.Fatalf("inner Sum = %v, want 4", got)
 	}
-	g := sacmg.Gen([]int{0, 0}, []int{4, 4})
-	if g.Count() != 16 {
-		t.Fatalf("Gen Count = %d", g.Count())
-	}
 }
 
 func TestArrayLibraryViaFacade(t *testing.T) {
