@@ -87,7 +87,7 @@ func (cs *compactSweep) span(p PlaneSpan) {
 		switch cs.kernel {
 		case "subRelax":
 			toExtended(o, planeOf(cs.aux, i-1, opl), on)
-			k.subRelax(o, o, at(i-1), at(i), at(i+1), xe, xe, cs.c, false)
+			k.subRelax(o, o, at(i-1), at(i), at(i+1), xe, xe, cs.c, false, false)
 		case "addRelax":
 			if cs.aux == nil {
 				clear(o)

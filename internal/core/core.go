@@ -69,6 +69,12 @@ type Solver struct {
 	// releases its workers within one V-cycle. A nil Cancel costs one
 	// predictable nil check per iteration and never changes results.
 	Cancel func() bool
+
+	// watch files the running pipelined sweep, and sampled keeps the
+	// stage clocks' last sample of each kind of sweep, by way and level
+	// (observe.go).
+	watch   sweepWatch
+	sampled [2][maxLevels]stageSums
 }
 
 // New creates a solver with the paper's default smoother (classes S/W/A)
@@ -397,7 +403,8 @@ func NewBenchmark(class nas.Class, env *wl.Env) *Benchmark {
 func (b *Benchmark) Reset() {
 	e := b.Solver.Env
 	if b.v == nil {
-		b.v = e.NewArray(b.Class.ExtShape(b.Class.LT()))
+		// Dirty: zran3 writes every point, the zeros included.
+		b.v = e.NewArrayDirty(b.Class.ExtShape(b.Class.LT()))
 	}
 	seed := b.Seed
 	if seed == 0 {

@@ -141,11 +141,11 @@ func levelOfExtent(n int) int {
 // Kernels call it at function entry — before output allocation and border
 // copies — so the recorded time covers the whole invocation, not just the
 // plane sweep (at class-A sizes the pool's zeroing of a fresh 258³ output
-// is a solid fraction of the kernel). Without a collector it returns the
-// zero time at the cost of one nil check.
-func kernelClock(e *wl.Env) (t time.Time) {
+// is a solid fraction of the kernel). Without a collector it returns zero
+// at the cost of one nil check.
+func kernelClock(e *wl.Env) (t time.Duration) {
 	if e.Metrics != nil {
-		t = time.Now()
+		t = clock()
 	}
 	return
 }
@@ -193,10 +193,10 @@ func (p *planeLoop) fanOut(body func(PlaneSpan)) {
 // the invocation is recorded under (kernel, level) as the time since
 // started (the caller's kernelClock, taken before it allocated the
 // output); without any sink the only extra cost is two nil checks.
-func (p *planeLoop) finish(started time.Time, od []float64) {
+func (p *planeLoop) finish(started time.Duration, od []float64) {
 	healthSample(p.e, p.kernel, p.level, od)
 	if p.e.Metrics != nil {
-		p.record(time.Since(started))
+		p.record(clock() - started)
 	}
 }
 
@@ -375,11 +375,11 @@ func subRelaxSweep(e *wl.Env, v, u *array.Array, c stencil.Coeffs, norm bool) (o
 }
 
 // foldNorms folds the per-plane norm partials of interior planes
-// 1..n0−2 in ascending plane order.
+// 1..n0−2 in ascending plane order; maxs may be nil.
 func foldNorms(sums, maxs []float64, n0 int) (sumSq, maxAbs float64) {
 	for i := 1; i < n0-1; i++ {
 		sumSq += sums[i]
-		if maxs[i] > maxAbs {
+		if maxs != nil && maxs[i] > maxAbs {
 			maxAbs = maxs[i]
 		}
 	}
@@ -388,18 +388,21 @@ func foldNorms(sums, maxs []float64, n0 int) (sumSq, maxAbs float64) {
 
 // SubRelaxPlanes is the plane-range entry point of subRelax (planes.go):
 // out = v − Relax(u, c) on the interior rows of planes p. od may alias vd
-// (each element reads only its own v). With sums/maxs non-nil it is the
-// subRelaxNorm sweep and stores each plane's norm partials at its plane
-// index.
+// (each element reads only its own v). With sums non-nil it is the
+// subRelaxNorm sweep and stores each plane's sum of squares at its plane
+// index, and with maxs non-nil its largest absolute value too.
 func SubRelaxPlanes(pool *mempool.Pool, od, vd, ud []float64, n1, n2 int, p PlaneSpan, variant string,
 	c stencil.Coeffs, sums, maxs []float64) {
 	k := borrowRelax(pool, variant, p.Frame, n2)
 	pl := n1 * n2
 	for i := p.Lo; i <= p.Hi; i++ {
 		sum, maxAbs := k.subRelax(planeOf(od, i, pl), planeOf(vd, i, pl),
-			planeOf(ud, i-1, pl), planeOf(ud, i, pl), planeOf(ud, i+1, pl), n1, n2, c, sums != nil)
+			planeOf(ud, i-1, pl), planeOf(ud, i, pl), planeOf(ud, i+1, pl), n1, n2, c, sums != nil, maxs != nil)
 		if sums != nil {
-			sums[i], maxs[i] = sum, maxAbs
+			sums[i] = sum
+		}
+		if maxs != nil {
+			maxs[i] = maxAbs
 		}
 	}
 	k.release(pool)
@@ -407,11 +410,13 @@ func SubRelaxPlanes(pool *mempool.Pool, od, vd, ud []float64, n1, n2 int, p Plan
 
 // subRelax computes one plane of subRelax, o = v − Relax(u, c), from u's
 // planes below, at and above it; with norm set it also returns the plane's
-// norm partials, folded from the stored rows.
-func (k *kern) subRelax(o, v, um, uz, up []float64, n1, n2 int, c stencil.Coeffs, norm bool) (sum, maxAbs float64) {
+// sum of squares, folded from the stored rows, and with abs set their
+// largest absolute value (0 without it). The health monitor reads only the
+// sum, and the simd fold of the sum alone is the cheaper one.
+func (k *kern) subRelax(o, v, um, uz, up []float64, n1, n2 int, c stencil.Coeffs, norm, abs bool) (sum, maxAbs float64) {
 	done := false
 	if k.vec {
-		sum, maxAbs, done = simd.SubRelaxPlane(o, v, um, uz, up, n1, n2, (*[4]float64)(&c), k.u1, norm)
+		sum, maxAbs, done = simd.SubRelaxPlane(o, v, um, uz, up, n1, n2, (*[4]float64)(&c), k.u1, norm, abs)
 	}
 	if !done && !k.lined {
 		subRelaxPlane(o, v, um, uz, up, n1, n2, c)
@@ -428,9 +433,11 @@ func (k *kern) subRelax(o, v, um, uz, up []float64, n1, n2 int, c stencil.Coeffs
 			if !norm {
 				continue
 			}
-			var acc float64
-			acc, maxAbs = nas.SumSquares(o[zz+1:zz+n2-1], maxAbs)
+			acc, m := nas.SumSquares(o[zz+1:zz+n2-1], maxAbs)
 			sum += acc
+			if abs {
+				maxAbs = m
+			}
 		}
 	}
 	if k.frame {

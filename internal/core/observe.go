@@ -24,6 +24,14 @@ import (
 	wl "repro/internal/withloop"
 )
 
+// epoch anchors clock. time.Since reads the monotonic clock alone, where
+// time.Now reads the wall clock as well, at about twice the cost.
+var epoch = time.Now()
+
+// clock is the ledger's clock: a monotonic reading, as a duration since
+// epoch. Every window the hooks time is a difference of two readings.
+func clock() time.Duration { return time.Since(epoch) }
+
 // levelOf computes log2(interior extent) of an extended grid.
 func levelOf(a *array.Array) int {
 	return levelOfExtent(a.Shape()[0] - 2)
@@ -39,9 +47,9 @@ func (s *Solver) probe(region string, a *array.Array, f func() *array.Array) *ar
 	if s.Probe == nil && tr == nil {
 		return f()
 	}
-	start := time.Now()
+	start := clock()
 	out := f()
-	s.region(region, levelOf(a), time.Since(start))
+	s.region(region, levelOf(a), clock()-start)
 	return out
 }
 
@@ -63,9 +71,9 @@ func (s *Solver) region(region string, level int, elapsed time.Duration) {
 func (s *Solver) newGuess(v *array.Array) *array.Array {
 	e := s.Env
 	if m := e.Metrics; m != nil {
-		start := time.Now()
+		start := clock()
 		u := aplib.GenarrayVal(e, v.Shape(), 0.0)
-		m.Record(0, "genarray", levelOf(v), int64(u.Size()), time.Since(start))
+		m.Record(0, "genarray", levelOf(v), int64(u.Size()), clock()-start)
 		return u
 	}
 	return aplib.GenarrayVal(e, v.Shape(), 0.0)
@@ -91,21 +99,21 @@ func (s *Solver) traceIter(i int, v *array.Array) {
 func (s *Solver) subRelaxObserved(v, ub *array.Array) *array.Array {
 	e := s.Env
 	if h := e.Health; h.WantsResid() {
-		out, sumSq, maxAbs := subRelaxNorm(e, v, ub, s.Operator)
-		s.observeResidual(out, sumSq, maxAbs)
+		out, sumSq, _ := subRelaxNorm(e, v, ub, s.Operator)
+		s.observeResidual(out, sumSq)
 		return out
 	}
 	return subRelax(e, v, ub, s.Operator)
 }
 
-// observeResidual feeds the iteration residual r's norm partials to the
+// observeResidual feeds the iteration residual r's sum of squares to the
 // health monitor.
-func (s *Solver) observeResidual(r *array.Array, sumSq, maxAbs float64) {
+func (s *Solver) observeResidual(r *array.Array, sumSq float64) {
 	if f := testFaultNorm; f != nil {
 		sumSq = f(sumSq)
 	}
 	n := int64(r.Shape()[0] - 2)
-	s.Env.Health.ObserveResidual(levelOf(r), sumSq, maxAbs, n*n*n)
+	s.Env.Health.ObserveResidual(sumSq, n*n*n)
 }
 
 // Test-only fault injection (core's health tests): testFaultGrid may
@@ -162,14 +170,19 @@ func (s *Solver) traceLevel(r *array.Array) func() {
 // exchange, recorded under its own collector row when a collector is
 // attached (the exchange runs outside the fused kernels' timed windows).
 func (s *Solver) comm3(a *array.Array) {
-	if m := s.Env.Metrics; m != nil {
-		start := time.Now()
+	if s.Env.Metrics != nil {
+		start := clock()
 		nas.Comm3(a)
-		n := int64(a.Shape()[0])
-		m.Record(0, "comm3", levelOf(a), 6*n*n, time.Since(start))
+		s.recordComm3(a, clock()-start)
 		return
 	}
 	nas.Comm3(a)
+}
+
+// recordComm3 files one border exchange of a that took elapsed.
+func (s *Solver) recordComm3(a *array.Array, elapsed time.Duration) {
+	n := int64(a.Shape()[0])
+	s.Env.Metrics.Record(0, "comm3", levelOf(a), 6*n*n, elapsed)
 }
 
 // The stages of a pipelined sweep (pipeline.go), as its clocks index them.
@@ -190,42 +203,91 @@ const (
 // those sums, and each share is filed where the three-call sequence files
 // the same work — the stage's (kernel, level) row with its usual point
 // count, the in-ring frame wraps under comm3, and the regions the Probe and
-// the tracer know, in the sequence's order.
+// the tracer know, in the sequence's order. The stage clocks run on one
+// sweep of every sweepEvery of a kind — way up or down, level — as they
+// run on one plane of every clockEvery: the sweeps between file their
+// wall time by the sums of the last one sampled, whose stages did the same
+// work.
 type sweepWatch struct {
 	s       *Solver
-	started time.Time
+	started time.Duration         // the clock when the sweep proper began
 	border  time.Duration         // the border exchange that led the sweep in
 	d       [nStages]atomic.Int64 // every worker's sampled time per stage
+	sample  bool                  // the stage clocks run on this sweep
+	kind    *stageSums            // its kind's last sample, nil past maxLevels
 }
 
-func (s *Solver) watch() *sweepWatch {
+// The ways of a pipelined sweep, as Solver.sampled indexes them.
+const (
+	wayUp = iota
+	wayDown
+)
+
+// sweepEvery is how many sweeps of a kind share one sample of their stage
+// clocks; maxLevels bounds the levels whose samples are kept (every sweep
+// above it samples its own).
+const (
+	sweepEvery = 4
+	maxLevels  = 16
+)
+
+// stageSums is the last sample of one kind of sweep: its workers' summed
+// stage clocks, and how many sweeps of the kind have run.
+type stageSums struct {
+	sweeps int
+	d      [nStages]int64
+}
+
+// lead runs the border exchange of a that leads a pipelined sweep of the
+// given way and level in and, when someone is observing, starts the
+// sweep's watch behind it: the exchange's end is the sweep's start, one
+// clock reading for both.
+func (s *Solver) lead(a *array.Array, way, level int) *sweepWatch {
 	if s.Probe == nil && s.Env.Trace == nil && s.Env.Metrics == nil {
+		nas.Comm3(a)
 		return nil
 	}
-	return &sweepWatch{s: s, started: time.Now()}
-}
-
-// led marks the end of the border exchange that leads the sweep in (which
-// s.comm3 files itself) and restarts the watch behind it.
-func (w *sweepWatch) led() {
-	if w != nil {
-		now := time.Now()
-		w.border, w.started = now.Sub(w.started), now
+	start := clock()
+	nas.Comm3(a)
+	// One sweep runs at a time, so the solver's one watch serves them all.
+	w := &s.watch
+	*w = sweepWatch{s: s, started: clock(), sample: true}
+	w.border = w.started - start
+	if s.Env.Metrics != nil {
+		s.recordComm3(a, w.border)
 	}
+	if level < maxLevels {
+		k := &s.sampled[way][level]
+		w.kind, w.sample = k, k.sweeps%sweepEvery == 0
+		k.sweeps++
+	}
+	return w
 }
 
-// A worker's stage clock runs on clockRun consecutive planes of every
+// clocked is the watch the workers' stage clocks file into: w on a
+// sampled sweep, nil (no clock) on the others.
+func (w *sweepWatch) clocked() *sweepWatch {
+	if w == nil || !w.sample {
+		return nil
+	}
+	return w
+}
+
+// A worker's stage clock runs on a run of consecutive planes of every
 // clockEvery of its span, counted from the end of the span's lead-in — on
 // the way up the first plane where every stage runs, on the way down the
 // even plane before the first that projects; the other planes read no
 // clock. Reading it once per stage on every plane made an observed class-S
 // solve 1.13× a plain one. The stages cost the same on every full plane,
-// so the sampled sums split the sweep's wall time as the full sums did;
-// the run is two planes long so that the way down samples an odd plane,
-// which projects, beside an even one.
+// so the sampled sums split the sweep's wall time as the full sums did.
+// On the way up every full plane runs every stage, so a run is one plane;
+// on the way down it is two, so that it samples an odd plane, which
+// projects, beside an even one, and the second plane starts at the first
+// one's last lap.
 const (
-	clockEvery = 16
-	clockRun   = 2
+	clockEvery = 32
+	upRun      = 1
+	downRun    = 2
 )
 
 // stageClock is one worker's sampling clock: plane starts a plane of the
@@ -233,24 +295,27 @@ const (
 // to a stage, and stop adds the worker's sums to the watch's.
 type stageClock struct {
 	w    *sweepWatch
+	run  int  // planes per sampled run
 	on   bool // the current plane is sampled
-	last time.Time
+	last time.Duration
 	d    [nStages]time.Duration
 }
 
 // plane starts plane k of the span's count (the lead-in's planes have
-// k < 0 and are never sampled); a sampled plane restarts the clock.
+// k < 0 and are never sampled); a sampled plane that starts a run
+// restarts the clock.
 func (c *stageClock) plane(k int) {
-	c.on = c.w != nil && k >= 0 && k%clockEvery < clockRun
-	if c.on {
-		c.last = time.Now()
+	was := c.on
+	c.on = c.w != nil && k >= 0 && k%clockEvery < c.run
+	if c.on && !was {
+		c.last = clock()
 	}
 }
 
 func (c *stageClock) lap(stage int) {
 	if c.on {
-		now := time.Now()
-		c.d[stage] += now.Sub(c.last)
+		now := clock()
+		c.d[stage] += now - c.last
 		c.last = now
 	}
 }
@@ -266,12 +331,21 @@ func (c *stageClock) stop() {
 // shares apportions the wall time since the watch restarted by the
 // workers' sampled sums, and files the frame wraps' share.
 func (w *sweepWatch) shares(sw *sweep) (d [nStages]time.Duration) {
-	wall, total := float64(time.Since(w.started)), int64(0)
-	for i := range d {
-		total += w.d[i].Load()
+	var sums [nStages]int64
+	for i := range sums {
+		sums[i] = w.d[i].Load()
 	}
-	for i := range d {
-		d[i] = time.Duration(wall * float64(w.d[i].Load()) / float64(max(total, 1)))
+	if k := w.kind; k != nil && w.sample {
+		k.d = sums
+	} else if k != nil {
+		sums = k.d
+	}
+	wall, total := float64(clock()-w.started), int64(0)
+	for _, v := range sums {
+		total += v
+	}
+	for i, v := range sums {
+		d[i] = time.Duration(wall * float64(v) / float64(max(total, 1)))
 	}
 	n := int64(sw.n)
 	w.s.Env.Metrics.Record(0, "comm3", sw.mid.level, 6*n*n, d[stWrap])
@@ -309,10 +383,10 @@ func (w *sweepWatch) fileDown(sw *sweep) {
 // closing residual.
 func (b *Benchmark) observedSolve() (rnm2, rnmu float64) {
 	e := b.Solver.Env
-	start := time.Now()
+	start := clock()
 	b.u = b.Solver.MGrid(b.v, b.Class.Iter)
 	rnm2, rnmu = b.Solver.ResidNorm(b.v, b.u, b.Class.N)
-	elapsed := time.Since(start)
+	elapsed := clock() - start
 	n := int64(b.Class.N)
 	e.Metrics.Record(0, metrics.TotalKernel, b.Class.LT(),
 		n*n*n*int64(b.Class.Iter+1), elapsed)

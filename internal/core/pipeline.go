@@ -77,7 +77,7 @@ type sweep struct {
 	planes               int  // interior planes of the fine grid
 	slab                 bool // the ends source: stored halo planes, not the wrap
 	top, mid, end        planeLoop
-	sums, maxs           []float64 // r's norm partials per plane, when the health monitor wants them
+	sums                 []float64 // r's sums of squares per plane, when the health monitor wants them
 	watch                *sweepWatch
 }
 
@@ -145,9 +145,7 @@ func (s *Solver) correct(u, zn, r *array.Array) *array.Array {
 		e.Release(z)
 		return out
 	}
-	watch := s.watch()
-	s.comm3(zn)
-	watch.led()
+	watch := s.lead(zn, wayUp, levelOf(r))
 	out := u
 	sw := s.newSweep(n, watch)
 	sw.zn, sw.r = zn.Data(), r.Data()
@@ -177,7 +175,7 @@ func (sw *sweep) up(p PlaneSpan) {
 	ring := pool.GetDirty(6 * pl)
 	zAt := func(q int) []float64 { return planeOf(ring, (q+3)%3, pl) }
 	r2At := func(q int) []float64 { return planeOf(ring, 3+(q+3)%3, pl) }
-	clk := stageClock{w: sw.watch}
+	clk := stageClock{w: sw.watch.clocked(), run: upRun}
 	for q := p.Lo - 2; q <= p.Hi+2; q++ {
 		clk.plane(q - (p.Lo + 2))
 		// Fine plane f lies on coarse plane f/2 or between it and the next,
@@ -194,7 +192,7 @@ func (sw *sweep) up(p PlaneSpan) {
 			continue
 		}
 		r2 := r2At(q - 1)
-		kr.subRelax(r2, planeOf(sw.r, sw.at(q-1), pl), zAt(q-2), zAt(q-1), z, n, n, sw.a, false)
+		kr.subRelax(r2, planeOf(sw.r, sw.at(q-1), pl), zAt(q-2), zAt(q-1), z, n, n, sw.a, false, false)
 		clk.lap(stResid)
 		WrapFrame(r2, n, n)
 		clk.lap(stWrap)
@@ -225,15 +223,13 @@ func (s *Solver) residProject(v, u *array.Array) (r, rn *array.Array) {
 		r = s.residSubtract(v, u)
 		return r, s.Fine2Coarse(r)
 	}
-	watch := s.watch()
-	s.comm3(u)
-	watch.led()
+	watch := s.lead(u, wayDown, levelOf(v))
 	sw := s.newSweep(n, watch)
 	cn := sw.cn
 	r, rn = e.NewArrayDirty(v.Shape()), e.NewArrayDirty(shape.Of(cn, cn, cn))
 	sw.u, sw.v, sw.r, sw.rn = u.Data(), v.Data(), r.Data(), rn.Data()
 	if e.Health.WantsResid() {
-		sw.sums, sw.maxs = e.Pool.GetDirty(n), e.Pool.GetDirty(n)
+		sw.sums = e.Pool.GetDirty(n)
 	}
 	sw.mid = planPlanes(e, "subRelax", n, (n-2)*(n-2))
 	sw.end = planPlanes(e, "projectCondense", cn, (cn-2)*(cn-2))
@@ -243,10 +239,9 @@ func (s *Solver) residProject(v, u *array.Array) (r, rn *array.Array) {
 	copy(planeOf(sw.r, 0, pl), planeOf(sw.r, n-2, pl))
 	copy(planeOf(sw.r, n-1, pl), planeOf(sw.r, 1, pl))
 	if sw.sums != nil {
-		sumSq, maxAbs := foldNorms(sw.sums, sw.maxs, n)
-		s.observeResidual(r, sumSq, maxAbs)
+		sumSq, _ := foldNorms(sw.sums, nil, n)
+		s.observeResidual(r, sumSq)
 		e.Pool.Put(sw.sums)
-		e.Pool.Put(sw.maxs)
 	}
 	healthSample(e, "subRelax", sw.mid.level, sw.r)
 	healthSample(e, "projectCondense", sw.end.level, sw.rn)
@@ -264,7 +259,7 @@ func (sw *sweep) down(p PlaneSpan) {
 	kr := borrowRelax(pool, sw.mid.variant, false, n)
 	kp := borrowKern(pool, sw.end.variant, !sw.slab, n, n)
 	spare := pool.GetDirty(pl)
-	clk := stageClock{w: sw.watch}
+	clk := stageClock{w: sw.watch.clocked(), run: downRun}
 	first := 2*p.Lo - 1
 	if sw.slab && p.Lo == 1 {
 		first = 0
@@ -275,10 +270,10 @@ func (sw *sweep) down(p PlaneSpan) {
 		if f <= 2*p.Hi || sw.slab && f == sw.planes+1 {
 			dst, norm = planeOf(sw.r, f, pl), sw.sums != nil
 		}
-		sum, maxAbs := kr.subRelax(dst, planeOf(sw.v, src, pl), planeOf(sw.u, src-1+d, pl), planeOf(sw.u, src+d, pl),
-			planeOf(sw.u, src+1+d, pl), n, n, sw.a, norm)
+		sum, _ := kr.subRelax(dst, planeOf(sw.v, src, pl), planeOf(sw.u, src-1+d, pl), planeOf(sw.u, src+d, pl),
+			planeOf(sw.u, src+1+d, pl), n, n, sw.a, norm, false)
 		if norm {
-			sw.sums[f], sw.maxs[f] = sum, maxAbs
+			sw.sums[f] = sum
 		}
 		clk.lap(stResid)
 		WrapFrame(dst, n, n)

@@ -98,25 +98,28 @@ func TestPipelinedLegsBitIdentical(t *testing.T) {
 }
 
 // TestSampledClocksFileEveryStage holds the stage clocks' sampling rule
-// (observe.go) at its edges: a worker span of 1, 2, 15, 16 or 17 planes —
-// one sampled run, a run cut short, a span ending just before, on and just
-// after the next run — still laps every stage of both legs, so each
-// stage's row gets time, with 1, 2 or 4 workers filing into one watch.
-// The workers sweep the same span into output grids of their own.
+// (observe.go) at its edges: a worker span of 1, 2, clockEvery−1,
+// clockEvery or clockEvery+1 planes — one sampled run, a run cut short, a
+// span ending just before, on and just after the next run — still laps
+// every stage of both legs, so each stage's row gets time, with 1, 2 or 4
+// workers filing into one watch. The workers sweep the same span into
+// output grids of their own.
 func TestSampledClocksFileEveryStage(t *testing.T) {
-	const n = 66 // 64 fine and 32 coarse interior planes: room for 17 on either leg
+	// 2·clockEvery+4 fine and clockEvery+2 coarse interior planes: room for
+	// clockEvery+1 on either leg, at levels 6 and 5 while clockEvery is 32.
+	const n = 2*clockEvery + 6
 	cn := n/2 + 1
 	zn, r := randomBox(1, cn, cn, cn), randomBox(2, n, n, n)
 	u, v := randomBox(3, n, n, n), randomBox(4, n, n, n)
 	per := (n - 2) * (n - 2)
 	for _, workers := range []int{1, 2, 4} {
-		for _, planes := range []int{1, 2, 15, 16, 17} {
+		for _, planes := range []int{1, 2, clockEvery - 1, clockEvery, clockEvery + 1} {
 			name := fmt.Sprintf("w%d span of %d planes", workers, planes)
 			env := legEnv(workers, "")
 			col := metrics.NewCollector(workers)
 			env.AttachMetrics(col)
-			s := New(env)
-			up, down := s.newSweep(n, s.watch()), s.newSweep(n, s.watch())
+			s, s2 := New(env), New(env) // a solver watches one sweep at a time
+			up, down := s.newSweep(n, s.lead(zn, wayUp, 6)), s2.newSweep(n, s2.lead(u, wayDown, 6))
 			up.zn, up.r = zn.Data(), r.Data()
 			up.top = planPlanes(env, "interpolate", n, per)
 			up.mid = planPlanes(env, "subRelax", n, per)
@@ -387,20 +390,20 @@ func downLegSeparate(s *Solver, v, u, _, _ *array.Array) {
 	s.Env.Release(r)
 }
 
-// BenchmarkObservedSolve times a warm solve plain and with a metrics
-// collector attached, as mgd attaches one to every cold request: the ratio
-// of the two is what the ledger costs a solve.
+// BenchmarkObservedSolve times a warm solve plain, with a metrics
+// collector attached, and with the collector and a health monitor — what
+// mgd attaches to every cold request: the ratios to plain are what the
+// ledger and the monitor cost a solve.
 func BenchmarkObservedSolve(b *testing.B) {
 	for _, class := range []nas.Class{nas.ClassS, nas.ClassW} {
-		for _, observed := range []bool{false, true} {
-			name := fmt.Sprintf("%c/plain", class.Name)
-			if observed {
-				name = fmt.Sprintf("%c/collector", class.Name)
-			}
-			b.Run(name, func(b *testing.B) {
+		for _, observers := range []string{"plain", "collector", "mgd"} {
+			b.Run(fmt.Sprintf("%c/%s", class.Name, observers), func(b *testing.B) {
 				env := wl.Default()
-				if observed {
+				if observers != "plain" {
 					env.AttachMetrics(metrics.NewCollector(1))
+				}
+				if observers == "mgd" {
+					env.Health = health.New()
 				}
 				bench := NewBenchmark(class, env)
 				bench.Run() // warm the pool

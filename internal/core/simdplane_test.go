@@ -15,7 +15,7 @@ import (
 // in nanoseconds per output point.
 func BenchmarkPlaneSubRelax(b *testing.B) {
 	planeBench(b, relaxBufs, func(k *kern, n int, p [6][]float64) int {
-		k.subRelax(p[0], p[1], p[2], p[3], p[4], n, n, stencil.A, false)
+		k.subRelax(p[0], p[1], p[2], p[3], p[4], n, n, stencil.A, false, false)
 		return (n - 2) * (n - 2)
 	})
 }

@@ -204,9 +204,9 @@ func (m *Monitor) WantsResid() bool {
 }
 
 // ObserveResidual records the iteration residual: sumSq is the interior
-// sum of squares over points grid points (the NPB rnm2 convention),
-// maxAbs the max norm. It must follow a true WantsResid.
-func (m *Monitor) ObserveResidual(level int, sumSq, maxAbs float64, points int64) {
+// sum of squares over points grid points (the NPB rnm2 convention). It
+// must follow a true WantsResid.
+func (m *Monitor) ObserveResidual(sumSq float64, points int64) {
 	if m == nil {
 		return
 	}
@@ -215,8 +215,6 @@ func (m *Monitor) ObserveResidual(level int, sumSq, maxAbs float64, points int64
 	m.residSeen = true
 	m.observeNorm(norm)
 	m.mu.Unlock()
-	_ = maxAbs
-	_ = level
 }
 
 // ObserveFinal records the closing residual norm of the solve (the NPB

@@ -18,7 +18,7 @@ func feed(m *Monitor, norms []float64) {
 		if m.WantsResid() {
 			// ObserveResidual takes the interior sum of squares over
 			// points; invert the rnm2 convention for a 1-point grid.
-			m.ObserveResidual(5, norm*norm, norm, 1)
+			m.ObserveResidual(norm*norm, 1)
 		}
 	}
 }
@@ -97,7 +97,7 @@ func TestFloorGuardSuppressesStall(t *testing.T) {
 func TestNonFiniteResidual(t *testing.T) {
 	m := New()
 	m.BeginIteration(1)
-	m.ObserveResidual(5, math.NaN(), math.NaN(), 1)
+	m.ObserveResidual(math.NaN(), 1)
 	r := m.Report(metrics.Snapshot{})
 	if r.Verdict != "non-finite" {
 		t.Fatalf("verdict = %s, want non-finite", r.Verdict)
@@ -145,7 +145,7 @@ func TestWantsResidOncePerIteration(t *testing.T) {
 	if !m.WantsResid() {
 		t.Fatal("WantsResid false at iteration start")
 	}
-	m.ObserveResidual(5, 1, 1, 1)
+	m.ObserveResidual(1, 1)
 	if m.WantsResid() {
 		t.Fatal("WantsResid true after the iteration residual was observed")
 	}
@@ -184,7 +184,7 @@ func TestNilMonitorSafe(t *testing.T) {
 	if m.WantsResid() {
 		t.Fatal("nil monitor wants a residual")
 	}
-	m.ObserveResidual(5, 1, 1, 1)
+	m.ObserveResidual(1, 1)
 	m.ObserveFinal(1, 1)
 	m.ObserveNonFinite("x", 0)
 	if m.SampleStride() != 0 {
@@ -200,7 +200,7 @@ func TestNilMonitorZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		m.BeginIteration(1)
 		_ = m.WantsResid()
-		m.ObserveResidual(5, 1, 1, 1)
+		m.ObserveResidual(1, 1)
 		m.ObserveFinal(1, 1)
 		m.ObserveNonFinite("x", 0)
 		_ = m.SampleStride()

@@ -80,6 +80,7 @@ func (h *Hist) Count() uint64 {
 
 // cell accumulates one (kernel, level) inside one shard.
 type cell struct {
+	key     Key
 	points  uint64
 	variant string // last recorded kernel variant; "" = none reported
 	hist    Hist   // invocation durations in nanoseconds
@@ -88,13 +89,32 @@ type cell struct {
 // shard is the private accumulator of one worker. The mutex is uncontended
 // by construction (only worker w records into shard w; Snapshot locks all
 // shards at read time) and the padding keeps neighbouring shards off the
-// same cache line.
+// same cache line. Its cells are listed by level (negative levels with
+// level 0): a level holds a few kernels, and finding one among them by
+// name costs a third of a map lookup on a Key, whose string the map
+// hashes on every record.
 type shard struct {
-	mu      sync.Mutex
-	kernels map[Key]*cell
-	loops   uint64 // parallel loop executions this worker took part in
-	busy    uint64 // nanoseconds spent inside those loop bodies
-	_       [64]byte
+	mu     sync.Mutex
+	levels [][]*cell
+	loops  uint64 // parallel loop executions this worker took part in
+	busy   uint64 // nanoseconds spent inside those loop bodies
+	_      [64]byte
+}
+
+// cell returns the shard's cell of key, added if new. Caller holds mu.
+func (s *shard) cell(key Key) *cell {
+	l := max(key.Level, 0)
+	if l >= len(s.levels) {
+		s.levels = append(s.levels, make([][]*cell, l+1-len(s.levels))...)
+	}
+	for _, cl := range s.levels[l] {
+		if cl.key == key {
+			return cl
+		}
+	}
+	cl := &cell{key: key}
+	s.levels[l] = append(s.levels[l], cl)
+	return cl
 }
 
 // Collector accumulates per-(kernel, level) statistics across workers.
@@ -111,11 +131,7 @@ func NewCollector(workers int) *Collector {
 	if workers < 1 {
 		workers = 1
 	}
-	c := &Collector{shards: make([]shard, workers)}
-	for i := range c.shards {
-		c.shards[i].kernels = map[Key]*cell{}
-	}
-	return c
+	return &Collector{shards: make([]shard, workers)}
 }
 
 // Record adds one finished kernel invocation to worker's shard: points
@@ -135,13 +151,8 @@ func (c *Collector) RecordVariant(worker int, kernel string, level int, variant 
 		return
 	}
 	s := &c.shards[worker%len(c.shards)]
-	key := Key{Kernel: kernel, Level: level}
 	s.mu.Lock()
-	cl := s.kernels[key]
-	if cl == nil {
-		cl = &cell{}
-		s.kernels[key] = cl
-	}
+	cl := s.cell(Key{Kernel: kernel, Level: level})
 	cl.points += uint64(points)
 	if variant != "" {
 		cl.variant = variant
@@ -172,7 +183,7 @@ func (c *Collector) Reset() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.kernels = map[Key]*cell{}
+		s.levels = nil
 		s.loops, s.busy = 0, 0
 		s.mu.Unlock()
 	}
@@ -239,17 +250,19 @@ func (c *Collector) Snapshot() Snapshot {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for key, cl := range s.kernels {
-			m := merged[key]
-			if m == nil {
-				m = &KernelStat{Kernel: key.Kernel, Level: key.Level}
-				merged[key] = m
+		for _, level := range s.levels {
+			for _, cl := range level {
+				m := merged[cl.key]
+				if m == nil {
+					m = &KernelStat{Kernel: cl.key.Kernel, Level: cl.key.Level}
+					merged[cl.key] = m
+				}
+				m.Points += cl.points
+				if cl.variant != "" {
+					m.Variant = cl.variant
+				}
+				m.Hist.Merge(&cl.hist)
 			}
-			m.Points += cl.points
-			if cl.variant != "" {
-				m.Variant = cl.variant
-			}
-			m.Hist.Merge(&cl.hist)
 		}
 		if s.loops > 0 {
 			snap.Workers = append(snap.Workers, WorkerStat{Worker: i, Loops: s.loops, BusyNanos: s.busy})

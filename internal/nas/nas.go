@@ -187,35 +187,30 @@ type Extremes struct {
 func Zran3Scan(n int, seed uint64, lo, hi int) Extremes {
 	m := n + 2 // extended extent
 
-	// Stream layout: plane stride a2 = a^(nx*ny), row stride a1 = a^nx.
-	// Each row is scanned for the ten largest and ten smallest values
-	// while it is still in the Fill buffer, so the field itself is never
-	// written to a grid.
+	// The field's rows follow each other in the stream — row stride a^n,
+	// plane stride a^(n·n) — so planes lo … hi are one walk of
+	// (hi−lo+1)·n² values from plane lo's offset. Once both lists are
+	// full, a value at or between the heads of small and large enters
+	// neither, and the walk skips that band without converting its states
+	// to float64; the values outside it meet the lists' own comparisons.
+	// The field itself is never written to a grid.
 	large := make([]Extreme, 0, Zran3Charges+1) // room for the insert before the drop
 	small := make([]Extreme, 0, Zran3Charges+1)
-	a1 := nasrand.PowMod(nasrand.Mult, uint64(n))
-	a2 := nasrand.PowMod(nasrand.Mult, uint64(n)*uint64(n))
-	x0 := nasrand.New(seed)
-	x0.NextWith(nasrand.PowMod(a2, uint64(lo-1))) // to plane lo
-	row := make([]float64, n)
-	for i3 := lo; i3 <= hi; i3++ {
-		x1 := nasrand.New(x0.State())
-		for i2 := 1; i2 <= n; i2++ {
-			xx := nasrand.New(x1.State())
-			xx.Fill(row)
-			base := (i3*m+i2)*m + 1
-			for i, z := range row {
-				if len(large) < Zran3Charges || z > large[0].Val {
-					large = insertAscending(large, Extreme{z, base + i}, Zran3Charges)
-				}
-				if len(small) < Zran3Charges || z < small[0].Val {
-					small = insertDescending(small, Extreme{z, base + i}, Zran3Charges)
-				}
-			}
-			x1.NextWith(a1)
+	x := nasrand.New(seed)
+	x.NextWith(nasrand.PowMod(nasrand.Mult, uint64(lo-1)*uint64(n)*uint64(n))) // to plane lo
+	x.Walk(max(hi-lo+1, 0)*n*n, 1, 0, func(i int, z float64) (float64, float64) {
+		pos := ((lo+i/(n*n))*m+i/n%n+1)*m + i%n + 1
+		if len(large) < Zran3Charges || z > large[0].Val {
+			large = insertAscending(large, Extreme{z, pos}, Zran3Charges)
 		}
-		x0.NextWith(a2)
-	}
+		if len(small) < Zran3Charges || z < small[0].Val {
+			small = insertDescending(small, Extreme{z, pos}, Zran3Charges)
+		}
+		if len(large) < Zran3Charges || len(small) < Zran3Charges {
+			return 1, 0 // an empty band: every value may enter
+		}
+		return small[0].Val, large[0].Val
+	})
 	return Extremes{Large: large, Small: small}
 }
 

@@ -338,8 +338,13 @@ func TestInsertPastLimitAllocatesNothing(t *testing.T) {
 	}
 }
 
-func BenchmarkZran3ClassS(b *testing.B) {
-	n := 32
+func BenchmarkZran3ClassS(b *testing.B) { benchZran3(b, ClassS) }
+
+func BenchmarkZran3ClassW(b *testing.B) { benchZran3(b, ClassW) }
+
+// benchZran3 times the whole Zran3 of a class: the scan and the fill of v.
+func benchZran3(b *testing.B, class Class) {
+	n := class.N
 	v := array.New(shape.Of(n+2, n+2, n+2))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -39,9 +39,6 @@ type Rand struct {
 // composition can legitimately pass through any state the caller computed.
 func New(seed uint64) *Rand { return &Rand{x: seed & modMask} }
 
-// State returns the current 46-bit state x_k.
-func (r *Rand) State() uint64 { return r.x }
-
 // NextWith advances the stream once using the multiplier a mod 2^46 —
 // the general randlc(x, a). NPB uses this to jump streams by precomputed
 // powers of the base multiplier.
@@ -50,7 +47,7 @@ func (r *Rand) NextWith(a uint64) float64 {
 	return float64(r.x) * scale
 }
 
-// The multipliers a², a³ and a⁴ mod 2^46 of Fill's interleaved streams
+// The multipliers a², a³ and a⁴ mod 2^46 of Walk's blocks of four
 // (untyped: a⁴ exceeds 64 bits before the reduction).
 const (
 	mult2 = 1220703125 * 1220703125 % (1 << 46)
@@ -58,29 +55,77 @@ const (
 	mult4 = mult3 * 1220703125 % (1 << 46)
 )
 
-// Fill writes len(dst) consecutive values into dst — NPB's
-// vranlc(n, x, a, y) with the default multiplier. It runs four interleaved
-// streams, x_{i+4} = a⁴·x_i mod 2^46, so that four multiply chains overlap
-// instead of one; the arithmetic is exact, so they produce the one
-// stream's values. A state below 2^46 converts to float64 exactly through
-// int64, which takes one instruction where uint64 takes a branch.
-func (r *Rand) Fill(dst []float64) {
-	x := r.x
-	n := len(dst) &^ 3
-	if n > 0 {
-		x0, x1, x2, x3 := (x*Mult)&modMask, (x*mult2)&modMask, (x*mult3)&modMask, (x*mult4)&modMask
-		for i := 0; i < n; i += 4 {
-			d := dst[i : i+4 : i+4]
-			d[0], d[1], d[2], d[3] = float64(int64(x0))*scale, float64(int64(x1))*scale, float64(int64(x2))*scale, float64(int64(x3))*scale
-			x = x3
-			x0, x1, x2, x3 = (x0*mult4)&modMask, (x1*mult4)&modMask, (x2*mult4)&modMask, (x3*mult4)&modMask
+// Walk draws the next count values of the stream — NPB's vranlc(n, x, a,
+// y) with the default multiplier — and passes to visit each value outside
+// the closed band [lo, hi], with its index in the walk (0 for the first
+// value drawn). visit returns the band for the values after it; a band
+// with hi < lo passes every value. Since r_k = x_k · 2^-46 exactly, the
+// band is a range of states: the walk compares states and converts only
+// the values it passes to float64.
+//
+// The walk keeps a state x as X = x·2^18, the top 46 bits of a word: then
+// X·a mod 2^64 is (x·a mod 2^46)·2^18, so the word's own wraparound does
+// the reduction and no mask is needed. It draws four values per step,
+// X·a, X·a², X·a³ and X·a⁴, so the four multiplies overlap and only the
+// last carries to the next step; the arithmetic is exact, so they are the
+// one stream's values. A step that passes a value recomputes its products
+// rather than keeping all four: kept, each cost the loop a register copy.
+func (r *Rand) Walk(count int, lo, hi float64, visit func(i int, v float64) (lo, hi float64)) {
+	x := r.x << stateShift
+	blo, bw := states(lo, hi)
+	i := 0
+	for ; i+4 <= count; i += 4 {
+		x4 := x * mult4
+		// x−blo ≤ bw is blo ≤ x ≤ blo+bw in one unsigned compare.
+		if x*Mult-blo > bw || x*mult2-blo > bw || x*mult3-blo > bw || x4-blo > bw {
+			for j, a := range [4]uint64{Mult, mult2, mult3, mult4} {
+				if s := x * a; s-blo > bw {
+					blo, bw = states(visit(i+j, value(s)))
+				}
+			}
+		}
+		x = x4
+	}
+	for ; i < count; i++ {
+		x *= Mult
+		if x-blo > bw {
+			blo, bw = states(visit(i, value(x)))
 		}
 	}
-	for i := n; i < len(dst); i++ {
-		x = (x * Mult) & modMask
-		dst[i] = float64(int64(x)) * scale
+	r.x = x >> stateShift
+}
+
+// stateShift places a 46-bit state in the top bits of a word.
+const stateShift = 64 - 46
+
+// value converts a shifted state to its value. A state below 2^46
+// converts to float64 exactly through int64, which takes one instruction
+// where uint64 takes a branch.
+func value(x uint64) float64 { return float64(int64(x>>stateShift)) * scale }
+
+// states converts the value band [lo, hi] to the shifted states it holds,
+// as the first blo and the width bw of the range blo … blo+bw: x·2^-46 ≥
+// lo exactly when x ≥ ⌈lo·2^46⌉, the scaling being exact. An empty band
+// (or a NaN bound) is the range of the one word 1, which no shifted state
+// is.
+func states(lo, hi float64) (blo, bw uint64) {
+	// Clamped to the states 0 … 2^46−1, the conversions stay in range.
+	l, h := max(lo, 0)*(1<<46), min(hi, 1)*(1<<46)
+	if !(l <= h) {
+		return 1, 0
 	}
-	r.x = x
+	bl, bh := int64(l), int64(h) // toward zero, then to ⌈l⌉ and ⌊h⌋
+	if float64(bl) < l {
+		bl++
+	}
+	if float64(bh) > h {
+		bh--
+	}
+	bh = min(bh, 1<<46-1)
+	if bh < bl {
+		return 1, 0
+	}
+	return uint64(bl) << stateShift, uint64(bh-bl) << stateShift
 }
 
 // PowMod computes a^n mod 2^46 by binary exponentiation — NPB's power

@@ -1,6 +1,8 @@
 package nasrand
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -37,18 +39,87 @@ func TestMultIs5To13(t *testing.T) {
 	}
 }
 
-func TestFillMatchesNext(t *testing.T) {
-	a := New(DefaultSeed)
-	b := New(DefaultSeed)
-	buf := make([]float64, 257)
-	a.Fill(buf)
-	for i, v := range buf {
-		if w := b.NextWith(Mult); v != w {
-			t.Fatalf("Fill[%d] = %v, NextWith(Mult) = %v", i, v, w)
+// TestWalkMatchesNext: a walk with an empty band visits every value of
+// the stream in order, at its index, and leaves the stream where as many
+// NextWith(Mult) calls leave it — for counts on and off the four-stream
+// blocks.
+func TestWalkMatchesNext(t *testing.T) {
+	for _, count := range []int{0, 1, 3, 4, 5, 8, 257} {
+		a := New(DefaultSeed)
+		b := New(DefaultSeed)
+		seen := 0
+		a.Walk(count, 1, 0, func(i int, v float64) (float64, float64) {
+			if i != seen {
+				t.Fatalf("count %d: visit %d has index %d", count, seen, i)
+			}
+			if w := b.NextWith(Mult); v != w {
+				t.Fatalf("count %d: Walk value %d = %v, NextWith(Mult) = %v", count, i, v, w)
+			}
+			seen++
+			return 1, 0
+		})
+		if seen != count || a.x != b.x {
+			t.Fatalf("count %d: %d visits, states %d and %d", count, seen, a.x, b.x)
 		}
 	}
-	if a.State() != b.State() {
-		t.Fatal("Fill and NextWith(Mult) leave different states")
+}
+
+// TestWalkSkipsBand: the walk visits exactly the values outside the band
+// visit last returned — bounds that are stream values themselves
+// included, as skipped — and switches bands from the value after the
+// visit, inside a four-stream block too.
+func TestWalkSkipsBand(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const count = 203
+	ref := New(271828183)
+	var field []float64
+	for range count {
+		field = append(field, ref.NextWith(Mult))
+	}
+	// Bands between two stream values (sometimes inverted), between two
+	// arbitrary floats, or holding every value.
+	band := func() [2]float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return [2]float64{rng.Float64(), rng.Float64()}
+		case 1:
+			return [2]float64{0, 1}
+		default:
+			return [2]float64{field[rng.Intn(count)], field[rng.Intn(count)]}
+		}
+	}
+	for trial := range 300 {
+		// The reference pass: which values a band holds, and the band
+		// each visit returns.
+		first := band()
+		var want []int
+		var next [][2]float64
+		cur := first
+		for i, v := range field {
+			if v < cur[0] || v > cur[1] {
+				want = append(want, i)
+				if rng.Intn(3) == 0 {
+					cur = band()
+				}
+				next = append(next, cur)
+			}
+		}
+		var got []int
+		r := New(271828183)
+		r.Walk(count, first[0], first[1], func(i int, v float64) (float64, float64) {
+			if v != field[i] || len(got) == len(next) {
+				t.Fatalf("trial %d: visit %d of value %v at index %d, stream value %v", trial, len(got), v, i, field[i])
+			}
+			got = append(got, i)
+			b := next[len(got)-1]
+			return b[0], b[1]
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: visited %v, want %v", trial, got, want)
+		}
+		if r.x != ref.x {
+			t.Fatalf("trial %d: the walk ends at state %d, the stream at %d", trial, r.x, ref.x)
+		}
 	}
 }
 
@@ -60,8 +131,8 @@ func TestSkipMatchesNext(t *testing.T) {
 		for i := uint64(0); i < n; i++ {
 			b.NextWith(Mult)
 		}
-		if a.State() != b.State() {
-			t.Fatalf("jump by %d: state %d != NextWith(Mult)^%d state %d", n, a.State(), n, b.State())
+		if a.x != b.x {
+			t.Fatalf("jump by %d: state %d != NextWith(Mult)^%d state %d", n, a.x, n, b.x)
 		}
 	}
 }
@@ -99,13 +170,13 @@ func TestStreamSplittingQuick(t *testing.T) {
 		seq := New(DefaultSeed)
 		split := New(DefaultSeed)
 		for row := 0; row < int(rows%16)+1; row++ {
-			rowStart := New(split.State())
-			buf := make([]float64, rowLen)
-			rowStart.Fill(buf)
-			for _, v := range buf {
-				if v != seq.NextWith(Mult) {
-					return false
-				}
+			ok := true
+			New(split.x).Walk(int(rowLen), 1, 0, func(_ int, v float64) (float64, float64) {
+				ok = ok && v == seq.NextWith(Mult)
+				return 1, 0
+			})
+			if !ok {
+				return false
 			}
 			split.NextWith(aRow) // jump the split stream one row ahead
 		}
@@ -117,10 +188,10 @@ func TestStreamSplittingQuick(t *testing.T) {
 }
 
 func TestSetStateMasks(t *testing.T) {
-	if s := New(1<<63 | 5).State(); s != 5 {
+	if s := New(1<<63 | 5).x; s != 5 {
 		t.Fatalf("New did not mask: %d", s)
 	}
-	if s := New(1<<50 | 3).State(); s != (1<<50|3)&(1<<46-1) {
+	if s := New(1<<50 | 3).x; s != (1<<50|3)&(1<<46-1) {
 		t.Fatalf("New did not mask: %d", s)
 	}
 }
@@ -147,11 +218,16 @@ func BenchmarkNext(b *testing.B) {
 	_ = s
 }
 
-func BenchmarkFill1K(b *testing.B) {
+// BenchmarkWalk1K walks 1024 values past a band that holds all but the
+// smallest and largest few, as zran3's scan does once its lists fill.
+func BenchmarkWalk1K(b *testing.B) {
 	r := New(DefaultSeed)
-	buf := make([]float64, 1024)
-	b.SetBytes(1024 * 8)
+	visits := 0
 	for i := 0; i < b.N; i++ {
-		r.Fill(buf)
+		r.Walk(1024, 0.001, 0.999, func(int, float64) (float64, float64) {
+			visits++
+			return 0.001, 0.999
+		})
 	}
+	_ = visits
 }

@@ -315,71 +315,88 @@ tc:             \
 	VADDSD (R13)(AX*8), X3, X3 \
 	VMOVSD X3, (DI)(AX*8)
 
-// NORM_COLS folds columns k = AX … of four stored rows (R11, R12, R14,
-// DI) into Y6, one row per lane — each lane adds its row's squares left
-// to right, exactly as one row's scalar sum does — and their absolute
-// values into the lane maxima Y7 (the maximum is order-free). Blocks of
-// four columns are transposed into four column vectors; the last columns
-// are gathered one at a time.
-#define NORM_COLS(vb, vc, tb, tc) \
-	JMP  vc                          \
-vb:                                  \
-	VMOVUPD    (R11)(AX*8), Y0       \
-	VMOVUPD    (R12)(AX*8), Y1       \
-	VMOVUPD    (R14)(AX*8), Y2       \
-	VMOVUPD    (DI)(AX*8), Y3        \
-	VANDPD     Y8, Y0, Y4            \
-	VMAXPD     Y7, Y4, Y7            \
-	VANDPD     Y8, Y1, Y4            \
-	VMAXPD     Y7, Y4, Y7            \
-	VANDPD     Y8, Y2, Y4            \
-	VMAXPD     Y7, Y4, Y7            \
-	VANDPD     Y8, Y3, Y4            \
-	VMAXPD     Y7, Y4, Y7            \
-	VUNPCKLPD  Y1, Y0, Y4            \
-	VUNPCKHPD  Y1, Y0, Y5            \
-	VUNPCKLPD  Y3, Y2, Y0            \
-	VUNPCKHPD  Y3, Y2, Y1            \
-	VPERM2F128 $0x20, Y0, Y4, Y2     \
-	VPERM2F128 $0x20, Y1, Y5, Y3     \
-	VPERM2F128 $0x31, Y0, Y4, Y4     \
-	VPERM2F128 $0x31, Y1, Y5, Y5     \
-	VMULPD     Y2, Y2, Y2            \
-	VADDPD     Y2, Y6, Y6            \
-	VMULPD     Y3, Y3, Y3            \
-	VADDPD     Y3, Y6, Y6            \
-	VMULPD     Y4, Y4, Y4            \
-	VADDPD     Y4, Y6, Y6            \
-	VMULPD     Y5, Y5, Y5            \
-	VADDPD     Y5, Y6, Y6            \
-	ADDQ       $4, AX                \
-vc:                                  \
-	CMPQ       AX, BX                \
-	JLE        vb                    \
-	ADDQ       $3, BX                \
-	JMP        tc                    \
-tb:                                  \
-	VMOVSD     (R11)(AX*8), X2       \
-	VMOVHPD    (R12)(AX*8), X2, X2   \
-	VMOVSD     (R14)(AX*8), X3       \
-	VMOVHPD    (DI)(AX*8), X3, X3    \
-	VINSERTF128 $1, X3, Y2, Y2       \
-	VMULPD     Y2, Y2, Y3            \
-	VADDPD     Y3, Y6, Y6            \
-	VANDPD     Y8, Y2, Y2            \
-	VMAXPD     Y7, Y2, Y7            \
-	INCQ       AX                    \
-tc:                                  \
-	CMPQ       AX, BX                \
-	JLE        tb
+// COLS4 loads one four-column block of the four stored rows at B, B+DX,
+// B+2·DX and B+3·DX (R15 = 3·DX) as four column vectors, one row per lane:
+// columns 0 … 3 in Y4, Y5, Y0 and Y1. Rows 0 and 2 (1 and 3) share a
+// vector per column pair, their halves inserted as they load, and one
+// unpack per column splits the pairs.
+#define COLS4(B) \
+	VMOVUPD     (B), X0                  \
+	VINSERTF128 $1, (B)(DX*2), Y0, Y0    \
+	VMOVUPD     (B)(DX*1), X1            \
+	VINSERTF128 $1, (B)(R15*1), Y1, Y1   \
+	VMOVUPD     16(B), X2                \
+	VINSERTF128 $1, 16(B)(DX*2), Y2, Y2  \
+	VMOVUPD     16(B)(DX*1), X3          \
+	VINSERTF128 $1, 16(B)(R15*1), Y3, Y3 \
+	VUNPCKLPD   Y1, Y0, Y4               \
+	VUNPCKHPD   Y1, Y0, Y5               \
+	VUNPCKLPD   Y3, Y2, Y0               \
+	VUNPCKHPD   Y3, Y2, Y1
+
+// SQUARES adds the squares of COLS4's columns to S in column order: each
+// lane adds its row's squares left to right, exactly as one row's scalar
+// sum does.
+#define SQUARES(S) \
+	VMULPD Y4, Y4, Y4 \
+	VADDPD Y4, S, S   \
+	VMULPD Y5, Y5, Y5 \
+	VADDPD Y5, S, S   \
+	VMULPD Y0, Y0, Y0 \
+	VADDPD Y0, S, S   \
+	VMULPD Y1, Y1, Y1 \
+	VADDPD Y1, S, S
+
+// ABSMAX raises the lane maxima M to the absolute values of COLS4's
+// columns (the maximum is order-free).
+#define ABSMAX(M) \
+	VANDPD Y8, Y4, Y2 \
+	VMAXPD M, Y2, M   \
+	VANDPD Y8, Y5, Y2 \
+	VMAXPD M, Y2, M   \
+	VANDPD Y8, Y0, Y2 \
+	VMAXPD M, Y2, M   \
+	VANDPD Y8, Y1, Y2 \
+	VMAXPD M, Y2, M
+
+// GATHER1 gathers the one column at B of the four rows into Y2, for
+// SQUARE1 and ABSMAX1, the one-column SQUARES and ABSMAX.
+#define GATHER1(B) \
+	VMOVSD      (B), X2              \
+	VMOVHPD     (B)(DX*1), X2, X2    \
+	VMOVSD      (B)(DX*2), X3        \
+	VMOVHPD     (B)(R15*1), X3, X3   \
+	VINSERTF128 $1, X3, Y2, Y2
+
+#define SQUARE1(S) \
+	VMULPD Y2, Y2, Y3 \
+	VADDPD Y3, S, S
+
+#define ABSMAX1(M) \
+	VANDPD Y8, Y2, Y3 \
+	VMAXPD M, Y3, M
+
+// SUM_LANES adds the four lanes of S to the running sum X10, lane 0 first.
+#define SUM_LANES(S, XS) \
+	VADDSD       XS, X10, X10        \
+	VPERMILPD    $1, XS, X4          \
+	VADDSD       X4, X10, X10        \
+	VEXTRACTF128 $1, S, X5           \
+	VADDSD       X5, X10, X10        \
+	VPERMILPD    $1, X5, X4          \
+	VADDSD       X4, X10, X10
 
 // func subRelaxPlaneAVX2(o, v, um, uz, up *float64, n1, n2 int, c *[4]float64, u *float64, mode int) (sum, maxAbs float64)
 // o = v − A·u on rows 1 … n1−2, columns 1 … n2−2 (n1 ≥ 3, n2 ≥ 4). Mode
 // bit 0 drops the c1 term; bit 1 also folds the stored rows into the norm
 // partials: each row's left-to-right sum of squares added to sum in row
-// order, and the largest absolute value. Rows fold four at a time, one
-// per lane, after the fourth of them is stored; the rows after the last
-// group of four fold one at a time (sum X10, maximum X11, lane maxima Y7).
+// order, and with bit 2 the largest absolute value (0 without it). Rows
+// fold eight at a time, after the eighth of them is stored: two groups of
+// four, one row per lane of Y6 and Y9 (lane maxima Y7 and Y12), in one
+// column pass, so that two chains of additions are in flight — each
+// lane's own chain is its row's sum, whose order is fixed. The
+// coefficients in Y12–Y15 are reloaded after the fold. The rows after the
+// last group of eight fold one at a time (sum X10, maximum X11).
 TEXT ·subRelaxPlaneAVX2(SB), NOSPLIT, $0-96
 	MOVQ c+56(FP), AX
 	LOAD_COEFFS(AX)
@@ -425,30 +442,98 @@ subnorm:
 	SUBQ $2, BX
 	MOVQ BX, CX
 	SUBQ R13, CX   // this row's index t among the interior rows
-	ANDQ $-4, BX   // rows in groups of four
+	ANDQ $-8, BX   // rows in groups of eight
 	CMPQ CX, BX
 	JGE  subrow1
-	ANDQ $3, CX
-	CMPQ CX, $3
+	ANDQ $7, CX
+	CMPQ CX, $7
 	JNE  subnext   // the group is not complete yet
-	MOVQ DI, R14
-	SUBQ DX, R14
-	MOVQ R14, R12
-	SUBQ DX, R12
+	LEAQ (DX)(DX*2), R15
+	MOVQ DI, R12
+	SUBQ R15, R12  // row t−3
 	MOVQ R12, R11
 	SUBQ DX, R11
-	MOVQ n2+48(FP), BX
-	SUBQ $5, BX
-	MOVQ $1, AX
+	SUBQ R15, R11  // row t−7
+	ADDQ $8, R11   // column 1
+	ADDQ $8, R12
+	MOVQ n2+48(FP), CX
+	SUBQ $2, CX
+	MOVQ CX, BX
+	SHRQ $2, CX    // four-column blocks
+	ANDQ $3, BX    // columns after them
 	VXORPD Y6, Y6, Y6
-	NORM_COLS(subn4, subn4c, subn1, subn1c)
-	VADDSD      X6, X10, X10
-	VPERMILPD   $1, X6, X4
-	VADDSD      X4, X10, X10
-	VEXTRACTF128 $1, Y6, X5
-	VADDSD      X5, X10, X10
-	VPERMILPD   $1, X5, X4
-	VADDSD      X4, X10, X10
+	VXORPD Y9, Y9, Y9
+	VXORPD Y12, Y12, Y12
+	MOVQ mode+72(FP), AX
+	TESTQ $4, AX
+	JNZ  subm4c
+	JMP  subs4c
+
+subs4:
+	COLS4(R11)
+	SQUARES(Y6)
+	COLS4(R12)
+	SQUARES(Y9)
+	ADDQ $32, R11
+	ADDQ $32, R12
+	DECQ CX
+
+subs4c:
+	TESTQ CX, CX
+	JNZ  subs4
+	JMP  subs1c
+
+subs1:
+	GATHER1(R11)
+	SQUARE1(Y6)
+	GATHER1(R12)
+	SQUARE1(Y9)
+	ADDQ $8, R11
+	ADDQ $8, R12
+	DECQ BX
+
+subs1c:
+	TESTQ BX, BX
+	JNZ  subs1
+	JMP  sublanes
+
+subm4:
+	COLS4(R11)
+	ABSMAX(Y7)
+	SQUARES(Y6)
+	COLS4(R12)
+	ABSMAX(Y12)
+	SQUARES(Y9)
+	ADDQ $32, R11
+	ADDQ $32, R12
+	DECQ CX
+
+subm4c:
+	TESTQ CX, CX
+	JNZ  subm4
+	JMP  subm1c
+
+subm1:
+	GATHER1(R11)
+	SQUARE1(Y6)
+	ABSMAX1(Y7)
+	GATHER1(R12)
+	SQUARE1(Y9)
+	ABSMAX1(Y12)
+	ADDQ $8, R11
+	ADDQ $8, R12
+	DECQ BX
+
+subm1c:
+	TESTQ BX, BX
+	JNZ  subm1
+	VMAXPD Y7, Y12, Y7
+
+sublanes:
+	SUM_LANES(Y6, X6)
+	SUM_LANES(Y9, X9)
+	MOVQ c+56(FP), AX
+	LOAD_COEFFS(AX)
 	JMP  subnext
 
 subrow1:
@@ -481,6 +566,12 @@ subnext:
 	VPERMILPD $1, X7, X4
 	VMAXSD    X4, X7, X7
 	VMAXSD    X11, X7, X11
+	MOVQ mode+72(FP), CX
+	TESTQ $4, CX
+	JNZ  subdone
+	VXORPD X11, X11, X11
+
+subdone:
 	VMOVSD X10, sum+80(FP)
 	VMOVSD X11, maxAbs+88(FP)
 	VZEROUPPER

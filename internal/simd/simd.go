@@ -48,7 +48,8 @@ const RelaxLines = 4
 // Mode bits of the assembly kernels.
 const (
 	dropTerm = 1 // the coefficient of the term the buffered rows fold is exactly zero
-	normRows = 2 // subRelax: fold the stored rows into the norm partials
+	normRows = 2 // subRelax: fold the stored rows into the norm's sum of squares
+	normAbs  = 4 // subRelax: and into its largest absolute value
 	plusW    = 2 // addRelax: add the w operand
 )
 
@@ -64,12 +65,12 @@ func fit(n int, s ...[]float64) bool {
 
 // SubRelaxPlane computes o = v − A·u on the interior rows and columns of
 // one n1×n2 plane from u's planes um, uz and up (below, at and above it),
-// through the line buffer u (RelaxLines·n2 long). o may alias v. With norm set it also returns the plane's norm
-// partials over the stored rows: the sum over rows, in order, of each
-// row's sum of squares accumulated left to right, and the largest
-// absolute value.
+// through the line buffer u (RelaxLines·n2 long). o may alias v. With norm
+// set it also returns the plane's norm partials over the stored rows: the
+// sum over rows, in order, of each row's sum of squares accumulated left
+// to right, and with abs set the largest absolute value (0 without it).
 func SubRelaxPlane(o, v, um, uz, up []float64, n1, n2 int, c *[4]float64, u []float64,
-	norm bool) (sum, maxAbs float64, ok bool) {
+	norm, abs bool) (sum, maxAbs float64, ok bool) {
 	if !useAsm || n1 < 3 || n2 < 4 || !fit(n1*n2, o, v, um, uz, up) || !fit(RelaxLines*n2, u) {
 		return 0, 0, false
 	}
@@ -79,6 +80,9 @@ func SubRelaxPlane(o, v, um, uz, up []float64, n1, n2 int, c *[4]float64, u []fl
 	}
 	if norm {
 		mode |= normRows
+	}
+	if norm && abs {
+		mode |= normAbs
 	}
 	sum, maxAbs = subRelaxPlaneAVX2(&o[0], &v[0], &um[0], &uz[0], &up[0], n1, n2, c, &u[0], mode)
 	return sum, maxAbs, true

@@ -34,10 +34,10 @@ func withAsm(t *testing.T, f func(t *testing.T)) {
 }
 
 var (
-	// Interior row counts 1 … 9: a lone row, row pairs with and without a
-	// last unpaired row, and subRelax's norm groups of four with 0 … 3
-	// rows left over.
-	planeRows    = []int{3, 4, 5, 6, 7, 8, 9, 10, 11}
+	// Interior row counts 1 … 9, 12, 15 and 16: a lone row, row pairs
+	// with and without a last unpaired row, and subRelax's norm groups of
+	// eight with none, one, some or seven rows left over.
+	planeRows    = []int{3, 4, 5, 6, 7, 8, 9, 10, 11, 14, 17, 18}
 	planeExtents = []int{3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 18, 34, 66, 130, 258}
 	// The stencils' own vectors, a vector with no zero term, and one whose
 	// face coefficient is a negative zero.
@@ -149,8 +149,8 @@ func conform(t *testing.T, what string, offset int, run func(variant string, a *
 	}
 }
 
-// conformRelax checks subRelax (with and without its norm rows, o apart
-// from v and o = v) and addRelax (z + S·r and w + (z + S·r), o apart, o = z
+// conformRelax checks subRelax (without its norm rows, with their sums,
+// and with their sums and maxima; o apart from v and o = v) and addRelax (z + S·r and w + (z + S·r), o apart, o = z
 // and o = w) on one n1×n2 plane. The aliased forms reach both rows of
 // every row pair, whose line buffers are filled before either row is
 // stored; the pool offers only the relax kernels' line buffer, inside
@@ -161,17 +161,20 @@ func conformRelax(t *testing.T, n1, n2 int, in func(int) []float64) {
 	z, w, rm, rz, rp := in(pl), in(pl), in(pl), in(pl), in(pl)
 	p := core.PlaneSpan{Lo: 2, Hi: 2}
 	for ci, c := range planeCoeffs {
-		for _, norm := range []bool{false, true} {
+		for _, norm := range []string{"", "sums", "sums+maxs"} {
 			for _, alias := range []bool{false, true} {
-				what := fmt.Sprintf("subRelax %d×%d coeffs %d norm=%v o=v:%v", n1, n2, ci, norm, alias)
+				what := fmt.Sprintf("subRelax %d×%d coeffs %d norm=%q o=v:%v", n1, n2, ci, norm, alias)
 				conform(t, what, 0, func(variant string, a *arena) ([]float64, []float64) {
 					vd, od := a.stack(pl, nil, v), a.stack(pl, nil, o)
 					if alias {
 						od = vd
 					}
 					var sums, maxs []float64
-					if norm {
-						sums, maxs = make([]float64, 3), make([]float64, 3)
+					if norm != "" {
+						sums = make([]float64, 3)
+					}
+					if norm == "sums+maxs" {
+						maxs = make([]float64, 3)
 					}
 					core.SubRelaxPlanes(a.pool(simd.RelaxLines*n2), od, vd, a.stack(pl, um, uz, up), n1, n2, p, variant, c, sums, maxs)
 					return od, append(sums, maxs...)
@@ -337,7 +340,7 @@ func TestAsmMatchesFallback(t *testing.T) {
 				}
 				relax := asm && n1 >= 3 && n2 >= 4
 				o := (&arena{}).window(pl)
-				_, _, ran := simd.SubRelaxPlane(o, x, x, x, x, n1, n2, c, lines, false)
+				_, _, ran := simd.SubRelaxPlane(o, x, x, x, x, n1, n2, c, lines, false, false)
 				expect("SubRelaxPlane", ran, relax, o)
 				o = (&arena{}).window(pl)
 				expect("AddRelaxPlane", simd.AddRelaxPlane(o, x, nil, x, x, x, n1, n2, c, lines), relax, o)
