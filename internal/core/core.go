@@ -36,6 +36,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/aplib"
 	"repro/internal/array"
@@ -75,6 +76,13 @@ type Solver struct {
 	// (observe.go).
 	watch   sweepWatch
 	sampled [2][maxLevels]stageSums
+	// exchanged is the clock reading that closed the last border exchange
+	// while a collector is attached: the window of the folded kernel the
+	// exchange leads in opens there, so one reading serves both (comm3).
+	exchanged time.Duration
+	// band, when nonzero, is the way up's band height in place of
+	// bandRows' rule (pipeline.go): tests force the heights it never picks.
+	band int
 }
 
 // New creates a solver with the paper's default smoother (classes S/W/A)
@@ -139,7 +147,7 @@ func (s *Solver) MGrid(v *array.Array, iter int) *array.Array {
 func (s *Solver) smoothAddInto(u, z, r *array.Array) *array.Array {
 	return s.probe("smooth", r, func() *array.Array {
 		rb := s.SetupPeriodicBorder(r)
-		out := addRelaxPlus(s.Env, u, z, rb, s.Smoother)
+		out := s.addRelaxPlus(u, z, rb, s.Smoother)
 		s.releaseIfCopy(rb, r)
 		return out
 	})
@@ -170,7 +178,7 @@ func (s *Solver) smoothAdd(z, r *array.Array) *array.Array {
 	if s.foldable(r) {
 		return s.probe("smooth", r, func() *array.Array {
 			rb := s.SetupPeriodicBorder(r)
-			out := addRelax(e, z, rb, s.Smoother)
+			out := s.addRelax(z, rb, s.Smoother)
 			s.releaseIfCopy(rb, r)
 			return out
 		})
@@ -232,7 +240,7 @@ func (s *Solver) Smooth(r *array.Array) *array.Array {
 		var out *array.Array
 		if s.foldable(r) {
 			z := e.NewArray(r.Shape())
-			out = addRelax(e, z, rb, s.Smoother)
+			out = s.addRelax(z, rb, s.Smoother)
 			e.Release(z)
 		} else {
 			out = stencil.Relax(e, rb, s.Smoother)
@@ -258,7 +266,7 @@ func (s *Solver) Fine2Coarse(r *array.Array) *array.Array {
 		if s.foldable(r) {
 			// Folded: relax ∘ condense ∘ embed in one traversal of the
 			// surviving points (fused.go).
-			rn := projectCondense(e, rs, s.Project)
+			rn := s.projectCondense(rs, s.Project)
 			s.releaseIfCopy(rs, r)
 			return rn
 		}
@@ -291,7 +299,7 @@ func (s *Solver) Coarse2Fine(rn *array.Array) *array.Array {
 		if s.foldable(rn) {
 			// Folded: scatter ∘ take ∘ relax as direct trilinear
 			// interpolation (fused.go).
-			out := interpolate(e, rp, s.Interp)
+			out := s.interpolate(rp, s.Interp)
 			s.releaseIfCopy(rp, rn)
 			return out
 		}

@@ -100,7 +100,7 @@ func (s *Solver) ResidNorm(v, u *array.Array, n int) (rnm2, rnmu float64) {
 		var sumSq, maxAbs float64
 		r := s.probe("resid", u, func() *array.Array {
 			ub := s.SetupPeriodicBorder(u)
-			out, sq, mx := subRelaxNorm(e, v, ub, s.Operator)
+			out, sq, mx := s.subRelaxNorm(v, ub, s.Operator)
 			s.releaseIfCopy(ub, u)
 			sumSq, maxAbs = sq, mx
 			return out
@@ -135,19 +135,6 @@ func levelOfExtent(n int) int {
 		l++
 	}
 	return l
-}
-
-// kernelClock starts the metrics timer for one fused-kernel invocation.
-// Kernels call it at function entry — before output allocation and border
-// copies — so the recorded time covers the whole invocation, not just the
-// plane sweep (at class-A sizes the pool's zeroing of a fresh 258³ output
-// is a solid fraction of the kernel). Without a collector it returns zero
-// at the cost of one nil check.
-func kernelClock(e *wl.Env) (t time.Duration) {
-	if e.Metrics != nil {
-		t = clock()
-	}
-	return
 }
 
 // planeLoop is the resolved schedule of one fused-kernel invocation over
@@ -191,8 +178,8 @@ func (p *planeLoop) fanOut(body func(PlaneSpan)) {
 // storage: with a health monitor attached it gets the sampled NaN/Inf
 // guard (observe.go), inside the timed window. With a collector attached
 // the invocation is recorded under (kernel, level) as the time since
-// started (the caller's kernelClock, taken before it allocated the
-// output); without any sink the only extra cost is two nil checks.
+// started (Solver.exchanged, read before the kernel allocated its output);
+// without any sink the only extra cost is two nil checks.
 func (p *planeLoop) finish(started time.Duration, od []float64) {
 	healthSample(p.e, p.kernel, p.level, od)
 	if p.e.Metrics != nil {
@@ -331,8 +318,8 @@ func planeOf(d []float64, i, pl int) []float64 {
 // subRelax computes out = v − Relax(u, c): the folded form of
 // aplib.Sub(v, Resid(u)). u must have its periodic border prepared.
 // Boundary elements are v's (the relaxation contributes zero there).
-func subRelax(e *wl.Env, v, u *array.Array, c stencil.Coeffs) *array.Array {
-	out, _, _ := subRelaxSweep(e, v, u, c, false)
+func (s *Solver) subRelax(v, u *array.Array, c stencil.Coeffs) *array.Array {
+	out, _, _ := s.subRelaxSweep(v, u, c, false)
 	return out
 }
 
@@ -343,12 +330,12 @@ func subRelax(e *wl.Env, v, u *array.Array, c stencil.Coeffs) *array.Array {
 // sequence. Each row's partial accumulates strictly left-to-right in k
 // from the stored row, rows fold in ascending j and planes in ascending i,
 // so the sums are bit-identical for every backend and worker count.
-func subRelaxNorm(e *wl.Env, v, u *array.Array, c stencil.Coeffs) (out *array.Array, sumSq, maxAbs float64) {
-	return subRelaxSweep(e, v, u, c, true)
+func (s *Solver) subRelaxNorm(v, u *array.Array, c stencil.Coeffs) (out *array.Array, sumSq, maxAbs float64) {
+	return s.subRelaxSweep(v, u, c, true)
 }
 
-func subRelaxSweep(e *wl.Env, v, u *array.Array, c stencil.Coeffs, norm bool) (out *array.Array, sumSq, maxAbs float64) {
-	started := kernelClock(e)
+func (s *Solver) subRelaxSweep(v, u *array.Array, c stencil.Coeffs, norm bool) (out *array.Array, sumSq, maxAbs float64) {
+	e, started := s.Env, s.exchanged
 	shp := u.Shape()
 	n0, n1, n2 := shp[0], shp[1], shp[2]
 	out = e.NewArrayDirty(shp)
@@ -492,22 +479,22 @@ func subRelaxPlane(o, v, um, uz, up []float64, n1, n2 int, c stencil.Coeffs) {
 // addRelax computes out = z + Relax(r, c): the folded form of
 // aplib.Add(z, Smooth(r)). r must have its periodic border prepared;
 // boundary elements are z's.
-func addRelax(e *wl.Env, z, r *array.Array, c stencil.Coeffs) *array.Array {
-	return addRelaxSweep(e, nil, z, r, c)
+func (s *Solver) addRelax(z, r *array.Array, c stencil.Coeffs) *array.Array {
+	return s.addRelaxSweep(nil, z, r, c)
 }
 
 // addRelaxPlus computes out = u + (z + Relax(r, c)): the folded MGrid
 // iteration tail u + VCycle-result. The inner parenthesisation matches the
 // unfolded Add(u, addRelax(z, r)) bit for bit. r must have its periodic
 // border prepared; boundary elements are u + z.
-func addRelaxPlus(e *wl.Env, u, z, r *array.Array, c stencil.Coeffs) *array.Array {
-	return addRelaxSweep(e, u, z, r, c)
+func (s *Solver) addRelaxPlus(u, z, r *array.Array, c stencil.Coeffs) *array.Array {
+	return s.addRelaxSweep(u, z, r, c)
 }
 
 // addRelaxSweep is the shared sweep of addRelax (u == nil) and
 // addRelaxPlus.
-func addRelaxSweep(e *wl.Env, u, z, r *array.Array, c stencil.Coeffs) *array.Array {
-	started := kernelClock(e)
+func (s *Solver) addRelaxSweep(u, z, r *array.Array, c stencil.Coeffs) *array.Array {
+	e, started := s.Env, s.exchanged
 	shp := z.Shape()
 	n0, n1, n2 := shp[0], shp[1], shp[2]
 	out := e.NewArrayDirty(shp)
@@ -627,8 +614,8 @@ func addRelaxPlane(o, z, u, rm, rz, rp []float64, n1, n2 int, c stencil.Coeffs) 
 // only at the even fine points that survive condensation. r must have its
 // periodic border prepared. The coarse boundary is zero, exactly like the
 // unfolded relax (zero border) → condense → embed chain.
-func projectCondense(e *wl.Env, r *array.Array, c stencil.Coeffs) *array.Array {
-	started := kernelClock(e)
+func (s *Solver) projectCondense(r *array.Array, c stencil.Coeffs) *array.Array {
+	e, started := s.Env, s.exchanged
 	mf := r.Shape()[0]
 	// condense halves the extent (mf/2), embed adds the missing boundary
 	// element: the coarse extended extent is mf/2 + 1.
@@ -708,8 +695,8 @@ func projectCondensePlane(o, rm, rz, rp []float64, fn1, fn2 int, c stencil.Coeff
 // generic kernel (each parity case is a surviving u1/u2 sub-sum chain),
 // so the result is bit-identical to the unfolded chain (the eliminated
 // terms are exact zeros).
-func interpolate(e *wl.Env, rn *array.Array, c stencil.Coeffs) *array.Array {
-	started := kernelClock(e)
+func (s *Solver) interpolate(rn *array.Array, c stencil.Coeffs) *array.Array {
+	e, started := s.Env, s.exchanged
 	mc := rn.Shape()[0]
 	mf := 2*mc - 2
 	out := e.NewArrayDirty(shape.Of(mf, mf, mf))
@@ -838,6 +825,13 @@ func setRun(o, a, b []float64, lo, hi int) {
 func writeFrame(o, a, b []float64, n1, n2 int) {
 	bot := (n1 - 1) * n2
 	setRun(o, a, b, 0, n2)
+	frameColumns(o, a, b, n1, n2)
+	setRun(o, a, b, bot, bot+n2)
+}
+
+// frameColumns is writeFrame's columns: rows 1 … n1−2 of a plane of n1 rows.
+func frameColumns(o, a, b []float64, n1, n2 int) {
+	bot := (n1 - 1) * n2
 	switch {
 	case a == nil:
 		for row := n2; row < bot; row += n2 {
@@ -852,7 +846,6 @@ func writeFrame(o, a, b []float64, n1, n2 int) {
 			o[row], o[row+n2-1] = a[row]+b[row], a[row+n2-1]+b[row+n2-1]
 		}
 	}
-	setRun(o, a, b, bot, bot+n2)
 }
 
 // endPlanes writes the boundary value on planes 0 and n0−1 of a grid; with

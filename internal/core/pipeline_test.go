@@ -11,6 +11,7 @@ import (
 	"repro/internal/health"
 	"repro/internal/metrics"
 	"repro/internal/nas"
+	"repro/internal/stencil"
 	wl "repro/internal/withloop"
 )
 
@@ -95,6 +96,91 @@ func TestPipelinedLegsBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bandHeights are the band heights the banded-way-up tests force at N
+// interior rows: one-row bands, heights that do not divide N, and N−1, whose
+// second band is one row.
+func bandHeights(rows int) []int {
+	return []int{1, 2, 3, 8, rows - 1}
+}
+
+// TestBandedUpBitIdentical holds the way up in bands of rows to its one-band
+// sweep, grid for grid and bit for bit, boundary values included: on whole
+// grids through correct, with and without MGrid's u, on 1, 2 and 4 workers,
+// and on slabs through the sweep CorrectPlanes runs, split into 1, 2 and 4
+// spans — in every backend, with bands the rule never picks.
+func TestBandedUpBitIdentical(t *testing.T) {
+	for rows := pipeMinPlanes; rows <= 64; rows *= 2 {
+		n := rows + 2
+		if bandRows(n) != rows {
+			t.Fatalf("rows of %d run in bands of %d, want one band", n, bandRows(n))
+		}
+		zn := randomBox(int64(n), n/2+1, n/2+1, n/2+1)
+		r, u := randomBox(int64(n+1), n, n, n), randomBox(int64(n+2), n, n, n)
+		ref := New(wl.Default())
+		want := ref.correct(nil, zn.Clone(), r)
+		wantU := ref.correct(u.Clone(), zn.Clone(), r)
+		for _, variant := range []string{wl.VariantScalar, wl.VariantBuffered, wl.VariantSIMD} {
+			for _, workers := range []int{1, 2, 4} {
+				for _, height := range bandHeights(rows) {
+					name := fmt.Sprintf("rows %d %s w%d bands of %d: ", rows, variant, workers, height)
+					env := legEnv(workers, variant)
+					s := New(env)
+					s.band = height
+					got := s.correct(nil, zn.Clone(), r)
+					sameBits(t, name+"z'", got, want)
+					env.Release(got)
+					mine := env.NewArrayDirty(u.Shape())
+					copy(mine.Data(), u.Data())
+					got = s.correct(mine, zn.Clone(), r)
+					sameBits(t, name+"u'", got, wantU)
+					env.Release(got)
+					if st := env.Pool.Stats(); st.Allocs+st.Reuses != st.Puts {
+						t.Fatalf("%s%d pool buffers still out", name, st.Allocs+st.Reuses-st.Puts)
+					}
+					env.Close()
+				}
+			}
+			for _, spans := range []int{1, 2, 4} {
+				for _, withU := range []bool{false, true} {
+					one := slabUp(rows, rows, spans, variant, withU)
+					for _, height := range bandHeights(rows) {
+						got := slabUp(rows, height, spans, variant, withU)
+						for i := range one {
+							if math.Float64bits(got[i]) != math.Float64bits(one[i]) {
+								t.Fatalf("slab rows %d %s %d spans u=%v bands of %d: element %d = %.17g, one band %.17g",
+									rows, variant, spans, withU, height, i, got[i], one[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// slabUp runs the way up on a slab of rows/2 planes, laterally whole, in
+// the layout of CorrectPlanes and the sweep it runs, in bands of height
+// rows, the slab split into spans consecutive spans. It returns the result
+// grid, every plane of it, halos included.
+func slabUp(rows, height, spans int, variant string, withU bool) []float64 {
+	n, planes := rows+2, rows/2
+	cn := n/2 + 1
+	zd := randomBox(1, planes/2+4, cn, cn).Data()
+	rd := randomBox(2, planes+2, n, n).Data()
+	od := randomBox(3, planes+4, n, n).Data()
+	var ud []float64
+	if withU {
+		ud = od
+	}
+	sw := sweep{a: stencil.A, sm: stencil.SClassSWA, q: stencil.Q, u: ud, zn: zd, r: rd, out: od, n: n, cn: cn,
+		planes: planes, band: height, slab: true}
+	sw.top.variant, sw.mid.variant, sw.end.variant = variant, variant, variant
+	for i := range spans {
+		sw.up(PlaneSpan{Lo: i*planes/spans + 1, Hi: (i + 1) * planes / spans})
+	}
+	return od
 }
 
 // TestSampledClocksFileEveryStage holds the stage clocks' sampling rule
@@ -416,9 +502,28 @@ func BenchmarkObservedSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkUpLegPipelined times the way up at rows of 66 (W's finest
+// level), 130 (A's second level, the largest the rule could run as one
+// band) and 258 (A's finest).
 func BenchmarkUpLegPipelined(b *testing.B) {
 	b.Run("W", func(b *testing.B) { legBench(b, nas.ClassW, upKernels, upLegPipelined) })
+	b.Run("N128", func(b *testing.B) { legBench(b, nas.Class{Name: 'A', N: 128}, upKernels, upLegPipelined) })
 	b.Run("A", func(b *testing.B) { legBench(b, nas.ClassA, upKernels, upLegPipelined) })
+}
+
+// BenchmarkUpLegBands times the way up at rows of 130 and 258 in bands of
+// 16 rows to one band: the measurements upBudget is chosen from.
+func BenchmarkUpLegBands(b *testing.B) {
+	for _, rows := range []int{128, 256} {
+		for height := 16; height <= rows; height *= 2 {
+			b.Run(fmt.Sprintf("N%d/band%d", rows, height), func(b *testing.B) {
+				legBench(b, nas.Class{Name: 'A', N: rows}, upKernels, func(s *Solver, v, u, zn, r *array.Array) {
+					s.band = height
+					upLegPipelined(s, v, u, zn, r)
+				})
+			})
+		}
+	}
 }
 
 func BenchmarkUpLegSeparate(b *testing.B) {

@@ -310,16 +310,16 @@ func (s *Solver) EvalExpr(e Expr, inputs map[string]*array.Array) *array.Array {
 			out = aplib.Take(s.Env, shape.Shape(shape.AddScalar([]int(x.Shape()), -2)), x)
 		case *FSubRelax:
 			ub := s.SetupPeriodicBorder(eval(n.U).Clone())
-			out = subRelax(s.Env, eval(n.V), ub, n.C)
+			out = s.subRelax(eval(n.V), ub, n.C)
 		case *FAddRelax:
 			rb := s.SetupPeriodicBorder(eval(n.R).Clone())
-			out = addRelax(s.Env, eval(n.Z), rb, n.C)
+			out = s.addRelax(eval(n.Z), rb, n.C)
 		case *FProject:
 			rb := s.SetupPeriodicBorder(eval(n.R).Clone())
-			out = projectCondense(s.Env, rb, n.C)
+			out = s.projectCondense(rb, n.C)
 		case *FInterp:
 			zb := s.SetupPeriodicBorder(eval(n.Z).Clone())
-			out = interpolate(s.Env, zb, n.C)
+			out = s.interpolate(zb, n.C)
 		default:
 			panic(fmt.Sprintf("core: EvalExpr: unknown node %T", e))
 		}
