@@ -98,7 +98,7 @@ func (cs *compactSweep) span(p PlaneSpan) {
 		case "projectCondense":
 			k.project(o, at(2*i-1), at(2*i), at(2*i+1), xe, xe, cs.c)
 		default:
-			k.interpolate(o, nil, at(i/2), at((i+1)/2), i&1 == 1, xe, xe, 1, cs.c)
+			k.interpolate(o, at(i/2), at((i+1)/2), i&1 == 1, xe, xe, 1, cs.c)
 		}
 		fromExtended(planeOf(cs.out, i-1, opl), o, on)
 	}

@@ -262,8 +262,8 @@ func lined(variant string) bool {
 // the row buffers it threads through the rows of every plane it computes.
 // Its methods take planes, not grids — a plane of the output and the
 // planes of the inputs the stencil reaches — so the same row statements
-// serve a full grid (SubRelaxPlanes and friends slice it), a distributed
-// box, and the few-plane rings of pipeline.go. Each scheduler partition
+// serve a full grid (SubRelaxPlanes and friends slice it), a rank's slab,
+// and the few-plane rings of pipeline.go. Each scheduler partition
 // borrows its own kern (worker-local by construction), so parallel sweeps
 // stay allocation-free once the pool is warm. With vec set (the simd
 // backend) a method first offers its plane to internal/simd's primitive,
@@ -705,57 +705,43 @@ func (s *Solver) interpolate(rn *array.Array, c stencil.Coeffs) *array.Array {
 	pl := planPlanes(e, "interpolate", mf, (mf-2)*(mf-2))
 	variant := pl.variant
 	if pl.inline() {
-		InterpolatePlanes(e.Pool, od, nil, zd, mc, mc, pl.interior(), false, variant, c)
+		InterpolatePlanes(e.Pool, od, zd, mc, mc, pl.interior(), variant, c)
 	} else {
-		pl.fanOut(func(p PlaneSpan) { InterpolatePlanes(e.Pool, od, nil, zd, mc, mc, p, false, variant, c) })
+		pl.fanOut(func(p PlaneSpan) { InterpolatePlanes(e.Pool, od, zd, mc, mc, p, variant, c) })
 	}
 	pl.finish(started, od)
 	return out
 }
 
 // InterpolatePlanes is the plane-range entry point of interpolate
-// (planes.go): the fine planes p from a coarse box with lateral extents
-// (cn1, cn2). The fine box has 2c − 2 points per coarse extent c, fine
-// point 2j on coarse point j. With wd == nil it writes out = Q·z, otherwise
-// out = w + Q·z (od may alias wd). With halo set the rows and columns 0 and
-// last are interpolated like any other — from z's halo — and p may include
-// the fine halo planes, so a box whose coarse halo is current gets its fine
-// halo without an exchange; otherwise only interior rows and columns are
-// written.
-func InterpolatePlanes(pool *mempool.Pool, od, wd, zd []float64, cn1, cn2 int, p PlaneSpan, halo bool,
-	variant string, c stencil.Coeffs) {
-	m, stage := 1, 0 // first row and column written; staging row of the accumulating form
-	if halo {
-		m = 0
-	}
-	if wd != nil {
-		stage = 2*cn2 - 2
-	}
-	k := borrowKern(pool, variant, p.Frame && !halo, cn2, stage)
+// (planes.go): out = Q·z on the interior rows and columns of the fine
+// planes p, from a coarse box with lateral extents (cn1, cn2). The fine box
+// has 2c − 2 points per coarse extent c, fine point 2j on coarse point j.
+func InterpolatePlanes(pool *mempool.Pool, od, zd []float64, cn1, cn2 int, p PlaneSpan, variant string, c stencil.Coeffs) {
+	k := borrowKern(pool, variant, p.Frame, cn2, 0)
 	fpl, cpl := (2*cn1-2)*(2*cn2-2), cn1*cn2
 	for f3 := p.Lo; f3 <= p.Hi; f3++ {
-		k.interpolate(planeOf(od, f3, fpl), planeOf(wd, f3, fpl), planeOf(zd, f3/2, cpl), planeOf(zd, (f3+1)/2, cpl), f3&1 == 1, cn1, cn2, m, c)
+		k.interpolate(planeOf(od, f3, fpl), planeOf(zd, f3/2, cpl), planeOf(zd, (f3+1)/2, cpl), f3&1 == 1, cn1, cn2, 1, c)
 	}
 	k.release(pool)
 }
 
-// interpolate computes rows and columns [m, extent−m) of one fine plane
-// from the coarse planes zl and zh it lies on or between (the same plane
-// twice when the fine plane index is even; o3 says it is odd): o = Q·z, or
-// o = w + Q·z.
-func (k *kern) interpolate(o, w, zl, zh []float64, o3 bool, cn1, cn2, m int, c stencil.Coeffs) {
+// interpolate computes o = Q·z on rows and columns [m, extent−m) of one
+// fine plane from the coarse planes zl and zh it lies on or between (the
+// same plane twice when the fine plane index is even; o3 says it is odd).
+// With m = 0 the frame is interpolated from z's halo like any other point.
+func (k *kern) interpolate(o, zl, zh []float64, o3 bool, cn1, cn2, m int, c stencil.Coeffs) {
 	switch {
-	case k.vec && simd.InterpPlane(o, w, zl, zh, o3, cn1, cn2, m, (*[4]float64)(&c), k.u1):
+	case k.vec && simd.InterpPlane(o, zl, zh, o3, cn1, cn2, m, (*[4]float64)(&c), k.u1):
 	case k.lined:
 		// One cross-row buffer of coarse-row length suffices: the parity
-		// cases pair at most the four coarse rows of one fine row. The
-		// accumulating form stages Q·z in a fine-row buffer.
-		interpolatePlaneLined(o, w, zl, zh, o3, cn1, cn2, m, c, k.u1, k.u2)
+		// cases pair at most the four coarse rows of one fine row.
+		interpolatePlaneLined(o, zl, zh, o3, cn1, cn2, m, c, k.u1)
 	default:
-		interpolatePlane(o, w, zl, zh, o3, cn1, cn2, m, c)
+		interpolatePlane(o, zl, zh, o3, cn1, cn2, m, c)
 	}
 	if k.frame {
-		writeFrame(o, w, nil, 2*cn1-2, 2*cn2-2)
+		writeFrame(o, nil, nil, 2*cn1-2, 2*cn2-2)
 	}
 }
 
@@ -763,7 +749,7 @@ func (k *kern) interpolate(o, w, zl, zh []float64, o3 bool, cn1, cn2, m int, c s
 // fine index space. The four contributing coarse row bases are derived
 // with one multiply per row (the high row is the low row or one stride
 // above).
-func interpolatePlane(o, w, zl, zh []float64, o3 bool, cn1, cn2, m int, c stencil.Coeffs) {
+func interpolatePlane(o, zl, zh []float64, o3 bool, cn1, cn2, m int, c stencil.Coeffs) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
 	fn1, fn2 := 2*cn1-2, 2*cn2-2
 	for f2, base := m, m*fn2; f2 < fn1-m; f2, base = f2+1, base+fn2 {
@@ -793,9 +779,6 @@ func interpolatePlane(o, w, zl, zh []float64, o3 bool, cn1, cn2, m int, c stenci
 			default:
 				val = c3 * ((((zl[bl+l1] + zl[bh+l1]) + zh[bl+l1]) + zh[bh+l1]) +
 					(((zl[bl+h1] + zl[bh+h1]) + zh[bl+h1]) + zh[bh+h1]))
-			}
-			if w != nil {
-				val = w[base+f1] + val
 			}
 			o[base+f1] = val
 		}

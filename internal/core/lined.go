@@ -121,9 +121,8 @@ func projectCondensePlaneLined(o, rm, rz, rp []float64, fn1, fn2 int, c stencil.
 // one cross-row buffer b (their canonical pairwise sums), after which
 // every fine element is one buffer read (even f1) or one buffered pair
 // (odd f1) — the even/odd interleaving store of interpRow. b has
-// coarse-row length cn2; t, the staging row of the accumulating form
-// (w != nil), fine-row length. Rows and columns [m, extent−m) are written.
-func interpolatePlaneLined(o, w, zl, zh []float64, o3 bool, cn1, cn2, m int, c stencil.Coeffs, b, t []float64) {
+// coarse-row length cn2. Rows and columns [m, extent−m) are written.
+func interpolatePlaneLined(o, zl, zh []float64, o3 bool, cn1, cn2, m int, c stencil.Coeffs, b []float64) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
 	fn1, fn2 := 2*cn1-2, 2*cn2-2
 	for f2, base := m, m*fn2; f2 < fn1-m; f2, base = f2+1, base+fn2 {
@@ -146,13 +145,7 @@ func interpolatePlaneLined(o, w, zl, zh []float64, o3 bool, cn1, cn2, m int, c s
 			fillSum4(b, zl[bl:bl+cn2], zl[bh:bh+cn2], zh[bl:bl+cn2], zh[bh:bh+cn2])
 			cEven, cOdd = c2, c3
 		}
-		oRow := o[base : base+fn2]
-		if w == nil {
-			interpRow(oRow, src, cEven, cOdd, m == 0)
-			continue
-		}
-		interpRow(t, src, cEven, cOdd, m == 0)
-		fillSum2(oRow[m:fn2-m], w[base+m:base+fn2-m], t[m:fn2-m])
+		interpRow(o[base:base+fn2], src, cEven, cOdd, m == 0)
 	}
 }
 

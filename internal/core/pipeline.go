@@ -20,7 +20,7 @@
 // On a whole periodic grid a logical plane outside 1..n is the interior
 // plane it wraps to, recomputed (two z planes and one r₂ plane per span
 // end) rather than exchanged; z's in-plane frame is interpolated from zn's
-// halo (InterpolatePlanes' halo mode), and r₂'s is wrapped in the ring
+// halo (interpolate's halo rows, m = 0), and r₂'s is wrapped in the ring
 // right after its rows. On a slab — a rank's share of a grid cut along
 // axis 0, opened as CorrectPlanes and ResidProjectPlanes — nothing wraps
 // along axis 0: the planes beyond the slab are halo planes its caller
@@ -30,7 +30,7 @@
 // planes, so any worker count computes the same bits.
 //
 // The way up's rings stay inside L2 by walking each span once per band of
-// result rows (bandRows: one band up to rows of 130, bands of 64 at 258),
+// result rows (bandRows: one band up to rows of 130, four at 258),
 // each ring plane holding only the rows its band reaches. Band ends are
 // recomputed like span ends: an interior end recomputes the two z rows and
 // the r₂ row it shares with its neighbour, and the first and last bands
@@ -69,14 +69,19 @@ const pipeMinPlanes = 8
 const upBudget = 1 << 20
 
 // bandRows is the rule for the way up's band height at rows of n points,
-// halos included: the fewest bands whose rings fit upBudget, of equal
-// height but for a shorter last one — all n−2 interior rows, one band, up
-// to rows of 130. A band's ring plane holds its rows and six more (band).
+// halos included: all n−2 interior rows, one band, up to rows of 130, and
+// above that the fewest bands whose rings fit upBudget, of one even height
+// but for a first band one row taller and a shorter last one (nextBand). A
+// band's ring plane holds its rows and six more (band).
 func bandRows(n int) int {
 	rows := n - 2
-	fit := max(upBudget/(6*8*n)-6, 1)
-	bands := (rows + fit - 1) / fit
-	return (rows + bands - 1) / bands
+	fit := max(upBudget/(6*8*n)-6, 1) // the most rows a band may hold
+	if rows <= fit {
+		return rows
+	}
+	most := max((fit-1)&^1, 2) // the tallest even height whose first band fits
+	bands := (rows - 1 + most - 1) / most
+	return ((rows-1+bands-1)/bands + 1) &^ 1
 }
 
 // wrapPlane maps a logical plane index q ≥ −1 of a periodic grid with n
@@ -208,22 +213,21 @@ func (s *Solver) correct(u, zn, r *array.Array) *array.Array {
 // each band walks the span's planes on its own, its rings holding only the
 // rows it reaches.
 func (sw *sweep) up(p PlaneSpan) {
-	pool, rows := sw.pool, sw.n-2
-	height := min(sw.band, rows)
+	pool := sw.pool
+	bd := sw.nextBand(0) // the tallest band, first
 	ki := borrowKern(pool, sw.top.variant, false, sw.cn, 0)
 	kr := borrowRelax(pool, sw.mid.variant, false, sw.n)
 	// On one band the result's frame is its kernel's, as in the three-call
 	// sequence; on several each band writes its share of it.
-	ka := borrowRelax(pool, sw.end.variant, !sw.slab && height == rows, sw.n)
-	bd := sw.newBand(1, height) // the tallest band, first
+	ka := borrowRelax(pool, sw.end.variant, !sw.slab && bd.one, sw.n)
 	ring := pool.GetDirty(6 * bd.planeRows * sw.n)
 	clk := stageClock{w: sw.watch.clocked(), run: upRun}
 	for {
 		sw.upBand(p, &bd, ring, &ki, &kr, &ka, &clk)
-		if bd.b == rows {
+		if bd.b == sw.n-2 {
 			break
 		}
-		bd = sw.newBand(bd.b+1, min(bd.b+height, rows))
+		bd = sw.nextBand(bd.b)
 	}
 	clk.stop()
 	pool.Put(ring)
@@ -273,6 +277,20 @@ func (c *rowCall) inSrc(plane []float64) []float64 {
 	return plane[c.src[0]:c.src[1]]
 }
 
+// nextBand lays out the band after result row b, the first band at b = 0.
+// Bands are sw.band rows high but for a shorter last one and, at an even
+// height, a first band one row taller, so that every later band starts on
+// an even row: z's rows are interpolated in pairs from an even row, and a
+// band that starts on an odd row interpolates two rows more.
+func (sw *sweep) nextBand(b int) band {
+	rows := sw.n - 2
+	height := min(sw.band, rows)
+	if b == 0 {
+		return sw.newBand(1, min(height|1, rows))
+	}
+	return sw.newBand(b+1, min(b+height, rows))
+}
+
 // newBand lays out the band of result rows a … b.
 func (sw *sweep) newBand(a, b int) band {
 	n, cn, rows := sw.n, sw.cn, sw.n-2
@@ -285,8 +303,8 @@ func (sw *sweep) newBand(a, b int) band {
 	call := func(lo, hi, src int) rowCall {
 		return rowCall{[2]int{(lo - first) * n, (hi - first + 1) * n}, [2]int{src * n, (src + hi - lo + 1) * n}, hi - lo + 1}
 	}
-	// z's rows in 0 … N+1 come from zn's halo, as InterpolatePlanes' halo
-	// mode computes them, and row −1 is row N−1 and row N+2 row 2. A call
+	// z's rows in 0 … N+1 come from zn's halo, as interpolate's halo rows
+	// compute them, and row −1 is row N−1 and row N+2 row 2. A call
 	// starts on an even fine row and covers an even number — a row pair
 	// shares its coarse rows — so it may write a spare row.
 	for _, w := range wrapRuns(ra-1, rb+1, 0, rows+1, rows) {
@@ -332,7 +350,7 @@ func (sw *sweep) upBand(p PlaneSpan, bd *band, ring []float64, ki, kr, ka *kern,
 		zl, zh := planeOf(sw.zn, f>>1+d, cpl), planeOf(sw.zn, (f+1)>>1+d, cpl)
 		for i := range bd.ni {
 			c := &bd.interp[i]
-			ki.interpolate(c.inRing(z), nil, c.inSrc(zl), c.inSrc(zh), f&1 == 1, c.rows, cn, 0, sw.q)
+			ki.interpolate(c.inRing(z), c.inSrc(zl), c.inSrc(zh), f&1 == 1, c.rows, cn, 0, sw.q)
 		}
 		if !sw.slab && (q == 0 && p.Lo == 1 || q == sw.planes+1 && p.Hi == sw.planes) {
 			// The result's end planes hold the boundary value z (u + z)

@@ -160,6 +160,45 @@ func TestBandedUpBitIdentical(t *testing.T) {
 	}
 }
 
+// TestBandsInterpolateTheirRows counts, from the layout the way up walks
+// (nextBand), the z rows each band interpolates at class A's rows of 258:
+// its result rows and the two either side that r₂ and the smoothing reach,
+// and one more row at a band that runs into the wrap, whose two runs each
+// start on an even row. Every band after the first starts on an even row,
+// the rings of the tallest band fit upBudget, and the bands cover every
+// row once.
+func TestBandsInterpolateTheirRows(t *testing.T) {
+	n := nas.ClassA.N + 2
+	rows := n - 2
+	sw := sweep{n: n, cn: n/2 + 1, band: bandRows(n)}
+	next := 1
+	for bd := sw.nextBand(0); ; bd = sw.nextBand(bd.b) {
+		if bd.a != next || bd.b < bd.a {
+			t.Fatalf("band %d … %d, want one starting at row %d", bd.a, bd.b, next)
+		}
+		if bd.a > 1 && bd.a&1 == 1 {
+			t.Errorf("band %d … %d starts on an odd row", bd.a, bd.b)
+		}
+		if bytes := 8 * 6 * bd.planeRows * n; bytes > upBudget {
+			t.Errorf("band %d … %d: rings of %d bytes, budget %d", bd.a, bd.b, bytes, upBudget)
+		}
+		z := 0
+		for _, c := range bd.interp[:bd.ni] {
+			z += (c.ring[1] - c.ring[0]) / n
+		}
+		want := bd.b - bd.a + 5
+		if bd.a == 1 || bd.b == rows {
+			want++
+		}
+		if z != want {
+			t.Errorf("band %d … %d interpolates %d z rows, want %d", bd.a, bd.b, z, want)
+		}
+		if next = bd.b + 1; bd.b == rows {
+			break
+		}
+	}
+}
+
 // slabUp runs the way up on a slab of rows/2 planes, laterally whole, in
 // the layout of CorrectPlanes and the sweep it runs, in bands of height
 // rows, the slab split into spans consecutive spans. It returns the result

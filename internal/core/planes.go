@@ -6,7 +6,10 @@
 // InterpolatePlanes (fused.go) are the plane loops core's own subRelax,
 // addRelax, projectCondense and interpolate run — the same functions, not
 // wrappers — opened to callers that own the grid: internal/mgmpi's ranks
-// run them on their sub-boxes. CorrectPlanes and ResidProjectPlanes
+// run SubRelaxPlanes (the last residual) and ProjectCondensePlanes (a
+// slab's restriction) on their slabs, and
+// internal/simd's tests hold its primitives to the buffered rows through
+// all four. CorrectPlanes and ResidProjectPlanes
 // (pipeline.go) are core's way up and way down, the same sweep, run on a
 // slab: a grid cut along axis 0 whose planes beyond its interior are halo
 // planes the caller exchanged, not the periodic wrap (their layout is in

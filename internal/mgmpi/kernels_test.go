@@ -44,46 +44,6 @@ func sameBits(t *testing.T, what string, got, want *array.Array) {
 	}
 }
 
-// The anchor of the correctness web: on one rank a box is the full extended
-// grid, and each of the four operators must leave in it, bit for bit and
-// halos included, what core.Solver's operator of the same name computes on
-// that grid followed by the periodic border update — on a level whose rows
-// vectorise under the default dispatch and on one whose rows do not.
-func TestOperatorsEqualCoreKernels(t *testing.T) {
-	class := nas.ClassS
-	st := newRankState(rankComm(1, 0), class)
-	st.mem = mempool.New(true)
-	env := wl.Default()
-	ref := core.New(env)
-	ref.Smoother = class.SmootherCoeffs()
-	periodic := func(a *array.Array) *array.Array { nas.Comm3(a); return a }
-
-	box := func(l int) *array.Array { return array.New(st.boxShape(l)) }
-	for _, l := range []int{st.lt, 2} {
-		name := func(op string) string { return fmt.Sprintf("level %d %s", l, op) }
-		u, v := randomBox(1, box(l)), randomBox(2, box(l))
-
-		r := randomBox(3, u)
-		st.resid(u, v, r)
-		sameBits(t, name("resid"), r, periodic(aplib.Sub(env, v, ref.Resid(u))))
-
-		r = v.Clone() // the in-place form below the finest level: r = r − A·u
-		st.resid(u, r, r)
-		sameBits(t, name("resid in place"), r, periodic(aplib.Sub(env, v, ref.Resid(u))))
-
-		want := periodic(aplib.Add(env, u, ref.Smooth(r)))
-		st.psinv(r, u)
-		sameBits(t, name("psinv"), u, want)
-
-		coarse := randomBox(4, box(l-1))
-		st.rprj3(r, coarse)
-		sameBits(t, name("rprj3"), coarse, periodic(ref.Fine2Coarse(r)))
-
-		st.interp(coarse, u)
-		sameBits(t, name("interp"), u, periodic(ref.Coarse2Fine(coarse)))
-	}
-}
-
 // The ranks' backend is the shared rule: forced by MG_FORCE_VARIANT (what
 // CI's variants legs set, so they run mgmpi through each backend), the
 // default dispatch of the finest rows otherwise, which a slab leaves whole.
@@ -240,8 +200,7 @@ func TestSlabLegsBitIdentical(t *testing.T) {
 							st.sendFaces(x.a, lt, x.h)
 							st.recvFaces(x.a, lt, x.h)
 						}
-						copy(st.uFull[lcd-1].Data(), whole(3, lcd-1).Data())
-						st.window()
+						st.window(whole(3, lcd-1))
 
 						st.evalResid()
 						check("r", st.r[lt], lt, 0, lp+1, want["r"])

@@ -37,14 +37,13 @@
 // at each level), and halos are exchanged between legs only, at the depth
 // the next leg reads: per V-cycle one two-plane exchange of the finest u
 // and, at each lower distributed level, one of r after its projection and
-// one of that level's correction. The whole-grid levels run the three-call
-// kernels — resid, psinv, rprj3 and interp, thin callers of core's plane
-// entry points (core/planes.go) — with nas.Comm3 after each. Either way the
-// update is core's: u + (z + S·(r − A·z)) with z = Q·zn at the finest
-// level, not mg.f's u += Q·z; r = v − A·u; u += S·r, and every plane runs
-// in whichever backend core.PlaneVariant picks for its rows
-// (Solver.Variant reports it). internal/f77 and cport stay the independent
-// paper artifacts.
+// one of that level's correction. The whole-grid levels are core's own
+// V-cycle: each rank runs core.Solver.VCycle on the allgathered residual,
+// over the rank's line-buffer pool and workers. Either way the update is
+// core's: u + (z + S·(r − A·z)) with z = Q·zn at the finest level, not
+// mg.f's u += Q·z, and every plane runs in whichever backend
+// core.PlaneVariant picks for its rows (Solver.Variant reports it).
+// internal/f77 and cport stay the independent paper artifacts.
 //
 // Correctness: a plane's statements do not depend on the plane schedule,
 // every backend is bit-identical, every global plane has one owner, and
@@ -57,6 +56,7 @@
 package mgmpi
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -259,6 +259,12 @@ func (s *Solver) runRank(c *mpi.Comm) (rnm2, rnmu float64) {
 	}
 	st.obs = obs
 	st.trace = s.Trace
+	st.coarse = core.New(&wl.Env{Sched: cmp.Or(st.pool, sched.Sequential), Pool: st.mem, Opt: wl.O3,
+		SeqThreshold: wl.DefaultSeqThreshold})
+	st.coarse.Smoother = st.cs
+	if st.trace != nil {
+		st.coarse.Probe = st.span
+	}
 	st.reset()
 	start := time.Now()
 	st.another = s.Class.Iter > 0
@@ -306,7 +312,7 @@ func (s *Solver) runRank(c *mpi.Comm) (rnm2, rnmu float64) {
 // --- per-rank state -------------------------------------------------------------
 
 // rankState is one rank's view of the problem: its slab hierarchy for
-// the distributed levels and the whole grids of the coarse levels every
+// the distributed levels and the whole residual of the coarse levels every
 // rank solves.
 type rankState struct {
 	c     *mpi.Comm
@@ -327,7 +333,11 @@ type rankState struct {
 	// projection's halo is exchanged.
 	another bool
 
-	uFull, rFull map[int]*array.Array // levels 1..lcd−1, whole grids
+	// whole is the residual of level lcd−1, whole on every rank, and coarse
+	// runs the levels below lcd on it (core's VCycle), drawing its grids
+	// from mem and fanning its planes over pool.
+	whole  *array.Array
+	coarse *core.Solver
 
 	// overlap selects the overlapped exchange's span order
 	// (Solver.Overlap); pool, when non-nil, fans each kernel's plane loop
@@ -367,8 +377,13 @@ func (st *rankState) kspan(kernel string, level int, f func()) {
 	}
 	start := time.Now()
 	f()
-	st.trace.Emit(metrics.Event{Ev: "span", Kernel: kernel, Level: level,
-		Nanos: int64(time.Since(start)), Rank: st.c.Rank()})
+	st.span(kernel, level, time.Since(start))
+}
+
+// span emits one rank-tagged span; as core's Probe it files the regions of
+// the whole-grid levels.
+func (st *rankState) span(kernel string, level int, elapsed time.Duration) {
+	st.trace.Emit(metrics.Event{Ev: "span", Kernel: kernel, Level: level, Nanos: int64(elapsed), Rank: st.c.Rank()})
 }
 
 func newRankState(c *mpi.Comm, class nas.Class) *rankState {
@@ -387,17 +402,13 @@ func newRankState(c *mpi.Comm, class nas.Class) *rankState {
 		c: c, class: class, lt: lt, lcd: lcd,
 		a: stencil.A, cs: class.SmootherCoeffs(),
 		u: map[int]*array.Array{}, r: map[int]*array.Array{},
-		uFull: map[int]*array.Array{}, rFull: map[int]*array.Array{},
 	}
 	for l := lcd - 1; l <= lt; l++ {
 		st.u[l] = array.New(st.uShape(l))
 		st.r[l] = array.New(st.boxShape(l))
 	}
 	st.v = array.New(st.boxShape(lt))
-	for l := 1; l < lcd; l++ {
-		st.uFull[l] = array.New(class.ExtShape(l))
-		st.rFull[l] = array.New(class.ExtShape(l))
-	}
+	st.whole = array.New(class.ExtShape(lcd - 1))
 	lp := st.local(lt)
 	st.planes = make([]float64, lp, lp+1) // + the local max, on the wire
 	st.planeMax = make([]float64, lp)
@@ -485,11 +496,12 @@ func (st *rankState) rankBoxOf(level, r int) (lo, hi [3]int) {
 
 // allgather assembles the residual of level g = lcd−1 whole on every rank:
 // each rank posts the interior of its slab r[g] to every other rank, then
-// takes theirs in rank order into rFull[g], whose halo nas.Comm3 fills.
+// takes theirs in rank order into the interior of whole, whose halo core's
+// V-cycle refreshes.
 func (st *rankState) allgather() {
 	g := st.lcd - 1
 	st.setCommLevel(g)
-	box, full := st.r[g], st.rFull[g]
+	box, full := st.r[g], st.whole
 	bs, m := box.Shape(), full.Shape()
 	interiorLo := [3]int{1, 1, 1}
 	interiorHi := [3]int{bs[0] - 2, bs[1] - 2, bs[2] - 2}
@@ -508,44 +520,10 @@ func (st *rankState) allgather() {
 			st.unpack(full.Data(), m[1], m[2], lo, hi, st.c.Recv(src, tagAllgather))
 		}
 	}
-	nas.Comm3(full)
 }
 
-// --- kernels: core's plane kernels over the rank's grids ---------------------------
-//
-// The three-call operators of the whole-grid levels. Each hands its grid
-// to the plane-range entry point of the matching fused kernel
-// (core/planes.go) and leaves the plane schedule to fusedComm3.
-
-// resid computes r = v − A·u over the grid interior and refreshes the
-// periodic boundary. r may be v.
-func (st *rankState) resid(u, v, r *array.Array) {
-	shp := u.Shape()
-	n1, n2 := shp[1], shp[2]
-	ud, vd, rd := u.Data(), v.Data(), r.Data()
-	variant := core.PlaneVariant(n2 - 2)
-	st.fusedComm3(r, func(p core.PlaneSpan) {
-		core.SubRelaxPlanes(st.mem, rd, vd, ud, n1, n2, p, variant, st.a, nil, nil)
-	})
-}
-
-// psinv computes u += S·r over the grid interior and refreshes u's halo.
-func (st *rankState) psinv(r, u *array.Array) {
-	shp := u.Shape()
-	n1, n2 := shp[1], shp[2]
-	rd, ud := r.Data(), u.Data()
-	variant := core.PlaneVariant(n2 - 2)
-	st.fusedComm3(u, func(p core.PlaneSpan) {
-		core.AddRelaxPlanes(st.mem, ud, ud, nil, rd, n1, n2, p, variant, st.cs)
-	})
-}
-
-// rprj3 restricts the fine grid rk to the coarse grid rj and refreshes rj's
-// halo.
-func (st *rankState) rprj3(rk, rj *array.Array) { st.fusedComm3(rj, st.project(rk, rj)) }
-
-// project is the plane loop of the restriction of the fine grid or slab rk
-// onto the coarse one rj. Slab alignment makes the cell mapping local:
+// project is the plane loop of the restriction of the fine slab rk onto
+// the coarse one rj. Slab alignment makes the cell mapping local:
 // coarse local (j3,j2,j1) sits under fine local (2j3, 2j2, 2j1).
 func (st *rankState) project(rk, rj *array.Array) func(core.PlaneSpan) {
 	fs := rk.Shape()
@@ -556,26 +534,13 @@ func (st *rankState) project(rk, rj *array.Array) func(core.PlaneSpan) {
 	}
 }
 
-// interp prolongs the coarse grid z onto the whole fine grid u (coarse
-// cell c under fine 2c along every axis), u = Q·z. The fine halos are
-// interpolated from z's halos like any other cell, so no exchange follows.
-func (st *rankState) interp(z, u *array.Array) {
-	zs := z.Shape()
-	zd, ud := z.Data(), u.Data()
-	variant := core.PlaneVariant(u.Shape()[2] - 2)
-	st.forPlanes(core.PlaneSpan{Lo: 0, Hi: u.Shape()[0] - 1}, func(p core.PlaneSpan) {
-		core.InterpolatePlanes(st.mem, ud, nil, zd, zs[1], zs[2], p, true, variant, stencil.Q)
-	})
-}
-
-// window copies this rank's window of the whole coarse solution uFull[g],
-// g = lcd−1 — its coarse planes, one halo plane either side and one more
-// below, which the way up at lcd reads — into its slab u[g], from which the
-// finer level prolongs.
-func (st *rankState) window() {
+// window copies this rank's window of the whole coarse solution full of
+// level g = lcd−1, its halo current — its coarse planes, one halo plane
+// either side and one more below, which the way up at lcd reads — into its
+// slab u[g], from which the finer level prolongs.
+func (st *rankState) window(full *array.Array) {
 	g := st.lcd - 1
-	win, full := st.u[g], st.uFull[g]
-	fs := full.Shape()
+	win, fs := st.u[g], full.Shape()
 	lo, hi := st.rankBoxOf(g, st.c.Rank())
 	// Whole planes, global plane lo−2 … hi+1; the one below plane 0 wraps.
 	pl := fs[1] * fs[2]
@@ -664,13 +629,11 @@ func (st *rankState) unpackCandidates(src int, payload []float64) nas.Extremes {
 // down of the residual before it (evalResid); the distributed levels below
 // project and exchange r, except the last restriction, onto the rank's
 // share of level lcd−1, which the allgather that follows makes whole on
-// every rank. Every rank then runs the whole-grid levels itself, takes its
-// window of the coarse solution, and on the way up each distributed level
-// runs core's leg and exchanges the result. With a tracer attached every
-// leg and kernel call is also emitted as a per-level span (restrict at the
-// target coarse level, prolong at the target fine level, matching the
-// single-process tracer's naming), so the comm report can attribute
-// compute vs blocked time per level.
+// every rank. Every rank then runs core's V-cycle on it, takes its window
+// of the coarse solution, and on the way up each distributed level runs
+// core's leg and exchanges the result. With a tracer attached every leg,
+// projection and core region is also emitted as a per-level span, so the
+// comm report can attribute compute vs blocked time per level.
 func (st *rankState) mg3P() {
 	lt, lcd, g := st.lt, st.lcd, st.lcd-1
 	for l := lt - 1; l >= lcd; l-- {
@@ -684,8 +647,10 @@ func (st *rankState) mg3P() {
 		})
 	}
 	st.allgather()
-	st.serialDownUp()
-	st.window()
+	z := st.coarse.VCycle(st.whole)
+	nas.Comm3(z) // core leaves z's boundary value in its halo, not the periodic image
+	st.window(z)
+	st.coarse.Env.Release(z)
 	for l := lcd; l <= lt; l++ {
 		st.kspan("correct", l, func() { st.correct(l) })
 	}
@@ -708,22 +673,6 @@ func (st *rankState) correct(l int) {
 	st.haloed(u, l, h, func(p core.PlaneSpan) {
 		core.CorrectPlanes(st.mem, od, ud, zd, rd, n, lp, p, st.a, st.cs, stencil.Q)
 	})
-}
-
-// serialDownUp runs the whole-grid levels of the V-cycle, lcd−1 down to 1
-// and back — the same serial code on every rank.
-func (st *rankState) serialDownUp() {
-	g := st.lcd - 1
-	for l := g; l >= 2; l-- {
-		st.kspan("fine2coarse", l-1, func() { st.rprj3(st.rFull[l], st.rFull[l-1]) })
-	}
-	st.uFull[1].Zero()
-	st.kspan("smooth", 1, func() { st.psinv(st.rFull[1], st.uFull[1]) })
-	for l := 2; l <= g; l++ {
-		st.kspan("coarse2fine", l, func() { st.interp(st.uFull[l-1], st.uFull[l]) })
-		st.kspan("resid", l, func() { st.resid(st.uFull[l], st.rFull[l], st.rFull[l]) })
-		st.kspan("smooth", l, func() { st.psinv(st.rFull[l], st.uFull[l]) })
-	}
 }
 
 // evalResid computes the finest-level residual r = v − A·u. When another

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/array"
 	"repro/internal/core"
-	"repro/internal/nas"
 )
 
 // forPlanes runs f over the planes of p, fanned over the rank's pool when
@@ -41,14 +40,6 @@ func (st *rankState) forPlanes(p core.PlaneSpan, f func(core.PlaneSpan)) {
 		return
 	}
 	st.pool.For(n, 0, func(a, b, _ int) { f(core.PlaneSpan{Lo: p.Lo + a, Hi: p.Lo + b - 1}) })
-}
-
-// fusedComm3 runs a three-call kernel's plane loop over the interior
-// planes of its output grid a (pool fan-out), then refreshes a's halo with
-// nas.Comm3.
-func (st *rankState) fusedComm3(a *array.Array, compute func(core.PlaneSpan)) {
-	st.forPlanes(core.PlaneSpan{Lo: 1, Hi: a.Shape()[0] - 2}, compute)
-	nas.Comm3(a)
 }
 
 // halo is the depth of a slab's halo: below planes under

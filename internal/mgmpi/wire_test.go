@@ -94,7 +94,7 @@ func TestWarmTCPSolveAllocs(t *testing.T) {
 	var stateBytes, stateObjects uint64
 	for r := range mesh {
 		st := newRankState(rankComm(2, r), class)
-		for _, grids := range []map[int]*array.Array{st.u, st.r, st.uFull, st.rFull, {0: st.v}} {
+		for _, grids := range []map[int]*array.Array{st.u, st.r, {0: st.v, 1: st.whole}} {
 			for _, a := range grids {
 				stateBytes += 8 * uint64(a.Size())
 				stateObjects += 3 // header, shape, data

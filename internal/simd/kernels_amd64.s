@@ -722,8 +722,8 @@ projtc:
 //	o[2l+1] = cOdd·(b[l] + b[l+1])    o[2l+2] = cEven·b[l+1]
 //
 // (cEven in Y14, cOdd in Y15): odd (Y0) and even (Y1) products interleave
-// through unpack + 128-bit permute into Y4 and Y5, which ST stores.
-#define INTERP_V(ST) \
+// through unpack + 128-bit permute into Y4 and Y5, which are stored.
+#define INTERP_V \
 	VMOVUPD    (R11)(AX*8), Y0  \
 	VMOVUPD    8(R11)(AX*8), Y1 \
 	VADDPD     Y1, Y0, Y0       \
@@ -733,60 +733,42 @@ projtc:
 	VUNPCKHPD  Y1, Y0, Y3       \
 	VPERM2F128 $0x20, Y3, Y2, Y4 \
 	VPERM2F128 $0x31, Y3, Y2, Y5 \
-	ST                          \
+	VMOVUPD    Y4, 8(DI)(CX*8)  \
+	VMOVUPD    Y5, 40(DI)(CX*8) \
 	ADDQ       $8, CX
 
-#define INTERP_S(ST) \
+#define INTERP_S \
 	VMOVSD (R11)(AX*8), X0  \
 	VMOVSD 8(R11)(AX*8), X1 \
 	VADDSD X1, X0, X0       \
 	VMULSD X0, X15, X4      \
 	VMULSD X1, X14, X5      \
-	ST                      \
+	VMOVSD X4, 8(DI)(CX*8)  \
+	VMOVSD X5, 16(DI)(CX*8) \
 	ADDQ   $2, CX
 
-#define STORE_V \
-	VMOVUPD Y4, 8(DI)(CX*8) \
-	VMOVUPD Y5, 40(DI)(CX*8)
-
-#define STORE_W_V \
-	VADDPD  8(SI)(CX*8), Y4, Y4  \
-	VADDPD  40(SI)(CX*8), Y5, Y5 \
-	STORE_V
-
-#define STORE_S \
-	VMOVSD X4, 8(DI)(CX*8) \
-	VMOVSD X5, 16(DI)(CX*8)
-
-#define STORE_W_S \
-	VADDSD 8(SI)(CX*8), X4, X4  \
-	VADDSD 16(SI)(CX*8), X5, X5 \
-	STORE_S
-
-// func interpPlaneAVX2(o, w, zl, zh *float64, o3, cn1, cn2, m int, c *[4]float64, b *float64)
-// Rows and columns m … extent−1−m (m ∈ {0, 1}) of one fine plane
-// (extents 2cn1−2 × 2cn2−2, cn2 ≥ 4) from the coarse planes zl and zh it
-// lies on or between (o3 = 1: between): o = Q·z, or o = w + Q·z when w is
-// not nil. A fine row on a coarse row reads it in place; otherwise its
-// canonical pair or quadruple sum is staged in b, and the Q weight of its
-// even and odd columns is c[o3+o2] and c[o3+o2+1].
-TEXT ·interpPlaneAVX2(SB), NOSPLIT, $16-80
-	MOVQ cn2+48(FP), DX
+// func interpPlaneAVX2(o, zl, zh *float64, o3, cn1, cn2, m int, c *[4]float64, b *float64)
+// o = Q·z on rows and columns m … extent−1−m (m ∈ {0, 1}) of one fine
+// plane (extents 2cn1−2 × 2cn2−2, cn2 ≥ 4) from the coarse planes zl and zh
+// it lies on or between (o3 = 1: between). A fine row on a coarse row reads
+// it in place; otherwise its canonical pair or quadruple sum is staged in
+// b, and the Q weight of its even and odd columns is c[o3+o2] and
+// c[o3+o2+1].
+TEXT ·interpPlaneAVX2(SB), NOSPLIT, $16-72
+	MOVQ cn2+40(FP), DX
 	SHLQ $3, DX
 	LEAQ -16(DX)(DX*1), AX // fine row stride in bytes
 	MOVQ AX, fs-8(SP)
-	MOVQ m+56(FP), R13
-	MOVQ cn1+40(FP), BX
+	MOVQ m+48(FP), R13
+	MOVQ cn1+32(FP), BX
 	LEAQ -2(BX)(BX*1), BX
 	SUBQ R13, BX
 	MOVQ BX, end-16(SP)
 	IMULQ R13, AX
 	MOVQ o+0(FP), DI
-	MOVQ w+8(FP), SI
 	ADDQ AX, DI
-	ADDQ AX, SI
-	MOVQ zl+16(FP), R8
-	MOVQ zh+24(FP), R9
+	MOVQ zl+8(FP), R8
+	MOVQ zh+16(FP), R9
 
 interprow:
 	MOVQ  R13, AX
@@ -800,9 +782,9 @@ interprow:
 	IMULQ DX, CX
 	LEAQ  (R11)(CX*1), R12 // zl, high coarse row
 	LEAQ  (R14)(CX*1), R15 // zh, high coarse row
-	MOVQ  o3+32(FP), CX
+	MOVQ  o3+24(FP), CX
 	LEAQ  (BX)(CX*1), AX
-	MOVQ  c+64(FP), R10
+	MOVQ  c+56(FP), R10
 	VBROADCASTSD (R10)(AX*8), Y14
 	VBROADCASTSD 8(R10)(AX*8), Y15
 	LEAQ  (BX)(CX*2), AX // o2 + 2·o3
@@ -814,55 +796,39 @@ interprow:
 	MOVQ  R14, R10
 	CMPQ  AX, $2
 	JEQ   interpsum2
-	MOVQ  b+72(FP), CX
-	MOVQ  cn2+48(FP), BX
+	MOVQ  b+64(FP), CX
+	MOVQ  cn2+40(FP), BX
 	FILL(SUM4_AT(CX, R11, R12, R14, R15), interps4, interps4c)
 	MOVQ  CX, R11
 	JMP   interpsrc
 
 interpsum2:
-	MOVQ b+72(FP), CX
-	MOVQ cn2+48(FP), BX
+	MOVQ b+64(FP), CX
+	MOVQ cn2+40(FP), BX
 	FILL(SUM2_AT(CX, R11, R10), interps2, interps2c)
 	MOVQ CX, R11
 
 interpsrc:
-	MOVQ cn2+48(FP), BX
+	MOVQ cn2+40(FP), BX
 	SUBQ $6, BX
 	XORQ AX, AX
 	XORQ CX, CX
-	MOVQ w+8(FP), R10
-	TESTQ R10, R10
-	JNZ  interpw
-	ROW(INTERP_V(STORE_V), INTERP_S(STORE_S), interpv, interpvc, interpt, interptc)
-	JMP  interpends
-
-interpw:
-	ROW(INTERP_V(STORE_W_V), INTERP_S(STORE_W_S), interpwv, interpwvc, interpwt, interpwtc)
-
-interpends:
-	MOVQ m+56(FP), AX
+	ROW(INTERP_V, INTERP_S, interpv, interpvc, interpt, interptc)
+	MOVQ m+48(FP), AX
 	TESTQ AX, AX
 	JNZ  interpnext
-	MOVQ cn2+48(FP), AX
+	MOVQ cn2+40(FP), AX
 	LEAQ (AX)(AX*1), CX
 	VMOVSD (R11), X4
 	VMULSD X4, X14, X4            // o[0] = cEven·b[0]
 	VMOVSD -16(R11)(AX*8), X5
 	VADDSD -8(R11)(AX*8), X5, X5
 	VMULSD X5, X15, X5            // o[last] = cOdd·(b[cn2−2] + b[cn2−1])
-	TESTQ R10, R10
-	JZ   interpendst
-	VADDSD (SI), X4, X4
-	VADDSD -24(SI)(CX*8), X5, X5
-
-interpendst:
 	VMOVSD X4, (DI)
 	VMOVSD X5, -24(DI)(CX*8)
 
 interpnext:
 	ADDQ fs-8(SP), DI
-	ADDQ fs-8(SP), SI
 	INCQ R13
 	CMPQ R13, end-16(SP)
 	JLT  interprow

@@ -1,7 +1,7 @@
 // Package simd runs the line-buffered rows of the MG stencil kernels four
 // lanes wide: one AVX2 assembly call per plane for each of internal/core's
 // four fused kernels — subRelax (with or without its norm rows), addRelax
-// and addRelaxPlus, projectCondense, and interpolate (Q·z and w + Q·z).
+// and addRelaxPlus, projectCondense, and interpolate.
 // A call walks every interior row of its plane; per row it fills the line
 // buffers and combines, so the Go side pays one call per plane, not three
 // per row. subRelax and addRelax take the rows in pairs: one column pass
@@ -122,27 +122,19 @@ func ProjectPlane(o, rm, rz, rp []float64, fn1, fn2 int, c *[4]float64, u1, u2 [
 	return true
 }
 
-// InterpPlane computes rows and columns m … extent−1−m (m is 0 or 1) of
-// one fine plane of interpolate, (2cn1−2)×(2cn2−2), from the cn1×cn2
-// coarse planes zl and zh it lies on or between (o3: between): o = Q·z,
-// or o = w + Q·z when w is not nil (o may alias w). b (cn2 long) stages a
-// fine row's cross-row sum of coarse rows.
-func InterpPlane(o, w, zl, zh []float64, o3 bool, cn1, cn2, m int, c *[4]float64, b []float64) bool {
+// InterpPlane computes o = Q·z on rows and columns m … extent−1−m (m is 0
+// or 1) of one fine plane of interpolate, (2cn1−2)×(2cn2−2), from the
+// cn1×cn2 coarse planes zl and zh it lies on or between (o3: between). b
+// (cn2 long) stages a fine row's cross-row sum of coarse rows.
+func InterpPlane(o, zl, zh []float64, o3 bool, cn1, cn2, m int, c *[4]float64, b []float64) bool {
 	fn1, fn2 := 2*cn1-2, 2*cn2-2
 	if !useAsm || cn2 < 4 || m != 0 && m != 1 || fn1-2*m < 1 || !fit(fn1*fn2, o) || !fit(cn1*cn2, zl, zh) || !fit(cn2, b) {
 		return false
-	}
-	var wp *float64
-	if w != nil {
-		if !fit(fn1*fn2, w) {
-			return false
-		}
-		wp = &w[0]
 	}
 	odd := 0
 	if o3 {
 		odd = 1
 	}
-	interpPlaneAVX2(&o[0], wp, &zl[0], &zh[0], odd, cn1, cn2, m, c, &b[0])
+	interpPlaneAVX2(&o[0], &zl[0], &zh[0], odd, cn1, cn2, m, c, &b[0])
 	return true
 }

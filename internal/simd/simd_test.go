@@ -208,8 +208,9 @@ func conformRelax(t *testing.T, n1, n2 int, in func(int) []float64) {
 }
 
 // conformGrid checks projectCondense on a fine n1×n2 plane and interpolate
-// (both fine-plane parities, with and without halo columns, Q·z, w + Q·z
-// and w + Q·z with o = w) from coarse n1×n2 planes.
+// (both fine-plane parities) from coarse n1×n2 planes. Interpolate's halo
+// rows, which only core's sweeps compute, are core's own test
+// (TestInterpolateHaloRowsBitIdentical).
 func conformGrid(t *testing.T, n1, n2, offset int, in func(int) []float64) {
 	fpl, cpl := n1*n2, (n1/2+1)*(n2/2+1)
 	rm, rz, rp := in(fpl), in(fpl), in(fpl)
@@ -223,30 +224,14 @@ func conformGrid(t *testing.T, n1, n2, offset int, in func(int) []float64) {
 	}
 
 	cpl, fpl = n1*n2, (2*n1-2)*(2*n2-2)
-	zl, zh, w := in(cpl), in(cpl), in(fpl)
+	zl, zh := in(cpl), in(cpl)
 	for _, f3 := range []int{2, 3} { // on coarse plane 1; between planes 1 and 2
-		for _, halo := range []bool{false, true} {
-			for _, form := range []string{"Q·z", "w+Q·z", "w+Q·z o=w"} {
-				what := fmt.Sprintf("interpolate %d×%d offset %d plane %d halo=%v %s", n1, n2, offset, f3, halo, form)
-				stage := 0
-				if form != "Q·z" {
-					stage = 2*n2 - 2
-				}
-				conform(t, what, offset, func(variant string, a *arena) ([]float64, []float64) {
-					od := a.stack(fpl, nil, nil, nil)
-					var wd []float64
-					if form != "Q·z" {
-						wd = a.stack(fpl, w, w, w)
-					}
-					if form == "w+Q·z o=w" {
-						od = wd
-					}
-					core.InterpolatePlanes(a.pool(n2, stage), od, wd, a.stack(cpl, zl, zh), n1, n2,
-						core.PlaneSpan{Lo: f3, Hi: f3}, halo, variant, stencil.Q)
-					return od, nil
-				})
-			}
-		}
+		what := fmt.Sprintf("interpolate %d×%d offset %d plane %d", n1, n2, offset, f3)
+		conform(t, what, offset, func(variant string, a *arena) ([]float64, []float64) {
+			od := a.stack(fpl, nil, nil, nil)
+			core.InterpolatePlanes(a.pool(n2), od, a.stack(cpl, zl, zh), n1, n2, core.PlaneSpan{Lo: f3, Hi: f3}, variant, stencil.Q)
+			return od, nil
+		})
 	}
 }
 
@@ -353,7 +338,7 @@ func TestAsmMatchesFallback(t *testing.T) {
 				if n1 >= 2 && n2 >= 2 {
 					for m := 0; m <= 1; m++ {
 						f := (&arena{}).window((2*n1 - 2) * (2*n2 - 2))
-						expect("InterpPlane", simd.InterpPlane(f, nil, x, x, true, n1, n2, m, c, buf), asm && n2 >= 4 && 2*n1-2-2*m >= 1, f)
+						expect("InterpPlane", simd.InterpPlane(f, x, x, true, n1, n2, m, c, buf), asm && n2 >= 4 && 2*n1-2-2*m >= 1, f)
 					}
 				}
 			}

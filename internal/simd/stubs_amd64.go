@@ -14,4 +14,4 @@ func addRelaxPlaneAVX2(o, z, w, rm, rz, rp *float64, n1, n2 int, c *[4]float64, 
 func projectPlaneAVX2(o, rm, rz, rp *float64, fn1, fn2 int, c *[4]float64, u1, u2 *float64)
 
 //go:noescape
-func interpPlaneAVX2(o, w, zl, zh *float64, o3, cn1, cn2, m int, c *[4]float64, b *float64)
+func interpPlaneAVX2(o, zl, zh *float64, o3, cn1, cn2, m int, c *[4]float64, b *float64)
