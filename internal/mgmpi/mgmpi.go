@@ -39,7 +39,10 @@
 // and, at each lower distributed level, one of r after its projection and
 // one of that level's correction. The whole-grid levels are core's own
 // V-cycle: each rank runs core.Solver.VCycle on the allgathered residual,
-// over the rank's line-buffer pool and workers. Either way the update is
+// over the rank's line-buffer pool and workers. Core keeps SAC's
+// threshold, so a whole grid of at most wl.DefaultSeqThreshold points runs
+// inline on the rank: every one up to 16 ranks; from 32 ranks the
+// whole-grid levels above 16³ fan over the workers. Either way the update is
 // core's: u + (z + S·(r − A·z)) with z = Q·zn at the finest level, not
 // mg.f's u += Q·z, and every plane runs in whichever backend
 // core.PlaneVariant picks for its rows (Solver.Variant reports it).
@@ -335,7 +338,8 @@ type rankState struct {
 
 	// whole is the residual of level lcd−1, whole on every rank, and coarse
 	// runs the levels below lcd on it (core's VCycle), drawing its grids
-	// from mem and fanning its planes over pool.
+	// from mem. Its levels of at most wl.DefaultSeqThreshold points run
+	// inline; only larger ones (lcd > 5, from 32 ranks) fan over pool.
 	whole  *array.Array
 	coarse *core.Solver
 

@@ -221,6 +221,21 @@ func TestLargestSlabBitIdentical(t *testing.T) {
 	}
 }
 
+// At 32 ranks class W keeps levels 1–5 whole, and level 5 (32³) is above
+// SAC's sequential threshold, so core's V-cycle fans its planes over each
+// rank's two workers there; the norms stay core's.
+func TestFannedWholeLevelsBitIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("class W skipped in -short")
+	}
+	want := coreIterBits(nas.ClassW)
+	want = append(want, want[len(want)-1]) // iterBits ends with the returned rnm2
+	c := config{ranks: 32, threads: 2}
+	if got := iterBits(t, nas.ClassW, c); !slices.Equal(got, want) {
+		t.Errorf("%s: norms %016x, core's %016x", c, got, want)
+	}
+}
+
 // The overlapped exchange ships exactly the synchronous exchange's
 // messages — same count, same payload volume — it only moves when they
 // are posted and waited.
