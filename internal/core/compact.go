@@ -36,7 +36,7 @@ func CompactSweep(e *wl.Env, kernel string, out, aux, x *array.Array, c stencil.
 	if aux != nil {
 		cs.aux = aux.Data()
 	}
-	pl := planPlanes(e, kernel, on+2, on*on)
+	pl := planPlanes(e, kernel, on+2)
 	cs.variant = pl.variant
 	if pl.inline() {
 		cs.span(pl.interior())
@@ -78,7 +78,7 @@ func (cs *compactSweep) span(p PlaneSpan) {
 		d := planeOf(buf, q%3, pl)
 		if held[q%3] != q {
 			toExtended(d, planeOf(cs.x, wrapPlane(q, n)-1, n*n), n)
-			WrapFrame(d, xe, xe)
+			WrapFrame(d, xe)
 			held[q%3] = q
 		}
 		return d
@@ -96,7 +96,7 @@ func (cs *compactSweep) span(p PlaneSpan) {
 			}
 			k.addRelax(o, o, nil, at(i-1), at(i), at(i+1), xe, xe, cs.c)
 		case "projectCondense":
-			k.project(o, at(2*i-1), at(2*i), at(2*i+1), xe, xe, cs.c)
+			k.project(o, at(2*i-1), at(2*i), at(2*i+1), xe, cs.c)
 		default:
 			k.interpolate(o, at(i/2), at((i+1)/2), i&1 == 1, xe, xe, 1, cs.c)
 		}

@@ -17,7 +17,8 @@
 // could be reused for grids of any dimension without alteration"). Grids
 // are in extended form — one artificial periodic boundary element on each
 // side of every axis (Fig. 5) — which is why VCycle recurses while
-// shape(r)[0] > 2+2.
+// shape(r)[0] > 2+2. The folded O3 kernels (fused.go) take cubes; a grid
+// of any other shape runs the generic composition at O3, as at O0–O2.
 //
 // # Memory semantics
 //
@@ -153,7 +154,7 @@ func (s *Solver) smoothAddInto(u, z, r *array.Array) *array.Array {
 	})
 }
 
-// residSubtract evaluates v − Resid(u). At O3 on rank-3 grids the
+// residSubtract evaluates v − Resid(u). At O3 on cubic grids the
 // subtraction folds into the relaxation (WITH-loop folding, see fused.go);
 // otherwise the composition is evaluated literally.
 func (s *Solver) residSubtract(v, u *array.Array) *array.Array {
@@ -172,7 +173,7 @@ func (s *Solver) residSubtract(v, u *array.Array) *array.Array {
 	return r
 }
 
-// smoothAdd evaluates z + Smooth(r), folded at O3 on rank-3 grids.
+// smoothAdd evaluates z + Smooth(r), folded at O3 on cubic grids.
 func (s *Solver) smoothAdd(z, r *array.Array) *array.Array {
 	e := s.Env
 	if s.foldable(r) {
@@ -231,7 +232,7 @@ func (s *Solver) Resid(u *array.Array) *array.Array {
 }
 
 // Smooth applies the smoothing operator S to r (paper Fig. 6). At O3 on
-// rank-3 grids — VCycle's coarsest level — it is the folded z + S·r over a
+// cubic grids — VCycle's coarsest level — it is the folded z + S·r over a
 // zero z, so the one plane kernel computes it.
 func (s *Solver) Smooth(r *array.Array) *array.Array {
 	return s.probe("smooth", r, func() *array.Array {

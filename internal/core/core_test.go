@@ -85,6 +85,59 @@ func TestOptLevelsBitIdentical(t *testing.T) {
 	}
 }
 
+// levelOps are the operations of a V-cycle level whose results the
+// optimization levels are held to.
+var levelOps = []struct {
+	name string
+	run  func(s *Solver, a *array.Array) *array.Array
+}{
+	{"Fine2Coarse", (*Solver).Fine2Coarse},
+	{"Coarse2Fine", (*Solver).Coarse2Fine},
+	{"VCycle", (*Solver).VCycle},
+	{"MGrid", func(s *Solver, v *array.Array) *array.Array { return s.MGrid(v, 2) }},
+}
+
+// agreeAfterComm3 runs op at O3 and at O0, each on a copy of a, and fails
+// unless the two results agree in shape and, after one border exchange on
+// each, in every bit: the halo rule of DESIGN.md §5.
+func agreeAfterComm3(t *testing.T, op int, a *array.Array) {
+	t.Helper()
+	var out [2]*array.Array
+	for i, opt := range []wl.OptLevel{wl.O3, wl.O0} {
+		env := wl.Default()
+		env.Opt = opt
+		out[i] = levelOps[op].run(New(env), a.Clone())
+		nas.Comm3(out[i])
+	}
+	sameBits(t, fmt.Sprintf("%s on %v after Comm3", levelOps[op].name, a.Shape()), out[0], out[1])
+}
+
+// The folded O3 kernels take cubes; a grid whose extents differ runs the
+// generic composition at O3 as at O0, so every operation returns O0's
+// shape and interior.
+func TestNonCubicGridsRunGeneric(t *testing.T) {
+	for i, ext := range [][3]int{{10, 6, 18}, {18, 10, 34}} {
+		for op := range levelOps {
+			a := randomBox(int64(i), ext[0], ext[1], ext[2])
+			if levelOps[op].name == "Coarse2Fine" {
+				a = randomBox(int64(i), ext[0]/2+1, ext[1]/2+1, ext[2]/2+1)
+			}
+			agreeAfterComm3(t, op, a)
+		}
+	}
+}
+
+// On cubes O0 and O3 give VCycle and MGrid the same interior but not the
+// same halo, and neither halo is the periodic image; one border exchange
+// on each result makes the two agree on every bit.
+func TestHaloAgreesAfterComm3(t *testing.T) {
+	for _, n := range []int{10, 18, 34} {
+		for op := 2; op < len(levelOps); op++ {
+			agreeAfterComm3(t, op, randomBox(int64(n), n, n, n))
+		}
+	}
+}
+
 // Implicit parallelization must not change a single bit.
 func TestParallelBitIdentical(t *testing.T) {
 	seq, _ := NewBenchmark(nas.ClassS, wl.Default()).Run()

@@ -88,7 +88,7 @@ import (
 
 // ResidNorm evaluates the NPB verification norms of the final residual,
 // ‖v − A·u‖: rnm2 (the scaled L2 norm) and rnmu (the max norm). At O3 on
-// rank-3 grids the norm accumulation folds into the residual traversal
+// cubic grids the norm accumulation folds into the residual traversal
 // (subRelaxNorm — the residual grid is written and normed in one pass
 // instead of being re-read); otherwise the residual is materialised and
 // normed separately. Both paths fold the sum of squares in the canonical
@@ -123,9 +123,11 @@ func (s *Solver) ResidNormSeparate(v, u *array.Array, n int) (rnm2, rnmu float64
 	return rnm2, rnmu
 }
 
-// foldable reports whether the folded rank-3 kernels apply.
+// foldable reports whether the folded kernels apply: at O3, on cubes. Any
+// other shape runs the generic composition, as at O0–O2.
 func (s *Solver) foldable(a *array.Array) bool {
-	return s.Env.Opt >= wl.O3 && a.Dim() == 3
+	shp := a.Shape()
+	return s.Env.Opt >= wl.O3 && shp.Rank() == 3 && shp[0] == shp[1] && shp[1] == shp[2]
 }
 
 // levelOfExtent computes log2 of an interior extent — the MG level tag.
@@ -138,22 +140,22 @@ func levelOfExtent(n int) int {
 }
 
 // planeLoop is the resolved schedule of one fused-kernel invocation over
-// the interior planes [1, n0-1) of a rank-3 grid: the level's plan from
-// Env.PlanFor plus what the bookkeeping after the sweep needs.
+// the interior planes [1, n-1) of a cubic grid of extent n: the level's
+// plan from Env.PlanFor plus what the bookkeeping after the sweep needs.
 type planeLoop struct {
 	e        *wl.Env
 	kernel   string
 	level    int
-	planes   int // interior plane count, n0-2
-	perPlane int // index vectors per plane
+	planes   int // interior plane count, n-2
+	perPlane int // interior points per plane, (n-2)²
 	seq      int // sequential threshold in planes
 	variant  string
 }
 
-func planPlanes(e *wl.Env, kernel string, n0, perPlane int) planeLoop {
-	level := levelOfExtent(n0 - 2)
+func planPlanes(e *wl.Env, kernel string, n int) planeLoop {
+	level, perPlane := levelOfExtent(n-2), (n-2)*(n-2)
 	seq, variant := e.PlanFor(level, perPlane)
-	return planeLoop{e: e, kernel: kernel, level: level, planes: n0 - 2, perPlane: perPlane,
+	return planeLoop{e: e, kernel: kernel, level: level, planes: n - 2, perPlane: perPlane,
 		seq: seq, variant: variant}
 }
 
@@ -192,13 +194,13 @@ func (p *planeLoop) record(elapsed time.Duration) {
 	p.e.Metrics.RecordVariant(0, p.kernel, p.level, p.variant, int64(p.planes)*int64(p.perPlane), elapsed)
 }
 
-// KernelCosts is the per-point work model of the fused kernels, feeding
+// kernelCosts is the per-point work model of the fused kernels, feeding
 // the derived GFLOP/s and bandwidth columns of the metrics report. Flops
 // count the arithmetic of one output point (the A stencil drops its zero
 // c1 term, the S stencil its zero c3 term); bytes count unique stream
 // traffic (input grids read once, the output written once — cache-resident
 // stencil re-reads excluded, so the column reads as effective bandwidth).
-var KernelCosts = map[string]metrics.Cost{
+var kernelCosts = map[string]metrics.Cost{
 	"subRelax":        {Flops: 24, Bytes: 3 * 8}, // reads u, v; writes out
 	"addRelax":        {Flops: 23, Bytes: 3 * 8}, // reads z, r; writes out
 	"projectCondense": {Flops: 30, Bytes: 2 * 8}, // reads 8 fine pts (≈1 stream per coarse pt); writes out
@@ -217,14 +219,14 @@ var KernelCosts = map[string]metrics.Cost{
 // sliding k window, so their per-point flop counts are lower than the
 // scalar recomputation — without this, buffered/simd sweeps would be
 // costed as scalar and the report's GFLOP/s would overstate the work done. Unknown variants (and
-// scalar) fall back to KernelCosts; byte counts are variant-independent.
+// scalar) fall back to kernelCosts; byte counts are variant-independent.
 func KernelCost(kernel, variant string) metrics.Cost {
 	if lined(variant) {
 		if c, ok := bufferedKernelCosts[kernel]; ok {
 			return c
 		}
 	}
-	return KernelCosts[kernel]
+	return kernelCosts[kernel]
 }
 
 // HasVariants reports whether kernel dispatches on the kernel variant.
@@ -258,19 +260,20 @@ func lined(variant string) bool {
 	return variant == wl.VariantBuffered || variant == wl.VariantSIMD
 }
 
-// kern is one sweep's handle on a plane kernel: the resolved backend and
-// the row buffers it threads through the rows of every plane it computes.
-// Its methods take planes, not grids — a plane of the output and the
-// planes of the inputs the stencil reaches — so the same row statements
-// serve a full grid (SubRelaxPlanes and friends slice it), a rank's slab,
-// and the few-plane rings of pipeline.go. Each scheduler partition
-// borrows its own kern (worker-local by construction), so parallel sweeps
-// stay allocation-free once the pool is warm. With vec set (the simd
-// backend) a method first offers its plane to internal/simd's primitive,
-// one assembly call for all the plane's rows, and runs the buffered rows
-// only when the primitive declines. The relax kernels borrow one buffer of
-// simd.RelaxLines rows in u1 (borrowRelax), of which the buffered rows use
-// the first two.
+// kern is one sweep's handle on a plane kernel: the resolved backend and the
+// row buffers it threads through the rows of every plane it computes. Its
+// methods take planes, not grids — a plane of the output and the planes of
+// the inputs the stencil reaches — so the same row statements serve a full
+// grid (SubRelaxPlanes and friends slice it), a rank's slab, and the
+// few-plane rings of pipeline.go. Rows are n wide; subRelax, addRelax and
+// interpolate also take a row count, fewer than n on the way up's bands of
+// rows, and project takes whole fn × fn planes. Each scheduler partition
+// borrows its own kern (worker-local), so parallel sweeps stay
+// allocation-free once the pool is warm. With vec set (the simd backend) a
+// method first offers its plane to internal/simd's primitive, one assembly
+// call for all the plane's rows, and runs the buffered rows only when the
+// primitive declines. The relax kernels borrow one buffer of simd.RelaxLines
+// rows in u1 (borrowRelax), of which the buffered rows use the first two.
 type kern struct {
 	lined, vec bool
 	frame      bool      // also write each plane's frame (PlaneSpan.Frame)
@@ -290,15 +293,15 @@ func borrowKern(pool *mempool.Pool, variant string, frame bool, b1, b2 int) kern
 	return k
 }
 
-// borrowRelax is borrowKern for subRelax and addRelax, whose rows are n2
+// borrowRelax is borrowKern for subRelax and addRelax, whose rows are n
 // long: one buffer of simd.RelaxLines rows.
-func borrowRelax(pool *mempool.Pool, variant string, frame bool, n2 int) kern {
-	return borrowKern(pool, variant, frame, simd.RelaxLines*n2, 0)
+func borrowRelax(pool *mempool.Pool, variant string, frame bool, n int) kern {
+	return borrowKern(pool, variant, frame, simd.RelaxLines*n, 0)
 }
 
-// lines are the buffered rows' line buffers u1 and u2 for rows of n2.
-func (k *kern) lines(n2 int) (u1, u2 []float64) {
-	return k.u1[:n2], k.u1[n2 : 2*n2]
+// lines are the buffered rows' line buffers u1 and u2 for rows of n.
+func (k *kern) lines(n int) (u1, u2 []float64) {
+	return k.u1[:n], k.u1[n : 2*n]
 }
 
 func (k *kern) release(pool *mempool.Pool) {
@@ -336,25 +339,24 @@ func (s *Solver) subRelaxNorm(v, u *array.Array, c stencil.Coeffs) (out *array.A
 
 func (s *Solver) subRelaxSweep(v, u *array.Array, c stencil.Coeffs, norm bool) (out *array.Array, sumSq, maxAbs float64) {
 	e, started := s.Env, s.exchanged
-	shp := u.Shape()
-	n0, n1, n2 := shp[0], shp[1], shp[2]
-	out = e.NewArrayDirty(shp)
+	n := u.Shape()[0]
+	out = e.NewArrayDirty(u.Shape())
 	od, vd, ud := out.Data(), v.Data(), u.Data()
-	endPlanes(od, vd, nil, n0, n1*n2)
+	endPlanes(od, vd, nil, n)
 	var sums, maxs []float64
 	if norm {
-		sums, maxs = e.Pool.GetDirty(n0), e.Pool.GetDirty(n0)
+		sums, maxs = e.Pool.GetDirty(n), e.Pool.GetDirty(n)
 	}
-	pl := planPlanes(e, "subRelax", n0, (n1-2)*(n2-2))
+	pl := planPlanes(e, "subRelax", n)
 	variant := pl.variant
 	if pl.inline() {
-		SubRelaxPlanes(e.Pool, od, vd, ud, n1, n2, pl.interior(), variant, c, sums, maxs)
+		SubRelaxPlanes(e.Pool, od, vd, ud, n, pl.interior(), variant, c, sums, maxs)
 	} else {
-		pl.fanOut(func(p PlaneSpan) { SubRelaxPlanes(e.Pool, od, vd, ud, n1, n2, p, variant, c, sums, maxs) })
+		pl.fanOut(func(p PlaneSpan) { SubRelaxPlanes(e.Pool, od, vd, ud, n, p, variant, c, sums, maxs) })
 	}
 	pl.finish(started, od)
 	if norm {
-		sumSq, maxAbs = foldNorms(sums, maxs, n0)
+		sumSq, maxAbs = foldNorms(sums, maxs, n)
 		e.Pool.Put(sums)
 		e.Pool.Put(maxs)
 	}
@@ -378,13 +380,13 @@ func foldNorms(sums, maxs []float64, n0 int) (sumSq, maxAbs float64) {
 // (each element reads only its own v). With sums non-nil it is the
 // subRelaxNorm sweep and stores each plane's sum of squares at its plane
 // index, and with maxs non-nil its largest absolute value too.
-func SubRelaxPlanes(pool *mempool.Pool, od, vd, ud []float64, n1, n2 int, p PlaneSpan, variant string,
+func SubRelaxPlanes(pool *mempool.Pool, od, vd, ud []float64, n int, p PlaneSpan, variant string,
 	c stencil.Coeffs, sums, maxs []float64) {
-	k := borrowRelax(pool, variant, p.Frame, n2)
-	pl := n1 * n2
+	k := borrowRelax(pool, variant, p.Frame, n)
+	pl := n * n
 	for i := p.Lo; i <= p.Hi; i++ {
 		sum, maxAbs := k.subRelax(planeOf(od, i, pl), planeOf(vd, i, pl),
-			planeOf(ud, i-1, pl), planeOf(ud, i, pl), planeOf(ud, i+1, pl), n1, n2, c, sums != nil, maxs != nil)
+			planeOf(ud, i-1, pl), planeOf(ud, i, pl), planeOf(ud, i+1, pl), n, n, c, sums != nil, maxs != nil)
 		if sums != nil {
 			sums[i] = sum
 		}
@@ -395,32 +397,32 @@ func SubRelaxPlanes(pool *mempool.Pool, od, vd, ud []float64, n1, n2 int, p Plan
 	k.release(pool)
 }
 
-// subRelax computes one plane of subRelax, o = v − Relax(u, c), from u's
-// planes below, at and above it; with norm set it also returns the plane's
-// sum of squares, folded from the stored rows, and with abs set their
+// subRelax computes one plane (rows × n) of subRelax, o = v − Relax(u, c),
+// from u's planes below, at and above it; with norm set it also returns the
+// plane's sum of squares, folded from the stored rows, and with abs set their
 // largest absolute value (0 without it). The health monitor reads only the
 // sum, and the simd fold of the sum alone is the cheaper one.
-func (k *kern) subRelax(o, v, um, uz, up []float64, n1, n2 int, c stencil.Coeffs, norm, abs bool) (sum, maxAbs float64) {
+func (k *kern) subRelax(o, v, um, uz, up []float64, rows, n int, c stencil.Coeffs, norm, abs bool) (sum, maxAbs float64) {
 	done := false
 	if k.vec {
-		sum, maxAbs, done = simd.SubRelaxPlane(o, v, um, uz, up, n1, n2, (*[4]float64)(&c), k.u1, norm, abs)
+		sum, maxAbs, done = simd.SubRelaxPlane(o, v, um, uz, up, rows, n, (*[4]float64)(&c), k.u1, norm, abs)
 	}
 	if !done && !k.lined {
-		subRelaxPlane(o, v, um, uz, up, n1, n2, c)
+		subRelaxPlane(o, v, um, uz, up, rows, n, c)
 	}
 	if !done && (k.lined || norm) {
 		var u1, u2 []float64
 		if k.lined {
-			u1, u2 = k.lines(n2)
+			u1, u2 = k.lines(n)
 		}
-		for zz := n2; zz < (n1-1)*n2; zz += n2 {
+		for zz := n; zz < (rows-1)*n; zz += n {
 			if k.lined {
-				subRelaxRowLined(o, v, um, uz, up, zz, n2, c, u1, u2)
+				subRelaxRowLined(o, v, um, uz, up, zz, n, c, u1, u2)
 			}
 			if !norm {
 				continue
 			}
-			acc, m := nas.SumSquares(o[zz+1:zz+n2-1], maxAbs)
+			acc, m := nas.SumSquares(o[zz+1:zz+n-1], maxAbs)
 			sum += acc
 			if abs {
 				maxAbs = m
@@ -428,7 +430,7 @@ func (k *kern) subRelax(o, v, um, uz, up []float64, n1, n2 int, c stencil.Coeffs
 		}
 	}
 	if k.frame {
-		writeFrame(o, v, nil, n1, n2)
+		writeFrame(o, v, nil, n)
 	}
 	return sum, maxAbs
 }
@@ -495,52 +497,51 @@ func (s *Solver) addRelaxPlus(u, z, r *array.Array, c stencil.Coeffs) *array.Arr
 // addRelaxPlus.
 func (s *Solver) addRelaxSweep(u, z, r *array.Array, c stencil.Coeffs) *array.Array {
 	e, started := s.Env, s.exchanged
-	shp := z.Shape()
-	n0, n1, n2 := shp[0], shp[1], shp[2]
-	out := e.NewArrayDirty(shp)
+	n := z.Shape()[0]
+	out := e.NewArrayDirty(z.Shape())
 	od, zd, rd := out.Data(), z.Data(), r.Data()
 	var ud []float64
 	if u != nil {
 		ud = u.Data()
 	}
-	endPlanes(od, zd, ud, n0, n1*n2)
-	pl := planPlanes(e, "addRelax", n0, (n1-2)*(n2-2))
+	endPlanes(od, zd, ud, n)
+	pl := planPlanes(e, "addRelax", n)
 	variant := pl.variant
 	if pl.inline() {
-		AddRelaxPlanes(e.Pool, od, zd, ud, rd, n1, n2, pl.interior(), variant, c)
+		addRelaxPlanes(e.Pool, od, zd, ud, rd, n, pl.interior(), variant, c)
 	} else {
-		pl.fanOut(func(p PlaneSpan) { AddRelaxPlanes(e.Pool, od, zd, ud, rd, n1, n2, p, variant, c) })
+		pl.fanOut(func(p PlaneSpan) { addRelaxPlanes(e.Pool, od, zd, ud, rd, n, p, variant, c) })
 	}
 	pl.finish(started, od)
 	return out
 }
 
-// AddRelaxPlanes is the plane-range entry point of addRelax (ud == nil,
-// out = z + Relax(r, c)) and addRelaxPlus (out = u + (z + Relax(r, c))) on
-// the interior rows of planes p (planes.go). od may alias zd or ud.
-func AddRelaxPlanes(pool *mempool.Pool, od, zd, ud, rd []float64, n1, n2 int, p PlaneSpan, variant string, c stencil.Coeffs) {
-	k := borrowRelax(pool, variant, p.Frame, n2)
-	pl := n1 * n2
+// addRelaxPlanes is the plane-range loop of addRelax (ud == nil, out = z +
+// Relax(r, c)) and addRelaxPlus (out = u + (z + Relax(r, c))) on the interior
+// rows of planes p (planes.go's contract). od may alias zd or ud.
+func addRelaxPlanes(pool *mempool.Pool, od, zd, ud, rd []float64, n int, p PlaneSpan, variant string, c stencil.Coeffs) {
+	k := borrowRelax(pool, variant, p.Frame, n)
+	pl := n * n
 	for i := p.Lo; i <= p.Hi; i++ {
 		k.addRelax(planeOf(od, i, pl), planeOf(zd, i, pl), planeOf(ud, i, pl),
-			planeOf(rd, i-1, pl), planeOf(rd, i, pl), planeOf(rd, i+1, pl), n1, n2, c)
+			planeOf(rd, i-1, pl), planeOf(rd, i, pl), planeOf(rd, i+1, pl), n, n, c)
 	}
 	k.release(pool)
 }
 
-// addRelax computes one plane of addRelax (u == nil, o = z + S·r) or
-// addRelaxPlus (o = u + (z + S·r)) from r's planes below, at and above it.
-func (k *kern) addRelax(o, z, u, rm, rz, rp []float64, n1, n2 int, c stencil.Coeffs) {
+// addRelax computes one plane (rows × n) of addRelax (u == nil, o = z + S·r)
+// or addRelaxPlus (o = u + (z + S·r)) from r's planes below, at and above it.
+func (k *kern) addRelax(o, z, u, rm, rz, rp []float64, rows, n int, c stencil.Coeffs) {
 	switch {
-	case k.vec && simd.AddRelaxPlane(o, z, u, rm, rz, rp, n1, n2, (*[4]float64)(&c), k.u1):
+	case k.vec && simd.AddRelaxPlane(o, z, u, rm, rz, rp, rows, n, (*[4]float64)(&c), k.u1):
 	case k.lined:
-		u1, u2 := k.lines(n2)
-		addRelaxPlaneLined(o, z, u, rm, rz, rp, n1, n2, c, u1, u2)
+		u1, u2 := k.lines(n)
+		addRelaxPlaneLined(o, z, u, rm, rz, rp, rows, n, c, u1, u2)
 	default:
-		addRelaxPlane(o, z, u, rm, rz, rp, n1, n2, c)
+		addRelaxPlane(o, z, u, rm, rz, rp, rows, n, c)
 	}
 	if k.frame {
-		writeFrame(o, z, u, n1, n2)
+		writeFrame(o, z, u, n)
 	}
 }
 
@@ -616,19 +617,19 @@ func addRelaxPlane(o, z, u, rm, rz, rp []float64, n1, n2 int, c stencil.Coeffs) 
 // unfolded relax (zero border) → condense → embed chain.
 func (s *Solver) projectCondense(r *array.Array, c stencil.Coeffs) *array.Array {
 	e, started := s.Env, s.exchanged
-	mf := r.Shape()[0]
-	// condense halves the extent (mf/2), embed adds the missing boundary
-	// element: the coarse extended extent is mf/2 + 1.
-	mo := mf/2 + 1
-	out := e.NewArrayDirty(shape.Of(mo, mo, mo))
+	fn := r.Shape()[0]
+	// condense halves the extent (fn/2), embed adds the missing boundary
+	// element: the coarse extended extent is fn/2 + 1.
+	cn := fn/2 + 1
+	out := e.NewArrayDirty(shape.Of(cn, cn, cn))
 	od, rd := out.Data(), r.Data()
-	endPlanes(od, nil, nil, mo, mo*mo)
-	pl := planPlanes(e, "projectCondense", mo, (mo-2)*(mo-2))
+	endPlanes(od, nil, nil, cn)
+	pl := planPlanes(e, "projectCondense", cn)
 	variant := pl.variant
 	if pl.inline() {
-		ProjectCondensePlanes(e.Pool, od, rd, mf, mf, pl.interior(), variant, c)
+		ProjectCondensePlanes(e.Pool, od, rd, fn, pl.interior(), variant, c)
 	} else {
-		pl.fanOut(func(p PlaneSpan) { ProjectCondensePlanes(e.Pool, od, rd, mf, mf, p, variant, c) })
+		pl.fanOut(func(p PlaneSpan) { ProjectCondensePlanes(e.Pool, od, rd, fn, p, variant, c) })
 	}
 	pl.finish(started, od)
 	return out
@@ -636,41 +637,41 @@ func (s *Solver) projectCondense(r *array.Array, c stencil.Coeffs) *array.Array 
 
 // ProjectCondensePlanes is the plane-range entry point of projectCondense
 // (planes.go): the interior rows of the coarse planes p, from a fine box
-// with lateral extents (fn1, fn2). The coarse box has f/2 + 1 points per
-// fine extent f, coarse point j under fine point 2j on every axis.
-func ProjectCondensePlanes(pool *mempool.Pool, od, rd []float64, fn1, fn2 int, p PlaneSpan, variant string, c stencil.Coeffs) {
-	k := borrowKern(pool, variant, p.Frame, fn2, fn2)
-	fpl, cpl := fn1*fn2, (fn1/2+1)*(fn2/2+1)
+// whose planes are fn × fn. The coarse box has fn/2 + 1 points per axis,
+// coarse point j under fine point 2j on every axis.
+func ProjectCondensePlanes(pool *mempool.Pool, od, rd []float64, fn int, p PlaneSpan, variant string, c stencil.Coeffs) {
+	k := borrowKern(pool, variant, p.Frame, fn, fn)
+	fpl, cpl := fn*fn, (fn/2+1)*(fn/2+1)
 	for jc := p.Lo; jc <= p.Hi; jc++ {
-		k.project(planeOf(od, jc, cpl), planeOf(rd, 2*jc-1, fpl), planeOf(rd, 2*jc, fpl), planeOf(rd, 2*jc+1, fpl), fn1, fn2, c)
+		k.project(planeOf(od, jc, cpl), planeOf(rd, 2*jc-1, fpl), planeOf(rd, 2*jc, fpl), planeOf(rd, 2*jc+1, fpl), fn, c)
 	}
 	k.release(pool)
 }
 
 // project computes one coarse plane of projectCondense from the fine
-// planes below, at and above the fine plane it sits under.
-func (k *kern) project(o, rm, rz, rp []float64, fn1, fn2 int, c stencil.Coeffs) {
+// planes below, at and above the fine plane it sits under (fn × fn).
+func (k *kern) project(o, rm, rz, rp []float64, fn int, c stencil.Coeffs) {
 	switch {
-	case k.vec && simd.ProjectPlane(o, rm, rz, rp, fn1, fn2, (*[4]float64)(&c), k.u1, k.u2):
+	case k.vec && simd.ProjectPlane(o, rm, rz, rp, fn, (*[4]float64)(&c), k.u1, k.u2):
 	case k.lined:
-		projectCondensePlaneLined(o, rm, rz, rp, fn1, fn2, c, k.u1, k.u2)
+		projectCondensePlaneLined(o, rm, rz, rp, fn, c, k.u1, k.u2)
 	default:
-		projectCondensePlane(o, rm, rz, rp, fn1, fn2, c)
+		projectCondensePlane(o, rm, rz, rp, fn, c)
 	}
 	if k.frame {
-		writeFrame(o, nil, nil, fn1/2+1, fn2/2+1)
+		writeFrame(o, nil, nil, fn/2+1)
 	}
 }
 
 // projectCondensePlane is the scalar backend of kern.project, over the
 // coarse index space. The fine row base advances two row strides per
 // coarse row.
-func projectCondensePlane(o, rm, rz, rp []float64, fn1, fn2 int, c stencil.Coeffs) {
+func projectCondensePlane(o, rm, rz, rp []float64, fn int, c stencil.Coeffs) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
-	cn1, cn2 := fn1/2+1, fn2/2+1
-	for zz, base := 2*fn2, cn2; base < (cn1-1)*cn2; zz, base = zz+2*fn2, base+cn2 {
-		zm, zp := zz-fn2, zz+fn2
-		for j1 := 1; j1 < cn2-1; j1++ {
+	cn := fn/2 + 1
+	for zz, base := 2*fn, cn; base < (cn-1)*cn; zz, base = zz+2*fn, base+cn {
+		zm, zp := zz-fn, zz+fn
+		for j1 := 1; j1 < cn-1; j1++ {
 			k := 2 * j1
 			u1m := ((rm[zz+k-1] + rz[zm+k-1]) + rz[zp+k-1]) + rp[zz+k-1]
 			u1z := ((rm[zz+k] + rz[zm+k]) + rz[zp+k]) + rp[zz+k]
@@ -697,51 +698,51 @@ func projectCondensePlane(o, rm, rz, rp []float64, fn1, fn2 int, c stencil.Coeff
 // terms are exact zeros).
 func (s *Solver) interpolate(rn *array.Array, c stencil.Coeffs) *array.Array {
 	e, started := s.Env, s.exchanged
-	mc := rn.Shape()[0]
-	mf := 2*mc - 2
-	out := e.NewArrayDirty(shape.Of(mf, mf, mf))
+	cn := rn.Shape()[0]
+	fn := 2*cn - 2
+	out := e.NewArrayDirty(shape.Of(fn, fn, fn))
 	od, zd := out.Data(), rn.Data()
-	endPlanes(od, nil, nil, mf, mf*mf)
-	pl := planPlanes(e, "interpolate", mf, (mf-2)*(mf-2))
+	endPlanes(od, nil, nil, fn)
+	pl := planPlanes(e, "interpolate", fn)
 	variant := pl.variant
 	if pl.inline() {
-		InterpolatePlanes(e.Pool, od, zd, mc, mc, pl.interior(), variant, c)
+		interpolatePlanes(e.Pool, od, zd, cn, pl.interior(), variant, c)
 	} else {
-		pl.fanOut(func(p PlaneSpan) { InterpolatePlanes(e.Pool, od, zd, mc, mc, p, variant, c) })
+		pl.fanOut(func(p PlaneSpan) { interpolatePlanes(e.Pool, od, zd, cn, p, variant, c) })
 	}
 	pl.finish(started, od)
 	return out
 }
 
-// InterpolatePlanes is the plane-range entry point of interpolate
-// (planes.go): out = Q·z on the interior rows and columns of the fine
-// planes p, from a coarse box with lateral extents (cn1, cn2). The fine box
-// has 2c − 2 points per coarse extent c, fine point 2j on coarse point j.
-func InterpolatePlanes(pool *mempool.Pool, od, zd []float64, cn1, cn2 int, p PlaneSpan, variant string, c stencil.Coeffs) {
-	k := borrowKern(pool, variant, p.Frame, cn2, 0)
-	fpl, cpl := (2*cn1-2)*(2*cn2-2), cn1*cn2
+// interpolatePlanes is the plane-range loop of interpolate: out = Q·z on
+// the interior rows and columns of the fine planes p, from a coarse box
+// whose planes are cn × cn, in the contract of planes.go. The fine box has
+// 2cn − 2 points per axis, fine point 2j on coarse point j.
+func interpolatePlanes(pool *mempool.Pool, od, zd []float64, cn int, p PlaneSpan, variant string, c stencil.Coeffs) {
+	k := borrowKern(pool, variant, p.Frame, cn, 0)
+	fpl, cpl := (2*cn-2)*(2*cn-2), cn*cn
 	for f3 := p.Lo; f3 <= p.Hi; f3++ {
-		k.interpolate(planeOf(od, f3, fpl), planeOf(zd, f3/2, cpl), planeOf(zd, (f3+1)/2, cpl), f3&1 == 1, cn1, cn2, 1, c)
+		k.interpolate(planeOf(od, f3, fpl), planeOf(zd, f3/2, cpl), planeOf(zd, (f3+1)/2, cpl), f3&1 == 1, cn, cn, 1, c)
 	}
 	k.release(pool)
 }
 
 // interpolate computes o = Q·z on rows and columns [m, extent−m) of one
-// fine plane from the coarse planes zl and zh it lies on or between (the
-// same plane twice when the fine plane index is even; o3 says it is odd).
-// With m = 0 the frame is interpolated from z's halo like any other point.
-func (k *kern) interpolate(o, zl, zh []float64, o3 bool, cn1, cn2, m int, c stencil.Coeffs) {
+// fine plane from the coarse planes zl and zh (rows × cn) it lies on or
+// between (the same plane twice when the fine plane index is even; o3 says
+// it is odd). With m = 0 the frame is interpolated from z's halo too.
+func (k *kern) interpolate(o, zl, zh []float64, o3 bool, rows, cn, m int, c stencil.Coeffs) {
 	switch {
-	case k.vec && simd.InterpPlane(o, zl, zh, o3, cn1, cn2, m, (*[4]float64)(&c), k.u1):
+	case k.vec && simd.InterpPlane(o, zl, zh, o3, rows, cn, m, (*[4]float64)(&c), k.u1):
 	case k.lined:
 		// One cross-row buffer of coarse-row length suffices: the parity
 		// cases pair at most the four coarse rows of one fine row.
-		interpolatePlaneLined(o, zl, zh, o3, cn1, cn2, m, c, k.u1)
+		interpolatePlaneLined(o, zl, zh, o3, rows, cn, m, c, k.u1)
 	default:
-		interpolatePlane(o, zl, zh, o3, cn1, cn2, m, c)
+		interpolatePlane(o, zl, zh, o3, rows, cn, m, c)
 	}
 	if k.frame {
-		writeFrame(o, nil, nil, 2*cn1-2, 2*cn2-2)
+		writeFrame(o, nil, nil, 2*cn-2)
 	}
 }
 
@@ -801,18 +802,18 @@ func setRun(o, a, b []float64, lo, hi int) {
 	}
 }
 
-// writeFrame writes the boundary value (setRun) on the frame of one plane
-// — rows 0 and n1−1, columns 0 and n2−1. The plane kernels call it right
+// writeFrame writes the boundary value (setRun) on the frame of one n × n
+// plane — rows and columns 0 and n−1. The plane kernels call it right
 // after the plane's rows, while they are in cache. The columns take
 // setRun's three cases as three loops, so the case is chosen once per plane.
-func writeFrame(o, a, b []float64, n1, n2 int) {
-	bot := (n1 - 1) * n2
-	setRun(o, a, b, 0, n2)
-	frameColumns(o, a, b, n1, n2)
-	setRun(o, a, b, bot, bot+n2)
+func writeFrame(o, a, b []float64, n int) {
+	bot := (n - 1) * n
+	setRun(o, a, b, 0, n)
+	frameColumns(o, a, b, n, n)
+	setRun(o, a, b, bot, bot+n)
 }
 
-// frameColumns is writeFrame's columns: rows 1 … n1−2 of a plane of n1 rows.
+// frameColumns is writeFrame's columns on rows 1 … n1−2 of n1 rows of n2.
 func frameColumns(o, a, b []float64, n1, n2 int) {
 	bot := (n1 - 1) * n2
 	switch {
@@ -831,9 +832,9 @@ func frameColumns(o, a, b []float64, n1, n2 int) {
 	}
 }
 
-// endPlanes writes the boundary value on planes 0 and n0−1 of a grid; with
-// the frames the plane kernels write, that is the whole boundary.
-func endPlanes(o, a, b []float64, n0, pl int) {
-	setRun(o, a, b, 0, pl)
-	setRun(o, a, b, (n0-1)*pl, n0*pl)
+// endPlanes writes the boundary value on planes 0 and n−1 of a cube of
+// extent n; with the frames the plane kernels write, that is the whole boundary.
+func endPlanes(o, a, b []float64, n int) {
+	setRun(o, a, b, 0, n*n)
+	setRun(o, a, b, (n-1)*n*n, n*n*n)
 }

@@ -16,9 +16,9 @@
 // the buffered results — grids and norms — are bit-identical to scalar
 // (TestBufferedBitIdentical). internal/simd runs these statements four
 // lanes wide, one call per plane, dropping the same exact-zero terms, so
-// its planes carry these rows' bits (internal/simd's tests compare the two
-// through this package's *Planes entry points); where it declines a plane,
-// these rows compute it.
+// its planes carry these rows' bits (simdplane_test.go compares the two
+// through kern's methods, on bands of rows as on whole planes); where it
+// declines a plane, these rows compute it.
 package core
 
 import "repro/internal/stencil"
@@ -93,20 +93,20 @@ func addRelaxPlaneLined(o, z, u, rm, rz, rp []float64, n1, n2 int, c stencil.Coe
 }
 
 // projectCondensePlaneLined is projectCondensePlane in the line-buffered
-// form. The buffers span the fine row (length fn2): every fine index
+// form. The buffers span the fine row (length fn): every fine index
 // feeds some coarse point's s1/s2/s3, so nothing filled is wasted.
-func projectCondensePlaneLined(o, rm, rz, rp []float64, fn1, fn2 int, c stencil.Coeffs, u1, u2 []float64) {
+func projectCondensePlaneLined(o, rm, rz, rp []float64, fn int, c stencil.Coeffs, u1, u2 []float64) {
 	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
-	cn1, cn2 := fn1/2+1, fn2/2+1
-	for zz, base := 2*fn2, cn2; base < (cn1-1)*cn2; zz, base = zz+2*fn2, base+cn2 {
-		rMM, rMZ, rMP := rm[zz-fn2:zz], rm[zz:zz+fn2], rm[zz+fn2:zz+2*fn2]
-		rZM, rZZ, rZP := rz[zz-fn2:zz], rz[zz:zz+fn2], rz[zz+fn2:zz+2*fn2]
-		rPM, rPZ, rPP := rp[zz-fn2:zz], rp[zz:zz+fn2], rp[zz+fn2:zz+2*fn2]
-		for t := 1; t < fn2; t++ {
+	cn := fn/2 + 1
+	for zz, base := 2*fn, cn; base < (cn-1)*cn; zz, base = zz+2*fn, base+cn {
+		rMM, rMZ, rMP := rm[zz-fn:zz], rm[zz:zz+fn], rm[zz+fn:zz+2*fn]
+		rZM, rZZ, rZP := rz[zz-fn:zz], rz[zz:zz+fn], rz[zz+fn:zz+2*fn]
+		rPM, rPZ, rPP := rp[zz-fn:zz], rp[zz:zz+fn], rp[zz+fn:zz+2*fn]
+		for t := 1; t < fn; t++ {
 			u1[t] = ((rMZ[t] + rZM[t]) + rZP[t]) + rPZ[t]
 			u2[t] = ((rMM[t] + rMP[t]) + rPM[t]) + rPP[t]
 		}
-		for j1 := 1; j1 < cn2-1; j1++ {
+		for j1 := 1; j1 < cn-1; j1++ {
 			k := 2 * j1
 			s1 := (rZZ[k-1] + rZZ[k+1]) + u1[k]
 			s2 := (u2[k] + u1[k-1]) + u1[k+1]

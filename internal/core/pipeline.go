@@ -88,17 +88,17 @@ func bandRows(n int) int {
 // interior planes to the interior plane 1..n that holds its values.
 func wrapPlane(q, n int) int { return (q-1+n)%n + 1 }
 
-// WrapFrame refreshes the periodic frame of one plane from its own
+// WrapFrame refreshes the periodic frame of one n × n plane from its own
 // interior — columns, then rows, nas.Comm3's order within a plane (not
 // shared with it: Comm3 is inside the F77 reference's timed section).
 // mgmpi's overlapped exchange refreshes a slab's lateral halos with it.
-func WrapFrame(d []float64, n1, n2 int) {
-	wrapColumns(d, n1, n2)
-	copy(d[:n2], d[(n1-2)*n2:])
-	copy(d[(n1-1)*n2:], d[n2:2*n2])
+func WrapFrame(d []float64, n int) {
+	wrapColumns(d, n, n)
+	copy(d[:n], d[(n-2)*n:])
+	copy(d[(n-1)*n:], d[n:2*n])
 }
 
-// wrapColumns is WrapFrame's columns: rows 1 … n1−2 of a plane of n1 rows.
+// wrapColumns is WrapFrame's columns on rows 1 … n1−2 of n1 rows of n2.
 func wrapColumns(d []float64, n1, n2 int) {
 	for row := n2; row < (n1-1)*n2; row += n2 {
 		d[row] = d[row+n2-2]
@@ -199,10 +199,9 @@ func (s *Solver) correct(u, zn, r *array.Array) *array.Array {
 		sw.u = u.Data()
 	}
 	sw.out = out.Data()
-	per := (n - 2) * (n - 2)
-	sw.top = planPlanes(e, "interpolate", n, per)
-	sw.mid = planPlanes(e, "subRelax", n, per)
-	sw.end = planPlanes(e, "addRelax", n, per)
+	sw.top = planPlanes(e, "interpolate", n)
+	sw.mid = planPlanes(e, "subRelax", n)
+	sw.end = planPlanes(e, "addRelax", n)
 	sw.run()
 	healthSample(e, "addRelax", sw.end.level, sw.out)
 	watch.fileUp(&sw)
@@ -370,7 +369,7 @@ func (sw *sweep) upBand(p PlaneSpan, bd *band, ring []float64, ki, kr, ka *kern,
 		}
 		clk.lap(stResid)
 		if bd.one {
-			WrapFrame(bd.wrap.inRing(r2), n, n)
+			WrapFrame(bd.wrap.inRing(r2), n)
 		} else {
 			wrapColumns(bd.wrap.inRing(r2), bd.wrap.rows, n)
 		}
@@ -383,7 +382,7 @@ func (sw *sweep) upBand(p PlaneSpan, bd *band, ring []float64, ki, kr, ka *kern,
 		ka.addRelax(ob, zb, ub, sm.inRing(r2At(q-3)), sm.inRing(r2At(q-2)), sm.inRing(r2), sm.rows, n, sw.sm)
 		switch {
 		case sw.slab && bd.one:
-			WrapFrame(o, n, n)
+			WrapFrame(o, n)
 		case sw.slab:
 			wrapColumns(ob, sm.rows, n)
 			if bd.b == rows {
@@ -433,9 +432,9 @@ func (s *Solver) residProject(v, u *array.Array) (r, rn *array.Array) {
 	if e.Health.WantsResid() {
 		sw.sums = e.Pool.GetDirty(n)
 	}
-	sw.mid = planPlanes(e, "subRelax", n, (n-2)*(n-2))
-	sw.end = planPlanes(e, "projectCondense", cn, (cn-2)*(cn-2))
-	endPlanes(sw.rn, nil, nil, cn, cn*cn)
+	sw.mid = planPlanes(e, "subRelax", n)
+	sw.end = planPlanes(e, "projectCondense", cn)
+	endPlanes(sw.rn, nil, nil, cn)
 	sw.run()
 	pl := n * n
 	copy(planeOf(sw.r, 0, pl), planeOf(sw.r, n-2, pl))
@@ -478,13 +477,13 @@ func (sw *sweep) down(p PlaneSpan) {
 			sw.sums[f] = sum
 		}
 		clk.lap(stResid)
-		WrapFrame(dst, n, n)
+		WrapFrame(dst, n)
 		clk.lap(stWrap)
 		if f&1 == 1 && f > 2*p.Lo {
 			o := planeOf(sw.rn, f/2, cpl)
-			kp.project(o, planeOf(sw.r, f-2, pl), planeOf(sw.r, f-1, pl), dst, n, n, sw.p)
+			kp.project(o, planeOf(sw.r, f-2, pl), planeOf(sw.r, f-1, pl), dst, n, sw.p)
 			if sw.slab {
-				WrapFrame(o, cn, cn)
+				WrapFrame(o, cn)
 			}
 			clk.lap(stProject)
 		}

@@ -236,7 +236,6 @@ func TestSampledClocksFileEveryStage(t *testing.T) {
 	cn := n/2 + 1
 	zn, r := randomBox(1, cn, cn, cn), randomBox(2, n, n, n)
 	u, v := randomBox(3, n, n, n), randomBox(4, n, n, n)
-	per := (n - 2) * (n - 2)
 	for _, workers := range []int{1, 2, 4} {
 		for _, planes := range []int{1, 2, clockEvery - 1, clockEvery, clockEvery + 1} {
 			name := fmt.Sprintf("w%d span of %d planes", workers, planes)
@@ -246,11 +245,11 @@ func TestSampledClocksFileEveryStage(t *testing.T) {
 			s, s2 := New(env), New(env) // a solver watches one sweep at a time
 			up, down := s.newSweep(n, s.lead(zn, wayUp, 6)), s2.newSweep(n, s2.lead(u, wayDown, 6))
 			up.zn, up.r = zn.Data(), r.Data()
-			up.top = planPlanes(env, "interpolate", n, per)
-			up.mid = planPlanes(env, "subRelax", n, per)
-			up.end = planPlanes(env, "addRelax", n, per)
+			up.top = planPlanes(env, "interpolate", n)
+			up.mid = planPlanes(env, "subRelax", n)
+			up.end = planPlanes(env, "addRelax", n)
 			down.u, down.v = u.Data(), v.Data()
-			down.mid, down.end = up.mid, planPlanes(env, "projectCondense", cn, (cn-2)*(cn-2))
+			down.mid, down.end = up.mid, planPlanes(env, "projectCondense", cn)
 			var wg sync.WaitGroup
 			for range workers {
 				mineUp, mineDown := up, down

@@ -1,23 +1,22 @@
-// The kernel layer's public face: plane-range entry points of the four
-// fused kernels and of the two pipelined V-cycle legs, and the
-// interior/boundary plane split a distributed caller schedules them with.
+// The kernel layer's public face: plane-range entry points of the fused
+// kernels and of the two pipelined V-cycle legs, and the interior/boundary
+// plane split a distributed caller schedules them with.
 //
-// SubRelaxPlanes, AddRelaxPlanes, ProjectCondensePlanes and
-// InterpolatePlanes (fused.go) are the plane loops core's own subRelax,
-// addRelax, projectCondense and interpolate run — the same functions, not
+// SubRelaxPlanes and ProjectCondensePlanes (fused.go) are the plane loops
+// core's own subRelax and projectCondense run — the same functions, not
 // wrappers — opened to callers that own the grid: internal/mgmpi's ranks
 // run SubRelaxPlanes (the last residual) and ProjectCondensePlanes (a
-// slab's restriction) on their slabs, and
-// internal/simd's tests hold its primitives to the buffered rows through
-// all four. CorrectPlanes and ResidProjectPlanes
-// (pipeline.go) are core's way up and way down, the same sweep, run on a
-// slab: a grid cut along axis 0 whose planes beyond its interior are halo
-// planes the caller exchanged, not the periodic wrap (their layout is in
-// their comments). The contract:
+// slab's restriction) on their slabs. addRelax and interpolate have plane
+// loops of the same contract that only this package calls. CorrectPlanes
+// and ResidProjectPlanes (pipeline.go) are core's way up and way down, the
+// same sweep, run on a slab: a grid cut along axis 0 whose planes beyond
+// its interior are halo planes the caller exchanged, not the periodic wrap
+// (their layout is in their comments). The contract:
 //
 //   - A grid is a flat row-major box with one halo cell on every side and
-//     lateral extents (n1, n2), halos included; any number of planes. The
-//     lateral extents may differ.
+//     any number of planes. A plane is n × n with its halo: the entry
+//     points take one lateral extent n (a coarse or fine one where they
+//     map between levels).
 //   - A call computes the planes of its PlaneSpan only, reads the planes
 //     either side of them, and never writes outside the span; calls on
 //     disjoint spans may run concurrently. Halos are the caller's to

@@ -87,18 +87,19 @@ func sameBits(t *testing.T, what string, got, want *array.Array) {
 	}
 }
 
-// TestPlaneEntryPointsRectangular drives the four plane-range entry points
-// on a box whose three extents all differ, in every backend, split into
-// two spans, and holds them to the generic O0 composition (stencil.Relax
-// and the aplib array operations, which are shape-generic).
+// TestPlaneEntryPointsRectangular drives the four plane-range loops on a
+// slab box — fewer planes than points per row, as a rank's slab has — in
+// every backend, split into two spans, and holds them to the generic O0
+// composition (stencil.Relax and the aplib array operations, which are
+// shape-generic).
 func TestPlaneEntryPointsRectangular(t *testing.T) {
 	e := wl.Default()
 	e.Opt = wl.O0
 	s := New(e)
-	const f0, f1, f2 = 10, 6, 18 // fine box; the coarse one is (6, 4, 10)
+	const f0, n = 10, 18 // fine box (f0, n, n); the coarse one is (6, 10, 10)
 	fine := PlaneSpan{Lo: 1, Hi: f0 - 2}
-	u, v := randomBox(1, f0, f1, f2), randomBox(2, f0, f1, f2)
-	z := randomBox(3, f0/2+1, f1/2+1, f2/2+1)
+	u, v := randomBox(1, f0, n, n), randomBox(2, f0, n, n)
+	z := randomBox(3, f0/2+1, n/2+1, n/2+1)
 	cs := z.Shape()
 
 	resid := aplib.Sub(e, v, s.Resid(u))
@@ -119,27 +120,27 @@ func TestPlaneEntryPointsRectangular(t *testing.T) {
 
 		out := v.Clone() // the boundary of v − A·u and of v + S·u is v's
 		split(fine, func(p PlaneSpan) {
-			SubRelaxPlanes(pool, out.Data(), v.Data(), u.Data(), f1, f2, p, variant, s.Operator, nil, nil)
+			SubRelaxPlanes(pool, out.Data(), v.Data(), u.Data(), n, p, variant, s.Operator, nil, nil)
 		})
 		sameBits(t, name+"SubRelaxPlanes", out, resid)
 
 		out = v.Clone()
 		split(fine, func(p PlaneSpan) {
-			AddRelaxPlanes(pool, out.Data(), out.Data(), nil, u.Data(), f1, f2, p, variant, s.Smoother)
+			addRelaxPlanes(pool, out.Data(), out.Data(), nil, u.Data(), n, p, variant, s.Smoother)
 		})
-		sameBits(t, name+"AddRelaxPlanes in place", out, smooth)
+		sameBits(t, name+"addRelaxPlanes in place", out, smooth)
 
 		out = array.New(cs)
 		split(PlaneSpan{Lo: 1, Hi: cs[0] - 2}, func(p PlaneSpan) {
-			ProjectCondensePlanes(pool, out.Data(), u.Data(), f1, f2, p, variant, s.Project)
+			ProjectCondensePlanes(pool, out.Data(), u.Data(), n, p, variant, s.Project)
 		})
 		sameBits(t, name+"ProjectCondensePlanes", out, coarse)
 
 		out = array.New(u.Shape())
 		split(fine, func(p PlaneSpan) {
-			InterpolatePlanes(pool, out.Data(), z.Data(), cs[1], cs[2], p, variant, s.Interp)
+			interpolatePlanes(pool, out.Data(), z.Data(), cs[2], p, variant, s.Interp)
 		})
-		sameBits(t, name+"InterpolatePlanes", out, prolong)
+		sameBits(t, name+"interpolatePlanes", out, prolong)
 
 		if st := pool.Stats(); st.Allocs+st.Reuses != st.Puts {
 			t.Fatalf("%s%d line buffers not returned to the pool", name, st.Allocs+st.Reuses-st.Puts)

@@ -530,11 +530,11 @@ func (st *rankState) allgather() {
 // the coarse one rj. Slab alignment makes the cell mapping local:
 // coarse local (j3,j2,j1) sits under fine local (2j3, 2j2, 2j1).
 func (st *rankState) project(rk, rj *array.Array) func(core.PlaneSpan) {
-	fs := rk.Shape()
+	fn := rk.Shape()[2]
 	fd, cd := rk.Data(), rj.Data()
 	variant := core.PlaneVariant(rj.Shape()[2] - 2)
 	return func(p core.PlaneSpan) {
-		core.ProjectCondensePlanes(st.mem, cd, fd, fs[1], fs[2], p, variant, stencil.P)
+		core.ProjectCondensePlanes(st.mem, cd, fd, fn, p, variant, stencil.P)
 	}
 }
 
@@ -694,7 +694,7 @@ func (st *rankState) evalResid() {
 		// u stores plane q at index q+1; the residual kernel reads it at q.
 		variant := core.PlaneVariant(n - 2)
 		st.forPlanes(core.PlaneSpan{Lo: 1, Hi: lp}, func(p core.PlaneSpan) {
-			core.SubRelaxPlanes(st.mem, rd, vd, ud[n*n:], n, n, p, variant, st.a, nil, nil)
+			core.SubRelaxPlanes(st.mem, rd, vd, ud[n*n:], n, p, variant, st.a, nil, nil)
 		})
 		return
 	}

@@ -75,12 +75,11 @@ func (st *rankState) haloed(a *array.Array, level int, h halo, compute func(core
 // framed is compute followed by the periodic frame of every plane it
 // wrote, for a kernel that writes interior rows only.
 func (st *rankState) framed(a *array.Array, compute func(core.PlaneSpan)) func(core.PlaneSpan) {
-	shp := a.Shape()
-	n1, n2, d := shp[1], shp[2], a.Data()
+	n, d := a.Shape()[2], a.Data()
 	return func(p core.PlaneSpan) {
 		compute(p)
 		for i := p.Lo; i <= p.Hi; i++ {
-			core.WrapFrame(d[i*n1*n2:(i+1)*n1*n2], n1, n2)
+			core.WrapFrame(d[i*n*n:(i+1)*n*n], n)
 		}
 	}
 }

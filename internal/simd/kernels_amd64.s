@@ -640,19 +640,19 @@ addnext:
 	VZEROUPPER
 	RET
 
-// func projectPlaneAVX2(o, rm, rz, rp *float64, fn1, fn2 int, c *[4]float64, u1, u2 *float64)
-// The coarse plane o (extents fn1/2+1 × fn2/2+1) on rows and columns 1 …
-// extent−2: o[j] = tree(2j) over fine row 2j of the three fine planes
-// (fn1, fn2 ≥ 4). Four j per block: the tree runs at k … k+3 and at
-// k+3 … k+6 (so the highest index read is k+7, inside the fine row), and
-// the even-k lanes r[k], r[k+2] of the first and r[k+4], r[k+6] of the
-// second are gathered into one contiguous store.
-TEXT ·projectPlaneAVX2(SB), NOSPLIT, $0-72
-	MOVQ c+48(FP), AX
+// func projectPlaneAVX2(o, rm, rz, rp *float64, fn int, c *[4]float64, u1, u2 *float64)
+// The coarse plane o (fn/2+1 × fn/2+1) on rows and columns 1 … fn/2−1:
+// o[j] = tree(2j) over fine row 2j of the three fine planes (fn × fn,
+// fn ≥ 4). Four j per block: the tree runs at k … k+3 and at k+3 … k+6
+// (so the highest index read is k+7, inside the fine row), and the even-k
+// lanes r[k], r[k+2] of the first and r[k+4], r[k+6] of the second are
+// gathered into one contiguous store.
+TEXT ·projectPlaneAVX2(SB), NOSPLIT, $0-64
+	MOVQ c+40(FP), AX
 	LOAD_COEFFS(AX)
-	MOVQ fn2+40(FP), DX
+	MOVQ fn+32(FP), DX
 	SHLQ $3, DX
-	MOVQ fn2+40(FP), SI
+	MOVQ fn+32(FP), SI
 	SHRQ $1, SI
 	INCQ SI
 	SHLQ $3, SI // coarse row stride in bytes
@@ -664,16 +664,16 @@ TEXT ·projectPlaneAVX2(SB), NOSPLIT, $0-72
 	LEAQ (R8)(DX*2), R8
 	LEAQ (R9)(DX*2), R9
 	LEAQ (R10)(DX*2), R10
-	MOVQ fn1+32(FP), R13
+	MOVQ fn+32(FP), R13
 	SHRQ $1, R13
 	DECQ R13
 
 projrow:
-	MOVQ u1+56(FP), R11
-	MOVQ u2+64(FP), R12
-	MOVQ fn2+40(FP), BX
+	MOVQ u1+48(FP), R11
+	MOVQ u2+56(FP), R12
+	MOVQ fn+32(FP), BX
 	FILL_ROWS(projf1, projf1c, projf2, projf2c)
-	MOVQ u1+56(FP), R11
+	MOVQ u1+48(FP), R11
 	MOVQ SI, BX
 	SHRQ $3, BX
 	SUBQ $5, BX // last full block's first j

@@ -11,7 +11,7 @@ func subRelaxPlaneAVX2(o, v, um, uz, up *float64, n1, n2 int, c *[4]float64, u *
 func addRelaxPlaneAVX2(o, z, w, rm, rz, rp *float64, n1, n2 int, c *[4]float64, u *float64, mode int)
 
 //go:noescape
-func projectPlaneAVX2(o, rm, rz, rp *float64, fn1, fn2 int, c *[4]float64, u1, u2 *float64)
+func projectPlaneAVX2(o, rm, rz, rp *float64, fn int, c *[4]float64, u1, u2 *float64)
 
 //go:noescape
 func interpPlaneAVX2(o, zl, zh *float64, o3, cn1, cn2, m int, c *[4]float64, b *float64)
